@@ -41,12 +41,11 @@ import time
 
 import numpy as np
 
+import repro
 from repro.core import RmaConfig
 from repro.data.synthetic import uniform_relation
 from repro.linalg.policy import BackendPolicy
-from repro.plan.lazy import scan
 from repro.relational.relation import Relation
-from repro.sql import Session
 
 try:
     from benchmarks.bench_util import relations_identical
@@ -90,14 +89,13 @@ def build_inputs(n_chain: int = N_CHAIN_ROWS, n_gram: int = N_GRAM_ROWS):
     return leaves, gram
 
 
-def chain_pipeline(leaves: list[Relation]):
-    """emu(sub(add(y1,y2), y3), y4): a 3-step element-wise chain."""
-    pipe = scan(leaves[0]).rma("add", by="k0", other=scan(leaves[1]),
-                               other_by="k1")
-    pipe = pipe.rma("sub", by=("k0", "k1"), other=scan(leaves[2]),
-                    other_by="k2")
-    return pipe.rma("emu", by=("k0", "k1", "k2"), other=scan(leaves[3]),
-                    other_by="k3")
+def chain_pipeline(leaves: list[Relation], config: RmaConfig):
+    """emu(sub(add(y1,y2), y3), y4): a 3-step element-wise chain, on a
+    session without caches so every collect executes the whole chain."""
+    db = repro.connect(config=config, plan_cache=False)
+    m0, m1, m2, m3 = (db.matrix(leaf, by=f"k{i}")
+                      for i, leaf in enumerate(leaves))
+    return (m0 + m1 - m2) * m3
 
 
 def run_chain(fused: bool, leaves: list[Relation],
@@ -107,7 +105,7 @@ def run_chain(fused: bool, leaves: list[Relation],
     result = None
     start = time.perf_counter()
     for _ in range(repeats):
-        result = chain_pipeline(leaves).collect(config=config)
+        result = chain_pipeline(leaves, config).collect()
     return time.perf_counter() - start, result
 
 
@@ -116,7 +114,7 @@ def run_statements(cached: bool, gram: Relation,
     """Time ``repeats`` executions of the same statement in one session."""
     config = RmaConfig(policy=BackendPolicy(prefer="mkl"),
                        validate_keys=False)
-    session = Session(config=config, plan_cache=cached)
+    session = repro.connect(config=config, plan_cache=cached)
     session.register("g", gram)
     result = None
     start = time.perf_counter()

@@ -41,12 +41,12 @@ import time
 
 import numpy as np
 
+import repro
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
 from repro.core.ops import execute_rma, prepare_stage
 from repro.linalg.policy import BackendPolicy
 from repro.opspec import spec_of
-from repro.plan.lazy import scan
 from repro.relational.relation import Relation
 
 try:
@@ -105,13 +105,13 @@ def build_chain_inputs(n_rows: int = N_CHAIN_ROWS) -> list[Relation]:
     return [_chain_relation(n_rows, i, seed=90 + i) for i in range(4)]
 
 
-def chain_pipeline(leaves: list[Relation]):
-    pipe = scan(leaves[0]).rma("add", by="k0", other=scan(leaves[1]),
-                               other_by="k1")
-    pipe = pipe.rma("sub", by=("k0", "k1"), other=scan(leaves[2]),
-                    other_by="k2")
-    return pipe.rma("emu", by=("k0", "k1", "k2"), other=scan(leaves[3]),
-                    other_by="k3")
+def chain_pipeline(leaves: list[Relation], config: RmaConfig):
+    """emu(sub(add(y1,y2), y3), y4) on a session without caches, so every
+    collect executes the whole chain."""
+    db = repro.connect(config=config, plan_cache=False)
+    m0, m1, m2, m3 = (db.matrix(leaf, by=f"k{i}")
+                      for i, leaf in enumerate(leaves))
+    return (m0 + m1 - m2) * m3
 
 
 def run_chain(parallel_on: bool, leaves: list[Relation],
@@ -120,7 +120,7 @@ def run_chain(parallel_on: bool, leaves: list[Relation],
     result = None
     start = time.perf_counter()
     for _ in range(repeats):
-        result = chain_pipeline(leaves).collect(config=config)
+        result = chain_pipeline(leaves, config).collect()
     return time.perf_counter() - start, result
 
 

@@ -1,6 +1,7 @@
 """Ablation — shared plan layer: CSE + warm order propagation (ISSUE 2).
 
-Two access patterns the plan layer optimizes, run as lazy pipelines:
+Two access patterns the plan layer optimizes, built as ``Matrix``
+expressions and run with CSE on or off:
 
 * **Repeated subexpression** (CSE): the conditioning-check chain
   ``MMU(MMU(INV(CPD(a,a)), CPD(a,a)), INV(CPD(a,a)))`` contains the
@@ -34,10 +35,12 @@ import time
 
 import numpy as np
 
+import repro
+from repro.bat.catalog import Catalog
 from repro.core import RmaConfig
 from repro.data.synthetic import uniform_relation
 from repro.linalg.policy import BackendPolicy
-from repro.plan.lazy import scan
+from repro.plan import Executor, optimize, plan_physical
 from repro.relational.relation import Relation
 
 try:
@@ -92,22 +95,33 @@ def build_inputs(n_gram: int = N_GRAM_ROWS, n_chain: int = N_CHAIN_ROWS):
 def gram_pipeline(gram: Relation):
     """MMU(MMU(INV(CPD(a,a)), CPD(a,a)), INV(CPD(a,a))) — one root,
     CPD(a,a) x3 and INV x2 as repeated subplans."""
-    a = scan(gram, name="a")
-    xtx = a.rma("cpd", by="id", other=a, other_by="id")
-    inv_xtx = xtx.rma("inv", by="C")
-    inner = inv_xtx.rma("mmu", by="C", other=xtx, other_by="C")
-    return inner.rma("mmu", by="C", other=inv_xtx, other_by="C")
+    a = repro.connect().matrix(gram, by="id", name="a")
+    xtx = a.cpd(a)
+    inv_xtx = xtx.inv()
+    return (inv_xtx @ xtx) @ inv_xtx
 
 
 def chain_pipeline(years: list[Relation]):
     """add(add(add(y1,y2), y3), y4): each step consumes a derived relation
     and orders it by its full (grown) order schema."""
-    pipe = scan(years[0]).rma("add", by="k0", other=scan(years[1]),
-                              other_by="k1")
-    pipe = pipe.rma("add", by=("k0", "k1"), other=scan(years[2]),
-                    other_by="k2")
-    return pipe.rma("add", by=("k0", "k1", "k2"), other=scan(years[3]),
-                    other_by="k3")
+    db = repro.connect()
+    m0, m1, m2, m3 = (db.matrix(year, by=f"k{i}")
+                      for i, year in enumerate(years))
+    return m0 + m1 + m2 + m3
+
+
+def collect(expression, config: RmaConfig, cse: bool) -> Relation:
+    """Optimize, plan and execute an expression's plan with CSE on or off.
+
+    A session always memoizes repeated subplans; the baseline of this
+    ablation needs the executor's memo off, so it drives the plan layer
+    directly (no session caches in either mode)."""
+    catalog = Catalog()
+    plan = optimize(expression.plan, catalog, keep_all=True,
+                    fuse=config.fuse_elementwise)
+    executor = Executor(catalog, config,
+                        physical=plan_physical(plan, catalog), cse=cse)
+    return executor.run(plan).to_plain_relation()
 
 
 def run_scenario(optimized: bool, gram: Relation, years: list[Relation],
@@ -118,10 +132,8 @@ def run_scenario(optimized: bool, gram: Relation, years: list[Relation],
     results = None
     start = time.perf_counter()
     for _ in range(repeats):
-        gram_result = gram_pipeline(gram).collect(config=config,
-                                                  cse=optimized)
-        chain_result = chain_pipeline(years).collect(config=config,
-                                                     cse=optimized)
+        gram_result = collect(gram_pipeline(gram), config, optimized)
+        chain_result = collect(chain_pipeline(years), config, optimized)
         results = (gram_result, chain_result)
     elapsed = time.perf_counter() - start
     return elapsed, results

@@ -7,10 +7,10 @@ grouped aggregation, sorting, selection and the SQL pipeline.
 import numpy as np
 import pytest
 
+import repro
 from repro.data.synthetic import uniform_relation
 from repro.relational import AggregateSpec, group_by, join, rename
 from repro.relational.relation import Relation
-from repro.sql import Session
 
 N_ROWS = 100_000
 
@@ -57,7 +57,7 @@ def test_selection(benchmark, left):
 
 @pytest.mark.benchmark(group="engine-sql")
 def test_sql_pipeline(benchmark, left, right):
-    session = Session()
+    session = repro.connect()
     session.register("l", left)
     session.register("r", right)
     sql = ("SELECT l.k, SUM(v) AS sv, COUNT(*) AS n FROM l JOIN r "
@@ -67,7 +67,7 @@ def test_sql_pipeline(benchmark, left, right):
 
 @pytest.mark.benchmark(group="engine-sql")
 def test_sql_rma_query(benchmark):
-    session = Session()
+    session = repro.connect()
     session.register("m", uniform_relation(5_000, 8, seed=33))
     sql = "SELECT * FROM QQR(m BY id)"
     benchmark(lambda: session.execute(sql))

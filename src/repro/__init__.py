@@ -32,14 +32,13 @@ morsel-parallel engine):
 
    >>> db.execute("SELECT * FROM INV(rating BY User)")
 
-3. **Eager functions** — each call is a one-op expression, collected
-   immediately on the same executor:
+3. **Eager functions** — each call runs one operation immediately, on
+   the same RMA pipeline the executor runs for every plan node:
 
    >>> repro.rma.inv(rating, by="User")
 
 All three produce bit-identical relations; the expression and SQL surfaces
-additionally optimize whole chains.  ``Session`` (the pre-redesign SQL
-entry point) remains as a deprecated alias of :class:`Database`.
+additionally optimize whole chains.
 
 Subpackages: :mod:`repro.api` (the expression API), :mod:`repro.bat`
 (column store), :mod:`repro.relational` (relational algebra),
@@ -55,7 +54,6 @@ from repro import core as rma
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
 from repro.relational.relation import Relation
-from repro.sql.session import Session  # deprecated alias of Database
 
 __version__ = "2.0.0"
 
@@ -67,6 +65,5 @@ __all__ = [
     "RmaConfig",
     "ParallelConfig",
     "rma",
-    "Session",
     "__version__",
 ]

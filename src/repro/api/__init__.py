@@ -13,12 +13,14 @@ overloading:
 >>> v = db.matrix(target, by="trip_id")
 >>> beta = (a.cpd(a).inv() @ a.cpd(v)).collect()
 
-Everything — Matrix expressions, SQL statements, lazy relational
-pipelines, and even the module-level eager functions ``repro.rma.*`` —
-compiles into the one shared plan IR (:mod:`repro.plan.nodes`) and runs on
-the one shared executor, so chained user code gets element-wise kernel
-fusion, cross-statement common-subexpression caching and morsel-parallel
-execution regardless of which surface it was written against.
+Matrix expressions (matrix operations and the relational operators
+``filter``/``select``/``join``/``sort``/``limit``/``distinct``) and SQL
+statements compile into the one shared plan IR (:mod:`repro.plan.nodes`)
+and run through one driver on the database, so chained user code gets
+element-wise kernel fusion, cross-statement common-subexpression caching
+and morsel-parallel execution regardless of which surface it was written
+against.  The module-level eager functions ``repro.rma.*`` run one
+operation immediately on the same RMA pipeline the executor uses.
 
 Modules: :mod:`repro.api.database` (Database/connect, config scoping),
 :mod:`repro.api.matrix` (the expression handle, op methods generated from

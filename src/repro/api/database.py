@@ -1,21 +1,23 @@
 """The session-scoped front door: ``repro.connect()`` -> :class:`Database`.
 
-A :class:`Database` is the one entry point behind which every user surface
-compiles into the shared plan IR (:mod:`repro.plan.nodes`) and executes on
-the shared executor (:mod:`repro.plan.physical`):
+A :class:`Database` is the one entry point behind which every lazy user
+surface compiles into the shared plan IR (:mod:`repro.plan.nodes`) and
+executes on the shared executor (:mod:`repro.plan.physical`):
 
 * :meth:`Database.matrix` returns a lazy :class:`~repro.api.matrix.Matrix`
-  expression handle (operator overloading + one method per Table 2
-  operation) — chained eager-style code gets element-wise fusion, CSE, the
-  byte-budget plan/result cache and the morsel-parallel engine for free;
+  expression handle (operator overloading, one method per Table 2
+  operation, and the relational operators ``filter``/``select``/``join``/
+  ``sort``/``limit``/``distinct``) — chained eager-style code gets
+  element-wise fusion, CSE, the byte-budget plan/result cache and the
+  morsel-parallel engine for free;
 * :meth:`Database.execute` runs SQL statements (the paper's §7.2 front
-  end), sharing the same statement-plan and subplan-result caches;
-* :func:`repro.plan.lazy.scan` pipelines can join in through
-  ``collect(cache=db.result_cache)`` or ``Matrix.to_lazy()``.
+  end), sharing the same statement-plan and subplan-result caches.
 
-It supersedes :class:`repro.sql.session.Session`, which remains a thin
-compatibility subclass.  A database owns three session-scoped caches, all
-invalidated precisely (catalog table versions + config cache tokens):
+Both go through one planning function (``_plan``: build, optimize,
+physically plan, cached) and one run function (``_run``: plan, then
+execute on a fresh :class:`~repro.plan.physical.Executor`).  A database
+owns three session-scoped caches, all invalidated precisely (catalog
+table versions + config cache tokens):
 
 * a **parse cache** (SQL text -> statement AST — parsing is pure);
 * a **plan cache** (SQL ``SELECT`` AST *or* expression plan node ->
@@ -233,8 +235,9 @@ class Database:
         sugar for :meth:`Matrix.ordered_by`).  ``by`` is the order schema:
         the attributes whose values identify rows; the remaining
         (numeric) attributes form the matrix the operations apply to.
+        ``name`` is the scan alias that qualifies column references
+        (``col("id", "l")``) in ``filter``/``join`` predicates.
         """
-        from repro.plan.lazy import default_alias
         if isinstance(source, Matrix):
             if name is not None:
                 raise PlanError(
@@ -256,7 +259,11 @@ class Database:
             plan: nodes.Plan = nodes.Scan(source, name or source)
         elif isinstance(source, Relation):
             relation = source
-            plan = nodes.RelScan(source, name or default_alias(source))
+            # The default alias is stable per relation *object*, so two
+            # handles over one relation build equal leaves (one CSE
+            # candidate); node equality also compares the relation itself,
+            # so a recycled id is harmless.
+            plan = nodes.RelScan(source, name or f"_rel{id(source):x}")
         else:
             raise PlanError(
                 "matrix expects a table name, a Relation or a Matrix, "
@@ -270,57 +277,50 @@ class Database:
         app = tuple(n for n in relation.names if n not in names)
         return Matrix(self, plan, names, app)
 
-    # -- expression planning and execution -------------------------------------
+    # -- the plan driver -------------------------------------------------------
 
-    def _plan_expression(self, plan: nodes.Plan, config: RmaConfig) \
+    def _plan(self, source: "ast.Select | nodes.Plan",
+              config: Optional[RmaConfig] = None) \
             -> tuple[nodes.Plan, PhysicalInfo]:
-        """Optimize + physically annotate an expression plan, cached.
+        """Build, optimize and physically plan a query; cached.
 
-        Shares the statement-plan cache with the SQL surface: the cache is
-        keyed by the (structurally hashable) plan node itself, stamped
-        with the catalog versions of scanned tables and the config's cache
-        token — equal expressions re-planned only when something they
-        depend on changed.
+        The one planning function of every surface: ``source`` is a SQL
+        ``SELECT`` AST (compiled with ``build_select``) or a ``Matrix``
+        expression's plan node.  Both kinds share the statement-plan
+        cache, keyed by the structurally hashable source itself and
+        stamped with the catalog versions of the scanned tables and the
+        config's cache token — a plan is rebuilt only when something it
+        depends on changed.
+
+        SQL SELECTs end in a Project naming their whole visible output, so
+        the optimizer may prune below it (``keep_all=False``); expression
+        plans may end in any node whose every column is the result.
 
         Plans with in-memory leaves (``RelScan``) are planned fresh every
-        time instead: their nodes hold strong references to the input
-        relations, and unlike the byte-budgeted result cache the plan
-        cache only caps entry *count* — caching them would let a
-        long-lived session pin up to 256 generations of dead input data.
-        Planning is cheap relative to execution, and the result cache
-        still serves repeated subplan results.
+        time: their nodes hold strong references to the input relations,
+        and unlike the byte-budgeted result cache the plan cache only caps
+        entry *count* — caching them would let a long-lived session pin up
+        to 256 generations of dead input data.  The result cache still
+        serves their repeated subplan results.
         """
-        key = plan if not _scans_in_memory_relations(plan) else None
-        return self._plan_cached(key, config, lambda: plan, keep_all=True)
-
-    def _plan_cached(self, cache_key, config: RmaConfig, build,
-                     keep_all: bool) -> tuple[nodes.Plan, PhysicalInfo]:
-        """The statement-plan cache shared by both front ends.
-
-        ``cache_key`` is a hashable description of the un-optimized plan
-        (the SELECT AST or the expression plan node), or None to bypass
-        the cache; ``build`` produces the un-optimized plan on a miss.
-        ``keep_all`` mirrors :func:`repro.plan.optimizer.optimize`: SQL
-        SELECTs end in a Project that names their whole visible output
-        (so pruning below it is safe, keep_all=False), while expression
-        plans may end in any node whose every column is part of the
-        result.
-        """
-        key = cache_key if self._caching else None
-        if key is not None:
-            entry = self._select_plans.get(key)
+        config = config or self._effective_config()
+        is_sql = isinstance(source, ast.Select)
+        key = None
+        if self._caching and (is_sql
+                              or not _scans_in_memory_relations(source)):
+            key = source
+            entry = self._select_plans.lookup(key)
             if entry is not None:
                 planned, info, stamps, entry_token, entry_optimize = entry
                 if (entry_token == config.cache_token()
                         and entry_optimize == self.optimize_plans
                         and all(self.catalog.table_version(name) == version
                                 for name, version in stamps)):
-                    self._select_plans.touch(key)
                     return planned, info
-                del self._select_plans[key]
-        planned = build()
+                self._select_plans.discard(key)
+        planned = build_select(source) if is_sql else source
         if self.optimize_plans:
-            planned = optimize(planned, self.catalog, keep_all=keep_all,
+            planned = optimize(planned, self.catalog, keep_all=not is_sql,
                                fuse=config.fuse_elementwise)
         info = plan_physical(planned, self.catalog)
         if key is not None:
@@ -330,23 +330,17 @@ class Database:
                  config.cache_token(), self.optimize_plans))
         return planned, info
 
-    def _collect_expression(self, plan: nodes.Plan,
-                            config: Optional[RmaConfig],
-                            overrides: dict) -> Relation:
-        effective = self._call_config(config, overrides)
-        planned, info = self._plan_expression(plan, effective)
-        executor = Executor(self.catalog, effective, physical=info,
+    def _run(self, source: "ast.Select | nodes.Plan",
+             config: Optional[RmaConfig] = None) -> Relation:
+        """Plan (see :meth:`_plan`) and execute a query; the one place a
+        plan :class:`~repro.plan.physical.Executor` is constructed."""
+        config = config or self._effective_config()
+        planned, info = self._plan(source, config)
+        executor = Executor(self.catalog, config, physical=info,
                             result_cache=self.result_cache)
         frame = executor.run(planned)
         self.last_stats = executor.stats
         return frame.to_plain_relation()
-
-    def _explain_expression(self, plan: nodes.Plan,
-                            config: Optional[RmaConfig],
-                            overrides: dict) -> str:
-        effective = self._call_config(config, overrides)
-        planned, info = self._plan_expression(plan, effective)
-        return "\n".join(explain_lines(planned, info))
 
     # -- SQL execution ---------------------------------------------------------
 
@@ -358,9 +352,9 @@ class Database:
         """
         statement = self._parse_cached(sql)
         if isinstance(statement, ast.Select):
-            return self._run_select(statement)
+            return self._run(statement)
         if isinstance(statement, ast.Explain):
-            lines = self._explain_lines(statement.query)
+            lines = explain_lines(*self._plan(statement.query))
             return Relation.from_columns({"explain": lines})
         if isinstance(statement, ast.CreateTable):
             return self._run_create(statement)
@@ -376,26 +370,11 @@ class Database:
         if not self._caching:
             return parse_sql(sql)
         key = sql.strip()
-        statement = self._statements.get(key)
+        statement = self._statements.lookup(key)
         if statement is None:
             statement = parse_sql(sql)
             self._statements.store(key, statement)
-        else:
-            self._statements.touch(key)
         return statement
-
-    def _plan_select(self, statement: ast.Select) \
-            -> tuple[nodes.Plan, PhysicalInfo]:
-        """AST -> optimized shared plan IR + physical annotations.
-
-        The single entry point for SQL plan construction: plan(), EXPLAIN
-        and execution all route through here and share the statement-plan
-        cache (keyed by the frozen, structurally hashable Select AST), so
-        they can never diverge.
-        """
-        return self._plan_cached(statement, self._effective_config(),
-                                 lambda: build_select(statement),
-                                 keep_all=False)
 
     def _select_statement(self, sql: str) -> ast.Select:
         """Parse one statement and unwrap to its SELECT (EXPLAIN peels)."""
@@ -408,31 +387,20 @@ class Database:
 
     def plan(self, sql: str) -> nodes.Plan:
         """Parse and optimize without executing (for tests/EXPLAIN)."""
-        return self._plan_select(self._select_statement(sql))[0]
+        return self._plan(self._select_statement(sql))[0]
 
     def physical_info(self, sql: str) -> PhysicalInfo:
         """The physical planner's annotations for a statement."""
-        return self._plan_select(self._select_statement(sql))[1]
+        return self._plan(self._select_statement(sql))[1]
 
     def explain(self, sql: str) -> str:
         """The optimized plan with physical annotations, as text."""
-        return "\n".join(self._explain_lines(self._select_statement(sql)))
-
-    def _explain_lines(self, statement: ast.Select) -> list[str]:
-        plan, info = self._plan_select(statement)
-        return explain_lines(plan, info)
-
-    def _run_select(self, statement: ast.Select) -> Relation:
-        plan, info = self._plan_select(statement)
-        executor = Executor(self.catalog, self.config, physical=info,
-                            result_cache=self.result_cache)
-        frame = executor.run(plan)
-        self.last_stats = executor.stats
-        return frame.to_plain_relation()
+        return "\n".join(explain_lines(
+            *self._plan(self._select_statement(sql))))
 
     def _run_create(self, statement: ast.CreateTable) -> None:
         if statement.source is not None:
-            relation = self._run_select(statement.source)
+            relation = self._run(statement.source)
             self.catalog.create(statement.name, relation)
             return None
         attrs = []

@@ -12,11 +12,16 @@ created by :meth:`repro.api.database.Database.matrix` and compose through
 * **named methods** — one per Table 2 operation and scalar variant,
   generated from the declarative op table (:mod:`repro.opspec`):
   ``a.inv()``, ``a.qqr()``, ``a.sol(rhs)``, ``a.cpd(b)``, ``a.smul(2.0)``,
-  ...
+  ...;
+* **relational operators** — ``filter``, ``select``, ``join``, ``sort``,
+  ``limit`` and ``distinct``, with predicates and projections written in
+  the ``col``/``lit`` DSL (:mod:`repro.plan.expr`).  Each keeps the
+  handle's order schema, so the result chains into the next matrix
+  operation.
 
 Nothing executes until :meth:`Matrix.collect`.  Every composition step
 builds a node of the shared plan IR (:mod:`repro.plan.nodes`) — the same IR
-the SQL session and the lazy builder compile into — so a chained
+SQL statements compile into — so a chained
 "eager-looking" expression gets the whole plan stack for free: element-wise
 fusion into one kernel pass (:class:`~repro.plan.nodes.FusedRma`),
 common-subexpression elimination, the session's byte-budget plan/result
@@ -39,11 +44,13 @@ from repro.errors import PlanError
 from repro.opspec import OPS, SCALAR_OPS, spec_of
 from repro.plan import nodes
 from repro.plan.build import build_rma
+from repro.plan.explain import explain_lines
+from repro.plan.expr import Col, as_expr
 from repro.relational.relation import Relation
+from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.database import Database
-    from repro.plan.lazy import LazyFrame
 
 
 class Matrix:
@@ -171,7 +178,7 @@ class Matrix:
         if self._app is None:
             raise PlanError(
                 "narrow: application schema is data-dependent; project "
-                "the relation explicitly (to_lazy().select(...))")
+                "the relation explicitly (.select(...))")
         keep = self._parts[0] + self._app
         plan = nodes.Prune(self._plan, keep)
         return Matrix(self._db, plan, self._parts[0], self._app,
@@ -261,6 +268,72 @@ class Matrix:
         """Transpose (``tra``); requires a single-attribute order schema."""
         return self._unary("tra")
 
+    # -- relational operators -----------------------------------------------
+
+    def _relational(self, plan: nodes.Plan,
+                    app: Optional[Sequence[str]]) -> "Matrix":
+        """A handle over ``plan`` keeping this handle's order schema."""
+        return Matrix(self._db, plan, self._by, app, self._parts)
+
+    def filter(self, predicate: "Col | ast.Expr") -> "Matrix":
+        """The rows satisfying ``predicate`` (e.g. ``col("val") > 1.0``)."""
+        return self._relational(
+            nodes.Filter(self._plan, as_expr(predicate)), self._app)
+
+    def select(self, *items: "str | Col | ast.Expr") -> "Matrix":
+        """Project expressions; strings select columns by name.
+
+        The order attributes must stay in the output (the result is still
+        a matrix keyed by them), or :class:`~repro.errors.PlanError` is
+        raised.  Selecting plain columns keeps the application schema
+        known; computed or renamed columns make it data-dependent.
+        """
+        select_items = tuple(_select_item(item) for item in items)
+        names = [item.alias or nodes.default_output_name(item.expr, i)
+                 for i, item in enumerate(select_items)]
+        missing = [n for n in self._by if n not in names]
+        if missing:
+            raise PlanError(
+                f"select: order attribute(s) "
+                f"{', '.join(map(repr, missing))} must be kept")
+        plain = all(isinstance(item.expr, ast.ColumnRef)
+                    and item.alias in (None, item.expr.name)
+                    for item in select_items)
+        app = tuple(n for n in names if n not in self._by) if plain \
+            else None
+        return self._relational(nodes.Project(self._plan, select_items),
+                                app)
+
+    def join(self, other: "Matrix", on: "Col | ast.Expr") -> "Matrix":
+        """Inner join with another handle of this database on an expression.
+
+        Qualify column references with the scan aliases
+        (``db.matrix(r, by="id", name="l")`` -> ``col("id", "l")``).  The
+        result keeps this handle's order schema; its application schema
+        becomes data-dependent.
+        """
+        if not isinstance(other, Matrix):
+            raise PlanError(
+                f"join: expected a Matrix, got {type(other).__name__}")
+        if other._db is not self._db:
+            raise PlanError("join: operands belong to different databases")
+        return self._relational(
+            nodes.JoinPlan("inner", self._plan, other._plan, as_expr(on)), None)
+
+    def sort(self, *names: str) -> "Matrix":
+        """Rows in ascending order of the named columns."""
+        items = tuple(ast.OrderItem(ast.ColumnRef(n)) for n in names)
+        return self._relational(nodes.Sort(self._plan, items), self._app)
+
+    def limit(self, count: int) -> "Matrix":
+        """The first ``count`` rows."""
+        return self._relational(nodes.Limit(self._plan, count),
+                                self._app)
+
+    def distinct(self) -> "Matrix":
+        """Duplicate rows removed."""
+        return self._relational(nodes.Distinct(self._plan), self._app)
+
     # -- execution ----------------------------------------------------------
 
     def collect(self, config: Optional[RmaConfig] = None,
@@ -274,7 +347,8 @@ class Matrix:
         ``fuse_elementwise=False``, ...) on top of it — the same knobs
         :meth:`repro.api.database.Database.configure` accepts.
         """
-        return self._db._collect_expression(self._plan, config, overrides)
+        return self._db._run(self._plan,
+                             self._db._call_config(config, overrides))
 
     def explain(self, config: Optional[RmaConfig] = None,
                 **overrides) -> str:
@@ -283,17 +357,17 @@ class Matrix:
         Fused element-wise chains show up as one ``FusedRma`` node;
         repeated subexpressions are annotated ``shared xN``.
         """
-        return self._db._explain_expression(self._plan, config, overrides)
+        planned, info = self._db._plan(
+            self._plan, self._db._call_config(config, overrides))
+        return "\n".join(explain_lines(planned, info))
 
-    def to_lazy(self) -> "LazyFrame":
-        """Bridge into the relational pipeline API (:mod:`repro.plan.lazy`)
-        for filters, joins, projections and aggregation over this
-        expression's result — same plan, same executor.  The frame stays
-        bound to this database: it plans against its catalog (named-table
-        leaves resolve) and its ``collect``/``explain`` default to the
-        session configuration and result cache."""
-        from repro.plan.lazy import LazyFrame
-        return LazyFrame(self._plan, session=self._db)
+
+def _select_item(item: "str | Col | ast.Expr") -> ast.SelectItem:
+    if isinstance(item, str):
+        return ast.SelectItem(ast.ColumnRef(item), None)
+    if isinstance(item, Col):
+        return ast.SelectItem(item.expr, item.out_name)
+    return ast.SelectItem(item, None)
 
 
 def _result_parts(spec, parts1, parts2=None):

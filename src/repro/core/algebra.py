@@ -1,4 +1,4 @@
-"""Public RMA operations (paper Table 2), as one-op plan expressions.
+"""Public RMA operations (paper Table 2), run eagerly.
 
 Each function runs one operation *eagerly*.  Argument conventions are
 shared:
@@ -11,13 +11,10 @@ shared:
 The remaining attributes form the application schema the matrix kernel is
 applied to; they must be numeric.
 
-Since the API redesign these functions are thin adapters over the shared
-plan layer (:mod:`repro.api.eager`): each call builds a one-operation
-expression on the shared IR and collects it immediately on the shared plan
-executor — the exact pipeline SQL statements and
-:class:`~repro.api.matrix.Matrix` expressions run on, producing the exact
-relation (same object, same warm order caches, same errors) the direct
-:func:`repro.core.ops.execute_rma` call produced before.
+Each call runs :func:`repro.core.ops.execute_rma` through the eager adapter
+(:mod:`repro.api.eager`) — the same pipeline the plan executor runs for
+every RMA node of a SQL statement or :class:`~repro.api.matrix.Matrix`
+expression, producing the same relation (warm order caches, errors).
 
 A *chain* of operations written this way still executes one op at a time,
 though — re-sorting derived relations, materializing every intermediate and
@@ -48,12 +45,7 @@ def rma_operation(name: str, r: Relation, by: By,
                   s: Relation | None = None, s_by: By | None = None,
                   config: RmaConfig | None = None,
                   scalar: float | None = None) -> Relation:
-    """Run an operation by name — the plan executor's internal hook.
-
-    This stays on the direct :func:`execute_rma` path (the executor calls
-    it per RMA node; routing it back through the plan layer would
-    recurse).
-    """
+    """Run an operation by name — the plan executor's per-node hook."""
     return execute_rma(name, r, by, s, s_by, config, scalar=scalar)
 
 
@@ -61,7 +53,7 @@ def _eager(name: str, r: Relation, by: By,
            s: Relation | None = None, s_by: By | None = None,
            config: RmaConfig | None = None,
            scalar: float | None = None) -> Relation:
-    """One-op expression, collected immediately on the plan executor."""
+    """Run one operation now (see :mod:`repro.api.eager`)."""
     from repro.api.eager import eager_rma  # deferred: api builds on core
     return eager_rma(name, r, by, s, s_by, config, scalar=scalar)
 
@@ -98,8 +90,9 @@ def sadd(r: Relation, by: By, value: float,
     """Add a constant to every application value: ``sadd_{U}(r, c)``.
 
     Result schema is ``U ∘ U-bar`` with rows in ``r``'s storage order (the
-    order part is attached verbatim).  Inside lazy pipelines scalar steps
-    fuse into the surrounding element-wise chain as a single kernel step.
+    order part is attached verbatim).  Inside ``Matrix`` expressions scalar
+    steps fuse into the surrounding element-wise chain as a single kernel
+    step.
     """
     return _eager("sadd", r, by, config=config, scalar=value)
 

@@ -21,9 +21,9 @@ they were computed under: results can depend on configuration (e.g. the
 backend policy), so a session that swaps — or mutates — its config never
 sees a result computed under different settings.
 
-Both front ends use the cache: :class:`repro.sql.session.Session` owns one
-per session, and the lazy builder accepts one via
-``LazyFrame.collect(cache=...)``.
+A :class:`repro.api.database.Database` owns one per session (or shares one
+passed to ``connect(plan_cache=...)``), so SQL statements and ``Matrix``
+expressions reuse each other's subplan results.
 """
 
 from __future__ import annotations
@@ -68,22 +68,36 @@ def catalog_stamps(plan: nodes.Plan, catalog: Catalog) -> Stamps:
 class LruDict(OrderedDict):
     """OrderedDict with LRU discipline: touch on hit, trim on store.
 
-    The one home for the eviction pattern the session's parse/plan caches
-    and :class:`PlanCache` share.
+    The session's parse and statement-plan caches.  Threads sharing one
+    session read and write it concurrently, so every method takes the
+    lock: a hit is found and touched in one step, never after another
+    thread's ``store`` evicted it.
     """
 
     def __init__(self, max_entries: int):
         super().__init__()
         self.max_entries = max_entries
+        self._lock = threading.Lock()
 
-    def touch(self, key) -> None:
-        self.move_to_end(key)
+    def lookup(self, key):
+        """The value stored under ``key`` (now most recently used), or
+        None."""
+        with self._lock:
+            value = self.get(key)
+            if value is not None:
+                self.move_to_end(key)
+            return value
 
     def store(self, key, value) -> None:
-        self[key] = value
-        self.move_to_end(key)
-        while len(self) > self.max_entries:
-            self.popitem(last=False)
+        with self._lock:
+            self[key] = value
+            self.move_to_end(key)
+            while len(self) > self.max_entries:
+                self.popitem(last=False)
+
+    def discard(self, key) -> None:
+        with self._lock:
+            self.pop(key, None)
 
 
 def _config_token(config):
@@ -248,8 +262,7 @@ class PlanCache:
     def _valid(entry: _Entry, catalog: Catalog) -> bool:
         """Whether the stamped table versions still hold.  Entries without
         stamps (pure ``RelScan`` plans — relations compared by identity)
-        are catalog-independent, which is what lets lazy
-        ``collect(cache=...)`` calls share a cache across their per-call
-        catalogs."""
+        are catalog-independent, which is what lets sessions over different
+        catalogs share one cache for them."""
         return all(catalog.table_version(name) == version
                    for name, version in entry.stamps)

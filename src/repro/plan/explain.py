@@ -11,8 +11,8 @@ the physical planner's annotations appended in brackets:
           Scan u AS u [order=(User)]
           Scan r AS r [order=(User)]
 
-Used by the lazy API's ``.explain()`` and by the SQL ``EXPLAIN`` statement
-(:meth:`repro.sql.session.Session.explain`).
+Used by ``Matrix.explain()`` and by the SQL ``EXPLAIN`` statement
+(:meth:`repro.api.database.Database.explain`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Shared logical plan IR — nodes and expression analysis.
 
-Every front end (the SQL parser in :mod:`repro.sql` and the lazy builder in
-:mod:`repro.plan.lazy`) compiles into the node types below; the optimizer
-(:mod:`repro.plan.optimizer`), the physical planner and executor
-(:mod:`repro.plan.physical`) and the plan printer (:mod:`repro.plan.explain`)
-all operate on this one representation.
+Every front end (the SQL parser in :mod:`repro.sql` and the ``Matrix``
+expression handle in :mod:`repro.api.matrix`) compiles into the node types
+below; the optimizer (:mod:`repro.plan.optimizer`), the physical planner and
+executor (:mod:`repro.plan.physical`) and the plan printer
+(:mod:`repro.plan.explain`) all operate on this one representation.
 
 Expressions inside plan nodes (filter predicates, projection items, join
 conditions) use the expression AST of :mod:`repro.sql.ast` — it is the shared
@@ -42,12 +42,13 @@ class Plan:
         return ()
 
     def __hash__(self) -> int:
-        # Plans are DAGs in practice (lazy pipelines reuse subplan objects
-        # on both sides of binary operations), so the generated dataclass
-        # hash — which re-hashes every child on every call — would be
-        # exponential in nesting depth.  Caching the hash per (immutable)
-        # node makes hashing linear in *distinct* nodes; dict probes then
-        # short-circuit on object identity before any deep __eq__.
+        # Plans are DAGs in practice (Matrix expressions reuse subplan
+        # objects on both sides of binary operations), so the generated
+        # dataclass hash — which re-hashes every child on every call —
+        # would be exponential in nesting depth.  Caching the hash per
+        # (immutable) node makes hashing linear in *distinct* nodes; dict
+        # probes then short-circuit on object identity before any deep
+        # __eq__.
         cached = getattr(self, "_plan_hash", None)
         if cached is None:
             cached = hash((type(self),) + tuple(
@@ -75,7 +76,7 @@ class Scan(Plan):
 
 @plan_node
 class RelScan(Plan):
-    """Scan of an in-memory relation (the lazy builder's leaf).
+    """Scan of an in-memory relation (``db.matrix(relation, ...)``'s leaf).
 
     The relation is compared by identity (``Relation`` does not define value
     equality), so two scans of the same relation object are equal nodes and

@@ -62,8 +62,9 @@ def optimize(plan: nodes.Plan, catalog: Catalog,
 
     ``keep_all`` keeps the *root's* full output: SQL plans always end in a
     Project describing their visible output (so nothing beyond its
-    references is needed from below), but lazy pipelines may end in any
-    node — there every column the root produces is part of the result.
+    references is needed from below), but ``Matrix`` expressions may end
+    in any node — there every column the root produces is part of the
+    result.
     Pruning below interior projections still fires either way; only when
     the root's output schema cannot be derived (dynamic-schema RMA) is
     pruning skipped entirely.

@@ -19,9 +19,9 @@ Two layers live here:
 
 * :class:`Executor` — evaluates logical plans against a catalog, one
   method per node type, producing :class:`Frame` objects (a relation plus
-  name-resolution bindings).  Both front ends run through it: the SQL
-  session compiles AST -> plan and the lazy builder
-  (:mod:`repro.plan.lazy`) constructs plans directly.
+  name-resolution bindings).  :class:`repro.api.database.Database` runs
+  every plan through it, whether compiled from SQL text or built by a
+  ``Matrix`` expression.
 
 Because relations are immutable, the memoized CSE results share their
 per-relation order caches across uses, and ``Frame.to_plain_relation``
@@ -420,8 +420,8 @@ class _PhysicalPlanner:
         self._order_of(plan)
         # Walk by reference, not structure: each *occurrence* of a node is
         # counted (that is what CSE sharing means), but an object reused in
-        # several places — lazy pipelines share subplan objects — has its
-        # subtree descended only once, keeping the walk linear even for
+        # several places — Matrix expressions share subplan objects — has
+        # its subtree descended only once, keeping the walk linear even for
         # deeply diamond-shaped plans.
         visited: set[int] = set()
         stack = [plan]

@@ -13,31 +13,14 @@ end* over the shared plan layer (:mod:`repro.plan`): a lexer, a recursive
 descent parser, and ``build_select`` compiling the AST into the shared
 logical IR.  Optimization and execution happen in :mod:`repro.plan` — the
 same optimizer, physical planner (order-aware join strategy, CSE) and
-executor also serve the lazy Python builder (:mod:`repro.plan.lazy`) and
-the matrix-expression API (:mod:`repro.api`).
+executor also serve the matrix-expression API (:mod:`repro.api`).
 
 Statement execution lives on :class:`repro.api.database.Database`
 (``repro.connect()``), which owns the catalog, the statement/plan/result
-caches and ``EXPLAIN <select>``.  :class:`~repro.sql.session.Session` is
-kept as a deprecated compatibility alias of ``Database`` — it is imported
-lazily here (module ``__getattr__``) because ``repro.api`` itself compiles
-onto this package's expression AST.
-
-The ``logical``/``optimizer``/``executor`` modules remain as compatibility
-shims re-exporting the plan layer.
+caches and ``EXPLAIN <select>``.
 """
 
 from repro.sql.parser import parse_sql
 from repro.sql.lexer import tokenize
 
-__all__ = ["Session", "parse_sql", "tokenize"]
-
-
-def __getattr__(name):
-    # Deferred: repro.sql.session subclasses repro.api.database.Database,
-    # and repro.api imports this package's AST module — an eager import
-    # here would close that cycle during package initialization.
-    if name == "Session":
-        from repro.sql.session import Session
-        return Session
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["parse_sql", "tokenize"]

@@ -129,36 +129,14 @@ def _rma_ols(prepared: Relation, config: RmaConfig) -> np.ndarray:
     return beta.column("duration").tail.copy()
 
 
-def _rma_ols_lazy(prepared: Relation, config: RmaConfig) -> np.ndarray:
-    """The same OLS pipeline built on the shared plan layer.
-
-    One plan covers the whole ``MMU(INV(CPD(A,A)), CPD(A,V))`` chain, so
-    the executor sees all four operations at once: the order caches of the
-    intermediate relations stay warm across the chain, and repeated
-    subplans would be deduplicated (CSE).  Bit-identical to
-    :func:`_rma_ols` — the workload equivalence test asserts it.
-    """
-    from repro.plan.lazy import scan
-
-    a, v = _ols_inputs(prepared)
-    design = scan(a, name="a")
-    xtx = design.rma("cpd", by="trip_id", other=design, other_by="trip_id")
-    xty = design.rma("cpd", by="trip_id", other=scan(v, name="v"),
-                     other_by="trip_id")
-    beta = (xtx.rma("inv", by="C")
-            .rma("mmu", by="C", other=xty, other_by="C")
-            .collect(config=config))
-    return beta.column("duration").tail.copy()
-
-
 def _rma_ols_matrix(prepared: Relation, config: RmaConfig) -> np.ndarray:
     """The same OLS as one matrix expression on the session API.
 
     ``beta = (A'A)^-1 A'v`` reads as linear algebra —
-    ``(a.cpd(a).inv() @ a.cpd(v))`` — and compiles into the exact plan
-    :func:`_rma_ols_lazy` builds, so it inherits warm intermediate order
-    caches and the session's plan/result caches.  Bit-identical to both
-    other styles (asserted by the equivalence tests).
+    ``(a.cpd(a).inv() @ a.cpd(v))`` — and compiles into one plan covering
+    the whole chain, so it inherits warm intermediate order caches and the
+    session's plan/result caches.  Bit-identical to :func:`_rma_ols`
+    (asserted by the equivalence tests).
     """
     from repro.api import connect
 
@@ -172,13 +150,12 @@ def _rma_ols_matrix(prepared: Relation, config: RmaConfig) -> np.ndarray:
 
 def run_rma(dataset: TripsDataset, backend: str = "mkl",
             validate_keys: bool = False,
-            lazy: bool = False, matrix: bool = False) -> WorkloadResult:
+            matrix: bool = False) -> WorkloadResult:
     """RMA+ with the given kernel backend ('mkl' or 'bat').
 
-    ``lazy=True`` runs the matrix part through the lazy pipeline builder
-    (:mod:`repro.plan.lazy`); ``matrix=True`` through the session-scoped
-    matrix-expression API (:mod:`repro.api`).  Both build the same shared
-    plan instead of eager per-operation execution.
+    ``matrix=True`` runs the matrix part as one expression on the
+    session-scoped matrix-expression API (:mod:`repro.api`) instead of
+    eager per-operation execution.
     """
     times = PhaseTimes()
     config = RmaConfig(policy=BackendPolicy(prefer=backend),
@@ -186,11 +163,9 @@ def run_rma(dataset: TripsDataset, backend: str = "mkl",
     with times.measure("prep"):
         prepared = engine_prepare(dataset)
     with times.measure("matrix"):
-        ols = _rma_ols_matrix if matrix else (
-            _rma_ols_lazy if lazy else _rma_ols)
+        ols = _rma_ols_matrix if matrix else _rma_ols
         beta = ols(prepared, config)
-    label = f"RMA+{backend.upper()}" + (
-        "+API" if matrix else "+PLAN" if lazy else "")
+    label = f"RMA+{backend.upper()}" + ("+API" if matrix else "")
     return WorkloadResult(label, times, beta, {"rows": prepared.nrows})
 
 
@@ -320,7 +295,6 @@ def run_trips(dataset: TripsDataset, systems: tuple[str, ...] =
     runners = {
         "rma-mkl": lambda: run_rma(dataset, "mkl"),
         "rma-bat": lambda: run_rma(dataset, "bat"),
-        "rma-plan": lambda: run_rma(dataset, "mkl", lazy=True),
         "rma-api": lambda: run_rma(dataset, "mkl", matrix=True),
         "aida": lambda: run_aida(dataset),
         "r": lambda: run_r(dataset),

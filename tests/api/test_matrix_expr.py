@@ -7,6 +7,7 @@ import repro
 from repro.core.ops import execute_rma
 from repro.errors import OrderSchemaError, PlanError
 from repro.opspec import OPS, SCALAR_OPS
+from repro.plan import col
 from repro.relational.relation import Relation
 
 
@@ -186,42 +187,43 @@ class TestSharingAndCse:
 
 
 class TestLazyBridge:
-    def test_to_lazy_filters_expression_result(self, db):
+    def test_filter_on_expression_result(self, db):
         a = db.matrix(rel_with_key("ka"), by="ka")
         c = db.matrix(rel_with_key("kc", seed=2), by="kc")
-        from repro.plan.lazy import col
-        out = ((a + c).to_lazy()
-               .filter(col("x") >= 0.0)
-               .collect())
+        filtered = (a + c).filter(col("x") >= 0.0)
+        assert filtered.by == ("ka", "kc")
+        assert filtered.app_names == ("x", "y")
+        out = filtered.collect()
         assert set(out.names) == {"ka", "kc", "x", "y"}
 
-    def test_to_lazy_resolves_named_tables(self, db):
-        """A Matrix over a catalog table must bridge into a frame that
-        plans against the owning database's catalog."""
+    def test_relational_ops_resolve_named_tables(self, db):
+        """Relational operators over a catalog table plan against the
+        owning database's catalog."""
         rel = rel_with_key("k", n=2)  # square application part
         db.register("t", rel)
         m = db.matrix("t", by="k")
-        out = m.inv().to_lazy().collect()
+        out = m.inv().sort("k").collect()
         eager = execute_rma("inv", rel, "k")
         assert out.names == eager.names
-        assert "Scan t" in m.inv().to_lazy().explain()
+        assert "Scan t" in m.inv().sort("k").explain()
 
-    def test_to_lazy_uses_session_caches(self, db):
+    def test_relational_ops_use_session_caches(self, db):
         rel = rel_with_key("k", n=2)
         m = db.matrix(rel, by="k")
         m.inv().collect()  # populate the session result cache
         before = db.result_cache.hits
-        m.inv().to_lazy().collect()
+        m.inv().filter(col("x") <= 1e9).collect()
         assert db.result_cache.hits == before + 1
 
-    def test_to_lazy_binding_survives_chaining(self, db):
+    def test_relational_chain_feeds_matrix_ops(self, db):
         db.register("t", rel_with_key("k", n=2))
-        from repro.plan.lazy import col
-        out = (db.matrix("t", by="k").inv().to_lazy()
-               .filter(col("x") <= 1e9)
-               .select("k", "x")
-               .collect())
-        assert out.names == ["k", "x"]
+        selected = (db.matrix("t", by="k").inv()
+                    .filter(col("x") <= 1e9)
+                    .select("k", "x"))
+        assert selected.app_names == ("x",)
+        assert selected.collect().names == ["k", "x"]
+        out = (selected @ selected.T).collect()
+        assert out.names[0] == "k"
 
     def test_ordered_by_rekeys(self, db):
         rel = rel_with_key("k")

@@ -7,17 +7,18 @@ and assert (a) no torn state, (b) the expensive computations run exactly
 once where double-checked locking promises it.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import repro
 import repro.relational.relation as relation_module
 from repro.bat.bat import BAT, DataType
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
 from repro.plan.cache import PlanCache
-from repro.plan.lazy import scan
 from repro.relational.joins import lex_sorted, relation_lex_sorted
 from repro.relational.relation import Relation
 
@@ -46,7 +47,8 @@ def hammer(target, n_threads=N_THREADS):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+        assert not t.is_alive(), "worker thread did not finish"
     if errors:
         raise errors[0]
     return results
@@ -153,10 +155,9 @@ class TestSharedExecution:
             enabled=True, workers=2, min_morsel_rows=1))
 
         def run():
-            return (scan(rel).rma("add", by=("key", "grp"),
-                                  other=scan(other),
-                                  other_by=("key2", "grp2"))
-                    .collect(config=config))
+            db = repro.connect(config=config, plan_cache=False)
+            return (db.matrix(rel, by=("key", "grp"))
+                    + db.matrix(other, by=("key2", "grp2"))).collect()
 
         results = hammer(run)
         reference = run()
@@ -176,13 +177,42 @@ class TestSharedExecution:
             enabled=True, workers=2, min_morsel_rows=1))
 
         def run():
-            return (scan(rel).rma("rnk", by="key")
-                    .collect(config=config, cache=cache))
+            db = repro.connect(config=config, plan_cache=cache)
+            return db.matrix(rel, by="key").rnk().collect()
 
         results = hammer(run)
         assert cache.hits + cache.misses >= N_THREADS
         value = results[0].column("rnk").tail[0]
         assert all(r.column("rnk").tail[0] == value for r in results)
+
+
+class TestSessionCaches:
+    def test_concurrent_execute_on_one_database(self):
+        """Threads sharing one session hit, evict and re-plan the same
+        parse/plan cache entries concurrently; a lookup must never touch
+        or delete a key another thread's store just evicted (KeyError).
+        Tiny caches and a 1 µs switch interval make the interleaving
+        near-certain."""
+        db = repro.connect()
+        db.register("t", Relation.from_columns({
+            "id": np.arange(5, dtype=np.int64), "v": np.arange(5.0)}))
+        db._statements.max_entries = db._select_plans.max_entries = 2
+        statements = [f"SELECT id, v + {i} AS w FROM t WHERE id >= {i % 3}"
+                      for i in range(6)]
+
+        def run():
+            for j in range(200):
+                db.execute(statements[(j * 7 + threading.get_ident())
+                                      % len(statements)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(run)
+        finally:
+            sys.setswitchinterval(interval)
+        out = db.execute(statements[4])
+        assert out.column("w").python_values() == [5.0, 6.0, 7.0, 8.0]
 
 
 class TestPlanCacheBudget:

@@ -13,13 +13,13 @@ import os
 import numpy as np
 import pytest
 
+import repro
 from repro.bat.bat import DataType
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
 from repro.core.ops import execute_rma
 from repro.linalg.policy import BackendPolicy
 from repro.opspec import OPS, SCALAR_OPS
-from repro.plan.lazy import scan
 from repro.relational.relation import Relation
 
 MAX_WORKERS = os.cpu_count() or 1
@@ -75,6 +75,13 @@ def keyed(matrix: np.ndarray, key: str = "key", shuffle_seed=3) -> Relation:
         perm = rng.permutation(n).astype(np.int64)
         rel = Relation(rel.schema, [c.fetch(perm) for c in rel.columns])
     return rel
+
+
+def matrices(relations):
+    """One handle per relation, keyed by its first attribute, on a
+    database without caches (every collect really executes)."""
+    db = repro.connect(plan_cache=False)
+    return [db.matrix(r, by=r.names[0]) for r in relations]
 
 
 RNG = np.random.default_rng(23)
@@ -181,12 +188,8 @@ class TestTable2Ops:
 
 class TestFusedChains:
     def chain(self, leaves):
-        pipe = scan(leaves[0]).rma("add", by="k0", other=scan(leaves[1]),
-                                   other_by="k1")
-        pipe = pipe.rma("sub", by=("k0", "k1"), other=scan(leaves[2]),
-                        other_by="k2")
-        return pipe.rma("emu", by=("k0", "k1", "k2"),
-                        other=scan(leaves[3]), other_by="k3")
+        m0, m1, m2, m3 = matrices(leaves)
+        return (m0 + m1 - m2) * m3
 
     def leaves(self, n=200):
         out = []
@@ -211,13 +214,8 @@ class TestFusedChains:
     def test_fused_chain_with_scalar_steps(self):
         leaves = self.leaves()
         def pipeline(config):
-            pipe = scan(leaves[0]).rma("add", by="k0",
-                                       other=scan(leaves[1]),
-                                       other_by="k1")
-            pipe = pipe.rma("smul", by=("k0", "k1"), scalar=0.5)
-            pipe = pipe.rma("sub", by=("k0", "k1"),
-                            other=scan(leaves[2]), other_by="k2")
-            return pipe.collect(config=config)
+            m0, m1, m2 = matrices(leaves[:3])
+            return ((m0 + m1) * 0.5 - m2).collect(config=config)
         assert identical(pipeline(serial_config(validate=False)),
                          pipeline(parallel_config(2, 1, validate=False)))
 
@@ -226,10 +224,8 @@ class TestFusedChains:
         # concurrently; results must not change.
         rel = keyed(RNG.uniform(1.0, 9.0, (6, 6)) + 6 * np.eye(6))
         def pipeline(config):
-            a = scan(rel).rma("inv", by="key")
-            b = scan(rel).rma("qqr", by="key")
-            return a.rma("mmu", by="key", other=b,
-                         other_by="key").collect(config=config)
+            (m,) = matrices([rel])
+            return (m.inv() @ m.qqr()).collect(config=config)
         assert identical(pipeline(serial_config()),
                          pipeline(parallel_config(2, 1)))
 
@@ -268,7 +264,7 @@ class TestWorkloads:
         stations = generate_stations(15, seed=1)
         trips = generate_trips(2_000, stations, seed=2)
         dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
-        self.run_both(monkeypatch, lambda: run_rma(dataset, lazy=True))
+        self.run_both(monkeypatch, lambda: run_rma(dataset, matrix=True))
 
     def test_journeys_mlr(self, monkeypatch):
         from repro.data.bixi import generate_numeric_trips, \

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import SqlSyntaxError
 from repro.relational.relation import Relation
-from repro.sql import Session, ast
+from repro.sql import ast
 from repro.sql.parser import parse_sql
 
 
 @pytest.fixture
 def session(users, ratings):
-    s = Session()
+    s = repro.connect()
     s.register("u", users)
     s.register("r", ratings)
     return s
@@ -87,7 +88,7 @@ class TestSessionExplain:
         assert "shared x2" in text
 
     def test_explain_of_explain_prefixed_plan(self, session):
-        # Session.plan accepts the EXPLAIN form as well.
+        # Database.plan accepts the EXPLAIN form as well.
         plan = session.plan("EXPLAIN SELECT * FROM u")
         assert plan is not None
 

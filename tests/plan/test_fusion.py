@@ -10,6 +10,7 @@ order-schema boundaries) keep their unfused shape.
 import numpy as np
 import pytest
 
+import repro
 from repro.core.algebra import add, sadd, smul, ssub, sub
 from repro.core.config import RmaConfig
 from repro.core.ops import execute_fused
@@ -17,11 +18,10 @@ from repro.core.context import FusionFallback
 from repro.errors import RmaError
 from repro.linalg.kernels import KernelProgram, KernelStep, run_program
 from repro.plan import nodes
-from repro.plan.lazy import col, scan
+from repro.plan.expr import col
 from repro.plan.optimizer import optimize
 from repro.bat.catalog import Catalog
 from repro.relational.relation import Relation
-from repro.sql import Session
 
 
 def relations_equal(a: Relation, b: Relation) -> bool:
@@ -45,8 +45,15 @@ def chain_relation(index: int, n: int = 300, seed: int = 0,
     return Relation.from_columns(data)
 
 
+def matrices(*relations, db=None):
+    """One handle per relation, keyed by its first attribute, on a
+    database without caches (every collect really executes)."""
+    db = db or repro.connect(plan_cache=False)
+    return [db.matrix(r, by=r.names[0]) for r in relations]
+
+
 def collect_both(pipe, **kwargs):
-    """(fused result, unfused result) for one lazy pipeline."""
+    """(fused result, unfused result) for one lazy expression."""
     fused = pipe.collect(config=RmaConfig(**kwargs))
     unfused = pipe.collect(
         config=RmaConfig(fuse_elementwise=False, **kwargs))
@@ -133,8 +140,8 @@ class TestScalarOps:
 class TestFusionRewrite:
     def test_left_deep_chain_fuses(self):
         r0, r1, r2 = (chain_relation(i) for i in range(3))
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = m0 + m1 - m2
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
@@ -143,9 +150,8 @@ class TestFusionRewrite:
 
     def test_right_deep_chain_fuses(self):
         r0, r1, r2 = (chain_relation(i) for i in range(3))
-        inner = scan(r1).rma("emu", by="k1", other=scan(r2), other_by="k2")
-        pipe = scan(r0).rma("add", by="k0", other=inner,
-                            other_by=("k1", "k2"))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = m0 + m1 * m2
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
@@ -153,9 +159,8 @@ class TestFusionRewrite:
 
     def test_scalar_steps_fuse(self):
         r0, r1 = chain_relation(0), chain_relation(1)
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("smul", by=("k0", "k1"), scalar=2.0)
-                .rma("sadd", by=("k0", "k1"), scalar=-1.0))
+        m0, m1 = matrices(r0, r1)
+        pipe = (m0 + m1) * 2.0 + (-1.0)
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
@@ -164,8 +169,8 @@ class TestFusionRewrite:
 
     def test_single_op_not_fused(self):
         r0, r1 = chain_relation(0), chain_relation(1)
-        pipe = scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-        plan = optimize(pipe.plan, Catalog(), keep_all=True)
+        m0, m1 = matrices(r0, r1)
+        plan = optimize((m0 + m1).plan, Catalog(), keep_all=True)
         assert not find_fused(plan)
 
     def test_order_schema_boundary_blocks_fusion(self):
@@ -174,8 +179,8 @@ class TestFusionRewrite:
         r0 = chain_relation(0, str_keys=False)
         r1 = chain_relation(1, str_keys=False)
         r2 = chain_relation(2, str_keys=False)
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k1", "k0"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = (m0 + m1).ordered_by(("k1", "k0")) - m2
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         assert not find_fused(plan)
         fused, unfused = collect_both(pipe)
@@ -185,18 +190,19 @@ class TestFusionRewrite:
         # The inner chain is referenced twice: it must stay a separate
         # (CSE-shared) node, not be re-computed inside two fused chains.
         r0, r1 = chain_relation(0), chain_relation(1)
-        inner = scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-        doubled = inner.rma("smul", by=("k0", "k1"), scalar=2.0)
-        tripled = inner.rma("smul", by=("k0", "k1"), scalar=3.0)
-        pipe = doubled.rma("sub", by=("k0", "k1"), other=tripled,
-                           other_by=("k0", "k1"))
-        plan = optimize(pipe.plan, Catalog(), keep_all=True)
+        m0, m1 = matrices(r0, r1)
+        inner = m0 + m1
+        doubled, tripled = 2.0 * inner, 3.0 * inner
+        pipe = nodes.Rma("sub", (doubled.plan, tripled.plan),
+                         (("k0", "k1"), ("k0", "k1")), None)
+        plan = optimize(pipe, Catalog(), keep_all=True)
         # The shared `inner` add survives as a plain Rma node.
         inner_nodes = [n for n in nodes.walk_plan(plan)
                        if isinstance(n, nodes.Rma) and n.op == "add"]
         assert inner_nodes
-        # NB the rewrite above is illegal RMA (overlapping order schemas of
-        # sub's arguments) — only the plan *shape* is under test here.
+        # NB the plan above is illegal RMA (overlapping order schemas of
+        # sub's arguments, which Matrix rejects) — only the plan *shape*
+        # is under test here.
 
     def test_duplicated_chain_still_fuses(self):
         # The SAME chain referenced twice: every interior node's count
@@ -204,9 +210,9 @@ class TestFusionRewrite:
         # one structurally equal FusedRma that CSE executes once.
         r0 = chain_relation(0, str_keys=False)
         r1 = chain_relation(1, str_keys=False)
-        chain = (scan(r0, name="a")
-                 .rma("add", by="k0", other=scan(r1), other_by="k1")
-                 .rma("smul", by=("k0", "k1"), scalar=2.0))
+        db = repro.connect(plan_cache=False)
+        (m1,) = matrices(r1, db=db)
+        chain = 2.0 * (db.matrix(r0, by="k0", name="a") + m1)
         pipe = chain.join(chain, on=(col("k0", "a") == col("k0", "a")))
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
@@ -215,16 +221,15 @@ class TestFusionRewrite:
 
     def test_fusion_disabled_by_flag(self):
         r0, r1, r2 = (chain_relation(i) for i in range(3))
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = m0 + m1 - m2
         plan = optimize(pipe.plan, Catalog(), keep_all=True, fuse=False)
         assert not find_fused(plan)
 
     def test_unfuse_reconstructs_chain(self):
         r0, r1, r2 = (chain_relation(i) for i in range(3))
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2")
-                .rma("smul", by=("k0", "k1", "k2"), scalar=2.0))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = 2.0 * (m0 + m1 - m2)
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)[0]
         rebuilt = nodes.unfuse(fused)
@@ -247,10 +252,8 @@ class TestFusedBitIdentity:
                              ids=["validate", "novalidate"])
     def test_left_deep_mixed_ops(self, kwargs):
         r0, r1, r2, r3 = (chain_relation(i) for i in range(4))
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2")
-                .rma("emu", by=("k0", "k1", "k2"), other=scan(r3),
-                     other_by="k3"))
+        m0, m1, m2, m3 = matrices(r0, r1, r2, r3)
+        pipe = (m0 + m1 - m2) * m3
         fused, unfused = collect_both(pipe, **kwargs)
         assert relations_equal(fused, unfused)
 
@@ -258,17 +261,15 @@ class TestFusedBitIdentity:
                              ids=["validate", "novalidate"])
     def test_right_deep_chain(self, kwargs):
         r0, r1, r2 = (chain_relation(i) for i in range(3))
-        inner = scan(r1).rma("emu", by="k1", other=scan(r2), other_by="k2")
-        pipe = scan(r0).rma("add", by="k0", other=inner,
-                            other_by=("k1", "k2"))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = m0 + m1 * m2
         fused, unfused = collect_both(pipe, **kwargs)
         assert relations_equal(fused, unfused)
 
     def test_scalar_mix(self):
         r0, r1 = chain_relation(0), chain_relation(1)
-        pipe = (scan(r0).rma("smul", by="k0", scalar=0.5)
-                .rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("ssub", by=("k0", "k1"), scalar=4.0))
+        m0, m1 = matrices(r0, r1)
+        pipe = 0.5 * m0 + m1 - 4.0
         fused, unfused = collect_both(pipe)
         assert relations_equal(fused, unfused)
 
@@ -284,8 +285,8 @@ class TestFusedBitIdentity:
         r2 = Relation.from_columns({
             "k2": rng.permutation(n).astype(np.int64),
             "x": rng.integers(-100, 100, n)})
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("emu", by=("k0", "k1"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = (m0 + m1) * m2
         fused, unfused = collect_both(pipe)
         assert relations_equal(fused, unfused)
 
@@ -297,28 +298,22 @@ class TestFusedBitIdentity:
         rels = [Relation.from_columns({f"k{i}": vals,
                                        "v": rng.uniform(0, 1, n)})
                 for i in range(3)]
-        pipe = (scan(rels[0])
-                .rma("add", by="k0", other=scan(rels[1]), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(rels[2]),
-                     other_by="k2"))
+        m0, m1, m2 = matrices(*rels)
+        pipe = m0 + m1 - m2
         fused, unfused = collect_both(pipe)
         assert relations_equal(fused, unfused)
 
     def test_wide_application_schema(self):
         rels = [chain_relation(i, cols=5) for i in range(3)]
-        pipe = (scan(rels[0])
-                .rma("add", by="k0", other=scan(rels[1]), other_by="k1")
-                .rma("emu", by=("k0", "k1"), other=scan(rels[2]),
-                     other_by="k2"))
+        m0, m1, m2 = matrices(*rels)
+        pipe = (m0 + m1) * m2
         fused, unfused = collect_both(pipe)
         assert relations_equal(fused, unfused)
 
     def test_fused_result_order_cache_is_warm(self):
         rels = [chain_relation(i) for i in range(3)]
-        pipe = (scan(rels[0])
-                .rma("add", by="k0", other=scan(rels[1]), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(rels[2]),
-                     other_by="k2"))
+        m0, m1, m2 = matrices(*rels)
+        pipe = m0 + m1 - m2
         fused = pipe.collect()
         # All aligned schemas and combined prefixes are seeded.
         for key in (("k0",), ("k1",), ("k2",), ("k0", "k1"),
@@ -349,8 +344,8 @@ class TestFusionFallback:
         r2 = Relation.from_columns({
             "k2": rng.permutation(n).astype(np.int64),
             "x": rng.uniform(0, 1, n)})
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = m0 + m1 - m2
         config = RmaConfig(validate_keys=False)
         fused = pipe.collect(config=config)
         unfused = pipe.collect(
@@ -370,7 +365,7 @@ class TestFusionFallback:
             "k2": rng.permutation(n).astype(np.int64),
             "x": rng.uniform(0, 1, n)})
         config = RmaConfig(validate_keys=False)
-        session = Session(config=config)
+        session = repro.connect(config=config)
         session.register("r0", r0)
         session.register("r1", r1)
         session.register("r2", r2)
@@ -384,8 +379,8 @@ class TestFusionFallback:
         r0 = chain_relation(0, n=50)
         r1 = chain_relation(1, n=50)
         r2 = chain_relation(2, n=40)  # wrong cardinality
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = matrices(r0, r1, r2)
+        pipe = m0 + m1 - m2
         with pytest.raises(RmaError) as fused_err:
             pipe.collect()
         with pytest.raises(RmaError) as unfused_err:
@@ -395,10 +390,8 @@ class TestFusionFallback:
     def test_properties_off_falls_back(self):
         from repro.bat.properties import use_properties
         rels = [chain_relation(i) for i in range(3)]
-        pipe = (scan(rels[0])
-                .rma("add", by="k0", other=scan(rels[1]), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(rels[2]),
-                     other_by="k2"))
+        m0, m1, m2 = matrices(*rels)
+        pipe = m0 + m1 - m2
         with use_properties(False):
             off = pipe.collect(config=RmaConfig(use_properties=False))
         on = pipe.collect()
@@ -417,7 +410,7 @@ class TestFusionFallback:
 
 class TestSqlFusion:
     def make_session(self, **kwargs):
-        session = Session(**kwargs)
+        session = repro.connect(**kwargs)
         for i in range(3):
             session.register(f"r{i}", chain_relation(i))
         return session
@@ -448,8 +441,6 @@ class TestSqlFusion:
         t1 = add(r0, "k0", r1, "k1")
         t2 = sub(t1, ("k0", "k1"), r2, "k2")
         eager = smul(t2, ("k0", "k1", "k2"), 2.0)
-        lazy = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2")
-                .rma("smul", by=("k0", "k1", "k2"), scalar=2.0)
-                .collect())
+        m0, m1, m2 = matrices(r0, r1, r2)
+        lazy = (2.0 * (m0 + m1 - m2)).collect()
         assert relations_equal(eager, lazy)

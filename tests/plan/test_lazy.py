@@ -1,19 +1,21 @@
-"""Lazy builder equivalence: plan execution is bit-identical to eager.
+"""Lazy ``Matrix`` equivalence: plan execution is bit-identical to eager.
 
-The lazy API must reproduce ``execute_rma`` exactly for every Table 2
-operation — not just numerically close: same names, same dtypes, same raw
-tails.  Relational operators (filter/select/join/sort/limit/distinct) are
-checked against their SQL/relational counterparts.
+A ``Matrix`` expression must reproduce ``execute_rma`` exactly for every
+Table 2 operation — not just numerically close: same names, same dtypes,
+same raw tails.  Its relational operators (filter/select/join/sort/limit/
+distinct) are checked against their SQL/relational counterparts.
 """
 
 import numpy as np
 import pytest
 
+import repro
 from repro.bat.bat import DataType
 from repro.core.ops import execute_rma
 from repro.errors import PlanError
 from repro.opspec import OPS
-from repro.plan.lazy import col, lit, scan
+from repro.plan import Executor, nodes
+from repro.plan.expr import col, lit
 from repro.relational.relation import Relation
 
 
@@ -64,7 +66,8 @@ class TestUnaryOps:
     def test_bit_identical(self, op):
         rel = keyed(UNARY_INPUTS[op])
         eager = execute_rma(op, rel, "key")
-        lazy = scan(rel).rma(op, by="key").collect()
+        m = repro.connect().matrix(rel, by="key")
+        lazy = getattr(m, op)().collect()
         assert identical(eager, lazy), op
 
     def test_all_unary_ops_covered(self):
@@ -101,22 +104,26 @@ class TestBinaryOps:
     def test_bit_identical(self, op):
         r, by, s, s_by = self.binary_case(op)
         eager = execute_rma(op, r, by, s, s_by)
-        lazy = scan(r).rma(op, by=by, other=scan(s),
-                           other_by=s_by).collect()
+        db = repro.connect()
+        lazy = getattr(db.matrix(r, by=by), op)(db.matrix(s, by=s_by)) \
+            .collect()
         assert identical(eager, lazy), op
 
     def test_other_accepts_bare_relation(self):
         r, by, s, s_by = self.binary_case("add")
         eager = execute_rma("add", r, by, s, s_by)
-        lazy = scan(r).rma("add", by=by, other=s, other_by=s_by).collect()
+        lazy = repro.connect().matrix(r, by=by).add(s, by=s_by).collect()
         assert identical(eager, lazy)
 
     def test_arity_validation(self):
         r, by, s, s_by = self.binary_case("add")
+        m = repro.connect().matrix(r, by=by)
         with pytest.raises(PlanError):
-            scan(r).rma("add", by=by)
+            m.add(s)  # a plain relation operand needs its order schema
         with pytest.raises(PlanError):
-            scan(r).rma("inv", by=by, other=s, other_by=s_by)
+            m.add(2.5, by=s_by)
+        with pytest.raises(TypeError):
+            m.inv(s)
 
 
 class TestChains:
@@ -135,20 +142,26 @@ class TestChains:
         eager = execute_rma("mmu", execute_rma("inv", xtx, "C"), "C",
                             xty, "C")
 
-        design = scan(a)
-        lazy_xtx = design.rma("cpd", by="id", other=design, other_by="id")
-        lazy_xty = design.rma("cpd", by="id", other=scan(v), other_by="id")
-        lazy = (lazy_xtx.rma("inv", by="C")
-                .rma("mmu", by="C", other=lazy_xty, other_by="C")
-                .collect())
+        db = repro.connect()
+        design = db.matrix(a, by="id")
+        lazy = (design.cpd(design).inv()
+                @ design.cpd(db.matrix(v, by="id"))).collect()
         assert identical(eager, lazy)
 
     def test_collect_without_cse_matches(self):
         rel = keyed(SQUARE)
-        frame = scan(rel).rma("inv", by="key")
-        pipe = frame.rma("mmu", by="key", other=frame, other_by="key")
-        assert identical(pipe.collect(cse=True), pipe.collect(cse=False))
-        assert identical(pipe.collect(optimize=False), pipe.collect())
+        leaf = nodes.RelScan(rel, "r")
+        inverse = nodes.Rma("inv", (leaf,), (("key",),), None)
+        plan = nodes.Rma("mmu", (inverse, inverse), (("key",), ("key",)),
+                         None)
+        runs = [Executor(repro.connect().catalog, cse=cse).run(plan)
+                .to_plain_relation() for cse in (True, False)]
+        assert identical(*runs)
+        m = repro.connect().matrix(rel, by="key").inv()
+        unoptimized = repro.connect(optimize_plans=False).matrix(
+            rel, by="key").inv()
+        assert identical((unoptimized @ unoptimized).collect(),
+                         (m @ m).collect())
 
 
 class TestRelationalOperators:
@@ -159,34 +172,47 @@ class TestRelationalOperators:
             "grp": ["b", "a", "a", "c", "b"],
             "val": [1.5, 2.5, 0.5, 4.0, 3.0]})
 
-    def test_scan_passthrough(self, rel):
-        assert scan(rel).collect() is rel
+    @pytest.fixture
+    def m(self, rel):
+        return repro.connect().matrix(rel, by="id")
 
-    def test_filter(self, rel):
-        out = scan(rel).filter(col("val") > 1.0).collect()
+    def test_scan_passthrough(self, rel, m):
+        assert m.collect() is rel
+
+    def test_filter(self, rel, m):
+        out = m.filter(col("val") > 1.0).collect()
         assert out.to_rows() == [row for row in rel.to_rows()
                                  if row[2] > 1.0]
 
-    def test_filter_compound(self, rel):
-        out = scan(rel).filter((col("val") > lit(1.0))
-                               & (col("grp") == "b")).collect()
+    def test_filter_compound(self, rel, m):
+        out = m.filter((col("val") > lit(1.0))
+                       & (col("grp") == "b")).collect()
         assert out.to_rows() == [(3, "b", 1.5), (4, "b", 3.0)]
 
-    def test_select_names_and_exprs(self, rel):
-        out = scan(rel).select("id", (col("val") * 2).alias("dbl")) \
-            .collect()
+    def test_select_names_and_exprs(self, rel, m):
+        selected = m.select("id", (col("val") * 2).alias("dbl"))
+        assert selected.by == ("id",) and selected.app_names is None
+        out = selected.collect()
         assert out.names == ["id", "dbl"]
         assert out.column("dbl").python_values() == \
             [v * 2 for v in rel.column("val").python_values()]
 
-    def test_sort_limit(self, rel):
-        out = scan(rel).sort("id").limit(2).collect()
+    def test_sort_limit(self, rel, m):
+        out = m.sort("id").limit(2).collect()
         assert [r[0] for r in out.to_rows()] == [1, 2]
-        out = scan(rel).sort("id", descending=True).limit(1).collect()
-        assert out.to_rows()[0][0] == 5
+        out = m.sort("val").limit(1).collect()
+        assert out.to_rows() == [(2, "a", 0.5)]
+
+    def test_select_keeps_order_schema(self, rel, m):
+        assert m.select("val", "id").app_names == ("val",)
+        with pytest.raises(PlanError):
+            m.select("grp", "val")
+        with pytest.raises(PlanError):
+            m.select(col("id").alias("renamed"), "val")
 
     def test_distinct(self, rel):
-        out = scan(rel).select("grp").distinct().collect()
+        grouped = repro.connect().matrix(rel, by="grp")
+        out = grouped.select("grp").distinct().collect()
         assert sorted(v for v in out.column("grp").python_values()) == \
             ["a", "b", "c"]
 
@@ -194,27 +220,28 @@ class TestRelationalOperators:
         other = Relation.from_columns({
             "key": np.array([1, 2, 3], dtype=np.int64),
             "label": ["one", "two", "three"]})
-        out = (scan(rel, name="l")
-               .join(scan(other, name="r"),
-                     on=col("id", "l") == col("key", "r"))
-               .collect())
+        db = repro.connect()
+        joined = (db.matrix(rel, by="id", name="l")
+                  .join(db.matrix(other, by="key", name="r"),
+                        on=col("id", "l") == col("key", "r")))
+        assert joined.by == ("id",) and joined.app_names is None
+        out = joined.collect()
         assert sorted(out.column("label").python_values()) == \
             ["one", "three", "two"]
 
-    def test_explain_mentions_nodes(self, rel):
-        text = (scan(rel).rma("rnk", by="id")
-                .filter(col("rnk") >= 0).explain())
+    def test_explain_mentions_nodes(self, rel, m):
+        text = m.rnk().filter(col("rnk") >= 0).explain()
         assert "Rma RNK" in text
         assert "RelScan" in text
 
-    def test_interior_select_prunes_scan(self, rel):
-        pipe = scan(rel).select("id", "val").sort("id")
+    def test_interior_select_prunes_scan(self, rel, m):
+        pipe = m.select("id", "val").sort("id")
         text = pipe.explain()
         assert "Prune [id, val]" in text
         out = pipe.collect()
         assert out.names == ["id", "val"]
         assert [r[0] for r in out.to_rows()] == [1, 2, 3, 4, 5]
 
-    def test_non_project_root_keeps_all_columns(self, rel):
-        out = scan(rel).filter(col("val") > 1.0).collect()
+    def test_non_project_root_keeps_all_columns(self, rel, m):
+        out = m.filter(col("val") > 1.0).collect()
         assert out.names == rel.names

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.bat.catalog import Catalog
 from repro.core.config import RmaConfig
 from repro.plan.cache import PlanCache, catalog_stamps
-from repro.plan.lazy import scan
 from repro.relational.relation import Relation
-from repro.sql import Session
 
 
 def square_relation(n: int = 6, seed: int = 1) -> Relation:
@@ -31,6 +30,12 @@ def gram_table(n: int = 50, seed: int = 3) -> Relation:
         "id": rng.permutation(n).astype(np.int64),
         "x": rng.uniform(0, 1, n),
         "y": rng.uniform(0, 1, n)})
+
+
+def gram_expression(rel: Relation, cache: PlanCache):
+    """CPD(rel, rel) on a fresh session (fresh catalog) sharing ``cache``."""
+    m = repro.connect(plan_cache=cache).matrix(rel, by="id")
+    return m.cpd(m)
 
 
 class TestCatalogVersions:
@@ -59,7 +64,7 @@ class TestCatalogVersions:
 
 class TestSessionResultCache:
     def test_repeated_statement_hits_cache(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         first = session.execute(GRAM_SQL)
         assert session.last_stats.cache_hits == 0
@@ -70,7 +75,7 @@ class TestSessionResultCache:
                    for n in first.names)
 
     def test_shared_subplan_reused_across_different_statements(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         # A *different* statement containing the same CPD subplan.
@@ -79,7 +84,7 @@ class TestSessionResultCache:
         assert session.last_stats.cache_hits >= 1
 
     def test_insert_invalidates_affected_entry(self):
-        session = Session()
+        session = repro.connect()
         session.register("t", Relation.from_columns(
             {"id": [1, 2], "v": [1.0, 2.0]}))
         sql = "SELECT * FROM CPD(t BY id, t BY id)"
@@ -95,7 +100,7 @@ class TestSessionResultCache:
             expected)
 
     def test_register_invalidates_affected_entry(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table(seed=3))
         first = session.execute(GRAM_SQL)
         session.register("a", gram_table(seed=4))
@@ -105,7 +110,7 @@ class TestSessionResultCache:
             second.column("x").python_values()
 
     def test_create_or_drop_invalidates(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         session.execute("DROP TABLE a")
@@ -114,7 +119,7 @@ class TestSessionResultCache:
         assert session.last_stats.cache_hits == 0
 
     def test_unrelated_mutation_keeps_entries(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         session.register("b", gram_table(seed=11))
         session.execute(GRAM_SQL)
@@ -123,14 +128,14 @@ class TestSessionResultCache:
         assert session.last_stats.cache_hits >= 1
 
     def test_cache_disabled(self):
-        session = Session(plan_cache=False)
+        session = repro.connect(plan_cache=False)
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         session.execute(GRAM_SQL)
         assert session.last_stats.cache_hits == 0
 
     def test_cse_within_statement_still_counts(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         session.execute(
             "SELECT * FROM MMU(INV(CPD(a BY id, a BY id) BY C) BY C, "
@@ -147,7 +152,7 @@ def cached_entry(session):
 
 class TestStatementPlanCache:
     def test_plan_object_reused(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         plan_a = cached_entry(session)[0]
@@ -155,7 +160,7 @@ class TestStatementPlanCache:
         assert cached_entry(session)[0] is plan_a
 
     def test_plan_rebuilt_after_catalog_change(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         plan_a = cached_entry(session)[0]
@@ -168,7 +173,7 @@ class TestStatementPlanCache:
         # different settings (e.g. fusion on) must not keep executing.
         rng = np.random.default_rng(30)
         n = 50
-        session = Session()
+        session = repro.connect()
         for i in range(3):
             session.register(f"y{i}", Relation.from_columns({
                 f"k{i}": rng.permutation(n).astype(np.int64),
@@ -184,7 +189,7 @@ class TestStatementPlanCache:
                    for c in fused.names)
 
     def test_physical_info_cached_with_plan(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         info_a = cached_entry(session)[1]
@@ -197,7 +202,7 @@ class TestStatementPlanCache:
         rng = np.random.default_rng(31)
         n = 40
         config = RmaConfig()
-        session = Session(config=config)
+        session = repro.connect(config=config)
         for i in range(3):
             session.register(f"y{i}", Relation.from_columns({
                 f"k{i}": rng.permutation(n).astype(np.int64),
@@ -211,7 +216,7 @@ class TestStatementPlanCache:
         assert session.last_stats.fused_nodes == 0
 
     def test_plan_cache_false_disables_statement_caches(self):
-        session = Session(plan_cache=False)
+        session = repro.connect(plan_cache=False)
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         session.execute(GRAM_SQL)
@@ -224,11 +229,9 @@ class TestLazyCache:
     def test_collect_with_shared_cache(self):
         cache = PlanCache()
         rel = gram_table()
-        pipe = scan(rel).rma("cpd", by="id", other=scan(rel),
-                             other_by="id")
-        first = pipe.collect(cache=cache)
+        first = gram_expression(rel, cache).collect()
         assert cache.hits == 0
-        second = pipe.collect(cache=cache)
+        second = gram_expression(rel, cache).collect()
         assert cache.hits >= 1
         assert first.names == second.names
         assert all(first.column(n) == second.column(n)
@@ -237,10 +240,8 @@ class TestLazyCache:
     def test_distinct_relations_do_not_collide(self):
         cache = PlanCache()
         a, b = gram_table(seed=1), gram_table(seed=2)
-        ra = scan(a).rma("cpd", by="id", other=scan(a),
-                         other_by="id").collect(cache=cache)
-        rb = scan(b).rma("cpd", by="id", other=scan(b),
-                         other_by="id").collect(cache=cache)
+        ra = gram_expression(a, cache).collect()
+        rb = gram_expression(b, cache).collect()
         assert ra.column("x").python_values() != \
             rb.column("x").python_values()
 
@@ -249,19 +250,17 @@ class TestLazyCache:
         # per collect call keeps hitting.
         cache = PlanCache()
         rel = gram_table()
-        pipe = scan(rel).rma("cpd", by="id", other=scan(rel),
-                             other_by="id")
-        pipe.collect(cache=cache, config=RmaConfig())
-        pipe.collect(cache=cache, config=RmaConfig())
+        pipe = gram_expression(rel, cache)
+        pipe.collect(config=RmaConfig())
+        pipe.collect(config=RmaConfig())
         assert cache.hits >= 1
 
     def test_config_value_change_misses(self):
         cache = PlanCache()
         rel = gram_table()
-        pipe = scan(rel).rma("cpd", by="id", other=scan(rel),
-                             other_by="id")
-        pipe.collect(cache=cache, config=RmaConfig(validate_keys=True))
-        pipe.collect(cache=cache, config=RmaConfig(validate_keys=False))
+        pipe = gram_expression(rel, cache)
+        pipe.collect(config=RmaConfig(validate_keys=True))
+        pipe.collect(config=RmaConfig(validate_keys=False))
         assert cache.hits == 0
         # A config mismatch is a miss, not an invalidation: the entry is
         # still valid for its own config.
@@ -274,8 +273,8 @@ class TestSharedCacheAcrossSessions:
         # and SQL text: version stamps only identify tables *within* one
         # catalog, so the shared cache must not serve A's result to B.
         shared = PlanCache()
-        a = Session(plan_cache=shared)
-        b = Session(plan_cache=shared)
+        a = repro.connect(plan_cache=shared)
+        b = repro.connect(plan_cache=shared)
         a.register("t", Relation.from_columns(
             {"id": [1, 2], "v": [1.0, 2.0]}))
         b.register("t", Relation.from_columns(
@@ -291,20 +290,18 @@ class TestSharedCacheAcrossSessions:
         assert rb.column("v").python_values()[0] == pytest.approx(50000.0)
 
     def test_relscan_entries_stay_shareable(self):
-        # Lazy collect() builds a fresh catalog per call; stamp-free
-        # entries (RelScan identity) must keep hitting across them.
+        # Each session has its own catalog; stamp-free entries (RelScan
+        # identity) must keep hitting across them.
         cache = PlanCache()
         rel = gram_table()
-        pipe = scan(rel).rma("cpd", by="id", other=scan(rel),
-                             other_by="id")
-        pipe.collect(cache=cache)
-        pipe.collect(cache=cache)
+        gram_expression(rel, cache).collect()
+        gram_expression(rel, cache).collect()
         assert cache.hits >= 1
 
 
 class TestPlanCacheUnit:
     def test_stamps_cover_scanned_tables(self):
-        session = Session()
+        session = repro.connect()
         session.register("a", gram_table())
         plan = session.plan(GRAM_SQL)
         stamps = catalog_stamps(plan, session.catalog)

@@ -1,26 +1,26 @@
-"""Lazy-plan equivalence for the four paper workloads' matrix pipelines.
+"""Matrix-expression equivalence for the four paper workloads.
 
-Each workload's matrix part is rebuilt on the lazy API and must be
-bit-identical (same raw tails) to the eager per-operation execution the
-runners use.
+Each workload's matrix part is rebuilt as a lazy ``Matrix`` expression
+(``test_lazy_*``) and must be bit-identical (same raw tails) to the eager
+per-operation execution the runners use.
 """
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import RmaConfig
 from repro.core.ops import execute_rma
 from repro.data.bixi import generate_numeric_trips, generate_stations, \
     generate_trips
 from repro.data.dblp import generate_publications
 from repro.linalg.policy import BackendPolicy
-from repro.plan.lazy import scan
 from repro.workloads.journeys_mlr import JourneysDataset, _design_names, \
     _rma_mlr
 from repro.workloads.journeys_mlr import engine_prepare as prepare_journeys
 from repro.workloads.trip_count import make_dataset
-from repro.workloads.trips_olr import TripsDataset, _ols_inputs, _rma_ols, \
-    _rma_ols_lazy
+from repro.workloads.trips_olr import TripsDataset, _rma_ols, \
+    _rma_ols_matrix
 from repro.workloads.trips_olr import engine_prepare as prepare_trips
 from repro.workloads.trips_olr import run_rma as run_trips_rma
 
@@ -42,15 +42,15 @@ class TestTripsOlr:
         dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
         prepared = prepare_trips(dataset)
         eager = _rma_ols(prepared, config)
-        lazy = _rma_ols_lazy(prepared, config)
+        lazy = _rma_ols_matrix(prepared, config)
         assert np.array_equal(eager, lazy)
 
     def test_runner_agrees(self, stations):
         trips = generate_trips(3_000, stations, seed=2)
         dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
         eager = run_trips_rma(dataset)
-        lazy = run_trips_rma(dataset, lazy=True)
-        assert lazy.system == "RMA+MKL+PLAN"
+        lazy = run_trips_rma(dataset, matrix=True)
+        assert lazy.system == "RMA+MKL+API"
         assert np.array_equal(np.asarray(eager.signature),
                               np.asarray(lazy.signature))
 
@@ -74,14 +74,10 @@ class TestJourneysMlr:
         v = Relation.from_columns({
             "journey_id": prepared.column("journey_id"),
             "y": prepared.column("total_duration")})
-        design = scan(a)
-        xtx = design.rma("cpd", by="journey_id", other=design,
-                         other_by="journey_id")
-        xty = design.rma("cpd", by="journey_id", other=scan(v),
-                         other_by="journey_id")
-        beta = (xtx.rma("inv", by="C")
-                .rma("mmu", by="C", other=xty, other_by="C")
-                .collect(config=config))
+        db = repro.connect(config=config)
+        design = db.matrix(a, by="journey_id")
+        beta = (design.cpd(design).inv()
+                @ design.cpd(v, by="journey_id")).collect()
         assert np.array_equal(eager, beta.column("y").tail)
 
 
@@ -90,9 +86,9 @@ class TestConferencesCov:
         publications = generate_publications(400, 10)
         eager = execute_rma("cpd", publications, "author",
                             publications, "author", config=config)
-        frame = scan(publications)
-        lazy = frame.rma("cpd", by="author", other=frame,
-                         other_by="author").collect(config=config)
+        frame = repro.connect(config=config).matrix(publications,
+                                                    by="author")
+        lazy = frame.cpd(frame).collect()
         assert eager.names == lazy.names
         for name in eager.names[1:]:
             assert np.array_equal(eager.column(name).tail,
@@ -107,10 +103,9 @@ class TestTripCountAdd:
                            validate_keys=False)
         eager = execute_rma("add", dataset.year1, dataset.key1,
                             dataset.year2, dataset.key2, config=config)
-        lazy = (scan(dataset.year1)
-                .rma("add", by=dataset.key1, other=scan(dataset.year2),
-                     other_by=dataset.key2)
-                .collect(config=config))
+        db = repro.connect(config=config)
+        lazy = (db.matrix(dataset.year1, by=dataset.key1)
+                + db.matrix(dataset.year2, by=dataset.key2)).collect()
         assert eager.names == lazy.names
         for name in eager.names:
             assert np.array_equal(eager.column(name).tail,
@@ -118,10 +113,9 @@ class TestTripCountAdd:
 
     def test_derived_result_starts_warm(self):
         dataset = make_dataset(500)
-        result = (scan(dataset.year1)
-                  .rma("add", by=dataset.key1, other=scan(dataset.year2),
-                       other_by=dataset.key2)
-                  .collect())
+        db = repro.connect()
+        result = (db.matrix(dataset.year1, by=dataset.key1)
+                  + db.matrix(dataset.year2, by=dataset.key2)).collect()
         info = result.cached_order_info((dataset.key1,))
         assert info is not None
         assert info.known_positions is not None

@@ -2,15 +2,16 @@
 
 import pytest
 
+import repro
 from repro.relational import Relation
-from repro.sql import Session
-from repro.sql import logical
-from repro.sql.optimizer import optimize
+from repro.plan import nodes
+from repro.plan.build import build_select
+from repro.plan.optimizer import optimize
 
 
 @pytest.fixture
 def session(users, films, ratings):
-    s = Session()
+    s = repro.connect()
     s.register("u", users)
     s.register("f", films)
     s.register("r", ratings)
@@ -46,8 +47,8 @@ class TestSemanticsPreserved:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_optimized_equals_unoptimized(self, sql, users, films,
                                           ratings):
-        fast = Session()
-        slow = Session(optimize_plans=False)
+        fast = repro.connect()
+        slow = repro.connect(optimize_plans=False)
         for s in (fast, slow):
             s.register("u", users)
             s.register("f", films)
@@ -59,7 +60,7 @@ class TestRewrites:
     def test_cross_becomes_inner_join(self, session):
         plan = session.plan(
             "SELECT u.User, Net FROM u, r WHERE u.User = r.User")
-        joins = find_nodes(plan, logical.JoinPlan)
+        joins = find_nodes(plan, nodes.JoinPlan)
         assert joins and joins[0].kind == "inner"
         assert joins[0].condition is not None
 
@@ -67,41 +68,41 @@ class TestRewrites:
         plan = session.plan(
             "SELECT u.User, Net FROM u JOIN r ON u.User = r.User "
             "WHERE YoB > 1966")
-        join = find_nodes(plan, logical.JoinPlan)[0]
+        join = find_nodes(plan, nodes.JoinPlan)[0]
         # The YoB filter must now sit on the u side, below the join.
-        left_filters = find_nodes(join.left, logical.Filter)
+        left_filters = find_nodes(join.left, nodes.Filter)
         assert left_filters, "filter was not pushed below the join"
 
     def test_multi_conjunct_split(self, session):
         plan = session.plan(
             "SELECT u.User, Net FROM u, r "
             "WHERE u.User = r.User AND YoB > 1966 AND Heat > 0")
-        join = find_nodes(plan, logical.JoinPlan)[0]
-        assert find_nodes(join.left, logical.Filter)
-        assert find_nodes(join.right, logical.Filter)
+        join = find_nodes(plan, nodes.JoinPlan)[0]
+        assert find_nodes(join.left, nodes.Filter)
+        assert find_nodes(join.right, nodes.Filter)
 
     def test_projection_pruned_at_scan(self, session):
         plan = session.plan("SELECT User FROM u WHERE YoB > 1966")
-        prunes = find_nodes(plan, logical.Prune)
+        prunes = find_nodes(plan, nodes.Prune)
         assert prunes
         assert set(prunes[0].names) == {"User", "YoB"}
 
     def test_star_disables_pruning(self, session):
         plan = session.plan("SELECT * FROM u")
-        assert not find_nodes(plan, logical.Prune)
+        assert not find_nodes(plan, nodes.Prune)
 
     def test_rma_inputs_not_pruned(self, session):
         # RMA consumes order + application schema; pruning below it would
         # change the application schema and thus the semantics.
         plan = session.plan("SELECT C FROM TRA(r BY User)")
-        rma = find_nodes(plan, logical.Rma)[0]
-        assert not find_nodes(rma.inputs[0], logical.Prune)
+        rma = find_nodes(plan, nodes.Rma)[0]
+        assert not find_nodes(rma.inputs[0], nodes.Prune)
 
     def test_left_join_not_converted(self, session):
         plan = session.plan(
             "SELECT u.User FROM u LEFT JOIN r ON u.User = r.User "
             "WHERE YoB > 1900")
-        join = find_nodes(plan, logical.JoinPlan)[0]
+        join = find_nodes(plan, nodes.JoinPlan)[0]
         assert join.kind == "left"
 
 
@@ -109,21 +110,21 @@ class TestDynamicSchemas:
     def test_tra_output_names_unknown(self, session):
         # tra's result column names are data values: the optimizer must
         # not claim to know them.
-        from repro.sql.optimizer import Optimizer
+        from repro.plan.optimizer import Optimizer
         opt = Optimizer(session.catalog)
-        plan = logical.build_select(
+        plan = build_select(
             __import__("repro.sql.parser", fromlist=["parse_sql"])
             .parse_sql("SELECT * FROM TRA(r BY User)"))
-        rma = find_nodes(plan, logical.Rma)[0]
+        rma = find_nodes(plan, nodes.Rma)[0]
         assert opt.output_names(rma) is None
 
     def test_inv_output_names_known(self, session):
-        from repro.sql.optimizer import Optimizer
+        from repro.plan.optimizer import Optimizer
         from repro.sql.parser import parse_sql
         opt = Optimizer(session.catalog)
-        plan = logical.build_select(
+        plan = build_select(
             parse_sql("SELECT * FROM INV(r BY User) AS i"))
-        rma = find_nodes(plan, logical.Rma)[0]
+        rma = find_nodes(plan, nodes.Rma)[0]
         names = opt.output_names(rma)
         assert names == {("i", "User"), ("i", "Balto"), ("i", "Heat"),
                          ("i", "Net")}

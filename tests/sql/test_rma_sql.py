@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.relational import Relation
-from repro.sql import Session
 
 
 @pytest.fixture
 def session(users, films, ratings, weather):
-    s = Session()
+    s = repro.connect()
     s.register("u", users)
     s.register("f", films)
     s.register("rating", ratings)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.relational import Relation
-from repro.sql import Session
 
 rows = st.lists(
     st.tuples(st.integers(0, 5), st.integers(-50, 50),
@@ -23,7 +23,7 @@ def make_session(data):
         "g": [r[0] for r in data],
         "v": [r[1] for r in data],
         "s": [r[2] for r in data]}, TYPES)
-    session = Session()
+    session = repro.connect()
     session.register("t", rel)
     return session
 
@@ -61,7 +61,7 @@ def test_join_matches_python(left, right):
     rrel = Relation.from_columns({"j": [r[0] for r in right],
                                   "w": [r[1] for r in right]},
                                  {"j": DataType.INT, "w": DataType.INT})
-    session = Session()
+    session = repro.connect()
     session.register("l", lrel)
     session.register("r", rrel)
     out = session.execute(
