@@ -13,7 +13,8 @@ avoid it whenever the operation allows:
   the attached order part still identifies them;
 * *relative* (element-wise ``add``/``sub``/``emu``, plus ``cpd``/``sol``)
   leave the first relation in storage order and align the second to it with
-  one composed permutation — only the second relation is fetchjoined.
+  one composed permutation — only the second relation is fetchjoined,
+  and neither is when both share their order columns.
 """
 
 from __future__ import annotations
@@ -191,17 +192,23 @@ def _seed_major_key_sorted(bat: BAT) -> None:
         bat._seed_props(tsorted=True)
 
 
+def _check_key(relation: Relation, order_names: list[str],
+               order_bats: list[BAT], config: RmaConfig) -> None:
+    """Raise the key violation unless the order part forms a key."""
+    if config.use_properties:
+        if not relation.order_info(order_names).is_key:
+            raise key_violation(order_names)
+    else:
+        require_key(order_bats, order_names)
+
+
 def _prepare_unsorted(relation: Relation, order_names: list[str],
                       app_names: list[str], validate: bool,
                       config: RmaConfig) -> PreparedInput:
     """No sorting: storage order is the kernel order."""
     order_bats = relation.bats(order_names)
     if validate:
-        if config.use_properties:
-            if not relation.order_info(order_names).is_key:
-                raise key_violation(order_names)
-        else:
-            require_key(order_bats, order_names)
+        _check_key(relation, order_names, order_bats, config)
     parallel = _parallel_of(config) if config.use_properties else None
     app_columns = [_as_float(relation.column(n), parallel)
                    for n in app_names]
@@ -269,8 +276,19 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
     # the second relation requires sorting").
     r_order_bats = r.bats(r_order)
     s_order_bats = s.bats(s_order)
-    if use_props:
-        parallel = _parallel_of(config)
+    parallel = _parallel_of(config) if use_props else None
+    if len(r_order_bats) == len(s_order_bats) and all(
+            x is y for x, y in zip(r_order_bats, s_order_bats)):
+        # Shared order BATs sort identically, so the composed alignment
+        # positions[rank_of(positions)] is the identity — even with
+        # duplicate keys — and nothing needs sorting or gathering.  A
+        # self-operand call thus hands the kernel the very same arrays.
+        # r's key verdict is s's too: both order parts are the same BATs.
+        if config.validate_keys:
+            _check_key(r, r_order, r_order_bats, config)
+        aligned = None
+        s_app_columns = [_as_float(s.column(n), parallel) for n in s_app]
+    elif use_props:
         r_info = r.order_info(r_order)
         s_info = s.order_info(s_order)
         if parallel is not None:
@@ -292,7 +310,6 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
             [_as_float(s.column(n), parallel) for n in s_app],
             aligned, parallel)
     else:
-        parallel = None
         r_positions = order_by(r_order_bats)
         if config.validate_keys:
             require_key(r_order_bats, r_order, r_positions)
@@ -302,16 +319,17 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
         aligned = s_positions[rank_of(r_positions)]
         s_app_columns = [s.column(n).fetch(aligned).as_float()
                          for n in s_app]
+    if aligned is not None:
+        s_order_bats = [bat.fetch(aligned, positions_key=True)
+                        for bat in s_order_bats]
     prepared_r = PreparedInput(
         r, r_order, r_app, r_order_bats,
         [_as_float(r.column(n), parallel) for n in r_app],
         sorted_storage=False,
         validated=config.validate_keys)
     prepared_s = PreparedInput(
-        s, s_order, s_app,
-        [bat.fetch(aligned, positions_key=True) for bat in s_order_bats],
-        s_app_columns, sorted_storage=False,
-        validated=config.validate_keys)
+        s, s_order, s_app, s_order_bats, s_app_columns,
+        sorted_storage=False, validated=config.validate_keys)
     return prepared_r, prepared_s
 
 

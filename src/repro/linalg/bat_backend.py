@@ -134,13 +134,12 @@ class BatBackend:
     def _cpd(self, a: Columns, b: Columns) -> Columns:
         """Cross product A.T @ B: one whole-column dot per result cell.
 
-        When both arguments are the same columns the result is symmetric and
-        only the upper triangle is computed (the paper's dsyrk analogue).
+        For a self-operand (``b is a``) the result is symmetric and only the
+        upper triangle is computed (the paper's dsyrk analogue).
         """
         ka, kb = ncols(a), ncols(b)
-        symmetric = a is b or all(x is y for x, y in zip(a, b)) and ka == kb
         out = [np.empty(ka, dtype=np.float64) for _ in range(kb)]
-        if symmetric:
+        if b is a:
             for q in range(kb):
                 for p in range(q + 1):
                     value = float(a[p] @ b[q])

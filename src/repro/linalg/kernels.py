@@ -103,16 +103,20 @@ def _shape(columns: Columns) -> tuple[int, int]:
 def _backend_kernel(op: str) -> Kernel:
     """Generic kernel: choose a backend by policy and run the operation.
 
-    Mirrors the monolithic ``execute_rma`` dispatch, including the
-    symmetric (dsyrk-style) fast path of ``cpd`` over identical columns.
+    This is the one place that decides "same operand": a ``cpd`` whose
+    operands are the very same column arrays (a self-operand call, see
+    :func:`repro.core.context.prepare_binary`) is rewritten to ``b = a``.
+    Both backends then take their symmetric path — one dense copy and
+    dsyrk on MKL, the upper triangle on BATs — and the policy charges the
+    memory estimate for that one copy.
     """
 
     def kernel(a: Columns, b: Columns | None, scalar: float | None,
                policy) -> Columns:
-        if b is None:
-            return policy.choose(op, _shape(a)).compute(op, a)
-        if op == "cpd" and _same_columns(a, b):
+        if op == "cpd" and b is not None and _same_columns(a, b):
             b = a
+        if b is None or b is a:
+            return policy.choose(op, _shape(a)).compute(op, a, b)
         return policy.choose(op, _shape(a), _shape(b)).compute(op, a, b)
 
     return kernel

@@ -45,7 +45,11 @@ class BackendPolicy:
 
     def dense_bytes(self, op: str, shape_a: tuple[int, int],
                     shape_b: tuple[int, int] | None = None) -> int:
-        """Bytes of contiguous doubles the MKL path would allocate."""
+        """Bytes of contiguous doubles the MKL path would allocate.
+
+        ``shape_b`` is ``None`` for unary operations and for self-operand
+        binary ones, whose single operand is copied in once.
+        """
         a_cells = shape_a[0] * shape_a[1]
         total = a_cells
         largest = a_cells

@@ -157,6 +157,23 @@ class TestBinaryOps:
         assert identical(eager, m.collect()), op
         assert identical(eager, via_sql), op
 
+    def test_self_operand_cpd_bit_identical(self, config):
+        # cpd(r BY k1, r BY k1): shared order BATs align by identity and
+        # the kernel sees one operand (dsyrk on MKL).
+        r = keyed(RNG.uniform(0.0, 5.0, (8, 3)), key="k1")
+        eager = repro.rma.cpd(r, "k1", r, "k1", config=config)
+
+        db = repro.connect(config=config)
+        db.register("r", r)
+        m = db.matrix("r", by="k1")
+        via_sql = db.execute("SELECT * FROM CPD(r BY k1, r BY k1)")
+
+        assert identical(eager, m.cpd(m).collect())
+        assert identical(eager, via_sql)
+        gram = np.column_stack([eager.column(n).tail
+                                for n in eager.names[1:]])
+        assert np.array_equal(gram, gram.T)
+
     @pytest.mark.parametrize("op,operator", [
         ("add", lambda a, b: a + b),
         ("sub", lambda a, b: a - b),

@@ -80,11 +80,18 @@ class TestProducts:
         assert np.allclose(_dense("cpd", backend, a, b), a.T @ b)
 
     def test_cpd_symmetric_fast_path(self, rng):
-        a = rng.normal(size=(6, 4))
+        a = rng.normal(size=(60, 7))
         cols = as_columns(a)
         out = columns_to_dense(BAT.compute("cpd", cols, cols))
         assert np.allclose(out, a.T @ a)
-        assert np.allclose(out, out.T)
+        assert np.array_equal(out, out.T)
+
+    def test_cpd_symmetric_fast_path_mkl(self, rng):
+        a = rng.normal(size=(60, 7))
+        cols = as_columns(a)
+        out = columns_to_dense(MKL.compute("cpd", cols, cols))
+        assert np.allclose(out, a.T @ a)
+        assert np.array_equal(out, out.T)
 
     @pytest.mark.parametrize("backend", [BAT, MKL], ids=["bat", "mkl"])
     def test_tra(self, backend, rng):
@@ -312,3 +319,92 @@ class TestMklStats:
         assert 0.0 <= stats.transform_share() <= 1.0
         stats.reset()
         assert stats.calls == 0 and stats.bytes_in == 0
+
+    def test_self_operand_copied_once(self, rng):
+        backend = MklBackend()
+        n, k = 200, 5
+        cols = as_columns(rng.normal(size=(n, k)))
+        out = columns_to_dense(backend.compute("cpd", cols, cols))
+        assert backend.stats.bytes_in == n * k * 8
+        assert np.array_equal(out, out.T)
+        backend.stats.reset()
+        other = as_columns(rng.normal(size=(n, k)))
+        backend.compute("cpd", cols, other)
+        assert backend.stats.bytes_in == 2 * n * k * 8
+
+
+class TestSelfOperandBlasThreads:
+    """A self-operand cpd runs its dsyrk on the calling thread alone."""
+
+    @staticmethod
+    def _fake_setter(monkeypatch, start=4):
+        from repro.linalg import mkl_backend
+        state = {"threads": start}
+
+        def setter(threads):
+            previous, state["threads"] = state["threads"], threads
+            return previous
+
+        monkeypatch.setattr(mkl_backend, "_openblas_thread_setter",
+                            lambda: setter)
+        return state
+
+    def _threads_in_kernel(self, monkeypatch, backend, state):
+        seen = []
+        kernel = backend._kernel
+
+        def recording(op, a, b):
+            seen.append(state["threads"])
+            return kernel(op, a, b)
+
+        monkeypatch.setattr(backend, "_kernel", recording)
+        return seen
+
+    def test_self_operand_one_thread_then_restored(self, monkeypatch, rng):
+        state = self._fake_setter(monkeypatch)
+        backend = MklBackend()
+        seen = self._threads_in_kernel(monkeypatch, backend, state)
+        cols = as_columns(rng.normal(size=(50, 4)))
+        backend.compute("cpd", cols, cols)
+        assert seen == [1] and state["threads"] == 4
+
+    def test_other_operations_keep_the_default(self, monkeypatch, rng):
+        state = self._fake_setter(monkeypatch)
+        backend = MklBackend()
+        seen = self._threads_in_kernel(monkeypatch, backend, state)
+        cols = as_columns(rng.normal(size=(50, 4)))
+        backend.compute("cpd", cols, as_columns(rng.normal(size=(50, 4))))
+        backend.compute("tra", cols)
+        assert seen == [4, 4] and state["threads"] == 4
+
+    def test_restored_when_the_kernel_raises(self, monkeypatch, rng):
+        state = self._fake_setter(monkeypatch)
+        backend = MklBackend()
+
+        def failing(op, a, b):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(backend, "_kernel", failing)
+        cols = as_columns(rng.normal(size=(50, 4)))
+        with pytest.raises(RuntimeError):
+            backend.compute("cpd", cols, cols)
+        assert state["threads"] == 4
+
+    def test_without_openblas_the_kernel_still_runs(self, monkeypatch, rng):
+        from repro.linalg import mkl_backend
+        monkeypatch.setattr(mkl_backend, "_openblas_thread_setter",
+                            lambda: None)
+        a = rng.normal(size=(50, 4))
+        cols = as_columns(a)
+        out = columns_to_dense(MklBackend().compute("cpd", cols, cols))
+        assert np.allclose(out, a.T @ a)
+        assert np.array_equal(out, out.T)
+
+    def test_real_setter_round_trips(self):
+        from repro.linalg import mkl_backend
+        setter = mkl_backend._openblas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy does not link an OpenBLAS with a "
+                        "per-thread setting")
+        previous = setter(1)
+        assert setter(previous) == 1

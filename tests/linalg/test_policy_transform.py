@@ -5,6 +5,8 @@ import pytest
 
 from repro.errors import BackendError
 from repro.linalg import BackendPolicy, TransformStats, from_dense, to_dense
+from repro.linalg.kernels import kernel_for
+from repro.linalg.matrix import as_columns
 from repro.opspec import LINEAR_OPS, OPS
 
 
@@ -36,6 +38,20 @@ class TestPolicy:
     def test_unknown_op_rejected(self):
         with pytest.raises(KeyError):
             BackendPolicy().choose("nope", (10, 2))
+
+    def test_self_operand_cpd_charged_one_copy(self, rng):
+        n, k = 1000, 10
+        one_copy = BackendPolicy().dense_bytes("cpd", (n, k))
+        two_copies = BackendPolicy().dense_bytes("cpd", (n, k), (n, k))
+        limit = (one_copy + two_copies) // 2
+        a = as_columns(rng.normal(size=(n, k)))
+        b = as_columns(rng.normal(size=(n, k)))
+        cpd = kernel_for("cpd")
+        policy = BackendPolicy(memory_limit_bytes=limit)
+        cpd(a, list(a), None, policy)  # same arrays: rewritten to b = a
+        assert policy.mkl.stats.calls == 1
+        cpd(a, b, None, policy)  # distinct operands: Table 6 fallback
+        assert policy.mkl.stats.calls == 1
 
     def test_usv_memory_estimate_quadratic(self):
         policy = BackendPolicy()
