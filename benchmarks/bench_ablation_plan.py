@@ -1,21 +1,21 @@
-"""Ablation — shared plan layer: CSE + warm order propagation (ISSUE 2).
+"""Ablation — shared plan layer: common-subexpression elimination (CSE).
 
-Two access patterns the plan layer optimizes, built as ``Matrix``
-expressions and run with CSE on or off:
+The **repeated subexpression** pattern, built as ``Matrix`` expressions
+and run with CSE on or off: the conditioning-check chain
+``MMU(MMU(INV(CPD(a,a)), CPD(a,a)), INV(CPD(a,a)))`` contains the
+expensive Gram product ``CPD(a,a)`` three times and its inverse twice.
+With CSE the executor memoizes structurally identical subplans, so each
+runs once; the baseline recomputes every occurrence.
 
-* **Repeated subexpression** (CSE): the conditioning-check chain
-  ``MMU(MMU(INV(CPD(a,a)), CPD(a,a)), INV(CPD(a,a)))`` contains the
-  expensive Gram product ``CPD(a,a)`` three times and its inverse twice.
-  With CSE the executor memoizes structurally identical subplans, so each
-  runs once; the baseline recomputes every occurrence.
-
-* **Chained element-wise operations over derived relations** (warm order):
-  ``add(add(add(y1,y2), y3), y4)`` — every intermediate result used to
-  start with a cold order cache, so each chained ``add`` re-sorted and
-  re-validated ~100k derived rows.  ``merge_result`` now seeds the result's
-  order cache (identity / shared / combined-schema permutations), making
-  the chained sorts free; the baseline disables the seeding
-  (``RmaConfig.seed_result_orders=False``).
+The script also runs ``add(add(add(y1,y2), y3), y4)``, a chain of
+element-wise operations over derived relations, in both modes.  The merge
+step always seeds each result's order cache, so the chain costs the same
+in both modes; it checks that CSE and the seeding compose into
+bit-identical results.  ``benchmarks/BENCH_plan.json`` was recorded with
+the seeding ablated as well (every intermediate starting cold), so its
+speedup covers both halves;
+``tests/plan/test_physical.py::test_seeded_positions_match_fresh_sort``
+checks every seeded order against a fresh sort.
 
 Both modes produce bit-identical relations — the script asserts it.
 
@@ -55,14 +55,12 @@ N_CHAIN_COLS = 4
 REPEATS = 5
 
 
-def _config(optimized: bool) -> RmaConfig:
-    # validate_keys on: re-validating derived relations is part of what the
-    # warm order cache amortizes.  Element-wise fusion (PR 3) is pinned off
-    # in both modes — this ablation isolates CSE + order seeding alone;
+def _config() -> RmaConfig:
+    # validate_keys on, as when BENCH_plan.json was recorded.  Element-wise
+    # fusion is pinned off in both modes — this ablation isolates CSE;
     # bench_ablation_fusion.py measures the fused pipeline.
     return RmaConfig(policy=BackendPolicy(prefer="mkl"),
                      validate_keys=True,
-                     seed_result_orders=optimized,
                      fuse_elementwise=False)
 
 
@@ -128,7 +126,7 @@ def run_scenario(optimized: bool, gram: Relation, years: list[Relation],
                  repeats: int = REPEATS):
     """Time ``repeats`` executions of both pipelines; returns
     (seconds, (gram result, chain result))."""
-    config = _config(optimized)
+    config = _config()
     results = None
     start = time.perf_counter()
     for _ in range(repeats):
@@ -142,9 +140,8 @@ def run_scenario(optimized: bool, gram: Relation, years: list[Relation],
 def run_ablation(n_gram: int = N_GRAM_ROWS, n_chain: int = N_CHAIN_ROWS,
                  repeats: int = REPEATS) -> dict:
     gram, years = build_inputs(n_gram, n_chain)
-    # Warm both paths once: base-relation order caches (the PR 1 layer) are
-    # shared and deliberately stay on in both modes — the ablation isolates
-    # the plan layer (CSE + derived-relation seeding) alone.
+    # Warm both paths once: base-relation order caches are shared and
+    # deliberately stay on in both modes — the ablation isolates CSE.
     run_scenario(True, gram, years, 1)
     run_scenario(False, gram, years, 1)
     seconds_off, results_off = run_scenario(False, gram, years, repeats)
@@ -167,7 +164,7 @@ def run_ablation(n_gram: int = N_GRAM_ROWS, n_chain: int = N_CHAIN_ROWS,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Plan-layer (CSE + warm order) ablation")
+        description="Plan-layer (CSE) ablation")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke scale")
     parser.add_argument("--output", default=None,

@@ -2,7 +2,8 @@
 
 Repeated relational matrix operations over one (immutable) relation are the
 paper's OLR/MLR access pattern: the same order schema is established on
-every call.  With ``use_properties`` on, the relation's order cache makes
+every call.  With the property layer on (its one gate is the switch
+``repro.bat.properties.use_properties``), the relation's order cache makes
 every call after the first skip the lexicographic argsort, the key
 validation and the INT->float casts; with it off, each call recomputes all
 three from scratch.  Results are bit-identical either way — the script
@@ -44,11 +45,10 @@ N_ORDER = 4
 REPEATS = 10
 
 
-def _config(use_props: bool) -> RmaConfig:
+def _config() -> RmaConfig:
     # validate_keys on: key validation is part of what the cache amortizes.
     return RmaConfig(policy=BackendPolicy(prefer="bat"),
-                     optimize_sorting=True, validate_keys=True,
-                     use_properties=use_props)
+                     optimize_sorting=True, validate_keys=True)
 
 
 def _build_inputs(n_rows: int, n_order: int):
@@ -66,7 +66,7 @@ def run_scenario(use_props: bool, n_rows: int = N_ROWS,
     (seconds, last result relation)."""
     with use_properties(use_props):
         r, by, s, s_by = _build_inputs(n_rows, n_order)
-        config = _config(use_props)
+        config = _config()
         result = None
         start = time.perf_counter()
         for _ in range(repeats):
@@ -87,7 +87,7 @@ def run_chained_scenario(use_props: bool, n_rows: int = N_ROWS,
     with use_properties(use_props):
         r = order_heavy_relation(n_rows, n_order, seed=21)
         by = order_names(r)
-        config = _config(use_props)
+        config = _config()
         extras = [rename(order_heavy_relation(n_rows, n_order,
                                               seed=30 + i),
                          {name: f"e{i}_{name}" for name in by})
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
         report = run_ablation(n_rows=n_rows)
     print(json.dumps(report, indent=2))
     if not report["identical"]:
-        print("FAIL: results differ between use_properties on/off",
+        print("FAIL: results differ between property layer on/off",
               file=sys.stderr)
         return 1
     if args.output:

@@ -1,10 +1,10 @@
 """Table 5 — add over sparse relations.
 
 Paper claim: MonetDB's compression makes add up to ~2x faster as the zero
-share grows.  Documented deviation (see EXPERIMENTS.md): on the numpy
-substrate the dense add is already memory-bandwidth optimal, so the curve
-is flat; the engine's sparse path is kept and benchmarked but engages only
-on essentially empty columns.
+share grows.  Documented deviation: on the numpy substrate the dense add
+is already memory-bandwidth optimal, so the curve is flat; the engine's
+sparse path is kept and benchmarked but engages only on essentially empty
+columns (``repro.bat.compression.SPARSE_DENSITY_THRESHOLD``).
 """
 
 import pytest

@@ -35,10 +35,12 @@ tuple (``Relation.order_info``), and ``BAT.as_float`` caches the float64
 view of INT columns — so repeated relational matrix operations over the
 same relation sort, validate and cast once instead of per call.
 
-The whole layer sits behind the switch in :mod:`repro.bat.properties`
-(engine-level knob: ``RmaConfig.use_properties``); disabling it restores
-compute-from-scratch behaviour for ablation measurements with bit-identical
-results.
+The whole layer, in every module that uses it, sits behind one
+process-wide gate in :mod:`repro.bat.properties`.  Ablations and tests flip
+it with ``use_properties(flag)`` while no query runs; disabling it restores
+compute-from-scratch behaviour with bit-identical results.  The gate's
+value is part of ``RmaConfig.cache_token()``, so session caches never serve
+across a flip.
 """
 
 from repro.bat.bat import BAT, DataType, NIL_INT
@@ -49,11 +51,7 @@ from repro.bat.kernels import (
     materialize,
     thetaselect,
 )
-from repro.bat.properties import (
-    properties_enabled,
-    set_properties_enabled,
-    use_properties,
-)
+from repro.bat.properties import properties_enabled, use_properties
 from repro.bat.sorting import check_key, order_by
 from repro.bat.catalog import Catalog
 
@@ -70,6 +68,5 @@ __all__ = [
     "check_key",
     "Catalog",
     "properties_enabled",
-    "set_properties_enabled",
     "use_properties",
 ]

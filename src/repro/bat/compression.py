@@ -27,7 +27,7 @@ zeros onward (paper Table 5).  Substrate difference: numpy's dense add is
 already memory-bandwidth optimal, so an index-based sparse path cannot
 beat it except on essentially empty columns; the threshold is set so the
 engine never regresses.  Table 5 is therefore a *deviating* result in this
-reproduction — see EXPERIMENTS.md.
+reproduction: the sparse path engages only above 98% zeros.
 """
 
 

@@ -1,4 +1,4 @@
-"""Process-wide switch for the BAT physical-property layer.
+"""The one gate of the physical-property layer.
 
 BATs and relations are immutable, so physical properties (``tsorted``,
 ``trevsorted``, ``tkey``, ``tnonil``), per-relation order permutations and
@@ -6,20 +6,22 @@ float views of integer columns can never go stale — they are computed on
 first demand and cached on the instance, exactly like MonetDB's per-BAT
 property bits and order indexes.
 
-This module holds the single switch that enables the layer.  It exists so
-the ablation benchmark (``benchmarks/bench_ablation_properties.py``) can
-measure the engine with and without property tracking; with the switch off
-every property is recomputed from scratch on each use, no cache is read or
-written, and every short-circuit (identity permutations in
+This module holds the single process-wide switch for the whole layer, in
+every module that uses it: the BAT short-circuits (identity permutations in
 :func:`repro.bat.sorting.order_by`, binary search in
 :func:`repro.bat.kernels.thetaselect`, the skipped right-side argsort in
-:func:`repro.relational.joins.join_positions`) is disabled.  Results are
-bit-identical either way — only the work performed differs.
+:func:`repro.relational.joins.join_positions`), the per-relation order
+cache :mod:`repro.core.context` prepares from, result-order seeding in
+:mod:`repro.core.ops` and fused element-wise execution.  With the switch off
+every property is recomputed from scratch on each use and no cache is read
+or written.  Results are bit-identical either way — only the work performed
+differs.
 
-The engine-level knob is :class:`repro.core.config.RmaConfig`'s
-``use_properties`` flag, which gates the per-relation order cache used by
-:mod:`repro.core.context`; this module-level switch gates the BAT-layer
-behaviour underneath it.  Ablations toggle both (see the benchmark).
+The switch exists for ablations (``benchmarks/bench_ablation_properties.py``)
+and tests, which flip it with :func:`use_properties` while no query runs;
+it is not a configuration knob.  Its value is part of
+:meth:`repro.core.config.RmaConfig.cache_token`, so a session's plan and
+result caches never serve an entry computed under the other setting.
 """
 
 from __future__ import annotations
@@ -34,19 +36,13 @@ def properties_enabled() -> bool:
     return _ENABLED
 
 
-def set_properties_enabled(enabled: bool) -> bool:
-    """Set the switch; returns the previous value."""
+@contextmanager
+def use_properties(enabled: bool):
+    """Scope the switch to a block (for ablations and tests)."""
     global _ENABLED
     previous = _ENABLED
     _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_properties(enabled: bool):
-    """Context manager scoping the switch (used by tests and ablations)."""
-    previous = set_properties_enabled(enabled)
     try:
         yield
     finally:
-        set_properties_enabled(previous)
+        _ENABLED = previous

@@ -17,6 +17,7 @@ import numpy as np
 import repro.relational.ops as rel_ops
 from repro.baselines.rlike import RFrame, as_matrix, matrix_to_frame
 from repro.baselines.scidb import SciDbArray
+from repro.bat.compression import SPARSE_DENSITY_THRESHOLD
 from repro.bench.reporting import ExperimentResult
 from repro.core import RmaConfig
 from repro.core.ops import execute_rma
@@ -184,9 +185,9 @@ def table5(scale: float = 1.0) -> ExperimentResult:
     result.note(f"dense/empty ratio: {rows[0] / max(rows[-1], 1e-9):.2f} "
                 "(paper: ~2.2x faster at 100% zeros)")
     result.note("substrate difference: numpy's dense add is bandwidth-"
-                "optimal, so the sparse path engages only above ~88% "
-                "zeros; MonetDB's storage compression helps earlier "
-                "(see EXPERIMENTS.md)")
+                "optimal, so the sparse path engages only above "
+                f"{1.0 - SPARSE_DENSITY_THRESHOLD:.0%} zeros; MonetDB's "
+                "storage compression helps earlier")
     return result
 
 

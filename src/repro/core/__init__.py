@@ -15,7 +15,7 @@ a result relation with row and column origins.
 ['User', 'Balto', 'Heat']
 """
 
-from repro.core.config import RmaConfig, default_config, set_default_config
+from repro.core.config import RmaConfig, default_config
 from repro.core.constructors import (
     column_cast,
     gamma,
@@ -54,7 +54,6 @@ from repro.core.origins import column_origin, row_origin, verify_origins
 __all__ = [
     "RmaConfig",
     "default_config",
-    "set_default_config",
     "mu",
     "gamma",
     "matrix_constructor",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.bat.properties import properties_enabled
 from repro.linalg.policy import BackendPolicy
 
 
@@ -88,20 +89,6 @@ class RmaConfig:
     * ``validate_keys`` — verify that order schemas form keys.  This is the
       safe default; benchmarks that reproduce the paper's timings disable it
       (MonetDB relies on declared key constraints instead of re-checking);
-    * ``use_properties`` — exploit cached physical properties and the
-      per-relation order cache (BAT ``tsorted``/``tkey`` bits, memoized sort
-      permutations and float views; see :mod:`repro.bat.properties`).
-      Immutability makes the caches sound, so this is on by default;
-      ``benchmarks/bench_ablation_properties.py`` measures the ablation.
-      The flag gates the engine-level caches; the BAT-layer short-circuits
-      are gated by the module switch in :mod:`repro.bat.properties`, which
-      ablations toggle alongside this flag.
-    * ``seed_result_orders`` — let ``merge_result`` pre-populate the order
-      cache of result relations (identity for sorted results, the input's
-      cached order for storage-order results), so chained operations over
-      derived relations skip re-sorting.  On by default; the plan-layer
-      ablation (``benchmarks/bench_ablation_plan.py``) disables it for its
-      baseline.
     * ``fuse_elementwise`` — let the plan optimizer collapse chains of
       relative-class element-wise operations (``add``/``sub``/``emu`` and
       the scalar variants) into one :class:`~repro.plan.nodes.FusedRma`
@@ -116,13 +103,15 @@ class RmaConfig:
       chunk-ordered merge reassembles morsel results).  Off by default;
       the ``REPRO_PARALLEL`` environment variable flips the default on and
       ``benchmarks/bench_ablation_parallel.py`` measures the ablation.
+
+    The physical-property layer (cached BAT properties and per-relation
+    order caches) is not a field: its one gate is the process-wide switch
+    in :mod:`repro.bat.properties`, which only ablations and tests flip.
     """
 
     policy: BackendPolicy = field(default_factory=BackendPolicy)
     optimize_sorting: bool = True
     validate_keys: bool = True
-    use_properties: bool = True
-    seed_result_orders: bool = True
     fuse_elementwise: bool = True
     parallel: ParallelConfig = field(default_factory=ParallelConfig.from_env)
 
@@ -135,10 +124,13 @@ class RmaConfig:
         every semantic input (all flags plus the policy's type and
         decision inputs), so in-place mutation is caught while
         equal-valued configs — e.g. a fresh ``RmaConfig()`` per
-        ``collect(cache=...)`` call — keep hitting.
+        ``collect(cache=...)`` call — keep hitting.  It also carries the
+        property-layer gate (:func:`~repro.bat.properties.properties_enabled`,
+        not a config field), so an entry cached with the layer on is never
+        served with it off.
         """
         return (self.optimize_sorting, self.validate_keys,
-                self.use_properties, self.seed_result_orders,
+                properties_enabled(),
                 self.fuse_elementwise, self.parallel.token(),
                 type(self.policy).__qualname__,
                 self.policy.prefer, self.policy.memory_limit_bytes)
@@ -150,11 +142,3 @@ _DEFAULT = RmaConfig()
 def default_config() -> RmaConfig:
     """The process-wide default configuration."""
     return _DEFAULT
-
-
-def set_default_config(config: RmaConfig) -> RmaConfig:
-    """Replace the process-wide default; returns the previous one."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = config
-    return previous

@@ -150,7 +150,7 @@ def _prepare_sorted(relation: Relation, order_names: list[str],
     gathers across the worker pool.
     """
     order_bats = relation.bats(order_names)
-    if config.use_properties:
+    if properties_enabled():
         parallel = _parallel_of(config)
         info = relation.order_info(order_names)
         # With the engine on, force the (possibly cold) argsort first so
@@ -193,9 +193,9 @@ def _seed_major_key_sorted(bat: BAT) -> None:
 
 
 def _check_key(relation: Relation, order_names: list[str],
-               order_bats: list[BAT], config: RmaConfig) -> None:
+               order_bats: list[BAT]) -> None:
     """Raise the key violation unless the order part forms a key."""
-    if config.use_properties:
+    if properties_enabled():
         if not relation.order_info(order_names).is_key:
             raise key_violation(order_names)
     else:
@@ -208,8 +208,8 @@ def _prepare_unsorted(relation: Relation, order_names: list[str],
     """No sorting: storage order is the kernel order."""
     order_bats = relation.bats(order_names)
     if validate:
-        _check_key(relation, order_names, order_bats, config)
-    parallel = _parallel_of(config) if config.use_properties else None
+        _check_key(relation, order_names, order_bats)
+    parallel = _parallel_of(config) if properties_enabled() else None
     app_columns = [_as_float(relation.column(n), parallel)
                    for n in app_names]
     return PreparedInput(relation, order_names, app_names, order_bats,
@@ -246,7 +246,7 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
     r_order, r_app = split_schema(r, r_by, spec, argument=1)
     s_order, s_app = split_schema(s, s_by, spec, argument=2)
     _check_binary_compat(r, r_order, r_app, s, s_order, s_app, spec)
-    use_props = config.use_properties
+    use_props = properties_enabled()
 
     if not config.optimize_sorting or spec.sort_class is SortClass.FULL:
         # The two argument preparations are independent (order caches are
@@ -285,7 +285,7 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
         # self-operand call thus hands the kernel the very same arrays.
         # r's key verdict is s's too: both order parts are the same BATs.
         if config.validate_keys:
-            _check_key(r, r_order, r_order_bats, config)
+            _check_key(r, r_order, r_order_bats)
         aligned = None
         s_app_columns = [_as_float(s.column(n), parallel) for n in s_app]
     elif use_props:
@@ -368,8 +368,7 @@ def prepare_fused(relations: Sequence[Relation],
       per-step sorts are not derivable from the leaf sorts, so only the
       step-by-step path is faithful).
     """
-    if not (config.use_properties and properties_enabled()
-            and config.optimize_sorting):
+    if not (properties_enabled() and config.optimize_sorting):
         raise FusionFallback("property layer or sorting optimization off")
     if not relations or len(relations) != len(bys):
         raise FusionFallback("malformed fused chain")

@@ -105,8 +105,7 @@ def execute_rma(name: str, r: Relation, by: str | Sequence[str],
     if prepared_s is not None:
         inputs.append(prepared_s.app_columns)
     base = kernel_stage(program, inputs, config)
-    return merge_result(spec, prepared_r, prepared_s, base,
-                        seed_orders=config.seed_result_orders)
+    return merge_result(spec, prepared_r, prepared_s, base)
 
 
 def execute_fused(steps: Sequence[KernelStep],
@@ -130,13 +129,11 @@ def execute_fused(steps: Sequence[KernelStep],
     prepared = prepare_fused(relations, bys, config)
     program = KernelProgram(len(prepared), tuple(steps))
     base = kernel_stage(program, [p.app_columns for p in prepared], config)
-    return merge_fused(prepared, base,
-                       seed_orders=config.seed_result_orders)
+    return merge_fused(prepared, base)
 
 
 def merge_result(spec: OpSpec, r: PreparedInput,
-                 s: PreparedInput | None, base: Columns,
-                 seed_orders: bool = True) -> Relation:
+                 s: PreparedInput | None, base: Columns) -> Relation:
     """Merge step: attach morphed context to the base result (Table 2).
 
     The shape type decides the row context (order parts, a ∆-cast context
@@ -194,13 +191,12 @@ def merge_result(spec: OpSpec, r: PreparedInput,
     columns += [BAT(DataType.DBL, np.asarray(col, dtype=np.float64))
                 for col in base]
     result = gamma(columns, names)
-    if seed_orders:
-        _seed_result_order(result, spec, r, s)
+    _seed_result_order(result, spec, r, s)
     return result
 
 
-def merge_fused(prepared: Sequence[PreparedInput], base: Columns,
-                seed_orders: bool = True) -> Relation:
+def merge_fused(prepared: Sequence[PreparedInput],
+                base: Columns) -> Relation:
     """Merge step of a fused chain: all order parts plus the base result.
 
     The result schema is ``U1 ∘ U2 ∘ ... ∘ Uk ∘ U1-bar`` — exactly what the
@@ -229,7 +225,7 @@ def merge_fused(prepared: Sequence[PreparedInput], base: Columns,
     columns += [BAT(DataType.DBL, np.asarray(col, dtype=np.float64))
                 for col in base]
     result = gamma(columns, names)
-    if seed_orders and properties_enabled():
+    if properties_enabled():
         n = result.nrows
         _seed_order_part(result, first, n)
         info = first.relation.cached_order_info(tuple(first.order_names))

@@ -3,7 +3,9 @@
 Each module implements one workload for every system (RMA+ with both
 backends, R, AIDA, MADlib) with identical semantics, returns per-phase
 timings, and exposes a numeric signature so tests can assert that all
-systems compute the same answer.
+systems compute the same answer.  RMA+ has one pipeline per workload: the
+relational part on the engine, the matrix part as one ``Matrix``
+expression on a ``repro.connect()`` session.
 """
 
 from repro.workloads.common import PhaseTimes, WorkloadResult

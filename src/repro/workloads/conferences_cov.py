@@ -7,8 +7,9 @@ to keep the rows of A++ conferences.
 
 The covariance matrix is computed via the cross product of the centered
 matrix (cov = Xc'Xc / (n-1)); the paper uses ``cblas_dsyrk`` for the
-symmetric cross product in RMA+, ``a.t @ a`` in AIDA and ``crossprod`` in
-R.  In all systems the matrix part dominates (>= 90% of the runtime).
+symmetric cross product in RMA+ (here one ``Matrix`` expression on a
+``repro.connect()`` session), ``a.t @ a`` in AIDA and ``crossprod`` in R.
+In all systems the matrix part dominates (>= 90% of the runtime).
 Only RMA+ keeps the conference names attached to the covariance rows —
 AIDA and R must re-attach them manually (modeled by the explicit
 name-column rebuild in their runners).
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.relational.ops as rel_ops
+from repro.api import connect
 from repro.baselines.aida import AidaTable
 from repro.baselines.madlib import MadlibDatabase, covariance
 from repro.baselines.rlike import RFrame, as_matrix, matrix_to_frame
 from repro.bat.bat import BAT, DataType
 from repro.core import RmaConfig
-from repro.core.ops import execute_rma
 from repro.linalg.policy import BackendPolicy
 from repro.relational import AggregateSpec, group_by, join, rename
 from repro.relational.relation import Relation
@@ -63,39 +64,30 @@ def _join_ranking_and_filter(cov: Relation, ranking: Relation) -> Relation:
     return rel_ops.select_mask(joined, mask)
 
 
-def run_rma(dataset: ConferencesDataset, backend: str = "mkl",
-            matrix: bool = False) -> WorkloadResult:
+def _rma_cov(centered: Relation, config: RmaConfig) -> Relation:
+    """cov = Xc'Xc / (n-1) as one matrix expression.
+
+    Both ``cpd`` operands are the same handle, so the kernel takes the
+    symmetric (dsyrk) path; the scaling is the kernel-layer ``smul``,
+    which keeps the context attribute C attached.
+    """
+    cm = connect(config=config).matrix(centered, by="author")
+    return (cm.cpd(cm) * (1.0 / (centered.nrows - 1))).collect()
+
+
+def run_rma(dataset: ConferencesDataset,
+            backend: str = "mkl") -> WorkloadResult:
     times = PhaseTimes()
     config = RmaConfig(policy=BackendPolicy(prefer=backend),
                        validate_keys=False)
-    n = dataset.publications.nrows
-    names = dataset.conference_names
     with times.measure("prep"):
         centered = _center(dataset)
     with times.measure("matrix"):
-        scale = 1.0 / (n - 1)
-        if matrix:
-            # One expression: symmetric cross product (the dsyrk-style
-            # path — both operands are the same handle) scaled by the
-            # kernel-layer smul, which keeps the context attribute C
-            # attached through the scaling.
-            from repro.api import connect
-            cm = connect(config=config).matrix(centered, by="author")
-            cov = (cm.cpd(cm) * scale).collect()
-        else:
-            # Same relation and order schema twice: symmetric dsyrk path.
-            cross = execute_rma("cpd", centered, "author", centered,
-                                "author", config=config)
-            columns = {"C": cross.column("C")}
-            for name in names:
-                columns[name] = BAT(DataType.DBL,
-                                    cross.column(name).tail * scale)
-            cov = Relation.from_columns(columns)
+        cov = _rma_cov(centered, config)
     with times.measure("prep"):
         result = _join_ranking_and_filter(cov, dataset.ranking)
-    signature = _signature(result, names)
-    label = f"RMA+{backend.upper()}" + ("+API" if matrix else "")
-    return WorkloadResult(label, times, signature,
+    return WorkloadResult(f"RMA+{backend.upper()}", times,
+                          _signature(result, dataset.conference_names),
                           {"a_plus_plus": result.nrows})
 
 
@@ -186,7 +178,6 @@ def run_conferences(dataset: ConferencesDataset,
     runners = {
         "rma-mkl": lambda: run_rma(dataset, "mkl"),
         "rma-bat": lambda: run_rma(dataset, "bat"),
-        "rma-api": lambda: run_rma(dataset, "mkl", matrix=True),
         "aida": lambda: run_aida(dataset),
         "r": lambda: run_r(dataset),
         "madlib": lambda: run_madlib(dataset),

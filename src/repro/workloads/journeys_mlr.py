@@ -5,7 +5,8 @@ purely numeric one-trip journeys (start, end, duration), the preparation
 aggregates trips into frequent (start, end) groups, chains them with k-1
 equi-joins (``end_i = start_{i+1}``), joins station coordinates, and
 computes the per-leg distances.  The matrix part regresses total duration
-on the k leg distances.
+on the k leg distances; in RMA+ that is one ``Matrix`` expression
+``(A'A)^-1 A'y`` on a ``repro.connect()`` session.
 
 Because the data is purely numeric, AIDA's Python handover is free and its
 relational part runs on the same engine — Fig. 16a's "AIDA shows comparable
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.relational.ops as rel_ops
+from repro.api import connect
 from repro.baselines.aida import AidaTable
 from repro.baselines.madlib import MadlibDatabase, linregr_train
 from repro.baselines.rlike import RFrame, as_matrix
 from repro.bat.bat import BAT, DataType
 from repro.core import RmaConfig
-from repro.core.ops import execute_rma
 from repro.data.bixi import station_distance_km
 from repro.linalg.policy import BackendPolicy
 from repro.relational import AggregateSpec, group_by, join, rename
@@ -121,41 +122,23 @@ def _mlr_inputs(prepared: Relation,
 
 def _rma_mlr(prepared: Relation, names: list[str],
              config: RmaConfig) -> np.ndarray:
+    """beta = (A'A)^-1 A'y as one matrix expression on the session API."""
     a, v = _mlr_inputs(prepared, names)
-    xtx = execute_rma("cpd", a, "journey_id", a, "journey_id",
-                      config=config)
-    xty = execute_rma("cpd", a, "journey_id", v, "journey_id",
-                      config=config)
-    xtx_inv = execute_rma("inv", xtx, "C", config=config)
-    beta = execute_rma("mmu", xtx_inv, "C", xty, "C", config=config)
-    return beta.column("y").tail.copy()
-
-
-def _rma_mlr_matrix(prepared: Relation, names: list[str],
-                    config: RmaConfig) -> np.ndarray:
-    """The same MLR as one matrix expression (``(A'A)^-1 A'y``)."""
-    from repro.api import connect
-
-    db = connect(config=config)
-    a, v = _mlr_inputs(prepared, names)
-    design = db.matrix(a, by="journey_id")
+    design = connect(config=config).matrix(a, by="journey_id")
     beta = (design.cpd(design).inv()
             @ design.cpd(v, by="journey_id")).collect()
     return beta.column("y").tail.copy()
 
 
-def run_rma(dataset: JourneysDataset, backend: str = "mkl",
-            matrix: bool = False) -> WorkloadResult:
+def run_rma(dataset: JourneysDataset, backend: str = "mkl") -> WorkloadResult:
     times = PhaseTimes()
     config = RmaConfig(policy=BackendPolicy(prefer=backend),
                        validate_keys=False)
     with times.measure("prep"):
         prepared = engine_prepare(dataset)
     with times.measure("matrix"):
-        mlr = _rma_mlr_matrix if matrix else _rma_mlr
-        beta = mlr(prepared, _design_names(dataset), config)
-    label = f"RMA+{backend.upper()}" + ("+API" if matrix else "")
-    return WorkloadResult(label, times, beta,
+        beta = _rma_mlr(prepared, _design_names(dataset), config)
+    return WorkloadResult(f"RMA+{backend.upper()}", times, beta,
                           {"journeys": prepared.nrows})
 
 
@@ -274,7 +257,6 @@ def run_journeys(dataset: JourneysDataset, systems: tuple[str, ...] =
     runners = {
         "rma-mkl": lambda: run_rma(dataset, "mkl"),
         "rma-bat": lambda: run_rma(dataset, "bat"),
-        "rma-api": lambda: run_rma(dataset, "mkl", matrix=True),
         "aida": lambda: run_aida(dataset),
         "r": lambda: run_r(dataset),
         "madlib": lambda: run_madlib(dataset),

@@ -2,10 +2,12 @@
 
 Each input tuple stores a rider and the trip counts to 10 destinations for
 one year; ``add`` over the two year relations yields the two-year counts.
-``add`` is a *linear* operation, so RMA+ runs it on BATs without any copy
-(Fig. 18b: RMA+BAT beats RMA+MKL — the transformation overhead of the
-delegation path cannot be amortized), while AIDA must round-trip the data
-through Python and R must convert data.table -> matrix -> data.table.
+``add`` is a *linear* operation, so RMA+ (one ``Matrix`` expression,
+``m1 + m2``, on a ``repro.connect()`` session) runs it on BATs without
+any copy (Fig. 18b: RMA+BAT beats RMA+MKL — the transformation overhead
+of the delegation path cannot be amortized), while AIDA must round-trip
+the data through Python and R must convert data.table -> matrix ->
+data.table.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import connect
 from repro.baselines.aida import AidaTable
 from repro.baselines.madlib import MadlibDatabase, matrix_add
 from repro.baselines.rlike import RFrame, as_matrix, matrix_to_frame
 from repro.core import RmaConfig
-from repro.core.ops import execute_rma
 from repro.linalg.policy import BackendPolicy
 from repro.relational.relation import Relation
 from repro.workloads.common import PhaseTimes, WorkloadResult
@@ -40,35 +42,27 @@ def _signature(values: np.ndarray) -> np.ndarray:
     return np.array([values.sum(), np.abs(values).max()])
 
 
-def run_rma(dataset: TripCountDataset, backend: str = "bat",
-            matrix: bool = False) -> WorkloadResult:
-    """RMA+ — the policy's default for add is the no-copy BAT path.
+def _rma_add(dataset: TripCountDataset, config: RmaConfig) -> Relation:
+    """The two-year counts as one matrix expression, ``m1 + m2``."""
+    db = connect(config=config)
+    return (db.matrix(dataset.year1, by=dataset.key1)
+            + db.matrix(dataset.year2, by=dataset.key2)).collect()
 
-    ``matrix=True`` writes the addition as a matrix expression
-    (``m1 + m2``) on the session API; same plan node, same kernel, same
-    result.
-    """
+
+def run_rma(dataset: TripCountDataset,
+            backend: str = "bat") -> WorkloadResult:
+    """RMA+ — the policy's default for add is the no-copy BAT path."""
     times = PhaseTimes()
     prefer = "auto" if backend == "bat" else backend
     config = RmaConfig(policy=BackendPolicy(prefer=prefer),
                        validate_keys=False)
     with times.measure("matrix"):
-        if matrix:
-            from repro.api import connect
-            db = connect(config=config)
-            result = (db.matrix(dataset.year1, by=dataset.key1)
-                      + db.matrix(dataset.year2, by=dataset.key2)).collect()
-        else:
-            result = execute_rma("add", dataset.year1, dataset.key1,
-                                 dataset.year2, dataset.key2, config=config)
-    names = dataset.destination_names
+        result = _rma_add(dataset, config)
     totals = np.zeros(result.nrows)
-    for name in names:
+    for name in dataset.destination_names:
         totals += result.column(name).tail
-    label = ("RMA+BAT" if backend == "bat" else "RMA+MKL") + (
-        "+API" if matrix else "")
-    return WorkloadResult(label, times, _signature(totals),
-                          {"rows": result.nrows})
+    return WorkloadResult(f"RMA+{backend.upper()}", times,
+                          _signature(totals), {"rows": result.nrows})
 
 
 def run_aida(dataset: TripCountDataset) -> WorkloadResult:
@@ -132,7 +126,6 @@ def run_trip_count(dataset: TripCountDataset, systems: tuple[str, ...] =
     runners = {
         "rma-bat": lambda: run_rma(dataset, "bat"),
         "rma-mkl": lambda: run_rma(dataset, "mkl"),
-        "rma-api": lambda: run_rma(dataset, "bat", matrix=True),
         "aida": lambda: run_aida(dataset),
         "r": lambda: run_r(dataset),
         "madlib": lambda: run_madlib(dataset),

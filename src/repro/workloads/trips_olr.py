@@ -9,8 +9,9 @@ Matrix part: OLS of duration on distance — the paper's formulation
 System-specific notes:
 
 * **RMA+** runs the relational part on the engine and the matrix part as
-  relational matrix operations (`cpd`/`inv`/`mmu`), with the backend chosen
-  by the policy (MKL here; the BAT variant is the Fig. 15b ablation);
+  one ``Matrix`` expression (`cpd`/`inv`/`mmu`) on a ``repro.connect()``
+  session, with the backend chosen by the policy (MKL here; the BAT
+  variant is the Fig. 15b ablation);
 * **AIDA** runs the same relational part on the engine, then moves the
   working table to Python.  Numeric columns transfer by pointer; the
   date/time/member columns must be converted element-wise — the cost that
@@ -30,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.relational.ops as rel_ops
+from repro.api import connect
 from repro.baselines.aida import AidaTable
 from repro.baselines.madlib import MadlibDatabase, linregr_train
 from repro.baselines.rlike import RFrame, as_matrix, read_csv_r
 from repro.bat.bat import BAT, DataType, date_to_int
 from repro.core import RmaConfig
-from repro.core.ops import execute_rma
 from repro.data.bixi import station_distance_km
 from repro.linalg.policy import BackendPolicy
 from repro.relational import AggregateSpec, group_by, join, rename, write_csv
@@ -120,53 +121,30 @@ def _ols_inputs(prepared: Relation) -> tuple[Relation, Relation]:
 
 
 def _rma_ols(prepared: Relation, config: RmaConfig) -> np.ndarray:
-    """beta = MMU(INV(CPD(A,A)), CPD(A,V)) as relational matrix ops."""
-    a, v = _ols_inputs(prepared)
-    xtx = execute_rma("cpd", a, "trip_id", a, "trip_id", config=config)
-    xty = execute_rma("cpd", a, "trip_id", v, "trip_id", config=config)
-    xtx_inv = execute_rma("inv", xtx, "C", config=config)
-    beta = execute_rma("mmu", xtx_inv, "C", xty, "C", config=config)
-    return beta.column("duration").tail.copy()
+    """beta = MMU(INV(CPD(A,A)), CPD(A,V)) as one matrix expression.
 
-
-def _rma_ols_matrix(prepared: Relation, config: RmaConfig) -> np.ndarray:
-    """The same OLS as one matrix expression on the session API.
-
-    ``beta = (A'A)^-1 A'v`` reads as linear algebra —
-    ``(a.cpd(a).inv() @ a.cpd(v))`` — and compiles into one plan covering
-    the whole chain, so it inherits warm intermediate order caches and the
-    session's plan/result caches.  Bit-identical to :func:`_rma_ols`
-    (asserted by the equivalence tests).
+    ``(A'A)^-1 A'v`` reads as linear algebra on the session API and
+    compiles into one plan covering the whole chain, so the chained
+    ``inv``/``mmu`` reuse the warm order caches of their inputs.
     """
-    from repro.api import connect
-
-    db = connect(config=config)
     a, v = _ols_inputs(prepared)
-    design = db.matrix(a, by="trip_id")
+    design = connect(config=config).matrix(a, by="trip_id")
     beta = (design.cpd(design).inv()
             @ design.cpd(v, by="trip_id")).collect()
     return beta.column("duration").tail.copy()
 
 
-def run_rma(dataset: TripsDataset, backend: str = "mkl",
-            validate_keys: bool = False,
-            matrix: bool = False) -> WorkloadResult:
-    """RMA+ with the given kernel backend ('mkl' or 'bat').
-
-    ``matrix=True`` runs the matrix part as one expression on the
-    session-scoped matrix-expression API (:mod:`repro.api`) instead of
-    eager per-operation execution.
-    """
+def run_rma(dataset: TripsDataset, backend: str = "mkl") -> WorkloadResult:
+    """RMA+ with the given kernel backend ('mkl' or 'bat')."""
     times = PhaseTimes()
     config = RmaConfig(policy=BackendPolicy(prefer=backend),
-                       validate_keys=validate_keys)
+                       validate_keys=False)
     with times.measure("prep"):
         prepared = engine_prepare(dataset)
     with times.measure("matrix"):
-        ols = _rma_ols_matrix if matrix else _rma_ols
-        beta = ols(prepared, config)
-    label = f"RMA+{backend.upper()}" + ("+API" if matrix else "")
-    return WorkloadResult(label, times, beta, {"rows": prepared.nrows})
+        beta = _rma_ols(prepared, config)
+    return WorkloadResult(f"RMA+{backend.upper()}", times, beta,
+                          {"rows": prepared.nrows})
 
 
 def run_aida(dataset: TripsDataset) -> WorkloadResult:
@@ -295,7 +273,6 @@ def run_trips(dataset: TripsDataset, systems: tuple[str, ...] =
     runners = {
         "rma-mkl": lambda: run_rma(dataset, "mkl"),
         "rma-bat": lambda: run_rma(dataset, "bat"),
-        "rma-api": lambda: run_rma(dataset, "mkl", matrix=True),
         "aida": lambda: run_aida(dataset),
         "r": lambda: run_r(dataset),
         "madlib": lambda: run_madlib(dataset),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.bat.bat import DataType
+from repro.bat.bat import BAT, DataType
 from repro.core import rma_operation
 from repro.core.config import ParallelConfig, RmaConfig
 from repro.core.ops import execute_rma
@@ -234,24 +234,41 @@ class TestEagerIsThePlanPath:
             repro.rma.rma_operation("nope", rel, "key")
 
 
+def eager_regression(a: Relation, v: Relation, key: str,
+                     config: RmaConfig) -> Relation:
+    """The reference MMU(INV(CPD(A,A)), CPD(A,V)): one eager
+    ``execute_rma`` call per operation."""
+    xtx = execute_rma("cpd", a, key, a, key, config=config)
+    xty = execute_rma("cpd", a, key, v, key, config=config)
+    xtx_inv = execute_rma("inv", xtx, "C", config=config)
+    return execute_rma("mmu", xtx_inv, "C", xty, "C", config=config)
+
+
+def trips_dataset(n_stations: int = 20, n_trips: int = 3_000):
+    from repro.data.bixi import generate_stations, generate_trips
+    from repro.workloads.trips_olr import TripsDataset
+    stations = generate_stations(n_stations, seed=1)
+    trips = generate_trips(n_trips, stations, seed=2)
+    return TripsDataset(trips, stations, 2014, 2017, min_count=5)
+
+
 class TestWorkloadsAcrossSurfaces:
-    """The four paper workloads, eager vs matrix-expression API."""
+    """Each paper workload's one RMA+ pipeline — a ``Matrix`` expression
+    on ``repro.connect()`` — is bit-identical to the eager ``execute_rma``
+    chain kept here as the reference, serial and parallel."""
 
     def test_trips_olr(self, config):
-        from repro.data.bixi import generate_stations, generate_trips
         from repro.workloads.trips_olr import (
-            TripsDataset,
+            _ols_inputs,
             _rma_ols,
-            _rma_ols_matrix,
             engine_prepare,
         )
-        stations = generate_stations(20, seed=1)
-        trips = generate_trips(3_000, stations, seed=2)
-        dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
-        prepared = engine_prepare(dataset)
+        prepared = engine_prepare(trips_dataset())
         cfg = config or RmaConfig()
-        eager = _rma_ols(prepared, cfg)
-        assert np.array_equal(eager, _rma_ols_matrix(prepared, cfg))
+        a, v = _ols_inputs(prepared)
+        reference = eager_regression(a, v, "trip_id", cfg)
+        assert np.array_equal(reference.column("duration").tail,
+                              _rma_ols(prepared, cfg))
 
     def test_journeys_mlr(self, config):
         from repro.data.bixi import (
@@ -261,8 +278,8 @@ class TestWorkloadsAcrossSurfaces:
         from repro.workloads.journeys_mlr import (
             JourneysDataset,
             _design_names,
+            _mlr_inputs,
             _rma_mlr,
-            _rma_mlr_matrix,
             engine_prepare,
         )
         stations = generate_stations(20, seed=1)
@@ -271,40 +288,52 @@ class TestWorkloadsAcrossSurfaces:
         prepared = engine_prepare(dataset)
         names = _design_names(dataset)
         cfg = config or RmaConfig()
-        assert np.array_equal(_rma_mlr(prepared, names, cfg),
-                              _rma_mlr_matrix(prepared, names, cfg))
+        a, v = _mlr_inputs(prepared, names)
+        reference = eager_regression(a, v, "journey_id", cfg)
+        assert np.array_equal(reference.column("y").tail,
+                              _rma_mlr(prepared, names, cfg))
 
     def test_conferences_cov(self, config):
         from repro.data.dblp import generate_publications, generate_ranking
         from repro.workloads.conferences_cov import (
             ConferencesDataset,
-            run_rma,
+            _center,
+            _rma_cov,
         )
         dataset = ConferencesDataset(generate_publications(400, 10),
                                      generate_ranking(10, seed=11))
-        eager = run_rma(dataset)
-        via_api = run_rma(dataset, matrix=True)
-        assert via_api.system == "RMA+MKL+API"
-        assert np.array_equal(np.asarray(eager.signature),
-                              np.asarray(via_api.signature))
+        centered = _center(dataset)
+        cfg = config or RmaConfig()
+        cross = execute_rma("cpd", centered, "author", centered, "author",
+                            config=cfg)
+        scale = 1.0 / (centered.nrows - 1)
+        reference = Relation.from_columns({"C": cross.column("C")} | {
+            name: BAT(DataType.DBL, cross.column(name).tail * scale)
+            for name in dataset.conference_names})
+        assert identical(reference, _rma_cov(centered, cfg))
 
     def test_trip_count(self, config):
-        from repro.workloads.trip_count import make_dataset, run_rma
+        from repro.workloads.trip_count import _rma_add, make_dataset
         dataset = make_dataset(2_000)
-        eager = run_rma(dataset)
-        via_api = run_rma(dataset, matrix=True)
-        assert via_api.system == "RMA+BAT+API"
-        assert np.array_equal(np.asarray(eager.signature),
-                              np.asarray(via_api.signature))
+        cfg = config or RmaConfig()
+        reference = execute_rma("add", dataset.year1, dataset.key1,
+                                dataset.year2, dataset.key2, config=cfg)
+        assert identical(reference, _rma_add(dataset, cfg))
 
     def test_trips_runner_label(self):
-        from repro.data.bixi import generate_stations, generate_trips
-        from repro.workloads.trips_olr import TripsDataset, run_rma
-        stations = generate_stations(15, seed=1)
-        trips = generate_trips(2_000, stations, seed=2)
-        dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
-        eager = run_rma(dataset)
-        via_api = run_rma(dataset, matrix=True)
-        assert via_api.system == "RMA+MKL+API"
-        assert np.array_equal(np.asarray(eager.signature),
-                              np.asarray(via_api.signature))
+        from repro.linalg.policy import BackendPolicy
+        from repro.workloads.trips_olr import (
+            _ols_inputs,
+            engine_prepare,
+            run_rma,
+        )
+        dataset = trips_dataset(15, 2_000)
+        a, v = _ols_inputs(engine_prepare(dataset))
+        for backend in ("mkl", "bat"):
+            run = run_rma(dataset, backend)
+            assert run.system == f"RMA+{backend.upper()}"
+            cfg = RmaConfig(policy=BackendPolicy(prefer=backend),
+                            validate_keys=False)
+            reference = eager_regression(a, v, "trip_id", cfg)
+            assert np.array_equal(reference.column("duration").tail,
+                                  run.signature)

@@ -105,6 +105,18 @@ class TestConfigure:
         with pytest.raises(TypeError, match="unknown configuration knob"):
             db.configure(validate_kyes=False)
 
+    def test_property_layer_and_seeding_are_not_knobs(self):
+        # The property layer's one gate is repro.bat.properties, and result
+        # orders are always seeded: neither is a configuration knob.
+        db = repro.connect()
+        m = db.matrix(Relation.from_columns({"k": [1, 2], "x": [1.0, 2.0]}),
+                      by="k")
+        for knob in ("use_properties", "seed_result_orders"):
+            with pytest.raises(TypeError, match="unknown configuration knob"):
+                db.configure(**{knob: False})
+            with pytest.raises(TypeError, match="unknown configuration knob"):
+                m.collect(**{knob: False})
+
     def test_derive_config_does_not_mutate_base(self):
         base = RmaConfig()
         before = (base.validate_keys, base.parallel.enabled,

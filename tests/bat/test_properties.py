@@ -8,11 +8,7 @@ import pytest
 
 from repro.bat.bat import BAT, DataType, NIL_INT
 from repro.bat.kernels import thetaselect
-from repro.bat.properties import (
-    properties_enabled,
-    set_properties_enabled,
-    use_properties,
-)
+from repro.bat.properties import properties_enabled, use_properties
 from repro.bat.sorting import check_key, order_by
 from repro.errors import BatError
 from repro.relational.joins import join_positions
@@ -22,9 +18,8 @@ from repro.relational.relation import Relation
 @pytest.fixture(autouse=True)
 def _properties_on():
     """Each test starts from the default (enabled) state."""
-    previous = set_properties_enabled(True)
-    yield
-    set_properties_enabled(previous)
+    with use_properties(True):
+        yield
 
 
 # Per-dtype value sets: (sorted-unique, unsorted-with-duplicates, with-nils)

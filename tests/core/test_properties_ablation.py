@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.bat.bat import DataType
-from repro.bat.properties import set_properties_enabled, use_properties
+from repro.bat.properties import use_properties
 from repro.core import RmaConfig
 from repro.core.ops import execute_rma
 from repro.data.synthetic import order_heavy_relation, order_names
@@ -17,15 +17,13 @@ from repro.relational.relation import Relation
 
 @pytest.fixture(autouse=True)
 def _properties_on():
-    previous = set_properties_enabled(True)
-    yield
-    set_properties_enabled(previous)
+    with use_properties(True):
+        yield
 
 
-def _config(use_props: bool, validate: bool = True) -> RmaConfig:
+def _config() -> RmaConfig:
     return RmaConfig(policy=BackendPolicy(prefer="bat"),
-                     optimize_sorting=True, validate_keys=validate,
-                     use_properties=use_props)
+                     optimize_sorting=True)
 
 
 def _assert_identical(a: Relation, b: Relation) -> None:
@@ -52,11 +50,11 @@ def _inputs(n_rows: int = 300, n_order: int = 3):
 def test_relative_ops_identical(op):
     with use_properties(True):
         r, by, s, s_by = _inputs()
-        on = execute_rma(op, r, by, s, s_by, config=_config(True))
-        on_repeat = execute_rma(op, r, by, s, s_by, config=_config(True))
+        on = execute_rma(op, r, by, s, s_by, config=_config())
+        on_repeat = execute_rma(op, r, by, s, s_by, config=_config())
     with use_properties(False):
         r, by, s, s_by = _inputs()
-        off = execute_rma(op, r, by, s, s_by, config=_config(False))
+        off = execute_rma(op, r, by, s, s_by, config=_config())
     _assert_identical(on, off)
     _assert_identical(on_repeat, off)  # cache hits change nothing
 
@@ -65,11 +63,11 @@ def test_relative_ops_identical(op):
 def test_unary_ops_identical(op):
     with use_properties(True):
         r, by, _, _ = _inputs(n_rows=120)
-        on = execute_rma(op, r, by, config=_config(True))
-        on_repeat = execute_rma(op, r, by, config=_config(True))
+        on = execute_rma(op, r, by, config=_config())
+        on_repeat = execute_rma(op, r, by, config=_config())
     with use_properties(False):
         r, by, _, _ = _inputs(n_rows=120)
-        off = execute_rma(op, r, by, config=_config(False))
+        off = execute_rma(op, r, by, config=_config())
     _assert_identical(on, off)
     _assert_identical(on_repeat, off)
 
@@ -77,10 +75,10 @@ def test_unary_ops_identical(op):
 def test_full_sort_op_identical():
     with use_properties(True):
         r, _, _, _ = _inputs(n_rows=40, n_order=1)
-        on = execute_rma("tra", r, "k0", config=_config(True))
+        on = execute_rma("tra", r, "k0", config=_config())
     with use_properties(False):
         r, _, _, _ = _inputs(n_rows=40, n_order=1)
-        off = execute_rma("tra", r, "k0", config=_config(False))
+        off = execute_rma("tra", r, "k0", config=_config())
     _assert_identical(on, off)
 
 
@@ -90,7 +88,7 @@ def test_key_violation_raised_in_both_modes():
         with use_properties(enabled):
             rel = Relation.from_columns(data)
             with pytest.raises(KeyViolationError):
-                execute_rma("qqr", rel, "k", config=_config(enabled))
+                execute_rma("qqr", rel, "k", config=_config())
             # And repeated validation (cached verdict) still raises.
             with pytest.raises(KeyViolationError):
-                execute_rma("qqr", rel, "k", config=_config(enabled))
+                execute_rma("qqr", rel, "k", config=_config())

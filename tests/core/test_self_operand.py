@@ -119,8 +119,7 @@ class TestIdentityAlignment:
             for op in ("cpd", "sol"):
                 with pytest.raises(KeyViolationError) as info:
                     execute_rma(op, r, "k", r, "k",
-                                config=_config(prefer,
-                                               use_properties=props))
+                                config=_config(prefer))
                 assert str(info.value) == expected
 
     @pytest.mark.parametrize("props", [True, False])
@@ -133,8 +132,7 @@ class TestIdentityAlignment:
                                       for j in range(4)}})
         with use_properties(props):
             with pytest.raises(KeyViolationError) as info:
-                execute_rma("add", r, "k", s, "k2",
-                            config=RmaConfig(use_properties=props))
+                execute_rma("add", r, "k", s, "k2", config=RmaConfig())
         assert str(info.value) == str(key_violation(["k"]))
 
 
@@ -162,7 +160,7 @@ class TestSharedKeyBitIdentity:
             with use_properties(props):
                 results.append(execute_rma(
                     op, design, "k", target, "k",
-                    config=_config(prefer, parallel, use_properties=props)))
+                    config=_config(prefer, parallel)))
         _assert_identical(*results)
 
     def test_duplicate_keys_without_validation(self, prefer, props,
@@ -173,6 +171,5 @@ class TestSharedKeyBitIdentity:
             with use_properties(props):
                 results.append(execute_rma(
                     "cpd", design, "k", target, "k",
-                    config=_config(prefer, parallel, validate_keys=False,
-                                   use_properties=props)))
+                    config=_config(prefer, parallel, validate_keys=False)))
         _assert_identical(*results)

@@ -258,14 +258,6 @@ class TestWorkloads:
         dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
         self.run_both(monkeypatch, lambda: run_rma(dataset))
 
-    def test_trips_olr_lazy(self, monkeypatch):
-        from repro.data.bixi import generate_stations, generate_trips
-        from repro.workloads.trips_olr import TripsDataset, run_rma
-        stations = generate_stations(15, seed=1)
-        trips = generate_trips(2_000, stations, seed=2)
-        dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
-        self.run_both(monkeypatch, lambda: run_rma(dataset, matrix=True))
-
     def test_journeys_mlr(self, monkeypatch):
         from repro.data.bixi import generate_numeric_trips, \
             generate_stations

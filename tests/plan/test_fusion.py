@@ -393,7 +393,7 @@ class TestFusionFallback:
         m0, m1, m2 = matrices(*rels)
         pipe = m0 + m1 - m2
         with use_properties(False):
-            off = pipe.collect(config=RmaConfig(use_properties=False))
+            off = pipe.collect()
         on = pipe.collect()
         assert relations_equal(off, on)
 

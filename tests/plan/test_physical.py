@@ -8,6 +8,7 @@ import repro
 from repro.bat.bat import BAT, DataType
 from repro.bat.catalog import Catalog
 from repro.bat.properties import use_properties
+from repro.bat.sorting import order_by
 from repro.core.ops import execute_rma
 from repro.plan import nodes
 from repro.plan.optimizer import optimize
@@ -372,6 +373,42 @@ class TestDerivedRelationSeeding:
         fresh = Relation(result.schema, result.columns)  # cold copy
         assert np.array_equal(seeded,
                               fresh.order_info(["key"]).positions)
+
+        # The 4-leaf add chain add(add(add(y0,y1),y2),y3) over shuffled STR
+        # keys, step by step and fused: every order the merge seeds — each
+        # leaf schema Ui and each combined prefix U0..Ui, on the final
+        # result and on every prefix chain — equals a fresh stable sort of
+        # a cache-free copy of that result.
+        def leaf(i):
+            rng = np.random.default_rng(40 + i)
+            return Relation.from_columns({
+                f"k{i}": [f"r{v:04d}" for v in rng.permutation(300)],
+                "d0": rng.uniform(0.0, 10.0, 300),
+                "d1": rng.uniform(0.0, 10.0, 300)})
+
+        keys = [f"k{i}" for i in range(4)]
+        schemas = [(k,) for k in keys] + [tuple(keys[:i])
+                                          for i in range(2, 5)]
+        for fuse in (False, True):
+            db = repro.connect()
+            leaves = [db.matrix(leaf(i), by=f"k{i}") for i in range(4)]
+            checked = set()
+            for width in range(2, 5):
+                result = sum(leaves[1:width], leaves[0]).collect(
+                    fuse_elementwise=fuse)
+                for schema in schemas:
+                    info = result.cached_order_info(schema)
+                    if info is None or info.known_positions is None:
+                        continue
+                    checked.add(schema)
+                    with use_properties(False):
+                        cold = [BAT(result.column(n).dtype,
+                                    result.column(n).tail.copy())
+                                for n in schema]
+                        assert np.array_equal(info.known_positions,
+                                              order_by(cold)), \
+                            (fuse, width, schema)
+            assert checked == set(schemas), fuse
 
     def test_chained_operation_skips_resort(self, monkeypatch):
         rel = square_relation()
