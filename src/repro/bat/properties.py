@@ -9,7 +9,7 @@ property bits and order indexes.
 This module holds the single process-wide switch for the whole layer, in
 every module that uses it: the BAT short-circuits (identity permutations in
 :func:`repro.bat.sorting.order_by`, binary search in
-:func:`repro.bat.kernels.thetaselect`, the skipped right-side argsort in
+:func:`repro.bat.kernels.thetaselect`, the skipped right-side code sort in
 :func:`repro.relational.joins.join_positions`), the per-relation order
 cache :mod:`repro.core.context` prepares from, result-order seeding in
 :mod:`repro.core.ops` and fused element-wise execution.  With the switch off

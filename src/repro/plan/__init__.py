@@ -57,9 +57,10 @@ Module map
     * **Join strategy** — equi-joins whose inputs are provably sorted by
       the join key (cached ``tsorted`` bits / FULL-sort RMA outputs /
       lexicographically sorted composite keys) are marked ``merge`` and
-      run without any argsort via
+      binary-search the raw keys via
       :func:`repro.relational.joins.merge_join_positions`; runtime
-      precondition re-checks fall back to the hash path.
+      precondition re-checks fall back to the hash path (dense key codes
+      and a counting probe, :func:`repro.relational.joins.join_positions`).
     * **Fused execution** — ``FusedRma`` nodes run as one
       prepare/align/kernel-program/merge pass
       (:func:`repro.core.ops.execute_fused`): every leaf aligns into the

@@ -16,6 +16,12 @@ table invalidates exactly the entries that read it, while entries over
 untouched tables keep hitting.  ``RelScan`` leaves reference immutable
 relation objects by identity and need no stamp.
 
+A stored key never pins those relations: each ``RelScan`` in it holds a
+``weakref.ref`` to its relation instead (equal to another reference to the
+same live relation, so lookups still hit), and when a leaf relation is
+collected its entries are dropped — an entry over a dead input can never
+hit again, and would otherwise keep its result resident until evicted.
+
 Entries also record the :meth:`~repro.core.config.RmaConfig.cache_token`
 they were computed under: results can depend on configuration (e.g. the
 backend policy), so a session that swaps — or mutates — its config never
@@ -29,7 +35,8 @@ expressions reuse each other's subplan results.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+import weakref
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -148,6 +155,37 @@ the entry-count backstop still caps pathological many-small-entry
 sessions."""
 
 
+def _weak_key(plan: nodes.Plan) -> tuple[nodes.Plan, list["Relation"]]:
+    """(storable key, RelScan leaf relations) of a subplan.
+
+    Plans without ``RelScan`` leaves are their own key.  Otherwise every
+    ``RelScan`` is rebuilt around a ``weakref.ref`` to its relation: weak
+    references hash like their referent and compare equal while it lives,
+    so the key matches exactly the plans over the same relation objects
+    without keeping them alive.  Shared subtrees are rebuilt once.
+    """
+    leaves: list["Relation"] = []
+    rebuilt: dict[int, nodes.Plan] = {}
+
+    def rebuild(node: nodes.Plan) -> nodes.Plan:
+        done = rebuilt.get(id(node))
+        if done is not None:
+            return done
+        if isinstance(node, nodes.RelScan):
+            leaves.append(node.relation)
+            out = nodes.RelScan(weakref.ref(node.relation), node.alias)
+        else:
+            children = node.children()
+            new = tuple(rebuild(child) for child in children)
+            out = node if all(a is b for a, b in zip(new, children)) \
+                else nodes.with_children(node, new)
+        rebuilt[id(node)] = out
+        return out
+
+    key = rebuild(plan)
+    return key, leaves
+
+
 @dataclass
 class _Entry:
     relation: "Relation"
@@ -155,6 +193,18 @@ class _Entry:
     config_token: object
     catalog: Catalog | None  # pinned only when stamps reference tables
     bytes: int = 0
+    # One per RelScan leaf: reports the key dead when the leaf is collected.
+    finalizers: tuple = ()
+
+    def detach(self) -> None:
+        for finalizer in self.finalizers:
+            finalizer.detach()
+
+
+def _report_dead(dead: deque, key: nodes.Plan) -> None:
+    # Runs inside garbage collection, possibly while the cache lock is
+    # held, so it only queues the key; the next cache call drops it.
+    dead.append(key)
 
 
 class PlanCache:
@@ -166,7 +216,8 @@ class PlanCache:
     intermediates hits the byte budget long before the entry count, while
     many tiny results are still bounded.  All operations take the cache
     lock: with the morsel engine on, executors call ``get``/``put`` from
-    pool worker threads.
+    pool worker threads.  Entries whose ``RelScan`` leaf relations were
+    collected are dropped at the next call (see :func:`_weak_key`).
     """
 
     def __init__(self, max_entries: int = 128,
@@ -176,18 +227,23 @@ class PlanCache:
         self.max_bytes = max_bytes
         self._bytes = 0
         self._lock = threading.Lock()
+        self._dead: deque = deque()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            self._drop_dead()
+            return len(self._entries)
 
     @property
     def total_bytes(self) -> int:
         """Estimated bytes of all cached results."""
-        return self._bytes
+        with self._lock:
+            self._drop_dead()
+            return self._bytes
 
     def get(self, plan: nodes.Plan, catalog: Catalog,
             config: object) -> "Relation | None":
@@ -200,8 +256,10 @@ class PlanCache:
         sessions/configs is last-writer-wins for colliding plan keys
         instead of thrashing on alternating lookups.
         """
+        key, _ = _weak_key(plan)
         with self._lock:
-            entry = self._entries.get(plan)
+            self._drop_dead()
+            entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
@@ -214,11 +272,11 @@ class PlanCache:
                 self.misses += 1
                 return None
             if not self._valid(entry, catalog):
-                self._drop(plan)
+                self._drop(key)
                 self.invalidations += 1
                 self.misses += 1
                 return None
-            self._entries.move_to_end(plan)
+            self._entries.move_to_end(key)
             self.hits += 1
             return entry.relation
 
@@ -226,36 +284,49 @@ class PlanCache:
             relation: "Relation") -> None:
         """Store a subplan result stamped with current table versions."""
         stamps = catalog_stamps(plan, catalog)
+        key, leaves = _weak_key(plan)
         entry = _Entry(relation, stamps, _config_token(config),
                        catalog if stamps else None,
                        bytes=relation_bytes(relation))
         with self._lock:
+            self._drop_dead()
+            self._drop(key)
             if entry.bytes > self.max_bytes:
                 # Too big to ever fit: admitting it would flush every
-                # resident entry before evicting itself.  Drop only a
-                # stale previous version of the same plan, keep the rest.
-                self._drop(plan)
+                # resident entry before evicting itself.  Only the stale
+                # previous version of the same plan is dropped.
                 return
-            old = self._entries.pop(plan, None)
-            if old is not None:
-                self._bytes -= old.bytes
-            self._entries[plan] = entry
+            entry.finalizers = tuple(
+                weakref.finalize(leaf, _report_dead, self._dead, key)
+                for leaf in leaves)
+            self._entries[key] = entry
             self._bytes += entry.bytes
             while self._entries and (
                     len(self._entries) > self.max_entries
                     or self._bytes > self.max_bytes):
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.bytes
+                evicted.detach()
                 self.evictions += 1
 
-    def _drop(self, plan: nodes.Plan) -> None:
-        entry = self._entries.pop(plan, None)
+    def _drop(self, key: nodes.Plan) -> None:
+        entry = self._entries.pop(key, None)
         if entry is not None:
             self._bytes -= entry.bytes
+            entry.detach()
+
+    def _drop_dead(self) -> None:
+        """Drop the entries whose RelScan leaves were collected (caller
+        holds the lock)."""
+        while self._dead:
+            self._drop(self._dead.popleft())
 
     def clear(self) -> None:
         with self._lock:
+            for entry in self._entries.values():
+                entry.detach()
             self._entries.clear()
+            self._dead.clear()
             self._bytes = 0
 
     @staticmethod

@@ -10,9 +10,12 @@ Two layers live here:
     limits, joins on their left side, projections of passthrough columns)
     and *established* by FULL-sort RMA nodes and ORDER BY;
   - **join strategy**: equi-joins whose two inputs are already sorted by
-    the join key are marked ``merge`` and run without any argsort
-    (:func:`repro.relational.joins.merge_join_positions`); everything else
-    stays on the factorize-and-probe hash path;
+    the join key are marked ``merge`` and binary-search the raw key tails
+    (:func:`repro.relational.joins.merge_join_positions`), skipping key
+    encoding; everything else takes the hash path, which encodes the keys
+    of both sides into shared dense codes (direct addressing for small
+    integer domains) and probes by counting
+    (:func:`repro.relational.joins.join_positions`);
   - **shared subplans** (CSE): structurally identical RMA/subquery
     subtrees are counted; the executor memoizes their result relations so
     a repeated subplan executes once per statement.
@@ -622,7 +625,7 @@ class _PhysicalPlanner:
         # column order.  Derived ordering metadata rarely proves more than
         # a one-column prefix, so fall back to scanning the leaf columns
         # (forced, like the single-key sortedness probe: the O(n·k) scan
-        # is worth it when it can save the factorize/argsort).
+        # is worth it when it can save encoding both sides' keys).
         lnames = tuple(l for l, _ in equi)
         rnames = tuple(r for _, r in equi)
         if (self._side_lex_sorted(plan.left, lnames)
@@ -649,7 +652,8 @@ class _PhysicalPlanner:
         if ordering[:1] == (name,):
             return True
         # Fall back to the base scan's column: for join keys (only), the
-        # O(n) sortedness check is worth forcing — it can save the argsort.
+        # O(n) sortedness check is worth forcing — it can save encoding
+        # both sides' keys and the right side's code sort.
         relation = self._probe_leaf(plan, (name,))
         return relation is not None and relation.column(name).tsorted
 
@@ -1045,13 +1049,20 @@ class Executor:
                                key_names: list[str],
                                specs: list[nodes.AggregateSpecNode]) \
             -> Relation:
-        """COUNT(DISTINCT x): count unique (group, value) pairs per group."""
+        """COUNT(DISTINCT x): count unique (group, value) pairs per group.
+
+        Group ids are the key codes themselves (dense ranks, in the order
+        ``group_by`` emits its rows); distinct pairs are ranked by the same
+        encoder, and each pair's group is scattered into a per-pair array
+        (duplicates write the same group id) before one ``bincount``.
+        """
         if key_names:
             gids = rel_join.factorize(work.bats(key_names))
         else:
             gids = np.zeros(work.nrows, dtype=np.int64)
-        uniques, inverse = np.unique(gids, return_inverse=True)
-        ngroups = max(len(uniques), 1)
+        # One count per output row: a keyed aggregate over no rows has
+        # no groups, a global one always has one.
+        ngroups = grouped.nrows if key_names else 1
         for spec in specs:
             if work.nrows == 0:
                 counts = np.zeros(ngroups, dtype=np.int64)
@@ -1059,14 +1070,14 @@ class Executor:
                 values = work.column(f"_arg_{spec.out_name}")
                 value_codes = rel_join.factorize([values])
                 span = int(value_codes.max()) + 1
-                pairs = inverse.astype(np.int64) * span + value_codes
-                pair_gids = np.unique(pairs) // span
-                counts = np.bincount(pair_gids, minlength=ngroups)
+                pair_codes = rel_join.dense_ranks(gids * span + value_codes)
+                pair_group = np.empty(int(pair_codes.max()) + 1,
+                                      dtype=np.int64)
+                pair_group[pair_codes] = gids
+                counts = np.bincount(pair_group, minlength=ngroups)
             if not key_names:
                 column = BAT.from_values([int(counts[0])], DataType.INT)
             else:
-                # grouped rows are in np.unique(gids) order, matching
-                # counts' indexing.
                 column = BAT(DataType.INT, counts.astype(np.int64))
             grouped = rel_ops.extend(grouped, spec.out_name, column)
         return grouped

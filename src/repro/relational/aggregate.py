@@ -1,7 +1,9 @@
 """Grouped aggregation ϑ.
 
-Groups are identified by factorizing the key columns into dense codes;
-aggregates are computed with segmented numpy reductions (``bincount`` and
+Groups are identified by factorizing the key columns into dense codes
+(:func:`repro.relational.joins.group_codes`): the codes are the group ids,
+in key order, and small integer keys are encoded without sorting.
+Aggregates are computed with segmented numpy reductions (``bincount`` and
 friends), never per-row python loops.
 """
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from repro.bat.bat import BAT, DataType
 from repro.errors import PlanError, RelationError
-from repro.relational.joins import factorize
+from repro.relational.joins import group_codes
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 
@@ -45,10 +47,7 @@ def _group_codes(relation: Relation,
     if not keys:
         n = relation.nrows
         return np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64), 1
-    codes = factorize(relation.bats(keys))
-    uniques, first, inverse = np.unique(codes, return_index=True,
-                                        return_inverse=True)
-    return inverse.astype(np.int64), first.astype(np.int64), len(uniques)
+    return group_codes(relation.bats(keys))
 
 
 def _segmented(func: str, values: np.ndarray, gids: np.ndarray,

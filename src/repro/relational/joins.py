@@ -1,9 +1,22 @@
-"""Vectorized equi-joins.
+"""Vectorized equi-joins and the key encoders behind joins and grouping.
 
-The join is the sorted-probe hash-join equivalent used by column stores:
-keys are factorized into dense integer codes, the right side is sorted once,
-and matches are found with two binary searches per left row — all as
-whole-column numpy operations, no per-row python work.
+Keys are factorized into dense integer codes: code ``c`` is the rank of
+the row's key among the distinct keys, exactly what
+``np.unique(..., return_inverse=True)`` yields.  Integer tails (INT, DATE,
+TIME, OID) whose value span is small relative to the row count — station
+codes, dates, small ids — are ranked by direct addressing in O(n + span):
+a presence mask over the span and its running sum.  Composite keys fold
+column by column through the same rank step on ``codes * k + col``.  Only
+other dtypes and wide spans fall back to the O(n log n) sort inside
+``np.unique``.
+
+Because codes are dense in ``[0, k)``, the join probe needs no binary
+search: ``bincount`` of the right codes and its exclusive prefix sum give,
+for every code, where its run starts in the code-sorted right side and how
+long it is, so each left row finds its matches with two gathers.  The
+right side's stable code order is a radix sort for up to 2**16 codes.
+Grouping takes group ids straight from the codes.  Everything is
+whole-column numpy work, no per-row python.
 """
 
 from __future__ import annotations
@@ -18,28 +31,71 @@ from repro.errors import RelationError, SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
+DENSE_SPAN_FACTOR = 4
+"""An int64 array of n values is ranked by direct addressing when its
+value span (max - min + 1) is at most ``DENSE_SPAN_FACTOR * n``; wider
+spans (and every non-integer dtype) go through ``np.unique``.  The span
+bounds the presence mask and its int64 running sum, so the dense path
+takes O(n) time and at most the ~36 bytes per row of scratch memory that
+the sort, permutation and inverse inside ``np.unique`` take."""
+
+
+def dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Dense ranks ``0..k-1`` of ``values``, order-isomorphic to them.
+
+    Equal to ``np.unique(values, return_inverse=True)[1]`` as int64.
+    Integer arrays within the dense span are ranked in O(n + span) by a
+    presence mask and its running sum; everything else falls back to the
+    sort inside ``np.unique``.
+    """
+    n = len(values)
+    if n and values.dtype == np.int64:
+        low, high = int(values.min()), int(values.max())
+        if high - low < DENSE_SPAN_FACTOR * n:
+            offsets = values - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[offsets] = True
+            ranks = np.cumsum(present, dtype=np.int64)
+            ranks -= 1
+            return ranks[offsets]
+    _, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64, copy=False)
+
 
 def factorize(bats: Sequence[BAT]) -> np.ndarray:
     """Combine one or more key columns into dense int64 codes.
 
-    Equal rows get equal codes.  Columns are folded pairwise through
-    ``np.unique`` so codes stay dense and cannot overflow.
+    Equal rows get equal codes, and codes order rows lexicographically by
+    the columns' raw tails.  Columns are folded pairwise through
+    :func:`dense_ranks`, so codes stay dense and cannot overflow.
     """
     if not bats:
         raise RelationError("factorize requires at least one column")
     codes: np.ndarray | None = None
     for bat in bats:
-        _, col_codes = np.unique(bat.tail, return_inverse=True)
-        col_codes = col_codes.astype(np.int64)
+        col_codes = dense_ranks(bat.tail)
         if codes is None:
             codes = col_codes
         else:
             k = int(col_codes.max()) + 1 if len(col_codes) else 1
-            combined = codes * k + col_codes
-            _, codes = np.unique(combined, return_inverse=True)
-            codes = codes.astype(np.int64)
+            codes = dense_ranks(codes * k + col_codes)
     assert codes is not None
     return codes
+
+
+def group_codes(bats: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(group id per row, first-row position per group, #groups).
+
+    Group ids are the :func:`factorize` codes themselves: dense ranks need
+    no second ``np.unique``.  The first row of each group comes from one
+    ``np.minimum.at`` scatter, O(n).
+    """
+    codes = factorize(bats)
+    n = len(codes)
+    ngroups = int(codes.max()) + 1 if n else 0
+    first = np.full(ngroups, n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
+    return codes, first, ngroups
 
 
 def factorize_pair(left: Sequence[BAT],
@@ -78,17 +134,28 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     if how not in ("inner", "left"):
         raise RelationError(f"unsupported join type {how!r}")
     lcodes, rcodes = factorize_pair(left_keys, right_keys)
+    k = 1 + max(int(lcodes.max(initial=-1)), int(rcodes.max(initial=-1)))
+    # Counting probe: codes are dense in [0, k), so the code-sorted right
+    # side holds code c at [starts[c], starts[c] + counts[c]).
+    counts = np.bincount(rcodes, minlength=k)
+    starts = np.cumsum(counts) - counts
     if properties_enabled() and _codes_sorted(rcodes):
         # Already-sorted right side (dimension tables with dense keys):
         # the identity permutation is the stable argsort.
         order_r = None
-        sorted_r = rcodes
     else:
-        order_r = np.argsort(rcodes, kind="stable")
-        sorted_r = rcodes[order_r]
-    lo = np.searchsorted(sorted_r, lcodes, side="left")
-    hi = np.searchsorted(sorted_r, lcodes, side="right")
-    return _expand_matches(lo, hi, order_r, how)
+        order_r = _stable_order(rcodes, k)
+    return _expand_matches(starts[lcodes], counts[lcodes], order_r, how)
+
+
+def _stable_order(codes: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(codes, kind="stable")``; codes below 2**16 are narrowed
+    first, which makes numpy's stable sort an O(n) radix sort."""
+    if k <= 1 << 8:
+        codes = codes.astype(np.uint8)
+    elif k <= 1 << 16:
+        codes = codes.astype(np.uint16)
+    return np.argsort(codes, kind="stable")
 
 
 MERGE_TYPES = (DataType.INT, DataType.DBL, DataType.DATE, DataType.TIME,
@@ -110,9 +177,9 @@ def merge_join_positions(left_keys: Sequence[BAT],
     for base columns, O(n) once otherwise), or a composite key whose
     columns are lexicographically sorted (one O(n·k) scan,
     :func:`lex_sorted`) — matches come from two binary searches directly on
-    the raw tails, skipping the factorization (which sorts each key column
-    internally via ``np.unique``) and the right-side argsort of the hash
-    path entirely.  Composite keys search over a structured-dtype view of
+    the raw tails, skipping the hash path's factorization (concatenating
+    and ranking both sides' key columns) and its right-side code sort
+    entirely.  Composite keys search over a structured-dtype view of
     the tails, whose comparison order is exactly the lexicographic order of
     the columns.
 
@@ -142,7 +209,7 @@ def merge_join_positions(left_keys: Sequence[BAT],
             right_tail = _composite_tail(right_keys)
         lo = np.searchsorted(right_tail, left_tail, side="left")
         hi = np.searchsorted(right_tail, left_tail, side="right")
-        return _expand_matches(lo, hi, None, how)
+        return _expand_matches(lo, hi - lo, None, how)
     return join_positions(left_keys, right_keys, how)
 
 
@@ -230,28 +297,34 @@ def _composite_tail(bats: Sequence[BAT]) -> np.ndarray:
     return out
 
 
-def _expand_matches(lo: np.ndarray, hi: np.ndarray,
+def _expand_matches(lo: np.ndarray, counts: np.ndarray,
                     order_r: np.ndarray | None,
                     how: str) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-left-row match ranges [lo, hi) into position pairs.
+    """Expand per-left-row match ranges [lo, lo + counts) into position
+    pairs.
 
     ``order_r`` maps sorted-right indexes back to storage positions; None
-    means the right side is already in sorted order (identity).
+    means the right side is already in sorted order (identity).  When no
+    left row has more than one match — a foreign key probing a key, the
+    common case — the pairs need no run expansion.
     """
-    counts = hi - lo
-    if how == "left":
-        out_counts = np.maximum(counts, 1)
+    if counts.max(initial=0) <= 1:
+        lpos = (np.arange(len(lo), dtype=np.int64) if how == "left"
+                else np.flatnonzero(counts))
+        sorted_idx = lo[lpos]
+        matched = counts > 0
+        total = len(lpos)
     else:
-        out_counts = counts
-    total = int(out_counts.sum())
-    lpos = np.repeat(np.arange(len(lo), dtype=np.int64), out_counts)
-    starts = np.repeat(lo, out_counts)
-    group_offsets = (np.arange(total, dtype=np.int64)
-                     - np.repeat(np.cumsum(out_counts) - out_counts,
-                                 out_counts))
-    sorted_idx = starts + group_offsets
-    if how == "left":
+        out_counts = np.maximum(counts, 1) if how == "left" else counts
+        total = int(out_counts.sum())
+        lpos = np.repeat(np.arange(len(lo), dtype=np.int64), out_counts)
+        starts = np.repeat(lo, out_counts)
+        group_offsets = (np.arange(total, dtype=np.int64)
+                         - np.repeat(np.cumsum(out_counts) - out_counts,
+                                     out_counts))
+        sorted_idx = starts + group_offsets
         matched = np.repeat(counts > 0, out_counts)
+    if how == "left":
         rpos = np.full(total, -1, dtype=np.int64)
         hits = sorted_idx[matched]
         rpos[matched] = hits if order_r is None else order_r[hits]
@@ -263,8 +336,8 @@ def _expand_matches(lo: np.ndarray, hi: np.ndarray,
 def _codes_sorted(codes: np.ndarray) -> bool:
     """Whether the factorized codes are already non-decreasing.
 
-    Decided by one O(n) scan of the codes themselves — cheaper than the
-    O(n log n) argsort it can save.  The key BATs' cached ``tsorted`` bits
+    Decided by one O(n) scan of the codes themselves, which saves the
+    stable code sort and the position gather it implies.  The key BATs' cached ``tsorted`` bits
     are deliberately NOT consulted: :func:`factorize_pair` may cast mixed
     INT/DBL keys to DBL, which moves the INT nil sentinel from the smallest
     raw value to NaN, so pre-cast sortedness does not imply sorted codes.

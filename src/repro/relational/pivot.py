@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.bat.bat import BAT, DataType
 from repro.errors import RelationError
-from repro.relational.joins import factorize
+from repro.relational.joins import group_codes
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 
@@ -38,16 +38,13 @@ def pivot(relation: Relation, index: Sequence[str], on: str, value: str,
         raise RelationError(
             f"pivot value attribute {value!r} must be numeric")
 
-    row_codes = factorize(relation.bats(index))
-    row_uniques, row_first, row_inverse = np.unique(
-        row_codes, return_index=True, return_inverse=True)
-    nrows = len(row_uniques)
+    row_inverse, row_first, nrows = group_codes(relation.bats(index))
+    # Pivot columns appear in value order: the codes are value ranks and
+    # each column is named after its first row's value.
+    col_inverse, col_first, ncols = group_codes([on_bat])
+    col_values_sorted = on_bat.tail[col_first]
 
-    col_values_sorted, col_inverse = np.unique(on_bat.tail,
-                                               return_inverse=True)
-    ncols = len(col_values_sorted)
-
-    cell = row_inverse.astype(np.int64) * ncols + col_inverse.astype(np.int64)
+    cell = row_inverse * ncols + col_inverse
     values = value_bat.as_float()
     if aggregate == "count":
         values = np.ones(len(values), dtype=np.float64)

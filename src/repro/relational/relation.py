@@ -162,7 +162,8 @@ class Relation:
     matrix operations derive their row order from order schemas.
     """
 
-    __slots__ = ("schema", "columns", "_order_cache", "_order_lock")
+    __slots__ = ("schema", "columns", "_order_cache", "_order_lock",
+                 "__weakref__")
 
     def __init__(self, schema: Schema, columns: Sequence[BAT]):
         if len(schema) != len(columns):

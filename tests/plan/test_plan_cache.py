@@ -1,5 +1,8 @@
 """Session-scoped plan/result cache: reuse and stale-free invalidation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -283,6 +286,60 @@ class TestLazyCache:
         # A config mismatch is a miss, not an invalidation: the entry is
         # still valid for its own config.
         assert cache.invalidations == 0
+
+
+class TestWeakRelScanLeaves:
+    """Stored keys hold RelScan leaves weakly: an entry over a collected
+    input relation is dropped instead of pinning the input."""
+
+    def test_dead_leaf_drops_entry(self):
+        cache = PlanCache()
+        rel = gram_table()
+        gram_expression(rel, cache).collect()
+        assert len(cache) >= 1
+        ref = weakref.ref(rel)
+        del rel
+        gc.collect()
+        assert ref() is None
+        assert len(cache) == 0
+        assert cache.total_bytes == 0
+
+    def test_live_leaf_still_hits(self):
+        cache = PlanCache()
+        rel = gram_table()
+        first = gram_expression(rel, cache).collect()
+        gc.collect()
+        second = gram_expression(rel, cache).collect()
+        assert cache.hits >= 1
+        assert all(first.column(n) == second.column(n)
+                   for n in first.names)
+
+    def test_scan_entries_unaffected(self):
+        cache = PlanCache()
+        session = repro.connect(plan_cache=cache)
+        session.register("a", gram_table())
+        session.execute(GRAM_SQL)
+        stored = len(cache)
+        assert stored >= 1
+        # A collected, unrelated RelScan input leaves Scan entries alone.
+        gram_expression(gram_table(seed=9), cache).collect()
+        gc.collect()
+        assert len(cache) == stored
+        session.execute(GRAM_SQL)
+        assert session.last_stats.cache_hits >= 1
+
+    def test_evicted_entry_releases_its_finalizer(self):
+        cache = PlanCache(max_entries=1)
+        from repro.plan import nodes
+        catalog, config = Catalog(), RmaConfig()
+        a, b = gram_table(seed=1), gram_table(seed=2)
+        cache.put(nodes.RelScan(a, "a"), catalog, config, gram_table())
+        cache.put(nodes.RelScan(b, "b"), catalog, config, gram_table())
+        del a
+        gc.collect()
+        # a's entry was evicted already; its death must not touch b's.
+        assert len(cache) == 1
+        assert cache.get(nodes.RelScan(b, "b"), catalog, config) is not None
 
 
 class TestSharedCacheAcrossSessions:

@@ -1,0 +1,331 @@
+"""The key encoders behind joins, GROUP BY and PIVOT against a sort-based
+reference.
+
+``factorize`` ranks small integer domains by direct addressing and the join
+probe gathers from bincount prefix sums; both must reproduce *exactly* what
+the plain ``np.unique`` encoding below yields — the same codes, the same
+join position pairs in the same order, the same group order and first-row
+representatives.  Inputs straddle the dense-span threshold, carry
+``NIL_INT``/NaN, mix INT and DBL join keys (the cast path), and include
+empty and one-row relations.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.bat.bat import BAT, NIL_INT, DataType
+from repro.bat.properties import use_properties
+from repro.relational import AggregateSpec, Relation, group_by, pivot
+from repro.relational.joins import (DENSE_SPAN_FACTOR, dense_ranks,
+                                    factorize, group_codes, join_positions)
+from repro.relational.schema import Attribute, Schema
+
+INT_KINDS = {"int": DataType.INT, "date": DataType.DATE,
+             "time": DataType.TIME, "oid": DataType.OID}
+KINDS = tuple(INT_KINDS) + ("dbl", "str")
+STRINGS = ("", "a", "b", "aa", "ab", "zz")
+
+
+# -- the reference: one np.unique per column and per fold ---------------------
+
+def ref_factorize(tails):
+    codes = None
+    for tail in tails:
+        _, col = np.unique(tail, return_inverse=True)
+        col = col.reshape(-1).astype(np.int64)
+        if codes is None:
+            codes = col
+        else:
+            k = int(col.max()) + 1 if len(col) else 1
+            _, codes = np.unique(codes * k + col, return_inverse=True)
+            codes = codes.reshape(-1).astype(np.int64)
+    return codes
+
+
+def ref_groups(tails):
+    """(group id per row, first row per group, #groups)."""
+    codes = ref_factorize(tails)
+    uniques, first, inverse = np.unique(codes, return_index=True,
+                                        return_inverse=True)
+    return (inverse.reshape(-1).astype(np.int64), first.astype(np.int64),
+            len(uniques))
+
+
+def ref_join(left, right, how):
+    """Brute force over reference codes: left rows ascending, each with
+    its matching right rows ascending (-1 when a left join misses)."""
+    ltails, rtails = [], []
+    for lc, rc in zip(left, right):
+        if lc.dtype is not rc.dtype:
+            lc, rc = lc.cast(DataType.DBL), rc.cast(DataType.DBL)
+        ltails.append(lc.tail)
+        rtails.append(rc.tail)
+    codes = ref_factorize([np.concatenate([lt, rt])
+                           for lt, rt in zip(ltails, rtails)])
+    lcodes, rcodes = codes[:len(left[0])], codes[len(left[0]):]
+    lpos, rpos = [], []
+    for i, code in enumerate(lcodes):
+        matches = np.nonzero(rcodes == code)[0].tolist()
+        if not matches and how == "left":
+            matches = [-1]
+        lpos += [i] * len(matches)
+        rpos += matches
+    return np.array(lpos, dtype=np.int64), np.array(rpos, dtype=np.int64)
+
+
+# -- inputs ----------------------------------------------------------------------
+
+@st.composite
+def int_tails(draw, n):
+    """int64 values whose span sits below, at or just above the dense
+    threshold (``span <= DENSE_SPAN_FACTOR * n`` is dense), or far above
+    it; negative offsets and NIL_INT appear too."""
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    limit = DENSE_SPAN_FACTOR * n
+    mode = draw(st.sampled_from(("small", "below", "at", "above", "wide")))
+    span = {"small": draw(st.integers(1, n)),
+            "below": max(1, limit - 1), "at": limit, "above": limit + 1,
+            "wide": draw(st.integers(limit + 2, 1 << 40))}[mode]
+    low = draw(st.integers(-(1 << 40), 1 << 40))
+    offsets = draw(st.lists(st.integers(0, span - 1), min_size=n,
+                            max_size=n))
+    if n >= 2:
+        offsets[0], offsets[-1] = 0, span - 1  # pin the span exactly
+    tail = np.array(offsets, dtype=np.int64) + low
+    nils = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        tail[np.array(nils)] = NIL_INT
+    return tail
+
+
+@st.composite
+def key_bat(draw, kind, n):
+    if kind in INT_KINDS:
+        return BAT(INT_KINDS[kind], draw(int_tails(n)))
+    if kind == "dbl":
+        values = draw(st.lists(
+            st.one_of(st.integers(-4, 4).map(float), st.just(np.nan)),
+            min_size=n, max_size=n))
+        return BAT(DataType.DBL, np.array(values, dtype=np.float64))
+    values = draw(st.lists(st.sampled_from(STRINGS), min_size=n,
+                           max_size=n))
+    return BAT(DataType.STR, np.array(values, dtype=object))
+
+
+sizes = st.integers(0, 24)
+key_kinds = st.lists(st.sampled_from(KINDS), min_size=1, max_size=3)
+
+
+def relation_of(bats, values):
+    names = [f"k{i}" for i in range(len(bats))] + ["v"]
+    columns = list(bats) + [BAT(DataType.DBL, values)]
+    return Relation(Schema([Attribute(name, col.dtype)
+                            for name, col in zip(names, columns)]),
+                    columns), names[:-1]
+
+
+def assert_same_relation(out, expected):
+    assert out.names == expected.names
+    for name in out.names:
+        got, want = out.column(name), expected.column(name)
+        assert got.dtype is want.dtype
+        np.testing.assert_array_equal(got.tail, want.tail)
+
+
+properties = pytest.mark.parametrize("enabled", [True, False],
+                                     ids=["properties", "no-properties"])
+
+
+# -- the encoders ------------------------------------------------------------
+
+@properties
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=sizes, kinds=key_kinds)
+def test_factorize_matches_unique(enabled, data, n, kinds):
+    bats = [data.draw(key_bat(kind, n)) for kind in kinds]
+    with use_properties(enabled):
+        codes = factorize(bats)
+        gids, first, ngroups = group_codes(bats)
+    tails = [b.tail for b in bats]
+    assert codes.dtype == np.int64
+    np.testing.assert_array_equal(codes, ref_factorize(tails))
+    want_gids, want_first, want_ngroups = ref_groups(tails)
+    np.testing.assert_array_equal(gids, want_gids)
+    np.testing.assert_array_equal(first, want_first)
+    assert ngroups == want_ngroups
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_dense_threshold(n, monkeypatch):
+    """A span of ``DENSE_SPAN_FACTOR * n`` is ranked without sorting; one
+    more falls back to np.unique — with identical ranks either way."""
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    rng = np.random.default_rng(n)
+    for extra, sorts in ((0, False), (1, True)):
+        span = DENSE_SPAN_FACTOR * n + extra
+        tail = rng.integers(0, span, n).astype(np.int64) - 3
+        if n >= 2:
+            tail[0], tail[-1] = -3, span - 4
+        elif extra:
+            continue  # one row always spans 1
+        expected = ref_factorize([tail])
+        calls.clear()
+        monkeypatch.setattr(np, "unique", counting_unique)
+        got = dense_ranks(tail)
+        monkeypatch.setattr(np, "unique", unique)
+        assert bool(calls) is sorts
+        np.testing.assert_array_equal(got, expected)
+
+
+@st.composite
+def join_sides(draw):
+    kinds = draw(key_kinds)
+    nl, nr = draw(sizes), draw(sizes)
+    left, right = [], []
+    for kind in kinds:
+        lkind = rkind = kind
+        if kind == "int" and draw(st.booleans()):
+            # Mixed INT/DBL keys join through a DBL cast.
+            lkind, rkind = draw(st.sampled_from((("int", "dbl"),
+                                                 ("dbl", "int"))))
+        left.append(draw(key_bat(lkind, nl)))
+        if draw(st.booleans()) and lkind == rkind and nl:
+            # Overlapping keys: resample right rows from the left side.
+            picks = draw(st.lists(st.integers(0, nl - 1), min_size=nr,
+                                  max_size=nr))
+            tail = left[-1].tail[np.array(picks, dtype=np.int64)]
+            right.append(BAT(left[-1].dtype, tail))
+        else:
+            right.append(draw(key_bat(rkind, nr)))
+    return left, right
+
+
+@properties
+@pytest.mark.parametrize("how", ["inner", "left"])
+@settings(max_examples=80, deadline=None)
+@given(sides=join_sides())
+def test_join_positions_match_reference(enabled, how, sides):
+    left, right = sides
+    with use_properties(enabled):
+        lpos, rpos = join_positions(left, right, how)
+    want_l, want_r = ref_join(left, right, how)
+    np.testing.assert_array_equal(lpos, want_l)
+    np.testing.assert_array_equal(rpos, want_r)
+
+
+@properties
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=sizes, kinds=key_kinds)
+def test_group_by_matches_reference(enabled, data, n, kinds):
+    bats = [data.draw(key_bat(kind, n)) for kind in kinds]
+    values = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=n,
+                                         max_size=n)), dtype=np.float64)
+    relation, keys = relation_of(bats, values)
+    with use_properties(enabled):
+        out = group_by(relation, keys,
+                       [AggregateSpec("count", "*", "n"),
+                        AggregateSpec("sum", "v", "s"),
+                        AggregateSpec("min", "v", "lo")])
+    gids, first, ngroups = ref_groups([b.tail for b in bats])
+    lo = np.full(ngroups, np.inf)
+    np.minimum.at(lo, gids, values)
+    columns = {key: bat.fetch(first) for key, bat in zip(keys, bats)}
+    columns["n"] = BAT(DataType.INT,
+                       np.bincount(gids, minlength=ngroups).astype(np.int64))
+    columns["s"] = BAT(DataType.DBL, np.bincount(
+        gids, weights=values, minlength=ngroups).astype(np.float64))
+    columns["lo"] = BAT(DataType.DBL, lo)
+    expected = Relation(Schema([Attribute(name, col.dtype)
+                                for name, col in columns.items()]),
+                        list(columns.values()))
+    assert_same_relation(out, expected)
+
+
+def ref_pivot(relation, index, on, value):
+    """Sum-pivot as the sort-based encoder computes it."""
+    row_inverse, row_first, nrows = ref_groups(
+        [relation.column(name).tail for name in index])
+    on_bat = relation.column(on)
+    col_values, col_inverse = np.unique(on_bat.tail, return_inverse=True)
+    ncols = len(col_values)
+    cell = row_inverse * ncols + col_inverse.reshape(-1).astype(np.int64)
+    values = relation.column(value).as_float()
+    grid = np.zeros(nrows * ncols)
+    sums = np.bincount(cell, weights=values, minlength=nrows * ncols)
+    touched = np.bincount(cell, minlength=nrows * ncols) > 0
+    grid[touched] = sums[touched]
+    grid = grid.reshape(nrows, ncols)
+    columns = {name: relation.column(name).fetch(row_first)
+               for name in index}
+    for j in range(ncols):
+        columns[str(on_bat.decode_value(col_values[j]))] = \
+            BAT(DataType.DBL, grid[:, j].copy())
+    return Relation(Schema([Attribute(name, col.dtype)
+                            for name, col in columns.items()]),
+                    list(columns.values()))
+
+
+@properties
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 24),
+       kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=2),
+       on_kind=st.sampled_from(("int", "dbl", "str")))
+def test_pivot_matches_reference(enabled, data, n, kinds, on_kind):
+    bats = [data.draw(key_bat(kind, n)) for kind in kinds]
+    if on_kind == "int":
+        # Small distinct values keep the pivoted column names unique.
+        on = BAT(DataType.INT, np.array(data.draw(st.lists(
+            st.integers(-3, 20), min_size=n, max_size=n)), dtype=np.int64))
+    elif on_kind == "dbl":
+        on = BAT(DataType.DBL, np.array(data.draw(st.lists(
+            st.integers(-3, 3).map(float), min_size=n, max_size=n))))
+    else:
+        on = BAT(DataType.STR, np.array(data.draw(st.lists(
+            st.sampled_from(STRINGS[1:]), min_size=n, max_size=n)),
+            dtype=object))
+    values = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n,
+                                         max_size=n)), dtype=np.float64)
+    keys = [f"k{i}" for i in range(len(bats))]
+    columns = bats + [on, BAT(DataType.DBL, values)]
+    relation = Relation(Schema([Attribute(name, col.dtype) for name, col
+                                in zip(keys + ["on", "v"], columns)]),
+                        columns)
+    with use_properties(enabled):
+        out = pivot(relation, keys, "on", "v")
+    assert_same_relation(out, ref_pivot(relation, keys, "on", "v"))
+
+
+# -- COUNT(DISTINCT) through SQL -----------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3)),
+                     min_size=1, max_size=30))
+def test_count_distinct_matches_sets(rows):
+    db = repro.connect(plan_cache=False)
+    db.register("t", Relation.from_rows(["k", "x"], rows))
+    out = db.execute("SELECT k, COUNT(DISTINCT x) AS d FROM t GROUP BY k")
+    expected = {}
+    for k, x in rows:
+        expected.setdefault(k, set()).add(x)
+    assert out.to_rows() == [(k, len(expected[k]))
+                             for k in sorted(expected)]
+
+
+def test_count_distinct_over_no_rows():
+    db = repro.connect(plan_cache=False)
+    db.register("t", Relation.from_rows(["k", "x"], [(1, 2), (1, 3)]))
+    keyed = db.execute("SELECT k, COUNT(DISTINCT x) AS d FROM t "
+                       "WHERE k > 5 GROUP BY k")
+    assert keyed.to_rows() == []
+    total = db.execute("SELECT COUNT(DISTINCT x) AS d FROM t WHERE k > 5")
+    assert total.to_rows() == [(0,)]
