@@ -69,11 +69,17 @@ Module map
       one program, and no intermediate relation is materialized.  Runtime
       precondition failures (duplicate keys, width mismatches) replay the
       chain step by step, bit-identically.
-    * **Warm order caches** — ``Frame.to_plain_relation`` passes the
-      original relation object through unmodified views, so the order
-      caches seeded by ``merge_result`` (:mod:`repro.core.ops`) survive
-      from one operation to the next instead of going cold on every
-      derived relation.
+    * **Late materialization** — a ``Frame`` holds base columns plus one
+      position vector per source relation.  Filters, sorts, limits and
+      joins compose the vectors; each column is gathered once, on first
+      read.  FK→PK joins keep the matched side's vectors as they are.
+    * **Warm order caches** — a frame that is still an unmodified view
+      of its source (no filter, join or projection has changed its rows
+      or columns) hands the original relation object to
+      ``Frame.to_plain_relation``, so the order caches seeded by
+      ``merge_result`` (:mod:`repro.core.ops`) survive from one
+      operation to the next instead of going cold on every derived
+      relation.
 
 ``cache``
     The session-scoped plan/result cache: canonical subplan -> result

@@ -264,33 +264,31 @@ def unfuse(plan: FusedRma) -> Plan:
 
 # -- expression analysis -------------------------------------------------------
 
+def expr_children(expr: ast.Expr) -> tuple[ast.Expr, ...]:
+    """The direct sub-expressions, in evaluation order."""
+    if isinstance(expr, ast.BinaryOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, (ast.UnaryOp, ast.IsNull)):
+        return (expr.operand,)
+    if isinstance(expr, ast.FunctionCall):
+        return tuple(expr.args)
+    if isinstance(expr, ast.Between):
+        return (expr.operand, expr.low, expr.high)
+    if isinstance(expr, ast.InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, ast.CaseWhen):
+        children = tuple(e for branch in expr.branches for e in branch)
+        if expr.otherwise is not None:
+            children += (expr.otherwise,)
+        return children
+    return ()
+
+
 def walk_expr(expr: ast.Expr) -> Iterator[ast.Expr]:
     """Yield the expression and all sub-expressions."""
     yield expr
-    if isinstance(expr, ast.BinaryOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, ast.UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, ast.FunctionCall):
-        for arg in expr.args:
-            yield from walk_expr(arg)
-    elif isinstance(expr, ast.IsNull):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, ast.Between):
-        yield from walk_expr(expr.operand)
-        yield from walk_expr(expr.low)
-        yield from walk_expr(expr.high)
-    elif isinstance(expr, ast.InList):
-        yield from walk_expr(expr.operand)
-        for item in expr.items:
-            yield from walk_expr(item)
-    elif isinstance(expr, ast.CaseWhen):
-        for cond, value in expr.branches:
-            yield from walk_expr(cond)
-            yield from walk_expr(value)
-        if expr.otherwise is not None:
-            yield from walk_expr(expr.otherwise)
+    for child in expr_children(expr):
+        yield from walk_expr(child)
 
 
 def column_refs(expr: ast.Expr) -> list[ast.ColumnRef]:

@@ -21,10 +21,20 @@ Two layers live here:
     a repeated subplan executes once per statement.
 
 * :class:`Executor` — evaluates logical plans against a catalog, one
-  method per node type, producing :class:`Frame` objects (a relation plus
-  name-resolution bindings).  :class:`repro.api.database.Database` runs
-  every plan through it, whether compiled from SQL text or built by a
-  ``Matrix`` expression.
+  method per node type, producing :class:`Frame` objects (rows of base
+  relations plus name-resolution bindings).
+  :class:`repro.api.database.Database` runs every plan through it,
+  whether compiled from SQL text or built by a ``Matrix`` expression.
+
+Frames materialize late, the way MonetDB passes candidate lists and
+positional joins between operators.  A frame holds, per source relation,
+the base BATs and one position vector; Filter, Sort, LIMIT and joins
+compose those vectors, and a column is gathered once, when something
+first reads it.  A join whose side matches every row exactly once (the
+FK→PK case) keeps that side's vectors and gathered columns unchanged.
+Within one statement, Filters with the same predicate over the same scan
+share one candidate list, and each expression computes a repeated
+subexpression once.
 
 Because relations are immutable, the memoized CSE results share their
 per-relation order caches across uses, and ``Frame.to_plain_relation``
@@ -43,7 +53,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.bat.bat import BAT, DataType
+from repro.bat.bat import BAT, DataType, _encode_value
 from repro.bat.catalog import Catalog
 from repro.bat import kernels
 from repro.bat.properties import properties_enabled
@@ -58,7 +68,7 @@ from repro.plan.cache import PlanCache
 import repro.relational.aggregate as rel_aggregate
 import repro.relational.joins as rel_join
 import repro.relational.ops as rel_ops
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, is_identity
 from repro.relational.schema import Attribute, Schema
 from repro.plan import nodes
 from repro.plan.optimizer import Optimizer, ref_matches
@@ -80,22 +90,94 @@ class Binding:
     hidden: bool = False
 
 
-class Frame:
-    """A relation with name bindings for expression resolution.
+class _Source:
+    """One base relation seen through a frame: its columns by internal
+    name, plus each frame row's position in them.
 
-    Internal column names are globally unique within the frame so joins can
-    concatenate schemas without clashes while user-visible names stay
-    resolvable (qualified or unqualified).
+    ``positions`` is ``None`` for the identity.  ``nullable`` marks
+    positions that may be ``-1`` (LEFT JOIN rows without a match); those
+    rows read as nil when a column is gathered.
+    """
+
+    __slots__ = ("columns", "positions", "nullable")
+
+    def __init__(self, columns: dict[str, BAT],
+                 positions: np.ndarray | None = None,
+                 nullable: bool = False):
+        self.columns = columns
+        self.positions = positions
+        self.nullable = nullable
+
+    def take(self, outer: np.ndarray, outer_nullable: bool = False) \
+            -> "_Source":
+        """This source seen through ``outer``, positions into its rows."""
+        if self.positions is None:
+            return _Source(self.columns, outer, outer_nullable)
+        if not outer_nullable:
+            # -1 entries of a nullable source propagate through the gather.
+            return _Source(self.columns, self.positions[outer],
+                           self.nullable)
+        positions = np.full(len(outer), -1, dtype=np.int64)
+        hit = outer >= 0
+        positions[hit] = self.positions[outer[hit]]
+        return _Source(self.columns, positions, True)
+
+    def gather(self, name: str) -> BAT:
+        base = self.columns[name]
+        if self.positions is None:
+            return base
+        if self.nullable:
+            return _gather_nullable(base, self.positions)
+        return base.fetch(self.positions)
+
+
+def _gather_nullable(base: BAT, positions: np.ndarray) -> BAT:
+    """Gather with ``-1`` positions reading as nil.
+
+    BOOL has no nil encoding: its unmatched rows keep whatever value the
+    gather produced (False when the source is empty).
+    """
+    missing = positions < 0
+    if not missing.any():
+        return base.fetch(positions)
+    if len(base):
+        tail = base.tail[np.where(missing, 0, positions)]
+    else:
+        tail = np.zeros(len(positions), dtype=base.dtype.numpy_dtype)
+    if base.dtype is not DataType.BOOL:
+        tail[missing] = _encode_value(None, base.dtype)
+    return BAT(base.dtype, tail)
+
+
+class Frame:
+    """Rows of one or more base relations, with name bindings for
+    expression resolution.
+
+    A frame does not copy columns.  It keeps, per source relation, the
+    base BATs and one int64 position vector (:class:`_Source`), so
+    filters, sorts, limits and joins only compose position vectors.  A
+    column is gathered when something first reads it (expression
+    evaluation, projection, aggregation, :meth:`to_plain_relation`) and
+    then stays cached in the frame.  Internal column names are globally
+    unique so joins can combine sources without clashes while
+    user-visible names stay resolvable (qualified or unqualified).
     """
 
     _counter = itertools.count(1)  # itertools: atomic under the GIL, so
     # concurrently evaluated subplans never mint the same internal name
 
-    def __init__(self, relation: Relation, bindings: list[Binding],
-                 source: Relation | None = None):
-        self.relation = relation
+    def __init__(self, bindings: list[Binding], sources: list[_Source],
+                 nrows: int, cache: dict[str, BAT] | None = None,
+                 origin: Relation | None = None):
+        # A later source overrides an earlier one for the names it holds;
+        # sources no binding reads from are dropped.
+        self._owner = {name: s for s in sources for name in s.columns}
+        used = {id(self._owner[b.internal]) for b in bindings}
         self.bindings = bindings
-        self.source = source
+        self.sources = [s for s in sources if id(s) in used]
+        self.nrows = nrows
+        self.origin = origin  # set only while the frame is an unmodified view
+        self._cache = cache if cache is not None else {}
 
     @classmethod
     def _fresh(cls, hint: str) -> str:
@@ -104,17 +186,43 @@ class Frame:
     @classmethod
     def from_relation(cls, relation: Relation,
                       alias: Optional[str]) -> "Frame":
-        bindings = []
-        internal_names = []
-        for name in relation.names:
-            internal = cls._fresh(name)
-            bindings.append(Binding(alias, name, internal))
-            internal_names.append(internal)
-        schema = Schema(Attribute(internal, relation.schema.dtype(name))
-                        for internal, name in zip(internal_names,
-                                                  relation.names))
-        return cls(Relation(schema, relation.columns), bindings,
-                   source=relation)
+        bindings = [Binding(alias, name, cls._fresh(name))
+                    for name in relation.names]
+        source = _Source({b.internal: col
+                          for b, col in zip(bindings, relation.columns)})
+        return cls(bindings, [source], relation.nrows, origin=relation)
+
+    @classmethod
+    def wrap(cls, relation: Relation, bindings: list[Binding]) -> "Frame":
+        """A frame over a relation whose column names are the internal
+        names ``bindings`` refer to."""
+        source = _Source(dict(zip(relation.names, relation.columns)))
+        return cls(bindings, [source], relation.nrows)
+
+    @classmethod
+    def joined(cls, left: "Frame", right: "Frame", lpos: np.ndarray,
+               rpos: np.ndarray) -> "Frame":
+        """Row ``i`` pairs ``left`` row ``lpos[i]`` with ``right`` row
+        ``rpos[i]`` (``-1``: no match, read as nil).
+
+        A side whose positions are the identity keeps its position
+        vectors and its already gathered columns.
+        """
+        cache: dict[str, BAT] = {}
+        if len(lpos) == left.nrows and is_identity(lpos):
+            sources = list(left.sources)
+            cache.update(left._cache)
+        else:
+            sources = [s.take(lpos) for s in left._reusable_sources()]
+        nullable = bool(len(rpos)) and int(rpos.min()) < 0
+        if (not nullable and len(rpos) == right.nrows
+                and is_identity(rpos)):
+            sources += right.sources
+            cache.update(right._cache)
+        else:
+            sources += [s.take(rpos, nullable)
+                        for s in right._reusable_sources()]
+        return cls(left.bindings + right.bindings, sources, len(lpos), cache)
 
     # -- resolution ----------------------------------------------------------
 
@@ -139,8 +247,19 @@ class Frame:
                 "qualify it")
         return matches[0].internal
 
+    def bat(self, internal: str) -> BAT:
+        """The column with this internal name, gathered on first read."""
+        column = self._cache.get(internal)
+        if column is None:
+            column = self._owner[internal].gather(internal)
+            self._cache[internal] = column
+        return column
+
     def column(self, ref: ast.ColumnRef) -> BAT:
-        return self.relation.column(self.resolve(ref))
+        return self.bat(self.resolve(ref))
+
+    def dtype(self, internal: str) -> DataType:
+        return self._owner[internal].columns[internal].dtype
 
     def visible_bindings(self) -> list[Binding]:
         return [b for b in self.bindings if not b.hidden]
@@ -153,6 +272,32 @@ class Frame:
             raise BindError(f"unknown table alias {table!r} in star")
         return matches
 
+    def with_bindings(self, bindings: list[Binding]) -> "Frame":
+        """The same rows with a subset of the bindings."""
+        return Frame(bindings, self.sources, self.nrows, dict(self._cache),
+                     self.origin)
+
+    def projected(self, names: list[str], columns: list[BAT]) -> "Frame":
+        """A frame whose visible columns are ``columns`` under ``names``.
+
+        This frame's bindings stay resolvable as hidden bindings (so ORDER
+        BY above a projection can reference source columns) without
+        being gathered.
+        """
+        bindings = [Binding(None, name, Frame._fresh(name)) for name in names]
+        computed = _Source({b.internal: column
+                            for b, column in zip(bindings, columns)})
+        hidden = [Binding(b.alias, b.name, b.internal, hidden=True)
+                  for b in self.bindings]
+        return Frame(bindings + hidden, [computed] + self.sources,
+                     self.nrows, dict(self._cache))
+
+    def to_relation(self, bindings: list[Binding]) -> Relation:
+        """The bound columns under their internal names."""
+        schema = Schema(Attribute(b.internal, self.dtype(b.internal))
+                        for b in bindings)
+        return Relation(schema, [self.bat(b.internal) for b in bindings])
+
     def to_plain_relation(self) -> Relation:
         """Expose user-visible names (for RMA inputs and final output).
 
@@ -162,29 +307,37 @@ class Frame:
         on this passthrough.
         """
         visible = self.visible_bindings()
-        if (self.source is not None
-                and len(visible) == len(self.source.columns)
+        if (self.origin is not None
+                and len(visible) == len(self.origin.columns)
                 and all(b.name == n
-                        for b, n in zip(visible, self.source.names))
-                and all(self.relation.column(b.internal) is col
-                        for b, col in zip(visible, self.source.columns))):
-            return self.source
+                        for b, n in zip(visible, self.origin.names))
+                and all(self.bat(b.internal) is col
+                        for b, col in zip(visible, self.origin.columns))):
+            return self.origin
         names = [b.name for b in visible]
         if len(set(names)) != len(names):
             duplicates = sorted({n for n in names if names.count(n) > 1})
             raise BindError(
                 f"duplicate output columns {duplicates}; add aliases")
-        schema = Schema(Attribute(b.name,
-                                  self.relation.schema.dtype(b.internal))
+        schema = Schema(Attribute(b.name, self.dtype(b.internal))
                         for b in visible)
-        columns = [self.relation.column(b.internal) for b in visible]
-        return Relation(schema, columns)
+        return Relation(schema, [self.bat(b.internal) for b in visible])
 
     def select_positions(self, positions: np.ndarray) -> "Frame":
-        relation = Relation(
-            self.relation.schema,
-            [col.fetch(positions) for col in self.relation.columns])
-        return Frame(relation, self.bindings)
+        """The frame's rows at ``positions``: composes every source's
+        position vector once; no column is gathered."""
+        return Frame(self.bindings,
+                     [s.take(positions) for s in self._reusable_sources()],
+                     len(positions))
+
+    def _reusable_sources(self) -> list[_Source]:
+        """The sources plus one over the columns gathered so far, so a
+        column read again after new positions is gathered from its
+        gathered copy (LEFT JOIN nils are filled once) rather than from
+        the base."""
+        if not self._cache:
+            return self.sources
+        return self.sources + [_Source(dict(self._cache))]
 
 
 # -- expression evaluation -------------------------------------------------------
@@ -215,22 +368,83 @@ def _broadcast(value: Any, n: int) -> BAT:
     return BAT.constant(value, n)
 
 
+def _compare(op: str, left: Any, right: Any) -> Any:
+    """A comparison: a BOOL BAT, or a python bool for two scalars."""
+    if isinstance(left, BAT):
+        mask = kernels.compare(op, left, right)
+    elif isinstance(right, BAT):
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+        mask = kernels.compare(flipped, right, left)
+    else:
+        func = {"=": lambda a, b: a == b, "<>": lambda a, b: a != b,
+                "!=": lambda a, b: a != b, "<": lambda a, b: a < b,
+                "<=": lambda a, b: a <= b, ">": lambda a, b: a > b,
+                ">=": lambda a, b: a >= b}[op]
+        return func(left, right)
+    return BAT(DataType.BOOL, mask)
+
+
+def _repeated_subtrees(expr: ast.Expr) -> dict[int, int]:
+    """``id(node) -> slot`` for the non-leaf subtrees of ``expr`` that
+    evaluation would otherwise compute more than once.
+
+    Every occurrence of a structurally repeated subtree maps to the same
+    slot.  The walk does not descend into a repeated subtree after its
+    first occurrence, so a subtree that repeats only inside a repeated
+    parent gets no slot: memoizing the parent already computes it once.
+    """
+    occurrences: dict[ast.Expr, list[int]] = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Literal, ast.ColumnRef)):
+            continue
+        ids = occurrences.setdefault(node, [])
+        ids.append(id(node))
+        if len(ids) == 1:
+            stack.extend(nodes.expr_children(node))
+    slots: dict[int, int] = {}
+    for slot, ids in enumerate(ids for ids in occurrences.values()
+                               if len(ids) > 1):
+        slots.update(dict.fromkeys(ids, slot))
+    return slots
+
+
 class ExpressionEvaluator:
-    """Vectorized evaluation of AST expressions over a frame."""
+    """Vectorized evaluation of AST expressions over a frame.
+
+    Each top-level :meth:`eval` computes a subexpression that occurs
+    several times in it (``dx * dx``) once.
+    """
 
     def __init__(self, frame: Frame):
         self.frame = frame
-        self.n = frame.relation.nrows
+        self.n = frame.nrows
+        self._slots: dict[int, int] = {}
+        self._memo: dict[int, Any] = {}
 
     def eval(self, expr: ast.Expr) -> Any:
         """Returns a BAT (column result) or a python scalar."""
-        method = getattr(self, f"_eval_{type(expr).__name__.lower()}", None)
-        if method is None:
-            raise PlanError(f"cannot evaluate expression {expr!r}")
-        return method(expr)
+        self._slots = _repeated_subtrees(expr)
+        try:
+            return self._eval(expr)
+        finally:
+            self._slots, self._memo = {}, {}
 
     def mask(self, expr: ast.Expr) -> np.ndarray:
         return _as_mask(self.eval(expr), self.n)
+
+    def _eval(self, expr: ast.Expr) -> Any:
+        slot = self._slots.get(id(expr))
+        if slot is not None and slot in self._memo:
+            return self._memo[slot]
+        method = getattr(self, f"_eval_{type(expr).__name__.lower()}", None)
+        if method is None:
+            raise PlanError(f"cannot evaluate expression {expr!r}")
+        value = method(expr)
+        if slot is not None:
+            self._memo[slot] = value
+        return value
 
     # -- node handlers ----------------------------------------------------------
 
@@ -241,7 +455,7 @@ class ExpressionEvaluator:
         return self.frame.column(expr)
 
     def _eval_unaryop(self, expr: ast.UnaryOp) -> Any:
-        value = self.eval(expr.operand)
+        value = self._eval(expr.operand)
         if expr.op == "NOT":
             mask = _as_mask(value, self.n)
             return BAT(DataType.BOOL, ~mask)
@@ -254,14 +468,14 @@ class ExpressionEvaluator:
     def _eval_binaryop(self, expr: ast.BinaryOp) -> Any:
         op = expr.op
         if op in ("AND", "OR"):
-            left = _as_mask(self.eval(expr.left), self.n)
-            right = _as_mask(self.eval(expr.right), self.n)
+            left = _as_mask(self._eval(expr.left), self.n)
+            right = _as_mask(self._eval(expr.right), self.n)
             out = left & right if op == "AND" else left | right
             return BAT(DataType.BOOL, out)
         if op in ("LIKE", "NOT LIKE"):
             return self._eval_like(expr)
-        left = self.eval(expr.left)
-        right = self.eval(expr.right)
+        left = self._eval(expr.left)
+        right = self._eval(expr.right)
         if op in ("+", "-", "*", "/", "%"):
             if isinstance(left, BAT):
                 return kernels.binop(op, left, right)
@@ -275,19 +489,7 @@ class ExpressionEvaluator:
                     "*": left * right}[op]
         if op == "||":
             return self._concat(left, right)
-        # comparisons
-        if isinstance(left, BAT):
-            mask = kernels.compare(op, left, right)
-        elif isinstance(right, BAT):
-            flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-            mask = kernels.compare(flipped, right, left)
-        else:
-            func = {"=": lambda a, b: a == b, "<>": lambda a, b: a != b,
-                    "!=": lambda a, b: a != b, "<": lambda a, b: a < b,
-                    "<=": lambda a, b: a <= b, ">": lambda a, b: a > b,
-                    ">=": lambda a, b: a >= b}[op]
-            return func(left, right)
-        return BAT(DataType.BOOL, mask)
+        return _compare(op, left, right)
 
     def _concat(self, left: Any, right: Any) -> Any:
         if not isinstance(left, BAT) and not isinstance(right, BAT):
@@ -300,8 +502,8 @@ class ExpressionEvaluator:
         return BAT(DataType.STR, values)
 
     def _eval_like(self, expr: ast.BinaryOp) -> BAT:
-        value = self.eval(expr.left)
-        pattern = self.eval(expr.right)
+        value = self._eval(expr.left)
+        pattern = self._eval(expr.right)
         if isinstance(pattern, BAT):
             raise PlanError("LIKE pattern must be a constant")
         regex = _like_pattern(str(pattern))
@@ -313,7 +515,7 @@ class ExpressionEvaluator:
         return BAT(DataType.BOOL, mask)
 
     def _eval_isnull(self, expr: ast.IsNull) -> BAT:
-        value = self.eval(expr.operand)
+        value = self._eval(expr.operand)
         if isinstance(value, BAT):
             mask = value.is_nil()
         else:
@@ -323,20 +525,19 @@ class ExpressionEvaluator:
         return BAT(DataType.BOOL, mask)
 
     def _eval_between(self, expr: ast.Between) -> BAT:
-        rewritten = ast.BinaryOp(
-            "AND",
-            ast.BinaryOp(">=", expr.operand, expr.low),
-            ast.BinaryOp("<=", expr.operand, expr.high))
-        mask = _as_mask(self.eval(rewritten), self.n)
+        value = self._eval(expr.operand)
+        low = _as_mask(_compare(">=", value, self._eval(expr.low)), self.n)
+        high = _as_mask(_compare("<=", value, self._eval(expr.high)), self.n)
+        mask = low & high
         if expr.negated:
             mask = ~mask
         return BAT(DataType.BOOL, mask)
 
     def _eval_inlist(self, expr: ast.InList) -> BAT:
         mask = np.zeros(self.n, dtype=bool)
-        operand = self.eval(expr.operand)
+        operand = self._eval(expr.operand)
         for item in expr.items:
-            value = self.eval(item)
+            value = self._eval(item)
             if isinstance(operand, BAT):
                 mask |= kernels.compare("=", operand, value)
             else:
@@ -346,10 +547,10 @@ class ExpressionEvaluator:
         return BAT(DataType.BOOL, mask)
 
     def _eval_casewhen(self, expr: ast.CaseWhen) -> Any:
-        conditions = [_as_mask(self.eval(c), self.n)
+        conditions = [_as_mask(self._eval(c), self.n)
                       for c, _ in expr.branches]
-        values = [self.eval(v) for _, v in expr.branches]
-        otherwise = (self.eval(expr.otherwise)
+        values = [self._eval(v) for _, v in expr.branches]
+        otherwise = (self._eval(expr.otherwise)
                      if expr.otherwise is not None else None)
         # Pick a result type from the first columnar/non-null value.
         prototype = next((v for v in values + [otherwise]
@@ -377,11 +578,55 @@ class ExpressionEvaluator:
         func = SCALAR_FUNCTIONS.get(expr.name)
         if func is None:
             raise BindError(f"unknown function {expr.name}")
-        args = [self.eval(a) for a in expr.args]
+        args = [self._eval(a) for a in expr.args]
         return func(self, args)
 
     def _eval_star(self, expr: ast.Star) -> Any:
         raise PlanError("'*' is only valid in SELECT lists and COUNT(*)")
+
+
+def _true_positions(mask: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
+
+
+def _non_nil_keys(keys: list[BAT]) \
+        -> tuple[np.ndarray | None, list[BAT]]:
+    """(rows whose keys are all non-nil, those rows' keys); the rows are
+    ``None`` when no key holds a nil."""
+    nil = None
+    for key in keys:
+        if not key.tnonil:
+            nil = key.is_nil() if nil is None else nil | key.is_nil()
+    if nil is None:
+        return None, keys
+    rows = np.flatnonzero(~nil)
+    return rows, [key.fetch(rows, positions_sorted=True, positions_key=True)
+                  for key in keys]
+
+
+def _remap(positions: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """Positions into a row subset, mapped back to the full side (``-1``
+    stays ``-1``)."""
+    if rows is None:
+        return positions
+    out = np.full(len(positions), -1, dtype=np.int64)
+    hit = positions >= 0
+    out[hit] = rows[positions[hit]]
+    return out
+
+
+def _pad_unmatched(lpos: np.ndarray, rpos: np.ndarray,
+                   nleft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Add a ``(row, -1)`` pair for every left row absent from ``lpos``,
+    in left-row order (``lpos`` is non-decreasing), as a LEFT JOIN emits
+    them."""
+    matched = np.zeros(nleft, dtype=bool)
+    matched[lpos] = True
+    missing = np.flatnonzero(~matched)
+    lpos = np.concatenate([lpos, missing])
+    rpos = np.concatenate([rpos, np.full(len(missing), -1, dtype=np.int64)])
+    order = np.argsort(lpos, kind="stable")
+    return lpos[order], rpos[order]
 
 
 # -- physical planning ---------------------------------------------------------
@@ -749,6 +994,9 @@ class Executor:
         self.result_cache = result_cache
         self.stats = ExecStats()
         self._memo: dict[nodes.Plan, Relation] = {}
+        # Filter candidate lists shared within the statement
+        # (see _candidate_key).
+        self._candidates: dict[tuple, np.ndarray] = {}
         # Guards the CSE memo and the stats counters: with the morsel
         # engine on, sibling subplans execute on pool workers.
         self._lock = threading.Lock()
@@ -918,19 +1166,48 @@ class Executor:
 
     def _run_filter(self, plan: nodes.Filter) -> Frame:
         frame = self.run(plan.child)
-        mask = ExpressionEvaluator(frame).mask(plan.predicate)
-        positions = np.nonzero(mask)[0].astype(np.int64)
+        key = self._candidate_key(plan, frame)
+        # dict.get/setdefault are atomic: concurrent siblings at worst
+        # compute the same candidate list twice.
+        positions = self._candidates.get(key)
+        if positions is None:
+            positions = _true_positions(
+                ExpressionEvaluator(frame).mask(plan.predicate))
+            if key is not None:
+                positions = self._candidates.setdefault(key, positions)
+        if len(positions) == frame.nrows:
+            return frame  # every row qualifies
         return frame.select_positions(positions)
+
+    def _candidate_key(self, plan: nodes.Filter, frame: Frame):
+        """Key of the statement-scoped candidate list of a Filter directly
+        over a table or relation scan, or ``None``.
+
+        Filters with the same predicate over the same leaf share one
+        candidate list whatever their ``Prune`` lists and aliases: column
+        references lose their qualifier once they are known to resolve.
+        """
+        leaf = plan.child
+        while isinstance(leaf, nodes.Prune):
+            leaf = leaf.child
+        if isinstance(leaf, nodes.Scan):
+            source = leaf.table
+        elif isinstance(leaf, nodes.RelScan):
+            source = leaf.relation
+        else:
+            return None
+        refs = nodes.column_refs(plan.predicate)
+        if not all(self._resolvable(frame, ref) for ref in refs):
+            return None  # let evaluation raise its binding error
+        return source, nodes.replace_expr(
+            plan.predicate, {ref: ast.ColumnRef(ref.name) for ref in refs})
 
     def _run_prune(self, plan: nodes.Prune) -> Frame:
         frame = self.run(plan.child)
         keep = [b for b in frame.bindings if b.name in plan.names]
         if not keep or len(keep) == len(frame.bindings):
             return frame
-        relation = Relation(
-            frame.relation.schema.project([b.internal for b in keep]),
-            [frame.relation.column(b.internal) for b in keep])
-        return Frame(relation, keep)
+        return frame.with_bindings(keep)
 
     def _run_project(self, plan: nodes.Project) -> Frame:
         frame = self.run(plan.child)
@@ -941,45 +1218,29 @@ class Executor:
             if isinstance(item.expr, ast.Star):
                 for binding in frame.star_bindings(item.expr.table):
                     names.append(binding.name)
-                    columns.append(frame.relation.column(binding.internal))
+                    columns.append(frame.bat(binding.internal))
                 continue
             value = evaluator.eval(item.expr)
             names.append(item.alias
                          or nodes.default_output_name(item.expr, index))
-            columns.append(_broadcast(value, frame.relation.nrows))
-        bindings = []
-        internals = []
-        for name, column in zip(names, columns):
-            internal = Frame._fresh(name)
-            bindings.append(Binding(None, name, internal))
-            internals.append(internal)
-        schema = Schema(Attribute(i, c.dtype)
-                        for i, c in zip(internals, columns))
-        # Keep the child's columns as hidden bindings so ORDER BY above the
-        # projection can still reference source columns.
-        hidden = [Binding(b.alias, b.name, b.internal, hidden=True)
-                  for b in frame.bindings]
-        schema = schema.concat(frame.relation.schema)
-        all_columns = columns + list(frame.relation.columns)
-        return Frame(Relation(schema, all_columns), bindings + hidden)
+            columns.append(_broadcast(value, frame.nrows))
+        return frame.projected(names, columns)
 
     def _run_distinct(self, plan: nodes.Distinct) -> Frame:
         frame = self.run(plan.child)
         # DISTINCT applies to the visible output only; hidden (source)
         # columns are dropped — referencing them above DISTINCT is invalid.
         visible = frame.visible_bindings()
-        relation = Relation(
-            frame.relation.schema.project([b.internal for b in visible]),
-            [frame.relation.column(b.internal) for b in visible])
-        return Frame(rel_ops.distinct(relation), visible)
+        return Frame.wrap(rel_ops.distinct(frame.to_relation(visible)),
+                          visible)
 
     def _run_sort(self, plan: nodes.Sort) -> Frame:
         frame = self.run(plan.child)
         evaluator = ExpressionEvaluator(frame)
-        positions = np.arange(frame.relation.nrows, dtype=np.int64)
+        positions = np.arange(frame.nrows, dtype=np.int64)
         for item in reversed(plan.items):
             value = evaluator.eval(item.expr)
-            column = _broadcast(value, frame.relation.nrows)
+            column = _broadcast(value, frame.nrows)
             key = column.tail[positions]
             order = np.argsort(key, kind="stable")
             if item.descending:
@@ -989,15 +1250,18 @@ class Executor:
 
     def _run_limit(self, plan: nodes.Limit) -> Frame:
         frame = self.run(plan.child)
-        relation = rel_ops.limit(frame.relation, plan.count, plan.offset)
-        return Frame(relation, frame.bindings)
+        positions = np.arange(frame.nrows, dtype=np.int64)[
+            plan.offset:plan.offset + plan.count]
+        if len(positions) == frame.nrows:
+            return frame
+        return frame.select_positions(positions)
 
     # -- aggregation --------------------------------------------------------------------
 
     def _run_aggregate(self, plan: nodes.Aggregate) -> Frame:
         frame = self.run(plan.child)
         evaluator = ExpressionEvaluator(frame)
-        n = frame.relation.nrows
+        n = frame.nrows
 
         data: dict[str, BAT] = {}
         key_bindings: list[tuple[str, ast.Expr]] = []
@@ -1026,7 +1290,9 @@ class Executor:
             arg_name = f"_arg_{spec.out_name}"
             data[arg_name] = _broadcast(evaluator.eval(spec.argument), n)
 
-        work = Relation.from_columns(data) if data else frame.relation
+        # COUNT(*) alone reads no column; the work relation then only
+        # carries the row count.
+        work = Relation.from_columns(data or {"_rows": BAT.dense(n)})
         key_names = [name for name, _ in key_bindings]
         grouped = rel_aggregate.group_by(work, key_names, specs)
 
@@ -1043,7 +1309,7 @@ class Executor:
                 bindings.append(Binding(expr.table, expr.name, name))
         for spec in plan.aggregates:
             bindings.append(Binding(None, spec.out_name, spec.out_name))
-        return Frame(grouped, bindings)
+        return Frame.wrap(grouped, bindings)
 
     def _attach_count_distinct(self, work: Relation, grouped: Relation,
                                key_names: list[str],
@@ -1064,16 +1330,20 @@ class Executor:
         # no groups, a global one always has one.
         ngroups = grouped.nrows if key_names else 1
         for spec in specs:
-            if work.nrows == 0:
+            values = work.column(f"_arg_{spec.out_name}")
+            groups = gids
+            if not values.tnonil:  # NULL is not a value: skip its rows
+                present = np.flatnonzero(~values.is_nil())
+                values, groups = values.fetch(present), gids[present]
+            if len(values) == 0:
                 counts = np.zeros(ngroups, dtype=np.int64)
             else:
-                values = work.column(f"_arg_{spec.out_name}")
                 value_codes = rel_join.factorize([values])
                 span = int(value_codes.max()) + 1
-                pair_codes = rel_join.dense_ranks(gids * span + value_codes)
+                pair_codes = rel_join.dense_ranks(groups * span + value_codes)
                 pair_group = np.empty(int(pair_codes.max()) + 1,
                                       dtype=np.int64)
-                pair_group[pair_codes] = gids
+                pair_group[pair_codes] = groups
                 counts = np.bincount(pair_group, minlength=ngroups)
             if not key_names:
                 column = BAT.from_values([int(counts[0])], DataType.INT)
@@ -1086,64 +1356,48 @@ class Executor:
 
     def _run_joinplan(self, plan: nodes.JoinPlan) -> Frame:
         left, right = self._run_siblings([plan.left, plan.right])
-        if plan.kind == "cross" and plan.condition is None:
-            relation = rel_ops.cross(left.relation, right.relation)
-            return Frame(relation, left.bindings + right.bindings)
         equi, residual = self._split_join_condition(plan.condition, left,
                                                     right)
         if not equi:
             if plan.kind == "left":
                 raise PlanError(
                     "LEFT JOIN requires at least one equality condition")
-            frame = Frame(rel_ops.cross(left.relation, right.relation),
-                          left.bindings + right.bindings)
-            if plan.condition is not None:
-                mask = ExpressionEvaluator(frame).mask(plan.condition)
-                frame = frame.select_positions(
-                    np.nonzero(mask)[0].astype(np.int64))
-            return frame
+            nl, nr = left.nrows, right.nrows
+            frame = Frame.joined(
+                left, right, np.repeat(np.arange(nl, dtype=np.int64), nr),
+                np.tile(np.arange(nr, dtype=np.int64), nl))
+            if plan.condition is None:
+                return frame
+            return frame.select_positions(_true_positions(
+                ExpressionEvaluator(frame).mask(plan.condition)))
         left_keys = [ExpressionEvaluator(left).eval(e) for e, _ in equi]
         right_keys = [ExpressionEvaluator(right).eval(e) for _, e in equi]
-        left_keys = [_broadcast(k, left.relation.nrows) for k in left_keys]
-        right_keys = [_broadcast(k, right.relation.nrows)
-                      for k in right_keys]
-        how = plan.kind if plan.kind != "cross" else "inner"
-        strategy = self.physical.join_strategy.get(plan, "auto")
-        if strategy == "merge":
+        left_keys = [_broadcast(k, left.nrows) for k in left_keys]
+        right_keys = [_broadcast(k, right.nrows) for k in right_keys]
+        # NULL keys match nothing: probe only the rows without one.
+        lrows, left_keys = _non_nil_keys(left_keys)
+        rrows, right_keys = _non_nil_keys(right_keys)
+        outer = plan.kind == "left"
+        # A LEFT JOIN whose matches are decided beyond the probe (a residual
+        # ON conjunct, NULL left keys) probes as an inner join and gets its
+        # unmatched rows added afterwards.
+        pad = outer and (bool(residual) or lrows is not None)
+        how = "left" if outer and not pad else "inner"
+        if self.physical.join_strategy.get(plan, "auto") == "merge":
             lpos, rpos = rel_join.merge_join_positions(left_keys,
                                                        right_keys, how=how)
         else:
             lpos, rpos = rel_join.join_positions(left_keys, right_keys,
                                                  how=how)
-        left_frame = left.select_positions(lpos)
-        if plan.kind == "left":
-            safe = np.where(rpos < 0, 0, rpos)
-            right_cols = []
-            for col in right.relation.columns:
-                fetched = col.fetch(safe)
-                nil = BAT.constant(None, len(rpos), fetched.dtype) \
-                    if fetched.dtype is not DataType.BOOL else fetched
-                tail = np.where(rpos < 0, nil.tail, fetched.tail)
-                if fetched.dtype is DataType.STR:
-                    tail = tail.astype(object)
-                right_cols.append(
-                    BAT(fetched.dtype,
-                        tail.astype(fetched.dtype.numpy_dtype)))
-            right_rel = Relation(right.relation.schema, right_cols)
-        else:
-            right_rel = Relation(
-                right.relation.schema,
-                [col.fetch(rpos) for col in right.relation.columns])
-        combined = Relation(
-            left_frame.relation.schema.concat(right_rel.schema),
-            list(left_frame.relation.columns) + list(right_rel.columns))
-        frame = Frame(combined, left.bindings + right.bindings)
+        lpos, rpos = _remap(lpos, lrows), _remap(rpos, rrows)
         if residual:
-            predicate = nodes.conjoin(residual)
-            mask = ExpressionEvaluator(frame).mask(predicate)
-            frame = frame.select_positions(
-                np.nonzero(mask)[0].astype(np.int64))
-        return frame
+            frame = Frame.joined(left, right, lpos, rpos)
+            keep = _true_positions(
+                ExpressionEvaluator(frame).mask(nodes.conjoin(residual)))
+            lpos, rpos = lpos[keep], rpos[keep]
+        if pad:
+            lpos, rpos = _pad_unmatched(lpos, rpos, left.nrows)
+        return Frame.joined(left, right, lpos, rpos)
 
     def _split_join_condition(self, condition: Optional[ast.Expr],
                               left: Frame, right: Frame):

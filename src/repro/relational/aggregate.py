@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bat.bat import BAT, DataType
+from repro.bat.bat import BAT, DataType, NIL_INT, _encode_value
 from repro.errors import PlanError, RelationError
 from repro.relational.joins import group_codes
 from repro.relational.relation import Relation
@@ -106,6 +106,7 @@ def group_by(relation: Relation, keys: Sequence[str],
         columns.append(source.fetch(first))
 
     for spec in aggregates:
+        row_gids = gids
         if spec.argument == "*":
             values = np.ones(relation.nrows, dtype=np.float64)
             source_dtype = DataType.INT
@@ -117,32 +118,44 @@ def group_by(relation: Relation, keys: Sequence[str],
                 raise RelationError(
                     f"aggregate {spec.func} over non-numeric attribute "
                     f"{spec.argument!r}")
-            if source.dtype.is_numeric:
-                values = source.as_float()
-                source_dtype = source.dtype
-            elif spec.func == "count":
+            if spec.func == "count":
+                # COUNT(x) counts non-null values: sum a 0/1 mask.
                 values = (~source.is_nil()).astype(np.float64)
                 source_dtype = DataType.INT
             else:
-                # min/max over non-numeric: sort-based fallback.
-                columns.append(_minmax_generic(source, gids, ngroups,
-                                               spec.func))
-                attrs.append(Attribute(spec.alias, source.dtype))
-                continue
+                if not source.tnonil:
+                    # NULLs take no part; a group without values is NULL.
+                    present = np.flatnonzero(~source.is_nil())
+                    source, row_gids = source.fetch(present), gids[present]
+                if not source.dtype.is_numeric:
+                    # min/max over non-numeric: sort-based fallback.
+                    columns.append(_minmax_generic(source, row_gids,
+                                                   ngroups, spec.func))
+                    attrs.append(Attribute(spec.alias, source.dtype))
+                    continue
+                values = source.as_float()
+                source_dtype = source.dtype
         func = spec.func
         if spec.func == "count" and spec.argument != "*":
-            # COUNT(x) counts non-null values: sum a 0/1 mask.
-            values = (~relation.column(spec.argument).is_nil()
-                      ).astype(np.float64)
             func = "sum"
-        out = _segmented(func, values, gids, ngroups)
+        out = _segmented(func, values, row_gids, ngroups)
+        empty = None
+        if row_gids is not gids:
+            empty = np.bincount(row_gids, minlength=ngroups) == 0
+            out[empty] = 0.0  # made nil below
         if spec.func == "count":
             bat = BAT(DataType.INT, out.astype(np.int64))
         elif spec.func in ("sum", "min", "max") \
                 and source_dtype is DataType.INT:
-            bat = BAT(DataType.INT, out.astype(np.int64))
+            tail = out.astype(np.int64)
+            if empty is not None:
+                tail[empty] = NIL_INT
+            bat = BAT(DataType.INT, tail)
         else:
-            bat = BAT(DataType.DBL, out.astype(np.float64))
+            tail = out.astype(np.float64)
+            if empty is not None:
+                tail[empty] = np.nan
+            bat = BAT(DataType.DBL, tail)
         attrs.append(Attribute(spec.alias, bat.dtype))
         columns.append(bat)
 
@@ -151,17 +164,22 @@ def group_by(relation: Relation, keys: Sequence[str],
 
 def _minmax_generic(source: BAT, gids: np.ndarray, ngroups: int,
                     func: str) -> BAT:
-    """min/max for non-numeric columns via a value-ordered scan."""
+    """min/max for non-numeric columns via a value-ordered scan; a group
+    without rows gets nil."""
     value_order = np.argsort(source.tail, kind="stable")
     sorted_gids = gids[value_order]
-    out_positions = np.empty(ngroups, dtype=np.int64)
+    positions = np.full(ngroups, -1, dtype=np.int64)
     if func == "min":
-        seen = np.full(ngroups, -1, dtype=np.int64)
         for pos, gid in zip(value_order, sorted_gids):
-            if seen[gid] < 0:
-                seen[gid] = pos
-        out_positions = seen
+            if positions[gid] < 0:
+                positions[gid] = pos
     else:
         for pos, gid in zip(value_order, sorted_gids):
-            out_positions[gid] = pos
-    return source.fetch(out_positions)
+            positions[gid] = pos
+    empty = positions < 0
+    if not empty.any():
+        return source.fetch(positions)
+    tail = np.empty(ngroups, dtype=source.dtype.numpy_dtype)
+    tail[~empty] = source.tail[positions[~empty]]
+    tail[empty] = _encode_value(None, source.dtype)
+    return BAT(source.dtype, tail)

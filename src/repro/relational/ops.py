@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bat.bat import BAT
+from repro.bat.bat import BAT, DataType
 from repro.bat.kernels import Candidates, mask_to_candidates
 from repro.bat.sorting import order_by
 from repro.errors import RelationError, SchemaError
@@ -107,6 +107,8 @@ def distinct(relation: Relation) -> Relation:
                            for i in range(1, relation.nrows)], dtype=bool)
         else:
             eq = sorted_tail[1:] == sorted_tail[:-1]
+            if col.dtype is DataType.DBL:  # nil (NaN) equals nil here
+                eq |= np.isnan(sorted_tail[1:]) & np.isnan(sorted_tail[:-1])
         duplicate[1:] &= np.asarray(eq, dtype=bool)
     candidates = np.sort(order[~duplicate])
     return select_candidates(relation, candidates)

@@ -325,7 +325,7 @@ class Relation:
             if positions is not None:
                 positions = np.asarray(positions, dtype=np.int64)
                 info._positions = positions
-                if _is_identity(positions):
+                if is_identity(positions):
                     info._ranks = positions
             if is_key is not None:
                 info._is_key = bool(is_key)
@@ -413,7 +413,8 @@ class Relation:
         return "\n".join(lines)
 
 
-def _is_identity(positions: np.ndarray) -> bool:
+def is_identity(positions: np.ndarray) -> bool:
+    """Whether ``positions`` is ``0, 1, ..., len(positions) - 1``."""
     n = len(positions)
     return bool(n == 0 or (positions[0] == 0 and positions[-1] == n - 1
                            and np.array_equal(positions,

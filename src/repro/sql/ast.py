@@ -23,9 +23,32 @@ class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expr):
+    """A constant.
+
+    Equality and hash include the value's type: ``1``, ``1.0`` and
+    ``TRUE`` are equal in Python but type their expressions differently,
+    and plan caches and expression memos are keyed by these nodes.
+    Floats compare by bit pattern, so ``-0.0`` differs from ``0.0`` and
+    a NaN literal equals itself.
+    """
+
     value: Any  # int, float, str, bool, datetime.date/time, or None
+
+    def _key(self) -> tuple:
+        value = self.value
+        if isinstance(value, float):
+            value = value.hex()
+        return type(self.value), value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Literal):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_sql(self) -> str:
         if self.value is None:

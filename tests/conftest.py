@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.relational import Relation
+
+# ``pytest --hypothesis-profile=ci`` — CI's longer differential run;
+# tests/sql/test_sqlite_differential.py scales its examples by it.
+settings.register_profile("ci", deadline=None)
 
 
 @pytest.fixture

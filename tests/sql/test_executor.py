@@ -97,6 +97,40 @@ class TestJoins:
             "ON extra.name = u.User ORDER BY name")
         assert out.to_rows() == [("Ann", "CA"), ("Zoe", None)]
 
+    @pytest.fixture
+    def ab(self):
+        db = repro.connect()
+        db.register("a", Relation.from_columns(
+            {"k": [1, 2, 3], "s": ["x", "y", "z"]}))
+        db.register("b", Relation.from_columns(
+            {"k": [1, 1, 3], "y": [5.0, 7.0, 9.0], "w": ["p", "q", "r"]}))
+        return db
+
+    def test_left_join_empty_right_side(self, ab):
+        out = ab.execute(
+            "SELECT a.k, b.y, b.w FROM a LEFT JOIN "
+            "(SELECT * FROM b WHERE y > 100) AS b ON a.k = b.k")
+        assert out.to_rows() == [(1, None, None), (2, None, None),
+                                 (3, None, None)]
+
+    def test_left_join_residual_decides_matches(self, ab):
+        out = ab.execute(
+            "SELECT a.k, b.y FROM a LEFT JOIN b "
+            "ON a.k = b.k AND b.y > 5.5")
+        assert out.to_rows() == [(1, 7.0), (2, None), (3, 9.0)]
+
+    def test_left_join_residual_rejecting_every_pair(self, ab):
+        out = ab.execute(
+            "SELECT a.k, b.w FROM a LEFT JOIN b "
+            "ON a.k = b.k AND a.s = 'none'")
+        assert out.to_rows() == [(1, None), (2, None), (3, None)]
+
+    def test_left_join_residual_then_where(self, ab):
+        out = ab.execute(
+            "SELECT a.k FROM a LEFT JOIN b "
+            "ON a.k = b.k AND b.y > a.k + 5 WHERE b.y IS NULL")
+        assert out.to_rows() == [(2,)]
+
     def test_comma_join_with_predicate(self, session):
         out = session.execute(
             "SELECT u.User, Net FROM u, r "
