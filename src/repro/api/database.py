@@ -27,7 +27,8 @@ table versions + config cache tokens):
   return their memoized relations.
 
 ``Database(plan_cache=False)`` disables all three (the fully-uncached mode
-the ablation benchmarks' baselines measure).
+that replays a stream of statements as a reference, as rmabench's
+``sql_session`` check does).
 
 Configuration is session-scoped with per-call override:
 
@@ -167,8 +168,7 @@ class Database:
         self.config = config
         self.optimize_plans = optimize_plans
         # ``plan_cache=False`` disables ALL session caching (parse,
-        # statement-plan and result) — the fully-uncached mode the
-        # ablation baselines measure.
+        # statement-plan and result) — the fully-uncached reference mode.
         self._caching = not (plan_cache is False or plan_cache is None)
         if plan_cache is True:
             self.result_cache: PlanCache | None = PlanCache()

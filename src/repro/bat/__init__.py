@@ -36,11 +36,8 @@ view of INT columns — so repeated relational matrix operations over the
 same relation sort, validate and cast once instead of per call.
 
 The whole layer, in every module that uses it, sits behind one
-process-wide gate in :mod:`repro.bat.properties`.  Ablations and tests flip
-it with ``use_properties(flag)`` while no query runs; disabling it restores
-compute-from-scratch behaviour with bit-identical results.  The gate's
-value is part of ``RmaConfig.cache_token()``, so session caches never serve
-across a flip.
+process-wide gate in :mod:`repro.bat.properties`; disabling it restores
+compute-from-scratch behaviour with bit-identical results.
 """
 
 from repro.bat.bat import BAT, DataType, NIL_INT
@@ -51,7 +48,6 @@ from repro.bat.kernels import (
     materialize,
     thetaselect,
 )
-from repro.bat.properties import properties_enabled, use_properties
 from repro.bat.sorting import check_key, order_by
 from repro.bat.catalog import Catalog
 
@@ -67,6 +63,4 @@ __all__ = [
     "order_by",
     "check_key",
     "Catalog",
-    "properties_enabled",
-    "use_properties",
 ]

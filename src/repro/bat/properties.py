@@ -17,9 +17,9 @@ every property is recomputed from scratch on each use and no cache is read
 or written.  Results are bit-identical either way — only the work performed
 differs.
 
-The switch exists for ablations (``benchmarks/bench_ablation_properties.py``)
-and tests, which flip it with :func:`use_properties` while no query runs;
-it is not a configuration knob.  Its value is part of
+The switch exists for the tests that check this bit-identity, which flip
+it with :func:`use_properties` while no query runs; it is not a
+configuration knob.  Its value is part of
 :meth:`repro.core.config.RmaConfig.cache_token`, so a session's plan and
 result caches never serve an entry computed under the other setting.
 """
@@ -38,7 +38,7 @@ def properties_enabled() -> bool:
 
 @contextmanager
 def use_properties(enabled: bool):
-    """Scope the switch to a block (for ablations and tests)."""
+    """Scope the switch to a block (for the on/off identity tests)."""
     global _ENABLED
     previous = _ENABLED
     _ENABLED = bool(enabled)

@@ -24,10 +24,10 @@ class ParallelConfig:
 
     * ``enabled`` — master gate.  Off by default: the serial pipeline is
       the reference implementation and the parallel engine must be
-      bit-identical to it (the ablation and the doubled CI run assert
-      this).  The environment variable ``REPRO_PARALLEL`` (``1``/``true``/
-      ``on``) flips the *default* on, which is how CI forces the engine
-      through the whole tier-1 suite;
+      bit-identical to it (``tests/engine/test_parallel_identity.py``
+      and the doubled CI run assert this).  The environment variable
+      ``REPRO_PARALLEL`` (``1``/``true``/``on``) flips the *default* on,
+      which is how CI forces the engine through the whole tier-1 suite;
     * ``workers`` — the engine's degree of parallelism; ``0`` means one
       per CPU (``os.cpu_count()``).  ``REPRO_PARALLEL_WORKERS`` overrides
       the default.  An effective worker count of 1 short-circuits to the
@@ -93,20 +93,18 @@ class RmaConfig:
       relative-class element-wise operations (``add``/``sub``/``emu`` and
       the scalar variants) into one :class:`~repro.plan.nodes.FusedRma`
       node, executed as a single prepare/align/kernel-program/merge pass
-      with all intermediate relations elided.  On by default;
-      ``benchmarks/bench_ablation_fusion.py`` measures the ablation.
+      with all intermediate relations elided.  On by default.
     * ``parallel`` — the morsel-driven parallel engine
       (:class:`ParallelConfig`, see :mod:`repro.engine`): element-wise
       kernel programs, application-part gathers/float casts and
       independent subplan subtrees run partitioned across a shared worker
       pool.  Results are bit-identical to serial execution (a deterministic
       chunk-ordered merge reassembles morsel results).  Off by default;
-      the ``REPRO_PARALLEL`` environment variable flips the default on and
-      ``benchmarks/bench_ablation_parallel.py`` measures the ablation.
+      the ``REPRO_PARALLEL`` environment variable flips the default on.
 
     The physical-property layer (cached BAT properties and per-relation
     order caches) is not a field: its one gate is the process-wide switch
-    in :mod:`repro.bat.properties`, which only ablations and tests flip.
+    in :mod:`repro.bat.properties`, which only tests flip.
     """
 
     policy: BackendPolicy = field(default_factory=BackendPolicy)

@@ -56,8 +56,8 @@ plan               independent subplan subtrees — the two sides of a
 Everything is gated by ``RmaConfig.parallel`` (off by default; the
 ``REPRO_PARALLEL`` environment variable flips the default, which is how CI
 runs the whole tier-1 suite a second time under the parallel engine).
-``benchmarks/bench_ablation_parallel.py`` measures the ablation and
-asserts bit-identity between the two modes.
+``tests/engine/test_parallel_identity.py`` asserts bit-identity between
+the two modes.
 """
 
 from repro.engine.morsel import Morsel, partition, slice_columns

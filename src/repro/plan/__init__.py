@@ -54,10 +54,9 @@ Module map
     * **CSE** — structurally identical RMA/subquery subtrees execute once
       per statement; repeated subplans (``CPD(a,a)`` feeding both ``INV``
       and ``MMU``) hit the memo (``Executor.stats.cse_hits``).
-    * **Join strategy** — equi-joins whose inputs are provably sorted by
-      the join key (cached ``tsorted`` bits / FULL-sort RMA outputs /
-      lexicographically sorted composite keys) are marked ``merge`` and
-      binary-search the raw keys via
+    * **Join strategy** — single-key equi-joins whose inputs are provably
+      sorted by the join key (cached ``tsorted`` bits / FULL-sort RMA
+      outputs) are marked ``merge`` and binary-search the raw keys via
       :func:`repro.relational.joins.merge_join_positions`; runtime
       precondition re-checks fall back to the hash path (dense key codes
       and a counting probe, :func:`repro.relational.joins.join_positions`).
@@ -100,11 +99,6 @@ Module map
 
 The SQL package (:mod:`repro.sql`) is a thin front end: lexer, parser and
 AST.
-
-Ablations: ``benchmarks/bench_ablation_plan.py`` measures CSE +
-warm-order propagation (baseline ``BENCH_plan.json``);
-``benchmarks/bench_ablation_fusion.py`` measures element-wise fusion and
-the session plan cache (baseline ``BENCH_fusion.json``).
 """
 
 from repro.plan import nodes

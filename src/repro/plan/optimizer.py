@@ -71,7 +71,7 @@ def optimize(plan: nodes.Plan, catalog: Catalog,
 
     ``fuse`` gates the element-wise fusion rewrite
     (``RmaConfig.fuse_elementwise`` plumbs it through from both front
-    ends; the fusion ablation benchmark turns it off).
+    ends).
     """
     opt = Optimizer(catalog)
     plan = opt.rewrite(plan)

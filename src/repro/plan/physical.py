@@ -9,8 +9,9 @@ Two layers live here:
     sorted by, propagated through order-preserving operators (filters,
     limits, joins on their left side, projections of passthrough columns)
     and *established* by FULL-sort RMA nodes and ORDER BY;
-  - **join strategy**: equi-joins whose two inputs are already sorted by
-    the join key are marked ``merge`` and binary-search the raw key tails
+  - **join strategy**: single-key equi-joins whose two inputs are
+    already sorted by the join key are marked ``merge`` and binary-search
+    the raw key tails
     (:func:`repro.relational.joins.merge_join_positions`), skipping key
     encoding; everything else takes the hash path, which encodes the keys
     of both sides into shared dense codes (direct addressing for small
@@ -845,52 +846,28 @@ class _PhysicalPlanner:
                 equi.append((rref.name, lref.name))
             else:
                 return "hash"
-        if not equi:
-            # No equality conjunct at all (pure theta join): the executor
-            # runs cross + filter, so no merge strategy can apply.
+        if len(equi) != 1:
+            # No equality conjunct (a theta join runs as cross + filter) or
+            # a composite key: both take the hash path.
             return "hash"
         # The runtime merge path requires same-dtype raw-comparable keys
         # (STR excluded); only predict merge when the leaf column dtypes
         # prove eligibility, so EXPLAIN never claims a strategy the
         # executor would reject.
-        for lname, rname in equi:
-            ldtype = self._side_key_dtype(plan.left, lname)
-            rdtype = self._side_key_dtype(plan.right, rname)
-            if (ldtype is None or ldtype is not rdtype
-                    or ldtype not in rel_join.MERGE_TYPES):
-                return "hash"
-        if len(equi) == 1:
-            lname, rname = equi[0]
-            if (self._side_sorted_by(plan.left, lname)
-                    and self._side_sorted_by(plan.right, rname)):
-                return "merge"
+        (lname, rname), = equi
+        ldtype = self._side_key_dtype(plan.left, lname)
+        rdtype = self._side_key_dtype(plan.right, rname)
+        if (ldtype is None or ldtype is not rdtype
+                or ldtype not in rel_join.MERGE_TYPES):
             return "hash"
-        # Composite keys: the executor probes the keys in conjunct order,
-        # so both sides must be lexicographically sorted in exactly that
-        # column order.  Derived ordering metadata rarely proves more than
-        # a one-column prefix, so fall back to scanning the leaf columns
-        # (forced, like the single-key sortedness probe: the O(n·k) scan
-        # is worth it when it can save encoding both sides' keys).
-        lnames = tuple(l for l, _ in equi)
-        rnames = tuple(r for _, r in equi)
-        if (self._side_lex_sorted(plan.left, lnames)
-                and self._side_lex_sorted(plan.right, rnames)):
+        if (self._side_sorted_by(plan.left, lname)
+                and self._side_sorted_by(plan.right, rname)):
             return "merge"
         return "hash"
 
     def _side_key_dtype(self, plan: nodes.Plan, name: str):
-        # Walks the same order-preserving nodes as _probe_leaf so the
-        # dtype gate never rejects a side the sortedness probes could
-        # still prove (e.g. a Limit above a sorted scan in lazy plans).
-        node = plan
-        while isinstance(node, (nodes.Filter, nodes.Prune, nodes.Limit)):
-            if isinstance(node, nodes.Prune) and name not in node.names:
-                return None
-            node = node.children()[0]
-        relation = self._leaf_relation(node)
-        if relation is None or name not in relation.schema:
-            return None
-        return relation.schema.dtype(name)
+        relation = self._probe_leaf(plan, name)
+        return None if relation is None else relation.schema.dtype(name)
 
     def _side_sorted_by(self, plan: nodes.Plan, name: str) -> bool:
         ordering = self._order_of(plan)
@@ -899,34 +876,22 @@ class _PhysicalPlanner:
         # Fall back to the base scan's column: for join keys (only), the
         # O(n) sortedness check is worth forcing — it can save encoding
         # both sides' keys and the right side's code sort.
-        relation = self._probe_leaf(plan, (name,))
+        if not properties_enabled():
+            return False
+        relation = self._probe_leaf(plan, name)
         return relation is not None and relation.column(name).tsorted
 
-    def _side_lex_sorted(self, plan: nodes.Plan,
-                         names: tuple[str, ...]) -> bool:
-        ordering = self._order_of(plan)
-        if ordering[:len(names)] == names:
-            return True
-        relation = self._probe_leaf(plan, names)
-        return (relation is not None
-                and rel_join.relation_lex_sorted(relation, names))
-
-    def _probe_leaf(self, plan: nodes.Plan,
-                    names: tuple[str, ...]) -> Relation | None:
+    def _probe_leaf(self, plan: nodes.Plan, name: str) -> Relation | None:
         """The base relation behind order-preserving nodes, if it still
-        exposes all the given columns (sortedness of the base column
-        survives Filter/Limit subsetting and Prune projection)."""
-        if not properties_enabled():
-            return None
+        exposes the column (sortedness of the base column survives
+        Filter/Limit subsetting and Prune projection)."""
         node = plan
         while isinstance(node, (nodes.Filter, nodes.Prune, nodes.Limit)):
-            if isinstance(node, nodes.Prune) \
-                    and any(name not in node.names for name in names):
+            if isinstance(node, nodes.Prune) and name not in node.names:
                 return None
             node = node.children()[0]
         relation = self._leaf_relation(node)
-        if relation is None \
-                or any(name not in relation.schema for name in names):
+        if relation is None or name not in relation.schema:
             return None
         return relation
 
@@ -974,9 +939,8 @@ class Executor:
     """Evaluates logical plans against a catalog.
 
     ``physical`` carries the planner's annotations (join strategies); when
-    omitted every join uses the hash path.  ``cse`` toggles memoization of
-    repeated RMA/subquery subplans within one statement (on by default; the
-    plan-layer ablation benchmark turns it off for its baseline).
+    omitted every join uses the hash path.  Repeated RMA/subquery subplans
+    execute once per statement (CSE; ``stats.cse_hits`` counts the reuses).
     ``result_cache`` is an optional *session-scoped*
     :class:`repro.plan.cache.PlanCache`: shareable subplan results found
     there skip execution entirely, and freshly computed ones are stored for
@@ -985,12 +949,11 @@ class Executor:
     """
 
     def __init__(self, catalog: Catalog, config: RmaConfig | None = None,
-                 physical: PhysicalInfo | None = None, cse: bool = True,
+                 physical: PhysicalInfo | None = None,
                  result_cache: "PlanCache | None" = None):
         self.catalog = catalog
         self.config = config or default_config()
         self.physical = physical or PhysicalInfo()
-        self.cse = cse
         self.result_cache = result_cache
         self.stats = ExecStats()
         self._memo: dict[nodes.Plan, Relation] = {}
@@ -1026,7 +989,7 @@ class Executor:
 
     def _prerun_shared(self, plans: "Sequence[nodes.Plan]") -> None:
         """Materialize CSE-shared subtrees that span several siblings."""
-        if not self.cse or not self.physical.shared:
+        if not self.physical.shared:
             return
         per_sibling: list[set] = []
         for plan in plans:
@@ -1066,24 +1029,21 @@ class Executor:
 
     def _memoized_relation(self, key: nodes.Plan, compute) -> Relation:
         """Per-statement CSE memo plus the session-scoped result cache."""
-        if self.cse:
-            with self._lock:
-                relation = self._memo.get(key)
-            if relation is not None:
-                self._bump("cse_hits")
-                return relation
+        with self._lock:
+            relation = self._memo.get(key)
+        if relation is not None:
+            self._bump("cse_hits")
+            return relation
         if self.result_cache is not None:
             relation = self.result_cache.get(key, self.catalog, self.config)
             if relation is not None:
                 self._bump("cache_hits")
-                if self.cse:
-                    with self._lock:
-                        self._memo[key] = relation
+                with self._lock:
+                    self._memo[key] = relation
                 return relation
         relation = compute()
-        if self.cse:
-            with self._lock:
-                self._memo[key] = relation
+        with self._lock:
+            self._memo[key] = relation
         if self.result_cache is not None:
             self.result_cache.put(key, self.catalog, self.config, relation)
         return relation

@@ -172,129 +172,34 @@ def merge_join_positions(left_keys: Sequence[BAT],
         -> tuple[np.ndarray, np.ndarray]:
     """Sorted merge path of the equi-join, selected by the physical planner.
 
-    When both sides' key columns have the same raw-comparable types and are
-    already sorted — one column whose cached ``tsorted`` bit is set (O(1)
-    for base columns, O(n) once otherwise), or a composite key whose
-    columns are lexicographically sorted (one O(n·k) scan,
-    :func:`lex_sorted`) — matches come from two binary searches directly on
-    the raw tails, skipping the hash path's factorization (concatenating
-    and ranking both sides' key columns) and its right-side code sort
-    entirely.  Composite keys search over a structured-dtype view of
-    the tails, whose comparison order is exactly the lexicographic order of
-    the columns.
+    When both sides join on one key column of the same raw-comparable type
+    and both columns are already sorted (the cached ``tsorted`` bit: O(1)
+    for base columns, O(n) once otherwise), matches come from two binary
+    searches directly on the raw tails, skipping the hash path's
+    factorization (concatenating and ranking both sides' key columns) and
+    its right-side code sort entirely.
 
     The output position pairs are identical to :func:`join_positions`:
-    codes are order-isomorphic to raw values column by column, so the group
-    boundaries agree, and the sorted right side makes the stable argsort
-    the identity.  Preconditions are re-verified here at run time; when
-    they do not hold the call falls back to the hash path, so a planner
-    mis-prediction costs nothing but the check.
+    codes are order-isomorphic to raw values, so the group boundaries
+    agree, and the sorted right side makes the stable argsort the
+    identity.  Preconditions are re-verified here at run time; when they
+    do not hold (composite keys included) the call falls back to the hash
+    path, so a planner mis-prediction costs nothing but the check.
 
     STR keys stay on the hash path (nil ordering of object tails is not
-    total); DBL qualifies because its ``tsorted`` contract is nil-free and
-    :func:`lex_sorted` rejects NaN-carrying composites.
+    total); DBL qualifies because its ``tsorted`` contract is nil-free.
     """
-    if (properties_enabled() and left_keys
-            and len(left_keys) == len(right_keys)
-            and all(lc.dtype is rc.dtype and lc.dtype in MERGE_TYPES
-                    for lc, rc in zip(left_keys, right_keys))
-            and lex_sorted(left_keys) and lex_sorted(right_keys)):
+    if (properties_enabled() and len(left_keys) == len(right_keys) == 1
+            and left_keys[0].dtype is right_keys[0].dtype
+            and left_keys[0].dtype in MERGE_TYPES
+            and left_keys[0].tsorted and right_keys[0].tsorted):
         if how not in ("inner", "left"):
             raise RelationError(f"unsupported join type {how!r}")
-        if len(left_keys) == 1:
-            left_tail = left_keys[0].tail
-            right_tail = right_keys[0].tail
-        else:
-            left_tail = _composite_tail(left_keys)
-            right_tail = _composite_tail(right_keys)
+        left_tail, right_tail = left_keys[0].tail, right_keys[0].tail
         lo = np.searchsorted(right_tail, left_tail, side="left")
         hi = np.searchsorted(right_tail, left_tail, side="right")
         return _expand_matches(lo, hi - lo, None, how)
     return join_positions(left_keys, right_keys, how)
-
-
-def relation_lex_sorted(relation: Relation, names: Sequence[str]) -> bool:
-    """:func:`lex_sorted` memoized per ``(relation, attribute tuple)``.
-
-    The single-column case is already O(1) after the first probe (the
-    cached ``tsorted`` bit), and the strict-major / all-sorted / unsorted
-    composite shortcuts are too — but the ambiguous composite case
-    (sorted major *with* duplicates) used to re-pay the O(n·k) scan on
-    every multi-key merge-join probe.  The verdict now lives in the
-    relation's order cache (:meth:`repro.relational.relation.OrderInfo.
-    lex_sorted_memo`), keyed by the attribute tuple, so repeated probes —
-    the planner re-plans every statement — cost one dict lookup.  While
-    the property layer is disabled the memo is bypassed, keeping the
-    ablations honest.
-    """
-    if not properties_enabled():
-        return lex_sorted(relation.bats(names))
-    return relation.order_info(names).lex_sorted_memo(lex_sorted)
-
-
-def lex_sorted(bats: Sequence[BAT]) -> bool:
-    """Whether the columns are lexicographically sorted in raw-tail order.
-
-    For one column this is the cached ``tsorted`` bit (its contract already
-    excludes NaN for DBL).  Composite keys try two property-only
-    sufficient conditions first — a strictly increasing major column
-    (``tsorted`` + ``tkey``: ties never reach the minor columns) or all
-    columns sorted — so repeated probes over the same base columns are
-    O(1) after the bits are cached (the same shortcuts
-    :func:`repro.bat.sorting._already_ordered` uses).  Only the ambiguous
-    case (sorted major with duplicates) pays the vectorized O(n·k) scan:
-    a row pair is ordered iff the first differing column is increasing, so
-    the scan tracks which adjacent pairs are still tied and rejects on any
-    decrease among them.  DBL columns carrying NaN are rejected outright —
-    NaN compares false both ways, which would corrupt the tie tracking
-    (and binary search needs a total order).
-    """
-    if not bats:
-        return False
-    if len(bats) == 1:
-        return bats[0].tsorted
-    for bat in bats:
-        # Checked before the shortcuts: even with a strictly increasing
-        # major column, a NaN minor would break the composite binary
-        # search's total order.  tnonil is a cached bit, so this stays
-        # O(1) on repeated probes.
-        if bat.dtype is DataType.DBL and not bat.tnonil:
-            return False
-    first = bats[0]
-    if not first.tsorted:
-        # A lex-sorted composite needs a sorted major column; the cached
-        # bit makes repeated probes of unsorted data O(1).
-        return False
-    if first.tkey or all(b.tsorted for b in bats[1:]):
-        return True
-    n = len(bats[0])
-    if n < 2:
-        return True
-    undecided = np.ones(n - 1, dtype=bool)
-    for bat in bats:
-        a, b = bat.tail[:-1], bat.tail[1:]
-        if bool(np.any(undecided & (a > b))):
-            return False
-        undecided &= ~(a < b)
-        if not undecided.any():
-            return True
-    return True
-
-
-def _composite_tail(bats: Sequence[BAT]) -> np.ndarray:
-    """Pack key columns into a structured array ordered lexicographically.
-
-    numpy compares structured (void) scalars field by field in declaration
-    order, which makes ``searchsorted`` over the packed array equivalent to
-    a lexicographic multi-column binary search without materializing row
-    tuples as python objects.
-    """
-    dtype = np.dtype([(f"k{i}", bat.tail.dtype)
-                      for i, bat in enumerate(bats)])
-    out = np.empty(len(bats[0]), dtype=dtype)
-    for i, bat in enumerate(bats):
-        out[f"k{i}"] = bat.tail
-    return out
 
 
 def _expand_matches(lo: np.ndarray, counts: np.ndarray,

@@ -25,9 +25,7 @@ class OrderInfo:
 
     Everything is derived lazily from the (immutable) key BATs: the sort
     ``positions``, the inverse permutation ``ranks`` (relative sorting,
-    paper §8.1), whether the columns form a key (``is_key``), and — for
-    composite keys probed by the merge-join planner — whether the columns
-    are lexicographically sorted in storage order (``lex_sorted_memo``).
+    paper §8.1) and whether the columns form a key (``is_key``).
     Once a relation has computed an order it never computes it again — the
     paper's repeated-operation workloads hit the same order schema on
     every call.
@@ -39,15 +37,13 @@ class OrderInfo:
     The lock is re-entrant because ``is_key`` computes ``positions``.
     """
 
-    __slots__ = ("_bats", "_positions", "_ranks", "_is_key", "_lex_sorted",
-                 "_lock")
+    __slots__ = ("_bats", "_positions", "_ranks", "_is_key", "_lock")
 
     def __init__(self, bats: Sequence[BAT]):
         self._bats = list(bats)
         self._positions: np.ndarray | None = None
         self._ranks: np.ndarray | None = None
         self._is_key: bool | None = None
-        self._lex_sorted: bool | None = None
         self._lock = threading.RLock()
 
     @property
@@ -136,21 +132,6 @@ class OrderInfo:
             # check is a linear adjacent scan — never a second sort.
             verdict = check_key(self._bats, self.positions)
         return verdict
-
-    def lex_sorted_memo(self, compute) -> bool:
-        """Memoized lexicographic-sortedness verdict for these columns.
-
-        ``compute`` (:func:`repro.relational.joins.lex_sorted`, passed in
-        to avoid an import cycle) is invoked at most once per relation and
-        attribute tuple — the ambiguous sorted-with-duplicates-major case
-        pays its O(n·k) scan on the first probe only, like the single-key
-        ``tsorted`` bit.
-        """
-        if self._lex_sorted is None:
-            with self._lock:
-                if self._lex_sorted is None:
-                    self._lex_sorted = bool(compute(self._bats))
-        return self._lex_sorted
 
 
 class Relation:

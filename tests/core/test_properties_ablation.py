@@ -37,26 +37,40 @@ def _assert_identical(a: Relation, b: Relation) -> None:
             assert list(ca.tail) == list(cb.tail)
 
 
+def _renamed(n_rows: int, n_order: int, seed: int, prefix: str):
+    rel = order_heavy_relation(n_rows, n_order, seed=seed)
+    by = order_names(rel)
+    return (rename(rel, {name: f"{prefix}{name}" for name in by}),
+            [f"{prefix}{name}" for name in by])
+
+
 def _inputs(n_rows: int = 300, n_order: int = 3):
     r = order_heavy_relation(n_rows, n_order, seed=31)
-    by = order_names(r)
-    s = rename(order_heavy_relation(n_rows, n_order, seed=32),
-               {name: f"s_{name}" for name in by})
-    s_by = [f"s_{name}" for name in by]
-    return r, by, s, s_by
+    s, s_by = _renamed(n_rows, n_order, 32, "s_")
+    return r, order_names(r), s, s_by
+
+
+def _relative_runs(op: str):
+    """(result, repeated result, chained result): the chained step orders
+    the first result by its whole grown order schema, which the merge step
+    seeded when the layer is on."""
+    r, by, s, s_by = _inputs()
+    t, t_by = _renamed(300, 3, 33, "t_")
+    first = execute_rma(op, r, by, s, s_by, config=_config())
+    repeat = execute_rma(op, r, by, s, s_by, config=_config())
+    chained = execute_rma(op, first, by + s_by, t, t_by, config=_config())
+    return first, repeat, chained
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "emu"])
 def test_relative_ops_identical(op):
     with use_properties(True):
-        r, by, s, s_by = _inputs()
-        on = execute_rma(op, r, by, s, s_by, config=_config())
-        on_repeat = execute_rma(op, r, by, s, s_by, config=_config())
+        on, on_repeat, on_chained = _relative_runs(op)
     with use_properties(False):
-        r, by, s, s_by = _inputs()
-        off = execute_rma(op, r, by, s, s_by, config=_config())
+        off, _, off_chained = _relative_runs(op)
     _assert_identical(on, off)
     _assert_identical(on_repeat, off)  # cache hits change nothing
+    _assert_identical(on_chained, off_chained)
 
 
 @pytest.mark.parametrize("op", ["qqr", "rnk", "dsv"])

@@ -19,7 +19,6 @@ from repro.bat.bat import BAT, DataType
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
 from repro.plan.cache import PlanCache
-from repro.relational.joins import lex_sorted, relation_lex_sorted
 from repro.relational.relation import Relation
 
 N_THREADS = 8
@@ -88,38 +87,6 @@ class TestOrderCache:
         rel = shuffled_relation()
         infos = hammer(lambda: rel.order_info(("grp", "key")))
         assert all(info is infos[0] for info in infos[1:])
-
-    def test_lex_memo_computed_exactly_once(self):
-        import repro.relational.joins as joins_module
-        n = 2_000
-        major = np.sort(np.arange(n, dtype=np.int64) // 4)
-        minor = np.arange(n, dtype=np.int64) % 4
-        rel = Relation.from_columns({"a": major, "b": minor,
-                                     "v": np.ones(n)})
-        # Ambiguous case: sorted major with duplicates pays the O(n·k)
-        # scan — the memo must pay it once per (relation, tuple).
-        calls = []
-        real = joins_module.lex_sorted
-
-        def counting(bats):
-            calls.append(1)
-            return real(bats)
-
-        verdicts = hammer(
-            lambda: rel.order_info(("a", "b")).lex_sorted_memo(counting))
-        assert all(v is True for v in verdicts)
-        assert calls == [1]
-
-    def test_relation_lex_sorted_matches_uncached(self):
-        n = 1_000
-        major = np.sort(np.arange(n, dtype=np.int64) // 3)
-        minor = (np.arange(n, dtype=np.int64) * 7) % 5
-        rel = Relation.from_columns({"a": major, "b": minor,
-                                     "v": np.ones(n)})
-        expected = lex_sorted(rel.bats(["a", "b"]))
-        assert relation_lex_sorted(rel, ("a", "b")) == expected
-        # Second probe comes from the relation's order cache.
-        assert rel.cached_order_info(("a", "b"))._lex_sorted == expected
 
 
 class TestBatCaches:

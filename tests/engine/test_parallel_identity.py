@@ -167,6 +167,24 @@ class TestTable2Ops:
                                config=parallel_config(2, 1))
         assert identical(serial, parallel)
 
+        # mmu and cpd over INT keys and columns, each mode on fresh
+        # relations, so the casts, key checks and gathers all run cold.
+        def int_relation(n_rows, key, seed):
+            rng = np.random.default_rng(seed)
+            data = {key: np.arange(n_rows, dtype=np.int64)}
+            for j in range(4):
+                data[f"c{j}"] = rng.integers(0, 1_000, n_rows)
+            return Relation.from_columns(data)
+
+        for op, other_rows, other_key in (("mmu", 4, "w"),
+                                          ("cpd", 300, "id2")):
+            results = [execute_rma(op, int_relation(300, "id", 1), "id",
+                                   int_relation(other_rows, other_key, 2),
+                                   other_key, config=config)
+                       for config in (serial_config(),
+                                      parallel_config(2, 1))]
+            assert identical(*results), op
+
     def test_sparse_add_routing_matches(self):
         # Mostly-zero columns take the BAT backend's sparse path; the
         # chunked kernel must reproduce its routing (decided on the full

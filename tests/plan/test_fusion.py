@@ -438,9 +438,18 @@ class TestSqlFusion:
 
     def test_eager_chain_matches_lazy_fused(self):
         r0, r1, r2 = (chain_relation(i) for i in range(3))
-        t1 = add(r0, "k0", r1, "k1")
-        t2 = sub(t1, ("k0", "k1"), r2, "k2")
-        eager = smul(t2, ("k0", "k1", "k2"), 2.0)
-        m0, m1, m2 = matrices(r0, r1, r2)
-        lazy = (2.0 * (m0 + m1 - m2)).collect()
-        assert relations_equal(eager, lazy)
+        for config in (RmaConfig(), RmaConfig(validate_keys=False)):
+            t1 = add(r0, "k0", r1, "k1", config=config)
+            t2 = sub(t1, ("k0", "k1"), r2, "k2", config=config)
+            eager = smul(t2, ("k0", "k1", "k2"), 2.0, config=config)
+            # Cold on a session without caches, then repeated on a caching
+            # session, whose second collect is served from the cache.
+            m0, m1, m2 = matrices(r0, r1, r2)
+            assert relations_equal(
+                eager, (2.0 * (m0 + m1 - m2)).collect(config=config))
+            db = repro.connect(config=config)
+            m0, m1, m2 = matrices(r0, r1, r2, db=db)
+            expr = 2.0 * (m0 + m1 - m2)
+            expr.collect()
+            assert relations_equal(eager, expr.collect())
+            assert db.last_stats.cache_hits >= 1

