@@ -22,14 +22,14 @@ and morsel-parallel execution regardless of which surface it was written
 against.  The module-level eager functions ``repro.rma.*`` run one
 operation immediately on the same RMA pipeline the executor uses.
 
-Modules: :mod:`repro.api.database` (Database/connect, config scoping),
+Modules: :mod:`repro.api.database` (Database/connect),
 :mod:`repro.api.matrix` (the expression handle, op methods generated from
 :mod:`repro.opspec`), :mod:`repro.api.inference` (order/application schema
 inference for chaining), :mod:`repro.api.eager` (the one-op adapter behind
 ``repro.rma.*``).
 """
 
-from repro.api.database import Database, connect, derive_config
+from repro.api.database import Database, connect
 from repro.api.matrix import Matrix
 
-__all__ = ["connect", "Database", "Matrix", "derive_config"]
+__all__ = ["connect", "Database", "Matrix"]

@@ -30,23 +30,25 @@ table versions + config cache tokens):
 that replays a stream of statements as a reference, as rmabench's
 ``sql_session`` check does).
 
-Configuration is session-scoped with per-call override:
+A session has one configuration, an :class:`~repro.core.config.RmaConfig`
+(``None`` means the process default).  Set it when connecting or by
+assigning ``db.config``; ``Matrix.collect(config=...)`` and
+``Matrix.explain(config=...)`` replace it for one call:
 
->>> db = connect()
->>> db.configure(validate_keys=False)          # persistent for the session
->>> with db.configure(parallel=True):          # scoped to the block
-...     m.collect()
->>> m.collect(fuse_elementwise=False)          # this call only
+>>> db = connect(config=RmaConfig(validate_keys=False))
+>>> db.config = RmaConfig(parallel=ParallelConfig(enabled=True))
+>>> m.collect(config=RmaConfig())              # this call only
+
+Plans are always optimized, element-wise fusion included.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Optional, Sequence
 
 from repro.bat.bat import DataType
 from repro.bat.catalog import Catalog
-from repro.core.config import ParallelConfig, RmaConfig, default_config
+from repro.core.config import RmaConfig, default_config
 from repro.errors import BindError, PlanError, SqlError
 from repro.plan import nodes
 from repro.plan.build import build_select
@@ -79,42 +81,6 @@ _TYPE_NAMES = {
     "BOOLEAN": DataType.BOOL, "BOOL": DataType.BOOL,
 }
 
-_CONFIG_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(RmaConfig) if f.name != "parallel")
-_PARALLEL_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(ParallelConfig) if f.name != "enabled")
-
-
-def derive_config(base: RmaConfig, overrides: dict) -> RmaConfig:
-    """A copy of ``base`` with configuration knobs patched.
-
-    Accepts every :class:`RmaConfig` field by name, plus ``parallel`` as a
-    bool (toggling the engine while keeping the sizing knobs) or a full
-    :class:`ParallelConfig`, and the engine's sizing knobs ``workers`` /
-    ``min_morsel_rows`` directly.  Unknown knobs raise ``TypeError`` — a
-    typo must not silently configure nothing.
-    """
-    overrides = dict(overrides)
-    parallel = base.parallel
-    if "parallel" in overrides:
-        value = overrides.pop("parallel")
-        if isinstance(value, ParallelConfig):
-            parallel = value
-        else:
-            parallel = dataclasses.replace(parallel, enabled=bool(value))
-    for knob in _PARALLEL_FIELDS:
-        if knob in overrides:
-            parallel = dataclasses.replace(
-                parallel, **{knob: overrides.pop(knob)})
-    unknown = set(overrides) - _CONFIG_FIELDS
-    if unknown:
-        raise TypeError(
-            f"unknown configuration knob(s): {', '.join(sorted(unknown))}; "
-            f"known: parallel, {', '.join(sorted(_PARALLEL_FIELDS))}, "
-            f"{', '.join(sorted(_CONFIG_FIELDS))}")
-    return dataclasses.replace(base, parallel=parallel, **overrides)
-
-
 def _scans_in_memory_relations(plan: nodes.Plan) -> bool:
     """Whether any leaf is a ``RelScan`` (id-deduplicated walk, DAG-safe:
     expression plans share subtree objects, e.g. a Gram matrix used on
@@ -131,25 +97,6 @@ def _scans_in_memory_relations(plan: nodes.Plan) -> bool:
     return False
 
 
-class _ConfigScope:
-    """Handle returned by :meth:`Database.configure`.
-
-    The configuration change is applied immediately (session-scoped); used
-    as a context manager, leaving the ``with`` block restores the previous
-    configuration, turning the same call into a scoped override.
-    """
-
-    def __init__(self, db: "Database", previous: Optional[RmaConfig]):
-        self._db = db
-        self._previous = previous
-
-    def __enter__(self) -> "Database":
-        return self._db
-
-    def __exit__(self, *exc_info) -> None:
-        self._db.config = self._previous
-
-
 class Database:
     """A connection-like object bound to a catalog (see module docstring).
 
@@ -162,11 +109,9 @@ class Database:
 
     def __init__(self, catalog: Catalog | None = None,
                  config: RmaConfig | None = None,
-                 optimize_plans: bool = True,
                  plan_cache: "bool | PlanCache" = True):
         self.catalog = catalog or Catalog()
         self.config = config
-        self.optimize_plans = optimize_plans
         # ``plan_cache=False`` disables ALL session caching (parse,
         # statement-plan and result) — the fully-uncached reference mode.
         self._caching = not (plan_cache is False or plan_cache is None)
@@ -179,7 +124,7 @@ class Database:
         self.last_stats = None  # ExecStats of the most recent execution
         self._statements: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
         # Select AST or expression Plan -> (optimized plan, physical info,
-        # stamps, config token, optimize_plans)
+        # stamps, config token)
         self._select_plans: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
 
     # -- catalog helpers -------------------------------------------------------
@@ -195,33 +140,6 @@ class Database:
     def tables(self) -> list[str]:
         """The catalog's table names, sorted."""
         return self.catalog.names()
-
-    # -- configuration ---------------------------------------------------------
-
-    def _effective_config(self) -> RmaConfig:
-        return self.config or default_config()
-
-    def configure(self, config: RmaConfig | None = None,
-                  **knobs) -> _ConfigScope:
-        """Set session configuration; usable as a context manager.
-
-        ``db.configure(validate_keys=False)`` patches the session config in
-        place (starting from the current effective configuration);
-        ``with db.configure(parallel=True): ...`` restores the previous
-        configuration when the block exits.  ``config=`` replaces the whole
-        configuration before the knobs apply.  Plans and cached results
-        produced under other settings are revalidated via config cache
-        tokens, never served stale.
-        """
-        previous = self.config
-        base = config or self._effective_config()
-        self.config = derive_config(base, knobs) if knobs else base
-        return _ConfigScope(self, previous)
-
-    def _call_config(self, config: Optional[RmaConfig],
-                     overrides: dict) -> RmaConfig:
-        base = config or self._effective_config()
-        return derive_config(base, overrides) if overrides else base
 
     # -- the matrix-expression surface ----------------------------------------
 
@@ -303,7 +221,7 @@ class Database:
         to 256 generations of dead input data.  The result cache still
         serves their repeated subplan results.
         """
-        config = config or self._effective_config()
+        config = config or self.config or default_config()
         is_sql = isinstance(source, ast.Select)
         key = None
         if self._caching and (is_sql
@@ -311,30 +229,27 @@ class Database:
             key = source
             entry = self._select_plans.lookup(key)
             if entry is not None:
-                planned, info, stamps, entry_token, entry_optimize = entry
+                planned, info, stamps, entry_token = entry
                 if (entry_token == config.cache_token()
-                        and entry_optimize == self.optimize_plans
                         and all(self.catalog.table_version(name) == version
                                 for name, version in stamps)):
                     return planned, info
                 self._select_plans.discard(key)
         planned = build_select(source) if is_sql else source
-        if self.optimize_plans:
-            planned = optimize(planned, self.catalog, keep_all=not is_sql,
-                               fuse=config.fuse_elementwise)
+        planned = optimize(planned, self.catalog, keep_all=not is_sql)
         info = plan_physical(planned, self.catalog)
         if key is not None:
             self._select_plans.store(
                 key,
                 (planned, info, catalog_stamps(planned, self.catalog),
-                 config.cache_token(), self.optimize_plans))
+                 config.cache_token()))
         return planned, info
 
     def _run(self, source: "ast.Select | nodes.Plan",
              config: Optional[RmaConfig] = None) -> Relation:
         """Plan (see :meth:`_plan`) and execute a query; the one place a
         plan :class:`~repro.plan.physical.Executor` is constructed."""
-        config = config or self._effective_config()
+        config = config or self.config or default_config()
         planned, info = self._plan(source, config)
         executor = Executor(self.catalog, config, physical=info,
                             result_cache=self.result_cache)
@@ -453,7 +368,6 @@ class Database:
 
 def connect(catalog: Catalog | None = None,
             config: RmaConfig | None = None,
-            optimize_plans: bool = True,
             plan_cache: "bool | PlanCache" = True) -> Database:
     """Open a :class:`Database` — the library's front door.
 
@@ -463,5 +377,4 @@ def connect(catalog: Catalog | None = None,
     >>> m = db.matrix("rating", by="User")
     >>> beta = (m.inv() @ m).collect()
     """
-    return Database(catalog=catalog, config=config,
-                    optimize_plans=optimize_plans, plan_cache=plan_cache)
+    return Database(catalog=catalog, config=config, plan_cache=plan_cache)

@@ -336,30 +336,24 @@ class Matrix:
 
     # -- execution ----------------------------------------------------------
 
-    def collect(self, config: Optional[RmaConfig] = None,
-                **overrides) -> Relation:
+    def collect(self, config: Optional[RmaConfig] = None) -> Relation:
         """Optimize, plan and execute the expression; returns the relation.
 
         Runs on the owning database's executor with its session-scoped
         caches (statement-plan and subplan-result).  ``config`` replaces
-        the session configuration for this call; keyword overrides patch
-        individual knobs (``validate_keys=False``, ``parallel=True``,
-        ``fuse_elementwise=False``, ...) on top of it — the same knobs
-        :meth:`repro.api.database.Database.configure` accepts.
+        the session configuration (``Database.config``) for this call
+        only.
         """
-        return self._db._run(self._plan,
-                             self._db._call_config(config, overrides))
+        return self._db._run(self._plan, config)
 
-    def explain(self, config: Optional[RmaConfig] = None,
-                **overrides) -> str:
+    def explain(self, config: Optional[RmaConfig] = None) -> str:
         """The optimized plan with physical annotations, as text.
 
         Fused element-wise chains show up as one ``FusedRma`` node;
-        repeated subexpressions are annotated ``shared xN``.
+        repeated subexpressions are annotated ``shared xN``.  ``config``
+        replaces the session configuration for this call only.
         """
-        planned, info = self._db._plan(
-            self._plan, self._db._call_config(config, overrides))
-        return "\n".join(explain_lines(planned, info))
+        return "\n".join(explain_lines(*self._db._plan(self._plan, config)))
 
 
 def _select_item(item: "str | Col | ast.Expr") -> ast.SelectItem:

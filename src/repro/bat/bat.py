@@ -61,11 +61,6 @@ class DataType(enum.Enum):
         """Whether values of this type may appear in an application schema."""
         return self in (DataType.INT, DataType.DBL)
 
-    @property
-    def is_orderable(self) -> bool:
-        """Whether values of this type may appear in an order schema."""
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DataType.{self.name}"
 

@@ -22,11 +22,6 @@ Candidates = np.ndarray
 """Sorted int64 array of selected tail positions."""
 
 
-def all_candidates(n: int) -> Candidates:
-    """Candidate list selecting every row of an n-row relation."""
-    return np.arange(n, dtype=np.int64)
-
-
 _ARITH_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "+": np.add,
     "-": np.subtract,

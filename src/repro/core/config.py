@@ -89,11 +89,6 @@ class RmaConfig:
     * ``validate_keys`` — verify that order schemas form keys.  This is the
       safe default; benchmarks that reproduce the paper's timings disable it
       (MonetDB relies on declared key constraints instead of re-checking);
-    * ``fuse_elementwise`` — let the plan optimizer collapse chains of
-      relative-class element-wise operations (``add``/``sub``/``emu`` and
-      the scalar variants) into one :class:`~repro.plan.nodes.FusedRma`
-      node, executed as a single prepare/align/kernel-program/merge pass
-      with all intermediate relations elided.  On by default.
     * ``parallel`` — the morsel-driven parallel engine
       (:class:`ParallelConfig`, see :mod:`repro.engine`): element-wise
       kernel programs, application-part gathers/float casts and
@@ -102,15 +97,18 @@ class RmaConfig:
       chunk-ordered merge reassembles morsel results).  Off by default;
       the ``REPRO_PARALLEL`` environment variable flips the default on.
 
-    The physical-property layer (cached BAT properties and per-relation
-    order caches) is not a field: its one gate is the process-wide switch
+    These four fields are the whole configuration of a session: set them
+    at ``connect(config=)`` or by assigning ``db.config``, or replace them
+    for one call with ``Matrix.collect(config=)``.  Plan optimization and
+    element-wise fusion are not fields; they always run.  The
+    physical-property layer (cached BAT properties and per-relation order
+    caches) is not a field either: its one gate is the process-wide switch
     in :mod:`repro.bat.properties`, which only tests flip.
     """
 
     policy: BackendPolicy = field(default_factory=BackendPolicy)
     optimize_sorting: bool = True
     validate_keys: bool = True
-    fuse_elementwise: bool = True
     parallel: ParallelConfig = field(default_factory=ParallelConfig.from_env)
 
     def cache_token(self) -> tuple:
@@ -122,14 +120,13 @@ class RmaConfig:
         every semantic input (all flags plus the policy's type and
         decision inputs), so in-place mutation is caught while
         equal-valued configs — e.g. a fresh ``RmaConfig()`` per
-        ``collect(cache=...)`` call — keep hitting.  It also carries the
+        ``collect(config=...)`` call — keep hitting.  It also carries the
         property-layer gate (:func:`~repro.bat.properties.properties_enabled`,
         not a config field), so an entry cached with the layer on is never
         served with it off.
         """
         return (self.optimize_sorting, self.validate_keys,
-                properties_enabled(),
-                self.fuse_elementwise, self.parallel.token(),
+                properties_enabled(), self.parallel.token(),
                 type(self.policy).__qualname__,
                 self.policy.prefer, self.policy.memory_limit_bytes)
 

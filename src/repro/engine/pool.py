@@ -58,15 +58,6 @@ def _get_pool() -> ThreadPoolExecutor:
     return pool
 
 
-def shutdown_pool() -> None:
-    """Tear down the shared pool (tests; a later call recreates it)."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-            _POOL = None
-
-
 def in_worker() -> bool:
     """Whether the current thread is a pool worker (nested work inlines)."""
     return getattr(_TLS, "worker", False)

@@ -13,7 +13,6 @@ import ctypes
 import functools
 import time
 from contextlib import contextmanager
-from typing import Sequence
 
 import numpy as np
 
@@ -191,14 +190,3 @@ class MklBackend:
             _, _, vt = np.linalg.svd(a, full_matrices=False)
             return vt.T.copy()
         raise LinAlgError(f"unhandled operation {op!r}")  # pragma: no cover
-
-
-def compute_dense(op: str, a: Sequence[Sequence[float]],
-                  b: Sequence[Sequence[float]] | None = None) -> np.ndarray:
-    """Reference helper for tests: run a kernel on dense array inputs."""
-    backend = MklBackend()
-    from repro.linalg.matrix import as_columns, columns_to_dense
-    cols_a = as_columns(np.asarray(a, dtype=np.float64))
-    cols_b = (as_columns(np.asarray(b, dtype=np.float64))
-              if b is not None else None)
-    return columns_to_dense(backend.compute(op, cols_a, cols_b))

@@ -78,6 +78,3 @@ class BackendPolicy:
         if self.dense_bytes(op, shape_a, shape_b) > self.memory_limit_bytes:
             return self.bat
         return self.mkl
-
-    def reset_stats(self) -> None:
-        self.mkl.stats.reset()

@@ -26,14 +26,6 @@ class TransformStats:
     bytes_out: int = 0
     calls: int = 0
 
-    def reset(self) -> None:
-        self.copy_in_seconds = 0.0
-        self.copy_out_seconds = 0.0
-        self.kernel_seconds = 0.0
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.calls = 0
-
     @property
     def transform_seconds(self) -> float:
         return self.copy_in_seconds + self.copy_out_seconds
@@ -48,16 +40,6 @@ class TransformStats:
         if total == 0.0:
             return 0.0
         return self.transform_seconds / total
-
-    def merged(self, other: "TransformStats") -> "TransformStats":
-        return TransformStats(
-            self.copy_in_seconds + other.copy_in_seconds,
-            self.copy_out_seconds + other.copy_out_seconds,
-            self.kernel_seconds + other.kernel_seconds,
-            self.bytes_in + other.bytes_in,
-            self.bytes_out + other.bytes_out,
-            self.calls + other.calls,
-        )
 
 
 def to_dense(columns: Sequence[np.ndarray],

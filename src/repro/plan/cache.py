@@ -45,6 +45,7 @@ from repro.bat.catalog import Catalog
 from repro.plan import nodes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import RmaConfig
     from repro.relational.relation import Relation
 
 Stamps = tuple[tuple[str, Optional[int]], ...]
@@ -105,17 +106,6 @@ class LruDict(OrderedDict):
     def discard(self, key) -> None:
         with self._lock:
             self.pop(key, None)
-
-
-def _config_token(config):
-    """The config's cache token (see :meth:`RmaConfig.cache_token`).
-
-    Duck-typed configs without ``cache_token`` fall back to the object
-    itself: storing it in the entry pins it alive, so the comparison is a
-    true identity check — never a recycled ``id()`` of a collected
-    object."""
-    token = getattr(config, "cache_token", None)
-    return token() if callable(token) else config
 
 
 _STR_PAYLOAD_SAMPLE = 64
@@ -190,7 +180,7 @@ def _weak_key(plan: nodes.Plan) -> tuple[nodes.Plan, list["Relation"]]:
 class _Entry:
     relation: "Relation"
     stamps: Stamps
-    config_token: object
+    config_token: tuple
     catalog: Catalog | None  # pinned only when stamps reference tables
     bytes: int = 0
     # One per RelScan leaf: reports the key dead when the leaf is collected.
@@ -246,7 +236,7 @@ class PlanCache:
             return self._bytes
 
     def get(self, plan: nodes.Plan, catalog: Catalog,
-            config: object) -> "Relation | None":
+            config: "RmaConfig") -> "Relation | None":
         """The cached result for a subplan, or None.
 
         Truly stale entries (catalog version mismatch on any scanned
@@ -264,7 +254,7 @@ class PlanCache:
                 self.misses += 1
                 return None
             if ((entry.stamps and entry.catalog is not catalog)
-                    or entry.config_token != _config_token(config)):
+                    or entry.config_token != config.cache_token()):
                 # Version stamps only identify tables *within* one
                 # catalog, and results depend on config values — but such
                 # an entry is not stale for its own catalog/config, so it
@@ -280,12 +270,12 @@ class PlanCache:
             self.hits += 1
             return entry.relation
 
-    def put(self, plan: nodes.Plan, catalog: Catalog, config: object,
+    def put(self, plan: nodes.Plan, catalog: Catalog, config: "RmaConfig",
             relation: "Relation") -> None:
         """Store a subplan result stamped with current table versions."""
         stamps = catalog_stamps(plan, catalog)
         key, leaves = _weak_key(plan)
-        entry = _Entry(relation, stamps, _config_token(config),
+        entry = _Entry(relation, stamps, config.cache_token(),
                        catalog if stamps else None,
                        bytes=relation_bytes(relation))
         with self._lock:

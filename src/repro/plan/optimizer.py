@@ -1,6 +1,6 @@
 """Rule-based logical optimizer over the shared plan IR.
 
-Three rewrites, mirroring what MonetDB's pipeline gives the paper's mixed
+Four rewrites, mirroring what MonetDB's pipeline gives the paper's mixed
 workloads for free (and what R lacks, §8.6):
 
 1. **Predicate pushdown** — WHERE conjuncts move below joins to the deepest
@@ -57,7 +57,7 @@ def ref_matches(ref: ast.ColumnRef, names: set[tuple]) -> bool:
 
 
 def optimize(plan: nodes.Plan, catalog: Catalog,
-             keep_all: bool = False, fuse: bool = True) -> nodes.Plan:
+             keep_all: bool = False) -> nodes.Plan:
     """Apply all rewrite rules bottom-up.
 
     ``keep_all`` keeps the *root's* full output: SQL plans always end in a
@@ -69,9 +69,9 @@ def optimize(plan: nodes.Plan, catalog: Catalog,
     the root's output schema cannot be derived (dynamic-schema RMA) is
     pruning skipped entirely.
 
-    ``fuse`` gates the element-wise fusion rewrite
-    (``RmaConfig.fuse_elementwise`` plumbs it through from both front
-    ends).
+    Element-wise fusion always runs last.  A chain that cannot fuse at
+    run time replays step by step (``Executor._replay_unfused``); tests
+    check fused plans against the built plan run unoptimized.
     """
     opt = Optimizer(catalog)
     plan = opt.rewrite(plan)
@@ -81,9 +81,7 @@ def optimize(plan: nodes.Plan, catalog: Catalog,
     else:
         needed = set()
     plan = opt.prune_columns(plan, needed)
-    if fuse:
-        plan = opt.fuse_elementwise(plan)
-    return plan
+    return opt.fuse_chains(plan)
 
 
 class Optimizer:
@@ -388,7 +386,7 @@ class Optimizer:
 
     # -- rule 4: element-wise fusion ---------------------------------------------
 
-    def fuse_elementwise(self, plan: nodes.Plan) -> nodes.Plan:
+    def fuse_chains(self, plan: nodes.Plan) -> nodes.Plan:
         """Collapse compatible element-wise RMA chains into FusedRma nodes."""
         counts = _reference_counts(plan)
         memo: dict[int, nodes.Plan] = {}

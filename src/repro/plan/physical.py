@@ -46,6 +46,7 @@ their seeded order caches all the way to the user (or the next operation).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import threading
@@ -343,14 +344,14 @@ class Frame:
 
 # -- expression evaluation -------------------------------------------------------
 
-_LIKE_CACHE: dict[str, re.Pattern] = {}
+_MAX_LIKE_PATTERNS = 256
+"""Compiled LIKE patterns kept per process (least recently used go)."""
 
 
+@functools.lru_cache(maxsize=_MAX_LIKE_PATTERNS)
 def _like_pattern(pattern: str) -> re.Pattern:
-    if pattern not in _LIKE_CACHE:
-        regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-        _LIKE_CACHE[pattern] = re.compile(f"^{regex}$", re.IGNORECASE)
-    return _LIKE_CACHE[pattern]
+    regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
+    return re.compile(f"^{regex}$", re.IGNORECASE)
 
 
 def _as_mask(value: Any, n: int) -> np.ndarray:
@@ -912,6 +913,29 @@ def _contains_join(plan: nodes.Plan) -> bool:
     return False
 
 
+def _filter_key(plan: nodes.Filter):
+    """Key of the statement-scoped candidate list of a Filter directly
+    over a table or relation scan, or ``None``.
+
+    Filters with the same predicate over the same leaf share one
+    candidate list whatever their ``Prune`` lists and aliases: column
+    references lose their qualifier (``Executor._candidate_key`` first
+    checks that they resolve).
+    """
+    leaf = plan.child
+    while isinstance(leaf, nodes.Prune):
+        leaf = leaf.child
+    if isinstance(leaf, nodes.Scan):
+        source = leaf.table
+    elif isinstance(leaf, nodes.RelScan):
+        source = leaf.relation
+    else:
+        return None
+    refs = nodes.column_refs(plan.predicate)
+    return source, nodes.replace_expr(
+        plan.predicate, {ref: ast.ColumnRef(ref.name) for ref in refs})
+
+
 def _cse_key(plan: nodes.Plan) -> nodes.Plan:
     """Normalize a shareable node for memoization (strip the top alias)."""
     if isinstance(plan, nodes.Rma):
@@ -974,11 +998,10 @@ class Executor:
 
         Siblings sharing a CSE key (structurally identical up to alias)
         stay serial so the second occurrence hits the CSE memo instead of
-        racing the first to compute the same subtree twice.  Shared
-        subtrees *below* distinct siblings (the planner's CSE annotation
-        knows them) are computed once up front, so the concurrent
-        siblings find them in the memo rather than each recomputing the
-        diamond.
+        racing the first to compute the same subtree twice.  Work shared
+        *below* distinct siblings is done once up front
+        (:meth:`_prerun_shared`), so the concurrent siblings find it
+        rather than each recomputing it.
         """
         if (len(plans) > 1 and self.config.parallel.active()
                 and not in_worker()
@@ -988,35 +1011,43 @@ class Executor:
         return [self.run(p) for p in plans]
 
     def _prerun_shared(self, plans: "Sequence[nodes.Plan]") -> None:
-        """Materialize CSE-shared subtrees that span several siblings."""
-        if not self.physical.shared:
-            return
-        per_sibling: list[set] = []
-        for plan in plans:
-            keys = set()
-            for node in nodes.walk_plan(plan):
-                if isinstance(node, (nodes.Rma, nodes.FusedRma,
-                                     nodes.SubqueryScan)):
-                    key = _cse_key(node)
-                    if key in self.physical.shared:
-                        keys.add(key)
-            per_sibling.append(keys)
+        """Run the work that occurs in several siblings, once.
+
+        That is CSE-shared subtrees (the planner's annotation knows them)
+        and Filters sharing a candidate list (:func:`_filter_key`).  It
+        runs on the calling thread before the siblings fan out, so no
+        sibling waits on another.
+        """
+        per_sibling = [self._shareable(plan) for plan in plans]
         seen: set = set()
-        spanning = []
-        for i, keys in enumerate(per_sibling):
-            for key in keys:
+        for i, work in enumerate(per_sibling):
+            for key, run in work.items():
                 if key not in seen and any(
                         key in other for other in per_sibling[i + 1:]):
-                    spanning.append(key)
+                    run()
                 seen.add(key)
-        for key in spanning:
-            if isinstance(key, (nodes.Rma, nodes.FusedRma)):
-                # Normalized nodes are themselves runnable; running them
-                # populates the memo under exactly this key.
-                self.run(key)
-            else:
-                self._memoized_relation(
-                    key, lambda k=key: self.run(k).to_plain_relation())
+
+    def _shareable(self, plan: nodes.Plan) -> dict:
+        """Work in ``plan`` that a sibling may repeat: key -> thunk."""
+        work: dict = {}
+        for node in nodes.walk_plan(plan):
+            if isinstance(node, nodes.Filter):
+                key = _filter_key(node)
+                if key is not None:
+                    work.setdefault(key, lambda n=node: self.run(n))
+            elif isinstance(node, (nodes.Rma, nodes.FusedRma)):
+                key = _cse_key(node)
+                if key in self.physical.shared:
+                    # Normalized nodes are themselves runnable; running
+                    # them populates the memo under exactly this key.
+                    work.setdefault(key, lambda k=key: self.run(k))
+            elif isinstance(node, nodes.SubqueryScan):
+                key = _cse_key(node)
+                if key in self.physical.shared:
+                    work.setdefault(key, functools.partial(
+                        self._memoized_relation, key,
+                        lambda k=key: self.run(k).to_plain_relation()))
+        return work
 
     def _sibling_relations(self, plans: "Sequence[nodes.Plan]") \
             -> list[Relation]:
@@ -1127,40 +1158,28 @@ class Executor:
     def _run_filter(self, plan: nodes.Filter) -> Frame:
         frame = self.run(plan.child)
         key = self._candidate_key(plan, frame)
-        # dict.get/setdefault are atomic: concurrent siblings at worst
-        # compute the same candidate list twice.
+        # A list that concurrent siblings share is already here: it was
+        # computed before they fanned out (_prerun_shared).
         positions = self._candidates.get(key)
         if positions is None:
             positions = _true_positions(
                 ExpressionEvaluator(frame).mask(plan.predicate))
             if key is not None:
-                positions = self._candidates.setdefault(key, positions)
+                self._candidates[key] = positions
         if len(positions) == frame.nrows:
             return frame  # every row qualifies
         return frame.select_positions(positions)
 
     def _candidate_key(self, plan: nodes.Filter, frame: Frame):
-        """Key of the statement-scoped candidate list of a Filter directly
-        over a table or relation scan, or ``None``.
-
-        Filters with the same predicate over the same leaf share one
-        candidate list whatever their ``Prune`` lists and aliases: column
-        references lose their qualifier once they are known to resolve.
-        """
-        leaf = plan.child
-        while isinstance(leaf, nodes.Prune):
-            leaf = leaf.child
-        if isinstance(leaf, nodes.Scan):
-            source = leaf.table
-        elif isinstance(leaf, nodes.RelScan):
-            source = leaf.relation
-        else:
+        """:func:`_filter_key`, or ``None`` when a column reference does
+        not resolve in ``frame``: then evaluation raises its binding
+        error instead of reusing another Filter's list."""
+        key = _filter_key(plan)
+        if key is None or not all(
+                self._resolvable(frame, ref)
+                for ref in nodes.column_refs(plan.predicate)):
             return None
-        refs = nodes.column_refs(plan.predicate)
-        if not all(self._resolvable(frame, ref) for ref in refs):
-            return None  # let evaluation raise its binding error
-        return source, nodes.replace_expr(
-            plan.predicate, {ref: ast.ColumnRef(ref.name) for ref in refs})
+        return key
 
     def _run_prune(self, plan: nodes.Prune) -> Frame:
         frame = self.run(plan.child)

@@ -16,7 +16,7 @@ from repro.bat.sorting import (
     order_by,
     rank_of,
 )
-from repro.errors import AlignmentError, RelationError, SchemaError
+from repro.errors import AlignmentError, SchemaError
 from repro.relational.schema import Attribute, Schema
 
 
@@ -400,11 +400,3 @@ def is_identity(positions: np.ndarray) -> bool:
     return bool(n == 0 or (positions[0] == 0 and positions[-1] == n - 1
                            and np.array_equal(positions,
                                               np.arange(n, dtype=np.int64))))
-
-
-def require_same_length(left: Relation, right: Relation,
-                        operation: str) -> None:
-    if left.nrows != right.nrows:
-        raise RelationError(
-            f"{operation} requires equal cardinalities, got "
-            f"{left.nrows} and {right.nrows}")

@@ -51,8 +51,3 @@ class WorkloadResult:
         if a.shape != b.shape:
             return False
         return bool(np.allclose(a, b, rtol=rtol, atol=atol))
-
-
-def ols_design(distance: np.ndarray) -> np.ndarray:
-    """Design matrix [1, distance] for the ordinary-least-squares workloads."""
-    return np.column_stack([np.ones(len(distance)), distance])

@@ -1,13 +1,18 @@
-"""Database: the session front door (connect, configure, caches)."""
+"""Database: the session front door (connect, configuration, caches)."""
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 import repro
-from repro.api.database import Database, derive_config
+from repro.api.database import Database
+from repro.api.matrix import Matrix
 from repro.plan.cache import PlanCache
-from repro.core.config import ParallelConfig, RmaConfig
-from repro.errors import CatalogError, OrderSchemaError, PlanError
+from repro.core.config import RmaConfig
+from repro.errors import (
+    CatalogError, KeyViolationError, OrderSchemaError, PlanError)
 from repro.relational.relation import Relation
 
 
@@ -68,81 +73,57 @@ class TestConnect:
 
 
 class TestConfigure:
+    def test_configuration_surface(self):
+        # One way to configure a session: an RmaConfig given to connect()
+        # or assigned to db.config, replaced for one call by collect's or
+        # explain's config=.  Plan optimization, fusion and the property
+        # layer are not knobs.
+        assert {f.name for f in dataclasses.fields(RmaConfig)} == {
+            "policy", "optimize_sorting", "validate_keys", "parallel"}
+        for opener in (repro.connect, Database):
+            assert list(inspect.signature(opener).parameters) == [
+                "catalog", "config", "plan_cache"]
+        for method in (Matrix.collect, Matrix.explain):
+            assert list(inspect.signature(method).parameters) == [
+                "self", "config"]
+        assert not hasattr(Database, "configure")
+
     def test_persistent_configure(self):
+        # Assigning db.config configures every later call of the session;
+        # collect(config=) replaces it for one call.
+        dup = Relation.from_columns({"k": ["a", "a"], "x": [2.0, 1.0],
+                                     "y": [1.0, 3.0]})
         db = repro.connect()
-        db.configure(validate_keys=False)
-        assert db.config is not None
-        assert db.config.validate_keys is False
+        m = db.matrix(dup, by="k")
+        with pytest.raises(KeyViolationError):
+            m.inv().collect()  # keys are validated by default
+        db.config = RmaConfig(validate_keys=False)
+        assert m.inv().collect().nrows == 2
+        with pytest.raises(KeyViolationError):
+            m.inv().collect(config=RmaConfig())
+        assert m.inv().collect().nrows == 2
 
-    def test_scoped_configure_restores(self):
-        db = repro.connect()
-        assert db.config is None
-        with db.configure(validate_keys=False) as scoped:
-            assert scoped is db
-            assert db.config.validate_keys is False
-        assert db.config is None
-
-    def test_nested_scopes(self):
-        db = repro.connect()
-        db.configure(validate_keys=False)
-        outer = db.config
-        with db.configure(parallel=True):
-            assert db.config.parallel.enabled
-            assert db.config.validate_keys is False  # inherited
-        assert db.config is outer
-
-    def test_parallel_knobs(self):
-        db = repro.connect()
-        with db.configure(parallel=True, workers=3, min_morsel_rows=7):
-            assert db.config.parallel.enabled
-            assert db.config.parallel.workers == 3
-            assert db.config.parallel.min_morsel_rows == 7
-        with db.configure(parallel=ParallelConfig(enabled=True, workers=2)):
-            assert db.config.parallel.workers == 2
-
-    def test_unknown_knob_raises(self):
-        db = repro.connect()
-        with pytest.raises(TypeError, match="unknown configuration knob"):
-            db.configure(validate_kyes=False)
-
-    def test_property_layer_and_seeding_are_not_knobs(self):
-        # The property layer's one gate is repro.bat.properties, and result
-        # orders are always seeded: neither is a configuration knob.
-        db = repro.connect()
-        m = db.matrix(Relation.from_columns({"k": [1, 2], "x": [1.0, 2.0]}),
-                      by="k")
-        for knob in ("use_properties", "seed_result_orders"):
-            with pytest.raises(TypeError, match="unknown configuration knob"):
-                db.configure(**{knob: False})
-            with pytest.raises(TypeError, match="unknown configuration knob"):
-                m.collect(**{knob: False})
-
-    def test_derive_config_does_not_mutate_base(self):
-        base = RmaConfig()
-        before = (base.validate_keys, base.parallel.enabled,
-                  base.parallel.workers)
-        derived = derive_config(base, {"validate_keys": False,
-                                       "parallel": True, "workers": 9})
-        assert (base.validate_keys, base.parallel.enabled,
-                base.parallel.workers) == before
-        assert derived.validate_keys is False
-        assert derived.parallel.enabled
-        assert derived.parallel.workers == 9
-        assert derived.parallel is not base.parallel
+    def test_unknown_knob_raises(self, rel):
+        # A typo must not silently configure nothing.
+        m = repro.connect().matrix(rel, by="key")
+        with pytest.raises(TypeError):
+            m.collect(validate_kyes=False)
+        with pytest.raises(TypeError):
+            RmaConfig(validate_kyes=False)
 
     def test_per_call_override(self, rel):
         db = repro.connect()
         m = db.matrix(rel, by="key")
         a = m.inv().collect()
-        b = m.inv().collect(validate_keys=False)
-        assert db.config is None  # per-call override never sticks
+        b = m.inv().collect(config=RmaConfig(validate_keys=False))
+        assert db.config is None  # a per-call config never sticks
         assert np.array_equal(a.column("x0").tail, b.column("x0").tail)
 
     def test_collect_accepts_full_config(self, rel):
         db = repro.connect()
         config = RmaConfig(validate_keys=False)
         m = db.matrix(rel, by="key")
-        out = m.inv().collect(config=config, fuse_elementwise=False)
+        out = m.inv().collect(config=config)
         assert out.nrows == 4
 
 

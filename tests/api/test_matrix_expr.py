@@ -173,13 +173,13 @@ class TestSharingAndCse:
         expr.collect()
         assert db.last_stats.cse_hits + db.last_stats.cache_hits >= 1
 
-    def test_fusion_disabled_still_identical(self, db):
+    def test_fusion_disabled_still_identical(self, db, run_unoptimized):
         a = db.matrix(rel_with_key("ka"), by="ka")
         c = db.matrix(rel_with_key("kc", seed=2), by="kc")
         expr = 2.0 * a + c
+        assert "FusedRma" in expr.explain()
         fused = expr.collect()
-        unfused = expr.collect(fuse_elementwise=False)
-        assert "FusedRma" not in expr.explain(fuse_elementwise=False)
+        unfused = run_unoptimized(db, expr)
         for name in fused.names:
             ca, cb = fused.column(name), unfused.column(name)
             assert list(ca.tail) == list(cb.tail) \

@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's running examples."""
+"""Shared fixtures: the paper's running examples, and the unoptimized
+reference run of a query."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.plan.build import build_select
+from repro.plan.physical import Executor
 from repro.relational import Relation
+from repro.sql.parser import parse_sql
 
 # ``pytest --hypothesis-profile=ci`` — CI's longer differential run;
 # tests/sql/test_sqlite_differential.py scales its examples by it.
@@ -51,3 +55,23 @@ def ratings():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def _run_unoptimized(db, source, config=None) -> Relation:
+    """Run a query's built plan directly: no optimizer (so no fusion,
+    pushdown, pruning or join reordering), no physical annotations (every
+    join hashes) and no session cache.  ``source`` is a ``Matrix`` or SQL
+    ``SELECT`` text; ``config`` defaults to the session's."""
+    if isinstance(source, str):
+        plan = build_select(parse_sql(source))
+    else:
+        plan = source.plan
+    executor = Executor(db.catalog, config or db.config)
+    return executor.run(plan).to_plain_relation()
+
+
+@pytest.fixture
+def run_unoptimized():
+    """The reference a plan-level optimization is checked against:
+    ``run_unoptimized(db, matrix_or_sql, config=None)``."""
+    return _run_unoptimized

@@ -59,14 +59,6 @@ class TestPolicy:
         usv = policy.dense_bytes("usv", (1000, 5))
         assert usv > small  # usv's full U is nrows x nrows
 
-    def test_reset_stats(self):
-        policy = BackendPolicy()
-        policy.mkl.compute("add",
-                           [np.ones(10)], [np.ones(10)])
-        assert policy.mkl.stats.calls == 1
-        policy.reset_stats()
-        assert policy.mkl.stats.calls == 0
-
 
 class TestTransforms:
     def test_roundtrip(self, rng):
@@ -96,14 +88,6 @@ class TestTransforms:
         assert stats.bytes_out == 4 * 1000 * 8
         assert stats.copy_in_seconds > 0
         assert stats.copy_out_seconds > 0
-
-    def test_merge(self):
-        a = TransformStats(copy_in_seconds=1.0, kernel_seconds=2.0,
-                           bytes_in=10, calls=1)
-        b = TransformStats(copy_out_seconds=3.0, bytes_out=20, calls=2)
-        merged = a.merged(b)
-        assert merged.total_seconds == 6.0
-        assert merged.calls == 3
 
     def test_share_bounds(self):
         stats = TransformStats()

@@ -1,10 +1,11 @@
 """Element-wise fusion: plan rewrite, fused execution, bit-identity.
 
 The contract under test: for every chain shape, executing the optimized
-plan (with ``FusedRma``) is *bit-identical* to executing the same pipeline
-with fusion disabled — fusion elides intermediate materialization, never
-changes values — and chains that must not fuse (shared subtrees,
-order-schema boundaries) keep their unfused shape.
+plan (with ``FusedRma``) is *bit-identical* to running the same pipeline's
+built plan unoptimized (the ``run_unoptimized`` reference, which fuses
+nothing) — fusion elides intermediate materialization, never changes
+values — and chains that must not fuse (shared subtrees, order-schema
+boundaries) keep their unfused shape.
 """
 
 import numpy as np
@@ -52,12 +53,15 @@ def matrices(*relations, db=None):
     return [db.matrix(r, by=r.names[0]) for r in relations]
 
 
-def collect_both(pipe, **kwargs):
-    """(fused result, unfused result) for one lazy expression."""
-    fused = pipe.collect(config=RmaConfig(**kwargs))
-    unfused = pipe.collect(
-        config=RmaConfig(fuse_elementwise=False, **kwargs))
-    return fused, unfused
+@pytest.fixture
+def collect_both(run_unoptimized):
+    """(fused result, unfused result) for one lazy expression; the
+    unfused one is the unoptimized reference run."""
+    def collect(pipe, **kwargs):
+        config = RmaConfig(**kwargs)
+        return (pipe.collect(config=config),
+                run_unoptimized(pipe.database, pipe, config))
+    return collect
 
 
 def find_fused(plan):
@@ -173,7 +177,7 @@ class TestFusionRewrite:
         plan = optimize((m0 + m1).plan, Catalog(), keep_all=True)
         assert not find_fused(plan)
 
-    def test_order_schema_boundary_blocks_fusion(self):
+    def test_order_schema_boundary_blocks_fusion(self, collect_both):
         # The parent orders the derived relation by a *permuted* schema:
         # alignment semantics differ, so the edge must not fuse.
         r0 = chain_relation(0, str_keys=False)
@@ -219,12 +223,14 @@ class TestFusionRewrite:
         assert len(fused) == 2
         assert fused[0] == fused[1]  # CSE memoizes one execution
 
-    def test_fusion_disabled_by_flag(self):
+    def test_reference_plan_is_unfused(self):
+        # Only the optimizer fuses: the built plan, which the unoptimized
+        # reference run executes, keeps one Rma node per step.
         r0, r1, r2 = (chain_relation(i) for i in range(3))
         m0, m1, m2 = matrices(r0, r1, r2)
         pipe = m0 + m1 - m2
-        plan = optimize(pipe.plan, Catalog(), keep_all=True, fuse=False)
-        assert not find_fused(plan)
+        assert not find_fused(pipe.plan)
+        assert find_fused(optimize(pipe.plan, Catalog(), keep_all=True))
 
     def test_unfuse_reconstructs_chain(self):
         r0, r1, r2 = (chain_relation(i) for i in range(3))
@@ -250,7 +256,7 @@ CHAIN_KW = [dict(validate_keys=True), dict(validate_keys=False)]
 class TestFusedBitIdentity:
     @pytest.mark.parametrize("kwargs", CHAIN_KW,
                              ids=["validate", "novalidate"])
-    def test_left_deep_mixed_ops(self, kwargs):
+    def test_left_deep_mixed_ops(self, kwargs, collect_both):
         r0, r1, r2, r3 = (chain_relation(i) for i in range(4))
         m0, m1, m2, m3 = matrices(r0, r1, r2, r3)
         pipe = (m0 + m1 - m2) * m3
@@ -259,21 +265,21 @@ class TestFusedBitIdentity:
 
     @pytest.mark.parametrize("kwargs", CHAIN_KW,
                              ids=["validate", "novalidate"])
-    def test_right_deep_chain(self, kwargs):
+    def test_right_deep_chain(self, kwargs, collect_both):
         r0, r1, r2 = (chain_relation(i) for i in range(3))
         m0, m1, m2 = matrices(r0, r1, r2)
         pipe = m0 + m1 * m2
         fused, unfused = collect_both(pipe, **kwargs)
         assert relations_equal(fused, unfused)
 
-    def test_scalar_mix(self):
+    def test_scalar_mix(self, collect_both):
         r0, r1 = chain_relation(0), chain_relation(1)
         m0, m1 = matrices(r0, r1)
         pipe = 0.5 * m0 + m1 - 4.0
         fused, unfused = collect_both(pipe)
         assert relations_equal(fused, unfused)
 
-    def test_int_keys_and_int_values(self):
+    def test_int_keys_and_int_values(self, collect_both):
         rng = np.random.default_rng(5)
         n = 200
         r0 = Relation.from_columns({
@@ -290,7 +296,7 @@ class TestFusedBitIdentity:
         fused, unfused = collect_both(pipe)
         assert relations_equal(fused, unfused)
 
-    def test_presorted_keys(self):
+    def test_presorted_keys(self, collect_both):
         # Identity alignments (everything already sorted) stay identical.
         n = 100
         vals = np.arange(n, dtype=np.int64)
@@ -303,7 +309,7 @@ class TestFusedBitIdentity:
         fused, unfused = collect_both(pipe)
         assert relations_equal(fused, unfused)
 
-    def test_wide_application_schema(self):
+    def test_wide_application_schema(self, collect_both):
         rels = [chain_relation(i, cols=5) for i in range(3)]
         m0, m1, m2 = matrices(*rels)
         pipe = (m0 + m1) * m2
@@ -330,7 +336,7 @@ class TestFusedBitIdentity:
 
 
 class TestFusionFallback:
-    def test_duplicate_keys_fall_back(self):
+    def test_duplicate_keys_fall_back(self, run_unoptimized):
         # k0 has duplicates: the fused alignment identity does not hold,
         # the executor must replay the chain unfused (and match it).
         rng = np.random.default_rng(9)
@@ -348,8 +354,7 @@ class TestFusionFallback:
         pipe = m0 + m1 - m2
         config = RmaConfig(validate_keys=False)
         fused = pipe.collect(config=config)
-        unfused = pipe.collect(
-            config=RmaConfig(validate_keys=False, fuse_elementwise=False))
+        unfused = run_unoptimized(pipe.database, pipe, config)
         assert relations_equal(fused, unfused)
 
     def test_fallback_counted_in_stats(self):
@@ -375,7 +380,8 @@ class TestFusionFallback:
         assert session.last_stats.fusion_fallbacks == 1
         assert session.last_stats.fused_nodes == 0
 
-    def test_cardinality_mismatch_raises_like_unfused(self):
+    def test_cardinality_mismatch_raises_like_unfused(self,
+                                                      run_unoptimized):
         r0 = chain_relation(0, n=50)
         r1 = chain_relation(1, n=50)
         r2 = chain_relation(2, n=40)  # wrong cardinality
@@ -384,7 +390,7 @@ class TestFusionFallback:
         with pytest.raises(RmaError) as fused_err:
             pipe.collect()
         with pytest.raises(RmaError) as unfused_err:
-            pipe.collect(config=RmaConfig(fuse_elementwise=False))
+            run_unoptimized(pipe.database, pipe)
         assert str(fused_err.value) == str(unfused_err.value)
 
     def test_properties_off_falls_back(self):
@@ -418,21 +424,23 @@ class TestSqlFusion:
     SQL = ("SELECT * FROM SUB(ADD(r0 BY k0, r1 BY k1) BY (k0, k1), "
            "r2 BY k2)")
 
-    def test_sql_chain_fuses_and_matches(self):
-        fused = self.make_session().execute(self.SQL)
-        unfused = self.make_session(
-            config=RmaConfig(fuse_elementwise=False)).execute(self.SQL)
-        assert relations_equal(fused, unfused)
+    def test_sql_chain_fuses_and_matches(self, run_unoptimized):
+        session = self.make_session()
+        fused = session.execute(self.SQL)
+        assert session.last_stats.fused_nodes == 1
+        assert relations_equal(fused, run_unoptimized(session, self.SQL))
 
     def test_explain_prints_fused_node_with_member_ops(self):
         text = self.make_session().explain(self.SQL)
         assert "FusedRma [ADD -> SUB]" in text
         assert "arg1 BY (k0), arg2 BY (k1), arg3 BY (k2)" in text
 
-    def test_explain_unfused_when_disabled(self):
-        session = self.make_session(
-            config=RmaConfig(fuse_elementwise=False))
-        text = session.explain(self.SQL)
+    def test_explain_unfused_at_order_boundary(self):
+        # SUB orders the ADD result by a permuted schema: no fusion, and
+        # EXPLAIN shows both steps.
+        text = self.make_session().explain(
+            "SELECT * FROM SUB(ADD(r0 BY k0, r1 BY k1) BY (k1, k0), "
+            "r2 BY k2)")
         assert "FusedRma" not in text
         assert "Rma ADD" in text and "Rma SUB" in text
 

@@ -148,7 +148,7 @@ class TestChains:
                 @ design.cpd(db.matrix(v, by="id"))).collect()
         assert identical(eager, lazy)
 
-    def test_collect_without_cse_matches(self):
+    def test_collect_without_cse_matches(self, run_unoptimized):
         # CSE runs a repeated subplan once; the eager chain, which runs
         # every occurrence, is the reference.
         rel = keyed(SQUARE)
@@ -186,14 +186,11 @@ class TestChains:
         db = repro.connect()
         m0, m1, m2, m3 = (db.matrix(r, by=f"k{i}")
                           for i, r in enumerate(leaves))
-        assert identical(eager, (m0 + m1 + m2 + m3).collect(
-            fuse_elementwise=False))
+        assert identical(eager, run_unoptimized(db, m0 + m1 + m2 + m3))
 
-        m = repro.connect().matrix(rel, by="key").inv()
-        unoptimized = repro.connect(optimize_plans=False).matrix(
-            rel, by="key").inv()
-        assert identical((unoptimized @ unoptimized).collect(),
-                         (m @ m).collect())
+        db = repro.connect()
+        m = db.matrix(rel, by="key").inv()
+        assert identical(run_unoptimized(db, m @ m), (m @ m).collect())
 
 
 class TestRelationalOperators:

@@ -187,15 +187,11 @@ class TestJoinStrategy:
             session,
             "SELECT v, w FROM l JOIN r ON l.id = r.key") == "hash"
 
-    def test_merge_result_equals_hash_result(self):
+    def test_merge_result_equals_hash_result(self, run_unoptimized):
         session = self.make_session()
         sql = "SELECT v, w FROM l JOIN r ON l.id = r.key"
         fast = session.execute(sql)
-        slow = repro.connect(optimize_plans=False)
-        left, right = sorted_tables()
-        slow.register("l", left)
-        slow.register("r", right)
-        assert fast.same_rows(slow.execute(sql))
+        assert fast.same_rows(run_unoptimized(session, sql))
 
     def test_filter_above_scan_keeps_merge(self):
         session = self.make_session()
@@ -358,7 +354,7 @@ class TestDerivedRelationSeeding:
         assert np.array_equal(ordered, np.sort(ordered))
         assert info.known_is_key is True
 
-    def test_seeded_positions_match_fresh_sort(self):
+    def test_seeded_positions_match_fresh_sort(self, run_unoptimized):
         rel = square_relation(6)
         result = execute_rma("inv", rel, "key")
         seeded = result.cached_order_info(("key",)).positions
@@ -386,8 +382,9 @@ class TestDerivedRelationSeeding:
             leaves = [db.matrix(leaf(i), by=f"k{i}") for i in range(4)]
             checked = set()
             for width in range(2, 5):
-                result = sum(leaves[1:width], leaves[0]).collect(
-                    fuse_elementwise=fuse)
+                chain = sum(leaves[1:width], leaves[0])
+                result = (chain.collect() if fuse
+                          else run_unoptimized(db, chain))
                 for schema in schemas:
                     info = result.cached_order_info(schema)
                     if info is None or info.known_positions is None:

@@ -201,24 +201,17 @@ class TestStatementPlanCache:
         assert cached_entry(session)[0] is not plan_a
 
     def test_plan_rebuilt_after_config_swap(self):
-        # Swapping the session config must replan — a plan optimized under
-        # different settings (e.g. fusion on) must not keep executing.
-        rng = np.random.default_rng(30)
-        n = 50
+        # Swapping the session config must replan: a plan cached under
+        # different settings is never served.
         session = repro.connect()
-        for i in range(3):
-            session.register(f"y{i}", Relation.from_columns({
-                f"k{i}": rng.permutation(n).astype(np.int64),
-                "v": rng.uniform(0, 1, n)}))
-        sql = ("SELECT * FROM SUB(ADD(y0 BY k0, y1 BY k1) BY (k0, k1), "
-               "y2 BY k2)")
-        fused = session.execute(sql)
-        assert session.last_stats.fused_nodes == 1
-        session.config = RmaConfig(fuse_elementwise=False)
-        unfused = session.execute(sql)
-        assert session.last_stats.fused_nodes == 0
-        assert all(fused.column(c) == unfused.column(c)
-                   for c in fused.names)
+        session.register("a", gram_table())
+        validated = session.execute(GRAM_SQL)
+        plan_a = cached_entry(session)[0]
+        session.config = RmaConfig(validate_keys=False)
+        unvalidated = session.execute(GRAM_SQL)
+        assert cached_entry(session)[0] is not plan_a
+        assert all(validated.column(c) == unvalidated.column(c)
+                   for c in validated.names)
 
     def test_physical_info_cached_with_plan(self):
         session = repro.connect()
@@ -231,21 +224,14 @@ class TestStatementPlanCache:
     def test_plan_rebuilt_after_in_place_config_mutation(self):
         # Mutating the SAME config object must also replan (the cache
         # token covers field values, not just object identity).
-        rng = np.random.default_rng(31)
-        n = 40
         config = RmaConfig()
         session = repro.connect(config=config)
-        for i in range(3):
-            session.register(f"y{i}", Relation.from_columns({
-                f"k{i}": rng.permutation(n).astype(np.int64),
-                "v": rng.uniform(0, 1, n)}))
-        sql = ("SELECT * FROM SUB(ADD(y0 BY k0, y1 BY k1) BY (k0, k1), "
-               "y2 BY k2)")
-        session.execute(sql)
-        assert session.last_stats.fused_nodes == 1
-        config.fuse_elementwise = False  # in-place mutation
-        session.execute(sql)
-        assert session.last_stats.fused_nodes == 0
+        session.register("a", gram_table())
+        session.execute(GRAM_SQL)
+        plan_a = cached_entry(session)[0]
+        config.validate_keys = False  # in-place mutation
+        session.execute(GRAM_SQL)
+        assert cached_entry(session)[0] is not plan_a
 
     def test_plan_cache_false_disables_statement_caches(self):
         session = repro.connect(plan_cache=False)

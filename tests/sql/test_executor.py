@@ -74,6 +74,18 @@ class TestFilters:
         out = session.execute("SELECT Title FROM f WHERE Title LIKE '%a%'")
         assert sorted(v[0] for v in out.to_rows()) == ["Balto", "Heat"]
 
+    def test_like_pattern_cache_is_bounded(self, session):
+        # Compiled LIKE patterns are cached per process; a stream of
+        # distinct patterns must not grow the cache without bound.
+        from repro.plan.physical import _like_pattern
+        limit = _like_pattern.cache_info().maxsize
+        assert limit is not None
+        for i in range(limit + 10):
+            out = session.execute(
+                f"SELECT Title FROM f WHERE Title LIKE 'x{i}%'")
+            assert out.nrows == 0
+        assert _like_pattern.cache_info().currsize <= limit
+
     def test_null_handling(self):
         s = repro.connect()
         s.register("t", Relation.from_columns({"x": [1, None, 3]}))

@@ -45,15 +45,10 @@ QUERIES = [
 
 class TestSemanticsPreserved:
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_optimized_equals_unoptimized(self, sql, users, films,
-                                          ratings):
-        fast = repro.connect()
-        slow = repro.connect(optimize_plans=False)
-        for s in (fast, slow):
-            s.register("u", users)
-            s.register("f", films)
-            s.register("r", ratings)
-        assert fast.execute(sql).same_rows(slow.execute(sql)), sql
+    def test_optimized_equals_unoptimized(self, sql, session,
+                                          run_unoptimized):
+        assert session.execute(sql).same_rows(
+            run_unoptimized(session, sql)), sql
 
 
 class TestRewrites:
