@@ -11,7 +11,7 @@ executes on the shared executor (:mod:`repro.plan.physical`):
   element-wise fusion, CSE, the byte-budget plan/result cache and the
   morsel-parallel engine for free;
 * :meth:`Database.execute` runs SQL statements (the paper's §7.2 front
-  end), sharing the same statement-plan and subplan-result caches.
+  end), sharing the same subplan-result cache.
 
 Both go through one planning function (``_plan``: build, optimize,
 physically plan, cached) and one run function (``_run``: plan, then
@@ -19,16 +19,25 @@ execute on a fresh :class:`~repro.plan.physical.Executor`).  A database
 owns three session-scoped caches, all invalidated precisely (catalog
 table versions + config cache tokens):
 
-* a **parse cache** (SQL text -> statement AST — parsing is pure);
-* a **plan cache** (SQL ``SELECT`` AST *or* expression plan node ->
-  optimized plan + physical annotations);
+* a **template cache** for SQL: statements are keyed by their shape,
+  the token stream with its number, string, ``DATE`` and ``TIME``
+  literals taken out (:func:`repro.sql.parser.literal_slots`).  Each
+  shape is parsed once into a template whose literals are parameter
+  slots, and the template's query is built, optimized and physically
+  planned once; every execution binds that statement's literal values
+  to the slots.  Statements that differ only in a date window share one
+  plan; ``LIMIT``/``OFFSET`` counts and literal types are part of the
+  shape;
+* a **plan cache** for ``Matrix`` expressions (plan node -> optimized
+  plan + physical annotations);
 * a **result cache** (:class:`repro.plan.cache.PlanCache`): repeated
   RMA/subquery subplans — across statements *and* across surfaces —
   return their memoized relations.
 
 ``Database(plan_cache=False)`` disables all three (the fully-uncached mode
 that replays a stream of statements as a reference, as rmabench's
-``sql_session`` check does).
+``sql_session`` check does): each statement is parsed with its literals
+in place and planned afresh.
 
 A session has one configuration, an :class:`~repro.core.config.RmaConfig`
 (``None`` means the process default).  Set it when connecting or by
@@ -44,6 +53,7 @@ Plans are always optimized, element-wise fusion included.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Optional, Sequence
 
 from repro.bat.bat import DataType
@@ -66,7 +76,8 @@ from repro.api.matrix import Matrix
 from repro.relational.relation import Relation
 from repro.relational.ops import union_all
 from repro.sql import ast
-from repro.sql.parser import parse_sql
+from repro.sql.lexer import tokenize
+from repro.sql.parser import literal_slots, parse_sql
 
 _MAX_CACHED_STATEMENTS = 256
 
@@ -80,6 +91,18 @@ _TYPE_NAMES = {
     "DATE": DataType.DATE, "TIME": DataType.TIME,
     "BOOLEAN": DataType.BOOL, "BOOL": DataType.BOOL,
 }
+
+class _Template:
+    """A statement parsed with its literals as parameter slots, and the
+    planned form of its query (``None`` until first planned)."""
+
+    __slots__ = ("statement", "plan")
+
+    def __init__(self, statement: ast.Statement):
+        self.statement = statement
+        # (optimized plan, physical info, catalog stamps, config token)
+        self.plan: tuple | None = None
+
 
 def _scans_in_memory_relations(plan: nodes.Plan) -> bool:
     """Whether any leaf is a ``RelScan`` (id-deduplicated walk, DAG-safe:
@@ -112,8 +135,9 @@ class Database:
                  plan_cache: "bool | PlanCache" = True):
         self.catalog = catalog or Catalog()
         self.config = config
-        # ``plan_cache=False`` disables ALL session caching (parse,
-        # statement-plan and result) — the fully-uncached reference mode.
+        # ``plan_cache=False`` disables ALL session caching (statement
+        # templates, expression plans and results) — the fully-uncached
+        # reference mode.
         self._caching = not (plan_cache is False or plan_cache is None)
         if plan_cache is True:
             self.result_cache: PlanCache | None = PlanCache()
@@ -121,11 +145,18 @@ class Database:
             self.result_cache = None
         else:
             self.result_cache = plan_cache
-        self.last_stats = None  # ExecStats of the most recent execution
-        self._statements: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
-        # Select AST or expression Plan -> (optimized plan, physical info,
-        # stamps, config token)
-        self._select_plans: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
+        self._local = threading.local()
+        # Statement shape -> _Template
+        self._templates: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
+        # Expression Plan -> (optimized plan, physical info, stamps,
+        # config token)
+        self._expression_plans: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
+
+    @property
+    def last_stats(self):
+        """ExecStats of this thread's most recent execution (None before
+        the first): threads sharing a session each see their own."""
+        return getattr(self._local, "stats", None)
 
     # -- catalog helpers -------------------------------------------------------
 
@@ -198,17 +229,19 @@ class Database:
     # -- the plan driver -------------------------------------------------------
 
     def _plan(self, source: "ast.Select | nodes.Plan",
-              config: Optional[RmaConfig] = None) \
+              config: Optional[RmaConfig] = None,
+              template: Optional[_Template] = None) \
             -> tuple[nodes.Plan, PhysicalInfo]:
         """Build, optimize and physically plan a query; cached.
 
         The one planning function of every surface: ``source`` is a SQL
         ``SELECT`` AST (compiled with ``build_select``) or a ``Matrix``
-        expression's plan node.  Both kinds share the statement-plan
-        cache, keyed by the structurally hashable source itself and
-        stamped with the catalog versions of the scanned tables and the
-        config's cache token — a plan is rebuilt only when something it
-        depends on changed.
+        expression's plan node.  A SQL query is cached in the statement
+        ``template`` it came from, an expression plan in the expression
+        plan cache under the structurally hashable plan itself.  Either
+        entry is stamped with the catalog versions of the scanned tables
+        and the config's cache token — a plan is rebuilt only when
+        something it depends on changed.
 
         SQL SELECTs end in a Project naming their whole visible output, so
         the optimizer may prune below it (``keep_all=False``); expression
@@ -222,39 +255,44 @@ class Database:
         serves their repeated subplan results.
         """
         config = config or self.config or default_config()
+        token = config.cache_token()
         is_sql = isinstance(source, ast.Select)
-        key = None
-        if self._caching and (is_sql
-                              or not _scans_in_memory_relations(source)):
-            key = source
-            entry = self._select_plans.lookup(key)
-            if entry is not None:
-                planned, info, stamps, entry_token = entry
-                if (entry_token == config.cache_token()
-                        and all(self.catalog.table_version(name) == version
-                                for name, version in stamps)):
-                    return planned, info
-                self._select_plans.discard(key)
+        cacheable = self._caching and not is_sql \
+            and not _scans_in_memory_relations(source)
+        if is_sql:
+            entry = template.plan if template is not None else None
+        else:
+            entry = (self._expression_plans.lookup(source) if cacheable
+                     else None)
+        if entry is not None:
+            planned, info, stamps, entry_token = entry
+            if (entry_token == token
+                    and all(self.catalog.table_version(name) == version
+                            for name, version in stamps)):
+                return planned, info
         planned = build_select(source) if is_sql else source
         planned = optimize(planned, self.catalog, keep_all=not is_sql)
         info = plan_physical(planned, self.catalog)
-        if key is not None:
-            self._select_plans.store(
-                key,
-                (planned, info, catalog_stamps(planned, self.catalog),
-                 config.cache_token()))
+        entry = (planned, info, catalog_stamps(planned, self.catalog), token)
+        if template is not None:
+            template.plan = entry
+        elif cacheable:
+            self._expression_plans.store(source, entry)
         return planned, info
 
     def _run(self, source: "ast.Select | nodes.Plan",
-             config: Optional[RmaConfig] = None) -> Relation:
-        """Plan (see :meth:`_plan`) and execute a query; the one place a
-        plan :class:`~repro.plan.physical.Executor` is constructed."""
+             config: Optional[RmaConfig] = None,
+             template: Optional[_Template] = None,
+             params: tuple = ()) -> Relation:
+        """Plan (see :meth:`_plan`) and execute a query with ``params``
+        bound to its parameter slots; the one place a plan
+        :class:`~repro.plan.physical.Executor` is constructed."""
         config = config or self.config or default_config()
-        planned, info = self._plan(source, config)
+        planned, info = self._plan(source, config, template)
         executor = Executor(self.catalog, config, physical=info,
-                            result_cache=self.result_cache)
+                            result_cache=self.result_cache, params=params)
         frame = executor.run(planned)
-        self.last_stats = executor.stats
+        self._local.stats = executor.stats
         return frame.to_plain_relation()
 
     # -- SQL execution ---------------------------------------------------------
@@ -263,59 +301,81 @@ class Database:
         """Execute one SQL statement.
 
         SELECT returns a relation; DDL/DML return None (INSERT returns
-        None after updating the catalog).
+        None after updating the catalog).  The statement runs as its
+        shape's cached template (see the module docstring) with its own
+        literal values bound.
         """
-        statement = self._parse_cached(sql)
+        statement, template, params = self._statement(sql)
         if isinstance(statement, ast.Select):
-            return self._run(statement)
+            return self._run(statement, template=template, params=params)
         if isinstance(statement, ast.Explain):
-            lines = explain_lines(*self._plan(statement.query))
+            lines = explain_lines(*self._plan(statement.query,
+                                              template=template), params)
             return Relation.from_columns({"explain": lines})
         if isinstance(statement, ast.CreateTable):
-            return self._run_create(statement)
+            return self._run_create(statement, template, params)
         if isinstance(statement, ast.DropTable):
             self.catalog.drop(statement.name, if_exists=statement.if_exists)
             return None
         if isinstance(statement, ast.InsertValues):
-            return self._run_insert(statement)
+            return self._run_insert(statement, params)
         raise SqlError(f"unsupported statement {statement!r}")
 
-    def _parse_cached(self, sql: str) -> ast.Statement:
-        """Parse with a per-session cache (parsing is a pure function)."""
-        if not self._caching:
-            return parse_sql(sql)
-        key = sql.strip()
-        statement = self._statements.lookup(key)
-        if statement is None:
-            statement = parse_sql(sql)
-            self._statements.store(key, statement)
-        return statement
+    def _statement(self, sql: str) \
+            -> tuple[ast.Statement, Optional[_Template], tuple]:
+        """(statement, its template, the values bound to its slots).
 
-    def _select_statement(self, sql: str) -> ast.Select:
-        """Parse one statement and unwrap to its SELECT (EXPLAIN peels)."""
-        statement = self._parse_cached(sql)
+        The template is parsed on the first statement of its shape only;
+        without caching the statement is parsed with its literals in
+        place, and has no template and no parameters.
+        """
+        if not self._caching:
+            return parse_sql(sql), None, ()
+        try:
+            shape, params, _ = literal_slots(tokenize(sql))
+        except ValueError:
+            parse_sql(sql)  # raise the error a parse meets first
+            raise
+        template = self._templates.lookup(shape)
+        if template is None:
+            template = _Template(parse_sql(sql, template=True))
+            self._templates.store(shape, template)
+        return template.statement, template, params
+
+    def _select_statement(self, sql: str) \
+            -> tuple[ast.Select, Optional[_Template], tuple]:
+        """:meth:`_statement` unwrapped to its SELECT (EXPLAIN peels)."""
+        statement, template, params = self._statement(sql)
         if isinstance(statement, ast.Explain):
             statement = statement.query
         if not isinstance(statement, ast.Select):
             raise PlanError("only SELECT statements can be planned")
-        return statement
+        return statement, template, params
 
     def plan(self, sql: str) -> nodes.Plan:
-        """Parse and optimize without executing (for tests/EXPLAIN)."""
-        return self._plan(self._select_statement(sql))[0]
+        """Parse and optimize without executing (for tests/EXPLAIN).
+
+        The plan is the statement template's: literals are parameter
+        slots."""
+        select, template, _ = self._select_statement(sql)
+        return self._plan(select, template=template)[0]
 
     def physical_info(self, sql: str) -> PhysicalInfo:
         """The physical planner's annotations for a statement."""
-        return self._plan(self._select_statement(sql))[1]
+        select, template, _ = self._select_statement(sql)
+        return self._plan(select, template=template)[1]
 
     def explain(self, sql: str) -> str:
         """The optimized plan with physical annotations, as text."""
+        select, template, params = self._select_statement(sql)
         return "\n".join(explain_lines(
-            *self._plan(self._select_statement(sql))))
+            *self._plan(select, template=template), params))
 
-    def _run_create(self, statement: ast.CreateTable) -> None:
+    def _run_create(self, statement: ast.CreateTable,
+                    template: Optional[_Template], params: tuple) -> None:
         if statement.source is not None:
-            relation = self._run(statement.source)
+            relation = self._run(statement.source, template=template,
+                                 params=params)
             self.catalog.create(statement.name, relation)
             return None
         attrs = []
@@ -330,7 +390,8 @@ class Database:
         self.catalog.create(statement.name, Relation.empty(schema))
         return None
 
-    def _run_insert(self, statement: ast.InsertValues) -> None:
+    def _run_insert(self, statement: ast.InsertValues,
+                    params: tuple) -> None:
         target = self.catalog.get(statement.table)
         names = list(statement.columns) or target.names
         unknown = set(names) - set(target.names)
@@ -340,7 +401,7 @@ class Database:
         rows: list[list[Any]] = []
         dual = Relation.from_columns({"_one": [1]})
         frame = Frame.from_relation(dual, None)
-        evaluator = ExpressionEvaluator(frame)
+        evaluator = ExpressionEvaluator(frame, params)
         for row_exprs in statement.rows:
             if len(row_exprs) != len(names):
                 raise PlanError(

@@ -340,7 +340,7 @@ class Matrix:
         """Optimize, plan and execute the expression; returns the relation.
 
         Runs on the owning database's executor with its session-scoped
-        caches (statement-plan and subplan-result).  ``config`` replaces
+        caches (expression-plan and subplan-result).  ``config`` replaces
         the session configuration (``Database.config``) for this call
         only.
         """

@@ -22,6 +22,11 @@ same live relation, so lookups still hit), and when a leaf relation is
 collected its entries are dropped — an entry over a dead input can never
 hit again, and would otherwise keep its result resident until evicted.
 
+A subplan of a statement template reads its literals from parameter
+slots, so its key also holds the values bound to those slots, as
+:class:`~repro.sql.ast.Literal` nodes (``1`` and ``1.0`` differ): one
+template run with two date windows stores two entries.
+
 Entries also record the :meth:`~repro.core.config.RmaConfig.cache_token`
 they were computed under: results can depend on configuration (e.g. the
 backend policy), so a session that swaps — or mutates — its config never
@@ -76,8 +81,8 @@ def catalog_stamps(plan: nodes.Plan, catalog: Catalog) -> Stamps:
 class LruDict(OrderedDict):
     """OrderedDict with LRU discipline: touch on hit, trim on store.
 
-    The session's parse and statement-plan caches.  Threads sharing one
-    session read and write it concurrently, so every method takes the
+    The session's template and expression-plan caches.  Threads sharing
+    one session read and write it concurrently, so every method takes the
     lock: a hit is found and touched in one step, never after another
     thread's ``store`` evicted it.
     """
@@ -191,7 +196,7 @@ class _Entry:
             finalizer.detach()
 
 
-def _report_dead(dead: deque, key: nodes.Plan) -> None:
+def _report_dead(dead: deque, key: tuple) -> None:
     # Runs inside garbage collection, possibly while the cache lock is
     # held, so it only queues the key; the next cache call drops it.
     dead.append(key)
@@ -212,7 +217,7 @@ class PlanCache:
 
     def __init__(self, max_entries: int = 128,
                  max_bytes: int = DEFAULT_MAX_RESULT_BYTES):
-        self._entries: "OrderedDict[nodes.Plan, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._bytes = 0
@@ -236,8 +241,9 @@ class PlanCache:
             return self._bytes
 
     def get(self, plan: nodes.Plan, catalog: Catalog,
-            config: "RmaConfig") -> "Relation | None":
-        """The cached result for a subplan, or None.
+            config: "RmaConfig", bound: tuple = ()) -> "Relation | None":
+        """The cached result for a subplan whose parameter slots are bound
+        to ``bound``, or None.
 
         Truly stale entries (catalog version mismatch on any scanned
         table) are evicted on sight; entries that are merely *not ours* —
@@ -246,7 +252,7 @@ class PlanCache:
         sessions/configs is last-writer-wins for colliding plan keys
         instead of thrashing on alternating lookups.
         """
-        key, _ = _weak_key(plan)
+        key = _weak_key(plan)[0], bound
         with self._lock:
             self._drop_dead()
             entry = self._entries.get(key)
@@ -271,10 +277,11 @@ class PlanCache:
             return entry.relation
 
     def put(self, plan: nodes.Plan, catalog: Catalog, config: "RmaConfig",
-            relation: "Relation") -> None:
+            relation: "Relation", bound: tuple = ()) -> None:
         """Store a subplan result stamped with current table versions."""
         stamps = catalog_stamps(plan, catalog)
-        key, leaves = _weak_key(plan)
+        weak, leaves = _weak_key(plan)
+        key = weak, bound
         entry = _Entry(relation, stamps, config.cache_token(),
                        catalog if stamps else None,
                        bytes=relation_bytes(relation))
@@ -299,7 +306,7 @@ class PlanCache:
                 evicted.detach()
                 self.evictions += 1
 
-    def _drop(self, key: nodes.Plan) -> None:
+    def _drop(self, key: tuple) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._bytes -= entry.bytes

@@ -12,17 +12,30 @@ the physical planner's annotations appended in brackets:
           Scan r AS r [order=(User)]
 
 Used by ``Matrix.explain()`` and by the SQL ``EXPLAIN`` statement
-(:meth:`repro.api.database.Database.explain`).
+(:meth:`repro.api.database.Database.explain`).  A statement template's
+parameter slots print as the values bound to them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.plan import nodes
 from repro.plan.physical import PhysicalInfo, _cse_key
+from repro.sql import ast
 
 
-def describe_node(plan: nodes.Plan) -> str:
-    """One-line description of a plan node (no children)."""
+def describe_node(plan: nodes.Plan, params: tuple = ()) -> str:
+    """One-line description of a plan node (no children); ``params``
+    are the values bound to its parameter slots."""
+
+    def sql(expr: ast.Expr) -> str:
+        return nodes.bind_params(expr, params).to_sql()
+
+    def item_sql(item: "ast.SelectItem | ast.OrderItem") -> str:
+        return dataclasses.replace(
+            item, expr=nodes.bind_params(item.expr, params)).to_sql()
+
     if isinstance(plan, nodes.Scan):
         return f"Scan {plan.table} AS {plan.alias}"
     if isinstance(plan, nodes.RelScan):
@@ -49,23 +62,23 @@ def describe_node(plan: nodes.Plan) -> str:
         alias = f" AS {plan.alias}" if plan.alias else ""
         return (f"FusedRma [{ops}] {', '.join(parts)}{alias}")
     if isinstance(plan, nodes.Filter):
-        return f"Filter {plan.predicate.to_sql()}"
+        return f"Filter {sql(plan.predicate)}"
     if isinstance(plan, nodes.JoinPlan):
-        cond = (f" ON {plan.condition.to_sql()}"
+        cond = (f" ON {sql(plan.condition)}"
                 if plan.condition is not None else "")
         return f"Join {plan.kind}{cond}"
     if isinstance(plan, nodes.Project):
-        items = ", ".join(i.to_sql() for i in plan.items)
+        items = ", ".join(item_sql(i) for i in plan.items)
         return f"Project [{items}]"
     if isinstance(plan, nodes.Aggregate):
-        keys = ", ".join(k.to_sql() for k in plan.keys) or "-"
-        aggs = ", ".join(f"{s.func}({s.argument.to_sql() if s.argument else '*'})"
+        keys = ", ".join(sql(k) for k in plan.keys) or "-"
+        aggs = ", ".join(f"{s.func}({sql(s.argument) if s.argument else '*'})"
                          for s in plan.aggregates) or "-"
         return f"Aggregate keys=[{keys}] aggs=[{aggs}]"
     if isinstance(plan, nodes.Distinct):
         return "Distinct"
     if isinstance(plan, nodes.Sort):
-        items = ", ".join(i.to_sql() for i in plan.items)
+        items = ", ".join(item_sql(i) for i in plan.items)
         return f"Sort [{items}]"
     if isinstance(plan, nodes.Limit):
         offset = f" OFFSET {plan.offset}" if plan.offset else ""
@@ -104,13 +117,13 @@ def format_plan(plan: nodes.Plan,
     return "\n".join(explain_lines(plan, info))
 
 
-def explain_lines(plan: nodes.Plan,
-                  info: PhysicalInfo | None = None) -> list[str]:
+def explain_lines(plan: nodes.Plan, info: PhysicalInfo | None = None,
+                  params: tuple = ()) -> list[str]:
     """The EXPLAIN output as a list of lines (one relation row each)."""
     lines: list[str] = []
 
     def emit(node: nodes.Plan, depth: int) -> None:
-        lines.append("  " * depth + describe_node(node)
+        lines.append("  " * depth + describe_node(node, params)
                      + _annotations(node, info))
         for child in node.children():
             emit(child, depth + 1)

@@ -284,6 +284,45 @@ def expr_children(expr: ast.Expr) -> tuple[ast.Expr, ...]:
     return ()
 
 
+def node_exprs(plan: Plan) -> tuple[ast.Expr, ...]:
+    """The expressions a plan node evaluates (not its children's)."""
+    if isinstance(plan, Filter):
+        return (plan.predicate,)
+    if isinstance(plan, JoinPlan):
+        return () if plan.condition is None else (plan.condition,)
+    if isinstance(plan, (Project, Sort)):
+        return tuple(item.expr for item in plan.items)
+    if isinstance(plan, Aggregate):
+        return plan.keys + tuple(spec.argument for spec in plan.aggregates
+                                 if spec.argument is not None)
+    return ()
+
+
+def param_slots(plan: Plan) -> tuple[int, ...]:
+    """The sorted :class:`~repro.sql.ast.Param` slots a plan reads."""
+    slots: set[int] = set()
+    seen: set[int] = set()
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for expr in node_exprs(node):
+            slots.update(e.slot for e in walk_expr(expr)
+                         if isinstance(e, ast.Param))
+        stack.extend(node.children())
+    return tuple(sorted(slots))
+
+
+def bind_params(expr: ast.Expr, params: "tuple | list") -> ast.Expr:
+    """``expr`` with each parameter slot replaced by its bound value."""
+    if not params:
+        return expr
+    return replace_expr(expr, {ast.Param(slot): ast.Literal(value)
+                               for slot, value in enumerate(params)})
+
+
 def walk_expr(expr: ast.Expr) -> Iterator[ast.Expr]:
     """Yield the expression and all sub-expressions."""
     yield expr

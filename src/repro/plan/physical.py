@@ -14,9 +14,9 @@ Two layers live here:
     the raw key tails
     (:func:`repro.relational.joins.merge_join_positions`), skipping key
     encoding; everything else takes the hash path, which encodes the keys
-    of both sides into shared dense codes (direct addressing for small
-    integer domains) and probes by counting
-    (:func:`repro.relational.joins.join_positions`);
+    of both sides in one pass into shared codes (offsets for small integer
+    domains) and probes a slot table when the right keys are unique, by
+    counting otherwise (:func:`repro.relational.joins.join_positions`);
   - **shared subplans** (CSE): structurally identical RMA/subquery
     subtrees are counted; the executor memoizes their result relations so
     a repeated subplan executes once per statement.
@@ -34,7 +34,8 @@ compose those vectors, and a column is gathered once, when something
 first reads it.  A join whose side matches every row exactly once (the
 FK→PK case) keeps that side's vectors and gathered columns unchanged.
 Within one statement, Filters with the same predicate over the same scan
-share one candidate list, and each expression computes a repeated
+share one candidate list, frames reading one base column through one
+position vector gather it once, and each expression computes a repeated
 subexpression once.
 
 Because relations are immutable, the memoized CSE results share their
@@ -98,36 +99,54 @@ class _Source:
 
     ``positions`` is ``None`` for the identity.  ``nullable`` marks
     positions that may be ``-1`` (LEFT JOIN rows without a match); those
-    rows read as nil when a column is gathered.
+    rows read as nil when a column is gathered.  ``gathered`` is the
+    executor's table of gathered columns: sources that read one base
+    column through one position vector object (the frames of a statement
+    sharing a Filter's candidate list) gather it once.
     """
 
-    __slots__ = ("columns", "positions", "nullable")
+    __slots__ = ("columns", "positions", "nullable", "gathered")
 
     def __init__(self, columns: dict[str, BAT],
                  positions: np.ndarray | None = None,
-                 nullable: bool = False):
+                 nullable: bool = False,
+                 gathered: dict[tuple, tuple] | None = None):
         self.columns = columns
         self.positions = positions
         self.nullable = nullable
+        self.gathered = gathered
 
     def take(self, outer: np.ndarray, outer_nullable: bool = False) \
             -> "_Source":
         """This source seen through ``outer``, positions into its rows."""
         if self.positions is None:
-            return _Source(self.columns, outer, outer_nullable)
+            return _Source(self.columns, outer, outer_nullable,
+                           self.gathered)
         if not outer_nullable:
             # -1 entries of a nullable source propagate through the gather.
             return _Source(self.columns, self.positions[outer],
-                           self.nullable)
+                           self.nullable, self.gathered)
         positions = np.full(len(outer), -1, dtype=np.int64)
         hit = outer >= 0
         positions[hit] = self.positions[outer[hit]]
-        return _Source(self.columns, positions, True)
+        return _Source(self.columns, positions, True, self.gathered)
 
     def gather(self, name: str) -> BAT:
         base = self.columns[name]
         if self.positions is None:
             return base
+        if self.gathered is None:
+            return self._gather(base)
+        key = (id(base), id(self.positions), self.nullable)
+        entry = self.gathered.get(key)
+        if entry is None:
+            # The entry holds the key's objects, so their ids stay unique
+            # for as long as the table lives.
+            entry = (base, self.positions, self._gather(base))
+            self.gathered[key] = entry
+        return entry[2]
+
+    def _gather(self, base: BAT) -> BAT:
         if self.nullable:
             return _gather_nullable(base, self.positions)
         return base.fetch(self.positions)
@@ -186,12 +205,15 @@ class Frame:
         return f"{hint}#{next(cls._counter)}"
 
     @classmethod
-    def from_relation(cls, relation: Relation,
-                      alias: Optional[str]) -> "Frame":
+    def from_relation(cls, relation: Relation, alias: Optional[str],
+                      gathered: dict[tuple, tuple] | None = None) -> "Frame":
+        """A frame over ``relation``; ``gathered`` is the executor's table
+        of shared gathers (see :class:`_Source`)."""
         bindings = [Binding(alias, name, cls._fresh(name))
                     for name in relation.names]
         source = _Source({b.internal: col
-                          for b, col in zip(bindings, relation.columns)})
+                          for b, col in zip(bindings, relation.columns)},
+                         gathered=gathered)
         return cls(bindings, [source], relation.nrows, origin=relation)
 
     @classmethod
@@ -399,7 +421,7 @@ def _repeated_subtrees(expr: ast.Expr) -> dict[int, int]:
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Literal, ast.ColumnRef)):
+        if isinstance(node, (ast.Literal, ast.Param, ast.ColumnRef)):
             continue
         ids = occurrences.setdefault(node, [])
         ids.append(id(node))
@@ -415,12 +437,14 @@ def _repeated_subtrees(expr: ast.Expr) -> dict[int, int]:
 class ExpressionEvaluator:
     """Vectorized evaluation of AST expressions over a frame.
 
-    Each top-level :meth:`eval` computes a subexpression that occurs
-    several times in it (``dx * dx``) once.
+    ``params`` binds the :class:`~repro.sql.ast.Param` slots of a
+    statement template.  Each top-level :meth:`eval` computes a
+    subexpression that occurs several times in it (``dx * dx``) once.
     """
 
-    def __init__(self, frame: Frame):
+    def __init__(self, frame: Frame, params: Sequence[Any] = ()):
         self.frame = frame
+        self.params = params
         self.n = frame.nrows
         self._slots: dict[int, int] = {}
         self._memo: dict[int, Any] = {}
@@ -452,6 +476,9 @@ class ExpressionEvaluator:
 
     def _eval_literal(self, expr: ast.Literal) -> Any:
         return expr.value
+
+    def _eval_param(self, expr: ast.Param) -> Any:
+        return self.params[expr.slot]
 
     def _eval_columnref(self, expr: ast.ColumnRef) -> BAT:
         return self.frame.column(expr)
@@ -963,27 +990,39 @@ class Executor:
     """Evaluates logical plans against a catalog.
 
     ``physical`` carries the planner's annotations (join strategies); when
-    omitted every join uses the hash path.  Repeated RMA/subquery subplans
-    execute once per statement (CSE; ``stats.cse_hits`` counts the reuses).
-    ``result_cache`` is an optional *session-scoped*
-    :class:`repro.plan.cache.PlanCache`: shareable subplan results found
-    there skip execution entirely, and freshly computed ones are stored for
-    later statements (stamped with catalog table versions, so catalog
-    mutations invalidate exactly the affected entries).
+    omitted every join uses the hash path.  ``params`` binds the
+    :class:`~repro.sql.ast.Param` slots of a statement template.
+    Repeated RMA/subquery subplans execute once per statement (CSE;
+    ``stats.cse_hits`` counts the reuses).  ``result_cache`` is an
+    optional *session-scoped* :class:`repro.plan.cache.PlanCache`:
+    shareable subplan results found there skip execution entirely, and
+    freshly computed ones are stored for later statements (stamped with
+    catalog table versions, so catalog mutations invalidate exactly the
+    affected entries, and keyed with the values bound to the subplan's
+    slots).
+
+    An executor runs one binding: its per-statement state — the CSE memo,
+    shared candidate lists and gathered columns — is keyed by plan
+    structure alone and lives as long as the executor.
     """
 
     def __init__(self, catalog: Catalog, config: RmaConfig | None = None,
                  physical: PhysicalInfo | None = None,
-                 result_cache: "PlanCache | None" = None):
+                 result_cache: "PlanCache | None" = None,
+                 params: Sequence[Any] = ()):
         self.catalog = catalog
         self.config = config or default_config()
         self.physical = physical or PhysicalInfo()
         self.result_cache = result_cache
+        self.params = tuple(params)
         self.stats = ExecStats()
         self._memo: dict[nodes.Plan, Relation] = {}
         # Filter candidate lists shared within the statement
         # (see _candidate_key).
         self._candidates: dict[tuple, np.ndarray] = {}
+        # Columns gathered through a position vector, shared by every
+        # frame that reads the same base column through the same vector.
+        self._gathered: dict[tuple, tuple] = {}
         # Guards the CSE memo and the stats counters: with the morsel
         # engine on, sibling subplans execute on pool workers.
         self._lock = threading.Lock()
@@ -1054,6 +1093,21 @@ class Executor:
         return [frame.to_plain_relation()
                 for frame in self._run_siblings(plans)]
 
+    def _evaluator(self, frame: Frame) -> ExpressionEvaluator:
+        return ExpressionEvaluator(frame, self.params)
+
+    def _frame(self, relation: Relation, alias: Optional[str]) -> Frame:
+        return Frame.from_relation(relation, alias, self._gathered)
+
+    def _bound(self, plan: nodes.Plan) -> tuple:
+        """The values bound to the parameter slots ``plan`` reads, as
+        literals: they compare by type too, so ``1`` and ``1.0`` bound to
+        the same subplan of two templates key different results."""
+        if not self.params:
+            return ()
+        return tuple(ast.Literal(self.params[slot])
+                     for slot in nodes.param_slots(plan))
+
     def _bump(self, counter: str) -> None:
         with self._lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
@@ -1066,7 +1120,9 @@ class Executor:
             self._bump("cse_hits")
             return relation
         if self.result_cache is not None:
-            relation = self.result_cache.get(key, self.catalog, self.config)
+            bound = self._bound(key)
+            relation = self.result_cache.get(key, self.catalog, self.config,
+                                             bound)
             if relation is not None:
                 self._bump("cache_hits")
                 with self._lock:
@@ -1076,7 +1132,8 @@ class Executor:
         with self._lock:
             self._memo[key] = relation
         if self.result_cache is not None:
-            self.result_cache.put(key, self.catalog, self.config, relation)
+            self.result_cache.put(key, self.catalog, self.config, relation,
+                                  bound)
         return relation
 
     # -- leaves -------------------------------------------------------------------
@@ -1084,17 +1141,16 @@ class Executor:
     def _run_scan(self, plan: nodes.Scan) -> Frame:
         if plan.table == "_dual":
             relation = Relation.from_columns({"_one": [1]})
-            return Frame.from_relation(relation, None)
-        relation = self.catalog.get(plan.table)
-        return Frame.from_relation(relation, plan.alias)
+            return self._frame(relation, None)
+        return self._frame(self.catalog.get(plan.table), plan.alias)
 
     def _run_relscan(self, plan: nodes.RelScan) -> Frame:
-        return Frame.from_relation(plan.relation, plan.alias)
+        return self._frame(plan.relation, plan.alias)
 
     def _run_subqueryscan(self, plan: nodes.SubqueryScan) -> Frame:
         relation = self._memoized_relation(
             plan.plan, lambda: self.run(plan.plan).to_plain_relation())
-        return Frame.from_relation(relation, plan.alias)
+        return self._frame(relation, plan.alias)
 
     def _run_rma(self, plan: nodes.Rma) -> Frame:
         def compute() -> Relation:
@@ -1110,12 +1166,12 @@ class Executor:
                                  config=self.config)
 
         relation = self._memoized_relation(_cse_key(plan), compute)
-        return Frame.from_relation(relation, plan.alias)
+        return self._frame(relation, plan.alias)
 
     def _run_fusedrma(self, plan: nodes.FusedRma) -> Frame:
         relation = self._memoized_relation(
             _cse_key(plan), lambda: self._execute_fused(plan))
-        return Frame.from_relation(relation, plan.alias)
+        return self._frame(relation, plan.alias)
 
     def _execute_fused(self, plan: nodes.FusedRma) -> Relation:
         relations = self._sibling_relations(plan.inputs)
@@ -1163,7 +1219,7 @@ class Executor:
         positions = self._candidates.get(key)
         if positions is None:
             positions = _true_positions(
-                ExpressionEvaluator(frame).mask(plan.predicate))
+                self._evaluator(frame).mask(plan.predicate))
             if key is not None:
                 self._candidates[key] = positions
         if len(positions) == frame.nrows:
@@ -1190,7 +1246,7 @@ class Executor:
 
     def _run_project(self, plan: nodes.Project) -> Frame:
         frame = self.run(plan.child)
-        evaluator = ExpressionEvaluator(frame)
+        evaluator = self._evaluator(frame)
         names: list[str] = []
         columns: list[BAT] = []
         for index, item in enumerate(plan.items):
@@ -1215,16 +1271,14 @@ class Executor:
 
     def _run_sort(self, plan: nodes.Sort) -> Frame:
         frame = self.run(plan.child)
-        evaluator = ExpressionEvaluator(frame)
+        evaluator = self._evaluator(frame)
         positions = np.arange(frame.nrows, dtype=np.int64)
         for item in reversed(plan.items):
             value = evaluator.eval(item.expr)
             column = _broadcast(value, frame.nrows)
             key = column.tail[positions]
-            order = np.argsort(key, kind="stable")
-            if item.descending:
-                order = order[::-1]
-            positions = positions[order]
+            positions = positions[rel_ops.stable_argsort(key,
+                                                         item.descending)]
         return frame.select_positions(positions)
 
     def _run_limit(self, plan: nodes.Limit) -> Frame:
@@ -1239,7 +1293,7 @@ class Executor:
 
     def _run_aggregate(self, plan: nodes.Aggregate) -> Frame:
         frame = self.run(plan.child)
-        evaluator = ExpressionEvaluator(frame)
+        evaluator = self._evaluator(frame)
         n = frame.nrows
 
         data: dict[str, BAT] = {}
@@ -1296,13 +1350,13 @@ class Executor:
             -> Relation:
         """COUNT(DISTINCT x): count unique (group, value) pairs per group.
 
-        Group ids are the key codes themselves (dense ranks, in the order
-        ``group_by`` emits its rows); distinct pairs are ranked by the same
-        encoder, and each pair's group is scattered into a per-pair array
-        (duplicates write the same group id) before one ``bincount``.
+        Group ids are the grouping codes themselves (in the order
+        ``group_by`` emits its rows).  The distinct pairs are grouped by
+        the same encoder, and each pair's first row names its group, so
+        one ``bincount`` counts them.
         """
         if key_names:
-            gids = rel_join.factorize(work.bats(key_names))
+            gids = rel_join.group_codes(work.bats(key_names))[0]
         else:
             gids = np.zeros(work.nrows, dtype=np.int64)
         # One count per output row: a keyed aggregate over no rows has
@@ -1314,16 +1368,9 @@ class Executor:
             if not values.tnonil:  # NULL is not a value: skip its rows
                 present = np.flatnonzero(~values.is_nil())
                 values, groups = values.fetch(present), gids[present]
-            if len(values) == 0:
-                counts = np.zeros(ngroups, dtype=np.int64)
-            else:
-                value_codes = rel_join.factorize([values])
-                span = int(value_codes.max()) + 1
-                pair_codes = rel_join.dense_ranks(groups * span + value_codes)
-                pair_group = np.empty(int(pair_codes.max()) + 1,
-                                      dtype=np.int64)
-                pair_group[pair_codes] = groups
-                counts = np.bincount(pair_group, minlength=ngroups)
+            _, first, _ = rel_join.group_codes(
+                [BAT(DataType.INT, groups), values])
+            counts = np.bincount(groups[first], minlength=ngroups)
             if not key_names:
                 column = BAT.from_values([int(counts[0])], DataType.INT)
             else:
@@ -1348,9 +1395,9 @@ class Executor:
             if plan.condition is None:
                 return frame
             return frame.select_positions(_true_positions(
-                ExpressionEvaluator(frame).mask(plan.condition)))
-        left_keys = [ExpressionEvaluator(left).eval(e) for e, _ in equi]
-        right_keys = [ExpressionEvaluator(right).eval(e) for _, e in equi]
+                self._evaluator(frame).mask(plan.condition)))
+        left_keys = [self._evaluator(left).eval(e) for e, _ in equi]
+        right_keys = [self._evaluator(right).eval(e) for _, e in equi]
         left_keys = [_broadcast(k, left.nrows) for k in left_keys]
         right_keys = [_broadcast(k, right.nrows) for k in right_keys]
         # NULL keys match nothing: probe only the rows without one.
@@ -1372,7 +1419,7 @@ class Executor:
         if residual:
             frame = Frame.joined(left, right, lpos, rpos)
             keep = _true_positions(
-                ExpressionEvaluator(frame).mask(nodes.conjoin(residual)))
+                self._evaluator(frame).mask(nodes.conjoin(residual)))
             lpos, rpos = lpos[keep], rpos[keep]
         if pad:
             lpos, rpos = _pad_unmatched(lpos, rpos, left.nrows)

@@ -1,10 +1,11 @@
 """Grouped aggregation ϑ.
 
-Groups are identified by factorizing the key columns into dense codes
-(:func:`repro.relational.joins.group_codes`): the codes are the group ids,
-in key order, and small integer keys are encoded without sorting.
-Aggregates are computed with segmented numpy reductions (``bincount`` and
-friends), never per-row python loops.
+Groups are identified by the join encoder's key codes
+(:func:`repro.relational.joins.group_codes`): integer keys in a small span
+are coded by offset and composite keys folded by multiplication, without
+sorting, and the codes are compacted once into dense group ids in key
+order.  Aggregates are computed with segmented numpy reductions
+(``bincount`` and friends), never per-row python loops.
 """
 
 from __future__ import annotations

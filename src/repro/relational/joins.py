@@ -1,22 +1,34 @@
-"""Vectorized equi-joins and the key encoders behind joins and grouping.
+"""Vectorized equi-joins and the key encoder behind joins and grouping.
 
-Keys are factorized into dense integer codes: code ``c`` is the rank of
-the row's key among the distinct keys, exactly what
-``np.unique(..., return_inverse=True)`` yields.  Integer tails (INT, DATE,
-TIME, OID) whose value span is small relative to the row count — station
-codes, dates, small ids — are ranked by direct addressing in O(n + span):
-a presence mask over the span and its running sum.  Composite keys fold
-column by column through the same rank step on ``codes * k + col``.  Only
-other dtypes and wide spans fall back to the O(n log n) sort inside
-``np.unique``.
+:func:`encode_keys` turns one or two lists of key columns into int64 codes
+in ``[0, k)``: equal keys get equal codes, and codes order rows exactly as
+the keys' raw tails do (lexicographically over the columns), so they are
+order-isomorphic to what ``np.unique(..., return_inverse=True)`` ranks.
+Both sides of a join are encoded in one pass into one shared code space,
+without concatenating them:
 
-Because codes are dense in ``[0, k)``, the join probe needs no binary
-search: ``bincount`` of the right codes and its exclusive prefix sum give,
-for every code, where its run starts in the code-sorted right side and how
+* an integer column (INT, DATE, TIME, OID; the same dtype on both sides)
+  whose value span over both sides is at most ``DENSE_SPAN_FACTOR`` times
+  the row count is coded ``value - low`` — no sort, no ranking;
+* further columns fold in as ``code * span + column code``; only when
+  that product would exceed the bound is the code domain compacted first,
+  by a presence mask and its running sum;
+* other dtypes, mixed INT/DBL keys (cast to DBL) and wide spans are ranked
+  by the sort inside ``np.unique`` over both sides' values.
+
+Codes need not be dense, only bounded by ``DENSE_SPAN_FACTOR`` times the
+rows, so the join probe stays direct-addressed.  When the right side's
+codes are unique (a key), the probe is a slot table: ``slot[rcodes] =
+arange`` and ``rpos = slot[lcodes]``, and when every left row matches,
+``lpos`` is the identity.  Duplicate right keys take the counting probe:
+``bincount`` of the right codes and its exclusive prefix sum give, for
+every code, where its run starts in the code-sorted right side and how
 long it is, so each left row finds its matches with two gathers.  The
 right side's stable code order is a radix sort for up to 2**16 codes.
-Grouping takes group ids straight from the codes.  Everything is
-whole-column numpy work, no per-row python.
+
+Grouping (:func:`group_codes`) compacts the codes once, since group ids
+must be dense; they stay in key order.  Everything is whole-column numpy
+work, no per-row python.
 """
 
 from __future__ import annotations
@@ -29,99 +41,110 @@ from repro.bat.bat import BAT, DataType
 from repro.bat.properties import properties_enabled
 from repro.errors import RelationError, SchemaError
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 
 DENSE_SPAN_FACTOR = 4
-"""An int64 array of n values is ranked by direct addressing when its
-value span (max - min + 1) is at most ``DENSE_SPAN_FACTOR * n``; wider
-spans (and every non-integer dtype) go through ``np.unique``.  The span
-bounds the presence mask and its int64 running sum, so the dense path
-takes O(n) time and at most the ~36 bytes per row of scratch memory that
-the sort, permutation and inverse inside ``np.unique`` take."""
+"""Key codes are direct-addressed while their domain is at most
+``DENSE_SPAN_FACTOR`` times the encoded rows: an integer column within
+that span is coded by offset, and a composite code is compacted before a
+fold would exceed it.  Wider spans (and every non-integer dtype) are
+ranked by ``np.unique``.  The bound caps the presence masks, slot tables
+and ``bincount`` arrays at O(rows), no more scratch memory than the sort,
+permutation and inverse inside ``np.unique`` take."""
+
+_INT_TAILS = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID)
 
 
-def dense_ranks(values: np.ndarray) -> np.ndarray:
-    """Dense ranks ``0..k-1`` of ``values``, order-isomorphic to them.
+def _column_codes(lcol: BAT, rcol: BAT | None,
+                  bound: int) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """(left codes, right codes, span) of one key column: codes in
+    ``[0, span)``, shared by both sides and ordered as the raw values."""
+    if rcol is not None and lcol.dtype is not rcol.dtype:
+        if not (lcol.dtype.is_numeric and rcol.dtype.is_numeric):
+            raise RelationError(
+                f"cannot join keys of types {lcol.dtype.value} and "
+                f"{rcol.dtype.value}")
+        lcol, rcol = lcol.cast(DataType.DBL), rcol.cast(DataType.DBL)
+    tails = [lcol.tail] if rcol is None else [lcol.tail, rcol.tail]
+    if lcol.dtype in _INT_TAILS:
+        filled = [t for t in tails if len(t)]
+        if filled:
+            low = min(int(t.min()) for t in filled)
+            high = max(int(t.max()) for t in filled)
+            if high - low < bound:
+                codes = [t - low for t in tails]
+                return (codes[0], codes[1] if rcol is not None else None,
+                        high - low + 1)
+    values = tails[0] if rcol is None else np.concatenate(tails)
+    uniques, inverse = np.unique(values, return_inverse=True)
+    inverse = inverse.reshape(-1).astype(np.int64, copy=False)
+    if rcol is None:
+        return inverse, None, len(uniques)
+    n_left = len(tails[0])
+    return inverse[:n_left], inverse[n_left:], len(uniques)
 
-    Equal to ``np.unique(values, return_inverse=True)[1]`` as int64.
-    Integer arrays within the dense span are ranked in O(n + span) by a
-    presence mask and its running sum; everything else falls back to the
-    sort inside ``np.unique``.
+
+def _compact(codes: list[np.ndarray], k: int) -> tuple[list[np.ndarray], int]:
+    """Renumber codes in ``[0, k)`` densely, keeping their order: a
+    presence mask over the domain and its running sum, O(rows + k)."""
+    present = np.zeros(k, dtype=bool)
+    for part in codes:
+        present[part] = True
+    ranks = np.cumsum(present, dtype=np.int64)
+    ranks -= 1
+    return [ranks[part] for part in codes], int(ranks[-1]) + 1 if k else 0
+
+
+def encode_keys(left: Sequence[BAT], right: Sequence[BAT] | None = None) \
+        -> tuple[np.ndarray, np.ndarray | None, int]:
+    """(left codes, right codes, k): order-preserving int64 key codes in
+    ``[0, k)``, shared by both sides (see the module docstring).
+
+    With ``right=None`` only ``left`` is encoded.  ``k`` is at most
+    ``DENSE_SPAN_FACTOR`` times the rows of both sides (or 1 without rows).
     """
-    n = len(values)
-    if n and values.dtype == np.int64:
-        low, high = int(values.min()), int(values.max())
-        if high - low < DENSE_SPAN_FACTOR * n:
-            offsets = values - low
-            present = np.zeros(high - low + 1, dtype=bool)
-            present[offsets] = True
-            ranks = np.cumsum(present, dtype=np.int64)
-            ranks -= 1
-            return ranks[offsets]
-    _, inverse = np.unique(values, return_inverse=True)
-    return inverse.reshape(-1).astype(np.int64, copy=False)
-
-
-def factorize(bats: Sequence[BAT]) -> np.ndarray:
-    """Combine one or more key columns into dense int64 codes.
-
-    Equal rows get equal codes, and codes order rows lexicographically by
-    the columns' raw tails.  Columns are folded pairwise through
-    :func:`dense_ranks`, so codes stay dense and cannot overflow.
-    """
-    if not bats:
-        raise RelationError("factorize requires at least one column")
-    codes: np.ndarray | None = None
-    for bat in bats:
-        col_codes = dense_ranks(bat.tail)
-        if codes is None:
-            codes = col_codes
-        else:
-            k = int(col_codes.max()) + 1 if len(col_codes) else 1
-            codes = dense_ranks(codes * k + col_codes)
-    assert codes is not None
-    return codes
+    if not left:
+        raise RelationError("encoding keys requires at least one column")
+    if right is not None and len(left) != len(right):
+        raise RelationError("join key lists have different lengths")
+    nrows = len(left[0]) + (len(right[0]) if right is not None else 0)
+    bound = DENSE_SPAN_FACTOR * max(nrows, 1)
+    parts: list[np.ndarray] = []
+    k = 1
+    for j, lcol in enumerate(left):
+        lc, rc, span = _column_codes(lcol, right[j] if right is not None
+                                     else None, bound)
+        col = [lc] if rc is None else [lc, rc]
+        if not parts:
+            parts, k = col, span
+            continue
+        if k * span > bound:
+            parts, k = _compact(parts, k)
+        parts = [p * span + c for p, c in zip(parts, col)]
+        k *= span
+        if k > bound:
+            # Even compacted, the fold outgrew the direct-addressed
+            # domain: rank the folded codes of both sides together.
+            uniques, inverse = np.unique(np.concatenate(parts),
+                                         return_inverse=True)
+            inverse = inverse.reshape(-1).astype(np.int64, copy=False)
+            parts = np.split(inverse, [len(parts[0])])[:len(parts)]
+            k = len(uniques)
+    return parts[0], parts[1] if right is not None else None, max(k, 1)
 
 
 def group_codes(bats: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray, int]:
     """(group id per row, first-row position per group, #groups).
 
-    Group ids are the :func:`factorize` codes themselves: dense ranks need
-    no second ``np.unique``.  The first row of each group comes from one
+    Group ids are the compacted :func:`encode_keys` codes, so groups come
+    in key order.  The first row of each group comes from one
     ``np.minimum.at`` scatter, O(n).
     """
-    codes = factorize(bats)
+    codes, _, k = encode_keys(bats)
+    (codes,), ngroups = _compact([codes], k)
     n = len(codes)
-    ngroups = int(codes.max()) + 1 if n else 0
     first = np.full(ngroups, n, dtype=np.int64)
     np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
     return codes, first, ngroups
-
-
-def factorize_pair(left: Sequence[BAT],
-                   right: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize two key lists into a *shared* code space.
-
-    Joining requires codes that are comparable across the two inputs, so the
-    key columns are concatenated before factorization and the codes split
-    back afterwards.
-    """
-    if len(left) != len(right):
-        raise RelationError("join key lists have different lengths")
-    combined_bats = []
-    for lcol, rcol in zip(left, right):
-        lc, rc = lcol, rcol
-        if lc.dtype is not rc.dtype:
-            if lc.dtype.is_numeric and rc.dtype.is_numeric:
-                lc, rc = lc.cast(DataType.DBL), rc.cast(DataType.DBL)
-            else:
-                raise RelationError(
-                    f"cannot join keys of types {lc.dtype.value} and "
-                    f"{rc.dtype.value}")
-        combined_bats.append(lc.append(rc))
-    codes = factorize(combined_bats)
-    n_left = len(left[0])
-    return codes[:n_left], codes[n_left:]
 
 
 def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
@@ -130,14 +153,27 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
 
     For ``how="left"`` unmatched left rows appear with rpos ``-1``.
     Duplicate keys on either side produce the full cross of matches.
+    Pairs come in left-row order, each left row's matches in right-row
+    order.
     """
     if how not in ("inner", "left"):
         raise RelationError(f"unsupported join type {how!r}")
-    lcodes, rcodes = factorize_pair(left_keys, right_keys)
-    k = 1 + max(int(lcodes.max(initial=-1)), int(rcodes.max(initial=-1)))
-    # Counting probe: codes are dense in [0, k), so the code-sorted right
-    # side holds code c at [starts[c], starts[c] + counts[c]).
+    lcodes, rcodes, k = encode_keys(left_keys, right_keys)
     counts = np.bincount(rcodes, minlength=k)
+    if counts.max(initial=0) <= 1:
+        # Unique right keys: a direct-address slot table.
+        slot = np.full(k, -1, dtype=np.int64)
+        slot[rcodes] = np.arange(len(rcodes), dtype=np.int64)
+        rpos = slot[lcodes]
+        lpos = np.arange(len(lcodes), dtype=np.int64)
+        if how == "inner":
+            hit = rpos >= 0
+            if not hit.all():
+                lpos = np.flatnonzero(hit)
+                rpos = rpos[lpos]
+        return lpos, rpos
+    # Counting probe: the code-sorted right side holds code c at
+    # [starts[c], starts[c] + counts[c]).
     starts = np.cumsum(counts) - counts
     if properties_enabled() and _codes_sorted(rcodes):
         # Already-sorted right side (dimension tables with dense keys):
@@ -175,14 +211,12 @@ def merge_join_positions(left_keys: Sequence[BAT],
     When both sides join on one key column of the same raw-comparable type
     and both columns are already sorted (the cached ``tsorted`` bit: O(1)
     for base columns, O(n) once otherwise), matches come from two binary
-    searches directly on the raw tails, skipping the hash path's
-    factorization (concatenating and ranking both sides' key columns) and
-    its right-side code sort entirely.
+    searches directly on the raw tails, skipping the hash path's key
+    encoding and its probe entirely.
 
     The output position pairs are identical to :func:`join_positions`:
-    codes are order-isomorphic to raw values, so the group boundaries
-    agree, and the sorted right side makes the stable argsort the
-    identity.  Preconditions are re-verified here at run time; when they
+    codes are order-isomorphic to raw values, so both paths pair each left
+    row with its matches in right-row order.  Preconditions are re-verified here at run time; when they
     do not hold (composite keys included) the call falls back to the hash
     path, so a planner mis-prediction costs nothing but the check.
 
@@ -239,13 +273,14 @@ def _expand_matches(lo: np.ndarray, counts: np.ndarray,
 
 
 def _codes_sorted(codes: np.ndarray) -> bool:
-    """Whether the factorized codes are already non-decreasing.
+    """Whether the key codes are already non-decreasing.
 
     Decided by one O(n) scan of the codes themselves, which saves the
-    stable code sort and the position gather it implies.  The key BATs' cached ``tsorted`` bits
-    are deliberately NOT consulted: :func:`factorize_pair` may cast mixed
-    INT/DBL keys to DBL, which moves the INT nil sentinel from the smallest
-    raw value to NaN, so pre-cast sortedness does not imply sorted codes.
+    stable code sort and the position gather it implies.  The key BATs'
+    cached ``tsorted`` bits are deliberately NOT consulted: mixed INT/DBL
+    keys are cast to DBL, which moves the INT nil sentinel from the
+    smallest raw value to NaN, so pre-cast sortedness does not imply
+    sorted codes.
     """
     return len(codes) < 2 or bool(np.all(codes[:-1] <= codes[1:]))
 

@@ -121,6 +121,17 @@ def limit(relation: Relation, n: int, offset: int = 0) -> Relation:
                      for col in relation.columns])
 
 
+def stable_argsort(key: np.ndarray, descending: bool = False) -> np.ndarray:
+    """Stable argsort of ``key``: equal keys keep their input order in
+    either direction, so sorting by the last ORDER BY key first and the
+    first key last gives the lexicographic order."""
+    if not descending:
+        return np.argsort(key, kind="stable")
+    # Sort the reversed input ascending and read it back to front: values
+    # come out descending and ties in their input order.
+    return (len(key) - 1 - np.argsort(key[::-1], kind="stable"))[::-1]
+
+
 def sort(relation: Relation, names: Sequence[str],
          descending: Sequence[bool] | None = None) -> Relation:
     """ORDER BY: reorder storage by the given attributes."""
@@ -130,9 +141,6 @@ def sort(relation: Relation, names: Sequence[str],
     for name, desc in reversed(list(zip(
             names, descending or [False] * len(names)))):
         key = relation.column(name).tail[positions]
-        order = np.argsort(key, kind="stable")
-        if desc:
-            order = order[::-1]
-        positions = positions[order]
+        positions = positions[stable_argsort(key, desc)]
     return Relation(relation.schema,
                     [col.fetch(positions) for col in relation.columns])

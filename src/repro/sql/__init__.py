@@ -16,8 +16,8 @@ same optimizer, physical planner (order-aware join strategy, CSE) and
 executor also serve the matrix-expression API (:mod:`repro.api`).
 
 Statement execution lives on :class:`repro.api.database.Database`
-(``repro.connect()``), which owns the catalog, the statement/plan/result
-caches and ``EXPLAIN <select>``.
+(``repro.connect()``), which owns the catalog, the statement-template,
+plan and result caches and ``EXPLAIN <select>``.
 """
 
 from repro.sql.parser import parse_sql

@@ -67,6 +67,23 @@ class Literal(Expr):
 
 
 @dataclass(frozen=True)
+class Param(Expr):
+    """A literal of a statement template, by slot.
+
+    The session parses a statement once per shape (its token stream with
+    the literals taken out) and runs the template with the literals'
+    values bound per execution.  Equal literals of one statement share a
+    slot, so templates compare sub-expressions exactly as the literals
+    did.
+    """
+
+    slot: int
+
+    def to_sql(self) -> str:
+        return f"${self.slot}"
+
+
+@dataclass(frozen=True)
 class ColumnRef(Expr):
     name: str
     table: Optional[str] = None

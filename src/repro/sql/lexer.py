@@ -1,8 +1,16 @@
-"""SQL tokenizer."""
+"""SQL tokenizer: one compiled master regex over the statement text.
+
+Each alternative of ``_TOKEN`` is one token class; whitespace and ``--``
+comments match too and are dropped, and any other single character
+matches last, as an error.  Tokens carry their offset in the text; line
+and column are computed from it only when something asks for them (an
+error message).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -20,21 +28,43 @@ KEYWORDS = {
 SYMBOLS = ("<>", "!=", "<=", ">=", "||", "<", ">", "=", "(", ")", ",",
            "+", "-", "*", "/", "%", ".", ";")
 
+_TOKEN = re.compile(
+    r"(?P<SKIP>[ \t\r\n]+|--[^\n]*)"
+    # Digits, at most one dot, then an exponent (a sign alone suffices).
+    r"|(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE](?:[+-]|(?=\d))\d*)?)"
+    # '' inside a string is a quote; a string ends at a lone quote.
+    r"|(?P<STRING>'[^']*(?:''[^']*)*'(?!'))"
+    r"|(?P<QUOTED>\"[^\"]*\")"
+    r"|(?P<WORD>[^\W\d]\w*)"
+    r"|(?P<SYMBOL>" + "|".join(map(re.escape, SYMBOLS)) + ")"
+    r"|(?P<ERROR>.)", re.DOTALL)
+"""Identifiers start with a letter or ``_`` and continue with letters,
+digits and ``_``; numbers use decimal digits.  ``WORD`` also matches a
+word that starts with some other non-decimal word character (``½``,
+``Ⅻ``, ``²``); :func:`tokenize` rejects it as an unexpected character."""
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is one of: KEYWORD, IDENT, NUMBER, STRING, SYMBOL, EOF.
     Keywords are upper-cased; identifiers keep their original spelling
     (quoted identifiers via double quotes preserve case and may collide
-    with keywords).
+    with keywords).  ``offset`` is the token's start in ``text``.
     """
 
     kind: str
     value: str
-    line: int
-    column: int
+    offset: int
+    text: str
+
+    @property
+    def line(self) -> int:
+        return _line_and_column(self.text, self.offset)[0]
+
+    @property
+    def column(self) -> int:
+        return _line_and_column(self.text, self.offset)[1]
 
     def is_keyword(self, *words: str) -> bool:
         return self.kind == "KEYWORD" and self.value in words
@@ -46,103 +76,47 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
+def _line_and_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def _error(message: str, text: str, offset: int) -> SqlSyntaxError:
+    return SqlSyntaxError(message, *_line_and_column(text, offset))
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SqlSyntaxError` on bad input."""
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                c = text[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    if j + 1 < n and (text[j + 1].isdigit()
-                                      or text[j + 1] in "+-"):
-                        seen_exp = True
-                        j += 2 if text[j + 1] in "+-" else 1
-                    else:
-                        break
-                else:
-                    break
-            tokens.append(Token("NUMBER", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch == "'":
-            j = i + 1
-            parts = []
-            while True:
-                if j >= n:
-                    raise SqlSyntaxError("unterminated string literal",
-                                         start_line, start_col)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token("STRING", "".join(parts),
-                                start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise SqlSyntaxError("unterminated quoted identifier",
-                                     start_line, start_col)
-            tokens.append(Token("IDENT", text[i + 1:j],
-                                start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
+        value = match.group()
+        start = match.start()
+        if kind == "WORD":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise _error(f"unexpected character {value[0]!r}", text,
+                             start)
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, start_line, start_col))
+                append(Token("KEYWORD", upper, start, text))
             else:
-                tokens.append(Token("IDENT", word, start_line, start_col))
-            advance(j - i)
-            continue
-        matched = False
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYMBOL", sym, start_line, start_col))
-                advance(len(sym))
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {ch!r}",
-                                 start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+                append(Token("IDENT", value, start, text))
+        elif kind == "STRING":
+            append(Token("STRING", value[1:-1].replace("''", "'"), start,
+                         text))
+        elif kind == "QUOTED":
+            append(Token("IDENT", value[1:-1], start, text))
+        elif kind == "ERROR":
+            if value == "'":
+                raise _error("unterminated string literal", text, start)
+            if value == '"':
+                raise _error("unterminated quoted identifier", text, start)
+            raise _error(f"unexpected character {value!r}", text, start)
+        else:
+            append(Token(kind, value, start, text))
+    append(Token("EOF", "", len(text), text))
     return tokens

@@ -1,8 +1,15 @@
-"""Recursive-descent SQL parser with the RMA FROM-clause extension."""
+"""Recursive-descent SQL parser with the RMA FROM-clause extension.
+
+:func:`literal_slots` splits a token stream into its *shape* and its
+literal values: sessions key their statement templates by the shape and
+parse each shape once, with ``parse_sql(text, template=True)`` turning
+every literal into an :class:`~repro.sql.ast.Param` slot.
+"""
 
 from __future__ import annotations
 
 import datetime as _dt
+from typing import Any, Sequence
 
 from repro.errors import SqlSyntaxError
 from repro.opspec import OPS
@@ -18,9 +25,12 @@ _AGGREGATES = frozenset({"AVG", "SUM", "COUNT", "MIN", "MAX", "VAR",
 class Parser:
     """One-pass recursive descent over the token stream."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token],
+                 slots: dict[int, int] | None = None):
         self.tokens = tokens
         self.pos = 0
+        # Token index -> parameter slot, for template parses.
+        self.slots = slots or {}
 
     # -- token helpers -------------------------------------------------------
 
@@ -399,34 +409,22 @@ class Parser:
     def parse_primary(self) -> ast.Expr:
         token = self.peek()
         if token.kind == "NUMBER":
-            self.advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
+            return self.literal(_number(self.advance().value))
         if token.kind == "STRING":
-            self.advance()
-            return ast.Literal(token.value)
+            return self.literal(self.advance().value)
         if token.is_keyword("NULL"):
             self.advance()
             return ast.Literal(None)
         if token.is_keyword("TRUE", "FALSE"):
             self.advance()
             return ast.Literal(token.value == "TRUE")
-        if token.is_keyword("DATE"):
+        if token.is_keyword("DATE", "TIME"):
             self.advance()
             value = self.peek()
             if value.kind != "STRING":
-                raise self.error("expected string after DATE")
+                raise self.error(f"expected string after {token.value}")
             self.advance()
-            return ast.Literal(_dt.date.fromisoformat(value.value))
-        if token.is_keyword("TIME"):
-            self.advance()
-            value = self.peek()
-            if value.kind != "STRING":
-                raise self.error("expected string after TIME")
-            self.advance()
-            return ast.Literal(_dt.time.fromisoformat(value.value))
+            return self.literal(_TEMPORAL[token.value](value.value))
         if token.is_keyword("CASE"):
             return self.parse_case()
         if token.is_symbol("("):
@@ -443,6 +441,11 @@ class Parser:
                 return ast.ColumnRef(column, name)
             return ast.ColumnRef(name)
         raise self.error("expected an expression")
+
+    def literal(self, value: Any) -> ast.Expr:
+        """The literal token just consumed: its template slot, if any."""
+        slot = self.slots.get(self.pos - 1)
+        return ast.Literal(value) if slot is None else ast.Param(slot)
 
     def parse_case(self) -> ast.Expr:
         self.expect_keyword("CASE")
@@ -540,6 +543,65 @@ class Parser:
         return tuple(values)
 
 
-def parse_sql(text: str) -> ast.Statement:
-    """Parse one SQL statement."""
-    return Parser(tokenize(text)).parse_statement()
+_TEMPORAL = {"DATE": _dt.date.fromisoformat,
+             "TIME": _dt.time.fromisoformat}
+
+
+def _number(text: str) -> int | float:
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
+def literal_slots(tokens: Sequence[Token]) \
+        -> tuple[tuple, tuple, dict[int, int]]:
+    """(shape, values, slots) of a token stream.
+
+    Every number, string and ``DATE``/``TIME`` string is a literal,
+    except the counts after ``LIMIT`` and ``OFFSET``: those shape the plan
+    and stay in the shape.  Equal literals (same type and value, as
+    :class:`~repro.sql.ast.Literal` compares them) share one slot, and
+    ``values[slot]`` is the literal's value.  The shape is the token
+    stream with each literal replaced by its slot and type, so statements
+    of one shape parse into the same template; ``slots`` maps literal
+    token indexes to slots.  A malformed ``DATE``/``TIME`` string raises
+    the ``ValueError`` parsing it would.
+    """
+    shape: list[tuple] = []
+    values: list[Any] = []
+    slots: dict[int, int] = {}
+    seen: dict[tuple, int] = {}
+    previous = ("", "")
+    for index, token in enumerate(tokens):
+        kind, text = token.kind, token.value
+        if kind == "NUMBER" and previous not in (("KEYWORD", "LIMIT"),
+                                                 ("KEYWORD", "OFFSET")):
+            value = _number(text)
+        elif kind == "STRING":
+            convert = _TEMPORAL.get(previous[1]) \
+                if previous[0] == "KEYWORD" else None
+            value = text if convert is None else convert(text)
+        else:
+            previous = (kind, text)
+            shape.append(previous)
+            continue
+        previous = (kind, text)
+        key = (type(value), value.hex() if isinstance(value, float)
+               else value)
+        slot = seen.setdefault(key, len(values))
+        if slot == len(values):
+            values.append(value)
+        slots[index] = slot
+        shape.append(("$", slot, type(value).__name__))
+    return tuple(shape), tuple(values), slots
+
+
+def parse_sql(text: str, template: bool = False) -> ast.Statement:
+    """Parse one SQL statement.
+
+    With ``template=True`` its literals (see :func:`literal_slots`) parse
+    as :class:`~repro.sql.ast.Param` slots.
+    """
+    tokens = tokenize(text)
+    slots = literal_slots(tokens)[2] if template else None
+    return Parser(tokens, slots).parse_statement()

@@ -172,10 +172,10 @@ class TestSessionCaches:
         db.register("t", rel)
         m = db.matrix("t", by="key").inv()
         m.collect()
-        entry_count = len(db._select_plans)
+        entry_count = len(db._expression_plans)
         assert entry_count == 1
         m.collect()
-        assert len(db._select_plans) == entry_count
+        assert len(db._expression_plans) == entry_count
 
     def test_in_memory_plans_not_pinned_by_plan_cache(self, rel):
         """RelScan-leaf expression plans bypass the statement-plan cache:
@@ -184,7 +184,7 @@ class TestSessionCaches:
         m = db.matrix(rel, by="key").inv()
         m.collect()
         m.collect()
-        assert len(db._select_plans) == 0
+        assert len(db._expression_plans) == 0
 
     def test_matrix_rejects_foreign_database_handle(self, rel):
         db1, db2 = repro.connect(), repro.connect()

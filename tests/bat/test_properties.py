@@ -329,7 +329,7 @@ class TestReviewRegressions:
     """Regressions for the soundness corners found in review."""
 
     def test_join_mixed_type_keys_with_nils(self):
-        # factorize_pair casts INT keys to DBL when the other side is DBL:
+        # encode_keys casts INT keys to DBL when the other side is DBL:
         # the INT nil (smallest raw) becomes NaN (sorts last), so a cached
         # tsorted bit on the INT BAT must not certify the codes as sorted.
         right_bat = BAT.from_values([None, 1, 2], DataType.INT)

@@ -163,7 +163,7 @@ class TestSessionCaches:
         db = repro.connect()
         db.register("t", Relation.from_columns({
             "id": np.arange(5, dtype=np.int64), "v": np.arange(5.0)}))
-        db._statements.max_entries = db._select_plans.max_entries = 2
+        db._templates.max_entries = db._expression_plans.max_entries = 2
         statements = [f"SELECT id, v + {i} AS w FROM t WHERE id >= {i % 3}"
                       for i in range(6)]
 

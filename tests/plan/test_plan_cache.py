@@ -177,9 +177,9 @@ class TestSessionResultCache:
 
 
 def cached_entry(session):
-    """The single statement-plan cache entry (keyed by canonical SQL)."""
-    assert len(session._select_plans) == 1
-    return next(iter(session._select_plans.values()))
+    """The planned query of the single statement template."""
+    assert len(session._templates) == 1
+    return next(iter(session._templates.values())).plan
 
 
 class TestStatementPlanCache:
@@ -238,8 +238,8 @@ class TestStatementPlanCache:
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         session.execute(GRAM_SQL)
-        assert len(session._select_plans) == 0
-        assert len(session._statements) == 0
+        assert len(session._templates) == 0
+        assert len(session._expression_plans) == 0
         assert session.result_cache is None
 
 

@@ -8,38 +8,38 @@ from hypothesis import strategies as st
 from repro.bat.bat import BAT
 from repro.errors import RelationError, SchemaError
 from repro.relational import Relation, join
-from repro.relational.joins import factorize, factorize_pair, join_positions
+from repro.relational.joins import encode_keys, join_positions
 
 
 class TestFactorize:
     def test_equal_rows_equal_codes(self):
         a = BAT.from_values([1, 2, 1])
         b = BAT.from_values(["x", "y", "x"])
-        codes = factorize([a, b])
+        codes = encode_keys([a, b])[0]
         assert codes[0] == codes[2]
         assert codes[0] != codes[1]
 
     def test_pair_shares_code_space(self):
         left = [BAT.from_values([1, 2])]
         right = [BAT.from_values([2, 3])]
-        lcodes, rcodes = factorize_pair(left, right)
+        lcodes, rcodes, _ = encode_keys(left, right)
         assert lcodes[1] == rcodes[0]
         assert lcodes[0] != rcodes[1]
 
     def test_numeric_cross_type(self):
         left = [BAT.from_values([1, 2])]
         right = [BAT.from_values([2.0, 9.0])]
-        lcodes, rcodes = factorize_pair(left, right)
+        lcodes, rcodes, _ = encode_keys(left, right)
         assert lcodes[1] == rcodes[0]
 
     def test_incompatible_types_rejected(self):
         with pytest.raises(RelationError):
-            factorize_pair([BAT.from_values(["a"])],
+            encode_keys([BAT.from_values(["a"])],
                            [BAT.from_values([1])])
 
     def test_empty_list_rejected(self):
         with pytest.raises(RelationError):
-            factorize([])
+            encode_keys([])
 
 
 def brute_force_inner(left_keys, right_keys):

@@ -1,11 +1,15 @@
-"""The key encoders behind joins, GROUP BY and PIVOT against a sort-based
-reference.
+"""The key encoder behind joins, GROUP BY, COUNT(DISTINCT) and PIVOT
+against a sort-based reference.
 
-``factorize`` ranks small integer domains by direct addressing and the join
-probe gathers from bincount prefix sums; both must reproduce *exactly* what
-the plain ``np.unique`` encoding below yields — the same codes, the same
-join position pairs in the same order, the same group order and first-row
-representatives.  Inputs straddle the dense-span threshold, carry
+``encode_keys`` codes small integer domains by offset and folds composite
+keys by multiplication, compacting only when a fold would outgrow the
+direct-addressed domain; the join probe uses a slot table for unique right
+keys and bincount prefix sums otherwise.  All of it must reproduce
+*exactly* what the plain ``np.unique`` encoding below yields: codes that
+rank the same, the same join position pairs in the same order, the same
+group order and first-row representatives.  Inputs straddle the
+dense-span threshold, fold composite keys across it, place the two join
+sides in disjoint or one-sided ranges, carry negative lows,
 ``NIL_INT``/NaN, mix INT and DBL join keys (the cast path), and include
 empty and one-row relations.
 """
@@ -19,9 +23,12 @@ import repro
 from repro.bat.bat import BAT, NIL_INT, DataType
 from repro.bat.properties import use_properties
 from repro.relational import AggregateSpec, Relation, group_by, pivot
-from repro.relational.joins import (DENSE_SPAN_FACTOR, dense_ranks,
-                                    factorize, group_codes, join_positions)
+from repro.relational.joins import (DENSE_SPAN_FACTOR, encode_keys,
+                                    group_codes, join_positions)
 from repro.relational.schema import Attribute, Schema
+
+# The "ci" profile (tests/conftest.py) runs ten times as many examples.
+SCALE = 10 if settings.get_current_profile_name() == "ci" else 1
 
 INT_KINDS = {"int": DataType.INT, "date": DataType.DATE,
              "time": DataType.TIME, "oid": DataType.OID}
@@ -142,17 +149,31 @@ properties = pytest.mark.parametrize("enabled", [True, False],
 
 # -- the encoders ------------------------------------------------------------
 
+def ranks(codes):
+    """Dense ranks of codes: equal to the reference codes exactly when
+    the codes are order-isomorphic to them."""
+    _, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64)
+
+
+def assert_encoding(codes, k, nrows, expected):
+    assert codes.dtype == np.int64
+    assert 1 <= k <= DENSE_SPAN_FACTOR * max(nrows, 1)
+    assert codes.min(initial=0) >= 0 and codes.max(initial=-1) < k
+    np.testing.assert_array_equal(ranks(codes), expected)
+
+
 @properties
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * SCALE, deadline=None)
 @given(data=st.data(), n=sizes, kinds=key_kinds)
 def test_factorize_matches_unique(enabled, data, n, kinds):
     bats = [data.draw(key_bat(kind, n)) for kind in kinds]
     with use_properties(enabled):
-        codes = factorize(bats)
+        codes, none, k = encode_keys(bats)
         gids, first, ngroups = group_codes(bats)
+    assert none is None
     tails = [b.tail for b in bats]
-    assert codes.dtype == np.int64
-    np.testing.assert_array_equal(codes, ref_factorize(tails))
+    assert_encoding(codes, k, n, ref_factorize(tails))
     want_gids, want_first, want_ngroups = ref_groups(tails)
     np.testing.assert_array_equal(gids, want_gids)
     np.testing.assert_array_equal(first, want_first)
@@ -161,8 +182,9 @@ def test_factorize_matches_unique(enabled, data, n, kinds):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
 def test_dense_threshold(n, monkeypatch):
-    """A span of ``DENSE_SPAN_FACTOR * n`` is ranked without sorting; one
-    more falls back to np.unique — with identical ranks either way."""
+    """A span of ``DENSE_SPAN_FACTOR * n`` is coded by offset without
+    sorting; one more falls back to np.unique — with codes that rank
+    identically either way."""
     calls = []
     unique = np.unique
 
@@ -181,10 +203,81 @@ def test_dense_threshold(n, monkeypatch):
         expected = ref_factorize([tail])
         calls.clear()
         monkeypatch.setattr(np, "unique", counting_unique)
-        got = dense_ranks(tail)
+        codes, _, k = encode_keys([BAT(DataType.INT, tail)])
         monkeypatch.setattr(np, "unique", unique)
         assert bool(calls) is sorts
-        np.testing.assert_array_equal(got, expected)
+        assert_encoding(codes, k, n, expected)
+
+
+@st.composite
+def int_composite_sides(draw):
+    """Two sides of 2-3 integer key columns, each column dense on its
+    own, whose span product crosses the direct-addressed bound (the
+    compaction path).  The sides overlap, are disjoint, or one is empty;
+    lows may be negative and NIL_INT may appear."""
+    ncols = draw(st.integers(2, 3))
+    nl, nr = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    if nl + nr == 0:
+        nl = 1
+    placement = draw(st.sampled_from(("overlap", "disjoint", "one-sided")))
+    if placement == "one-sided":
+        nl, nr = draw(st.sampled_from(((nl + nr, 0), (0, nl + nr))))
+    left, right = [], []
+    for _ in range(ncols):
+        dtype = INT_KINDS[draw(st.sampled_from(sorted(INT_KINDS)))]
+        span = draw(st.integers(1, max(1, nl + nr)))
+        low = draw(st.integers(-(1 << 20), 1 << 20))
+        shift = span if placement == "disjoint" else 0
+        sides = []
+        for rows, offset in ((nl, 0), (nr, shift)):
+            tail = np.array(draw(st.lists(st.integers(0, span - 1),
+                                          min_size=rows, max_size=rows)),
+                            dtype=np.int64) + low + offset
+            if rows and draw(st.integers(0, 9)) == 0:
+                tail[draw(st.integers(0, rows - 1))] = NIL_INT
+            sides.append(BAT(dtype, tail))
+        left.append(sides[0])
+        right.append(BAT(sides[0].dtype, sides[1].tail))
+    return left, right
+
+
+@properties
+@settings(max_examples=120 * SCALE, deadline=None)
+@given(sides=int_composite_sides())
+def test_encode_pair_matches_unique(enabled, sides):
+    """Both sides share one code space, ranked as the reference ranks
+    their concatenation."""
+    left, right = sides
+    with use_properties(enabled):
+        lcodes, rcodes, k = encode_keys(left, right)
+    nl = len(left[0])
+    expected = ref_factorize([np.concatenate([lc.tail, rc.tail])
+                              for lc, rc in zip(left, right)])
+    assert_encoding(np.concatenate([lcodes, rcodes]), k,
+                    nl + len(right[0]), expected)
+
+
+def test_composite_fold_compacts_without_sorting(monkeypatch):
+    """Dense columns whose span product is above the bound fold through
+    presence-mask compaction, never through np.unique: the first column
+    has few distinct values spread over a wide span."""
+    rng = np.random.default_rng(7)
+    n = 40  # bound 160
+    tails = [rng.choice(np.array([-7, 3, 13, 22]), n),  # span 30
+             rng.integers(0, 30, n), rng.integers(5, 7, n)]
+    tails = [t.astype(np.int64) for t in tails]
+    tails[0][:4] = [-7, 3, 13, 22]
+    tails[1][:2] = [0, 29]
+    tails[2][:2] = [5, 6]
+    expected = ref_factorize(tails)
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called on dense integer keys")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    codes, _, k = encode_keys([BAT(DataType.INT, t) for t in tails])
+    monkeypatch.undo()
+    assert_encoding(codes, k, n, expected)
 
 
 @st.composite
@@ -210,21 +303,51 @@ def join_sides(draw):
     return left, right
 
 
+@st.composite
+def keyed_join_sides(draw):
+    """Integer keys with unique right rows (the slot probe) or duplicate
+    ones (the counting probe); the left side misses some keys, matches
+    all of them, or is empty."""
+    nl, nr = draw(sizes), draw(sizes)
+    low = draw(st.integers(-(1 << 30), 1 << 30))
+    universe = max(nr, 1) * draw(st.integers(1, 3))
+    unique_right = draw(st.booleans())
+    if unique_right:
+        picks = draw(st.lists(st.integers(0, universe - 1), min_size=nr,
+                              max_size=nr, unique=True))
+    else:
+        picks = draw(st.lists(st.integers(0, max(nr // 2, 1)),
+                              min_size=nr, max_size=nr))
+    right = np.array(picks, dtype=np.int64) + low
+    if draw(st.booleans()) and nr:
+        # Every left key has a match (lpos is the identity).
+        left = right[np.array(draw(st.lists(
+            st.integers(0, nr - 1), min_size=nl, max_size=nl)),
+            dtype=np.int64)]
+    else:
+        left = np.array(draw(st.lists(st.integers(-2, universe + 2),
+                                      min_size=nl, max_size=nl)),
+                        dtype=np.int64) + low
+    return [BAT(DataType.INT, left)], [BAT(DataType.INT, right)]
+
+
 @properties
 @pytest.mark.parametrize("how", ["inner", "left"])
-@settings(max_examples=80, deadline=None)
-@given(sides=join_sides())
+@settings(max_examples=80 * SCALE, deadline=None)
+@given(sides=st.one_of(join_sides(), keyed_join_sides(),
+                       int_composite_sides()))
 def test_join_positions_match_reference(enabled, how, sides):
     left, right = sides
     with use_properties(enabled):
         lpos, rpos = join_positions(left, right, how)
     want_l, want_r = ref_join(left, right, how)
+    assert lpos.dtype == rpos.dtype == np.int64
     np.testing.assert_array_equal(lpos, want_l)
     np.testing.assert_array_equal(rpos, want_r)
 
 
 @properties
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * SCALE, deadline=None)
 @given(data=st.data(), n=sizes, kinds=key_kinds)
 def test_group_by_matches_reference(enabled, data, n, kinds):
     bats = [data.draw(key_bat(kind, n)) for kind in kinds]
@@ -276,7 +399,7 @@ def ref_pivot(relation, index, on, value):
 
 
 @properties
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * SCALE, deadline=None)
 @given(data=st.data(), n=st.integers(1, 24),
        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=2),
        on_kind=st.sampled_from(("int", "dbl", "str")))
@@ -307,7 +430,7 @@ def test_pivot_matches_reference(enabled, data, n, kinds, on_kind):
 
 # -- COUNT(DISTINCT) through SQL -----------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * SCALE, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3)),
                      min_size=1, max_size=30))
 def test_count_distinct_matches_sets(rows):

@@ -144,3 +144,8 @@ class TestLimitSort:
         rel = Relation.from_columns({"a": [1, 1, 2], "b": [5, 9, 1]})
         out = sort(rel, ["a", "b"], descending=[False, True])
         assert out.to_rows() == [(1, 9), (1, 5), (2, 1)]
+
+    def test_sort_descending_key_keeps_ties_for_later_keys(self):
+        rel = Relation.from_columns({"a": [1, 1, 2, 1], "b": [5, 9, 1, 7]})
+        out = sort(rel, ["a", "b"], descending=[True, False])
+        assert out.to_rows() == [(2, 1), (1, 5), (1, 7), (1, 9)]

@@ -341,3 +341,11 @@ NULLS = {"l": [(None, None, None, None), (1, 0.5, "a", DATES[0]),
 ])
 def test_regressions(sql):
     check(NULLS, sql)
+
+
+def test_descending_key_keeps_ties_for_later_keys():
+    # A DESC key used to reverse its ties, so later keys sorted backwards.
+    data = {"l": [(0, 0.0, None, DATES[0]), (0, 0.0, None, DATES[1])],
+            "r": []}
+    check(data, "SELECT k, x, d FROM l ORDER BY k, x DESC, d",
+          ordered=True)
