@@ -27,7 +27,8 @@ table versions + config cache tokens):
   planned once; every execution binds that statement's literal values
   to the slots.  Statements that differ only in a date window share one
   plan; ``LIMIT``/``OFFSET`` counts and literal types are part of the
-  shape;
+  shape.  A warm statement finds its template without the tokenizer,
+  by a first-level key of its text (:func:`repro.sql.parser.literal_key`);
 * a **plan cache** for ``Matrix`` expressions (plan node -> optimized
   plan + physical annotations);
 * a **result cache** (:class:`repro.plan.cache.PlanCache`): repeated
@@ -77,7 +78,7 @@ from repro.relational.relation import Relation
 from repro.relational.ops import union_all
 from repro.sql import ast
 from repro.sql.lexer import tokenize
-from repro.sql.parser import literal_slots, parse_sql
+from repro.sql.parser import literal_key, literal_slots, parse_sql
 
 _MAX_CACHED_STATEMENTS = 256
 
@@ -148,6 +149,8 @@ class Database:
         self._local = threading.local()
         # Statement shape -> _Template
         self._templates: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
+        # First-level key (literal_key) -> the same _Template objects
+        self._template_keys: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
         # Expression Plan -> (optimized plan, physical info, stamps,
         # config token)
         self._expression_plans: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
@@ -325,12 +328,22 @@ class Database:
             -> tuple[ast.Statement, Optional[_Template], tuple]:
         """(statement, its template, the values bound to its slots).
 
-        The template is parsed on the first statement of its shape only;
+        A warm statement is found by its first-level key, one regex pass
+        over the text (:func:`~repro.sql.parser.literal_key`).  On a miss
+        the statement is tokenized and its shape
+        (:func:`~repro.sql.parser.literal_slots`) finds or creates the
+        template, which the first-level key then maps to as well.  The
+        template is parsed on the first statement of its shape only;
         without caching the statement is parsed with its literals in
         place, and has no template and no parameters.
         """
         if not self._caching:
             return parse_sql(sql), None, ()
+        fast = literal_key(sql)
+        if fast is not None:
+            template = self._template_keys.lookup(fast[0])
+            if template is not None:
+                return template.statement, template, fast[1]
         try:
             shape, params, _ = literal_slots(tokenize(sql))
         except ValueError:
@@ -340,6 +353,8 @@ class Database:
         if template is None:
             template = _Template(parse_sql(sql, template=True))
             self._templates.store(shape, template)
+        if fast is not None:
+            self._template_keys.store(fast[0], template)
         return template.statement, template, params
 
     def _select_statement(self, sql: str) \

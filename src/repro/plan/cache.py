@@ -32,6 +32,19 @@ they were computed under: results can depend on configuration (e.g. the
 backend policy), so a session that swaps — or mutates — its config never
 sees a result computed under different settings.
 
+A result is admitted on its key's second sighting.  A bounded doorkeeper
+(:meth:`PlanCache.sighted`) holds the hashes of the ``(subplan, bound
+values)`` keys seen so far; the executor looks a key up and stores its
+result only when the doorkeeper already held it.  A result computed once
+and never again (a fresh date window, a ``Matrix`` over a relation built
+for one query) then costs one hash probe, and no weak key, stamps, byte
+estimate or finalizers.  A repeated key is cached from its second run and
+served from its third.  When full, the doorkeeper starts over, as TinyLFU's
+does (Einziger, Friedman & Manes, "TinyLFU: A Highly Efficient Cache
+Admission Policy", ACM TOS 2017).  Admission decides only what is stored;
+stamps, config tokens and weak-key invalidation apply to every entry as
+before.
+
 A :class:`repro.api.database.Database` owns one per session (or shares one
 passed to ``connect(plan_cache=...)``), so SQL statements and ``Matrix``
 expressions reuse each other's subplan results.
@@ -81,10 +94,10 @@ def catalog_stamps(plan: nodes.Plan, catalog: Catalog) -> Stamps:
 class LruDict(OrderedDict):
     """OrderedDict with LRU discipline: touch on hit, trim on store.
 
-    The session's template and expression-plan caches.  Threads sharing
-    one session read and write it concurrently, so every method takes the
-    lock: a hit is found and touched in one step, never after another
-    thread's ``store`` evicted it.
+    The session's template, first-level key and expression-plan caches.
+    Threads sharing one session read and write it concurrently, so every
+    method takes the lock: a hit is found and touched in one step, never
+    after another thread's ``store`` evicted it.
     """
 
     def __init__(self, max_entries: int):
@@ -213,7 +226,11 @@ class PlanCache:
     lock: with the morsel engine on, executors call ``get``/``put`` from
     pool worker threads.  Entries whose ``RelScan`` leaf relations were
     collected are dropped at the next call (see :func:`_weak_key`).
+    The doorkeeper of :meth:`sighted` holds up to
+    ``DOORKEEPER_PER_ENTRY * max_entries`` key hashes.
     """
+
+    DOORKEEPER_PER_ENTRY = 8
 
     def __init__(self, max_entries: int = 128,
                  max_bytes: int = DEFAULT_MAX_RESULT_BYTES):
@@ -223,6 +240,7 @@ class PlanCache:
         self._bytes = 0
         self._lock = threading.Lock()
         self._dead: deque = deque()
+        self._doorkeeper: set[int] = set()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -239,6 +257,26 @@ class PlanCache:
         with self._lock:
             self._drop_dead()
             return self._bytes
+
+    def sighted(self, plan: nodes.Plan, bound: tuple = ()) -> bool:
+        """Whether the key ``(plan, bound)`` was seen before; a first
+        sighting is recorded and counts as a miss.
+
+        Only the key's hash is kept: plan nodes cache theirs, and a
+        ``RelScan`` hashes like the weak key :func:`_weak_key` builds for
+        it, so the check costs one probe and pins nothing.  A hash
+        collision only admits a result one sighting early.
+        """
+        key = hash((plan, bound))
+        with self._lock:
+            if key in self._doorkeeper:
+                return True
+            if len(self._doorkeeper) >= \
+                    self.DOORKEEPER_PER_ENTRY * self.max_entries:
+                self._doorkeeper.clear()
+            self._doorkeeper.add(key)
+            self.misses += 1
+            return False
 
     def get(self, plan: nodes.Plan, catalog: Catalog,
             config: "RmaConfig", bound: tuple = ()) -> "Relation | None":
@@ -324,6 +362,7 @@ class PlanCache:
                 entry.detach()
             self._entries.clear()
             self._dead.clear()
+            self._doorkeeper.clear()
             self._bytes = 0
 
     @staticmethod

@@ -365,6 +365,11 @@ class Optimizer:
         if isinstance(plan, (nodes.Scan, nodes.RelScan)):
             if needed is None:
                 return plan
+            # Only the leaf's own columns: the names needed above a join
+            # include the other sides'.
+            leaf = self.output_names(plan)
+            if leaf is not None:
+                needed = needed & {name for _, name in leaf}
             return nodes.Prune(plan, tuple(sorted(needed)))
         if isinstance(plan, (nodes.Rma, nodes.FusedRma)):
             # RMA consumes its whole input (order + application schema).

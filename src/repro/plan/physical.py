@@ -19,7 +19,11 @@ Two layers live here:
     counting otherwise (:func:`repro.relational.joins.join_positions`);
   - **shared subplans** (CSE): structurally identical RMA/subquery
     subtrees are counted; the executor memoizes their result relations so
-    a repeated subplan executes once per statement.
+    a repeated subplan executes once per statement;
+  - **per-template analysis**: each expression's CSE slots and column
+    references, each shareable subplan's parameter slots and each Filter's
+    candidate-list key, so the runs of a statement template do not
+    re-derive them.
 
 * :class:`Executor` — evaluates logical plans against a catalog, one
   method per node type, producing :class:`Frame` objects (rows of base
@@ -36,7 +40,9 @@ FK→PK case) keeps that side's vectors and gathered columns unchanged.
 Within one statement, Filters with the same predicate over the same scan
 share one candidate list, frames reading one base column through one
 position vector gather it once, and each expression computes a repeated
-subexpression once.
+subexpression once.  An expression over a star join's small dimensions
+runs once per distinct combination of their rows and is gathered to the
+join's rows once (:meth:`Frame.domain`, :class:`ExpressionEvaluator`).
 
 Because relations are immutable, the memoized CSE results share their
 per-relation order caches across uses, and ``Frame.to_plain_relation``
@@ -52,7 +58,7 @@ import itertools
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -182,6 +188,8 @@ class Frame:
     then stays cached in the frame.  Internal column names are globally
     unique so joins can combine sources without clashes while
     user-visible names stay resolvable (qualified or unqualified).
+    :meth:`domain` codes rows by the positions of the sources an
+    expression reads, so the expression can run over the distinct codes.
     """
 
     _counter = itertools.count(1)  # itertools: atomic under the GIL, so
@@ -347,6 +355,57 @@ class Frame:
                         for b in visible)
         return Relation(schema, [self.bat(b.internal) for b in visible])
 
+    def domain(self, internals: Sequence[str]) \
+            -> "tuple[Frame, np.ndarray] | None":
+        """The distinct rows of the sources ``internals`` are read from,
+        as a frame, and each row's index into it; ``None`` unless every
+        such source has a position vector and their base cardinalities
+        (plus one for ``-1``) multiply to at most ``nrows / 8``.
+
+        A row's code is its sources' positions as the digits of one mixed
+        radix number, ``-1`` (a LEFT JOIN miss) a digit of its own.  The
+        codes that occur, in code order, are the domain; the domain frame
+        reads each source's base columns at their positions only, with the
+        bindings of those sources.
+        """
+        owners: dict[int, tuple[_Source, int]] = {}
+        for internal in internals:
+            source = self._owner[internal]
+            if source.positions is None:
+                return None
+            owners.setdefault(id(source),
+                              (source, len(source.columns[internal])))
+        strides = []
+        size = 1
+        for _, base in owners.values():
+            strides.append(size)
+            size *= base + 1
+        if size * 8 > self.nrows:
+            return None
+        codes = None
+        for (source, _), stride in zip(owners.values(), strides):
+            digit = (source.positions + 1 if source.nullable
+                     else source.positions)
+            if codes is None:
+                codes = digit  # the first stride is 1
+            else:
+                digit = digit * stride
+                digit += codes
+                codes = digit
+        distinct = np.flatnonzero(np.bincount(codes, minlength=size))
+        index = np.empty(size, dtype=np.int64)
+        index[distinct] = np.arange(len(distinct), dtype=np.int64)
+        sources = []
+        for (source, base), stride in zip(owners.values(), strides):
+            positions = distinct // stride % (base + 1)
+            if source.nullable:
+                positions -= 1
+            sources.append(_Source(source.columns, positions,
+                                   source.nullable))
+        bindings = [b for b in self.bindings
+                    if id(self._owner[b.internal]) in owners]
+        return Frame(bindings, sources, len(distinct)), index[codes]
+
     def select_positions(self, positions: np.ndarray) -> "Frame":
         """The frame's rows at ``positions``: composes every source's
         position vector once; no column is gathered."""
@@ -434,28 +493,96 @@ def _repeated_subtrees(expr: ast.Expr) -> dict[int, int]:
     return slots
 
 
+class ExprInfo(NamedTuple):
+    """What evaluating one expression needs to know about its shape."""
+
+    expr: ast.Expr
+    slots: dict[int, int]  # CSE slots (_repeated_subtrees)
+    refs: tuple[ast.ColumnRef, ...]  # the distinct column references
+    # Reads a column, is not a bare one, and holds no aggregate: may be
+    # evaluated over the domain of the sources it reads.
+    per_domain: bool
+
+
+def expr_info(expr: ast.Expr) -> ExprInfo:
+    refs = tuple(dict.fromkeys(nodes.column_refs(expr)))
+    per_domain = (bool(refs) and not isinstance(expr, ast.ColumnRef)
+                  and not nodes.contains_aggregate(expr))
+    return ExprInfo(expr, _repeated_subtrees(expr), refs, per_domain)
+
+
 class ExpressionEvaluator:
     """Vectorized evaluation of AST expressions over a frame.
 
     ``params`` binds the :class:`~repro.sql.ast.Param` slots of a
-    statement template.  Each top-level :meth:`eval` computes a
-    subexpression that occurs several times in it (``dx * dx``) once.
+    statement template.  ``infos`` holds the planner's :class:`ExprInfo`
+    of the plan's expressions (by ``id``); other expressions are analysed
+    when evaluated.  ``count`` is called with ``"domain_evaluations"``
+    for each domain evaluation.
+
+    Each top-level :meth:`eval` computes a subexpression that occurs
+    several times in it (``dx * dx``) once.  It evaluates an expression
+    over the *domain* of the frame's rows when it can: when the columns
+    it reads come from sources with position vectors whose base
+    cardinalities multiply to at most an eighth of the rows
+    (:meth:`Frame.domain`; a star join's dimension columns), the
+    expression runs once per distinct combination of positions, and its
+    result is gathered to the rows once.  Element-wise kernels give the
+    same bits for an element whatever the array length, and every SQL
+    function is deterministic (a volatile one would have to opt out), so
+    both ways give the same result; the per-row path is the fallback.
+    This is execution on dictionary codes (Abadi, Madden & Ferreira,
+    SIGMOD 2006) over the late-materialized positions.
     """
 
-    def __init__(self, frame: Frame, params: Sequence[Any] = ()):
+    def __init__(self, frame: Frame, params: Sequence[Any] = (),
+                 infos: dict[int, ExprInfo] | None = None,
+                 count: Callable[[str], None] | None = None):
         self.frame = frame
         self.params = params
         self.n = frame.nrows
+        self._infos = infos or {}
+        self._count = count
         self._slots: dict[int, int] = {}
         self._memo: dict[int, Any] = {}
 
     def eval(self, expr: ast.Expr) -> Any:
         """Returns a BAT (column result) or a python scalar."""
-        self._slots = _repeated_subtrees(expr)
+        info = self._infos.get(id(expr))
+        if info is None or info.expr is not expr:
+            info = expr_info(expr)
+        # Two codes at least: the domain rule needs 16 rows.
+        if info.per_domain and self.n >= 16:
+            value = self._eval_over_domain(info)
+            if value is not None:
+                return value
+        return self._eval_top(info)
+
+    def _eval_top(self, info: ExprInfo) -> Any:
+        self._slots = info.slots
         try:
-            return self._eval(expr)
+            return self._eval(info.expr)
         finally:
             self._slots, self._memo = {}, {}
+
+    def _eval_over_domain(self, info: ExprInfo) -> Any:
+        """The expression evaluated over the domain of its sources and
+        gathered to the rows, or ``None`` when the domain is too large
+        (or a reference does not resolve: the per-row path raises)."""
+        try:
+            internals = [self.frame.resolve(ref) for ref in info.refs]
+        except BindError:
+            return None
+        domain = self.frame.domain(internals)
+        if domain is None:
+            return None
+        frame, rows = domain
+        value = ExpressionEvaluator(frame, self.params)._eval_top(info)
+        if self._count is not None:
+            self._count("domain_evaluations")
+        if isinstance(value, BAT):
+            return value.fetch(rows)
+        return value
 
     def mask(self, expr: ast.Expr) -> np.ndarray:
         return _as_mask(self.eval(expr), self.n)
@@ -673,12 +800,24 @@ class PhysicalInfo:
     only when ``RmaConfig.validate_keys`` is on — like MonetDB trusting
     declared constraints.  Consumers needing a *verified* key must check
     the relation (``OrderInfo.is_key``) at run time.
+
+    The rest is the plan's analysis that every run of a statement
+    template would otherwise redo: ``exprs`` maps ``id(expr)`` to the
+    :class:`ExprInfo` of each expression the nodes evaluate (join
+    conditions down to their conjuncts' sides), ``bound_slots`` maps each
+    shareable subplan (its CSE key) to the parameter slots its result
+    depends on, and ``filter_keys`` maps each Filter to its candidate-list
+    key (:func:`_filter_key`) and the column references it must resolve.
     """
 
     join_strategy: dict[nodes.JoinPlan, str] = field(default_factory=dict)
     ordering: dict[nodes.Plan, tuple[str, ...]] = field(default_factory=dict)
     keys: dict[nodes.Plan, tuple[str, ...]] = field(default_factory=dict)
     shared: dict[nodes.Plan, int] = field(default_factory=dict)
+    exprs: dict[int, ExprInfo] = field(default_factory=dict)
+    bound_slots: dict[nodes.Plan, tuple[int, ...]] = field(
+        default_factory=dict)
+    filter_keys: dict[nodes.Filter, tuple] = field(default_factory=dict)
 
 
 def plan_physical(plan: nodes.Plan, catalog: Catalog) -> PhysicalInfo:
@@ -692,6 +831,7 @@ class _PhysicalPlanner:
         self.info = PhysicalInfo()
         self._optimizer = Optimizer(catalog)  # for schema inference
         self._names: dict[nodes.Plan, Optional[set[tuple]]] = {}
+        self._templated = False  # whether an expression reads a Param
 
     def annotate(self, plan: nodes.Plan) -> PhysicalInfo:
         self._order_of(plan)
@@ -714,10 +854,31 @@ class _PhysicalPlanner:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            self._analyse(node)
             stack.extend(node.children())
+        if self._templated:
+            self.info.bound_slots = {key: nodes.param_slots(key)
+                                     for key in self.info.shared}
         self.info.shared = {k: c for k, c in self.info.shared.items()
                             if c > 1}
         return self.info
+
+    def _analyse(self, node: nodes.Plan) -> None:
+        """Record the per-template analysis of one node (see
+        :class:`PhysicalInfo`)."""
+        exprs = list(nodes.node_exprs(node))
+        if isinstance(node, nodes.JoinPlan) and node.condition is not None:
+            for conjunct in nodes.split_conjuncts(node.condition):
+                exprs.append(conjunct)
+                exprs.extend(nodes.expr_children(conjunct))
+        for expr in exprs:
+            if id(expr) not in self.info.exprs:
+                self.info.exprs[id(expr)] = expr_info(expr)
+                self._templated = self._templated or any(
+                    isinstance(e, ast.Param) for e in nodes.walk_expr(expr))
+        if isinstance(node, nodes.Filter):
+            self.info.filter_keys[node] = (
+                _filter_key(node), tuple(nodes.column_refs(node.predicate)))
 
     # -- order/key metadata ---------------------------------------------------
 
@@ -984,6 +1145,10 @@ class ExecStats:
     cache_hits: int = 0
     fused_nodes: int = 0
     fusion_fallbacks: int = 0
+    # Expressions evaluated over their sources' domain, then gathered.
+    domain_evaluations: int = 0
+    # Results not stored because their key was seen for the first time.
+    deferred_admissions: int = 0
 
 
 class Executor:
@@ -999,7 +1164,9 @@ class Executor:
     freshly computed ones are stored for later statements (stamped with
     catalog table versions, so catalog mutations invalidate exactly the
     affected entries, and keyed with the values bound to the subplan's
-    slots).
+    slots) once their key is sighted a second time
+    (:meth:`~repro.plan.cache.PlanCache.sighted`;
+    ``stats.deferred_admissions`` counts the first sightings).
 
     An executor runs one binding: its per-statement state — the CSE memo,
     shared candidate lists and gathered columns — is keyed by plan
@@ -1071,7 +1238,7 @@ class Executor:
         work: dict = {}
         for node in nodes.walk_plan(plan):
             if isinstance(node, nodes.Filter):
-                key = _filter_key(node)
+                key = self._filter_key(node)[0]
                 if key is not None:
                     work.setdefault(key, lambda n=node: self.run(n))
             elif isinstance(node, (nodes.Rma, nodes.FusedRma)):
@@ -1094,7 +1261,8 @@ class Executor:
                 for frame in self._run_siblings(plans)]
 
     def _evaluator(self, frame: Frame) -> ExpressionEvaluator:
-        return ExpressionEvaluator(frame, self.params)
+        return ExpressionEvaluator(frame, self.params, self.physical.exprs,
+                                   self._bump)
 
     def _frame(self, relation: Relation, alias: Optional[str]) -> Frame:
         return Frame.from_relation(relation, alias, self._gathered)
@@ -1105,8 +1273,10 @@ class Executor:
         the same subplan of two templates key different results."""
         if not self.params:
             return ()
-        return tuple(ast.Literal(self.params[slot])
-                     for slot in nodes.param_slots(plan))
+        slots = self.physical.bound_slots.get(plan)
+        if slots is None:
+            slots = nodes.param_slots(plan)
+        return tuple(ast.Literal(self.params[slot]) for slot in slots)
 
     def _bump(self, counter: str) -> None:
         with self._lock:
@@ -1119,19 +1289,24 @@ class Executor:
         if relation is not None:
             self._bump("cse_hits")
             return relation
+        admitted = False
         if self.result_cache is not None:
             bound = self._bound(key)
-            relation = self.result_cache.get(key, self.catalog, self.config,
-                                             bound)
-            if relation is not None:
-                self._bump("cache_hits")
-                with self._lock:
-                    self._memo[key] = relation
-                return relation
+            admitted = self.result_cache.sighted(key, bound)
+            if not admitted:
+                self._bump("deferred_admissions")
+            else:
+                relation = self.result_cache.get(key, self.catalog,
+                                                 self.config, bound)
+                if relation is not None:
+                    self._bump("cache_hits")
+                    with self._lock:
+                        self._memo[key] = relation
+                    return relation
         relation = compute()
         with self._lock:
             self._memo[key] = relation
-        if self.result_cache is not None:
+        if admitted:
             self.result_cache.put(key, self.catalog, self.config, relation,
                                   bound)
         return relation
@@ -1226,14 +1401,22 @@ class Executor:
             return frame  # every row qualifies
         return frame.select_positions(positions)
 
+    def _filter_key(self, plan: nodes.Filter) -> tuple:
+        """(:func:`_filter_key`, the predicate's column references), from
+        the planner's analysis when it has the node."""
+        entry = self.physical.filter_keys.get(plan)
+        if entry is None:
+            entry = (_filter_key(plan),
+                     tuple(nodes.column_refs(plan.predicate)))
+        return entry
+
     def _candidate_key(self, plan: nodes.Filter, frame: Frame):
         """:func:`_filter_key`, or ``None`` when a column reference does
         not resolve in ``frame``: then evaluation raises its binding
         error instead of reusing another Filter's list."""
-        key = _filter_key(plan)
-        if key is None or not all(
-                self._resolvable(frame, ref)
-                for ref in nodes.column_refs(plan.predicate)):
+        key, refs = self._filter_key(plan)
+        if key is None or not all(self._resolvable(frame, ref)
+                                  for ref in refs):
             return None
         return key
 

@@ -136,15 +136,19 @@ def group_codes(bats: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray, int]:
     """(group id per row, first-row position per group, #groups).
 
     Group ids are the compacted :func:`encode_keys` codes, so groups come
-    in key order.  The first row of each group comes from one
-    ``np.minimum.at`` scatter, O(n).
+    in key order.  One scatter of the row numbers in reverse over the code
+    domain finds each code's first row (of the repeated writes to a slot,
+    the last one lands) and, as ``_compact``'s presence mask does, which
+    codes occur; O(rows + k).
     """
     codes, _, k = encode_keys(bats)
-    (codes,), ngroups = _compact([codes], k)
     n = len(codes)
-    first = np.full(ngroups, n, dtype=np.int64)
-    np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
-    return codes, first, ngroups
+    first = np.full(k, n, dtype=np.int64)
+    first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+    present = first < n
+    ranks = np.cumsum(present, dtype=np.int64)
+    ranks -= 1
+    return ranks[codes], first[present], int(ranks[-1]) + 1
 
 
 def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],

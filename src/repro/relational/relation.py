@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Iterable, Sequence
 
@@ -141,10 +142,20 @@ class Relation:
     physical representation is a list of aligned BATs, exactly as MonetDB
     stores tables.  Tuple order in storage carries no meaning — relational
     matrix operations derive their row order from order schemas.
+
+    Relations compare by identity and hash by a serial number that no
+    other relation of the process gets, so a relation built at a freed
+    one's address never repeats its hash (the result cache's doorkeeper
+    keeps only the hashes of the plans over them).
     """
 
     __slots__ = ("schema", "columns", "_order_cache", "_order_lock",
-                 "__weakref__")
+                 "_serial", "__weakref__")
+
+    _serials = itertools.count()  # atomic under the GIL
+
+    def __hash__(self) -> int:
+        return self._serial
 
     def __init__(self, schema: Schema, columns: Sequence[BAT]):
         if len(schema) != len(columns):
@@ -167,6 +178,7 @@ class Relation:
         self.columns = tuple(columns)
         self._order_cache: dict[tuple[str, ...], OrderInfo] = {}
         self._order_lock = threading.Lock()
+        self._serial = next(Relation._serials)
 
     # -- constructors ------------------------------------------------------
 

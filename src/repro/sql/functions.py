@@ -3,6 +3,11 @@
 Each function receives the evaluator (for row count / broadcasting) and the
 already-evaluated arguments (BATs or python scalars) and returns a BAT or
 scalar.
+
+Every function here is deterministic and element-wise: the executor may
+evaluate an expression once per distinct combination of its inputs and
+gather the result (``repro.plan.physical.expr_info``'s domain rule).  A
+volatile function (a random draw, the clock) would have to opt out there.
 """
 
 from __future__ import annotations

@@ -28,20 +28,39 @@ KEYWORDS = {
 SYMBOLS = ("<>", "!=", "<=", ">=", "||", "<", ">", "=", "(", ")", ",",
            "+", "-", "*", "/", "%", ".", ";")
 
+_SKIP = r"[ \t\r\n]+|--[^\n]*"
+# Digits, at most one dot, then an exponent (a sign alone suffices).
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE](?:[+-]|(?=\d))\d*)?"
+# '' inside a string is a quote; a string ends at a lone quote.
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_QUOTED = r'"[^"]*"'
+_WORD = r"[^\W\d]\w*"
+
 _TOKEN = re.compile(
-    r"(?P<SKIP>[ \t\r\n]+|--[^\n]*)"
-    # Digits, at most one dot, then an exponent (a sign alone suffices).
-    r"|(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE](?:[+-]|(?=\d))\d*)?)"
-    # '' inside a string is a quote; a string ends at a lone quote.
-    r"|(?P<STRING>'[^']*(?:''[^']*)*'(?!'))"
-    r"|(?P<QUOTED>\"[^\"]*\")"
-    r"|(?P<WORD>[^\W\d]\w*)"
-    r"|(?P<SYMBOL>" + "|".join(map(re.escape, SYMBOLS)) + ")"
-    r"|(?P<ERROR>.)", re.DOTALL)
+    f"(?P<SKIP>{_SKIP})|(?P<NUMBER>{_NUMBER})|(?P<STRING>{_STRING})"
+    f"|(?P<QUOTED>{_QUOTED})|(?P<WORD>{_WORD})"
+    "|(?P<SYMBOL>" + "|".join(map(re.escape, SYMBOLS)) + ")"
+    "|(?P<ERROR>.)", re.DOTALL)
 """Identifiers start with a letter or ``_`` and continue with letters,
 digits and ``_``; numbers use decimal digits.  ``WORD`` also matches a
 word that starts with some other non-decimal word character (``½``,
 ``Ⅻ``, ``²``); :func:`tokenize` rejects it as an unexpected character."""
+
+LITERAL_RUNS = re.compile(
+    f"((?:{_SKIP}|({_QUOTED}|{_WORD}|"
+    + "|".join(r"\.(?!\d)" if symbol == "." else re.escape(symbol)
+               for symbol in SYMBOLS)
+    + f"))*)(?:({_NUMBER})|({_STRING})|(.))?", re.DOTALL)
+"""The text as runs of non-literal tokens, each followed by one literal.
+
+``findall`` gives ``(run, run's last token, number, string, error)``
+per run: the run is whitespace, comments, quoted identifiers, words and
+symbols (a ``.`` before a digit starts a number, as in ``_TOKEN``); then
+comes a number, a string, or a character no token starts with.  The runs
+split the text exactly where :func:`tokenize` does, since both try the
+same token patterns in the same order, so a statement's literals are
+found without a token per word (:func:`repro.sql.parser.literal_key`).
+"""
 
 
 class Token(NamedTuple):

@@ -14,7 +14,7 @@ from typing import Any, Sequence
 from repro.errors import SqlSyntaxError
 from repro.opspec import OPS
 from repro.sql import ast
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import LITERAL_RUNS, Token, tokenize
 
 _RMA_OPS = frozenset(OPS)
 
@@ -547,6 +547,10 @@ _TEMPORAL = {"DATE": _dt.date.fromisoformat,
              "TIME": _dt.time.fromisoformat}
 
 
+_KEPT_COUNTS = ("LIMIT", "OFFSET")
+"""Keywords whose count shapes the plan: it stays in a statement's shape."""
+
+
 def _number(text: str) -> int | float:
     if "." in text or "e" in text or "E" in text:
         return float(text)
@@ -574,8 +578,8 @@ def literal_slots(tokens: Sequence[Token]) \
     previous = ("", "")
     for index, token in enumerate(tokens):
         kind, text = token.kind, token.value
-        if kind == "NUMBER" and previous not in (("KEYWORD", "LIMIT"),
-                                                 ("KEYWORD", "OFFSET")):
+        if kind == "NUMBER" and not (previous[0] == "KEYWORD"
+                                     and previous[1] in _KEPT_COUNTS):
             value = _number(text)
         elif kind == "STRING":
             convert = _TEMPORAL.get(previous[1]) \
@@ -594,6 +598,51 @@ def literal_slots(tokens: Sequence[Token]) \
         slots[index] = slot
         shape.append(("$", slot, type(value).__name__))
     return tuple(shape), tuple(values), slots
+
+
+def literal_key(text: str) -> tuple[tuple, tuple] | None:
+    """(key, values) of a statement, found without tokenizing it; or
+    ``None`` when the text holds a malformed literal or a character no
+    token starts with (the full path then raises its error).
+
+    One :data:`~repro.sql.lexer.LITERAL_RUNS` pass splits the text into
+    runs of non-literal tokens and the literals between them.  The
+    literals, their values, types and shared slots, and the counts kept
+    after ``LIMIT``/``OFFSET`` are those of :func:`literal_slots`.  The
+    key is the runs' text with each literal replaced by its slot and
+    type, so texts with one key have one token stream up to the
+    literals' values, and one template.  Texts that differ in spacing,
+    comments or keyword case get different keys of one template.
+    """
+    parts: list = []
+    values: list[Any] = []
+    seen: dict[tuple, int] = {}
+    try:
+        for run, last, number, string, bad in LITERAL_RUNS.findall(text):
+            parts.append(run)
+            if number:
+                if last.upper() in _KEPT_COUNTS:
+                    parts.append(number)
+                    continue
+                value = _number(number)
+            elif string:
+                value = string[1:-1].replace("''", "'")
+                convert = _TEMPORAL.get(last.upper())
+                if convert is not None:
+                    value = convert(value)
+            elif bad:
+                return None
+            else:
+                continue
+            key = (type(value), value.hex() if isinstance(value, float)
+                   else value)
+            slot = seen.setdefault(key, len(values))
+            if slot == len(values):
+                values.append(value)
+            parts.append((slot, type(value)))
+    except ValueError:
+        return None
+    return tuple(parts), tuple(values)
 
 
 def parse_sql(text: str, template: bool = False) -> ast.Statement:

@@ -134,6 +134,7 @@ class TestSessionCaches:
         gram = m.cpd(m)
         gram.collect()
         assert db.last_stats.cache_hits == 0
+        gram.collect()  # admitted on its second sighting
         # A *different* expression containing the same subplan hits the
         # session result cache.
         (gram.inv() @ gram).collect()
@@ -143,6 +144,7 @@ class TestSessionCaches:
         db = repro.connect()
         db.register("t", rel)
         db.execute("SELECT * FROM INV(t BY key)")
+        db.execute("SELECT * FROM INV(t BY key)")  # admitted now
         first = db.last_stats.cache_hits
         db.matrix("t", by="key").inv().collect()
         assert db.last_stats.cache_hits == first + 1
@@ -151,7 +153,9 @@ class TestSessionCaches:
         db = repro.connect()
         db.register("t", rel)
         m = db.matrix("t", by="key")
-        out1 = m.inv().collect()
+        m.inv().collect()
+        out1 = m.inv().collect()  # admitted on its second sighting
+        assert len(db.result_cache) >= 1
         db.register("t", rel)  # version bump, same data
         out2 = m.inv().collect()
         assert db.last_stats.cache_hits == 0

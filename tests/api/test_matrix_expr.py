@@ -210,7 +210,8 @@ class TestLazyBridge:
     def test_relational_ops_use_session_caches(self, db):
         rel = rel_with_key("k", n=2)
         m = db.matrix(rel, by="k")
-        m.inv().collect()  # populate the session result cache
+        m.inv().collect()
+        m.inv().collect()  # second sighting: populates the result cache
         before = db.result_cache.hits
         m.inv().filter(col("x") <= 1e9).collect()
         assert db.result_cache.hits == before + 1

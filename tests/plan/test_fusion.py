@@ -451,13 +451,15 @@ class TestSqlFusion:
             t2 = sub(t1, ("k0", "k1"), r2, "k2", config=config)
             eager = smul(t2, ("k0", "k1", "k2"), 2.0, config=config)
             # Cold on a session without caches, then repeated on a caching
-            # session, whose second collect is served from the cache.
+            # session, whose third collect is served from the cache (the
+            # second sighting admits the result).
             m0, m1, m2 = matrices(r0, r1, r2)
             assert relations_equal(
                 eager, (2.0 * (m0 + m1 - m2)).collect(config=config))
             db = repro.connect(config=config)
             m0, m1, m2 = matrices(r0, r1, r2, db=db)
             expr = 2.0 * (m0 + m1 - m2)
+            expr.collect()
             expr.collect()
             assert relations_equal(eager, expr.collect())
             assert db.last_stats.cache_hits >= 1

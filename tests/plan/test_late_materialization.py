@@ -44,6 +44,11 @@ TRIPS_PREP = (
 # candidate list.
 MAX_TRIPS_PREP_FETCHES = 14
 
+# The distance reads four stations columns.  Gathered per row, that was
+# 4 x the trips rows; evaluated over the domain of (start, end) station
+# pairs, each column is gathered at the distinct pairs only.
+MAX_STATIONS_ROWS_PER_PAIR = 4
+
 
 @pytest.fixture(scope="module")
 def trips_db():
@@ -54,6 +59,18 @@ def trips_db():
     db.register("trips", trips)
     db.register("stations", stations)
     db.execute(TRIPS_PREP)  # warm the statement caches
+    return db
+
+
+@pytest.fixture(scope="module")
+def dense_trips_db():
+    """Fig. 15 with few stations: the (start, end) pairs, 11 x 11 codes,
+    number under an eighth of the trips the joins keep."""
+    stations = bixi.generate_stations(10, seed=2)
+    trips = bixi.generate_trips(4000, stations, seed=3)
+    db = repro.connect(plan_cache=False)
+    db.register("trips", trips)
+    db.register("stations", stations)
     return db
 
 
@@ -79,6 +96,29 @@ class TestTripsPrep:
         out = trips_db.execute(TRIPS_PREP)
         assert out.nrows > 0
         assert len(fetches) <= MAX_TRIPS_PREP_FETCHES
+
+    def test_stations_are_gathered_per_distinct_pair(self, dense_trips_db,
+                                                     monkeypatch):
+        trips_db = dense_trips_db
+        stations = trips_db.catalog.get("stations")
+        columns = {id(column) for column in stations.columns}
+        gathered = []
+        fetch = BAT.fetch
+
+        def counted(bat, positions, *args, **kwargs):
+            if id(bat) in columns:
+                gathered.append(len(positions))
+            return fetch(bat, positions, *args, **kwargs)
+
+        monkeypatch.setattr(BAT, "fetch", counted)
+        out = trips_db.execute(TRIPS_PREP)
+        assert trips_db.last_stats.domain_evaluations == 1
+        trips = trips_db.catalog.get("trips")
+        kept = np.isin(trips.column("trip_id").tail,
+                       out.column("trip_id").tail)
+        pairs = len(set(zip(trips.column("start_station").tail[kept],
+                            trips.column("end_station").tail[kept])))
+        assert 0 < sum(gathered) <= MAX_STATIONS_ROWS_PER_PAIR * pairs
 
     def test_station_joins_keep_the_left_identity(self, trips_db,
                                                   monkeypatch):

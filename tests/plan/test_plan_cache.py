@@ -72,6 +72,12 @@ class TestSessionResultCache:
         session.register("a", gram_table())
         first = session.execute(GRAM_SQL)
         assert session.last_stats.cache_hits == 0
+        assert session.last_stats.deferred_admissions >= 1
+        # Results are stored on their key's second sighting...
+        session.execute(GRAM_SQL)
+        assert session.last_stats.cache_hits == 0
+        assert session.last_stats.deferred_admissions == 0
+        # ...and served from the third.
         second = session.execute(GRAM_SQL)
         assert session.last_stats.cache_hits >= 1
         assert first.names == second.names
@@ -82,6 +88,7 @@ class TestSessionResultCache:
         session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)  # admitted on its second sighting
         # A *different* statement containing the same CPD subplan.
         session.execute(
             "SELECT * FROM INV(CPD(a BY id, a BY id) BY C)")
@@ -92,7 +99,9 @@ class TestSessionResultCache:
         session.register("t", Relation.from_columns(
             {"id": [1, 2], "v": [1.0, 2.0]}))
         sql = "SELECT * FROM CPD(t BY id, t BY id)"
-        before = session.execute(sql)
+        session.execute(sql)
+        before = session.execute(sql)  # admitted on its second sighting
+        assert len(session.result_cache) >= 1
         session.execute("INSERT INTO t VALUES (3, 10.0)")
         after = session.execute(sql)
         assert session.last_stats.cache_hits == 0
@@ -106,7 +115,9 @@ class TestSessionResultCache:
     def test_register_invalidates_affected_entry(self):
         session = repro.connect()
         session.register("a", gram_table(seed=3))
-        first = session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)
+        first = session.execute(GRAM_SQL)  # admitted on its second sighting
+        assert len(session.result_cache) >= 1
         session.register("a", gram_table(seed=4))
         second = session.execute(GRAM_SQL)
         assert session.last_stats.cache_hits == 0
@@ -117,6 +128,8 @@ class TestSessionResultCache:
         session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)  # admitted on its second sighting
+        assert len(session.result_cache) >= 1
         session.execute("DROP TABLE a")
         session.register("a", gram_table(seed=9))
         session.execute(GRAM_SQL)
@@ -129,6 +142,7 @@ class TestSessionResultCache:
         db = repro.connect()
         m = db.matrix(gram_table(), by="id")
         on = m.cpd(m).collect()
+        m.cpd(m).collect()  # admitted on its second sighting
         m.cpd(m).collect()
         assert db.last_stats.cache_hits >= 1
         with use_properties(False):
@@ -144,6 +158,7 @@ class TestSessionResultCache:
         session.register("a", gram_table())
         session.register("b", gram_table(seed=11))
         session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)  # admitted on its second sighting
         session.register("other", gram_table(seed=12))  # unrelated table
         session.execute(GRAM_SQL)
         assert session.last_stats.cache_hits >= 1
@@ -160,6 +175,7 @@ class TestSessionResultCache:
         cached_session = repro.connect()
         cached_session.register("a", gram_table())
         cached_session.execute(sql)
+        cached_session.execute(sql)  # admitted on its second sighting
         cached = cached_session.execute(sql)
         assert cached_session.last_stats.cache_hits >= 1
         assert cached.names == uncached.names
@@ -249,6 +265,8 @@ class TestLazyCache:
         rel = gram_table()
         first = gram_expression(rel, cache).collect()
         assert cache.hits == 0
+        gram_expression(rel, cache).collect()  # admitted now
+        assert cache.hits == 0
         second = gram_expression(rel, cache).collect()
         assert cache.hits >= 1
         assert first.names == second.names
@@ -258,7 +276,9 @@ class TestLazyCache:
     def test_distinct_relations_do_not_collide(self):
         cache = PlanCache()
         a, b = gram_table(seed=1), gram_table(seed=2)
-        ra = gram_expression(a, cache).collect()
+        gram_expression(a, cache).collect()
+        ra = gram_expression(a, cache).collect()  # admitted now
+        gram_expression(b, cache).collect()
         rb = gram_expression(b, cache).collect()
         assert ra.column("x").python_values() != \
             rb.column("x").python_values()
@@ -270,6 +290,7 @@ class TestLazyCache:
         rel = gram_table()
         pipe = gram_expression(rel, cache)
         pipe.collect(config=RmaConfig())
+        pipe.collect(config=RmaConfig())  # admitted on its second sighting
         pipe.collect(config=RmaConfig())
         assert cache.hits >= 1
 
@@ -278,6 +299,8 @@ class TestLazyCache:
         rel = gram_table()
         pipe = gram_expression(rel, cache)
         pipe.collect(config=RmaConfig(validate_keys=True))
+        pipe.collect(config=RmaConfig(validate_keys=True))  # admitted now
+        assert len(cache) >= 1
         pipe.collect(config=RmaConfig(validate_keys=False))
         assert cache.hits == 0
         # A config mismatch is a miss, not an invalidation: the entry is
@@ -293,6 +316,7 @@ class TestWeakRelScanLeaves:
         cache = PlanCache()
         rel = gram_table()
         gram_expression(rel, cache).collect()
+        gram_expression(rel, cache).collect()  # admitted now
         assert len(cache) >= 1
         ref = weakref.ref(rel)
         del rel
@@ -305,6 +329,7 @@ class TestWeakRelScanLeaves:
         cache = PlanCache()
         rel = gram_table()
         first = gram_expression(rel, cache).collect()
+        gram_expression(rel, cache).collect()  # admitted now
         gc.collect()
         second = gram_expression(rel, cache).collect()
         assert cache.hits >= 1
@@ -316,10 +341,15 @@ class TestWeakRelScanLeaves:
         session = repro.connect(plan_cache=cache)
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)  # admitted on its second sighting
         stored = len(cache)
         assert stored >= 1
         # A collected, unrelated RelScan input leaves Scan entries alone.
-        gram_expression(gram_table(seed=9), cache).collect()
+        other = gram_table(seed=9)
+        gram_expression(other, cache).collect()
+        gram_expression(other, cache).collect()  # admitted now
+        assert len(cache) > stored
+        del other
         gc.collect()
         assert len(cache) == stored
         session.execute(GRAM_SQL)
@@ -353,6 +383,7 @@ class TestSharedCacheAcrossSessions:
             {"id": [1, 2], "v": [100.0, 200.0]}))
         sql = "SELECT * FROM CPD(t BY id, t BY id)"
         ra = a.execute(sql)
+        a.execute(sql)  # admitted on its second sighting
         # Within one session the entry hits before B touches the key.
         a.execute(sql)
         assert a.last_stats.cache_hits >= 1
@@ -367,11 +398,46 @@ class TestSharedCacheAcrossSessions:
         cache = PlanCache()
         rel = gram_table()
         gram_expression(rel, cache).collect()
+        gram_expression(rel, cache).collect()  # admitted now
         gram_expression(rel, cache).collect()
         assert cache.hits >= 1
 
 
 class TestPlanCacheUnit:
+    def test_doorkeeper_admits_on_second_sighting(self):
+        from repro.plan import nodes
+        from repro.sql import ast
+        cache = PlanCache()
+        plan = nodes.Scan("t", "t")
+        assert not cache.sighted(plan)
+        assert cache.sighted(plan)
+        # The bound values are part of the key, by type too.
+        assert not cache.sighted(plan, (ast.Literal(1),))
+        assert not cache.sighted(plan, (ast.Literal(1.0),))
+        assert cache.sighted(plan, (ast.Literal(1),))
+        assert cache.misses == 3 and cache.hits == 0
+
+    def test_doorkeeper_starts_over_when_full(self):
+        from repro.plan import nodes
+        cache = PlanCache(max_entries=1)
+        plans = [nodes.Scan(f"t{i}", "t")
+                 for i in range(PlanCache.DOORKEEPER_PER_ENTRY + 1)]
+        for plan in plans[:-1]:
+            assert not cache.sighted(plan)
+        assert cache.sighted(plans[0])
+        assert not cache.sighted(plans[-1])  # full: reset, then recorded
+        assert not cache.sighted(plans[0])  # forgotten by the reset
+        assert cache.sighted(plans[-1])
+
+    def test_first_sighting_stores_nothing(self):
+        session = repro.connect()
+        session.register("a", gram_table())
+        session.execute(GRAM_SQL)
+        assert len(session.result_cache) == 0
+        assert session.result_cache.total_bytes == 0
+        session.execute(GRAM_SQL)
+        assert len(session.result_cache) >= 1
+
     def test_stamps_cover_scanned_tables(self):
         session = repro.connect()
         session.register("a", gram_table())

@@ -180,6 +180,22 @@ def test_factorize_matches_unique(enabled, data, n, kinds):
     assert ngroups == want_ngroups
 
 
+@pytest.mark.parametrize("n, span", [(0, 1), (1, 1), (9, 1), (1000, 3),
+                                     (100_000, 7), (100_000, 60_000),
+                                     (100_000, 10**12)])
+def test_first_rows_match_unique_return_index(n, span):
+    """Each group's first row is the one ``np.unique(...,
+    return_index=True)`` reports, for long inputs with many repeats per
+    group too (dense and sorted spans alike)."""
+    rng = np.random.default_rng(n + span)
+    tail = rng.integers(0, span, n).astype(np.int64)
+    gids, first, ngroups = group_codes([BAT(DataType.INT, tail)])
+    uniques, want_first = np.unique(tail, return_index=True)
+    assert ngroups == len(uniques)
+    np.testing.assert_array_equal(first, want_first)
+    np.testing.assert_array_equal(gids[first], np.arange(ngroups))
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
 def test_dense_threshold(n, monkeypatch):
     """A span of ``DENSE_SPAN_FACTOR * n`` is coded by offset without

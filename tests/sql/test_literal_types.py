@@ -51,20 +51,23 @@ class TestSqlSurface:
 
     def test_cached_subquery_results_keep_bound_types_apart(self):
         # Both subqueries plan to one template, Project(k * $0); only the
-        # bound values 1 and 1.0 tell their cached results apart.
+        # bound values 1 and 1.0 tell their cached results apart.  The
+        # INT result is admitted on its second run, so the DBL statement
+        # that follows looks it up.
         sql = "SELECT s.v AS v FROM (SELECT k * {} AS v FROM a) AS s"
+        literals = ("1", "1", "1.0", "1.0", "1")
         outs = {}
         for plan_cache in (True, False):
             session = repro.connect(plan_cache=plan_cache)
             session.register("a", Relation.from_columns({"k": [1, 2]}))
             outs[plan_cache] = [session.execute(sql.format(lit))
-                                for lit in ("1", "1.0", "1")]
+                                for lit in literals]
         for cached, fresh in zip(outs[True], outs[False]):
             assert ([a.dtype for a in cached.schema]
                     == [a.dtype for a in fresh.schema])
             assert cached.to_rows() == fresh.to_rows()
         assert [o.schema[0].dtype.value for o in outs[True]] == [
-            "int", "double", "int"]
+            "int", "int", "double", "double", "int"]
 
     def test_boolean_and_integer_literals(self, db):
         ints = db.execute("SELECT k + 1 AS v FROM a")

@@ -82,6 +82,25 @@ class TestRewrites:
         assert prunes
         assert set(prunes[0].names) == {"User", "YoB"}
 
+    def test_prune_lists_only_the_leaf_columns(self, session):
+        plan = session.plan(
+            "SELECT u.User, Net FROM u JOIN r ON u.User = r.User "
+            "WHERE YoB > 1966")
+        prunes = {p.child.table: set(p.names)
+                  for p in find_nodes(plan, nodes.Prune)}
+        assert prunes == {"u": {"User", "YoB"}, "r": {"User", "Net"}}
+
+    def test_prune_over_a_relation_lists_its_columns(self, session,
+                                                      users, films):
+        from repro.plan.expr import col
+        u = session.matrix(users, by="User", name="u")
+        f = session.matrix(films, by="Title", name="f")
+        plan = session._plan(u.join(f, col("YoB", "u") == col("RelY", "f"))
+                             .select("User", "Title").plan)[0]
+        prunes = {p.child.alias: set(p.names)
+                  for p in find_nodes(plan, nodes.Prune)}
+        assert prunes == {"u": {"User", "YoB"}, "f": {"Title", "RelY"}}
+
     def test_star_disables_pruning(self, session):
         plan = session.plan("SELECT * FROM u")
         assert not find_nodes(plan, nodes.Prune)

@@ -185,7 +185,10 @@ def test_window_a_b_a_matches_uncached(trips, config):
 def test_result_cache_keys_hold_bound_values(trips):
     db = session(trips)
     db.execute(WINDOW_A)
+    db.execute(WINDOW_A)  # admitted on its second sighting
     a_entries = len(db.result_cache)
+    assert a_entries >= 1
+    db.execute(WINDOW_B)
     db.execute(WINDOW_B)
     assert len(db.result_cache) == 2 * a_entries  # one subquery per window
     db.execute(WINDOW_A)
