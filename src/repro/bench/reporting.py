@@ -8,20 +8,27 @@ from typing import Any, Sequence
 
 @dataclass
 class ExperimentResult:
-    """One experiment's output: a labeled table plus free-form notes.
+    """One experiment's output: a labeled table, the paper's claims
+    checked against it, and free-form notes.
 
     ``rows`` holds one entry per parameter point; each entry maps column
     name -> value (numbers are rendered with 3 significant digits).
+    ``claims`` holds one ``(text, holds, measured)`` entry per claim.
     """
 
     experiment: str
     title: str
     headers: list[str]
     rows: list[dict[str, Any]] = field(default_factory=list)
+    claims: list[tuple[str, bool, str]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)
+
+    def check(self, text: str, holds: bool, measured: str) -> None:
+        """Record a paper claim, whether it holds and what was measured."""
+        self.claims.append((text, bool(holds), measured))
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -55,6 +62,9 @@ class ExperimentResult:
         for row in body:
             lines.append("  ".join(c.rjust(w)
                                    for c, w in zip(row, widths)))
+        for text, holds, measured in self.claims:
+            verdict = "PASS" if holds else "FAIL"
+            lines.append(f"claim {verdict}: {text} ({measured})")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)

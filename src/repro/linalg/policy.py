@@ -29,7 +29,8 @@ class BackendPolicy:
     """Chooses the kernel backend per operation.
 
     ``prefer`` is one of ``"auto"`` (the paper's policy), ``"bat"`` or
-    ``"mkl"`` (forced, used by the ablation benchmarks).
+    ``"mkl"`` (forced, as the paper workloads' RMA+BAT and RMA+MKL
+    runs do).
     """
 
     prefer: str = "auto"

@@ -175,20 +175,11 @@ def _write_csvs(dataset: TripsDataset, directory: str) -> tuple[str, str]:
     return trips_path, stations_path
 
 
-def run_r(dataset: TripsDataset,
-          csv_dir: str | None = None) -> WorkloadResult:
+def run_r(dataset: TripsDataset) -> WorkloadResult:
     """R: CSV load + data.table prep + as.matrix + solve."""
     times = PhaseTimes()
-    own_dir = None
-    if csv_dir is None:
-        own_dir = tempfile.TemporaryDirectory()
-        csv_dir = own_dir.name
-        trips_path, stations_path = _write_csvs(dataset, csv_dir)
-    else:
-        trips_path = os.path.join(csv_dir, "trips.csv")
-        stations_path = os.path.join(csv_dir, "stations.csv")
-        if not os.path.exists(trips_path):
-            trips_path, stations_path = _write_csvs(dataset, csv_dir)
+    csv_dir = tempfile.TemporaryDirectory()
+    trips_path, stations_path = _write_csvs(dataset, csv_dir.name)
     try:
         with times.measure("load"):
             trips = read_csv_r(trips_path)
@@ -225,8 +216,7 @@ def run_r(dataset: TripsDataset,
             y = kept["duration"].astype(np.float64)
             beta = np.linalg.solve(design.T @ design, design.T @ y)
     finally:
-        if own_dir is not None:
-            own_dir.cleanup()
+        csv_dir.cleanup()
     return WorkloadResult("R", times, beta, {"rows": len(kept)})
 
 
