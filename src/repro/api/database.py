@@ -60,6 +60,7 @@ from typing import Any, Optional, Sequence
 from repro.bat.bat import DataType
 from repro.bat.catalog import Catalog
 from repro.core.config import RmaConfig, default_config
+from repro.core.context import check_order_names
 from repro.errors import BindError, PlanError, SqlError
 from repro.plan import nodes
 from repro.plan.build import build_select
@@ -220,13 +221,9 @@ class Database:
             raise PlanError(
                 "matrix expects a table name, a Relation or a Matrix, "
                 f"got {type(source).__name__}")
-        missing = [n for n in names if n not in relation.schema]
-        if missing:
-            from repro.errors import OrderSchemaError
-            raise OrderSchemaError(
-                f"order attribute(s) {', '.join(map(repr, missing))} not "
-                f"in schema ({', '.join(relation.names)})")
-        app = tuple(n for n in relation.names if n not in names)
+        check_order_names(names, relation.schema, relation.names)
+        order = set(names)
+        app = tuple(n for n in relation.names if n not in order)
         return Matrix(self, plan, names, app)
 
     # -- the plan driver -------------------------------------------------------
@@ -289,7 +286,11 @@ class Database:
              params: tuple = ()) -> Relation:
         """Plan (see :meth:`_plan`) and execute a query with ``params``
         bound to its parameter slots; the one place a plan
-        :class:`~repro.plan.physical.Executor` is constructed."""
+        :class:`~repro.plan.physical.Executor` is constructed.
+
+        An RMA or scan at the plan's root leaves a frame view of its
+        relation, so the relation it computed is returned as is, in
+        constant time whatever its width."""
         config = config or self.config or default_config()
         planned, info = self._plan(source, config, template)
         executor = Executor(self.catalog, config, physical=info,

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.api import inference
 from repro.core.config import RmaConfig
+from repro.core.context import check_order_names
 from repro.errors import PlanError
 from repro.opspec import OPS, SCALAR_OPS, spec_of
 from repro.plan import nodes
@@ -200,15 +201,10 @@ class Matrix:
             # — surface it here, at the call site, like Database.matrix
             # does for plain relations.  Data-dependent schemas (app is
             # None) can only be checked at execution time.
-            known = set(self._by) | set(self._app)
-            missing = [n for n in names if n not in known]
-            if missing:
-                from repro.errors import OrderSchemaError
-                raise OrderSchemaError(
-                    f"order attribute(s) {', '.join(map(repr, missing))} "
-                    f"not in schema ({', '.join(self._by + self._app)})")
-            app = tuple(n for n in self._by + self._app
-                        if n not in names)
+            check_order_names(names, set(self._by) | set(self._app),
+                              self._by + self._app)
+            order = set(names)
+            app = tuple(n for n in self._by + self._app if n not in order)
         return Matrix(self._db, self._plan, names, app, (names,))
 
     # -- operator overloading ----------------------------------------------
@@ -291,7 +287,8 @@ class Matrix:
         select_items = tuple(_select_item(item) for item in items)
         names = [item.alias or nodes.default_output_name(item.expr, i)
                  for i, item in enumerate(select_items)]
-        missing = [n for n in self._by if n not in names]
+        kept = set(names)
+        missing = [n for n in self._by if n not in kept]
         if missing:
             raise PlanError(
                 f"select: order attribute(s) "
@@ -299,8 +296,8 @@ class Matrix:
         plain = all(isinstance(item.expr, ast.ColumnRef)
                     and item.alias in (None, item.expr.name)
                     for item in select_items)
-        app = tuple(n for n in names if n not in self._by) if plain \
-            else None
+        order = set(self._by)
+        app = tuple(n for n in names if n not in order) if plain else None
         return self._relational(nodes.Project(self._plan, select_items),
                                 app)
 

@@ -41,8 +41,25 @@ NIL_INT = np.iinfo(np.int64).min
 """Sentinel used as the nil (SQL NULL) value in INT/DATE/TIME tails."""
 
 
+_NUMPY_DTYPES = {
+    "int": np.dtype(np.int64),
+    "double": np.dtype(np.float64),
+    "boolean": np.dtype(np.bool_),
+    "string": np.dtype(object),
+    "date": np.dtype(np.int64),
+    "time": np.dtype(np.int64),
+    "oid": np.dtype(np.int64),
+}
+
+
 class DataType(enum.Enum):
-    """Logical column types supported by the engine."""
+    """Logical column types supported by the engine.
+
+    ``numpy_dtype`` is the tail's numpy dtype; ``is_numeric`` says whether
+    values of the type may appear in an application schema.  Both are
+    plain member attributes: every BAT construction and schema split reads
+    them.
+    """
 
     INT = "int"
     DBL = "double"
@@ -52,28 +69,13 @@ class DataType(enum.Enum):
     TIME = "time"
     OID = "oid"
 
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        return _NUMPY_DTYPES[self]
-
-    @property
-    def is_numeric(self) -> bool:
-        """Whether values of this type may appear in an application schema."""
-        return self in (DataType.INT, DataType.DBL)
+    def __init__(self, value: str):
+        self.numpy_dtype: np.dtype = _NUMPY_DTYPES[value]
+        self.is_numeric: bool = value in ("int", "double")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DataType.{self.name}"
 
-
-_NUMPY_DTYPES = {
-    DataType.INT: np.dtype(np.int64),
-    DataType.DBL: np.dtype(np.float64),
-    DataType.BOOL: np.dtype(np.bool_),
-    DataType.STR: np.dtype(object),
-    DataType.DATE: np.dtype(np.int64),
-    DataType.TIME: np.dtype(np.int64),
-    DataType.OID: np.dtype(np.int64),
-}
 
 _EPOCH = _dt.date(1970, 1, 1).toordinal()
 

@@ -20,7 +20,7 @@ avoid it whenever the operation allows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +42,23 @@ from repro.errors import (
 from repro.linalg.matrix import Columns
 from repro.opspec import OpSpec, SortClass
 from repro.relational.relation import Relation
+from repro.relational.schema import Attribute
+
+
+class Split(NamedTuple):
+    """A relation's schema split into order schema U and application
+    schema U-bar, by name and by position."""
+
+    order_names: list[str]
+    app_names: list[str]
+    order_positions: list[int]
+    app_positions: list[int]
+
+    def order_bats(self, relation: Relation) -> list[BAT]:
+        return [relation.columns[i] for i in self.order_positions]
+
+    def app_bats(self, relation: Relation) -> list[BAT]:
+        return [relation.columns[i] for i in self.app_positions]
 
 
 @dataclass
@@ -51,16 +68,34 @@ class PreparedInput:
     ``order_bats`` are the order-part columns in *result row order* (the
     order the kernel sees), so the merge step can concatenate them directly
     with base-result columns.  ``app_columns`` is the matrix µ as float
-    columns in the same row order.
+    columns in the same row order.  ``split`` holds the order and
+    application attributes' names and schema positions.
     """
 
     relation: Relation
-    order_names: list[str]
-    app_names: list[str]
+    split: Split
     order_bats: list[BAT]
     app_columns: Columns
     sorted_storage: bool  # True when rows were physically sorted
     validated: bool = False  # True when the order schema passed key checks
+
+    @property
+    def order_names(self) -> list[str]:
+        return self.split.order_names
+
+    @property
+    def app_names(self) -> list[str]:
+        return self.split.app_names
+
+    @property
+    def order_attributes(self) -> list[Attribute]:
+        attributes = self.relation.schema.attributes
+        return [attributes[i] for i in self.split.order_positions]
+
+    @property
+    def app_attributes(self) -> list[Attribute]:
+        attributes = self.relation.schema.attributes
+        return [attributes[i] for i in self.split.app_positions]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -76,8 +111,35 @@ def _as_names(by: str | Sequence[str]) -> list[str]:
     return names
 
 
+def _application_part(relation: Relation, order_positions: list[int]) \
+        -> tuple[list[str], list[int]]:
+    """Names and positions of the attributes not at ``order_positions``,
+    in schema order: the paper's application schema."""
+    excluded = set(order_positions)
+    positions = [i for i in range(len(relation.schema)) if i not in excluded]
+    names = relation.names
+    return [names[i] for i in positions], positions
+
+
+def check_order_names(order_names: Sequence[str], known: Container[str],
+                      schema_names: Sequence[str]) -> None:
+    """Raise :class:`OrderSchemaError` for the first order attribute, in
+    order, that repeats an earlier one or is not ``known``; the schema is
+    listed as ``schema_names``."""
+    seen: set[str] = set()
+    for name in order_names:
+        if name in seen:
+            raise OrderSchemaError(
+                f"duplicate attribute {name!r} in order schema")
+        seen.add(name)
+        if name not in known:
+            raise OrderSchemaError(
+                f"order attribute {name!r} not in schema "
+                f"({', '.join(schema_names)})")
+
+
 def split_schema(relation: Relation, by: str | Sequence[str],
-                 spec: OpSpec, argument: int) -> tuple[list[str], list[str]]:
+                 spec: OpSpec, argument: int) -> Split:
     """Split R into order schema U and application schema U-bar.
 
     Validates the paper's preconditions: the order schema attributes exist,
@@ -85,40 +147,42 @@ def split_schema(relation: Relation, by: str | Sequence[str],
     the column cast have a single-attribute order schema.
     """
     order_names = _as_names(by)
-    seen = set()
-    for name in order_names:
-        if name in seen:
-            raise OrderSchemaError(
-                f"duplicate attribute {name!r} in order schema")
-        seen.add(name)
-        if name not in relation.schema:
-            raise OrderSchemaError(
-                f"order attribute {name!r} not in schema "
-                f"({', '.join(relation.names)})")
-    app_names = relation.schema.complement(order_names)
+    schema = relation.schema
+    order_positions = schema.positions(order_names)
+    if None in order_positions or len(set(order_names)) != len(order_names):
+        check_order_names(order_names, schema, relation.names)
+    app_names, app_positions = _application_part(relation, order_positions)
     if not app_names:
         raise ApplicationSchemaError(
             f"{spec.name}: application schema is empty — every attribute "
             "is in the order schema")
-    for name in app_names:
-        if not relation.schema.dtype(name).is_numeric:
+    attributes = schema.attributes
+    for i in app_positions:
+        attr = attributes[i]
+        if not attr.dtype.is_numeric:
             raise ApplicationSchemaError(
-                f"{spec.name}: application attribute {name!r} has "
-                f"non-numeric type {relation.schema.dtype(name).value}; "
+                f"{spec.name}: application attribute {attr.name!r} has "
+                f"non-numeric type {attr.dtype.value}; "
                 "drop it with a projection or add it to the order schema")
     if argument in spec.order_card_one and len(order_names) != 1:
         raise OrderSchemaError(
             f"{spec.name}: the column cast requires a single-attribute "
             f"order schema for argument {argument}, got {len(order_names)}")
-    return order_names, app_names
+    return Split(order_names, app_names, order_positions, app_positions)
 
 
-def _as_float(bat: BAT, parallel: ParallelConfig | None) -> np.ndarray:
-    """``bat.as_float()`` with the INT→float cast run per-morsel."""
-    if parallel is None or bat.dtype is not DataType.INT:
-        return bat.as_float()
-    return bat.as_float(
-        astype=lambda tail: parallel_astype_float(tail, parallel))
+def _app_floats(relation: Relation, split: Split,
+                parallel: ParallelConfig | None) -> Columns:
+    """The application columns in storage order, as float arrays; with
+    the morsel engine on, INT→float casts run per-morsel."""
+    bats = split.app_bats(relation)
+    if parallel is None:
+        return [bat.as_float() for bat in bats]
+
+    def astype(tail: np.ndarray) -> np.ndarray:
+        return parallel_astype_float(tail, parallel)
+
+    return [bat.as_float(astype=astype) for bat in bats]
 
 
 def _parallel_of(config: RmaConfig) -> ParallelConfig | None:
@@ -138,8 +202,7 @@ def _prepare_arguments(thunks, config: RmaConfig) -> list:
     return [thunk() for thunk in thunks]
 
 
-def _prepare_sorted(relation: Relation, order_names: list[str],
-                    app_names: list[str], validate: bool,
+def _prepare_sorted(relation: Relation, split: Split, validate: bool,
                     config: RmaConfig) -> PreparedInput:
     """FULL sorting: argsort the order part, fetchjoin everything.
 
@@ -149,7 +212,8 @@ def _prepare_sorted(relation: Relation, order_names: list[str],
     view instead of fetch-then-cast; the morsel engine chunks those
     gathers across the worker pool.
     """
-    order_bats = relation.bats(order_names)
+    order_names = split.order_names
+    order_bats = split.order_bats(relation)
     if properties_enabled():
         parallel = _parallel_of(config)
         info = relation.order_info(order_names)
@@ -164,21 +228,19 @@ def _prepare_sorted(relation: Relation, order_names: list[str],
         if positions is None:
             positions = info.positions
         app_columns = parallel_gather_columns(
-            [_as_float(relation.column(n), parallel) for n in app_names],
-            positions, parallel)
+            _app_floats(relation, split, parallel), positions, parallel)
     else:
         positions = order_by(order_bats)
         if validate:
             require_key(order_bats, order_names, positions)
-        app_columns = [relation.column(n).fetch(positions).as_float()
-                       for n in app_names]
+        app_columns = [bat.fetch(positions).as_float()
+                       for bat in split.app_bats(relation)]
     sorted_order = [bat.fetch(positions, positions_key=True)
                     for bat in order_bats]
     if sorted_order:
         _seed_major_key_sorted(sorted_order[0])
-    return PreparedInput(relation, order_names, app_names, sorted_order,
-                         app_columns, sorted_storage=True,
-                         validated=validate)
+    return PreparedInput(relation, split, sorted_order, app_columns,
+                         sorted_storage=True, validated=validate)
 
 
 def _seed_major_key_sorted(bat: BAT) -> None:
@@ -202,19 +264,16 @@ def _check_key(relation: Relation, order_names: list[str],
         require_key(order_bats, order_names)
 
 
-def _prepare_unsorted(relation: Relation, order_names: list[str],
-                      app_names: list[str], validate: bool,
+def _prepare_unsorted(relation: Relation, split: Split, validate: bool,
                       config: RmaConfig) -> PreparedInput:
     """No sorting: storage order is the kernel order."""
-    order_bats = relation.bats(order_names)
+    order_bats = split.order_bats(relation)
     if validate:
-        _check_key(relation, order_names, order_bats)
+        _check_key(relation, split.order_names, order_bats)
     parallel = _parallel_of(config) if properties_enabled() else None
-    app_columns = [_as_float(relation.column(n), parallel)
-                   for n in app_names]
-    return PreparedInput(relation, order_names, app_names, order_bats,
-                         app_columns, sorted_storage=False,
-                         validated=validate)
+    app_columns = _app_floats(relation, split, parallel)
+    return PreparedInput(relation, split, order_bats, app_columns,
+                         sorted_storage=False, validated=validate)
 
 
 def _needs_key(spec: OpSpec, config: RmaConfig) -> bool:
@@ -230,21 +289,21 @@ def _needs_key(spec: OpSpec, config: RmaConfig) -> bool:
 
 def prepare_unary(relation: Relation, by: str | Sequence[str],
                   spec: OpSpec, config: RmaConfig) -> PreparedInput:
-    order_names, app_names = split_schema(relation, by, spec, argument=1)
+    split = split_schema(relation, by, spec, argument=1)
     validate = _needs_key(spec, config)
     if not config.optimize_sorting or spec.sort_class is SortClass.FULL:
-        return _prepare_sorted(relation, order_names, app_names, validate,
-                               config)
+        return _prepare_sorted(relation, split, validate, config)
     # INVARIANT and EQUIVARIANT unary operations skip sorting (§8.1).
-    return _prepare_unsorted(relation, order_names, app_names, validate,
-                             config)
+    return _prepare_unsorted(relation, split, validate, config)
 
 
 def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
                    s_by: str | Sequence[str], spec: OpSpec,
                    config: RmaConfig) -> tuple[PreparedInput, PreparedInput]:
-    r_order, r_app = split_schema(r, r_by, spec, argument=1)
-    s_order, s_app = split_schema(s, s_by, spec, argument=2)
+    r_split = split_schema(r, r_by, spec, argument=1)
+    s_split = split_schema(s, s_by, spec, argument=2)
+    r_order, r_app = r_split.order_names, r_split.app_names
+    s_order, s_app = s_split.order_names, s_split.app_names
     _check_binary_compat(r, r_order, r_app, s, s_order, s_app, spec)
     use_props = properties_enabled()
 
@@ -253,10 +312,10 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
         # per relation and thread-safe): with the morsel engine on their
         # argsorts and key checks run concurrently on the pool.
         prepared = _prepare_arguments(
-            [lambda: _prepare_sorted(r, r_order, r_app,
-                                     config.validate_keys, config),
-             lambda: _prepare_sorted(s, s_order, s_app,
-                                     config.validate_keys, config)],
+            [lambda: _prepare_sorted(r, r_split, config.validate_keys,
+                                     config),
+             lambda: _prepare_sorted(s, s_split, config.validate_keys,
+                                     config)],
             config)
         return prepared[0], prepared[1]
 
@@ -264,18 +323,18 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
         # First argument keeps storage order; second must still be sorted
         # (its rows align with the first argument's *columns*).
         prepared = _prepare_arguments(
-            [lambda: _prepare_unsorted(r, r_order, r_app,
-                                       config.validate_keys, config),
-             lambda: _prepare_sorted(s, s_order, s_app,
-                                     config.validate_keys, config)],
+            [lambda: _prepare_unsorted(r, r_split, config.validate_keys,
+                                       config),
+             lambda: _prepare_sorted(s, s_split, config.validate_keys,
+                                     config)],
             config)
         return prepared[0], prepared[1]
 
     # RELATIVE: align s's rows to r's storage order with one composed
     # permutation; r is never fetchjoined (paper: "only the order part of
     # the second relation requires sorting").
-    r_order_bats = r.bats(r_order)
-    s_order_bats = s.bats(s_order)
+    r_order_bats = r_split.order_bats(r)
+    s_order_bats = s_split.order_bats(s)
     parallel = _parallel_of(config) if use_props else None
     if len(r_order_bats) == len(s_order_bats) and all(
             x is y for x, y in zip(r_order_bats, s_order_bats)):
@@ -287,7 +346,7 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
         if config.validate_keys:
             _check_key(r, r_order, r_order_bats)
         aligned = None
-        s_app_columns = [_as_float(s.column(n), parallel) for n in s_app]
+        s_app_columns = _app_floats(s, s_split, parallel)
     elif use_props:
         r_info = r.order_info(r_order)
         s_info = s.order_info(s_order)
@@ -307,8 +366,7 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
         aligned = parallel_gather(s_info.positions,
                                   r_info.ranks_with(parallel), parallel)
         s_app_columns = parallel_gather_columns(
-            [_as_float(s.column(n), parallel) for n in s_app],
-            aligned, parallel)
+            _app_floats(s, s_split, parallel), aligned, parallel)
     else:
         r_positions = order_by(r_order_bats)
         if config.validate_keys:
@@ -317,18 +375,18 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
         if config.validate_keys:
             require_key(s_order_bats, s_order, s_positions)
         aligned = s_positions[rank_of(r_positions)]
-        s_app_columns = [s.column(n).fetch(aligned).as_float()
-                         for n in s_app]
+        s_app_columns = [bat.fetch(aligned).as_float()
+                         for bat in s_split.app_bats(s)]
     if aligned is not None:
         s_order_bats = [bat.fetch(aligned, positions_key=True)
                         for bat in s_order_bats]
     prepared_r = PreparedInput(
-        r, r_order, r_app, r_order_bats,
-        [_as_float(r.column(n), parallel) for n in r_app],
+        r, r_split, r_order_bats,
+        _app_floats(r, r_split, parallel),
         sorted_storage=False,
         validated=config.validate_keys)
     prepared_s = PreparedInput(
-        s, s_order, s_app, s_order_bats, s_app_columns,
+        s, s_split, s_order_bats, s_app_columns,
         sorted_storage=False, validated=config.validate_keys)
     return prepared_r, prepared_s
 
@@ -374,30 +432,34 @@ def prepare_fused(relations: Sequence[Relation],
         raise FusionFallback("malformed fused chain")
     n = relations[0].nrows
     seen: set[str] = set()
-    splits: list[tuple[list[str], list[str]]] = []
+    splits: list[Split] = []
     for relation, by in zip(relations, bys):
         if relation.nrows != n:
             raise FusionFallback("cardinality mismatch")
         order_names = list(by)
         if not order_names:
             raise FusionFallback("empty order schema")
-        for name in order_names:
-            if name in seen or name not in relation.schema:
+        order_positions = relation.schema.positions(order_names)
+        for name, position in zip(order_names, order_positions):
+            if name in seen or position is None:
                 raise FusionFallback("order schema overlap or unknown")
             seen.add(name)
-        app_names = relation.schema.complement(order_names)
+        app_names, app_positions = _application_part(relation,
+                                                     order_positions)
         if not app_names:
             raise FusionFallback("empty application schema")
-        if any(not relation.schema.dtype(a).is_numeric for a in app_names):
+        attributes = relation.schema.attributes
+        if any(not attributes[i].dtype.is_numeric for i in app_positions):
             raise FusionFallback("non-numeric application attribute")
-        splits.append((order_names, app_names))
-    width = len(splits[0][1])
-    if any(len(app) != width for _, app in splits):
+        splits.append(Split(order_names, app_names, order_positions,
+                            app_positions))
+    width = len(splits[0].app_names)
+    if any(len(split.app_names) != width for split in splits):
         raise FusionFallback("application schema widths differ")
 
     parallel = _parallel_of(config)
-    infos = [relation.order_info(order_names)
-             for relation, (order_names, _) in zip(relations, splits)]
+    infos = [relation.order_info(split.order_names)
+             for relation, split in zip(relations, splits)]
     if parallel is not None and len(infos) > 1:
         # Per-leaf argsorts and key checks are independent; force them
         # concurrently on the pool (the per-relation order caches are
@@ -407,29 +469,26 @@ def prepare_fused(relations: Sequence[Relation],
         run_tasks([lambda info=info: (info.positions_with(parallel),
                                       info.is_key)
                    for info in infos])
-    for (order_names, _), info in zip(splits, infos):
+    for info in infos:
         if not info.is_key:
             raise FusionFallback("order schema is not a key")
 
     ranks = infos[0].ranks_with(parallel) if len(relations) > 1 else None
 
     def prepare_leaf(i: int) -> PreparedInput:
-        relation, (order_names, app_names) = relations[i], splits[i]
+        relation, split = relations[i], splits[i]
+        app_floats = _app_floats(relation, split, parallel)
         if i == 0:
-            order_bats = relation.bats(order_names)
-            app_columns = [_as_float(relation.column(a), parallel)
-                           for a in app_names]
+            order_bats = split.order_bats(relation)
+            app_columns = app_floats
         else:
             aligned = parallel_gather(infos[i].positions, ranks, parallel)
             order_bats = [bat.fetch(aligned, positions_key=True)
-                          for bat in relation.bats(order_names)]
-            app_columns = parallel_gather_columns(
-                [_as_float(relation.column(a), parallel)
-                 for a in app_names],
-                aligned, parallel)
-        return PreparedInput(
-            relation, order_names, app_names, order_bats, app_columns,
-            sorted_storage=False, validated=True)
+                          for bat in split.order_bats(relation)]
+            app_columns = parallel_gather_columns(app_floats, aligned,
+                                                  parallel)
+        return PreparedInput(relation, split, order_bats, app_columns,
+                             sorted_storage=False, validated=True)
 
     # Leaf alignments are independent too: ship them to the pool as
     # whole-leaf tasks (the cheap first leaf runs on the caller); the

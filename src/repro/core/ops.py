@@ -28,7 +28,7 @@ import numpy as np
 from repro.bat.bat import BAT, DataType
 from repro.bat.properties import properties_enabled
 from repro.core.config import RmaConfig, default_config
-from repro.core.constructors import gamma, schema_cast
+from repro.core.constructors import schema_cast
 from repro.core.context import (
     FusionFallback,
     PreparedInput,
@@ -47,6 +47,7 @@ from repro.linalg.kernels import (
 from repro.linalg.matrix import Columns
 from repro.opspec import OpSpec, spec_of
 from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Schema
 
 CONTEXT_ATTRIBUTE = "C"
 """Name of the synthesized context attribute (paper Table 2)."""
@@ -142,55 +143,50 @@ def merge_result(spec: OpSpec, r: PreparedInput,
     name).
     """
     x, y = spec.shape_type
-    names: list[str] = []
+    attributes: list[Attribute] = []
     columns: list[BAT] = []
 
     # -- row context (x) ----------------------------------------------------
     if x == "r1":
-        names += r.order_names
+        attributes += r.order_attributes
         columns += r.order_bats
     elif x == "r*":
+        # Element-wise operations carry both order parts (U ∘ V ∘ U-bar).
         assert s is not None
-        names += r.order_names + s.order_names
+        attributes += r.order_attributes + s.order_attributes
         columns += r.order_bats + s.order_bats
     elif x == "c1":
-        names.append(CONTEXT_ATTRIBUTE)
+        attributes.append(_CONTEXT)
         columns.append(schema_cast(r.app_names))
     elif x == "1":
-        names.append(CONTEXT_ATTRIBUTE)
+        attributes.append(_CONTEXT)
         columns.append(BAT.from_values(["r"], DataType.STR))
     else:  # pragma: no cover - no operation uses other row types
         raise RmaError(f"unhandled row shape type {x!r}")
 
-    # -- base result attribute names (y) -------------------------------------
+    # -- base result attributes (y) -------------------------------------------
     if y == "c1" or y == "c*":
-        base_names = list(r.app_names)
+        base_attributes = _as_double(r.app_attributes)
     elif y == "c2":
         assert s is not None
-        base_names = list(s.app_names)
+        base_attributes = _as_double(s.app_attributes)
     elif y == "r1":
-        base_names = sorted_order_values(r)
+        base_attributes = _double_named(sorted_order_values(r))
     elif y == "r2":
         assert s is not None
-        base_names = sorted_order_values(s)
+        base_attributes = _double_named(sorted_order_values(s))
     elif y == "1":
-        base_names = [spec.name]
+        base_attributes = _double_named([spec.name])
     else:  # pragma: no cover
         raise RmaError(f"unhandled column shape type {y!r}")
 
-    if len(base_names) != len(base):
+    if len(base_attributes) != len(base):
         raise RmaError(
             f"{spec.name}: base result has {len(base)} columns but "
-            f"{len(base_names)} names were derived — shape type "
+            f"{len(base_attributes)} names were derived — shape type "
             f"{spec.shape_type} violated")
 
-    # Element-wise operations carry both order parts (schema U ∘ V ∘ U-bar).
-    if x == "r*":
-        pass  # both order parts already attached above
-    names += base_names
-    columns += [BAT(DataType.DBL, np.asarray(col, dtype=np.float64))
-                for col in base]
-    result = gamma(columns, names)
+    result = _merged(attributes + base_attributes, columns, base)
     _seed_result_order(result, spec, r, s)
     return result
 
@@ -211,20 +207,17 @@ def merge_fused(prepared: Sequence[PreparedInput],
     schema ``Ui`` and by every combined prefix ``U1 ∘ ... ∘ Ui``.
     """
     first = prepared[0]
-    names: list[str] = []
+    attributes: list[Attribute] = []
     columns: list[BAT] = []
     for p in prepared:
-        names += p.order_names
+        attributes += p.order_attributes
         columns += p.order_bats
-    base_names = list(first.app_names)
-    if len(base_names) != len(base):
+    base_attributes = _as_double(first.app_attributes)
+    if len(base_attributes) != len(base):
         raise RmaError(
             f"fused chain: base result has {len(base)} columns but "
-            f"{len(base_names)} names were derived")
-    names += base_names
-    columns += [BAT(DataType.DBL, np.asarray(col, dtype=np.float64))
-                for col in base]
-    result = gamma(columns, names)
+            f"{len(base_attributes)} names were derived")
+    result = _merged(attributes + base_attributes, columns, base)
     if properties_enabled():
         n = result.nrows
         _seed_order_part(result, first, n)
@@ -241,6 +234,30 @@ def merge_fused(prepared: Sequence[PreparedInput],
             if len(key) == 1:
                 result.column(key[0])._seed_props(tkey=True)
     return result
+
+
+_CONTEXT = Attribute(CONTEXT_ATTRIBUTE, DataType.STR)
+
+
+def _as_double(attributes: list[Attribute]) -> list[Attribute]:
+    """The attributes with type DBL, the type of every base-result column
+    (the attribute objects themselves where they already are)."""
+    return [attr if attr.dtype is DataType.DBL
+            else Attribute(attr.name, DataType.DBL) for attr in attributes]
+
+
+def _double_named(names: Sequence[str]) -> list[Attribute]:
+    return [Attribute(name, DataType.DBL) for name in names]
+
+
+def _merged(attributes: list[Attribute], context: list[BAT],
+            base: Columns) -> Relation:
+    """The relation constructor γ over the context columns and the base
+    result: the attributes come from the operands' schemas, so only a name
+    clash between them can make the schema invalid."""
+    columns = context + [BAT(DataType.DBL, np.asarray(col, dtype=np.float64))
+                         for col in base]
+    return Relation(Schema.derived(tuple(attributes)), columns)
 
 
 def _seed_result_order(result: Relation, spec: OpSpec,

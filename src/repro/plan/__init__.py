@@ -72,13 +72,14 @@ Module map
       position vector per source relation.  Filters, sorts, limits and
       joins compose the vectors; each column is gathered once, on first
       read.  FK→PK joins keep the matched side's vectors as they are.
-    * **Warm order caches** — a frame that is still an unmodified view
-      of its source (no filter, join or projection has changed its rows
-      or columns) hands the original relation object to
-      ``Frame.to_plain_relation``, so the order caches seeded by
-      ``merge_result`` (:mod:`repro.core.ops`) survive from one
-      operation to the next instead of going cold on every derived
-      relation.
+    * **Warm order caches, constant cost per node** — a scan or RMA
+      result enters the executor as a frame view of its relation, which
+      mints its internal names only when a relational operator resolves
+      one; ``Frame.to_plain_relation`` of a view returns the original
+      relation object, so the order caches seeded by ``merge_result``
+      (:mod:`repro.core.ops`) survive from one operation to the next,
+      and a relation passing between RMA nodes costs no Python per
+      column in the plan layer.
 
 ``cache``
     The session-scoped plan/result cache: canonical subplan -> result

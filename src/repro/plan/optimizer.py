@@ -75,7 +75,9 @@ def optimize(plan: nodes.Plan, catalog: Catalog,
     """
     opt = Optimizer(catalog)
     plan = opt.rewrite(plan)
-    if keep_all:
+    if keep_all and isinstance(plan, (nodes.Rma, nodes.FusedRma)):
+        needed = None  # an RMA consumes its inputs whole: nothing to prune
+    elif keep_all:
         names = opt.output_names(plan)
         needed = None if names is None else {n for _, n in names}
     else:
@@ -177,11 +179,13 @@ class Optimizer:
         elif x in ("c1", "1"):
             out.add((plan.alias, "C"))
         if y in ("c1", "c*"):
+            order = set(plan.by[0])
             out |= {(plan.alias, n) for n in input_names[0]
-                    if n not in plan.by[0]}
+                    if n not in order}
         elif y == "c2":
+            order = set(plan.by[1])
             out |= {(plan.alias, n) for n in input_names[1]
-                    if n not in plan.by[1]}
+                    if n not in order}
         elif y == "1":
             out.add((plan.alias, plan.op))
         return out

@@ -45,10 +45,15 @@ runs once per distinct combination of their rows and is gathered to the
 join's rows once (:meth:`Frame.domain`, :class:`ExpressionEvaluator`).
 
 Because relations are immutable, the memoized CSE results share their
-per-relation order caches across uses, and ``Frame.to_plain_relation``
-returns the *original* relation object whenever the frame is an unmodified
-view of it — derived relations produced by ``merge_result`` therefore keep
-their seeded order caches all the way to the user (or the next operation).
+per-relation order caches across uses.  A scan or RMA result enters the
+executor as a frame *view* of its relation (:meth:`Frame.from_relation`):
+building it costs the same at any width, it mints internal names only
+when a relational operator first resolves one, and
+``Frame.to_plain_relation`` hands the relation object itself back in
+constant time.  A relation that only passes from one RMA node to the next
+thus reaches the prepare stage as the very same object, and derived
+relations produced by ``merge_result`` keep their seeded order caches all
+the way to the user (or the next operation).
 """
 
 from __future__ import annotations
@@ -190,23 +195,36 @@ class Frame:
     user-visible names stay resolvable (qualified or unqualified).
     :meth:`domain` codes rows by the positions of the sources an
     expression reads, so the expression can run over the distinct codes.
+
+    A frame over a relation (:meth:`from_relation`) is a *view*: building
+    it costs the same whatever the relation's width, and its bindings,
+    sources and internal names are minted only when something first reads
+    them (a relational operator resolving a name, a join combining it).
+    ``origin`` is set only on a view, which nothing modifies, so
+    :meth:`to_plain_relation` hands the relation itself back.  A relation
+    that only passes from one RMA node to the next therefore costs no
+    Python per column in the plan layer.
     """
 
     _counter = itertools.count(1)  # itertools: atomic under the GIL, so
     # concurrently evaluated subplans never mint the same internal name
+    _mint_lock = threading.Lock()  # one minting per view, whoever asks
 
     def __init__(self, bindings: list[Binding], sources: list[_Source],
-                 nrows: int, cache: dict[str, BAT] | None = None,
-                 origin: Relation | None = None):
+                 nrows: int, cache: dict[str, BAT] | None = None):
+        self._bind(bindings, sources)
+        self.nrows = nrows
+        self.origin: Relation | None = None
+        self._cache = cache if cache is not None else {}
+
+    def _bind(self, bindings: list[Binding], sources: list[_Source]) -> None:
         # A later source overrides an earlier one for the names it holds;
         # sources no binding reads from are dropped.
-        self._owner = {name: s for s in sources for name in s.columns}
-        used = {id(self._owner[b.internal]) for b in bindings}
-        self.bindings = bindings
+        owner = {name: s for s in sources for name in s.columns}
+        used = {id(owner[b.internal]) for b in bindings}
+        self._owner = owner
         self.sources = [s for s in sources if id(s) in used]
-        self.nrows = nrows
-        self.origin = origin  # set only while the frame is an unmodified view
-        self._cache = cache if cache is not None else {}
+        self.bindings = bindings
 
     @classmethod
     def _fresh(cls, hint: str) -> str:
@@ -215,14 +233,33 @@ class Frame:
     @classmethod
     def from_relation(cls, relation: Relation, alias: Optional[str],
                       gathered: dict[tuple, tuple] | None = None) -> "Frame":
-        """A frame over ``relation``; ``gathered`` is the executor's table
-        of shared gathers (see :class:`_Source`)."""
-        bindings = [Binding(alias, name, cls._fresh(name))
-                    for name in relation.names]
-        source = _Source({b.internal: col
-                          for b, col in zip(bindings, relation.columns)},
-                         gathered=gathered)
-        return cls(bindings, [source], relation.nrows, origin=relation)
+        """A view of ``relation``; ``gathered`` is the executor's table of
+        shared gathers (see :class:`_Source`)."""
+        frame = cls.__new__(cls)
+        frame.nrows = relation.nrows
+        frame.origin = relation
+        frame._cache = {}
+        frame._view = (alias, gathered)
+        return frame
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set yet: the bindings, sources
+        # and owner table of a view before their first use.
+        if name not in ("bindings", "sources", "_owner") \
+                or "_view" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        with Frame._mint_lock:
+            if "bindings" not in self.__dict__:
+                alias, gathered = self._view
+                relation = self.origin
+                bindings = [Binding(alias, n, Frame._fresh(n))
+                            for n in relation.names]
+                self._bind(bindings, [_Source(
+                    {b.internal: column
+                     for b, column in zip(bindings, relation.columns)},
+                    gathered=gathered)])
+        return self.__dict__[name]
 
     @classmethod
     def wrap(cls, relation: Relation, bindings: list[Binding]) -> "Frame":
@@ -306,8 +343,7 @@ class Frame:
 
     def with_bindings(self, bindings: list[Binding]) -> "Frame":
         """The same rows with a subset of the bindings."""
-        return Frame(bindings, self.sources, self.nrows, dict(self._cache),
-                     self.origin)
+        return Frame(bindings, self.sources, self.nrows, dict(self._cache))
 
     def projected(self, names: list[str], columns: list[BAT]) -> "Frame":
         """A frame whose visible columns are ``columns`` under ``names``.
@@ -333,19 +369,13 @@ class Frame:
     def to_plain_relation(self) -> Relation:
         """Expose user-visible names (for RMA inputs and final output).
 
-        When the frame is an unmodified view of its source relation the
-        source object itself is returned, preserving its (possibly warm)
-        order cache — the plan layer's cross-operation cache reuse depends
-        on this passthrough.
+        A view (:meth:`from_relation`) returns its relation itself, in
+        constant time and with its (possibly warm) order cache — the plan
+        layer's cross-operation cache reuse depends on this passthrough.
         """
-        visible = self.visible_bindings()
-        if (self.origin is not None
-                and len(visible) == len(self.origin.columns)
-                and all(b.name == n
-                        for b, n in zip(visible, self.origin.names))
-                and all(self.bat(b.internal) is col
-                        for b, col in zip(visible, self.origin.columns))):
+        if self.origin is not None:
             return self.origin
+        visible = self.visible_bindings()
         names = [b.name for b in visible]
         if len(set(names)) != len(names):
             duplicates = sorted({n for n in names if names.count(n) > 1})
@@ -895,8 +925,8 @@ class _PhysicalPlanner:
             relation = self._leaf_relation(plan)
             if relation is None or not properties_enabled():
                 return ()
-            for name in relation.names:
-                if relation.column(name).cached_prop("tsorted"):
+            for name, column in zip(relation.names, relation.columns):
+                if column.cached_prop("tsorted"):
                     return (name,)
             return ()
         if isinstance(plan, nodes.SubqueryScan):

@@ -158,24 +158,23 @@ class Relation:
         return self._serial
 
     def __init__(self, schema: Schema, columns: Sequence[BAT]):
+        columns = tuple(columns)
         if len(schema) != len(columns):
             raise SchemaError(
                 f"schema has {len(schema)} attributes but {len(columns)} "
                 "columns were supplied")
-        n = None
-        for attr, col in zip(schema, columns):
+        n = len(columns[0].tail) if columns else 0
+        for attr, col in zip(schema.attributes, columns):
             if col.dtype is not attr.dtype:
                 raise SchemaError(
                     f"column for attribute {attr.name!r} has type "
                     f"{col.dtype.value}, schema says {attr.dtype.value}")
-            if n is None:
-                n = len(col)
-            elif len(col) != n:
+            if len(col.tail) != n:
                 raise AlignmentError(
                     f"column {attr.name!r} has {len(col)} rows, "
                     f"expected {n}")
         self.schema = schema
-        self.columns = tuple(columns)
+        self.columns = columns
         self._order_cache: dict[tuple[str, ...], OrderInfo] = {}
         self._order_lock = threading.Lock()
         self._serial = next(Relation._serials)

@@ -43,14 +43,14 @@ class Schema:
 
     def __init__(self, attributes: Iterable[Attribute]):
         attrs = tuple(attributes)
-        index: dict[str, int] = {}
-        for i, attr in enumerate(attrs):
-            if not isinstance(attr, Attribute):
-                raise SchemaError(f"expected Attribute, got {attr!r}")
-            if attr.name in index:
-                raise SchemaError(
-                    f"duplicate attribute name {attr.name!r} in schema")
-            index[attr.name] = i
+        if not all(isinstance(attr, Attribute) for attr in attrs):
+            _raise_invalid(attrs)
+        self._set(attrs)
+
+    def _set(self, attrs: tuple[Attribute, ...]) -> None:
+        index = {attr.name: i for i, attr in enumerate(attrs)}
+        if len(index) != len(attrs):
+            _raise_invalid(attrs)
         self._attributes = attrs
         self._index = index
 
@@ -61,6 +61,14 @@ class Schema:
         """Build a schema from (name, type) pairs."""
         return cls(Attribute(name, dtype) for name, dtype in pairs)
 
+    @classmethod
+    def derived(cls, attrs: tuple[Attribute, ...]) -> "Schema":
+        """A schema over attributes taken from valid schemas (or built as
+        :class:`Attribute`), where only the names' uniqueness can break."""
+        schema = cls.__new__(cls)
+        schema._set(attrs)
+        return schema
+
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -69,7 +77,7 @@ class Schema:
 
     @property
     def names(self) -> list[str]:
-        return [a.name for a in self._attributes]
+        return list(self._index)
 
     def __len__(self) -> int:
         return len(self._attributes)
@@ -91,6 +99,11 @@ class Schema:
                 f"unknown attribute {name!r}; schema is ({', '.join(self.names)})")
         return self._index[name]
 
+    def positions(self, names: Iterable[str]) -> list[int | None]:
+        """The position of each of ``names``; None for one not in the
+        schema."""
+        return list(map(self._index.get, names))
+
     def dtype(self, name: str) -> DataType:
         return self[name].dtype
 
@@ -98,7 +111,7 @@ class Schema:
 
     def project(self, names: Iterable[str]) -> "Schema":
         """Sub-schema with the given attributes, in the *given* order."""
-        return Schema(self[name] for name in names)
+        return Schema.derived(tuple(self[name] for name in names))
 
     def complement(self, names: Iterable[str]) -> list[str]:
         """Attribute names not in ``names``, in schema order.
@@ -106,7 +119,7 @@ class Schema:
         This is the paper's application schema: ``U-bar = R - U``.
         """
         excluded = set(names)
-        unknown = excluded - set(self.names)
+        unknown = excluded - self._index.keys()
         if unknown:
             raise SchemaError(
                 f"unknown attributes {sorted(unknown)}; "
@@ -114,17 +127,17 @@ class Schema:
         return [n for n in self.names if n not in excluded]
 
     def rename(self, mapping: dict[str, str]) -> "Schema":
-        unknown = set(mapping) - set(self.names)
+        unknown = mapping.keys() - self._index.keys()
         if unknown:
             raise SchemaError(f"cannot rename unknown attributes "
                               f"{sorted(unknown)}")
-        return Schema(
-            attr.renamed(mapping.get(attr.name, attr.name))
-            for attr in self._attributes)
+        return Schema.derived(tuple(
+            attr.renamed(mapping[attr.name]) if attr.name in mapping
+            else attr for attr in self._attributes))
 
     def concat(self, other: "Schema") -> "Schema":
         """Schema concatenation ``R ∘ S`` (names must stay unique)."""
-        return Schema(self._attributes + other._attributes)
+        return Schema.derived(self._attributes + other._attributes)
 
     def union_compatible(self, other: "Schema") -> bool:
         """Same arity and pairwise compatible types (names may differ)."""
@@ -151,3 +164,17 @@ class Schema:
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self._attributes)
         return f"Schema({inner})"
+
+
+def _raise_invalid(attrs: tuple) -> None:
+    """Raise the first error, in attribute order, that makes ``attrs`` no
+    valid schema: an entry that is no :class:`Attribute`, or a name seen
+    before."""
+    seen: set[str] = set()
+    for attr in attrs:
+        if not isinstance(attr, Attribute):
+            raise SchemaError(f"expected Attribute, got {attr!r}")
+        if attr.name in seen:
+            raise SchemaError(
+                f"duplicate attribute name {attr.name!r} in schema")
+        seen.add(attr.name)

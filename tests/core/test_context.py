@@ -25,18 +25,20 @@ def shuffled():
 
 class TestSplitSchema:
     def test_splits_into_order_and_application(self, weather):
-        order, app = split_schema(weather, "T", spec_of("inv"), 1)
-        assert order == ["T"]
-        assert app == ["H", "W"]
+        split = split_schema(weather, "T", spec_of("inv"), 1)
+        assert split.order_names == ["T"]
+        assert split.app_names == ["H", "W"]
+        assert (split.order_positions, split.app_positions) == ([0], [1, 2])
 
     def test_multi_attribute_order(self, weather):
-        order, app = split_schema(weather, ["W", "T"], spec_of("qqr"), 1)
-        assert order == ["W", "T"]
-        assert app == ["H"]
+        split = split_schema(weather, ["W", "T"], spec_of("qqr"), 1)
+        assert split.order_names == ["W", "T"]
+        assert split.app_names == ["H"]
+        assert (split.order_positions, split.app_positions) == ([2, 0], [1])
 
     def test_string_shorthand(self, weather):
-        order, _ = split_schema(weather, "T", spec_of("qqr"), 1)
-        assert order == ["T"]
+        split = split_schema(weather, "T", spec_of("qqr"), 1)
+        assert split.order_names == ["T"]
 
     def test_rejects_unknown(self, weather):
         with pytest.raises(OrderSchemaError):
