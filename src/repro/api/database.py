@@ -272,7 +272,7 @@ class Database:
                 return planned, info
         planned = build_select(source) if is_sql else source
         planned = optimize(planned, self.catalog, keep_all=not is_sql)
-        info = plan_physical(planned, self.catalog)
+        info = plan_physical(planned)
         entry = (planned, info, catalog_stamps(planned, self.catalog), token)
         if template is not None:
             template.plan = entry

@@ -16,9 +16,8 @@ the one driver that optimizes, plans and executes what they build:
                                                        │
                                                        ▼
                                          physical planner (plan.physical)
-                                       order & key metadata propagation,
-                                       merge-vs-hash join choice, shared
-                                       (CSE) subplan detection
+                                       shared (CSE) subplan detection,
+                                       per-template expression analysis
                                                        │
                                                        ▼
                                           Executor (plan.physical) over the
@@ -54,12 +53,11 @@ Module map
     * **CSE** — structurally identical RMA/subquery subtrees execute once
       per statement; repeated subplans (``CPD(a,a)`` feeding both ``INV``
       and ``MMU``) hit the memo (``Executor.stats.cse_hits``).
-    * **Join strategy** — single-key equi-joins whose inputs are provably
-      sorted by the join key (cached ``tsorted`` bits / FULL-sort RMA
-      outputs) are marked ``merge`` and binary-search the raw keys via
-      :func:`repro.relational.joins.merge_join_positions`; runtime
-      precondition re-checks fall back to the hash path (dense key codes
-      and a counting probe, :func:`repro.relational.joins.join_positions`).
+    * **One join path** — every equi-join encodes its keys into shared
+      dense codes and probes them
+      (:func:`repro.relational.joins.join_positions`); sortedness is read
+      when the join runs (an already-sorted right side skips its sort),
+      never guessed at planning time.
     * **Fused execution** — ``FusedRma`` nodes run as one
       prepare/align/kernel-program/merge pass
       (:func:`repro.core.ops.execute_fused`): every leaf aligns into the

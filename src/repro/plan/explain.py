@@ -1,15 +1,17 @@
 """Pretty-printing of logical plans and their physical annotations.
 
-``format_plan`` renders an indented operator tree, one node per line, with
-the physical planner's annotations appended in brackets:
+``format_plan`` renders an indented operator tree, one node per line; a
+subplan the physical planner found repeated carries its occurrence count
+in brackets:
 
 .. code-block:: text
 
-    Project [User, Net]
-      Filter (YoB > 1966)
-        Join inner ON (u.User = r.User) [strategy=merge]
-          Scan u AS u [order=(User)]
-          Scan r AS r [order=(User)]
+    Project [a.Ann]
+      Join cross
+        Rma TRA arg1 BY (User) AS a [shared x2]
+          Scan r AS r
+        Rma TRA arg1 BY (User) AS b [shared x2]
+          Scan r AS r
 
 Used by ``Matrix.explain()`` and by the SQL ``EXPLAIN`` statement
 (:meth:`repro.api.database.Database.explain`).  A statement template's
@@ -89,26 +91,11 @@ def describe_node(plan: nodes.Plan, params: tuple = ()) -> str:
 
 
 def _annotations(plan: nodes.Plan, info: PhysicalInfo | None) -> str:
-    if info is None:
+    if info is None or not isinstance(
+            plan, (nodes.Rma, nodes.FusedRma, nodes.SubqueryScan)):
         return ""
-    parts = []
-    if isinstance(plan, nodes.JoinPlan):
-        strategy = info.join_strategy.get(plan)
-        if strategy:
-            parts.append(f"strategy={strategy}")
-    ordering = info.ordering.get(plan)
-    if ordering:
-        parts.append(f"order=({', '.join(ordering)})")
-    key = info.keys.get(plan)
-    if key:
-        parts.append(f"key=({', '.join(key)})")
-    if isinstance(plan, (nodes.Rma, nodes.FusedRma, nodes.SubqueryScan)):
-        count = info.shared.get(_cse_key(plan))
-        if count:
-            parts.append(f"shared x{count}")
-    if not parts:
-        return ""
-    return " [" + ", ".join(parts) + "]"
+    count = info.shared.get(_cse_key(plan))
+    return f" [shared x{count}]" if count else ""
 
 
 def format_plan(plan: nodes.Plan,

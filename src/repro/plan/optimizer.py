@@ -35,15 +35,10 @@ from typing import Optional
 from repro.bat.catalog import Catalog
 from repro.errors import CatalogError
 from repro.linalg.kernels import KernelStep
-from repro.opspec import FUSABLE_OPS, OPS, spec_of
+from repro.opspec import FUSABLE_OPS, spec_of
 from repro.plan import nodes
 from repro.plan.nodes import with_children
 from repro.sql import ast
-
-_DYNAMIC_SCHEMA_OPS = {name for name, spec in OPS.items()
-                       if "r1" == spec.shape_type[1]
-                       or "r2" == spec.shape_type[1]}
-
 
 def ref_matches(ref: ast.ColumnRef, names: set[tuple]) -> bool:
     """Whether a (possibly qualified) column reference resolves in a set of

@@ -3,20 +3,8 @@
 Two layers live here:
 
 * :func:`plan_physical` — the physical planner.  It walks an (optimized)
-  logical plan and derives *physical* information the executor exploits:
+  logical plan and derives what the executor reads from it:
 
-  - **order/key metadata**: which column prefix each node's output is
-    sorted by, propagated through order-preserving operators (filters,
-    limits, joins on their left side, projections of passthrough columns)
-    and *established* by FULL-sort RMA nodes and ORDER BY;
-  - **join strategy**: single-key equi-joins whose two inputs are
-    already sorted by the join key are marked ``merge`` and binary-search
-    the raw key tails
-    (:func:`repro.relational.joins.merge_join_positions`), skipping key
-    encoding; everything else takes the hash path, which encodes the keys
-    of both sides in one pass into shared codes (offsets for small integer
-    domains) and probes a slot table when the right keys are unique, by
-    counting otherwise (:func:`repro.relational.joins.join_positions`);
   - **shared subplans** (CSE): structurally identical RMA/subquery
     subtrees are counted; the executor memoizes their result relations so
     a repeated subplan executes once per statement;
@@ -25,11 +13,20 @@ Two layers live here:
     candidate-list key, so the runs of a statement template do not
     re-derive them.
 
+  It reads no column data and no property bits: the operators read a
+  column's sortedness and key properties when they run, as MonetDB's BAT
+  operators do.
+
 * :class:`Executor` — evaluates logical plans against a catalog, one
   method per node type, producing :class:`Frame` objects (rows of base
   relations plus name-resolution bindings).
   :class:`repro.api.database.Database` runs every plan through it,
   whether compiled from SQL text or built by a ``Matrix`` expression.
+  Every equi-join takes one path,
+  :func:`repro.relational.joins.join_positions`: it encodes the keys of
+  both sides in one pass into shared codes (offsets for small integer
+  domains) and probes a slot table when the right keys are unique, by
+  counting otherwise.
 
 Frames materialize late, the way MonetDB passes candidate lists and
 positional joins between operators.  A frame holds, per source relation,
@@ -70,14 +67,12 @@ import numpy as np
 from repro.bat.bat import BAT, DataType, _encode_value
 from repro.bat.catalog import Catalog
 from repro.bat import kernels
-from repro.bat.properties import properties_enabled
 from repro.core.config import RmaConfig, default_config
 from repro.core.algebra import rma_operation
 from repro.core.context import FusionFallback
 from repro.core.ops import execute_fused
 from repro.engine.pool import in_worker, run_tasks
-from repro.errors import BindError, CatalogError, PlanError
-from repro.opspec import SortClass, spec_of
+from repro.errors import BindError, PlanError
 from repro.plan.cache import PlanCache
 import repro.relational.aggregate as rel_aggregate
 import repro.relational.joins as rel_join
@@ -85,7 +80,6 @@ import repro.relational.ops as rel_ops
 from repro.relational.relation import Relation, is_identity
 from repro.relational.schema import Attribute, Schema
 from repro.plan import nodes
-from repro.plan.optimizer import Optimizer, ref_matches
 from repro.sql import ast
 from repro.sql.functions import SCALAR_FUNCTIONS
 
@@ -825,24 +819,17 @@ class PhysicalInfo:
     collapse onto one entry (node equality is structural), which is exactly
     the sharing CSE needs.
 
-    ``keys`` records *declared* key contracts: every r1/r* RMA requires its
-    order schema to be a key (the paper's precondition), but the check runs
-    only when ``RmaConfig.validate_keys`` is on — like MonetDB trusting
-    declared constraints.  Consumers needing a *verified* key must check
-    the relation (``OrderInfo.is_key``) at run time.
-
-    The rest is the plan's analysis that every run of a statement
-    template would otherwise redo: ``exprs`` maps ``id(expr)`` to the
-    :class:`ExprInfo` of each expression the nodes evaluate (join
-    conditions down to their conjuncts' sides), ``bound_slots`` maps each
-    shareable subplan (its CSE key) to the parameter slots its result
-    depends on, and ``filter_keys`` maps each Filter to its candidate-list
-    key (:func:`_filter_key`) and the column references it must resolve.
+    ``shared`` counts the occurrences of each shareable subplan (its CSE
+    key) that occurs more than once.  The rest is the plan's analysis that
+    every run of a statement template would otherwise redo: ``exprs`` maps
+    ``id(expr)`` to the :class:`ExprInfo` of each expression the nodes
+    evaluate (join conditions down to their conjuncts' sides),
+    ``bound_slots`` maps each shareable subplan (its CSE key) to the
+    parameter slots its result depends on, and ``filter_keys`` maps each
+    Filter to its candidate-list key (:func:`_filter_key`) and the column
+    references it must resolve.
     """
 
-    join_strategy: dict[nodes.JoinPlan, str] = field(default_factory=dict)
-    ordering: dict[nodes.Plan, tuple[str, ...]] = field(default_factory=dict)
-    keys: dict[nodes.Plan, tuple[str, ...]] = field(default_factory=dict)
     shared: dict[nodes.Plan, int] = field(default_factory=dict)
     exprs: dict[int, ExprInfo] = field(default_factory=dict)
     bound_slots: dict[nodes.Plan, tuple[int, ...]] = field(
@@ -850,21 +837,18 @@ class PhysicalInfo:
     filter_keys: dict[nodes.Filter, tuple] = field(default_factory=dict)
 
 
-def plan_physical(plan: nodes.Plan, catalog: Catalog) -> PhysicalInfo:
-    """Derive physical annotations (order metadata, join strategies, CSE)."""
-    return _PhysicalPlanner(catalog).annotate(plan)
+def plan_physical(plan: nodes.Plan) -> PhysicalInfo:
+    """Derive physical annotations (shared subplans, per-template
+    analysis)."""
+    return _PhysicalPlanner().annotate(plan)
 
 
 class _PhysicalPlanner:
-    def __init__(self, catalog: Catalog):
-        self.catalog = catalog
+    def __init__(self):
         self.info = PhysicalInfo()
-        self._optimizer = Optimizer(catalog)  # for schema inference
-        self._names: dict[nodes.Plan, Optional[set[tuple]]] = {}
         self._templated = False  # whether an expression reads a Param
 
     def annotate(self, plan: nodes.Plan) -> PhysicalInfo:
-        self._order_of(plan)
         # Walk by reference, not structure: each *occurrence* of a node is
         # counted (that is what CSE sharing means), but an object reused in
         # several places — Matrix expressions share subplan objects — has
@@ -874,9 +858,6 @@ class _PhysicalPlanner:
         stack = [plan]
         while stack:
             node = stack.pop()
-            if isinstance(node, nodes.JoinPlan):
-                self.info.join_strategy.setdefault(
-                    node, self._choose_strategy(node))
             if isinstance(node, (nodes.Rma, nodes.FusedRma,
                                  nodes.SubqueryScan)):
                 key = _cse_key(node)
@@ -909,226 +890,6 @@ class _PhysicalPlanner:
         if isinstance(node, nodes.Filter):
             self.info.filter_keys[node] = (
                 _filter_key(node), tuple(nodes.column_refs(node.predicate)))
-
-    # -- order/key metadata ---------------------------------------------------
-
-    def _order_of(self, plan: nodes.Plan) -> tuple[str, ...]:
-        cached = self.info.ordering.get(plan)
-        if cached is not None:
-            return cached
-        ordering = self._compute_order(plan)
-        self.info.ordering[plan] = ordering
-        return ordering
-
-    def _compute_order(self, plan: nodes.Plan) -> tuple[str, ...]:
-        if isinstance(plan, (nodes.Scan, nodes.RelScan)):
-            relation = self._leaf_relation(plan)
-            if relation is None or not properties_enabled():
-                return ()
-            for name, column in zip(relation.names, relation.columns):
-                if column.cached_prop("tsorted"):
-                    return (name,)
-            return ()
-        if isinstance(plan, nodes.SubqueryScan):
-            return self._order_of(plan.plan)
-        if isinstance(plan, (nodes.Filter, nodes.Limit)):
-            return self._order_of(plan.children()[0])
-        if isinstance(plan, nodes.Prune):
-            child = self._order_of(plan.child)
-            kept = set(plan.names)
-            prefix = []
-            for name in child:
-                if name not in kept:
-                    break
-                prefix.append(name)
-            return tuple(prefix)
-        if isinstance(plan, nodes.Sort):
-            prefix = []
-            for item in plan.items:
-                if item.descending or not isinstance(item.expr,
-                                                     ast.ColumnRef):
-                    break
-                prefix.append(item.expr.name)
-            return tuple(prefix)
-        if isinstance(plan, nodes.JoinPlan):
-            # Both join paths emit left positions non-decreasing, so the
-            # left input's order survives; the right side's does not.
-            self._order_of(plan.right)
-            return self._order_of(plan.left)
-        if isinstance(plan, nodes.Project):
-            child = self._order_of(plan.child)
-            # Child orderings carry unqualified names, so a qualified
-            # passthrough ref (b.x) is only a safe mapping when the child
-            # has a single source — above a join, b.x may name the
-            # *right* side's column while the ordering belongs to the left.
-            qualified_ok = not _contains_join(plan.child)
-            out_names = {}
-            for index, item in enumerate(plan.items):
-                if isinstance(item.expr, ast.ColumnRef) and (
-                        item.expr.table is None or qualified_ok):
-                    out = item.alias or nodes.default_output_name(
-                        item.expr, index)
-                    out_names.setdefault(item.expr.name, out)
-            prefix = []
-            for name in child:
-                if name not in out_names:
-                    break
-                prefix.append(out_names[name])
-            return tuple(prefix)
-        if isinstance(plan, nodes.Rma):
-            for child in plan.children():
-                self._order_of(child)
-            spec = spec_of(plan.op)
-            x, _ = spec.shape_type
-            if x == "r1" and spec.sort_class is SortClass.FULL:
-                # FULL-sort operations physically order their result rows
-                # by the order schema (the warm-cache seed in merge_result
-                # records the same fact at run time).
-                self.info.keys.setdefault(plan, tuple(plan.by[0]))
-                return tuple(plan.by[0])
-            if x in ("r1", "r*"):
-                self.info.keys.setdefault(plan, tuple(plan.by[0]))
-                # Storage order of the first input is preserved; keep the
-                # prefix of its ordering that survives into the output.
-                child = self._order_of(plan.inputs[0])
-                visible = set(plan.by[0])
-                if x == "r*":
-                    visible |= set(plan.by[1])
-                prefix = []
-                for name in child:
-                    if name not in visible:
-                        break
-                    prefix.append(name)
-                return tuple(prefix)
-            return ()
-        if isinstance(plan, nodes.FusedRma):
-            # Like the element-wise (r*) case collapsed over the chain:
-            # the first leaf's storage order is preserved.
-            for child in plan.children():
-                self._order_of(child)
-            self.info.keys.setdefault(plan, tuple(plan.bys[0]))
-            child = self._order_of(plan.inputs[0])
-            visible = {name for by in plan.bys for name in by}
-            prefix = []
-            for name in child:
-                if name not in visible:
-                    break
-                prefix.append(name)
-            return tuple(prefix)
-        if isinstance(plan, nodes.Aggregate):
-            self._order_of(plan.child)
-            self.info.keys.setdefault(plan, tuple(plan.key_names))
-            return ()
-        for child in plan.children():
-            self._order_of(child)
-        return ()
-
-    def _leaf_relation(self, plan: nodes.Plan) -> Relation | None:
-        if isinstance(plan, nodes.RelScan):
-            return plan.relation
-        if isinstance(plan, nodes.Scan):
-            try:
-                return self.catalog.get(plan.table)
-            except CatalogError:
-                return None
-        return None
-
-    # -- join strategy --------------------------------------------------------
-
-    def _output_names(self, plan: nodes.Plan) -> Optional[set[tuple]]:
-        if plan not in self._names:
-            self._names[plan] = self._optimizer.output_names(plan)
-        return self._names[plan]
-
-    def _choose_strategy(self, plan: nodes.JoinPlan) -> str:
-        if plan.condition is None or plan.kind == "cross":
-            return "hash"
-        equi: list[tuple[str, str]] = []
-        matches = ref_matches
-        left_names = self._output_names(plan.left)
-        right_names = self._output_names(plan.right)
-        if left_names is None or right_names is None:
-            return "hash"
-        for conjunct in nodes.split_conjuncts(plan.condition):
-            if not (isinstance(conjunct, ast.BinaryOp)
-                    and conjunct.op == "="):
-                continue
-            if not (isinstance(conjunct.left, ast.ColumnRef)
-                    and isinstance(conjunct.right, ast.ColumnRef)):
-                return "hash"
-            lref, rref = conjunct.left, conjunct.right
-            if (matches(lref, left_names)
-                    and matches(rref, right_names)):
-                equi.append((lref.name, rref.name))
-            elif (matches(rref, left_names)
-                    and matches(lref, right_names)):
-                equi.append((rref.name, lref.name))
-            else:
-                return "hash"
-        if len(equi) != 1:
-            # No equality conjunct (a theta join runs as cross + filter) or
-            # a composite key: both take the hash path.
-            return "hash"
-        # The runtime merge path requires same-dtype raw-comparable keys
-        # (STR excluded); only predict merge when the leaf column dtypes
-        # prove eligibility, so EXPLAIN never claims a strategy the
-        # executor would reject.
-        (lname, rname), = equi
-        ldtype = self._side_key_dtype(plan.left, lname)
-        rdtype = self._side_key_dtype(plan.right, rname)
-        if (ldtype is None or ldtype is not rdtype
-                or ldtype not in rel_join.MERGE_TYPES):
-            return "hash"
-        if (self._side_sorted_by(plan.left, lname)
-                and self._side_sorted_by(plan.right, rname)):
-            return "merge"
-        return "hash"
-
-    def _side_key_dtype(self, plan: nodes.Plan, name: str):
-        relation = self._probe_leaf(plan, name)
-        return None if relation is None else relation.schema.dtype(name)
-
-    def _side_sorted_by(self, plan: nodes.Plan, name: str) -> bool:
-        ordering = self._order_of(plan)
-        if ordering[:1] == (name,):
-            return True
-        # Fall back to the base scan's column: for join keys (only), the
-        # O(n) sortedness check is worth forcing — it can save encoding
-        # both sides' keys and the right side's code sort.
-        if not properties_enabled():
-            return False
-        relation = self._probe_leaf(plan, name)
-        return relation is not None and relation.column(name).tsorted
-
-    def _probe_leaf(self, plan: nodes.Plan, name: str) -> Relation | None:
-        """The base relation behind order-preserving nodes, if it still
-        exposes the column (sortedness of the base column survives
-        Filter/Limit subsetting and Prune projection)."""
-        node = plan
-        while isinstance(node, (nodes.Filter, nodes.Prune, nodes.Limit)):
-            if isinstance(node, nodes.Prune) and name not in node.names:
-                return None
-            node = node.children()[0]
-        relation = self._leaf_relation(node)
-        if relation is None or name not in relation.schema:
-            return None
-        return relation
-
-
-def _contains_join(plan: nodes.Plan) -> bool:
-    """Whether any JoinPlan occurs in the subtree (id-deduplicated walk,
-    DAG-safe; descends into subqueries — their aliases rebind names but a
-    join anywhere below still makes qualified-name mapping ambiguous)."""
-    stack, seen = [plan], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, nodes.JoinPlan):
-            return True
-        stack.extend(node.children())
-    return False
 
 
 def _filter_key(plan: nodes.Filter):
@@ -1184,8 +945,9 @@ class ExecStats:
 class Executor:
     """Evaluates logical plans against a catalog.
 
-    ``physical`` carries the planner's annotations (join strategies); when
-    omitted every join uses the hash path.  ``params`` binds the
+    ``physical`` carries the planner's annotations (shared subplans and
+    per-template analysis); when omitted, the executor derives the
+    analysis as it goes.  ``params`` binds the
     :class:`~repro.sql.ast.Param` slots of a statement template.
     Repeated RMA/subquery subplans execute once per statement (CSE;
     ``stats.cse_hits`` counts the reuses).  ``result_cache`` is an
@@ -1622,12 +1384,7 @@ class Executor:
         # unmatched rows added afterwards.
         pad = outer and (bool(residual) or lrows is not None)
         how = "left" if outer and not pad else "inner"
-        if self.physical.join_strategy.get(plan, "auto") == "merge":
-            lpos, rpos = rel_join.merge_join_positions(left_keys,
-                                                       right_keys, how=how)
-        else:
-            lpos, rpos = rel_join.join_positions(left_keys, right_keys,
-                                                 how=how)
+        lpos, rpos = rel_join.join_positions(left_keys, right_keys, how=how)
         lpos, rpos = _remap(lpos, lrows), _remap(rpos, rrows)
         if residual:
             frame = Frame.joined(left, right, lpos, rpos)

@@ -200,17 +200,20 @@ def _stable_order(codes: np.ndarray, k: int) -> np.ndarray:
 
 MERGE_TYPES = (DataType.INT, DataType.DBL, DataType.DATE, DataType.TIME,
                DataType.OID)
-"""Key dtypes eligible for the sorted-merge join path (raw tails totally
-ordered; STR is excluded because nil ``None`` breaks object comparisons).
-The physical planner consults this to avoid predicting merge joins the
-runtime would reject."""
+"""Key dtypes eligible for :func:`merge_join_positions` (raw tails totally
+ordered; STR is excluded because nil ``None`` breaks object comparisons)."""
 
 
 def merge_join_positions(left_keys: Sequence[BAT],
                          right_keys: Sequence[BAT],
                          how: str = "inner") \
         -> tuple[np.ndarray, np.ndarray]:
-    """Sorted merge path of the equi-join, selected by the physical planner.
+    """Sorted merge path of the equi-join.
+
+    The executor does not call it: every plan join takes
+    :func:`join_positions`, whose counting probe was faster in most shapes
+    measured.  It stays defined, with its tests, because the repository
+    benchmark's trace spans (``rmabench/spans.py``) wrap it by name.
 
     When both sides join on one key column of the same raw-comparable type
     and both columns are already sorted (the cached ``tsorted`` bit: O(1)
@@ -220,9 +223,9 @@ def merge_join_positions(left_keys: Sequence[BAT],
 
     The output position pairs are identical to :func:`join_positions`:
     codes are order-isomorphic to raw values, so both paths pair each left
-    row with its matches in right-row order.  Preconditions are re-verified here at run time; when they
-    do not hold (composite keys included) the call falls back to the hash
-    path, so a planner mis-prediction costs nothing but the check.
+    row with its matches in right-row order.  Preconditions are checked
+    here at run time; when they do not hold (composite keys included) the
+    call falls back to the hash path.
 
     STR keys stay on the hash path (nil ordering of object tails is not
     total); DBL qualifies because its ``tsorted`` contract is nil-free.

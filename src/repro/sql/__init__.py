@@ -12,8 +12,8 @@ This package provides the same surface on our engine, as a *thin front
 end* over the shared plan layer (:mod:`repro.plan`): a lexer, a recursive
 descent parser, and ``build_select`` compiling the AST into the shared
 logical IR.  Optimization and execution happen in :mod:`repro.plan` — the
-same optimizer, physical planner (order-aware join strategy, CSE) and
-executor also serve the matrix-expression API (:mod:`repro.api`).
+same optimizer, physical planner (CSE) and executor also serve the
+matrix-expression API (:mod:`repro.api`).
 
 Statement execution lives on :class:`repro.api.database.Database`
 (``repro.connect()``), which owns the catalog, the statement-template,

@@ -59,8 +59,8 @@ def rng():
 
 def _run_unoptimized(db, source, config=None) -> Relation:
     """Run a query's built plan directly: no optimizer (so no fusion,
-    pushdown, pruning or join reordering), no physical annotations (every
-    join hashes) and no session cache.  ``source`` is a ``Matrix`` or SQL
+    pushdown, pruning or join reordering), no physical annotations and no
+    session cache.  ``source`` is a ``Matrix`` or SQL
     ``SELECT`` text; ``config`` defaults to the session's."""
     if isinstance(source, str):
         plan = build_select(parse_sql(source))

@@ -1,6 +1,5 @@
 """EXPLAIN: statement parsing, session surface and plan rendering."""
 
-import numpy as np
 import pytest
 
 import repro
@@ -64,28 +63,28 @@ class TestSessionExplain:
         assert "Join inner" in text
         assert "Filter" in text
 
-    def test_explain_shows_merge_strategy(self, session):
-        left = Relation.from_columns({
-            "id": np.arange(6, dtype=np.int64),
-            "v": np.arange(6, dtype=np.float64)}).sorted_by(["id"])
-        right = Relation.from_columns({
-            "key": np.arange(6, dtype=np.int64),
-            "w": np.arange(6, dtype=np.float64)}).sorted_by(["key"])
-        session.register("l", left)
-        session.register("m", right)
-        text = session.explain(
-            "SELECT v, w FROM l JOIN m ON l.id = m.key")
-        assert "strategy=merge" in text
-
-    def test_explain_shows_order_metadata(self, session):
-        text = session.explain("SELECT * FROM INV(r BY User)")
-        assert "order=(User)" in text
-
     def test_explain_shows_shared_subplans(self, session):
         text = session.explain(
             "SELECT a.Ann FROM TRA(r BY User) AS a "
             "CROSS JOIN TRA(r BY User) AS b")
         assert "shared x2" in text
+
+    def test_explain_annotates_only_shared_subplans(self, session):
+        # A join and a full-sort RMA print their node alone: the physical
+        # plan holds no sort-order or join-strategy guesses.
+        text = session.explain(
+            "SELECT u.User, Net FROM u JOIN r ON u.User = r.User "
+            "WHERE YoB > 1966")
+        assert text.splitlines() == [
+            "Project [u.User, Net]",
+            "  Join inner ON (u.User = r.User)",
+            "    Filter (YoB > 1966)",
+            "      Prune [User, YoB]",
+            "        Scan u AS u",
+            "    Prune [Net, User]",
+            "      Scan r AS r"]
+        assert session.explain("SELECT * FROM INV(r BY User)") \
+            .splitlines()[1] == "  Rma INV arg1 BY (User)"
 
     def test_explain_of_explain_prefixed_plan(self, session):
         # Database.plan accepts the EXPLAIN form as well.

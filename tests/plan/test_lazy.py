@@ -218,6 +218,24 @@ class TestRelationalOperators:
                        & (col("grp") == "b")).collect()
         assert out.to_rows() == [(3, "b", 1.5), (4, "b", 3.0)]
 
+    @pytest.mark.parametrize("predicate, where, ids", [
+        (lambda n: n.is_null(), "n IS NULL", [1, 3]),
+        (lambda n: n.is_not_null(), "n IS NOT NULL", [0, 2, 4, 5]),
+        (lambda n: n.isin(1, 3, 7), "n IN (1, 3, 7)", [0, 2]),
+    ], ids=["is_null", "is_not_null", "isin"])
+    def test_null_and_membership_predicates_match_sql(self, predicate,
+                                                      where, ids):
+        nullable = Relation.from_columns({
+            "id": np.arange(6, dtype=np.int64),
+            "n": [1, None, 3, None, 5, 2]})
+        db = repro.connect()
+        db.register("t", nullable)
+        out = db.matrix(nullable, by="id").filter(
+            predicate(col("n"))).collect()
+        expected = db.execute(f"SELECT * FROM t WHERE {where}")
+        assert out.to_rows() == expected.to_rows()
+        assert out.column("id").python_values() == ids
+
     def test_select_names_and_exprs(self, rel, m):
         selected = m.select("id", (col("val") * 2).alias("dbl"))
         assert selected.by == ("id",) and selected.app_names is None

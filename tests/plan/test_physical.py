@@ -1,5 +1,6 @@
-"""Physical planner and executor: CSE, join strategy, order metadata,
-and the warm-order seeding of derived relations (merge_result)."""
+"""Physical planner and executor: CSE, joins on the one hash path, the
+sorted-merge join function, and the warm-order seeding of derived
+relations (merge_result)."""
 
 import numpy as np
 import pytest
@@ -15,12 +16,6 @@ from repro.plan.optimizer import optimize
 from repro.plan.physical import Executor, plan_physical
 from repro.relational import joins as rel_join
 from repro.relational.relation import Relation
-from repro.plan.build import build_select
-from repro.sql.parser import parse_sql
-
-
-def find_nodes(plan, kind):
-    return [n for n in nodes.walk_plan(plan) if isinstance(n, kind)]
 
 
 def mat(rel, by="key"):
@@ -78,7 +73,7 @@ class TestCse:
         pipe = mat(rel).inv()
         for _ in range(30):
             pipe = pipe @ pipe
-        info = plan_physical(pipe.plan, Catalog())
+        info = plan_physical(pipe.plan)
         executor = Executor(Catalog(), physical=info)
         result = executor.run(pipe.plan).to_plain_relation()
         assert executor.stats.cse_hits == 30
@@ -88,7 +83,7 @@ class TestCse:
         rel = square_relation()
         frame = mat(rel).inv()
         pipe = frame @ frame
-        info = plan_physical(pipe.plan, Catalog())
+        info = plan_physical(pipe.plan)
         assert any(count == 2 for count in info.shared.values())
 
     def test_sql_repeated_rma_shares(self, ):
@@ -142,7 +137,7 @@ class TestMergeJoin:
         assert np.array_equal(merged[1], hashed[1])
 
 
-# -- join strategy choice -------------------------------------------------------
+# -- joins on the one hash path ---------------------------------------------------
 
 
 def sorted_tables():
@@ -156,36 +151,85 @@ def sorted_tables():
     return left.sorted_by(["id"]), right.sorted_by(["key"])
 
 
+def shuffled_right_tables():
+    left, _ = sorted_tables()
+    return left, Relation.from_columns({
+        "key": np.array([5, 1, 3, 0, 2], dtype=np.int64),
+        "w": np.arange(5, dtype=np.float64)})
+
+
+def str_tables():
+    return (Relation.from_columns({
+                "k": ["a", "b", "c"], "v": [1.0, 2.0, 3.0]}).sorted_by(["k"]),
+            Relation.from_columns({
+                "j": ["a", "b", "d"], "w": [1.0, 2.0, 3.0]}).sorted_by(["j"]))
+
+
+def int_dbl_tables():
+    left = Relation.from_columns({
+        "id": np.arange(4, dtype=np.int64),
+        "v": np.arange(4, dtype=np.float64)}).sorted_by(["id"])
+    right = Relation.from_columns({
+        "key": np.arange(4, dtype=np.float64),
+        "w": np.arange(4, dtype=np.float64)}).sorted_by(["key"])
+    return left, right
+
+
+def tie_group_tables():
+    """Duplicate major keys with a decreasing minor inside a tie group:
+    not lexicographically sorted by (major, minor)."""
+    left = Relation.from_columns({
+        "id": np.array([0, 0, 1, 1], dtype=np.int64),
+        "v": np.array([2.0, 1.0, 3.0, 4.0])})
+    right = Relation.from_columns({
+        "key": np.array([0, 0, 1, 1], dtype=np.int64),
+        "w": np.array([1.0, 2.0, 3.0, 4.0])})
+    return left, right
+
+
+# shape -> (tables, SQL, the rows it returns, in order)
+JOIN_SHAPES = {
+    "sorted-int": (
+        sorted_tables, "SELECT v, w FROM l JOIN r ON l.id = r.key",
+        [(0.0, 0.0), (2.0, 1.0), (4.0, 2.0), (6.0, 3.0)]),
+    "sorted-int-left": (
+        sorted_tables, "SELECT v, w FROM l LEFT JOIN r ON l.id = r.key",
+        [(float(i), i / 2 if i % 2 == 0 else None) for i in range(8)]),
+    "unsorted-right": (
+        shuffled_right_tables, "SELECT v, w FROM l JOIN r ON l.id = r.key",
+        [(0.0, 3.0), (1.0, 1.0), (2.0, 4.0), (3.0, 2.0), (5.0, 0.0)]),
+    "filter-over-sorted-scan": (
+        sorted_tables,
+        "SELECT v, w FROM l JOIN r ON l.id = r.key WHERE v > 1.0",
+        [(2.0, 1.0), (4.0, 2.0), (6.0, 3.0)]),
+    "sorted-str": (
+        str_tables, "SELECT v, w FROM l JOIN r ON l.k = r.j",
+        [(1.0, 1.0), (2.0, 2.0)]),
+    "int-against-dbl": (
+        int_dbl_tables, "SELECT v, w FROM l JOIN r ON l.id = r.key",
+        [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]),
+    "theta-without-equality": (
+        sorted_tables, "SELECT v, w FROM l JOIN r ON l.id < r.key",
+        [(float(i), float(j)) for i in range(8) for j in range(8)
+         if i < 2 * j]),
+    "composite-sorted": (
+        sorted_tables,
+        "SELECT v, w FROM l JOIN r ON l.id = r.key AND l.v = r.w",
+        [(0.0, 0.0)]),
+    "composite-minor-in-tie-group": (
+        tie_group_tables,
+        "SELECT v, w FROM l JOIN r ON l.id = r.key AND l.v = r.w",
+        [(2.0, 2.0), (1.0, 1.0), (3.0, 3.0), (4.0, 4.0)]),
+}
+
+
 class TestJoinStrategy:
-    def make_session(self):
+    def make_session(self, tables=sorted_tables):
         session = repro.connect()
-        left, right = sorted_tables()
+        left, right = tables()
         session.register("l", left)
         session.register("r", right)
         return session
-
-    def strategy_of(self, session, sql):
-        info = session.physical_info(sql)
-        plan = session.plan(sql)
-        joins = find_nodes(plan, nodes.JoinPlan)
-        assert joins
-        return info.join_strategy[joins[0]]
-
-    def test_sorted_keys_choose_merge(self):
-        session = self.make_session()
-        assert self.strategy_of(
-            session,
-            "SELECT v, w FROM l JOIN r ON l.id = r.key") == "merge"
-
-    def test_unsorted_side_chooses_hash(self):
-        session = self.make_session()
-        shuffled = Relation.from_columns({
-            "key": np.array([5, 1, 3, 0, 2], dtype=np.int64),
-            "w": np.arange(5, dtype=np.float64)})
-        session.register("r", shuffled)
-        assert self.strategy_of(
-            session,
-            "SELECT v, w FROM l JOIN r ON l.id = r.key") == "hash"
 
     def test_merge_result_equals_hash_result(self, run_unoptimized):
         session = self.make_session()
@@ -193,132 +237,15 @@ class TestJoinStrategy:
         fast = session.execute(sql)
         assert fast.same_rows(run_unoptimized(session, sql))
 
-    def test_filter_above_scan_keeps_merge(self):
-        session = self.make_session()
-        assert self.strategy_of(
-            session,
-            "SELECT v, w FROM l JOIN r ON l.id = r.key "
-            "WHERE v > 1.0") == "merge"
-
-    def test_str_keys_stay_hash_even_when_sorted(self):
-        # The runtime merge path rejects STR keys; the planner must not
-        # predict a strategy the executor cannot take.
-        session = repro.connect()
-        left = Relation.from_columns({
-            "k": ["a", "b", "c"], "v": [1.0, 2.0, 3.0]}).sorted_by(["k"])
-        right = Relation.from_columns({
-            "j": ["a", "b", "d"], "w": [1.0, 2.0, 3.0]}).sorted_by(["j"])
-        session.register("l", left)
-        session.register("r", right)
-        assert self.strategy_of(
-            session, "SELECT v, w FROM l JOIN r ON l.k = r.j") == "hash"
-
-    def test_mixed_dtype_keys_stay_hash(self):
-        session = repro.connect()
-        left = Relation.from_columns({
-            "id": np.arange(4, dtype=np.int64),
-            "v": np.arange(4, dtype=np.float64)}).sorted_by(["id"])
-        right = Relation.from_columns({
-            "key": np.arange(4, dtype=np.float64),
-            "w": np.arange(4, dtype=np.float64)}).sorted_by(["key"])
-        session.register("l", left)
-        session.register("r", right)
-        assert self.strategy_of(
-            session, "SELECT v, w FROM l JOIN r ON l.id = r.key") == "hash"
-
-    def test_multi_key_sorted_join_chooses_merge(self):
-        # Both sides are lexicographically sorted by (major, minor), yet a
-        # composite key always takes the hash path: its counting probe
-        # beats a structured-dtype binary search.
-        session = repro.connect()
-        left, right = sorted_tables()
-        session.register("l", left)
-        session.register("r", right)
-        sql = "SELECT v, w FROM l JOIN r ON l.id = r.key AND l.v = r.w"
-        assert self.strategy_of(session, sql) == "hash"
-        assert session.execute(sql).to_rows() == [(0.0, 0.0)]
-
-    def test_theta_join_without_equality_stays_hash(self):
-        # No equality conjunct at all: the executor runs cross + filter,
-        # so the planner must never claim a merge strategy.
-        session = self.make_session()
-        assert self.strategy_of(
-            session, "SELECT v, w FROM l JOIN r ON l.id < r.key") == "hash"
-
-    def test_multi_key_unsorted_minor_stays_hash(self):
-        # Duplicate major keys with a decreasing minor inside a tie group:
-        # not lexicographically sorted, so the planner keeps the hash path.
-        session = repro.connect()
-        left = Relation.from_columns({
-            "id": np.array([0, 0, 1, 1], dtype=np.int64),
-            "v": np.array([2.0, 1.0, 3.0, 4.0])})
-        right = Relation.from_columns({
-            "key": np.array([0, 0, 1, 1], dtype=np.int64),
-            "w": np.array([1.0, 2.0, 3.0, 4.0])})
-        session.register("l", left)
-        session.register("r", right)
-        assert self.strategy_of(
-            session,
-            "SELECT v, w FROM l JOIN r ON l.id = r.key AND l.v = r.w") \
-            == "hash"
-
-
-# -- order metadata propagation -------------------------------------------------
-
-
-class TestOrderMetadata:
-    def test_full_sort_rma_establishes_order(self):
-        session = repro.connect()
-        session.register("m", square_relation())
-        sql = "SELECT * FROM INV(m BY key)"
-        info = plan_physical(session.plan(sql), session.catalog)
-        rma = find_nodes(session.plan(sql), nodes.Rma)[0]
-        assert info.ordering[rma] == ("key",)
-        assert info.keys[rma] == ("key",)
-
-    def test_filter_preserves_order(self):
-        rel, _ = sorted_tables()
-        plan = nodes.Filter(mat(rel, "id").plan, parse_predicate("id > 2"))
-        info = plan_physical(plan, Catalog())
-        assert info.ordering[plan] == ("id",)
-
-    def test_sort_node_establishes_order(self):
-        session = repro.connect()
-        session.register("m", square_relation())
-        plan = build_select(parse_sql("SELECT key, x0 FROM m ORDER BY key"))
-        info = plan_physical(plan, session.catalog)
-        sort = find_nodes(plan, nodes.Sort)[0]
-        assert info.ordering[sort] == ("key",)
-
-    def test_projection_renames_order(self):
-        rel, _ = sorted_tables()
-        pipe = mat(rel, "id").select("id", "v")
-        plan = pipe.plan
-        info = plan_physical(plan, Catalog())
-        assert info.ordering[plan] == ("id",)
-
-    def test_projection_over_join_does_not_claim_other_sides_order(self):
-        # a is sorted by x; projecting b.x AS x above the join yields b's
-        # values in join order — the ordering claim must not survive.
-        session = repro.connect()
-        a = Relation.from_columns({
-            "id": np.array([0, 1, 2], dtype=np.int64),
-            "x": np.array([1, 2, 3], dtype=np.int64)}).sorted_by(["x"])
-        b = Relation.from_columns({
-            "id": np.array([2, 0, 1], dtype=np.int64),
-            "x": np.array([300, 100, 200], dtype=np.int64)})
-        session.register("a", a)
-        session.register("b", b)
-        sql = "SELECT b.x AS x FROM a JOIN b ON a.id = b.id"
-        plan = session.plan(sql)
-        info = plan_physical(plan, session.catalog)
-        project = find_nodes(plan, nodes.Project)[0]
-        assert info.ordering[project] == ()
-
-
-def parse_predicate(text):
-    select = parse_sql(f"SELECT 1 FROM _x WHERE {text}")
-    return select.where
+    @pytest.mark.parametrize("shape", list(JOIN_SHAPES))
+    def test_join_shape(self, shape, run_unoptimized):
+        # Every equi-join takes rel_join.join_positions, whatever the
+        # sortedness, dtype or arity of its keys.
+        tables, sql, rows = JOIN_SHAPES[shape]
+        session = self.make_session(tables)
+        result = session.execute(sql)
+        assert result.to_rows() == rows
+        assert result.same_rows(run_unoptimized(session, sql))
 
 
 # -- warm-order seeding of derived relations (merge_result) ---------------------

@@ -26,7 +26,8 @@ from repro.errors import (
     SchemaError,
 )
 from repro.plan.expr import col
-from repro.plan.physical import Frame
+from repro.plan.optimizer import optimize
+from repro.plan.physical import Frame, plan_physical
 from repro.relational import Relation, rename
 from repro.relational.schema import Attribute, Schema
 
@@ -180,6 +181,34 @@ def test_relational_operator_binds_the_view(config, minted):
     keep = np.flatnonzero(full.column("a1").as_float() > 0.0)
     assert bits(out) == bits(Relation(full.schema, [
         c.fetch(keep) for c in full.columns]))
+
+
+@pytest.fixture
+def property_reads(monkeypatch):
+    """The column properties read (cached or computed), by name."""
+    reads: list[str] = []
+    for method in ("cached_prop", "_lazy_prop"):
+        original = getattr(BAT, method)
+
+        def counting(self, name, *args, _original=original):
+            reads.append(name)
+            return _original(self, name, *args)
+
+        monkeypatch.setattr(BAT, method, counting)
+    return reads
+
+
+def test_physical_planning_reads_no_column_property(property_reads):
+    r = wide_relation(40, 1_000, "INT", seed=5)
+    s = wide_relation(40, 1_000, "STR", seed=6, prefix="b", key="j")
+    db = repro.connect()
+    m = db.matrix(r, by="k")
+    plans = [optimize(expr.plan, db.catalog, keep_all=True)
+             for expr in (m.cpd(m) * 0.5, m + db.matrix(s, by="j"))]
+    property_reads.clear()
+    for plan in plans:
+        plan_physical(plan)
+    assert property_reads == []
 
 
 # -- bit identity over random wide relations ----------------------------------
