@@ -9,9 +9,11 @@ expressed as sequences of whole-column BAT operations (see
 Physical properties and order caching
 -------------------------------------
 
-BATs are immutable, so facts about a column can never go stale.  Following
-MonetDB's per-BAT property bits, every BAT lazily computes and caches four
-physical properties:
+BATs and relations are immutable, so physical properties, per-relation
+order permutations and float views of integer columns can never go stale:
+they are computed on first demand and cached on the instance, exactly like
+MonetDB's per-BAT property bits and order indexes, and never invalidated.
+Every BAT lazily computes and caches four physical properties:
 
 * ``tsorted`` / ``trevsorted`` — tail is non-decreasing / non-increasing in
   raw encoding order (only set on nil-free DBL/STR columns, where NaN/None
@@ -34,10 +36,6 @@ sort permutation, inverse ranks and key-check verdict per order-schema name
 tuple (``Relation.order_info``), and ``BAT.as_float`` caches the float64
 view of INT columns — so repeated relational matrix operations over the
 same relation sort, validate and cast once instead of per call.
-
-The whole layer, in every module that uses it, sits behind one
-process-wide gate in :mod:`repro.bat.properties`; disabling it restores
-compute-from-scratch behaviour with bit-identical results.
 """
 
 from repro.bat.bat import BAT, DataType, NIL_INT

@@ -34,7 +34,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.bat.properties import properties_enabled
 from repro.errors import AlignmentError, BatError, TypeMismatchError
 
 NIL_INT = np.iinfo(np.int64).min
@@ -265,31 +264,25 @@ class BAT:
         BATs are created on every fetch/slice, and a lock per instance
         would cost more than the rare duplicated scan.
         """
-        if properties_enabled():
-            cached = self._props.get(name)
-            if cached is None:
-                cached = self._props.setdefault(name, compute())
-            return cached
-        return compute()
+        cached = self._props.get(name)
+        if cached is None:
+            cached = self._props.setdefault(name, compute())
+        return cached
 
     def _seed_props(self, **props: bool | None) -> "BAT":
         """Record known property values (internal; callers must be right).
 
         ``None`` values are skipped, so call sites can pass conditional
-        derivations without branching.  No-op while the property layer is
-        disabled, which is what makes the ablation honest.
+        derivations without branching.
         """
-        if properties_enabled():
-            for name, value in props.items():
-                if value is not None:
-                    self._props[name] = bool(value)
+        for name, value in props.items():
+            if value is not None:
+                self._props[name] = bool(value)
         return self
 
     def cached_prop(self, name: str) -> bool | None:
         """Peek at a property without triggering its computation."""
-        if properties_enabled():
-            return self._props.get(name)
-        return None
+        return self._props.get(name)
 
     @property
     def tsorted(self) -> bool:
@@ -535,8 +528,8 @@ class BAT:
 
         For INT columns the cast result is cached (read-only) on the
         instance: repeated operations over the same relation pay the copy
-        once.  Nil handling matches the uncached behaviour: the raw
-        ``NIL_INT`` sentinel is cast verbatim, not mapped to NaN.
+        once.  The raw ``NIL_INT`` sentinel is cast verbatim, not mapped
+        to NaN.
 
         ``astype`` optionally substitutes the int64→float64 cast with an
         equivalent implementation (the morsel engine passes a per-chunk
@@ -548,18 +541,15 @@ class BAT:
         if self.dtype is DataType.DBL:
             return self.tail
         if self.dtype is DataType.INT:
-            cast = astype if astype is not None \
-                else lambda tail: tail.astype(np.float64)
-            if properties_enabled():
+            view = self._float_view
+            if view is None:
+                view = (astype(self.tail) if astype is not None
+                        else self.tail.astype(np.float64))
+                view.setflags(write=False)
+                if self._float_view is None:
+                    self._float_view = view
                 view = self._float_view
-                if view is None:
-                    view = cast(self.tail)
-                    view.setflags(write=False)
-                    if self._float_view is None:
-                        self._float_view = view
-                    view = self._float_view
-                return view
-            return cast(self.tail)
+            return view
         raise TypeMismatchError(
             f"column of type {self.dtype.value} is not numeric")
 

@@ -15,7 +15,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bat.bat import BAT, DataType, NIL_INT, align_check, _encode_value
-from repro.bat.properties import properties_enabled
 from repro.errors import BatError, TypeMismatchError
 
 Candidates = np.ndarray
@@ -155,7 +154,7 @@ def thetaselect(a: BAT, op: str, value: Any,
     O(log n).
     """
     if (candidates is None and op in _RANGE_OPS and len(a) > 1
-            and properties_enabled() and a.tsorted):
+            and a.tsorted):
         result = _sorted_thetaselect(a, op, value)
         if result is not None:
             return result

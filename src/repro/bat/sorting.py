@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bat.bat import BAT, DataType
-from repro.bat.properties import properties_enabled
 from repro.errors import BatError, KeyViolationError
 
 
@@ -39,7 +38,7 @@ def order_by(bats: list[BAT]) -> np.ndarray:
     for b in bats[1:]:
         if len(b) != n:
             raise BatError("order_by columns are misaligned")
-    if properties_enabled() and _already_ordered(bats):
+    if _already_ordered(bats):
         return np.arange(n, dtype=np.int64)
     positions = np.arange(n, dtype=np.int64)
     for bat in reversed(bats):
@@ -53,8 +52,8 @@ def _require_orderable(bats: list[BAT]) -> None:
     """Raise the nil-string error the sort path would raise.
 
     Property short-circuits that skip :func:`_sort_key_array` must still
-    surface its error, or enabling the layer would change behaviour.  The
-    check is the column's (cached) ``tnonil`` bit, so it is paid once.
+    surface its error, or a warm column would behave unlike a cold one.
+    The check is the column's (cached) ``tnonil`` bit, so it is paid once.
     """
     for bat in bats:
         if bat.dtype is DataType.STR and not bat.tnonil:
@@ -69,16 +68,18 @@ def _already_ordered(bats: list[BAT]) -> bool:
     cached bits are consulted, so cold data pays nothing extra: the order is
     the identity when the major key is sorted and strictly increasing (the
     stable sort never reaches the minor keys), or when every column is
-    sorted (rows are then lexicographically non-decreasing).
+    sorted (rows are then lexicographically non-decreasing).  Either way
+    a nil string raises, as the sort would (a one-row column is sorted).
     """
-    if len(bats) == 1:
-        return bats[0].tsorted
     first = bats[0]
-    if (first._props.get("tsorted") and first._props.get("tkey")) \
-            or all(b._props.get("tsorted") for b in bats):
+    if len(bats) == 1:
+        ordered = first.tsorted
+    else:
+        ordered = (first._props.get("tsorted") and first._props.get("tkey")) \
+            or all(b._props.get("tsorted") for b in bats)
+    if ordered:
         _require_orderable(bats)
-        return True
-    return False
+    return bool(ordered)
 
 
 def rank_of(positions: np.ndarray) -> np.ndarray:
@@ -104,14 +105,13 @@ def check_key(bats: list[BAT], order: np.ndarray | None = None) -> bool:
     n = len(bats[0])
     if n <= 1:
         return True
-    if properties_enabled():
-        verdict = _key_shortcut(bats)
-        if verdict is not None:
-            if order is None:
-                # The sort below would have rejected nil strings; keep
-                # that behaviour identical with the layer on.
-                _require_orderable(bats)
-            return verdict
+    verdict = _key_shortcut(bats)
+    if verdict is not None:
+        if order is None:
+            # The sort below would have rejected nil strings; the
+            # shortcut must too.
+            _require_orderable(bats)
+        return verdict
     if order is None:
         order = order_by(bats)
     duplicate = np.ones(n - 1, dtype=bool)

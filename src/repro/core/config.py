@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.bat.properties import properties_enabled
 from repro.linalg.policy import BackendPolicy
 
 
@@ -100,10 +99,9 @@ class RmaConfig:
     These four fields are the whole configuration of a session: set them
     at ``connect(config=)`` or by assigning ``db.config``, or replace them
     for one call with ``Matrix.collect(config=)``.  Plan optimization and
-    element-wise fusion are not fields; they always run.  The
+    element-wise fusion are not fields; they always run, as does the
     physical-property layer (cached BAT properties and per-relation order
-    caches) is not a field either: its one gate is the process-wide switch
-    in :mod:`repro.bat.properties`, which only tests flip.
+    caches, see :mod:`repro.bat`).
     """
 
     policy: BackendPolicy = field(default_factory=BackendPolicy)
@@ -120,14 +118,11 @@ class RmaConfig:
         every semantic input (all flags plus the policy's type and
         decision inputs), so in-place mutation is caught while
         equal-valued configs — e.g. a fresh ``RmaConfig()`` per
-        ``collect(config=...)`` call — keep hitting.  It also carries the
-        property-layer gate (:func:`~repro.bat.properties.properties_enabled`,
-        not a config field), so an entry cached with the layer on is never
-        served with it off.
+        ``collect(config=...)`` call — keep hitting.  Nothing outside the
+        configuration enters it.
         """
         return (self.optimize_sorting, self.validate_keys,
-                properties_enabled(), self.parallel.token(),
-                type(self.policy).__qualname__,
+                self.parallel.token(), type(self.policy).__qualname__,
                 self.policy.prefer, self.policy.memory_limit_bytes)
 
 

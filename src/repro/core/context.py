@@ -25,8 +25,8 @@ from typing import Container, NamedTuple, Sequence
 import numpy as np
 
 from repro.bat.bat import BAT, DataType
-from repro.bat.properties import properties_enabled
-from repro.bat.sorting import key_violation, order_by, rank_of, require_key
+# order_by and rank_of stay bound for rmabench/spans.py, which wraps them here.
+from repro.bat.sorting import key_violation, order_by, rank_of
 from repro.core.config import ParallelConfig, RmaConfig
 from repro.engine.parallel import (
     parallel_astype_float,
@@ -206,35 +206,28 @@ def _prepare_sorted(relation: Relation, split: Split, validate: bool,
                     config: RmaConfig) -> PreparedInput:
     """FULL sorting: argsort the order part, fetchjoin everything.
 
-    With the property layer on, the permutation and key check come from the
-    relation's order cache (computed once per relation and order schema)
-    and the application part is gathered from each column's cached float
-    view instead of fetch-then-cast; the morsel engine chunks those
-    gathers across the worker pool.
+    The permutation and key check come from the relation's order cache
+    (computed once per relation and order schema) and the application part
+    is gathered from each column's cached float view instead of
+    fetch-then-cast; the morsel engine chunks those gathers across the
+    worker pool.
     """
     order_names = split.order_names
     order_bats = split.order_bats(relation)
-    if properties_enabled():
-        parallel = _parallel_of(config)
-        info = relation.order_info(order_names)
-        # With the engine on, force the (possibly cold) argsort first so
-        # it runs chunk-parallel; the key check then reuses the cached
-        # order.  Serially the check goes first — it may decide from
-        # cached property bits without ever sorting.
-        positions = info.positions_with(parallel) \
-            if parallel is not None else None
-        if validate and not info.is_key:
-            raise key_violation(order_names)
-        if positions is None:
-            positions = info.positions
-        app_columns = parallel_gather_columns(
-            _app_floats(relation, split, parallel), positions, parallel)
-    else:
-        positions = order_by(order_bats)
-        if validate:
-            require_key(order_bats, order_names, positions)
-        app_columns = [bat.fetch(positions).as_float()
-                       for bat in split.app_bats(relation)]
+    parallel = _parallel_of(config)
+    info = relation.order_info(order_names)
+    # With the engine on, force the (possibly cold) argsort first so it
+    # runs chunk-parallel; the key check then reuses the cached order.
+    # Serially the check goes first — it may decide from cached property
+    # bits without ever sorting.
+    positions = info.positions_with(parallel) \
+        if parallel is not None else None
+    if validate and not info.is_key:
+        raise key_violation(order_names)
+    if positions is None:
+        positions = info.positions
+    app_columns = parallel_gather_columns(
+        _app_floats(relation, split, parallel), positions, parallel)
     sorted_order = [bat.fetch(positions, positions_key=True)
                     for bat in order_bats]
     if sorted_order:
@@ -254,14 +247,10 @@ def _seed_major_key_sorted(bat: BAT) -> None:
         bat._seed_props(tsorted=True)
 
 
-def _check_key(relation: Relation, order_names: list[str],
-               order_bats: list[BAT]) -> None:
+def _check_key(relation: Relation, order_names: list[str]) -> None:
     """Raise the key violation unless the order part forms a key."""
-    if properties_enabled():
-        if not relation.order_info(order_names).is_key:
-            raise key_violation(order_names)
-    else:
-        require_key(order_bats, order_names)
+    if not relation.order_info(order_names).is_key:
+        raise key_violation(order_names)
 
 
 def _prepare_unsorted(relation: Relation, split: Split, validate: bool,
@@ -269,9 +258,8 @@ def _prepare_unsorted(relation: Relation, split: Split, validate: bool,
     """No sorting: storage order is the kernel order."""
     order_bats = split.order_bats(relation)
     if validate:
-        _check_key(relation, split.order_names, order_bats)
-    parallel = _parallel_of(config) if properties_enabled() else None
-    app_columns = _app_floats(relation, split, parallel)
+        _check_key(relation, split.order_names)
+    app_columns = _app_floats(relation, split, _parallel_of(config))
     return PreparedInput(relation, split, order_bats, app_columns,
                          sorted_storage=False, validated=validate)
 
@@ -305,7 +293,6 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
     r_order, r_app = r_split.order_names, r_split.app_names
     s_order, s_app = s_split.order_names, s_split.app_names
     _check_binary_compat(r, r_order, r_app, s, s_order, s_app, spec)
-    use_props = properties_enabled()
 
     if not config.optimize_sorting or spec.sort_class is SortClass.FULL:
         # The two argument preparations are independent (order caches are
@@ -335,7 +322,7 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
     # the second relation requires sorting").
     r_order_bats = r_split.order_bats(r)
     s_order_bats = s_split.order_bats(s)
-    parallel = _parallel_of(config) if use_props else None
+    parallel = _parallel_of(config)
     if len(r_order_bats) == len(s_order_bats) and all(
             x is y for x, y in zip(r_order_bats, s_order_bats)):
         # Shared order BATs sort identically, so the composed alignment
@@ -344,10 +331,9 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
         # self-operand call thus hands the kernel the very same arrays.
         # r's key verdict is s's too: both order parts are the same BATs.
         if config.validate_keys:
-            _check_key(r, r_order, r_order_bats)
-        aligned = None
+            _check_key(r, r_order)
         s_app_columns = _app_floats(s, s_split, parallel)
-    elif use_props:
+    else:
         r_info = r.order_info(r_order)
         s_info = s.order_info(s_order)
         if parallel is not None:
@@ -367,17 +353,6 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
                                   r_info.ranks_with(parallel), parallel)
         s_app_columns = parallel_gather_columns(
             _app_floats(s, s_split, parallel), aligned, parallel)
-    else:
-        r_positions = order_by(r_order_bats)
-        if config.validate_keys:
-            require_key(r_order_bats, r_order, r_positions)
-        s_positions = order_by(s_order_bats)
-        if config.validate_keys:
-            require_key(s_order_bats, s_order, s_positions)
-        aligned = s_positions[rank_of(r_positions)]
-        s_app_columns = [bat.fetch(aligned).as_float()
-                         for bat in s_split.app_bats(s)]
-    if aligned is not None:
         s_order_bats = [bat.fetch(aligned, positions_key=True)
                         for bat in s_order_bats]
     prepared_r = PreparedInput(
@@ -419,15 +394,15 @@ def prepare_fused(relations: Sequence[Relation],
     Raises :class:`FusionFallback` when any precondition cannot be
     established cheaply:
 
-    * the per-relation order cache is unavailable (property layer off),
+    * the sorting optimization is off,
     * cardinalities or application-schema widths disagree,
     * order schemas overlap or contain unknown/non-numeric splits,
     * a leaf's order schema is not a verified key (with duplicate keys the
       per-step sorts are not derivable from the leaf sorts, so only the
       step-by-step path is faithful).
     """
-    if not (properties_enabled() and config.optimize_sorting):
-        raise FusionFallback("property layer or sorting optimization off")
+    if not config.optimize_sorting:
+        raise FusionFallback("sorting optimization off")
     if not relations or len(relations) != len(bys):
         raise FusionFallback("malformed fused chain")
     n = relations[0].nrows
@@ -545,10 +520,9 @@ def sorted_order_values(prepared: PreparedInput) -> list[str]:
     bat = prepared.order_bats[0]
     if prepared.sorted_storage:
         values = bat.python_values()
-    elif properties_enabled() and bat.tsorted:
+    elif bat.tsorted:
         values = bat.python_values()
-    elif (properties_enabled()
-          and bat is prepared.relation.column(prepared.order_names[0])):
+    elif bat is prepared.relation.column(prepared.order_names[0]):
         # Storage-order column: reuse (and populate) the relation's order
         # cache instead of argsorting on every call.
         positions = prepared.relation.order_info(

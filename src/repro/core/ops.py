@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.bat.bat import BAT, DataType
-from repro.bat.properties import properties_enabled
 from repro.core.config import RmaConfig, default_config
 from repro.core.constructors import schema_cast
 from repro.core.context import (
@@ -218,21 +217,18 @@ def merge_fused(prepared: Sequence[PreparedInput],
             f"fused chain: base result has {len(base)} columns but "
             f"{len(base_attributes)} names were derived")
     result = _merged(attributes + base_attributes, columns, base)
-    if properties_enabled():
-        n = result.nrows
-        _seed_order_part(result, first, n)
-        info = first.relation.cached_order_info(tuple(first.order_names))
-        positions = info.known_positions if info is not None else None
-        combined = tuple(first.order_names)
-        for p in prepared[1:]:
-            key = tuple(p.order_names)
-            combined = combined + key
-            if positions is not None:
-                result.seed_order(key, positions=positions, is_key=True)
-                result.seed_order(combined, positions=positions,
-                                  is_key=True)
-            if len(key) == 1:
-                result.column(key[0])._seed_props(tkey=True)
+    _seed_order_part(result, first, result.nrows)
+    info = first.relation.cached_order_info(tuple(first.order_names))
+    positions = info.known_positions if info is not None else None
+    combined = tuple(first.order_names)
+    for p in prepared[1:]:
+        key = tuple(p.order_names)
+        combined = combined + key
+        if positions is not None:
+            result.seed_order(key, positions=positions, is_key=True)
+            result.seed_order(combined, positions=positions, is_key=True)
+        if len(key) == 1:
+            result.column(key[0])._seed_props(tkey=True)
     return result
 
 
@@ -280,11 +276,9 @@ def _seed_result_order(result: Relation, spec: OpSpec,
       permutation (``aligned = s_pos[r_ranks]`` implies
       ``aligned[r_pos] = s_pos``).  Seeded only when the second schema is
       a *known* key — with duplicates the derived permutation is valid but
-      not bit-identical to a fresh stable sort, and bit-identity with the
-      cold path is the contract here.
+      not bit-identical to a fresh stable sort, and bit-identity with a
+      cold copy of the result is the contract here.
     """
-    if not properties_enabled():
-        return
     x = spec.shape_type[0]
     if x not in ("r1", "r*"):
         return

@@ -168,14 +168,13 @@ def parallel_order_by(bats, parallel) -> np.ndarray:
     the caller already runs on a pool worker.
     """
     from repro.bat import sorting
-    from repro.bat.properties import properties_enabled
     if not bats or plan_morsels(len(bats[0]), parallel) is None:
         return sorting.order_by(bats)
     n = len(bats[0])
     for b in bats[1:]:
         if len(b) != n:
             return sorting.order_by(bats)  # raises the alignment error
-    if properties_enabled() and sorting._already_ordered(bats):
+    if sorting._already_ordered(bats):
         return np.arange(n, dtype=np.int64)
     positions = np.arange(n, dtype=np.int64)
     for bat in reversed(bats):

@@ -456,7 +456,7 @@ _MAX_LIKE_PATTERNS = 256
 @functools.lru_cache(maxsize=_MAX_LIKE_PATTERNS)
 def _like_pattern(pattern: str) -> re.Pattern:
     regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-    return re.compile(f"^{regex}$", re.IGNORECASE)
+    return re.compile(f"^{regex}$", re.IGNORECASE | re.DOTALL)
 
 
 def _as_mask(value: Any, n: int) -> np.ndarray:
@@ -720,6 +720,8 @@ class ExpressionEvaluator:
             value = self._eval(item)
             if isinstance(operand, BAT):
                 mask |= kernels.compare("=", operand, value)
+            elif isinstance(value, BAT):
+                mask |= kernels.compare("=", value, operand)
             else:
                 mask |= np.full(self.n, operand == value)
         if expr.negated:

@@ -38,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.bat.bat import BAT, DataType
-from repro.bat.properties import properties_enabled
 from repro.errors import RelationError, SchemaError
 from repro.relational.relation import Relation
 
@@ -179,7 +178,7 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     # Counting probe: the code-sorted right side holds code c at
     # [starts[c], starts[c] + counts[c]).
     starts = np.cumsum(counts) - counts
-    if properties_enabled() and _codes_sorted(rcodes):
+    if _codes_sorted(rcodes):
         # Already-sorted right side (dimension tables with dense keys):
         # the identity permutation is the stable argsort.
         order_r = None
@@ -230,7 +229,7 @@ def merge_join_positions(left_keys: Sequence[BAT],
     STR keys stay on the hash path (nil ordering of object tails is not
     total); DBL qualifies because its ``tsorted`` contract is nil-free.
     """
-    if (properties_enabled() and len(left_keys) == len(right_keys) == 1
+    if (len(left_keys) == len(right_keys) == 1
             and left_keys[0].dtype is right_keys[0].dtype
             and left_keys[0].dtype in MERGE_TYPES
             and left_keys[0].tsorted and right_keys[0].tsorted):

@@ -9,7 +9,6 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.bat.bat import BAT, DataType, infer_type
-from repro.bat.properties import properties_enabled
 from repro.bat.sorting import (
     _key_shortcut,
     _require_orderable,
@@ -122,7 +121,7 @@ class OrderInfo:
 
     def _compute_is_key(self) -> bool:
         verdict = None
-        if self._positions is None and properties_enabled():
+        if self._positions is None:
             # Sort-free verdict from cached bits when possible; the
             # nil-string check keeps parity with the sorting path.
             verdict = _key_shortcut(self._bats)
@@ -271,13 +270,9 @@ class Relation:
         """The (cached) order of this relation under the given order schema.
 
         Relations are immutable, so the sort positions, ranks and key check
-        for a name tuple are computed at most once per relation.  While the
-        property layer is disabled (ablation) the cache is bypassed
-        entirely and a fresh :class:`OrderInfo` is computed per call.
+        for a name tuple are computed at most once per relation.
         """
         key = tuple(names)
-        if not properties_enabled():
-            return OrderInfo(self.bats(key))
         info = self._order_cache.get(key)
         if info is None:
             # Double-checked: concurrent cold lookups must converge on ONE
@@ -304,11 +299,8 @@ class Relation:
         built in order-schema order gets identity positions, a result in
         the input's storage order shares the input's :class:`OrderInfo`.
         Callers must be right (like ``BAT._seed_props``); existing entries
-        are never overwritten, and the call is a no-op while the property
-        layer is disabled, which keeps the ablation honest.
+        are never overwritten.
         """
-        if not properties_enabled():
-            return
         key = tuple(names)
         if key in self._order_cache:
             return
@@ -327,7 +319,7 @@ class Relation:
     def is_key(self, names: Sequence[str]) -> bool:
         """Whether the named attributes uniquely identify every tuple."""
         key = tuple(names)
-        if properties_enabled() and key in self._order_cache:
+        if key in self._order_cache:
             return self._order_cache[key].is_key
         return check_key(self.bats(names))
 

@@ -1,25 +1,30 @@
 """Tests for the BAT physical-property layer (tsorted/trevsorted/tkey/
-tnonil), its free derivations, and on/off result equivalence."""
+tnonil), its free derivations, and cold-versus-warm equivalence.
+
+A *cold* BAT has no cached property bit; a *warm* one has its bits
+computed.  The four primitives the bits short-circuit (``order_by``,
+``check_key``, ``thetaselect``, ``join_positions``) must answer the same
+on both, and what an explicit oracle below answers: ``np.lexsort`` over
+the raw tails, a count of distinct rows, the ``kernels.compare`` mask and
+a nested-loop pair list.
+"""
 
 import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bat.bat import BAT, DataType, NIL_INT
-from repro.bat.kernels import thetaselect
-from repro.bat.properties import properties_enabled, use_properties
+from repro.bat.kernels import compare, thetaselect
 from repro.bat.sorting import check_key, order_by
 from repro.errors import BatError
 from repro.relational.joins import join_positions
 from repro.relational.relation import Relation
 
-
-@pytest.fixture(autouse=True)
-def _properties_on():
-    """Each test starts from the default (enabled) state."""
-    with use_properties(True):
-        yield
+# The "ci" profile (tests/conftest.py) runs ten times as many examples.
+SCALE = 10 if settings.get_current_profile_name() == "ci" else 1
 
 
 # Per-dtype value sets: (sorted-unique, unsorted-with-duplicates, with-nils)
@@ -102,13 +107,6 @@ class TestComputedProperties:
         assert not bat.tsorted
         assert bat.cached_prop("tsorted") is False
 
-    def test_disabled_layer_never_caches(self):
-        bat = BAT.from_values([1, 2, 3])
-        with use_properties(False):
-            assert bat.tsorted  # computed fresh
-            assert bat._props == {}
-        assert bat.cached_prop("tsorted") is None
-
 
 class TestImmutabilityGuard:
     def test_tail_is_read_only(self):
@@ -124,13 +122,6 @@ class TestImmutabilityGuard:
         assert view is bat.as_float()  # cached
         with pytest.raises(ValueError):
             view[0] = 99.0
-
-    def test_float_view_not_cached_when_disabled(self):
-        bat = BAT.from_values([1, 2, 3])
-        with use_properties(False):
-            a, b = bat.as_float(), bat.as_float()
-            assert a is not b
-            np.testing.assert_array_equal(a, b)
 
 
 class TestDerivations:
@@ -222,6 +213,118 @@ class TestDerivations:
         assert not ints.tkey  # 1.2 and 1.5 both truncate to 1
 
 
+# -- oracles -------------------------------------------------------------------
+
+
+def fresh(bat: BAT) -> BAT:
+    """A cold copy: same tail values, no cached property bit."""
+    return BAT(bat.dtype, bat.tail.copy())
+
+
+def warm(*bats: BAT) -> None:
+    """Compute and cache every property bit of the BATs."""
+    for bat in bats:
+        bat.tsorted, bat.trevsorted, bat.tkey, bat.tnonil
+
+
+def oracle_order(bats: list[BAT]) -> np.ndarray | None:
+    """``np.lexsort`` over the raw tails, first BAT as the major key: the
+    INT-family nil (int64 min) sorts first, DBL NaN last.  None when a
+    nil string makes the order undefined (``order_by`` raises)."""
+    if any(b.dtype is DataType.STR and any(v is None for v in b.tail)
+           for b in bats):
+        return None
+    return np.lexsort([b.tail.copy() for b in reversed(bats)])
+
+
+def oracle_key(bats: list[BAT]) -> bool | None:
+    """Whether no two rows are equal, from a count of distinct rows.  A
+    DBL NaN equals nothing, itself included; other nils equal each other.
+    None when ``check_key`` must raise (a nil string among 2+ rows)."""
+    n = len(bats[0])
+    if n > 1 and oracle_order(bats) is None:
+        return None
+    columns = [[object() if v != v else v for v in b.tail.tolist()]
+               if b.dtype is DataType.DBL else b.tail.tolist()
+               for b in bats]
+    return len(set(zip(*columns))) == n
+
+
+def oracle_select(bat: BAT, op: str, value,
+                  candidates: np.ndarray | None = None) -> np.ndarray:
+    """Positions where the ``kernels.compare`` mask holds."""
+    hits = np.flatnonzero(compare(op, fresh(bat), value))
+    if candidates is not None:
+        hits = hits[np.isin(hits, candidates)]
+    return hits
+
+
+def oracle_join(left: list[BAT], right: list[BAT],
+                how: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nested-loop pairs in left-row order, each left row's matches in
+    right-row order.  Keys compare as decoded values, so INT 1 meets DBL
+    1.0 and nil meets nil (the SQL layer drops nil keys before a join)."""
+    lrows = list(zip(*[b.python_values() for b in left]))
+    rrows = list(zip(*[b.python_values() for b in right]))
+    pairs = []
+    for i, lrow in enumerate(lrows):
+        matches = [(i, j) for j, rrow in enumerate(rrows) if lrow == rrow]
+        if not matches and how == "left":
+            matches = [(i, -1)]
+        pairs += matches
+    lpos = np.array([p[0] for p in pairs], dtype=np.int64)
+    rpos = np.array([p[1] for p in pairs], dtype=np.int64)
+    return lpos, rpos
+
+
+def cold_and_warm(primitive, bats: list[BAT]) -> list:
+    """``primitive()`` on cold BATs, then again once they are warm; a
+    BatError is returned, not raised, so both runs are compared."""
+    results = []
+    for step in ("cold", "warm"):
+        if step == "warm":
+            warm(*bats)
+        try:
+            results.append(primitive())
+        except BatError as err:
+            results.append(err)
+    return results
+
+
+def assert_order_matches(bats: list[BAT]) -> None:
+    expected = oracle_order([fresh(b) for b in bats])
+    for got in cold_and_warm(lambda: order_by(bats), bats):
+        if expected is None:
+            assert isinstance(got, BatError)
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+
+def assert_key_matches(bats: list[BAT]) -> None:
+    expected = oracle_key([fresh(b) for b in bats])
+    for got in cold_and_warm(lambda: check_key(bats), bats):
+        if expected is None:
+            assert isinstance(got, BatError)
+        else:
+            assert got is expected
+
+
+def assert_select_matches(bat: BAT, op: str, value,
+                          candidates: np.ndarray | None = None) -> None:
+    expected = oracle_select(bat, op, value, candidates)
+    for got in cold_and_warm(lambda: thetaselect(bat, op, value, candidates),
+                             [bat]):
+        np.testing.assert_array_equal(got, expected)
+
+
+def assert_join_matches(left: list[BAT], right: list[BAT], how: str) -> None:
+    want_l, want_r = oracle_join(left, right, how)
+    for lpos, rpos in cold_and_warm(
+            lambda: join_positions(left, right, how), left + right):
+        np.testing.assert_array_equal(lpos, want_l)
+        np.testing.assert_array_equal(rpos, want_r)
+
+
 def _bat_cases():
     cases = []
     for dtype in ORDERABLE:
@@ -237,92 +340,56 @@ def _bat_cases():
 
 
 class TestOnOffEquivalence:
-    """Engine primitives must be byte-identical with the layer on or off."""
+    """Primitives give the oracle's answer with cached bits off (a cold
+    BAT) and on (the same BAT, warm)."""
 
     @pytest.mark.parametrize("dtype,values", _bat_cases())
     def test_order_by(self, dtype, values):
-        with use_properties(True):
-            on = order_by([BAT.from_values(values, dtype)])
-        with use_properties(False):
-            off = order_by([BAT.from_values(values, dtype)])
-        np.testing.assert_array_equal(on, off)
+        assert_order_matches([BAT.from_values(values, dtype)])
 
     def test_order_by_nil_strings_raise_both_ways(self):
-        for enabled in (True, False):
-            with use_properties(enabled):
-                with pytest.raises(BatError):
-                    order_by([BAT.from_values(["a", None], DataType.STR)])
+        assert_order_matches([BAT.from_values(["a", None], DataType.STR)])
+        assert_order_matches([BAT.from_values([None], DataType.STR)])
+        assert_order_matches([BAT.from_values([1, 2]),
+                              BAT.from_values(["a", None], DataType.STR)])
 
     def test_order_by_multi_column(self):
-        a = [1, 1, 0, 2, 2]
-        b = ["x", "a", "z", "m", "a"]
-        with use_properties(True):
-            on = order_by([BAT.from_values(a), BAT.from_values(b)])
-        with use_properties(False):
-            off = order_by([BAT.from_values(a), BAT.from_values(b)])
-        np.testing.assert_array_equal(on, off)
+        assert_order_matches([BAT.from_values([1, 1, 0, 2, 2]),
+                              BAT.from_values(["x", "a", "z", "m", "a"])])
 
     def test_order_by_sorted_major_key_short_circuits(self):
         major = BAT.from_values([1, 2, 3, 4])
         minor = BAT.from_values([9, 1, 7, 3])
-        assert major.tkey and major.tsorted  # populate the cache
-        with use_properties(False):
-            expected = order_by([major, minor])
-        np.testing.assert_array_equal(order_by([major, minor]), expected)
+        assert_order_matches([major, minor])
+        assert major.cached_prop("tsorted") and major.cached_prop("tkey")
+        np.testing.assert_array_equal(order_by([major, minor]),
+                                      np.arange(4))
 
     @pytest.mark.parametrize("dtype,values", _bat_cases())
     def test_check_key(self, dtype, values):
-        with use_properties(True):
-            on = check_key([BAT.from_values(values, dtype)])
-        with use_properties(False):
-            off = check_key([BAT.from_values(values, dtype)])
-        assert on == off
+        assert_key_matches([BAT.from_values(values, dtype)])
 
     @pytest.mark.parametrize("op", ["=", "<", "<=", ">", ">=", "<>"])
     @pytest.mark.parametrize("dtype,values", _bat_cases())
     def test_thetaselect(self, dtype, values, op):
         probe = next(v for v in values if v is not None)
-        with use_properties(True):
-            bat = BAT.from_values(values, dtype)
-            assert bat.tsorted in (True, False)  # force property compute
-            on = thetaselect(bat, op, probe)
-        with use_properties(False):
-            off = thetaselect(BAT.from_values(values, dtype), op, probe)
-        np.testing.assert_array_equal(on, off)
+        assert_select_matches(BAT.from_values(values, dtype), op, probe)
 
     def test_thetaselect_nil_probe(self):
-        values = [None, 1, 5, 9]
-        with use_properties(True):
-            on = thetaselect(BAT.from_values(values, DataType.INT), "=", None)
-        with use_properties(False):
-            off = thetaselect(BAT.from_values(values, DataType.INT), "=",
-                              None)
-        np.testing.assert_array_equal(on, off)
+        assert_select_matches(BAT.from_values([None, 1, 5, 9], DataType.INT),
+                              "=", None)
 
     def test_thetaselect_with_candidates(self):
-        bat = BAT.from_values([1, 2, 3, 4, 5])
-        cands = np.array([0, 2, 4], dtype=np.int64)
-        with use_properties(True):
-            on = thetaselect(bat, ">", 1, cands)
-        with use_properties(False):
-            off = thetaselect(bat, ">", 1, cands)
-        np.testing.assert_array_equal(on, off)
+        assert_select_matches(BAT.from_values([1, 2, 3, 4, 5]), ">", 1,
+                              np.array([0, 2, 4], dtype=np.int64))
 
     @pytest.mark.parametrize("how", ["inner", "left"])
     @pytest.mark.parametrize("right_sorted", [True, False],
                              ids=["right-sorted", "right-unsorted"])
     def test_join_positions(self, how, right_sorted):
-        left = [BAT.from_values([4, 2, 2, 9, 0])]
         right_values = [0, 2, 4, 6] if right_sorted else [6, 2, 0, 2, 4]
-        with use_properties(True):
-            right = [BAT.from_values(right_values)]
-            assert right[0].tsorted == right_sorted or not right_sorted
-            on = join_positions(left, right, how)
-        with use_properties(False):
-            off = join_positions([BAT.from_values([4, 2, 2, 9, 0])],
-                                 [BAT.from_values(right_values)], how)
-        np.testing.assert_array_equal(on[0], off[0])
-        np.testing.assert_array_equal(on[1], off[1])
+        assert_join_matches([BAT.from_values([4, 2, 2, 9, 0])],
+                            [BAT.from_values(right_values)], how)
 
 
 class TestReviewRegressions:
@@ -335,14 +402,7 @@ class TestReviewRegressions:
         right_bat = BAT.from_values([None, 1, 2], DataType.INT)
         assert right_bat.tsorted  # NIL_INT leads: raw-sorted
         left = [BAT.from_values([1.0, 2.0, None], DataType.DBL)]
-        with use_properties(True):
-            on = join_positions(left, [right_bat], "inner")
-        with use_properties(False):
-            off = join_positions(
-                [BAT.from_values([1.0, 2.0, None], DataType.DBL)],
-                [BAT.from_values([None, 1, 2], DataType.INT)], "inner")
-        np.testing.assert_array_equal(on[0], off[0])
-        np.testing.assert_array_equal(on[1], off[1])
+        assert_join_matches(left, [right_bat], "inner")
 
     def test_sorted_by_does_not_misseed_nan_columns(self):
         rel = Relation.from_columns({"x": [2.0, None, 1.0]})
@@ -350,11 +410,8 @@ class TestReviewRegressions:
         col = out.column("x")
         assert col.cached_prop("tsorted") is not True
         assert not col.tsorted  # trailing NaN breaks raw order
-        with use_properties(True):
-            on = thetaselect(col, ">", 0.5)
-        with use_properties(False):
-            off = thetaselect(BAT.from_values([1.0, 2.0, None]), ">", 0.5)
-        np.testing.assert_array_equal(on, off)
+        np.testing.assert_array_equal(thetaselect(col, ">", 0.5),
+                                      oracle_select(col, ">", 0.5))
 
     def test_order_by_shortcut_still_rejects_nil_strings(self):
         major = BAT.from_values([1, 2, 3])
@@ -373,15 +430,12 @@ class TestReviewRegressions:
                 check_key(bats)
 
     def test_check_key_with_explicit_order_never_raises(self):
-        # With a precomputed order the scan path handles nil strings in
-        # both modes; parity means the shortcut must not raise here.
+        # With a precomputed order the scan handles nil strings, cold or
+        # warm: the shortcut must not raise here either.
         bats = [BAT.from_values(["a", None, "a"], DataType.STR)]
         order = np.array([0, 2, 1], dtype=np.int64)
-        with use_properties(True):
-            on = check_key(bats, order)
-        with use_properties(False):
-            off = check_key(bats, order)
-        assert on == off is False
+        assert cold_and_warm(lambda: check_key(bats, order),
+                             bats) == [False, False]
 
     def test_cold_composite_key_sorts_once(self, monkeypatch):
         rel = Relation.from_columns({"a": [1, 1, 2, 2], "b": [1, 2, 1, 2],
@@ -411,14 +465,6 @@ class TestRelationOrderCache:
         np.testing.assert_array_equal(info.ranks[info.positions],
                                       np.arange(3))
 
-    def test_order_info_bypassed_when_disabled(self):
-        rel = Relation.from_columns({"k": [3, 1, 2], "v": [1.0, 2.0, 3.0]})
-        with use_properties(False):
-            a = rel.order_info(["k"])
-            b = rel.order_info(["k"])
-            assert a is not b
-        assert rel._order_cache == {}
-
     def test_sorted_by_uses_cache_and_seeds(self):
         rel = Relation.from_columns({"k": [3, 1, 2], "v": [9.0, 8.0, 7.0]})
         out = rel.sorted_by(["k"])
@@ -430,3 +476,113 @@ class TestRelationOrderCache:
         rel.order_info(["k"]).is_key  # populate
         assert rel.is_key(["k"]) is False
         assert rel.is_key(["k", "v"]) is True
+
+
+# -- random BATs: cold, warm and oracle agree ----------------------------------
+
+DATES = [dt.date(2015, 1, 1), dt.date(2015, 6, 30), dt.date(2016, 2, 29),
+         dt.date(2016, 12, 31)]
+DOMAINS = {
+    DataType.INT: st.integers(-3, 3),
+    DataType.DBL: st.integers(-4, 4).map(lambda v: v / 2),
+    DataType.STR: st.sampled_from(["", "a", "ab", "b", "zz"]),
+    DataType.DATE: st.sampled_from(DATES),
+}
+LAYOUTS = ("sorted", "unsorted", "dense", "nils", "sorted-nils")
+
+
+def _dense(dtype: DataType, start: int, n: int) -> list:
+    """n consecutive values of the dtype, from ``start``."""
+    if dtype is DataType.DBL:
+        return [float(start + i) for i in range(n)]
+    if dtype is DataType.STR:
+        return [f"s{start + 10 + i:03d}" for i in range(n)]
+    if dtype is DataType.DATE:
+        return [DATES[0] + dt.timedelta(days=start + i) for i in range(n)]
+    return list(range(start, start + n))
+
+
+@st.composite
+def random_bat(draw, dtype=None, n=None, nils=True):
+    """A cold BAT: sorted, unsorted, dense (consecutive keys) or with nils
+    (leading them in ``sorted-nils``)."""
+    dtype = dtype or draw(st.sampled_from(sorted(DOMAINS, key=str)))
+    n = draw(st.integers(0, 9)) if n is None else n
+    layout = draw(st.sampled_from(LAYOUTS if nils else LAYOUTS[:3]))
+    if layout == "dense":
+        values = _dense(dtype, draw(st.integers(-3, 3)), n)
+    else:
+        item = DOMAINS[dtype]
+        if layout in ("nils", "sorted-nils"):
+            item = st.one_of(st.none(), item)
+        values = draw(st.lists(item, min_size=n, max_size=n))
+        if layout.startswith("sorted"):
+            values = ([v for v in values if v is None]
+                      + sorted(v for v in values if v is not None))
+    return BAT.from_values(values, dtype)
+
+
+@st.composite
+def aligned_bats(draw):
+    """One to three cold BATs of one length."""
+    n = draw(st.integers(0, 9))
+    width = draw(st.integers(1, 3))
+    return [draw(random_bat(n=n)) for _ in range(width)]
+
+
+@st.composite
+def join_sides(draw):
+    """Cold left and right key lists of equal width and matching dtypes
+    (INT against DBL on a single key, the cast path).  No nil strings:
+    the key encoder cannot rank them, and SQL drops nil keys first."""
+    width = draw(st.integers(1, 2))
+    nl, nr = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    left, right = [], []
+    for _ in range(width):
+        dtype = draw(st.sampled_from(sorted(DOMAINS, key=str)))
+        nils = dtype is not DataType.STR
+        left.append(draw(random_bat(dtype, nl, nils=nils)))
+        rtype = dtype
+        if width == 1 and dtype in (DataType.INT, DataType.DBL):
+            rtype = draw(st.sampled_from([DataType.INT, DataType.DBL]))
+        right.append(draw(random_bat(rtype, nr, nils=nils)))
+    return left, right
+
+
+RANDOM = settings(max_examples=150 * SCALE, deadline=None)
+
+
+class TestRandomBats:
+    """The four primitives on random BATs: the answer on a cold BAT, on
+    the same BAT once ``tsorted``/``trevsorted``/``tkey``/``tnonil`` are
+    warm, and from the oracle are one answer."""
+
+    @RANDOM
+    @given(bats=aligned_bats())
+    def test_order_by(self, bats):
+        assert_order_matches(bats)
+
+    @RANDOM
+    @given(bats=aligned_bats())
+    def test_check_key(self, bats):
+        assert_key_matches(bats)
+
+    @RANDOM
+    @given(data=st.data(), bat=random_bat(),
+           op=st.sampled_from(["=", "<", "<=", ">", ">=", "<>"]))
+    def test_thetaselect(self, data, bat, op):
+        probe = data.draw(st.one_of(st.none(), DOMAINS[bat.dtype]))
+        if bat.dtype is DataType.STR and op not in ("=", "<>") and (
+                probe is None or None in bat.tail.tolist()):
+            op = "="  # a nil string has no order: compare raises
+        candidates = None
+        if data.draw(st.booleans()):
+            candidates = np.array(sorted(data.draw(st.sets(
+                st.integers(0, max(len(bat) - 1, 0)), max_size=len(bat)))),
+                dtype=np.int64)
+        assert_select_matches(bat, op, probe, candidates)
+
+    @RANDOM
+    @given(sides=join_sides(), how=st.sampled_from(["inner", "left"]))
+    def test_join_positions(self, sides, how):
+        assert_join_matches(*sides, how)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.bat.bat import BAT, DataType
-from repro.bat.properties import use_properties
 from repro.bat.sorting import key_violation
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
@@ -71,6 +70,18 @@ def _assert_identical(a: Relation, b: Relation) -> None:
             assert list(ca.tail) == list(cb.tail), name
 
 
+def _warm(warm: bool, *relations: Relation) -> None:
+    """With ``warm``, compute each relation's order by its first column
+    (positions, ranks, key verdict) and every column's property bits;
+    otherwise the relations stay cold."""
+    if warm:
+        for rel in relations:
+            info = rel.order_info(rel.names[:1])
+            info.ranks, info.is_key
+            for col in rel.columns:
+                col.tsorted, col.trevsorted, col.tkey, col.tnonil
+
+
 def _gram(rel: Relation) -> np.ndarray:
     return np.column_stack([rel.column(n).tail for n in rel.names[1:]])
 
@@ -110,29 +121,28 @@ class TestIdentityAlignment:
                     config=RmaConfig(validate_keys=False))
         assert r.cached_order_info(("k",)) is None
 
-    @pytest.mark.parametrize("props", [True, False])
+    @pytest.mark.parametrize("warm", [True, False])
     @pytest.mark.parametrize("prefer", ["bat", "mkl"])
-    def test_duplicate_key_still_rejected(self, props, prefer):
+    def test_duplicate_key_still_rejected(self, warm, prefer):
         r = _relation(duplicate=True)
+        _warm(warm, r)
         expected = str(key_violation(["k"]))
-        with use_properties(props):
-            for op in ("cpd", "sol"):
-                with pytest.raises(KeyViolationError) as info:
-                    execute_rma(op, r, "k", r, "k",
-                                config=_config(prefer))
-                assert str(info.value) == expected
+        for op in ("cpd", "sol"):
+            with pytest.raises(KeyViolationError) as info:
+                execute_rma(op, r, "k", r, "k", config=_config(prefer))
+            assert str(info.value) == expected
 
-    @pytest.mark.parametrize("props", [True, False])
-    def test_duplicate_key_shared_under_two_names(self, props):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_duplicate_key_shared_under_two_names(self, warm):
         # r BY k1, s BY k2 where k2 is the very BAT of k1: the first
         # argument's violation is reported, as on the gathering path.
         r = _relation(duplicate=True)
         s = Relation.from_columns({"k2": r.column("k"),
                                    **{f"y{j}": r.column(f"x{j}")
                                       for j in range(4)}})
-        with use_properties(props):
-            with pytest.raises(KeyViolationError) as info:
-                execute_rma("add", r, "k", s, "k2", config=RmaConfig())
+        _warm(warm, r, s)
+        with pytest.raises(KeyViolationError) as info:
+            execute_rma("add", r, "k", s, "k2", config=RmaConfig())
         assert str(info.value) == str(key_violation(["k"]))
 
 
@@ -149,27 +159,26 @@ def _trips_shape(shared: bool, duplicate: bool = False):
 
 
 @pytest.mark.parametrize("parallel", sorted(PARALLEL))
-@pytest.mark.parametrize("props", [True, False])
+@pytest.mark.parametrize("warm", [True, False])
 @pytest.mark.parametrize("prefer", ["bat", "mkl"])
 class TestSharedKeyBitIdentity:
     @pytest.mark.parametrize("op", ["cpd", "sol"])
-    def test_shared_matches_gathered(self, op, prefer, props, parallel):
+    def test_shared_matches_gathered(self, op, prefer, warm, parallel):
         results = []
         for shared in (True, False):
             design, target = _trips_shape(shared)
-            with use_properties(props):
-                results.append(execute_rma(
-                    op, design, "k", target, "k",
-                    config=_config(prefer, parallel)))
+            _warm(warm, design, target)
+            results.append(execute_rma(op, design, "k", target, "k",
+                                       config=_config(prefer, parallel)))
         _assert_identical(*results)
 
-    def test_duplicate_keys_without_validation(self, prefer, props,
+    def test_duplicate_keys_without_validation(self, prefer, warm,
                                                parallel):
         results = []
         for shared in (True, False):
             design, target = _trips_shape(shared, duplicate=True)
-            with use_properties(props):
-                results.append(execute_rma(
-                    "cpd", design, "k", target, "k",
-                    config=_config(prefer, parallel, validate_keys=False)))
+            _warm(warm, design, target)
+            results.append(execute_rma(
+                "cpd", design, "k", target, "k",
+                config=_config(prefer, parallel, validate_keys=False)))
         _assert_identical(*results)

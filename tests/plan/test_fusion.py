@@ -393,16 +393,6 @@ class TestFusionFallback:
             run_unoptimized(pipe.database, pipe)
         assert str(fused_err.value) == str(unfused_err.value)
 
-    def test_properties_off_falls_back(self):
-        from repro.bat.properties import use_properties
-        rels = [chain_relation(i) for i in range(3)]
-        m0, m1, m2 = matrices(*rels)
-        pipe = m0 + m1 - m2
-        with use_properties(False):
-            off = pipe.collect()
-        on = pipe.collect()
-        assert relations_equal(off, on)
-
     def test_execute_fused_precondition_error(self):
         rels = [chain_relation(i) for i in range(2)]
         steps = (KernelStep("add", 0, 1),)

@@ -8,9 +8,10 @@ import pytest
 import repro
 from repro.bat.bat import BAT, DataType
 from repro.bat.catalog import Catalog
-from repro.bat.properties import use_properties
-from repro.bat.sorting import order_by
+from repro.core import RmaConfig
+from repro.core.config import ParallelConfig
 from repro.core.ops import execute_rma
+from repro.opspec import OPS
 from repro.plan import nodes
 from repro.plan.optimizer import optimize
 from repro.plan.physical import Executor, plan_physical
@@ -125,14 +126,6 @@ class TestMergeJoin:
         right = BAT(DataType.DBL, np.array([0.5, 2.5, 3.0]))
         merged = rel_join.merge_join_positions([left], [right])
         hashed = rel_join.join_positions([left], [right])
-        assert np.array_equal(merged[0], hashed[0])
-        assert np.array_equal(merged[1], hashed[1])
-
-    def test_properties_off_falls_back(self):
-        left, right = int_bat([1, 2, 3]), int_bat([2, 3, 4])
-        with use_properties(False):
-            merged = rel_join.merge_join_positions([left], [right])
-            hashed = rel_join.join_positions([left], [right])
         assert np.array_equal(merged[0], hashed[0])
         assert np.array_equal(merged[1], hashed[1])
 
@@ -251,6 +244,67 @@ class TestJoinStrategy:
 # -- warm-order seeding of derived relations (merge_result) ---------------------
 
 
+PARALLEL = {"serial": ParallelConfig(enabled=False),
+            "parallel": ParallelConfig(enabled=True, workers=2,
+                                       min_morsel_rows=1)}
+
+
+def keyed(rng, rows, cols, key="key"):
+    """A relation with shuffled STR keys and a uniform application part."""
+    data = {key: [f"k{v:03d}" for v in rng.permutation(rows)]}
+    for j in range(cols):
+        data[f"{key}_x{j}"] = rng.uniform(1.0, 9.0, rows)
+    return Relation.from_columns(data)
+
+
+def table2_inputs(op, rng):
+    """``execute_rma`` arguments of a Table 2 operation."""
+    if op in ("add", "sub", "emu", "cpd", "sol"):
+        return (keyed(rng, 24, 3, "k1"), "k1",
+                keyed(rng, 24, 2 if op in ("cpd", "sol") else 3, "k2"),
+                "k2")
+    if op == "mmu":
+        return keyed(rng, 12, 3, "k1"), "k1", keyed(rng, 3, 4, "k2"), "k2"
+    if op == "opd":
+        return keyed(rng, 5, 3, "k1"), "k1", keyed(rng, 4, 3, "k2"), "k2"
+    if OPS[op].square:
+        # Symmetric positive definite once sorted by key (real
+        # eigenvalues, a Cholesky factor), stored in shuffled row order.
+        a = rng.uniform(1.0, 9.0, (4, 4))
+        spd = a.T @ a + 4.0 * np.eye(4)
+        perm = rng.permutation(4)
+        return Relation.from_columns({
+            "key": [f"k{i:03d}" for i in perm],
+            **{f"key_x{j}": spd[perm, j] for j in range(4)}}), "key"
+    return keyed(rng, 12, 3), "key"
+
+
+def assert_seeds_recompute(result):
+    """Check every cached bit and order of ``result`` against a cold
+    recomputation; return the order schemas whose positions were seeded.
+
+    Each cached property bit of a column equals the bit computed on a
+    cache-free copy of it, each known order equals ``np.lexsort`` over
+    copies of its columns, and each known key verdict equals a count of
+    distinct rows."""
+    for col in result.columns:
+        cold = BAT(col.dtype, col.tail.copy())
+        for bit in ("tsorted", "trevsorted", "tkey", "tnonil"):
+            if col.cached_prop(bit) is not None:
+                assert col.cached_prop(bit) == getattr(cold, bit), bit
+    seeded = set()
+    for names, info in result._order_cache.items():
+        tails = [result.column(n).tail.copy() for n in names]
+        if info.known_positions is not None:
+            assert np.array_equal(info.known_positions,
+                                  np.lexsort(tails[::-1])), names
+            seeded.add(names)
+        if info.known_is_key is not None:
+            rows = set(zip(*[t.tolist() for t in tails]))
+            assert info.known_is_key == (len(rows) == result.nrows), names
+    return seeded
+
+
 class TestDerivedRelationSeeding:
     def test_full_sort_result_seeded_identity(self):
         rel = square_relation()
@@ -282,49 +336,43 @@ class TestDerivedRelationSeeding:
         assert info.known_is_key is True
 
     def test_seeded_positions_match_fresh_sort(self, run_unoptimized):
-        rel = square_relation(6)
-        result = execute_rma("inv", rel, "key")
-        seeded = result.cached_order_info(("key",)).positions
-        fresh = Relation(result.schema, result.columns)  # cold copy
-        assert np.array_equal(seeded,
-                              fresh.order_info(["key"]).positions)
+        """Every seed the merge step plants is what recomputation gives:
+        after each Table 2 operation, and after the 2- to 4-leaf add
+        chains add(add(add(y0,y1),y2),y3) over shuffled STR keys, step by
+        step and fused, serially and on the forced-parallel engine."""
+        rng = np.random.default_rng(40)
+        for name, parallel in PARALLEL.items():
+            config = RmaConfig(parallel=parallel)
+            for op, spec in OPS.items():
+                result = execute_rma(op, *table2_inputs(op, rng),
+                                     config=config)
+                assert_seeds_recompute(result)
+                if spec.shape_type[0] in ("r1", "r*"):
+                    assert result._order_cache, (name, op)
 
-        # The 4-leaf add chain add(add(add(y0,y1),y2),y3) over shuffled STR
-        # keys, step by step and fused: every order the merge seeds — each
-        # leaf schema Ui and each combined prefix U0..Ui, on the final
-        # result and on every prefix chain — equals a fresh stable sort of
-        # a cache-free copy of that result.
-        def leaf(i):
-            rng = np.random.default_rng(40 + i)
-            return Relation.from_columns({
-                f"k{i}": [f"r{v:04d}" for v in rng.permutation(300)],
-                "d0": rng.uniform(0.0, 10.0, 300),
-                "d1": rng.uniform(0.0, 10.0, 300)})
+            def leaf(i):
+                leaf_rng = np.random.default_rng(40 + i)
+                return Relation.from_columns({
+                    f"k{i}": [f"r{v:04d}"
+                              for v in leaf_rng.permutation(300)],
+                    "d0": leaf_rng.uniform(0.0, 10.0, 300),
+                    "d1": leaf_rng.uniform(0.0, 10.0, 300)})
 
-        keys = [f"k{i}" for i in range(4)]
-        schemas = [(k,) for k in keys] + [tuple(keys[:i])
-                                          for i in range(2, 5)]
-        for fuse in (False, True):
-            db = repro.connect()
-            leaves = [db.matrix(leaf(i), by=f"k{i}") for i in range(4)]
-            checked = set()
-            for width in range(2, 5):
-                chain = sum(leaves[1:width], leaves[0])
-                result = (chain.collect() if fuse
-                          else run_unoptimized(db, chain))
-                for schema in schemas:
-                    info = result.cached_order_info(schema)
-                    if info is None or info.known_positions is None:
-                        continue
-                    checked.add(schema)
-                    with use_properties(False):
-                        cold = [BAT(result.column(n).dtype,
-                                    result.column(n).tail.copy())
-                                for n in schema]
-                        assert np.array_equal(info.known_positions,
-                                              order_by(cold)), \
-                            (fuse, width, schema)
-            assert checked == set(schemas), fuse
+            # Each leaf schema Ui and each combined prefix U0..Ui is
+            # seeded on some result of the chains.
+            keys = [f"k{i}" for i in range(4)]
+            schemas = [(k,) for k in keys] + [tuple(keys[:i])
+                                              for i in range(2, 5)]
+            for fuse in (False, True):
+                db = repro.connect(config=config)
+                leaves = [db.matrix(leaf(i), by=f"k{i}") for i in range(4)]
+                seeded = set()
+                for width in range(2, 5):
+                    chain = sum(leaves[1:width], leaves[0])
+                    result = (chain.collect() if fuse
+                              else run_unoptimized(db, chain))
+                    seeded |= assert_seeds_recompute(result)
+                assert seeded >= set(schemas), (name, fuse)
 
     def test_chained_operation_skips_resort(self, monkeypatch):
         rel = square_relation()
@@ -339,12 +387,6 @@ class TestDerivedRelationSeeding:
         # The chained op re-establishes the same order: must hit the seed.
         again = execute_rma("inv", inverted, "key")
         assert again.nrows == rel.nrows
-
-    def test_no_seeding_when_properties_disabled(self):
-        rel = square_relation()
-        with use_properties(False):
-            result = execute_rma("inv", rel, "key")
-        assert result.cached_order_info(("key",)) is None
 
     def test_equivariant_result_shares_input_order(self):
         rng = np.random.default_rng(5)

@@ -8,7 +8,6 @@ import pytest
 
 import repro
 from repro.bat.catalog import Catalog
-from repro.bat.properties import use_properties
 from repro.core.config import RmaConfig
 from repro.plan.cache import PlanCache, catalog_stamps
 from repro.relational.relation import Relation
@@ -134,24 +133,6 @@ class TestSessionResultCache:
         session.register("a", gram_table(seed=9))
         session.execute(GRAM_SQL)
         assert session.last_stats.cache_hits == 0
-
-    def test_property_gate_flip_misses_cache(self):
-        # The property layer's one gate is process-wide, not a config
-        # field, yet part of the cache token: a result cached with the
-        # layer on is never served with it off.
-        db = repro.connect()
-        m = db.matrix(gram_table(), by="id")
-        on = m.cpd(m).collect()
-        m.cpd(m).collect()  # admitted on its second sighting
-        m.cpd(m).collect()
-        assert db.last_stats.cache_hits >= 1
-        with use_properties(False):
-            off = m.cpd(m).collect()
-            assert db.last_stats.cache_hits == 0
-        assert on.names == off.names
-        for name in on.names:
-            assert np.array_equal(on.column(name).tail,
-                                  off.column(name).tail)
 
     def test_unrelated_mutation_keeps_entries(self):
         session = repro.connect()

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.bat.bat import BAT, NIL_INT, DataType
-from repro.bat.properties import use_properties
 from repro.relational import AggregateSpec, Relation, group_by, pivot
 from repro.relational.joins import (DENSE_SPAN_FACTOR, encode_keys,
                                     group_codes, join_positions)
@@ -143,8 +142,16 @@ def assert_same_relation(out, expected):
         np.testing.assert_array_equal(got.tail, want.tail)
 
 
-properties = pytest.mark.parametrize("enabled", [True, False],
+# "properties": the key BATs' property bits are computed before the call;
+# "no-properties": the BATs reach it cold.
+properties = pytest.mark.parametrize("warm", [True, False],
                                      ids=["properties", "no-properties"])
+
+
+def warm_bats(warm, bats):
+    if warm:
+        for bat in bats:
+            bat.tsorted, bat.trevsorted, bat.tkey, bat.tnonil
 
 
 # -- the encoders ------------------------------------------------------------
@@ -166,11 +173,11 @@ def assert_encoding(codes, k, nrows, expected):
 @properties
 @settings(max_examples=80 * SCALE, deadline=None)
 @given(data=st.data(), n=sizes, kinds=key_kinds)
-def test_factorize_matches_unique(enabled, data, n, kinds):
+def test_factorize_matches_unique(warm, data, n, kinds):
     bats = [data.draw(key_bat(kind, n)) for kind in kinds]
-    with use_properties(enabled):
-        codes, none, k = encode_keys(bats)
-        gids, first, ngroups = group_codes(bats)
+    warm_bats(warm, bats)
+    codes, none, k = encode_keys(bats)
+    gids, first, ngroups = group_codes(bats)
     assert none is None
     tails = [b.tail for b in bats]
     assert_encoding(codes, k, n, ref_factorize(tails))
@@ -260,12 +267,12 @@ def int_composite_sides(draw):
 @properties
 @settings(max_examples=120 * SCALE, deadline=None)
 @given(sides=int_composite_sides())
-def test_encode_pair_matches_unique(enabled, sides):
+def test_encode_pair_matches_unique(warm, sides):
     """Both sides share one code space, ranked as the reference ranks
     their concatenation."""
     left, right = sides
-    with use_properties(enabled):
-        lcodes, rcodes, k = encode_keys(left, right)
+    warm_bats(warm, left + right)
+    lcodes, rcodes, k = encode_keys(left, right)
     nl = len(left[0])
     expected = ref_factorize([np.concatenate([lc.tail, rc.tail])
                               for lc, rc in zip(left, right)])
@@ -352,10 +359,10 @@ def keyed_join_sides(draw):
 @settings(max_examples=80 * SCALE, deadline=None)
 @given(sides=st.one_of(join_sides(), keyed_join_sides(),
                        int_composite_sides()))
-def test_join_positions_match_reference(enabled, how, sides):
+def test_join_positions_match_reference(warm, how, sides):
     left, right = sides
-    with use_properties(enabled):
-        lpos, rpos = join_positions(left, right, how)
+    warm_bats(warm, left + right)
+    lpos, rpos = join_positions(left, right, how)
     want_l, want_r = ref_join(left, right, how)
     assert lpos.dtype == rpos.dtype == np.int64
     np.testing.assert_array_equal(lpos, want_l)
@@ -365,16 +372,16 @@ def test_join_positions_match_reference(enabled, how, sides):
 @properties
 @settings(max_examples=80 * SCALE, deadline=None)
 @given(data=st.data(), n=sizes, kinds=key_kinds)
-def test_group_by_matches_reference(enabled, data, n, kinds):
+def test_group_by_matches_reference(warm, data, n, kinds):
     bats = [data.draw(key_bat(kind, n)) for kind in kinds]
     values = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=n,
                                          max_size=n)), dtype=np.float64)
     relation, keys = relation_of(bats, values)
-    with use_properties(enabled):
-        out = group_by(relation, keys,
-                       [AggregateSpec("count", "*", "n"),
-                        AggregateSpec("sum", "v", "s"),
-                        AggregateSpec("min", "v", "lo")])
+    warm_bats(warm, bats)
+    out = group_by(relation, keys,
+                   [AggregateSpec("count", "*", "n"),
+                    AggregateSpec("sum", "v", "s"),
+                    AggregateSpec("min", "v", "lo")])
     gids, first, ngroups = ref_groups([b.tail for b in bats])
     lo = np.full(ngroups, np.inf)
     np.minimum.at(lo, gids, values)
@@ -419,7 +426,7 @@ def ref_pivot(relation, index, on, value):
 @given(data=st.data(), n=st.integers(1, 24),
        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=2),
        on_kind=st.sampled_from(("int", "dbl", "str")))
-def test_pivot_matches_reference(enabled, data, n, kinds, on_kind):
+def test_pivot_matches_reference(warm, data, n, kinds, on_kind):
     bats = [data.draw(key_bat(kind, n)) for kind in kinds]
     if on_kind == "int":
         # Small distinct values keep the pivoted column names unique.
@@ -439,8 +446,8 @@ def test_pivot_matches_reference(enabled, data, n, kinds, on_kind):
     relation = Relation(Schema([Attribute(name, col.dtype) for name, col
                                 in zip(keys + ["on", "v"], columns)]),
                         columns)
-    with use_properties(enabled):
-        out = pivot(relation, keys, "on", "v")
+    warm_bats(warm, columns)
+    out = pivot(relation, keys, "on", "v")
     assert_same_relation(out, ref_pivot(relation, keys, "on", "v"))
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.bat.bat import BAT, DataType
-from repro.bat.properties import use_properties
 from repro.relational.joins import join_positions, merge_join_positions
 
 
@@ -91,13 +90,6 @@ class TestMultiKeyMerge:
                  BAT(DataType.INT, np.array([1, 2], dtype=np.int64))]
         assert_same(join_positions(left, right, "inner"),
                     merge_join_positions(left, right, "inner"))
-
-    def test_properties_disabled_uses_hash(self):
-        left = lex_sorted_pair(60, seed=10)
-        right = lex_sorted_pair(60, seed=11)
-        with use_properties(False):
-            assert_same(join_positions(left, right, "inner"),
-                        merge_join_positions(left, right, "inner"))
 
     def test_duplicate_heavy_groups(self):
         # All-equal keys: the full cross product must match.

@@ -1,6 +1,7 @@
 """End-to-end SQL execution tests."""
 
 import datetime as dt
+import sqlite3
 
 import pytest
 
@@ -85,6 +86,29 @@ class TestFilters:
                 f"SELECT Title FROM f WHERE Title LIKE 'x{i}%'")
             assert out.nrows == 0
         assert _like_pattern.cache_info().currsize <= limit
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT k FROM t WHERE 2 IN (k, 3)",
+        "SELECT k FROM t WHERE 3 IN (k, 3)",
+        "SELECT k FROM t WHERE 2 NOT IN (k, 3)",
+        "SELECT k FROM t WHERE 'ab' IN (s, 'zz')",
+        "SELECT k FROM t WHERE s LIKE 'a%b'",
+        "SELECT k FROM t WHERE s LIKE 'a_b'",
+        "SELECT k FROM t WHERE s LIKE '%'",
+        "SELECT k FROM t WHERE s NOT LIKE 'a%'",
+    ])
+    def test_scalar_in_and_like_across_newlines_match_sqlite(self, sql):
+        # A scalar IN operand is compared with each column item, and LIKE's
+        # % and _ match a newline, as in sqlite3.
+        rows = [(1, "a\nb"), (2, "ab"), (3, "x\n"), (4, "a\n\nb")]
+        s = repro.connect()
+        s.register("t", Relation.from_rows(["k", "s"], rows))
+        reference = sqlite3.connect(":memory:")
+        reference.execute("CREATE TABLE t (k INTEGER, s TEXT)")
+        reference.executemany("INSERT INTO t VALUES (?, ?)", rows)
+        expected = sorted(reference.execute(sql).fetchall())
+        assert expected  # every query selects something
+        assert sorted(s.execute(sql).to_rows()) == expected
 
     def test_null_handling(self):
         s = repro.connect()
