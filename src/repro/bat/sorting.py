@@ -118,8 +118,13 @@ def check_key(bats: list[BAT], order: np.ndarray | None = None) -> bool:
     for bat in bats:
         key = bat.tail[order]
         # Object (STR) tails compare element-wise just like numeric ones;
-        # None == None holds, so nil duplicates are still caught.
+        # None == None holds, so nil duplicates are still caught.  DBL
+        # nils are NaN, which == never matches: compare their nil masks,
+        # so two nils are duplicates here as they are for ``tkey``.
         eq = np.asarray(key[:-1] == key[1:], dtype=bool)
+        if bat.dtype is DataType.DBL and not bat.tnonil:
+            nil = np.isnan(key)
+            eq |= nil[:-1] & nil[1:]
         duplicate &= eq
         if not duplicate.any():
             return True
@@ -130,20 +135,14 @@ def _key_shortcut(bats: list[BAT]) -> bool | None:
     """Key verdict from properties alone, without sorting; None undecided.
 
     A superset of a key is a key, so any column whose ``tkey`` bit is set
-    settles the question.  For a single column the computed ``tkey`` is
-    scan-equivalent except when it is False on a DBL nil column: np.unique
-    collapses NaNs while the adjacent-equality scan keeps NaN != NaN, so
-    that corner stays undecided.
+    settles the question.  A single column's ``tkey`` is the verdict: it
+    and the adjacent-equality scan both count two nils as duplicates.
     """
     for bat in bats:
         if bat._props.get("tkey"):
             return True
     if len(bats) == 1:
-        bat = bats[0]
-        if bat.tkey:
-            return True
-        if bat.dtype is not DataType.DBL or bat.tnonil:
-            return False
+        return bats[0].tkey
     return None
 
 

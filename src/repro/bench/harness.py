@@ -27,7 +27,6 @@ import repro.relational.ops as rel_ops
 from repro.api import connect
 from repro.baselines.rlike import RFrame, as_matrix, matrix_to_frame
 from repro.baselines.scidb import SciDbArray
-from repro.bat.compression import SPARSE_DENSITY_THRESHOLD
 from repro.bench.reporting import ExperimentResult
 from repro.core import RmaConfig
 from repro.core.ops import execute_rma
@@ -253,10 +252,11 @@ def table5(scale: float = 1.0) -> ExperimentResult:
     speedup = seconds[0] / max(seconds[-1], 1e-9)
     result.check("add over 100% zeros is ~2x faster than over none "
                  "(paper: ~2.2x)", speedup >= 2.0, f"{speedup:.2f}x")
-    result.note("substrate difference: numpy's dense add is bandwidth-"
-                "optimal, so the sparse path engages only above "
-                f"{1.0 - SPARSE_DENSITY_THRESHOLD:.0%} zeros; MonetDB's "
-                "storage compression helps earlier")
+    result.note("substrate difference: MonetDB's storage compression "
+                "makes add over sparse relations cheaper; this engine "
+                "compresses nothing, and numpy's dense add is already "
+                "bandwidth-optimal, so the time does not fall with the "
+                "share of zeros")
     return result
 
 

@@ -37,12 +37,7 @@ from repro.core.context import (
     sorted_order_values,
 )
 from repro.errors import RmaError
-from repro.linalg.kernels import (
-    KernelProgram,
-    KernelStep,
-    run_program,
-    run_program_parallel,
-)
+from repro.linalg.kernels import KernelProgram, KernelStep, run_program
 from repro.linalg.matrix import Columns
 from repro.opspec import OpSpec, spec_of
 from repro.relational.relation import Relation
@@ -70,15 +65,11 @@ def kernel_stage(program: KernelProgram, inputs: Sequence[Columns],
                  config: RmaConfig) -> Columns:
     """Stage 2: run a kernel program over prepared application columns.
 
-    With the morsel engine active, row-decomposable (element-wise)
-    programs execute partitioned across the shared worker pool —
-    bit-identical to the serial pass (see
-    :func:`repro.linalg.kernels.run_program_parallel`).
+    With the morsel engine active, an element-wise program on the BAT
+    backend runs per morsel on the shared worker pool, bit-identical to
+    the serial pass (see :func:`repro.linalg.kernels.run_program`).
     """
-    if config.parallel.active():
-        return run_program_parallel(program, inputs, config.policy,
-                                    config.parallel)
-    return run_program(program, inputs, config.policy)
+    return run_program(program, inputs, config.policy, config.parallel)
 
 
 def execute_rma(name: str, r: Relation, by: str | Sequence[str],

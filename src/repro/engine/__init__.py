@@ -41,9 +41,10 @@ prepare            per-input order/key work (argsort, key validation)
                    application-part gathers and INT→float casts run
                    per-morsel (:mod:`repro.core.context`)
 kernel             element-wise kernel programs (``add``/``sub``/``emu``
-                   and scalar steps) execute per-morsel with one shared
-                   global sparse/dense decision per column pair
-                   (:func:`repro.linalg.kernels.run_program_parallel`)
+                   and scalar steps) on the BAT backend run per-morsel
+                   through the serial step function, each step's backend
+                   chosen once over the full inputs
+                   (:func:`repro.linalg.kernels.run_program`)
 merge              morsel results land in preallocated columns at fixed
                    offsets (chunk-ordered); the relational merge then
                    proceeds exactly as in serial execution

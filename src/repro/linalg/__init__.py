@@ -11,7 +11,10 @@ it.  Two backends compute the base results:
   and copies the result back; all three phases are instrumented.
 
 :class:`~repro.linalg.policy.BackendPolicy` chooses between them per
-operation, as §7.3/§8.6 describe.
+operation, as §7.3/§8.6 describe.  :mod:`repro.linalg.kernels` runs a
+kernel program — one operation or a fused element-wise chain — through
+one step function: scalar steps are numpy ufuncs, every other step calls
+the chosen backend's ``compute``, over whole columns or per morsel.
 """
 
 from repro.linalg.matrix import Columns, ncols, nrows, columns_allclose

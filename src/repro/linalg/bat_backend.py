@@ -62,10 +62,6 @@ class BatBackend:
 
     name = "bat"
 
-    def supports(self, op: str) -> bool:
-        spec_of(op)
-        return True
-
     def compute(self, op: str, a: Columns,
                 b: Columns | None = None) -> Columns:
         spec = spec_of(op)
@@ -78,21 +74,7 @@ class BatBackend:
     # -- element-wise ------------------------------------------------------
 
     def _add(self, a: Columns, b: Columns) -> Columns:
-        """Element-wise add, routing sparse columns through the
-        nonzero-index path (MonetDB's compression effect, Table 5)."""
-        from repro.bat.compression import (
-            SPARSE_DENSITY_THRESHOLD,
-            estimate_density,
-            sparse_add,
-        )
-        out = []
-        for x, y in zip(a, b):
-            if (estimate_density(x) < SPARSE_DENSITY_THRESHOLD
-                    and estimate_density(y) < SPARSE_DENSITY_THRESHOLD):
-                out.append(sparse_add(x, y))
-            else:
-                out.append(x + y)
-        return out
+        return [x + y for x, y in zip(a, b)]
 
     def _sub(self, a: Columns, b: Columns) -> Columns:
         return [x - y for x, y in zip(a, b)]

@@ -98,10 +98,6 @@ class MklBackend:
     def __init__(self):
         self.stats = TransformStats()
 
-    def supports(self, op: str) -> bool:
-        spec_of(op)
-        return True
-
     def compute(self, op: str, a: Columns,
                 b: Columns | None = None) -> Columns:
         """Run one matrix operation; returns result columns."""
@@ -128,12 +124,14 @@ class MklBackend:
 
     def _kernel(self, op: str, a: np.ndarray,
                 b: np.ndarray | None) -> np.ndarray:
+        # ``a`` is this call's own dense copy, so element-wise results are
+        # written into it: no fresh output buffer to allocate and fault in.
         if op == "add":
-            return a + b
+            return np.add(a, b, out=a)
         if op == "sub":
-            return a - b
+            return np.subtract(a, b, out=a)
         if op == "emu":
-            return a * b
+            return np.multiply(a, b, out=a)
         if op == "mmu":
             return a @ b
         if op == "opd":

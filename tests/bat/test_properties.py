@@ -238,13 +238,13 @@ def oracle_order(bats: list[BAT]) -> np.ndarray | None:
 
 
 def oracle_key(bats: list[BAT]) -> bool | None:
-    """Whether no two rows are equal, from a count of distinct rows.  A
-    DBL NaN equals nothing, itself included; other nils equal each other.
+    """Whether no two rows are equal, from a count of distinct rows.  Two
+    nils are equal, DBL NaNs included, as ``BAT.tkey`` counts them.
     None when ``check_key`` must raise (a nil string among 2+ rows)."""
     n = len(bats[0])
     if n > 1 and oracle_order(bats) is None:
         return None
-    columns = [[object() if v != v else v for v in b.tail.tolist()]
+    columns = [[None if v != v else v for v in b.tail.tolist()]
                if b.dtype is DataType.DBL else b.tail.tolist()
                for b in bats]
     return len(set(zip(*columns))) == n

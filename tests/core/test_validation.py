@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core import RmaConfig, add, inv, mmu, opd, tra, usv
 from repro.core.ops import execute_rma
 from repro.errors import (
@@ -33,6 +34,18 @@ class TestOrderSchemaValidation:
                                      "x": [1.0, 2.0], "y": [3.0, 4.0]})
         with pytest.raises(KeyViolationError):
             inv(rel, by="k")
+
+    @pytest.mark.parametrize("by", ["k", ["k", "g"]])
+    def test_two_dbl_nils_are_not_a_key(self, by):
+        # Two NULLs in a DBL order attribute are duplicate tuples, as
+        # BAT.tkey counts them, alone or within a composite order schema.
+        rel = Relation.from_columns({"k": [1.0, None, 2.0, None],
+                                     "g": [0, 0, 0, 0],
+                                     "x": [1.0, 2.0, 3.0, 4.0]})
+        with pytest.raises(KeyViolationError):
+            execute_rma("qqr", rel, by)
+        with pytest.raises(KeyViolationError):
+            repro.connect().matrix(rel, by=by).qqr().collect()
 
     def test_non_key_allowed_when_validation_off(self):
         rel = Relation.from_columns({"k": ["a", "a"],

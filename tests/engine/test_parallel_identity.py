@@ -186,9 +186,8 @@ class TestTable2Ops:
             assert identical(*results), op
 
     def test_sparse_add_routing_matches(self):
-        # Mostly-zero columns take the BAT backend's sparse path; the
-        # chunked kernel must reproduce its routing (decided on the full
-        # columns) bit for bit.
+        # Mostly-zero columns: the add per morsel must equal the add over
+        # whole columns bit for bit.
         n = 4096
         dense = RNG.uniform(1.0, 2.0, n)
         sparse = np.zeros(n)

@@ -50,6 +50,12 @@ class TestElementwise:
         assert np.allclose(_dense(op, backend, a, b), func(a, b))
 
     @pytest.mark.parametrize("backend", [BAT, MKL], ids=["bat", "mkl"])
+    def test_add_is_the_ieee_add_on_zero_columns(self, backend):
+        minus_zero = np.full((4, 2), -0.0)
+        assert np.signbit(_dense("add", backend, minus_zero,
+                                 minus_zero)).all()
+
+    @pytest.mark.parametrize("backend", [BAT, MKL], ids=["bat", "mkl"])
     def test_shape_mismatch_rejected(self, backend):
         with pytest.raises(ShapeError):
             _dense("add", backend, np.ones((2, 2)), np.ones((3, 2)))

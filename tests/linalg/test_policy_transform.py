@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import BackendError
 from repro.linalg import BackendPolicy, TransformStats, from_dense, to_dense
-from repro.linalg.kernels import kernel_for
+from repro.linalg.kernels import KernelProgram, run_program
 from repro.linalg.matrix import as_columns
 from repro.opspec import LINEAR_OPS, OPS
 
@@ -46,11 +46,11 @@ class TestPolicy:
         limit = (one_copy + two_copies) // 2
         a = as_columns(rng.normal(size=(n, k)))
         b = as_columns(rng.normal(size=(n, k)))
-        cpd = kernel_for("cpd")
+        cpd = KernelProgram.single("cpd", binary=True)
         policy = BackendPolicy(memory_limit_bytes=limit)
-        cpd(a, list(a), None, policy)  # same arrays: rewritten to b = a
+        run_program(cpd, [a, list(a)], policy)  # same arrays: b = a
         assert policy.mkl.stats.calls == 1
-        cpd(a, b, None, policy)  # distinct operands: Table 6 fallback
+        run_program(cpd, [a, b], policy)  # distinct: Table 6 fallback
         assert policy.mkl.stats.calls == 1
 
     def test_usv_memory_estimate_quadratic(self):
