@@ -23,10 +23,10 @@ against.  The module-level eager functions ``repro.rma.*`` run one
 operation immediately on the same RMA pipeline the executor uses.
 
 Modules: :mod:`repro.api.database` (Database/connect),
-:mod:`repro.api.matrix` (the expression handle, op methods generated from
-:mod:`repro.opspec`), :mod:`repro.api.inference` (order/application schema
-inference for chaining), :mod:`repro.api.eager` (the one-op adapter behind
-``repro.rma.*``).
+:mod:`repro.api.matrix` (the expression handle: op methods generated from
+:mod:`repro.opspec`, whose shape-type rule also gives each result's order
+and application schema for chaining), :mod:`repro.api.eager` (the one-op
+adapter behind ``repro.rma.*``).
 """
 
 from repro.api.database import Database, connect

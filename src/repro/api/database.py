@@ -224,7 +224,7 @@ class Database:
         check_order_names(names, relation.schema, relation.names)
         order = set(names)
         app = tuple(n for n in relation.names if n not in order)
-        return Matrix(self, plan, names, app)
+        return Matrix(self, plan, (names,), app)
 
     # -- the plan driver -------------------------------------------------------
 

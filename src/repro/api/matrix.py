@@ -28,9 +28,11 @@ common-subexpression elimination, the session's byte-budget plan/result
 cache, and the morsel-parallel engine.  :meth:`Matrix.explain` prints the
 optimized plan with its physical annotations.
 
-The order schema of every intermediate is inferred from the paper's shape
-types (:mod:`repro.api.inference`), which is what lets ``(a @ b + c).T``
-chain without re-stating ``BY`` lists at each step.
+The order schema of every intermediate follows from the paper's shape
+types (:meth:`repro.opspec.OpSpec.result_parts`), which is what lets
+``(a @ b + c).T`` chain without re-stating ``BY`` lists at each step; the
+same op-table rule gives the application schema where it is statically
+known and checks the order schemas at the call site that built them.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ from __future__ import annotations
 import numbers
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.api import inference
 from repro.core.config import RmaConfig
 from repro.core.context import check_order_names
 from repro.errors import PlanError
-from repro.opspec import OPS, SCALAR_OPS, spec_of
+from repro.opspec import OPS, SCALAR_OPS, Parts, spec_of
 from repro.plan import nodes
 from repro.plan.build import build_rma
 from repro.plan.explain import explain_lines
@@ -64,19 +65,17 @@ class Matrix:
     product a single time.
     """
 
-    __slots__ = ("_db", "_plan", "_by", "_app", "_parts")
+    __slots__ = ("_db", "_plan", "_app", "_parts")
 
-    def __init__(self, db: "Database", plan: nodes.Plan,
-                 by: Sequence[str], app: Optional[Sequence[str]] = None,
-                 parts: Optional[tuple[tuple[str, ...], ...]] = None):
+    def __init__(self, db: "Database", plan: nodes.Plan, parts: Parts,
+                 app: Optional[Sequence[str]] = None):
         self._db = db
         self._plan = plan
-        self._by = tuple(by)
         self._app = tuple(app) if app is not None else None
         # The order schema grouped by originating operand: element-wise
         # results carry one aligned order part per operand (U ∘ V), and
         # narrow() needs the first *group*, not the first attribute.
-        self._parts = parts if parts is not None else (self._by,)
+        self._parts = parts
 
     # -- introspection ------------------------------------------------------
 
@@ -88,7 +87,7 @@ class Matrix:
     @property
     def by(self) -> tuple[str, ...]:
         """The order schema identifying this expression's rows."""
-        return self._by
+        return tuple(name for part in self._parts for name in part)
 
     @property
     def app_names(self) -> Optional[tuple[str, ...]]:
@@ -103,7 +102,7 @@ class Matrix:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         app = ", ".join(self._app) if self._app is not None else "?"
         return (f"Matrix({type(self._plan).__name__}; "
-                f"by=({', '.join(self._by)}); app=({app}))")
+                f"by=({', '.join(self.by)}); app=({app}))")
 
     # -- expression building ------------------------------------------------
 
@@ -130,11 +129,10 @@ class Matrix:
     def _unary(self, op: str, scalar: Optional[float] = None) -> "Matrix":
         spec = spec_of(op)
         lhs = self._narrowed_for(spec, argument=1)
-        inference.check_operands(spec, lhs._by)
-        plan = build_rma(op, (lhs._plan,), (lhs._by,), scalar=scalar)
-        return Matrix(self._db, plan, inference.result_by(spec, lhs._by),
-                      inference.result_app(spec, lhs._app),
-                      _result_parts(spec, lhs._parts))
+        spec.check_order_schemas(lhs.by)
+        plan = build_rma(op, (lhs._plan,), (lhs.by,), scalar=scalar)
+        return Matrix(self._db, plan, spec.result_parts(lhs._parts),
+                      spec.result_app(lhs._app))
 
     def _binary(self, op: str, other: "Matrix | Relation",
                 by: "str | Sequence[str] | None" = None) -> "Matrix":
@@ -142,12 +140,11 @@ class Matrix:
         rhs = self._coerce(other, op, by)
         lhs = self._narrowed_for(spec, argument=1)
         rhs = rhs._narrowed_for(spec, argument=2)
-        inference.check_operands(spec, lhs._by, rhs._by)
-        plan = build_rma(op, (lhs._plan, rhs._plan), (lhs._by, rhs._by))
+        spec.check_order_schemas(lhs.by, rhs.by)
+        plan = build_rma(op, (lhs._plan, rhs._plan), (lhs.by, rhs.by))
         return Matrix(self._db, plan,
-                      inference.result_by(spec, lhs._by, rhs._by),
-                      inference.result_app(spec, lhs._app, rhs._app),
-                      _result_parts(spec, lhs._parts, rhs._parts))
+                      spec.result_parts(lhs._parts, rhs._parts),
+                      spec.result_app(lhs._app, rhs._app))
 
     def _narrowed_for(self, spec, argument: int) -> "Matrix":
         """Auto-narrow a composite order part for column-cast operands.
@@ -159,7 +156,7 @@ class Matrix:
         projected away first (see :meth:`narrow`).  Only fires when it
         provably helps: a single-part handle is returned unchanged, and
         narrowing a multi-part handle down to a still-composite first
-        schema leaves the usual precondition error to ``check_operands``.
+        schema leaves the usual precondition error to ``check_order_schemas``.
         """
         if argument in spec.order_card_one and len(self._parts) > 1:
             return self.narrow()
@@ -182,8 +179,7 @@ class Matrix:
                 "the relation explicitly (.select(...))")
         keep = self._parts[0] + self._app
         plan = nodes.Prune(self._plan, keep)
-        return Matrix(self._db, plan, self._parts[0], self._app,
-                      (self._parts[0],))
+        return Matrix(self._db, plan, self._parts[:1], self._app)
 
     def ordered_by(self, by: "str | Sequence[str]") -> "Matrix":
         """The same expression re-keyed by a different order schema.
@@ -201,11 +197,12 @@ class Matrix:
             # — surface it here, at the call site, like Database.matrix
             # does for plain relations.  Data-dependent schemas (app is
             # None) can only be checked at execution time.
-            check_order_names(names, set(self._by) | set(self._app),
-                              self._by + self._app)
+            by = self.by
+            check_order_names(names, set(by) | set(self._app),
+                              by + self._app)
             order = set(names)
-            app = tuple(n for n in self._by + self._app if n not in order)
-        return Matrix(self._db, self._plan, names, app, (names,))
+            app = tuple(n for n in by + self._app if n not in order)
+        return Matrix(self._db, self._plan, (names,), app)
 
     # -- operator overloading ----------------------------------------------
 
@@ -269,7 +266,7 @@ class Matrix:
     def _relational(self, plan: nodes.Plan,
                     app: Optional[Sequence[str]]) -> "Matrix":
         """A handle over ``plan`` keeping this handle's order schema."""
-        return Matrix(self._db, plan, self._by, app, self._parts)
+        return Matrix(self._db, plan, self._parts, app)
 
     def filter(self, predicate: "Col | ast.Expr") -> "Matrix":
         """The rows satisfying ``predicate`` (e.g. ``col("val") > 1.0``)."""
@@ -288,7 +285,7 @@ class Matrix:
         names = [item.alias or nodes.default_output_name(item.expr, i)
                  for i, item in enumerate(select_items)]
         kept = set(names)
-        missing = [n for n in self._by if n not in kept]
+        missing = [n for n in self.by if n not in kept]
         if missing:
             raise PlanError(
                 f"select: order attribute(s) "
@@ -296,7 +293,7 @@ class Matrix:
         plain = all(isinstance(item.expr, ast.ColumnRef)
                     and item.alias in (None, item.expr.name)
                     for item in select_items)
-        order = set(self._by)
+        order = set(self.by)
         app = tuple(n for n in names if n not in order) if plain else None
         return self._relational(nodes.Project(self._plan, select_items),
                                 app)
@@ -359,21 +356,6 @@ def _select_item(item: "str | Col | ast.Expr") -> ast.SelectItem:
     if isinstance(item, Col):
         return ast.SelectItem(item.expr, item.out_name)
     return ast.SelectItem(item, None)
-
-
-def _result_parts(spec, parts1, parts2=None):
-    """Order-schema groups of a result (see ``Matrix._parts``).
-
-    Must stay in lockstep with :func:`repro.api.inference.result_by`:
-    ``_parts`` flattened equals ``_by`` on every handle.
-    """
-    x = spec.shape_type[0]
-    if x == "r1":
-        return parts1
-    if x == "r*":
-        assert parts2 is not None
-        return parts1 + parts2
-    return ((inference.CONTEXT_ATTRIBUTE,),)
 
 
 def _unary_method(name: str, doc: str):

@@ -15,12 +15,20 @@ avoid it whenever the operation allows:
   leave the first relation in storage order and align the second to it with
   one composed permutation — only the second relation is fetchjoined,
   and neither is when both share their order columns.
+
+Relative sorting works the same for any number of arguments, so one
+function (:func:`align_relative`) serves a binary operation and a fused
+element-wise chain of k leaves alike: argument ``i`` is aligned to argument
+0 by ``positions_i[ranks_0]``.  The two callers differ only in what a
+non-key order schema raises: the key violation when keys are validated,
+nothing when they are not, and :class:`FusionFallback` for a chain, whose
+step-by-step replay then raises the exact unfused error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, NamedTuple, Sequence
+from typing import Callable, Container, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +48,7 @@ from repro.errors import (
     RmaError,
 )
 from repro.linalg.matrix import Columns
-from repro.opspec import OpSpec, SortClass
+from repro.opspec import OpSpec, SortClass, spec_of
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute
 
@@ -164,10 +172,8 @@ def split_schema(relation: Relation, by: str | Sequence[str],
                 f"{spec.name}: application attribute {attr.name!r} has "
                 f"non-numeric type {attr.dtype.value}; "
                 "drop it with a projection or add it to the order schema")
-    if argument in spec.order_card_one and len(order_names) != 1:
-        raise OrderSchemaError(
-            f"{spec.name}: the column cast requires a single-attribute "
-            f"order schema for argument {argument}, got {len(order_names)}")
+    spec.check_order_schemas(order_names if argument == 1 else None,
+                             order_names if argument == 2 else None)
     return Split(order_names, app_names, order_positions, app_positions)
 
 
@@ -317,53 +323,80 @@ def prepare_binary(r: Relation, r_by: str | Sequence[str], s: Relation,
             config)
         return prepared[0], prepared[1]
 
-    # RELATIVE: align s's rows to r's storage order with one composed
-    # permutation; r is never fetchjoined (paper: "only the order part of
-    # the second relation requires sorting").
-    r_order_bats = r_split.order_bats(r)
-    s_order_bats = s_split.order_bats(s)
+    # RELATIVE: r keeps its storage order and s is aligned to it.
+    prepared = align_relative(
+        [r, s], [r_split, s_split], config,
+        key_violation if config.validate_keys else None)
+    return prepared[0], prepared[1]
+
+
+def align_relative(relations: Sequence[Relation], splits: Sequence[Split],
+                   config: RmaConfig,
+                   non_key: Callable[[list[str]], Exception] | None) \
+        -> list[PreparedInput]:
+    """Relative sorting (§8.1) of k split arguments.
+
+    Argument 0 keeps its storage order and is never fetchjoined; argument
+    ``i`` is aligned to it by the one composed permutation
+    ``positions_i[ranks_0]`` (paper: "only the order part of the second
+    relation requires sorting").  An argument whose order BATs are
+    argument 0's own sorts identically, so its composed alignment is the
+    identity, even with duplicate keys: it is neither sorted nor gathered,
+    and its key verdict is argument 0's.  A self-operand call thus hands
+    the kernel the very same arrays.
+
+    ``non_key`` builds the exception raised for the first order schema, in
+    argument order, that is not a key; ``None`` checks nothing, and an
+    order schema that nothing else needs is then left cold.
+    """
+    first = splits[0].order_bats(relations[0])
+    gathered = [i for i in range(1, len(relations))
+                if not _same_bats(splits[i].order_bats(relations[i]), first)]
     parallel = _parallel_of(config)
-    if len(r_order_bats) == len(s_order_bats) and all(
-            x is y for x, y in zip(r_order_bats, s_order_bats)):
-        # Shared order BATs sort identically, so the composed alignment
-        # positions[rank_of(positions)] is the identity — even with
-        # duplicate keys — and nothing needs sorting or gathering.  A
-        # self-operand call thus hands the kernel the very same arrays.
-        # r's key verdict is s's too: both order parts are the same BATs.
-        if config.validate_keys:
-            _check_key(r, r_order)
-        s_app_columns = _app_floats(s, s_split, parallel)
-    else:
-        r_info = r.order_info(r_order)
-        s_info = s.order_info(s_order)
-        if parallel is not None:
-            # Force the two sides' sort work concurrently (cached
-            # afterwards); the key checks below then reuse the orders.
-            # The first thunk runs on the calling thread, so its argsorts
-            # additionally chunk across the pool (inside a worker the
-            # parallel primitives inline to serial).
-            run_tasks([lambda: r_info.ranks_with(parallel),
-                       lambda: s_info.positions_with(parallel)])
-        if config.validate_keys:
-            if not r_info.is_key:
-                raise key_violation(r_order)
-            if not s_info.is_key:
-                raise key_violation(s_order)
-        aligned = parallel_gather(s_info.positions,
-                                  r_info.ranks_with(parallel), parallel)
-        s_app_columns = parallel_gather_columns(
-            _app_floats(s, s_split, parallel), aligned, parallel)
-        s_order_bats = [bat.fetch(aligned, positions_key=True)
-                        for bat in s_order_bats]
-    prepared_r = PreparedInput(
-        r, r_split, r_order_bats,
-        _app_floats(r, r_split, parallel),
-        sorted_storage=False,
-        validated=config.validate_keys)
-    prepared_s = PreparedInput(
-        s, s_split, s_order_bats, s_app_columns,
-        sorted_storage=False, validated=config.validate_keys)
-    return prepared_r, prepared_s
+    infos = {}
+    if non_key is not None or gathered:
+        infos = {i: relations[i].order_info(splits[i].order_names)
+                 for i in [0] + gathered}
+    if parallel is not None and gathered:
+        # Force the arguments' sort work concurrently (cached afterwards);
+        # the key checks below then reuse the orders.  The first thunk runs
+        # on the calling thread, so its argsort additionally chunks across
+        # the pool (inside a worker the parallel primitives inline to
+        # serial).
+        run_tasks([lambda: infos[0].ranks_with(parallel)]
+                  + [lambda info=infos[i]: info.positions_with(parallel)
+                     for i in gathered])
+    if non_key is not None:
+        for i, info in infos.items():
+            if not info.is_key:
+                raise non_key(splits[i].order_names)
+    ranks = infos[0].ranks_with(parallel) if gathered else None
+
+    def prepare(i: int) -> PreparedInput:
+        relation, split = relations[i], splits[i]
+        order_bats = split.order_bats(relation)
+        app_columns = _app_floats(relation, split, parallel)
+        if i in gathered:
+            aligned = parallel_gather(infos[i].positions, ranks, parallel)
+            order_bats = [bat.fetch(aligned, positions_key=True)
+                          for bat in order_bats]
+            app_columns = parallel_gather_columns(app_columns, aligned,
+                                                  parallel)
+        return PreparedInput(relation, split, order_bats, app_columns,
+                             sorted_storage=False,
+                             validated=non_key is not None)
+
+    thunks = [lambda i=i: prepare(i) for i in range(len(relations))]
+    if len(gathered) > 1:
+        # Independent gathers: ship whole arguments to the pool (the cheap
+        # first one runs on the caller); the chunked gathers inside inline
+        # when already on a worker.
+        return _prepare_arguments(thunks, config)
+    return [thunk() for thunk in thunks]
+
+
+def _same_bats(xs: Sequence[BAT], ys: Sequence[BAT]) -> bool:
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
 
 class FusionFallback(Exception):
@@ -383,122 +416,66 @@ def prepare_fused(relations: Sequence[Relation],
     """Prepare all leaves of a fused element-wise chain in one pass.
 
     Every leaf is split into order and application part and aligned into the
-    *first* leaf's storage order.  Because each chain step keeps its first
-    argument's storage order (RELATIVE class) and each intermediate's sort
-    by its combined order schema equals its first leaf's sort by its own
-    order schema (keyed order schemas: a stable lexicographic sort never
-    reaches the tie-breakers), the alignment of leaf ``i`` composes to the
-    single permutation ``positions_i[ranks_0]`` — the same relative-sorting
-    rule :func:`prepare_binary` applies per step, collapsed over the chain.
+    *first* leaf's storage order by :func:`align_relative`, the relative
+    sorting :func:`prepare_binary` applies per step, collapsed over the
+    chain: each step keeps its first argument's storage order, and each
+    intermediate's sort by its combined order schema equals its first
+    leaf's sort by its own order schema (keyed order schemas: a stable
+    lexicographic sort never reaches the tie-breakers), so leaf ``i``'s
+    alignment composes to the single permutation ``positions_i[ranks_0]``.
 
-    Raises :class:`FusionFallback` when any precondition cannot be
-    established cheaply:
+    Raises :class:`FusionFallback` when a precondition does not hold:
 
     * the sorting optimization is off,
-    * cardinalities or application-schema widths disagree,
-    * order schemas overlap or contain unknown/non-numeric splits,
-    * a leaf's order schema is not a verified key (with duplicate keys the
-      per-step sorts are not derivable from the leaf sorts, so only the
-      step-by-step path is faithful).
+    * a leaf fails the checks of a binary element-wise step against the
+      first leaf (:func:`split_schema`, :func:`_check_binary_compat`), or
+      two leaves share an order attribute,
+    * a leaf's order schema is not a key (with duplicate keys the per-step
+      sorts are not derivable from the leaf sorts, so only the step-by-step
+      path is faithful).
     """
     if not config.optimize_sorting:
         raise FusionFallback("sorting optimization off")
-    if not relations or len(relations) != len(bys):
-        raise FusionFallback("malformed fused chain")
-    n = relations[0].nrows
-    seen: set[str] = set()
-    splits: list[Split] = []
-    for relation, by in zip(relations, bys):
-        if relation.nrows != n:
-            raise FusionFallback("cardinality mismatch")
-        order_names = list(by)
-        if not order_names:
-            raise FusionFallback("empty order schema")
-        order_positions = relation.schema.positions(order_names)
-        for name, position in zip(order_names, order_positions):
-            if name in seen or position is None:
-                raise FusionFallback("order schema overlap or unknown")
-            seen.add(name)
-        app_names, app_positions = _application_part(relation,
-                                                     order_positions)
-        if not app_names:
-            raise FusionFallback("empty application schema")
-        attributes = relation.schema.attributes
-        if any(not attributes[i].dtype.is_numeric for i in app_positions):
-            raise FusionFallback("non-numeric application attribute")
-        splits.append(Split(order_names, app_names, order_positions,
-                            app_positions))
-    width = len(splits[0].app_names)
-    if any(len(split.app_names) != width for split in splits):
-        raise FusionFallback("application schema widths differ")
+    spec = spec_of("add")
+    try:
+        splits = [split_schema(relation, by, spec, argument=1 if i == 0
+                               else 2)
+                  for i, (relation, by) in enumerate(zip(relations, bys))]
+        first = splits[0]
+        for relation, split in zip(relations[1:], splits[1:]):
+            _check_binary_compat(relations[0], first.order_names,
+                                 first.app_names, relation,
+                                 split.order_names, split.app_names, spec)
+    except RmaError as exc:
+        raise FusionFallback(str(exc)) from exc
+    names = [name for split in splits for name in split.order_names]
+    if len(set(names)) != len(names):
+        raise FusionFallback("order schemas overlap")
+    return align_relative(relations, splits, config, _not_a_key)
 
-    parallel = _parallel_of(config)
-    infos = [relation.order_info(split.order_names)
-             for relation, split in zip(relations, splits)]
-    if parallel is not None and len(infos) > 1:
-        # Per-leaf argsorts and key checks are independent; force them
-        # concurrently on the pool (the per-relation order caches are
-        # thread-safe, so each computes exactly once).  The first leaf
-        # runs on the calling thread, where the argsort itself chunks
-        # across the pool.
-        run_tasks([lambda info=info: (info.positions_with(parallel),
-                                      info.is_key)
-                   for info in infos])
-    for info in infos:
-        if not info.is_key:
-            raise FusionFallback("order schema is not a key")
 
-    ranks = infos[0].ranks_with(parallel) if len(relations) > 1 else None
-
-    def prepare_leaf(i: int) -> PreparedInput:
-        relation, split = relations[i], splits[i]
-        app_floats = _app_floats(relation, split, parallel)
-        if i == 0:
-            order_bats = split.order_bats(relation)
-            app_columns = app_floats
-        else:
-            aligned = parallel_gather(infos[i].positions, ranks, parallel)
-            order_bats = [bat.fetch(aligned, positions_key=True)
-                          for bat in split.order_bats(relation)]
-            app_columns = parallel_gather_columns(app_floats, aligned,
-                                                  parallel)
-        return PreparedInput(relation, split, order_bats, app_columns,
-                             sorted_storage=False, validated=True)
-
-    # Leaf alignments are independent too: ship them to the pool as
-    # whole-leaf tasks (the cheap first leaf runs on the caller); the
-    # chunked gathers inside inline when already on a worker.
-    if parallel is not None and len(relations) > 1:
-        return run_tasks([lambda i=i: prepare_leaf(i)
-                          for i in range(len(relations))])
-    return [prepare_leaf(i) for i in range(len(relations))]
+def _not_a_key(order_names: list[str]) -> FusionFallback:
+    return FusionFallback(f"order schema {order_names} is not a key")
 
 
 def _check_binary_compat(r: Relation, r_order: list[str], r_app: list[str],
                          s: Relation, s_order: list[str], s_app: list[str],
                          spec: OpSpec) -> None:
-    """Schema-level preconditions of binary operations (paper Table 2)."""
-    if spec.same_shape:
-        # add/sub/emu: union-compatible application schemas,
-        # non-overlapping order schemas (the result carries both).
-        if len(r_app) != len(s_app):
-            raise ApplicationSchemaError(
-                f"{spec.name}: application schemas must be union "
-                f"compatible, got {len(r_app)} and {len(s_app)} attributes")
-        overlap = set(r_order) & set(s_order)
-        if overlap:
-            raise OrderSchemaError(
-                f"{spec.name}: order schemas overlap on "
-                f"{sorted(overlap)}; rename one side first")
-        if r.nrows != s.nrows:
-            raise RmaError(
-                f"{spec.name}: relations have different cardinalities "
-                f"({r.nrows} vs {s.nrows})")
+    """Schema-level preconditions of binary operations (paper Table 2).
+
+    add/sub/emu need union-compatible application schemas, disjoint order
+    schemas (the result carries both) and equal cardinalities.
+    """
+    if spec.same_shape and len(r_app) != len(s_app):
+        raise ApplicationSchemaError(
+            f"{spec.name}: application schemas must be union "
+            f"compatible, got {len(r_app)} and {len(s_app)} attributes")
+    spec.check_order_schemas(r_order, s_order)
     if spec.inner_dims and len(r_app) != s.nrows:
         raise RmaError(
             f"{spec.name}: first application schema has {len(r_app)} "
             f"attributes but second relation has {s.nrows} tuples")
-    if spec.same_rows and r.nrows != s.nrows:
+    if (spec.same_shape or spec.same_rows) and r.nrows != s.nrows:
         raise RmaError(
             f"{spec.name}: relations have different cardinalities "
             f"({r.nrows} vs {s.nrows})")

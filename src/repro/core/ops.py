@@ -10,9 +10,11 @@ Execution is an explicit three-stage pipeline:
   application columns.  A plain operation is the one-step program; a fused
   element-wise chain is a multi-step program over shared prepared inputs
   with every intermediate relation elided (:func:`execute_fused`);
-* **merge** (:func:`merge_result` / :func:`merge_fused`) — attach the
-  morphed contextual information to the base result and pre-warm the
-  result's order caches.
+* **merge** (:func:`merge_result`) — attach the morphed contextual
+  information to the base result and pre-warm the result's order caches.
+  Every element-wise result, shape type ``(r*, c*)``, is merged by
+  :func:`merge_fused`, whether it has the two arguments of one operation
+  or the k leaves of a fused chain.
 
 ``execute_rma`` composes the three stages for one operation, exactly as the
 monolithic implementation did; ``execute_fused`` composes them once for a
@@ -39,12 +41,9 @@ from repro.core.context import (
 from repro.errors import RmaError
 from repro.linalg.kernels import KernelProgram, KernelStep, run_program
 from repro.linalg.matrix import Columns
-from repro.opspec import OpSpec, spec_of
+from repro.opspec import CONTEXT_ATTRIBUTE, OpSpec, spec_of
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
-
-CONTEXT_ATTRIBUTE = "C"
-"""Name of the synthesized context attribute (paper Table 2)."""
 
 
 def prepare_stage(spec: OpSpec, r: Relation, by: str | Sequence[str],
@@ -130,9 +129,12 @@ def merge_result(spec: OpSpec, r: PreparedInput,
     The shape type decides the row context (order parts, a ∆-cast context
     column, or the literal ``'r'``) and the base-result attribute names
     (inherited application schemas, ▽-cast order values, or the operation
-    name).
+    name).  Element-wise results go to :func:`merge_fused`.
     """
     x, y = spec.shape_type
+    if x == "r*":
+        assert s is not None
+        return merge_fused([r, s], base)
     attributes: list[Attribute] = []
     columns: list[BAT] = []
 
@@ -140,11 +142,6 @@ def merge_result(spec: OpSpec, r: PreparedInput,
     if x == "r1":
         attributes += r.order_attributes
         columns += r.order_bats
-    elif x == "r*":
-        # Element-wise operations carry both order parts (U ∘ V ∘ U-bar).
-        assert s is not None
-        attributes += r.order_attributes + s.order_attributes
-        columns += r.order_bats + s.order_bats
     elif x == "c1":
         attributes.append(_CONTEXT)
         columns.append(schema_cast(r.app_names))
@@ -155,7 +152,7 @@ def merge_result(spec: OpSpec, r: PreparedInput,
         raise RmaError(f"unhandled row shape type {x!r}")
 
     # -- base result attributes (y) -------------------------------------------
-    if y == "c1" or y == "c*":
+    if y == "c1":
         base_attributes = _as_double(r.app_attributes)
     elif y == "c2":
         assert s is not None
@@ -177,24 +174,36 @@ def merge_result(spec: OpSpec, r: PreparedInput,
             f"{spec.shape_type} violated")
 
     result = _merged(attributes + base_attributes, columns, base)
-    _seed_result_order(result, spec, r, s)
+    if x == "r1":
+        # Rows in the order the argument was prepared in: sorted, or its
+        # storage order (see _seed_order_part).
+        _seed_order_part(result, r, result.nrows)
     return result
 
 
 def merge_fused(prepared: Sequence[PreparedInput],
-                base: Columns) -> Relation:
-    """Merge step of a fused chain: all order parts plus the base result.
+                 base: Columns) -> Relation:
+    """Merge step of an element-wise result: every order part plus the
+    base result.
 
-    The result schema is ``U1 ∘ U2 ∘ ... ∘ Uk ∘ U1-bar`` — exactly what the
-    last step of the unfused chain produces (each step contributes its
-    second argument's order part; base-result names come from the first
-    leaf's application schema).
+    ``prepared`` are the k arguments, two for one operation or the leaves
+    of a fused chain.  The result schema is ``U1 ∘ U2 ∘ ... ∘ Uk ∘
+    U1-bar``, exactly what the last step of the unfused chain produces
+    (each step contributes its second argument's order part; base-result
+    names come from the first argument's application schema).
 
-    Order-cache seeding mirrors the unfused final merge: the first leaf's
-    cached :class:`OrderInfo` is shared for ``U1``, and — because every
-    leaf's order schema was verified to be a key by the prepare stage — the
-    first leaf's sort positions are the result's sort by every aligned
-    schema ``Ui`` and by every combined prefix ``U1 ∘ ... ∘ Ui``.
+    The result starts with a warm order cache; every seed is what a fresh
+    sort gives:
+
+    * ``U1`` — the first argument's order (see :func:`_seed_order_part`);
+    * ``Ui`` of an argument aligned into the first one's storage order by
+      ``positions_i[ranks_1]`` — sorting the result by ``Ui`` is the first
+      argument's sort permutation, provided ``Ui`` is a *known* key (with
+      duplicates the derived permutation is valid but not bit-identical to
+      a fresh stable sort); a sorted argument gets the identity instead;
+    * every prefix ``U1 ∘ ... ∘ Ui`` — when ``U1`` is a validated key, a
+      stable lexicographic sort never reaches the tie-breakers, so it is
+      the sort by ``U1`` alone.
     """
     first = prepared[0]
     attributes: list[Attribute] = []
@@ -205,21 +214,29 @@ def merge_fused(prepared: Sequence[PreparedInput],
     base_attributes = _as_double(first.app_attributes)
     if len(base_attributes) != len(base):
         raise RmaError(
-            f"fused chain: base result has {len(base)} columns but "
+            f"element-wise merge: base result has {len(base)} columns but "
             f"{len(base_attributes)} names were derived")
     result = _merged(attributes + base_attributes, columns, base)
-    _seed_order_part(result, first, result.nrows)
-    info = first.relation.cached_order_info(tuple(first.order_names))
-    positions = info.known_positions if info is not None else None
+    n = result.nrows
+    _seed_order_part(result, first, n)
+    if first.sorted_storage:
+        positions = np.arange(n, dtype=np.int64)
+    else:
+        info = first.relation.cached_order_info(tuple(first.order_names))
+        positions = info.known_positions if info is not None else None
     combined = tuple(first.order_names)
     for p in prepared[1:]:
         key = tuple(p.order_names)
-        combined = combined + key
-        if positions is not None:
-            result.seed_order(key, positions=positions, is_key=True)
+        if p.sorted_storage:
+            _seed_order_part(result, p, n)
+        else:
+            if positions is not None and _known_key(p):
+                result.seed_order(key, positions=positions, is_key=True)
+            if len(key) == 1 and p.validated:
+                result.column(key[0])._seed_props(tkey=True)
+        combined += key
+        if positions is not None and first.validated:
             result.seed_order(combined, positions=positions, is_key=True)
-        if len(key) == 1:
-            result.column(key[0])._seed_props(tkey=True)
     return result
 
 
@@ -247,44 +264,12 @@ def _merged(attributes: list[Attribute], context: list[BAT],
     return Relation(Schema.derived(tuple(attributes)), columns)
 
 
-def _seed_result_order(result: Relation, spec: OpSpec,
-                       r: PreparedInput, s: PreparedInput | None) -> None:
-    """Pre-warm the result's order cache — derived relations start warm.
-
-    The merge step knows exactly how the result rows relate to the order
-    schemas but used to discard that knowledge, so every chained operation
-    re-sorted from scratch (the PR 1 ROADMAP follow-up).  Three cases:
-
-    * rows were physically sorted by the order schema (FULL-sort class):
-      the order is the identity permutation, and a validated order schema
-      is a key — seed both, plus the single-attribute ``tkey`` bit;
-    * rows are in the first input's storage order (equivariant/relative
-      classes): the input's cached :class:`OrderInfo` applies verbatim to
-      the result, so the result *shares* it;
-    * the aligned second argument of an element-wise operation: its rows
-      were permuted into the first input's storage order, and sorting the
-      result by the second order schema is exactly the first input's sort
-      permutation (``aligned = s_pos[r_ranks]`` implies
-      ``aligned[r_pos] = s_pos``).  Seeded only when the second schema is
-      a *known* key — with duplicates the derived permutation is valid but
-      not bit-identical to a fresh stable sort, and bit-identity with a
-      cold copy of the result is the contract here.
-    """
-    x = spec.shape_type[0]
-    if x not in ("r1", "r*"):
-        return
-    n = result.nrows
-    _seed_order_part(result, r, n)
-    if x == "r*" and s is not None:
-        if s.sorted_storage:
-            _seed_order_part(result, s, n)
-        else:
-            _seed_aligned_part(result, r, s)
-        _seed_combined_part(result, r, s, n)
-
-
 def _seed_order_part(result: Relation, prepared: PreparedInput,
                      n: int) -> None:
+    """Seed the result's order by ``prepared``'s order schema: the
+    identity for rows physically sorted by it (a key when validated), the
+    input's cached :class:`OrderInfo` verbatim for rows in its storage
+    order."""
     key = tuple(prepared.order_names)
     if prepared.sorted_storage:
         identity = np.arange(n, dtype=np.int64)
@@ -298,40 +283,10 @@ def _seed_order_part(result: Relation, prepared: PreparedInput,
         result.column(key[0])._seed_props(tkey=True)
 
 
-def _seed_combined_part(result: Relation, r: PreparedInput,
-                        s: PreparedInput, n: int) -> None:
-    """Seed the concatenated order schema U ∘ V of element-wise results.
-
-    Chained element-wise operations must order the derived relation by its
-    *whole* order part (U and V together — the schemas must stay disjoint
-    between arguments).  When U is a validated key, a stable lexicographic
-    sort by U ∘ V never reaches the V tie-breakers, so it is bit-identical
-    to the sort by U alone — which is known: identity for sorted storage,
-    the first input's cached permutation otherwise.
-    """
-    if not r.validated:
-        return
-    combined = tuple(r.order_names) + tuple(s.order_names)
-    if r.sorted_storage:
-        result.seed_order(combined,
-                          positions=np.arange(n, dtype=np.int64),
-                          is_key=True)
-        return
-    info = r.relation.cached_order_info(tuple(r.order_names))
-    if info is not None and info.known_positions is not None:
-        result.seed_order(combined, positions=info.known_positions,
-                          is_key=True)
-
-
-def _seed_aligned_part(result: Relation, r: PreparedInput,
-                       s: PreparedInput) -> None:
-    r_info = r.relation.cached_order_info(tuple(r.order_names))
-    s_info = s.relation.cached_order_info(tuple(s.order_names))
-    if r_info is None or s_info is None:
-        return
-    key = tuple(s.order_names)
-    if r_info.known_positions is not None and s_info.known_is_key:
-        result.seed_order(key, positions=r_info.known_positions,
-                          is_key=True)
-    if len(key) == 1 and s.validated:
-        result.column(key[0])._seed_props(tkey=True)
+def _known_key(prepared: PreparedInput) -> bool:
+    """Whether the argument's order schema is known to be a key, without
+    computing anything."""
+    if prepared.validated:
+        return True
+    info = prepared.relation.cached_order_info(tuple(prepared.order_names))
+    return info is not None and info.known_is_key is True

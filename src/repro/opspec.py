@@ -3,8 +3,13 @@
 This table is the code form of the paper's Tables 1 and 2: for every
 operation it records the arity, the *shape type* (which input dimension the
 result rows/columns inherit), the dimension preconditions, and the sorting
-class used by the §8.1 optimizations.  Both :mod:`repro.core` (context
-morphing) and :mod:`repro.linalg` (kernels, backend policy) read it.
+class used by the §8.1 optimizations.  :mod:`repro.core` (context
+morphing) and :mod:`repro.linalg` (kernels, backend policy) read it, and
+:class:`OpSpec` codes the one shape-type rule for result schemas
+(:meth:`OpSpec.result_parts`, :meth:`OpSpec.result_app`) and the order
+schema preconditions (:meth:`OpSpec.check_order_schemas`), which the
+``Matrix`` handles of :mod:`repro.api`, the plan optimizer's schema
+inference and the execution pipeline all call.
 
 Shape-type symbols (paper Table 1):
 
@@ -25,6 +30,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
+
+from repro.errors import OrderSchemaError
+
+CONTEXT_ATTRIBUTE = "C"
+"""Name of the synthesized context attribute (paper Table 2)."""
+
+Parts = tuple[tuple[str, ...], ...]
 
 
 class SortClass(enum.Enum):
@@ -73,6 +86,63 @@ class OpSpec:
     @property
     def unary(self) -> bool:
         return self.arity == 1
+
+    def result_parts(self, parts1: Parts,
+                     parts2: Optional[Parts] = None) -> Parts:
+        """The result's order schema, grouped by originating operand.
+
+        * row shape type ``r1`` — the result keeps the first input's order
+          part;
+        * ``r*`` — element-wise results carry both order parts (U ∘ V);
+        * ``c1``/``1`` — the result rows are identified by the synthesized
+          context attribute ``C`` (schema cast ∆ or the literal ``'r'``).
+        """
+        x = self.shape_type[0]
+        if x == "r1":
+            return parts1
+        if x == "r*":
+            assert parts2 is not None
+            return parts1 + parts2
+        return ((CONTEXT_ATTRIBUTE,),)
+
+    def result_app(self, app1: Optional[tuple[str, ...]],
+                   app2: Optional[tuple[str, ...]] = None) \
+            -> Optional[tuple[str, ...]]:
+        """The result's application schema, or None when data-dependent.
+
+        ``c1``/``c*`` inherit the first input's application schema, ``c2``
+        the second's, ``1`` is the single column named after the
+        operation, and the column casts ``r1``/``r2`` name their columns
+        after *order values*, unknowable before execution.
+        """
+        y = self.shape_type[1]
+        if y in ("c1", "c*"):
+            return app1
+        if y == "c2":
+            return app2
+        if y == "1":
+            return (self.name,)
+        return None
+
+    def check_order_schemas(self, by1: Optional[Sequence[str]],
+                            by2: Optional[Sequence[str]] = None) -> None:
+        """Raise :class:`OrderSchemaError` unless the order schemas suit
+        the operation: a column-cast argument has one order attribute, and
+        the two order schemas of an element-wise operation are disjoint (its
+        result carries both).  ``None`` skips an argument."""
+        for argument, by in ((1, by1), (2, by2)):
+            if by is not None and argument in self.order_card_one \
+                    and len(by) != 1:
+                raise OrderSchemaError(
+                    f"{self.name}: the column cast requires a "
+                    f"single-attribute order schema for argument "
+                    f"{argument}, got {len(by)}")
+        if self.same_shape and by1 is not None and by2 is not None:
+            overlap = set(by1) & set(by2)
+            if overlap:
+                raise OrderSchemaError(
+                    f"{self.name}: order schemas overlap on "
+                    f"{sorted(overlap)}; rename one side first")
 
 
 def _spec(*args, **kwargs) -> OpSpec:

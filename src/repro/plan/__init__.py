@@ -46,6 +46,9 @@ Module map
     variants ``sadd``/``ssub``/``smul``) into one ``FusedRma`` node when
     each parent orders its input by exactly the order part the child
     produces; shared subtrees and order-schema boundaries stay unfused.
+    The schema of an RMA node comes from the op table's shape-type rule
+    (:meth:`repro.opspec.OpSpec.result_parts` and ``result_app``), the
+    rule ``Matrix`` handles chain by.
 
 ``physical``
     The physical planner and the executor.  Optimizations that fire here:
@@ -60,12 +63,17 @@ Module map
       never guessed at planning time.
     * **Fused execution** — ``FusedRma`` nodes run as one
       prepare/align/kernel-program/merge pass
-      (:func:`repro.core.ops.execute_fused`): every leaf aligns into the
-      first leaf's storage order with a single composed permutation, the
-      kernel registry (:mod:`repro.linalg.kernels`) executes the chain as
-      one program, and no intermediate relation is materialized.  Runtime
-      precondition failures (duplicate keys, width mismatches) replay the
-      chain step by step, bit-identically.
+      (:func:`repro.core.ops.execute_fused`) through the same code a
+      binary element-wise operation runs: every leaf aligns into the
+      first leaf's storage order with a single composed permutation
+      (:func:`repro.core.context.align_relative`), the kernel layer
+      (:mod:`repro.linalg.kernels`) executes the chain as one program,
+      the element-wise merge (:func:`repro.core.ops.merge_fused`)
+      attaches every leaf's order part, and no intermediate relation is
+      materialized.  A leaf failing a binary step's checks against the
+      first leaf (widths, cardinalities, overlapping order schemas) or
+      holding a duplicate key makes the executor replay the chain step
+      by step, bit-identically and with the unfused error.
     * **Late materialization** — a ``Frame`` holds base columns plus one
       position vector per source relation.  Filters, sorts, limits and
       joins compose the vectors; each column is gathered once, on first

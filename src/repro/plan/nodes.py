@@ -237,31 +237,6 @@ def walk_plan(plan: Plan) -> Iterator[Plan]:
         yield from walk_plan(child)
 
 
-def unfuse(plan: FusedRma) -> Plan:
-    """Rebuild the nested ``Rma`` chain a ``FusedRma`` node was fused from.
-
-    Interior aliases are not reconstructed (they are semantically inert —
-    an ``Rma`` parent consumes its child through the plain relation), so
-    the rebuilt chain is value-identical, not necessarily node-identical,
-    to the pre-fusion plan.
-    """
-    slots: list[tuple[Plan, tuple[str, ...]]] = list(
-        zip(plan.inputs, plan.bys))
-    for step in plan.steps:
-        left, left_by = slots[step.left]
-        if step.right is None:
-            node: Plan = Rma(step.op, (left,), (left_by,), None,
-                             step.scalar)
-            slots.append((node, left_by))
-        else:
-            right, right_by = slots[step.right]
-            node = Rma(step.op, (left, right), (left_by, right_by), None)
-            slots.append((node, left_by + right_by))
-    root, _ = slots[-1]
-    assert isinstance(root, Rma)
-    return Rma(root.op, root.inputs, root.by, plan.alias, root.scalar)
-
-
 # -- expression analysis -------------------------------------------------------
 
 def expr_children(expr: ast.Expr) -> tuple[ast.Expr, ...]:

@@ -98,7 +98,7 @@ class Optimizer:
         if isinstance(plan, nodes.RelScan):
             return {(plan.alias, n) for n in plan.relation.names}
         if isinstance(plan, nodes.SubqueryScan):
-            inner = self.visible_names(plan.plan)
+            inner = self.output_names(plan.plan)
             if inner is None:
                 return None
             return {(plan.alias, n) for _, n in inner}
@@ -140,9 +140,6 @@ class Optimizer:
             return names
         return None
 
-    def visible_names(self, plan: nodes.Plan) -> Optional[set[tuple]]:
-        return self.output_names(plan)
-
     def fused_output_names(self, plan: nodes.FusedRma) \
             -> Optional[set[tuple]]:
         """Schema of a fused chain: all order parts plus the first leaf's
@@ -156,34 +153,22 @@ class Optimizer:
         return out
 
     def rma_output_names(self, plan: nodes.Rma) -> Optional[set[tuple]]:
-        spec = spec_of(plan.op)
-        if spec.shape_type[1] in ("r1", "r2"):
-            return None  # data-dependent column names (column cast)
-        input_names = []
-        for child in plan.inputs:
+        """Schema of an RMA node by the op table's shape-type rule; None
+        when an input's schema is unknown or the result's column names are
+        order values (the column casts)."""
+        apps = []
+        for child, by in zip(plan.inputs, plan.by):
             names = self.output_names(child)
             if names is None:
                 return None
-            input_names.append({n for _, n in names})
-        out: set[tuple] = set()
-        x, y = spec.shape_type
-        if x == "r1":
-            out |= {(plan.alias, n) for n in plan.by[0]}
-        elif x == "r*":
-            out |= {(plan.alias, n) for n in plan.by[0] + plan.by[1]}
-        elif x in ("c1", "1"):
-            out.add((plan.alias, "C"))
-        if y in ("c1", "c*"):
-            order = set(plan.by[0])
-            out |= {(plan.alias, n) for n in input_names[0]
-                    if n not in order}
-        elif y == "c2":
-            order = set(plan.by[1])
-            out |= {(plan.alias, n) for n in input_names[1]
-                    if n not in order}
-        elif y == "1":
-            out.add((plan.alias, plan.op))
-        return out
+            order = set(by)
+            apps.append(tuple(n for _, n in names if n not in order))
+        spec = spec_of(plan.op)
+        app = spec.result_app(*apps)
+        if app is None:
+            return None
+        parts = spec.result_parts(*((by,) for by in plan.by))
+        return {(plan.alias, n) for part in parts + (app,) for n in part}
 
     # -- rule 1+2: pushdown and join rewriting -----------------------------------
 
@@ -278,8 +263,8 @@ class Optimizer:
             return "unknown"
         sides = set()
         for ref in refs:
-            in_left = self._matches(ref, left_names)
-            in_right = self._matches(ref, right_names)
+            in_left = ref_matches(ref, left_names)
+            in_right = ref_matches(ref, right_names)
             if in_left and in_right:
                 return "ambiguous"
             if in_left:
@@ -294,12 +279,8 @@ class Optimizer:
             return "right"
         return "both"
 
-    @staticmethod
-    def _matches(ref: ast.ColumnRef, names: set[tuple]) -> bool:
-        return ref_matches(ref, names)
-
     def _covers(self, conjunct: ast.Expr, names: set[tuple]) -> bool:
-        return all(self._matches(ref, names)
+        return all(ref_matches(ref, names)
                    for ref in nodes.column_refs(conjunct))
 
     @staticmethod

@@ -771,46 +771,6 @@ def _true_positions(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-def _non_nil_keys(keys: list[BAT]) \
-        -> tuple[np.ndarray | None, list[BAT]]:
-    """(rows whose keys are all non-nil, those rows' keys); the rows are
-    ``None`` when no key holds a nil."""
-    nil = None
-    for key in keys:
-        if not key.tnonil:
-            nil = key.is_nil() if nil is None else nil | key.is_nil()
-    if nil is None:
-        return None, keys
-    rows = np.flatnonzero(~nil)
-    return rows, [key.fetch(rows, positions_sorted=True, positions_key=True)
-                  for key in keys]
-
-
-def _remap(positions: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """Positions into a row subset, mapped back to the full side (``-1``
-    stays ``-1``)."""
-    if rows is None:
-        return positions
-    out = np.full(len(positions), -1, dtype=np.int64)
-    hit = positions >= 0
-    out[hit] = rows[positions[hit]]
-    return out
-
-
-def _pad_unmatched(lpos: np.ndarray, rpos: np.ndarray,
-                   nleft: int) -> tuple[np.ndarray, np.ndarray]:
-    """Add a ``(row, -1)`` pair for every left row absent from ``lpos``,
-    in left-row order (``lpos`` is non-decreasing), as a LEFT JOIN emits
-    them."""
-    matched = np.zeros(nleft, dtype=bool)
-    matched[lpos] = True
-    missing = np.flatnonzero(~matched)
-    lpos = np.concatenate([lpos, missing])
-    rpos = np.concatenate([rpos, np.full(len(missing), -1, dtype=np.int64)])
-    order = np.argsort(lpos, kind="stable")
-    return lpos[order], rpos[order]
-
-
 # -- physical planning ---------------------------------------------------------
 
 @dataclass
@@ -1377,24 +1337,20 @@ class Executor:
         right_keys = [self._evaluator(right).eval(e) for _, e in equi]
         left_keys = [_broadcast(k, left.nrows) for k in left_keys]
         right_keys = [_broadcast(k, right.nrows) for k in right_keys]
-        # NULL keys match nothing: probe only the rows without one.
-        lrows, left_keys = _non_nil_keys(left_keys)
-        rrows, right_keys = _non_nil_keys(right_keys)
         outer = plan.kind == "left"
         # A LEFT JOIN whose matches are decided beyond the probe (a residual
-        # ON conjunct, NULL left keys) probes as an inner join and gets its
-        # unmatched rows added afterwards.
-        pad = outer and (bool(residual) or lrows is not None)
+        # ON conjunct) probes as an inner join and gets its unmatched rows
+        # added afterwards.  NULL keys match nothing in the probe itself.
+        pad = outer and bool(residual)
         how = "left" if outer and not pad else "inner"
         lpos, rpos = rel_join.join_positions(left_keys, right_keys, how=how)
-        lpos, rpos = _remap(lpos, lrows), _remap(rpos, rrows)
         if residual:
             frame = Frame.joined(left, right, lpos, rpos)
             keep = _true_positions(
                 self._evaluator(frame).mask(nodes.conjoin(residual)))
             lpos, rpos = lpos[keep], rpos[keep]
         if pad:
-            lpos, rpos = _pad_unmatched(lpos, rpos, left.nrows)
+            lpos, rpos = rel_join.pad_unmatched(lpos, rpos, left.nrows)
         return Frame.joined(left, right, lpos, rpos)
 
     def _split_join_condition(self, condition: Optional[ast.Expr],

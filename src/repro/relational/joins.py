@@ -154,13 +154,31 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
                    how: str = "inner") -> tuple[np.ndarray, np.ndarray]:
     """Matching position pairs (lpos, rpos) for an equi-join.
 
-    For ``how="left"`` unmatched left rows appear with rpos ``-1``.
-    Duplicate keys on either side produce the full cross of matches.
-    Pairs come in left-row order, each left row's matches in right-row
-    order.
+    A nil in any key column matches nothing, as in SQL: an inner join
+    drops that row, and ``how="left"`` keeps a left one with rpos ``-1``,
+    like every other unmatched left row.  Keys whose cached ``tnonil`` bit
+    is set skip the nil scan.  Duplicate keys on either side produce the
+    full cross of matches.  Pairs come in left-row order, each left row's
+    matches in right-row order.
     """
     if how not in ("inner", "left"):
         raise RelationError(f"unsupported join type {how!r}")
+    nleft = len(left_keys[0]) if left_keys else 0
+    lrows, left_keys = _non_nil_keys(left_keys)
+    rrows, right_keys = _non_nil_keys(right_keys)
+    # With nil left keys a LEFT join probes the other rows as an inner
+    # join and gets its unmatched rows added afterwards.
+    pad = how == "left" and lrows is not None
+    lpos, rpos = _probe(left_keys, right_keys, "inner" if pad else how)
+    lpos, rpos = _remap(lpos, lrows), _remap(rpos, rrows)
+    if pad:
+        lpos, rpos = pad_unmatched(lpos, rpos, nleft)
+    return lpos, rpos
+
+
+def _probe(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
+           how: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`join_positions` over nil-free keys."""
     lcodes, rcodes, k = encode_keys(left_keys, right_keys)
     counts = np.bincount(rcodes, minlength=k)
     if counts.max(initial=0) <= 1:
@@ -185,6 +203,46 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     else:
         order_r = _stable_order(rcodes, k)
     return _expand_matches(starts[lcodes], counts[lcodes], order_r, how)
+
+
+def _non_nil_keys(keys: Sequence[BAT]) \
+        -> tuple[np.ndarray | None, Sequence[BAT]]:
+    """(rows whose keys are all non-nil, those rows' keys); the rows are
+    ``None`` when no key holds a nil."""
+    nil = None
+    for key in keys:
+        if not key.tnonil:
+            nil = key.is_nil() if nil is None else nil | key.is_nil()
+    if nil is None:
+        return None, keys
+    rows = np.flatnonzero(~nil)
+    return rows, [key.fetch(rows, positions_sorted=True, positions_key=True)
+                  for key in keys]
+
+
+def _remap(positions: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """Positions into a row subset, mapped back to the full side (``-1``
+    stays ``-1``)."""
+    if rows is None:
+        return positions
+    out = np.full(len(positions), -1, dtype=np.int64)
+    hit = positions >= 0
+    out[hit] = rows[positions[hit]]
+    return out
+
+
+def pad_unmatched(lpos: np.ndarray, rpos: np.ndarray,
+                  nleft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Add a ``(row, -1)`` pair for every left row absent from ``lpos``,
+    in left-row order (``lpos`` is non-decreasing), as a LEFT JOIN emits
+    them."""
+    matched = np.zeros(nleft, dtype=bool)
+    matched[lpos] = True
+    missing = np.flatnonzero(~matched)
+    lpos = np.concatenate([lpos, missing])
+    rpos = np.concatenate([rpos, np.full(len(missing), -1, dtype=np.int64)])
+    order = np.argsort(lpos, kind="stable")
+    return lpos[order], rpos[order]
 
 
 def _stable_order(codes: np.ndarray, k: int) -> np.ndarray:
@@ -227,12 +285,13 @@ def merge_join_positions(left_keys: Sequence[BAT],
     call falls back to the hash path.
 
     STR keys stay on the hash path (nil ordering of object tails is not
-    total); DBL qualifies because its ``tsorted`` contract is nil-free.
+    total); keys holding a nil do too, since nil matches nothing.
     """
     if (len(left_keys) == len(right_keys) == 1
             and left_keys[0].dtype is right_keys[0].dtype
             and left_keys[0].dtype in MERGE_TYPES
-            and left_keys[0].tsorted and right_keys[0].tsorted):
+            and left_keys[0].tsorted and right_keys[0].tsorted
+            and left_keys[0].tnonil and right_keys[0].tnonil):
         if how not in ("inner", "left"):
             raise RelationError(f"unsupported join type {how!r}")
         left_tail, right_tail = left_keys[0].tail, right_keys[0].tail

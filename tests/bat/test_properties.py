@@ -20,7 +20,7 @@ from repro.bat.bat import BAT, DataType, NIL_INT
 from repro.bat.kernels import compare, thetaselect
 from repro.bat.sorting import check_key, order_by
 from repro.errors import BatError
-from repro.relational.joins import join_positions
+from repro.relational.joins import join, join_positions
 from repro.relational.relation import Relation
 
 # The "ci" profile (tests/conftest.py) runs ten times as many examples.
@@ -263,12 +263,13 @@ def oracle_join(left: list[BAT], right: list[BAT],
                 how: str) -> tuple[np.ndarray, np.ndarray]:
     """Nested-loop pairs in left-row order, each left row's matches in
     right-row order.  Keys compare as decoded values, so INT 1 meets DBL
-    1.0 and nil meets nil (the SQL layer drops nil keys before a join)."""
+    1.0, and nil meets nothing, as in SQL."""
     lrows = list(zip(*[b.python_values() for b in left]))
     rrows = list(zip(*[b.python_values() for b in right]))
     pairs = []
     for i, lrow in enumerate(lrows):
-        matches = [(i, j) for j, rrow in enumerate(rrows) if lrow == rrow]
+        matches = [(i, j) for j, rrow in enumerate(rrows)
+                   if lrow == rrow and None not in lrow]
         if not matches and how == "left":
             matches = [(i, -1)]
         pairs += matches
@@ -394,6 +395,28 @@ class TestOnOffEquivalence:
 
 class TestReviewRegressions:
     """Regressions for the soundness corners found in review."""
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_nil_keys_match_nothing(self, how):
+        left = [BAT.from_values([1, None], DataType.INT)]
+        right = [BAT.from_values([None, 1], DataType.INT)]
+        lpos, rpos = join_positions(left, right, how)
+        np.testing.assert_array_equal(lpos, [0, 1] if how == "left"
+                                      else [0])
+        np.testing.assert_array_equal(rpos, [1, -1] if how == "left"
+                                      else [1])
+        assert_join_matches(left, right, how)
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_join_drops_the_nil_pair(self, how):
+        left = Relation.from_columns({"k": [1, None], "a": [1.0, 2.0]})
+        right = Relation.from_columns({"j": [None, 1], "b": [3.0, 4.0]})
+        out = join(left, right, ["k"], ["j"], how=how)
+        rows = list(zip(*[col.python_values() for col in out.columns]))
+        expected = [(1, 1.0, 1, 4.0)]
+        if how == "left":
+            expected.append((None, 2.0, None, None))
+        assert rows == expected
 
     def test_join_mixed_type_keys_with_nils(self):
         # encode_keys casts INT keys to DBL when the other side is DBL:
@@ -533,19 +556,18 @@ def aligned_bats(draw):
 @st.composite
 def join_sides(draw):
     """Cold left and right key lists of equal width and matching dtypes
-    (INT against DBL on a single key, the cast path).  No nil strings:
-    the key encoder cannot rank them, and SQL drops nil keys first."""
+    (INT against DBL on a single key, the cast path), nils included:
+    a nil key matches nothing, so no type's nils reach the key encoder."""
     width = draw(st.integers(1, 2))
     nl, nr = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     left, right = [], []
     for _ in range(width):
         dtype = draw(st.sampled_from(sorted(DOMAINS, key=str)))
-        nils = dtype is not DataType.STR
-        left.append(draw(random_bat(dtype, nl, nils=nils)))
+        left.append(draw(random_bat(dtype, nl)))
         rtype = dtype
         if width == 1 and dtype in (DataType.INT, DataType.DBL):
             rtype = draw(st.sampled_from([DataType.INT, DataType.DBL]))
-        right.append(draw(random_bat(rtype, nr, nils=nils)))
+        right.append(draw(random_bat(rtype, nr)))
     return left, right
 
 

@@ -10,13 +10,16 @@ boundaries) keep their unfused shape.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.bat.bat import BAT, DataType
 from repro.core.algebra import add, sadd, smul, ssub, sub
 from repro.core.config import RmaConfig
 from repro.core.ops import execute_fused
 from repro.core.context import FusionFallback
-from repro.errors import RmaError
+from repro.errors import ReproError, RmaError
 from repro.linalg.kernels import KernelProgram, KernelStep, run_program
 from repro.plan import nodes
 from repro.plan.expr import col
@@ -232,20 +235,6 @@ class TestFusionRewrite:
         assert not find_fused(pipe.plan)
         assert find_fused(optimize(pipe.plan, Catalog(), keep_all=True))
 
-    def test_unfuse_reconstructs_chain(self):
-        r0, r1, r2 = (chain_relation(i) for i in range(3))
-        m0, m1, m2 = matrices(r0, r1, r2)
-        pipe = 2.0 * (m0 + m1 - m2)
-        plan = optimize(pipe.plan, Catalog(), keep_all=True)
-        fused = find_fused(plan)[0]
-        rebuilt = nodes.unfuse(fused)
-        assert isinstance(rebuilt, nodes.Rma)
-        assert rebuilt.op == "smul"
-        assert rebuilt.by == (("k0", "k1", "k2"),)
-        inner = rebuilt.inputs[0]
-        assert inner.op == "sub" and inner.by == (("k0", "k1"), ("k2",))
-        assert inner.inputs[0].op == "add"
-
 
 # -- fused-vs-unfused bit-identity ---------------------------------------------
 
@@ -453,3 +442,149 @@ class TestSqlFusion:
             expr.collect()
             assert relations_equal(eager, expr.collect())
             assert db.last_stats.cache_hits >= 1
+
+
+# -- random element-wise trees --------------------------------------------------
+
+# The "ci" profile (tests/conftest.py) runs ten times as many examples.
+SCALE = 10 if settings.get_current_profile_name() == "ci" else 1
+
+ELEMENTWISE = ["add", "sub", "emu"]
+SCALARS = ["sadd", "ssub", "smul", "sdiv"]
+
+
+def _key_columns(kind: str, index: int, perm: np.ndarray) -> dict:
+    """Key columns of leaf ``index`` over the row permutation ``perm``."""
+    if kind == "int":
+        return {f"k{index}": (perm * 3 - 5).astype(np.int64)}
+    if kind == "str":
+        return {f"k{index}": [f"s{v:03d}" for v in perm]}
+    return {f"k{index}a": (perm // 2).astype(np.int64),
+            f"k{index}b": [f"m{v % 2}" for v in perm]}
+
+
+@st.composite
+def leaf_relations(draw):
+    """2-5 leaves of one cardinality and width, stored in shuffled order.
+    A leaf may hold a duplicate key, and a later leaf may be a renamed
+    view of leaf 0's order BATs."""
+    n = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    leaves = []
+    for i in range(draw(st.integers(2, 5))):
+        if i and draw(st.integers(0, 3)) == 3:
+            first, first_by = leaves[0]
+            keys = {f"{name}_{i}": first.column(name) for name in first_by}
+        else:
+            keys = _key_columns(
+                draw(st.sampled_from(["int", "str", "composite"])), i,
+                rng.permutation(n))
+            if n > 1 and draw(st.integers(0, 2)) == 2:
+                for name, values in keys.items():
+                    values[1] = values[0]
+        data = dict(keys)
+        for j in range(width):
+            data[f"c{j}"] = rng.uniform(-5.0, 5.0, n)
+        leaves.append((Relation.from_columns(data), tuple(keys)))
+    return leaves
+
+
+@st.composite
+def chain_tree(draw, lo: int, hi: int):
+    """An element-wise tree over leaves ``lo .. hi - 1``: left-deep when
+    every split peels the last leaf, bushy (``(a + b) - (c + d)``)
+    otherwise, with scalar steps wrapped around any node."""
+    if hi - lo == 1:
+        node = ("leaf", lo)
+    else:
+        split = draw(st.integers(lo + 1, hi - 1))
+        node = (draw(st.sampled_from(ELEMENTWISE)),
+                draw(chain_tree(lo, split)), draw(chain_tree(split, hi)))
+    while draw(st.integers(0, 3)) == 3:
+        node = (draw(st.sampled_from(SCALARS)),
+                draw(st.sampled_from([2.5, -1.5, 0.5])), node)
+    return node
+
+
+def subtrees(tree, handles: list) -> list:
+    """The expression of every operation node of ``tree``, children before
+    their parents (the whole tree last)."""
+    built = []
+
+    def build(node):
+        op = node[0]
+        if op == "leaf":
+            return handles[node[1]]
+        if op in ELEMENTWISE:
+            expr = getattr(build(node[1]), op)(build(node[2]))
+        else:
+            expr = getattr(build(node[2]), op)(node[1])
+        built.append(expr)
+        return expr
+
+    build(tree)
+    return built
+
+
+def outcome(run):
+    try:
+        return run()
+    except ReproError as exc:
+        return exc
+
+
+def assert_bits_equal(a: Relation, b: Relation) -> None:
+    assert a.names == b.names
+    for name in a.names:
+        ca, cb = a.column(name), b.column(name)
+        assert ca.dtype is cb.dtype, name
+        if ca.dtype is DataType.DBL:
+            assert ca.tail.tobytes() == cb.tail.tobytes(), name
+        else:
+            assert ca.tail.tolist() == cb.tail.tolist(), name
+
+
+def assert_seeds_fresh(result: Relation) -> None:
+    """Every order and key verdict the merge step planted equals a fresh
+    computation over copies of the columns."""
+    for names, info in result._order_cache.items():
+        tails = [result.column(n).tail.copy() for n in names]
+        if info.known_positions is not None:
+            fresh = Relation.from_columns(
+                {n: BAT(result.column(n).dtype, t)
+                 for n, t in zip(names, tails)}).order_info(names)
+            assert np.array_equal(info.known_positions,
+                                  fresh.positions), names
+        if info.known_is_key is not None:
+            rows = set(zip(*[t.tolist() for t in tails]))
+            assert info.known_is_key == (len(rows) == result.nrows), names
+
+
+class TestRandomChains:
+    """Random element-wise trees: for the whole tree and each subtree, the
+    optimized, fused plan gives what the unoptimized plan gives, step by
+    step — the same schema and bits, or the same error type and text — and
+    its seeded orders are fresh sorts."""
+
+    @settings(max_examples=100 * SCALE, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(leaves=leaf_relations(), data=st.data(),
+           validate_keys=st.booleans(), optimize_sorting=st.booleans())
+    def test_fused_matches_unoptimized(self, leaves, data, validate_keys,
+                                       optimize_sorting, run_unoptimized):
+        tree = data.draw(chain_tree(0, len(leaves)))
+        config = RmaConfig(validate_keys=validate_keys,
+                           optimize_sorting=optimize_sorting)
+        db = repro.connect(plan_cache=False)
+        handles = [db.matrix(rel, by=by) for rel, by in leaves]
+        for expr in subtrees(tree, handles):
+            fused = outcome(lambda: expr.collect(config=config))
+            reference = outcome(lambda: run_unoptimized(db, expr, config))
+            if isinstance(reference, Exception):
+                assert type(fused) is type(reference)
+                assert str(fused) == str(reference)
+                continue
+            assert isinstance(fused, Relation), fused
+            assert_bits_equal(fused, reference)
+            assert_seeds_fresh(fused)

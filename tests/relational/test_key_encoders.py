@@ -62,9 +62,14 @@ def ref_groups(tails):
 
 def ref_join(left, right, how):
     """Brute force over reference codes: left rows ascending, each with
-    its matching right rows ascending (-1 when a left join misses)."""
+    its matching right rows ascending (-1 when a left join misses).  A row
+    with a nil key matches nothing, as in SQL."""
     ltails, rtails = [], []
+    lnil = np.zeros(len(left[0]), dtype=bool)
+    rnil = np.zeros(len(right[0]), dtype=bool)
     for lc, rc in zip(left, right):
+        lnil |= lc.is_nil()
+        rnil |= rc.is_nil()
         if lc.dtype is not rc.dtype:
             lc, rc = lc.cast(DataType.DBL), rc.cast(DataType.DBL)
         ltails.append(lc.tail)
@@ -74,7 +79,8 @@ def ref_join(left, right, how):
     lcodes, rcodes = codes[:len(left[0])], codes[len(left[0]):]
     lpos, rpos = [], []
     for i, code in enumerate(lcodes):
-        matches = np.nonzero(rcodes == code)[0].tolist()
+        matches = [] if lnil[i] else \
+            np.nonzero((rcodes == code) & ~rnil)[0].tolist()
         if not matches and how == "left":
             matches = [-1]
         lpos += [i] * len(matches)
