@@ -96,18 +96,34 @@ def _timeit(func: Callable[[], object], repeat: int = 5,
     cost from its result, for runs that time their own phases; by
     default the cost is the call's wall time.
     """
+    return _timeit_rounds([func], repeat, seconds)[0]
+
+
+def _timeit_rounds(funcs: Sequence[Callable[[], object]], repeat: int = 5,
+                   seconds: Callable[[object], float] | None = None
+                   ) -> list[tuple[float, object]]:
+    """:func:`_timeit` of each of ``funcs``, run in alternating rounds.
+
+    After one warmup call each, every round runs each function once, so
+    the systems a claim compares share every load swing of a shared host
+    instead of one of them meeting it alone.  The order alternates from
+    round to round, so neither side always runs first.
+    """
     gc.collect()  # stabilize allocator layout across sweep points
-    func()  # warmup: page-faults, allocator, numpy dispatch
-    best, best_result = float("inf"), None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = func()
-        elapsed = time.perf_counter() - start
-        if seconds is not None:
-            elapsed = seconds(result)
-        if elapsed < best:
-            best, best_result = elapsed, result
-    return best, best_result
+    for func in funcs:
+        func()  # warmup: page-faults, allocator, numpy dispatch
+    best: list[tuple[float, object]] = [(float("inf"), None)] * len(funcs)
+    for round_ in range(repeat):
+        order = range(len(funcs))
+        for i in (order if round_ % 2 == 0 else reversed(order)):
+            start = time.perf_counter()
+            result = funcs[i]()
+            elapsed = time.perf_counter() - start
+            if seconds is not None:
+                elapsed = seconds(result)
+            if elapsed < best[i][0]:
+                best[i] = (elapsed, result)
+    return best
 
 
 def _config(optimize: bool = True,
@@ -122,20 +138,30 @@ def _config(optimize: bool = True,
 CONNECT = " connect()"
 
 
-def _time_rma(row: dict, name: str, config: RmaConfig, op: str,
+def _time_rma(row: dict, names: Sequence[str],
+              configs: Sequence[RmaConfig], op: str,
               *operands: tuple) -> None:
-    """Time ``op`` over ``(relation, by)`` operands twice: ``execute_rma``
-    alone into column ``name``, and the ``Matrix`` method of the same name
-    on a ``repro.connect()`` session into column ``name + CONNECT``."""
-    db = connect(config=config, plan_cache=False)
+    """Time ``op`` over ``(relation, by)`` operands under each of
+    ``configs``, in alternating rounds: ``execute_rma`` alone into the
+    columns ``names``, and the ``Matrix`` method of the same name on a
+    ``repro.connect()`` session into the columns ``name + CONNECT``."""
     args = [part for operand in operands for part in operand]
-    row[name] = _timeit(lambda: execute_rma(op, *args, config=config))[0]
 
-    def api():
-        first, *rest = [db.matrix(rel, by=by) for rel, by in operands]
-        return getattr(first, op)(*rest).collect()
+    def engine(config):
+        return lambda: execute_rma(op, *args, config=config)
 
-    row[name + CONNECT] = _timeit(api)[0]
+    def api(config):
+        db = connect(config=config, plan_cache=False)
+
+        def run():
+            first, *rest = [db.matrix(rel, by=by) for rel, by in operands]
+            return getattr(first, op)(*rest).collect()
+        return run
+
+    for suffix, make in (("", engine), (CONNECT, api)):
+        timed = _timeit_rounds([make(config) for config in configs])
+        for name, (elapsed, _) in zip(names, timed):
+            row[name + suffix] = elapsed
 
 
 def _exceeds(result: ExperimentResult, text: str,
@@ -185,12 +211,13 @@ def fig13(scale: float = 1.0, wide: bool = True) -> ExperimentResult:
         r_by = order_names(r)
         s_by = [f"s_{name}" for name in r_by]
         row = {"#order attrs": n_order}
-        for optimize, add, qqr in ((False, "add", "qqr"),
-                                   (True, "add relative sorting",
-                                    "qqr w/o sorting")):
-            config = _config(optimize=optimize)
-            _time_rma(row, add, config, "add", (r, r_by), (s, s_by))
-            _time_rma(row, qqr, config, "qqr", (r, r_by))
+        # Each op's two configs are timed in alternating rounds: the
+        # claims compare them.
+        configs = (_config(optimize=False), _config(optimize=True))
+        _time_rma(row, ("add", "add relative sorting"), configs, "add",
+                  (r, r_by), (s, s_by))
+        _time_rma(row, ("qqr", "qqr w/o sorting"), configs, "qqr",
+                  (r, r_by))
         result.add_row(**row)
         del r, s
         gc.collect()
@@ -219,7 +246,8 @@ def table4(scale: float = 1.0) -> ExperimentResult:
     for n_attrs in sweep:
         r, s = uniform_pair(n_rows, n_attrs, seed=4)
         row = {"#attrs": n_attrs}
-        _time_rma(row, "seconds", _config(), "add", (r, "id1"), (s, "id2"))
+        _time_rma(row, ("seconds",), (_config(),), "add", (r, "id1"),
+                  (s, "id2"))
         result.add_row(**row)
         del r, s
         gc.collect()
@@ -241,7 +269,8 @@ def table5(scale: float = 1.0) -> ExperimentResult:
     for percent in range(0, 101, 10):
         r, s = sparse_pair(n_rows, 10, percent / 100.0, seed=5)
         row = {"% zeros": percent}
-        _time_rma(row, "seconds", _config(), "add", (r, "id1"), (s, "id2"))
+        _time_rma(row, ("seconds",), (_config(),), "add", (r, "id1"),
+                  (s, "id2"))
         result.add_row(**row)
         # Free before the next build: reallocation on a clean heap keeps
         # array placement (and thus cache behaviour) comparable across
@@ -292,7 +321,7 @@ def table6(scale: float = 1.0) -> ExperimentResult:
                 r_seconds = _timeit(r_run)[0]
             config = _config(memory_limit=rma_memory_cap)
             row = {"tuples": n_rows, "attrs": n_cols, "R": r_seconds}
-            _time_rma(row, "RMA+", config, "qqr", (relation, "id"))
+            _time_rma(row, ("RMA+",), (config,), "qqr", (relation, "id"))
             row["RMA+ backend"] = config.policy.choose(
                 "qqr", (n_rows, n_cols)).name
             result.add_row(**row)
@@ -450,13 +479,16 @@ def _workload_table(experiment: str, title: str, param_name: str, points,
                     run, rtol: float) -> ExperimentResult:
     """One row per ``(param, dataset, systems)`` point.  Each system's
     numbers come from its fastest run by total time, by ``_timeit``'s
-    rule; every system must compute the first system's answer."""
+    rule, with a point's systems timed in alternating rounds
+    (:func:`_timeit_rounds`); every system must compute the first
+    system's answer."""
     results_by_param = []
     for param, dataset, systems in points:
-        results_by_param.append((param, [
-            _timeit(lambda: run(dataset, (system,))[0], repeat=3,
-                    seconds=lambda r: r.times.total)[1]
-            for system in systems]))
+        timed = _timeit_rounds(
+            [lambda system=system: run(dataset, (system,))[0]
+             for system in systems],
+            repeat=3, seconds=lambda r: r.times.total)
+        results_by_param.append((param, [result for _, result in timed]))
     systems = list(dict.fromkeys(r.system for _, results in results_by_param
                                  for r in results))
     headers = [param_name]

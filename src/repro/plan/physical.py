@@ -26,7 +26,9 @@ Two layers live here:
   :func:`repro.relational.joins.join_positions`: it encodes the keys of
   both sides in one pass into shared codes (offsets for small integer
   domains) and probes a slot table when the right keys are unique, by
-  counting otherwise.
+  counting otherwise.  The executor keeps the key codes it computed per
+  tuple of key BATs for the statement (``Executor._codes``), so a join
+  over the columns a GROUP BY coded reuses the GROUP BY's codes.
 
 Frames materialize late, the way MonetDB passes candidate lists and
 positional joins between operators.  A frame holds, per source relation,
@@ -40,6 +42,23 @@ position vector gather it once, and each expression computes a repeated
 subexpression once.  An expression over a star join's small dimensions
 runs once per distinct combination of their rows and is gathered to the
 join's rows once (:meth:`Frame.domain`, :class:`ExpressionEvaluator`).
+Position vectors carry whether they are non-decreasing and free of
+duplicates (Filter candidate lists, a join's left positions), so a sorted
+base column gathered through them stays sorted without a rescan.
+
+Joins run at the key's own domain where they can (the invisible join of
+Abadi, Madden & Hachem, SIGMOD 2008).  A frame keeps column equivalence
+classes, derived from the inner equi-join conjuncts of two bare columns
+that made it (a LEFT JOIN's ON clause makes none).  When a join's left
+keys are equivalent to columns of one source of at most an eighth of the
+frame's rows, and the right key is unique, the executor probes that
+source's rows and composes the matches through its position vector: Fig.
+15's station joins probe the ~100–600 frequent pairs, not ~50k trips.
+The right side's sources then derive from that source
+(``_Source.parent``), and :meth:`Frame.domain` keys an expression over
+them by the parent's positions, once per pair.  Each JoinPlan's condition
+is split into equi-join pairs and residual conjuncts once per plan
+(``PhysicalInfo.join_sides``); name lookups on that path raise nothing.
 
 Because relations are immutable, the memoized CSE results share their
 per-relation order caches across uses.  A scan or RMA result enters the
@@ -104,37 +123,61 @@ class _Source:
 
     ``positions`` is ``None`` for the identity.  ``nullable`` marks
     positions that may be ``-1`` (LEFT JOIN rows without a match); those
-    rows read as nil when a column is gathered.  ``gathered`` is the
-    executor's table of gathered columns: sources that read one base
-    column through one position vector object (the frames of a statement
-    sharing a Filter's candidate list) gather it once.
+    rows read as nil when a column is gathered.  ``positions_sorted`` and
+    ``positions_key`` say that the positions are non-decreasing and free
+    of duplicates; a gather hands them to :meth:`BAT.fetch`, so a sorted
+    base column stays sorted without a rescan.  They compose through
+    :meth:`take` and are never set on nullable positions.  ``gathered``
+    is the executor's table of gathered columns: sources that read one
+    base column through one position vector object (the frames of a
+    statement sharing a Filter's candidate list) gather it once.
+
+    ``parent`` is ``(root, vector)`` when the positions derive from a
+    non-nullable ``root`` source of the same frame, ``positions ==
+    vector[root.positions]``: the right side of a join probed at the
+    root's rows (:meth:`Executor._small_probe`).  :meth:`Frame.domain`
+    then codes the rows by the root's positions.
     """
 
-    __slots__ = ("columns", "positions", "nullable", "gathered")
+    __slots__ = ("columns", "positions", "nullable", "gathered",
+                 "positions_sorted", "positions_key", "parent")
 
     def __init__(self, columns: dict[str, BAT],
                  positions: np.ndarray | None = None,
                  nullable: bool = False,
-                 gathered: dict[tuple, tuple] | None = None):
+                 gathered: dict[tuple, tuple] | None = None,
+                 positions_sorted: bool = False,
+                 positions_key: bool = False):
         self.columns = columns
         self.positions = positions
         self.nullable = nullable
         self.gathered = gathered
+        self.positions_sorted = positions_sorted and not nullable
+        self.positions_key = positions_key and not nullable
+        self.parent: "tuple[_Source, np.ndarray] | None" = None
 
-    def take(self, outer: np.ndarray, outer_nullable: bool = False) \
+    def take(self, outer: np.ndarray, outer_nullable: bool = False,
+             outer_sorted: bool = False, outer_key: bool = False) \
             -> "_Source":
-        """This source seen through ``outer``, positions into its rows."""
+        """This source seen through ``outer``, positions into its rows;
+        ``outer_sorted``/``outer_key`` describe ``outer``."""
         if self.positions is None:
             return _Source(self.columns, outer, outer_nullable,
-                           self.gathered)
+                           self.gathered, outer_sorted, outer_key)
         if not outer_nullable:
             # -1 entries of a nullable source propagate through the gather.
             return _Source(self.columns, self.positions[outer],
-                           self.nullable, self.gathered)
+                           self.nullable, self.gathered,
+                           self.positions_sorted and outer_sorted,
+                           self.positions_key and outer_key)
         positions = np.full(len(outer), -1, dtype=np.int64)
         hit = outer >= 0
         positions[hit] = self.positions[outer[hit]]
         return _Source(self.columns, positions, True, self.gathered)
+
+    def base_rows(self) -> int:
+        """The rows of the base relation."""
+        return len(next(iter(self.columns.values())))
 
     def gather(self, name: str) -> BAT:
         base = self.columns[name]
@@ -154,7 +197,44 @@ class _Source:
     def _gather(self, base: BAT) -> BAT:
         if self.nullable:
             return _gather_nullable(base, self.positions)
-        return base.fetch(self.positions)
+        if self.positions_sorted and base.dtype in _INTEGER_TAILS:
+            # One vectorized scan, cached on the base column (a catalog
+            # column pays it once): a sorted base gathered in order stays
+            # sorted without a rescan of every gathered copy.
+            base.tsorted
+        return base.fetch(self.positions, self.positions_sorted,
+                          self.positions_key)
+
+
+def _take_sources(sources: list[_Source], outer: np.ndarray,
+                  nullable: bool = False, outer_sorted: bool = False,
+                  outer_key: bool = False) -> list[_Source]:
+    """Every source seen through ``outer``; a ``parent`` link to a source
+    of the list follows it to its taken copy (through non-nullable
+    positions only, so the root stays non-nullable)."""
+    taken = [s.take(outer, nullable, outer_sorted, outer_key)
+             for s in sources]
+    if not nullable:
+        copies = {id(s): t for s, t in zip(sources, taken)}
+        for source, copy in zip(sources, taken):
+            if source.parent is not None:
+                root = copies.get(id(source.parent[0]))
+                if root is not None:
+                    copy.parent = (root, source.parent[1])
+    return taken
+
+
+_INTEGER_TAILS = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID)
+
+
+def _compose(positions: np.ndarray | None, slot: np.ndarray) -> np.ndarray:
+    """``positions[slot]`` with ``-1`` slots kept (``None``: identity)."""
+    if positions is None:
+        return slot
+    out = np.full(len(slot), -1, dtype=np.int64)
+    hit = slot >= 0
+    out[hit] = positions[slot[hit]]
+    return out
 
 
 def _gather_nullable(base: BAT, positions: np.ndarray) -> BAT:
@@ -205,11 +285,13 @@ class Frame:
     _mint_lock = threading.Lock()  # one minting per view, whoever asks
 
     def __init__(self, bindings: list[Binding], sources: list[_Source],
-                 nrows: int, cache: dict[str, BAT] | None = None):
+                 nrows: int, cache: dict[str, BAT] | None = None,
+                 classes: tuple[frozenset, ...] = ()):
         self._bind(bindings, sources)
         self.nrows = nrows
         self.origin: Relation | None = None
         self._cache = cache if cache is not None else {}
+        self.classes = classes
 
     def _bind(self, bindings: list[Binding], sources: list[_Source]) -> None:
         # A later source overrides an earlier one for the names it holds;
@@ -233,6 +315,7 @@ class Frame:
         frame.nrows = relation.nrows
         frame.origin = relation
         frame._cache = {}
+        frame.classes = ()
         frame._view = (alias, gathered)
         return frame
 
@@ -264,40 +347,74 @@ class Frame:
 
     @classmethod
     def joined(cls, left: "Frame", right: "Frame", lpos: np.ndarray,
-               rpos: np.ndarray) -> "Frame":
+               rpos: np.ndarray, lpos_sorted: bool = False,
+               lpos_key: bool = False, classes: tuple[frozenset, ...] = (),
+               root: "tuple[_Source, np.ndarray] | None" = None) -> "Frame":
         """Row ``i`` pairs ``left`` row ``lpos[i]`` with ``right`` row
-        ``rpos[i]`` (``-1``: no match, read as nil).
+        ``rpos[i]`` (``-1``: no match, read as nil); ``lpos=None`` is the
+        identity.
 
         A side whose positions are the identity keeps its position
-        vectors and its already gathered columns.
+        vectors and its already gathered columns.  ``lpos_sorted`` and
+        ``lpos_key`` say that ``lpos`` is non-decreasing and free of
+        duplicates; ``classes`` are the output's column equivalence
+        classes.  ``root`` is ``(source, slot)`` when ``rpos ==
+        slot[source.positions[lpos]]`` for a source of ``left``: the
+        right side's sources then derive from it (``_Source.parent``).
         """
         cache: dict[str, BAT] = {}
-        if len(lpos) == left.nrows and is_identity(lpos):
+        root_copy = None
+        if lpos is None or (len(lpos) == left.nrows and is_identity(lpos)):
             sources = list(left.sources)
             cache.update(left._cache)
+            if root is not None:
+                root_copy = root[0]
         else:
-            sources = [s.take(lpos) for s in left._reusable_sources()]
+            reusable = left._reusable_sources()
+            sources = _take_sources(reusable, lpos, False, lpos_sorted,
+                                    lpos_key)
+            if root is not None:
+                root_copy = next(copy for source, copy in
+                                 zip(reusable, sources) if source is root[0])
         nullable = bool(len(rpos)) and int(rpos.min()) < 0
         if (not nullable and len(rpos) == right.nrows
                 and is_identity(rpos)):
             sources += right.sources
             cache.update(right._cache)
         else:
-            sources += [s.take(rpos, nullable)
-                        for s in right._reusable_sources()]
-        return cls(left.bindings + right.bindings, sources, len(lpos), cache)
+            reusable = right._reusable_sources()
+            taken = _take_sources(reusable, rpos, nullable)
+            if root_copy is not None:
+                for source, copy in zip(reusable, taken):
+                    copy.parent = (root_copy,
+                                   _compose(source.positions, root[1]))
+            sources += taken
+        return cls(left.bindings + right.bindings, sources, len(rpos), cache,
+                   classes)
 
     # -- resolution ----------------------------------------------------------
 
-    def resolve(self, ref: ast.ColumnRef) -> str:
-        def lookup(candidates: list[Binding]) -> list[Binding]:
-            return [b for b in candidates
-                    if b.name == ref.name
-                    and (ref.table is None or b.alias == ref.table)]
-
-        matches = lookup(self.visible_bindings())
+    def _matches(self, ref: ast.ColumnRef) -> list[Binding]:
+        """The visible bindings ``ref`` names, else the hidden ones."""
+        name, table = ref.name, ref.table
+        matches = [b for b in self.bindings
+                   if b.name == name and not b.hidden
+                   and (table is None or b.alias == table)]
         if not matches:
-            matches = lookup([b for b in self.bindings if b.hidden])
+            matches = [b for b in self.bindings
+                       if b.name == name and b.hidden
+                       and (table is None or b.alias == table)]
+        return matches
+
+    def find(self, ref: ast.ColumnRef) -> str | None:
+        """:meth:`resolve`, or ``None`` where it would raise."""
+        matches = self._matches(ref)
+        if not matches or (len(matches) > 1 and ref.table is None):
+            return None
+        return matches[0].internal
+
+    def resolve(self, ref: ast.ColumnRef) -> str:
+        matches = self._matches(ref)
         if not matches:
             known = sorted({b.name for b in self.bindings})
             raise BindError(
@@ -337,7 +454,8 @@ class Frame:
 
     def with_bindings(self, bindings: list[Binding]) -> "Frame":
         """The same rows with a subset of the bindings."""
-        return Frame(bindings, self.sources, self.nrows, dict(self._cache))
+        return Frame(bindings, self.sources, self.nrows, dict(self._cache),
+                     self.classes)
 
     def projected(self, names: list[str], columns: list[BAT]) -> "Frame":
         """A frame whose visible columns are ``columns`` under ``names``.
@@ -352,7 +470,7 @@ class Frame:
         hidden = [Binding(b.alias, b.name, b.internal, hidden=True)
                   for b in self.bindings]
         return Frame(bindings + hidden, [computed] + self.sources,
-                     self.nrows, dict(self._cache))
+                     self.nrows, dict(self._cache), self.classes)
 
     def to_relation(self, bindings: list[Binding]) -> Relation:
         """The bound columns under their internal names."""
@@ -383,33 +501,38 @@ class Frame:
             -> "tuple[Frame, np.ndarray] | None":
         """The distinct rows of the sources ``internals`` are read from,
         as a frame, and each row's index into it; ``None`` unless every
-        such source has a position vector and their base cardinalities
-        (plus one for ``-1``) multiply to at most ``nrows / 8``.
+        such source has a position vector and their roots' base
+        cardinalities (plus one for ``-1``) multiply to at most
+        ``nrows / 8``.
 
-        A row's code is its sources' positions as the digits of one mixed
+        A source's root is its ``parent`` source when it derives from one
+        (a join probed at the parent's rows), else the source itself.  A
+        row's code is its roots' positions as the digits of one mixed
         radix number, ``-1`` (a LEFT JOIN miss) a digit of its own.  The
         codes that occur, in code order, are the domain; the domain frame
-        reads each source's base columns at their positions only, with the
-        bindings of those sources.
+        reads each source's base columns at the positions its root's
+        digits map to, with the bindings of those sources.
         """
-        owners: dict[int, tuple[_Source, int]] = {}
+        owners: dict[int, _Source] = {}
         for internal in internals:
             source = self._owner[internal]
             if source.positions is None:
                 return None
-            owners.setdefault(id(source),
-                              (source, len(source.columns[internal])))
+            owners.setdefault(id(source), source)
+        roots: dict[int, tuple[_Source, int]] = {}
+        for source in owners.values():
+            root = source if source.parent is None else source.parent[0]
+            roots.setdefault(id(root), (root, root.base_rows()))
         strides = []
         size = 1
-        for _, base in owners.values():
+        for _, base in roots.values():
             strides.append(size)
             size *= base + 1
         if size * 8 > self.nrows:
             return None
         codes = None
-        for (source, _), stride in zip(owners.values(), strides):
-            digit = (source.positions + 1 if source.nullable
-                     else source.positions)
+        for (root, _), stride in zip(roots.values(), strides):
+            digit = root.positions + 1 if root.nullable else root.positions
             if codes is None:
                 codes = digit  # the first stride is 1
             else:
@@ -417,25 +540,40 @@ class Frame:
                 digit += codes
                 codes = digit
         distinct = np.flatnonzero(np.bincount(codes, minlength=size))
-        index = np.empty(size, dtype=np.int64)
-        index[distinct] = np.arange(len(distinct), dtype=np.int64)
-        sources = []
-        for (source, base), stride in zip(owners.values(), strides):
+        if len(distinct) and distinct[-1] == len(distinct) - 1:
+            rows = codes  # the codes 0 .. m - 1 all occur: their own index
+        else:
+            index = np.empty(size, dtype=np.int64)
+            index[distinct] = np.arange(len(distinct), dtype=np.int64)
+            rows = index[codes]
+        digits = {}
+        for (root, base), stride in zip(roots.values(), strides):
             positions = distinct // stride % (base + 1)
-            if source.nullable:
+            if root.nullable:
                 positions -= 1
+            digits[id(root)] = positions
+        sources = []
+        for source in owners.values():
+            if source.parent is None:
+                positions = digits[id(source)]
+            else:
+                positions = source.parent[1][digits[id(source.parent[0])]]
             sources.append(_Source(source.columns, positions,
                                    source.nullable))
         bindings = [b for b in self.bindings
                     if id(self._owner[b.internal]) in owners]
-        return Frame(bindings, sources, len(distinct)), index[codes]
+        return Frame(bindings, sources, len(distinct)), rows
 
-    def select_positions(self, positions: np.ndarray) -> "Frame":
+    def select_positions(self, positions: np.ndarray,
+                         positions_sorted: bool = False,
+                         positions_key: bool = False) -> "Frame":
         """The frame's rows at ``positions``: composes every source's
-        position vector once; no column is gathered."""
+        position vector once; no column is gathered.  The flags say that
+        ``positions`` is non-decreasing and free of duplicates."""
         return Frame(self.bindings,
-                     [s.take(positions) for s in self._reusable_sources()],
-                     len(positions))
+                     _take_sources(self._reusable_sources(), positions,
+                                   False, positions_sorted, positions_key),
+                     len(positions), classes=self.classes)
 
     def _reusable_sources(self) -> list[_Source]:
         """The sources plus one over the columns gathered so far, so a
@@ -593,9 +731,8 @@ class ExpressionEvaluator:
         """The expression evaluated over the domain of its sources and
         gathered to the rows, or ``None`` when the domain is too large
         (or a reference does not resolve: the per-row path raises)."""
-        try:
-            internals = [self.frame.resolve(ref) for ref in info.refs]
-        except BindError:
+        internals = [self.frame.find(ref) for ref in info.refs]
+        if None in internals:
             return None
         domain = self.frame.domain(internals)
         if domain is None:
@@ -789,7 +926,9 @@ class PhysicalInfo:
     ``bound_slots`` maps each shareable subplan (its CSE key) to the
     parameter slots its result depends on, and ``filter_keys`` maps each
     Filter to its candidate-list key (:func:`_filter_key`) and the column
-    references it must resolve.
+    references it must resolve.  ``join_sides`` maps each JoinPlan to its
+    condition split into equi-join pairs and residual conjuncts; the split
+    needs the inputs' bindings, so the first run records it.
     """
 
     shared: dict[nodes.Plan, int] = field(default_factory=dict)
@@ -797,6 +936,7 @@ class PhysicalInfo:
     bound_slots: dict[nodes.Plan, tuple[int, ...]] = field(
         default_factory=dict)
     filter_keys: dict[nodes.Filter, tuple] = field(default_factory=dict)
+    join_sides: dict[nodes.JoinPlan, tuple] = field(default_factory=dict)
 
 
 def plan_physical(plan: nodes.Plan) -> PhysicalInfo:
@@ -944,6 +1084,9 @@ class Executor:
         # Columns gathered through a position vector, shared by every
         # frame that reads the same base column through the same vector.
         self._gathered: dict[tuple, tuple] = {}
+        # Key codes per tuple of key BATs (joins.key_codes): a join
+        # reuses the codes a GROUP BY made of its left keys.
+        self._codes: dict[tuple, tuple] = {}
         # Guards the CSE memo and the stats counters: with the morsel
         # engine on, sibling subplans execute on pool workers.
         self._lock = threading.Lock()
@@ -1153,7 +1296,7 @@ class Executor:
                 self._candidates[key] = positions
         if len(positions) == frame.nrows:
             return frame  # every row qualifies
-        return frame.select_positions(positions)
+        return frame.select_positions(positions, True, True)
 
     def _filter_key(self, plan: nodes.Filter) -> tuple:
         """(:func:`_filter_key`, the predicate's column references), from
@@ -1169,7 +1312,7 @@ class Executor:
         not resolve in ``frame``: then evaluation raises its binding
         error instead of reusing another Filter's list."""
         key, refs = self._filter_key(plan)
-        if key is None or not all(self._resolvable(frame, ref)
+        if key is None or not all(frame.find(ref) is not None
                                   for ref in refs):
             return None
         return key
@@ -1224,7 +1367,7 @@ class Executor:
             plan.offset:plan.offset + plan.count]
         if len(positions) == frame.nrows:
             return frame
-        return frame.select_positions(positions)
+        return frame.select_positions(positions, True, True)
 
     # -- aggregation --------------------------------------------------------------------
 
@@ -1240,14 +1383,9 @@ class Executor:
             key_bindings.append((key_name, key_expr))
 
         specs: list[rel_aggregate.AggregateSpec] = []
-        distinct_specs: list[nodes.AggregateSpecNode] = []
         for spec in plan.aggregates:
-            if spec.distinct:
-                if spec.func != "count":
-                    raise PlanError(
-                        "DISTINCT is only supported for COUNT")
-                distinct_specs.append(spec)
-                continue
+            if spec.distinct and spec.func != "count":
+                raise PlanError("DISTINCT is only supported for COUNT")
             if spec.argument is None:
                 specs.append(rel_aggregate.AggregateSpec(
                     "count", "*", spec.out_name))
@@ -1255,20 +1393,13 @@ class Executor:
                 arg_name = f"_arg_{spec.out_name}"
                 data[arg_name] = _broadcast(evaluator.eval(spec.argument), n)
                 specs.append(rel_aggregate.AggregateSpec(
-                    spec.func, arg_name, spec.out_name))
-        for spec in distinct_specs:
-            arg_name = f"_arg_{spec.out_name}"
-            data[arg_name] = _broadcast(evaluator.eval(spec.argument), n)
+                    spec.func, arg_name, spec.out_name, spec.distinct))
 
         # COUNT(*) alone reads no column; the work relation then only
         # carries the row count.
         work = Relation.from_columns(data or {"_rows": BAT.dense(n)})
         key_names = [name for name, _ in key_bindings]
-        grouped = rel_aggregate.group_by(work, key_names, specs)
-
-        if distinct_specs:
-            grouped = self._attach_count_distinct(
-                work, grouped, key_names, distinct_specs)
+        grouped = rel_aggregate.group_by(work, key_names, specs, self._codes)
 
         bindings = []
         for name, expr in key_bindings:
@@ -1281,46 +1412,11 @@ class Executor:
             bindings.append(Binding(None, spec.out_name, spec.out_name))
         return Frame.wrap(grouped, bindings)
 
-    def _attach_count_distinct(self, work: Relation, grouped: Relation,
-                               key_names: list[str],
-                               specs: list[nodes.AggregateSpecNode]) \
-            -> Relation:
-        """COUNT(DISTINCT x): count unique (group, value) pairs per group.
-
-        Group ids are the grouping codes themselves (in the order
-        ``group_by`` emits its rows).  The distinct pairs are grouped by
-        the same encoder, and each pair's first row names its group, so
-        one ``bincount`` counts them.
-        """
-        if key_names:
-            gids = rel_join.group_codes(work.bats(key_names))[0]
-        else:
-            gids = np.zeros(work.nrows, dtype=np.int64)
-        # One count per output row: a keyed aggregate over no rows has
-        # no groups, a global one always has one.
-        ngroups = grouped.nrows if key_names else 1
-        for spec in specs:
-            values = work.column(f"_arg_{spec.out_name}")
-            groups = gids
-            if not values.tnonil:  # NULL is not a value: skip its rows
-                present = np.flatnonzero(~values.is_nil())
-                values, groups = values.fetch(present), gids[present]
-            _, first, _ = rel_join.group_codes(
-                [BAT(DataType.INT, groups), values])
-            counts = np.bincount(groups[first], minlength=ngroups)
-            if not key_names:
-                column = BAT.from_values([int(counts[0])], DataType.INT)
-            else:
-                column = BAT(DataType.INT, counts.astype(np.int64))
-            grouped = rel_ops.extend(grouped, spec.out_name, column)
-        return grouped
-
     # -- joins ------------------------------------------------------------------------
 
     def _run_joinplan(self, plan: nodes.JoinPlan) -> Frame:
         left, right = self._run_siblings([plan.left, plan.right])
-        equi, residual = self._split_join_condition(plan.condition, left,
-                                                    right)
+        equi, residual = self._join_sides(plan, left, right)
         if not equi:
             if plan.kind == "left":
                 raise PlanError(
@@ -1328,22 +1424,33 @@ class Executor:
             nl, nr = left.nrows, right.nrows
             frame = Frame.joined(
                 left, right, np.repeat(np.arange(nl, dtype=np.int64), nr),
-                np.tile(np.arange(nr, dtype=np.int64), nl))
+                np.tile(np.arange(nr, dtype=np.int64), nl),
+                lpos_sorted=True, lpos_key=nr <= 1)
             if plan.condition is None:
                 return frame
             return frame.select_positions(_true_positions(
-                self._evaluator(frame).mask(plan.condition)))
-        left_keys = [self._evaluator(left).eval(e) for e, _ in equi]
-        right_keys = [self._evaluator(right).eval(e) for _, e in equi]
-        left_keys = [_broadcast(k, left.nrows) for k in left_keys]
-        right_keys = [_broadcast(k, right.nrows) for k in right_keys]
+                self._evaluator(frame).mask(plan.condition)), True, True)
+        right_keys = [_broadcast(self._evaluator(right).eval(e), right.nrows)
+                      for _, e in equi]
         outer = plan.kind == "left"
         # A LEFT JOIN whose matches are decided beyond the probe (a residual
         # ON conjunct) probes as an inner join and gets its unmatched rows
         # added afterwards.  NULL keys match nothing in the probe itself.
         pad = outer and bool(residual)
         how = "left" if outer and not pad else "inner"
-        lpos, rpos = rel_join.join_positions(left_keys, right_keys, how=how)
+        probe = self._small_probe(left, [e for e, _ in equi], right_keys, how)
+        if probe is not None:
+            lpos, rpos, root = probe
+            lpos_key = True
+            if lpos is None and (residual or pad):
+                lpos = np.arange(left.nrows, dtype=np.int64)
+        else:
+            left_keys = [_broadcast(self._evaluator(left).eval(e), left.nrows)
+                         for e, _ in equi]
+            lpos, rpos = rel_join.join_positions(left_keys, right_keys,
+                                                 how=how, codes=self._codes)
+            root = None
+            lpos_key = any(k.cached_prop("tkey") for k in right_keys)
         if residual:
             frame = Frame.joined(left, right, lpos, rpos)
             keep = _true_positions(
@@ -1351,7 +1458,79 @@ class Executor:
             lpos, rpos = lpos[keep], rpos[keep]
         if pad:
             lpos, rpos = rel_join.pad_unmatched(lpos, rpos, left.nrows)
-        return Frame.joined(left, right, lpos, rpos)
+            root = None
+        classes = left.classes
+        if not outer:
+            classes = _equate(left.classes + right.classes,
+                              _equated_columns(equi, left, right))
+        return Frame.joined(left, right, lpos, rpos, lpos_sorted=True,
+                            lpos_key=lpos_key, classes=classes, root=root)
+
+    def _small_probe(self, left: Frame, left_exprs: list[ast.Expr],
+                     right_keys: list[BAT], how: str):
+        """The invisible join (Abadi, Madden & Hachem, SIGMOD 2008):
+        ``(lpos, rpos, (source, slot))`` of the join probed at the rows of
+        one small source of ``left``, or ``None``.
+
+        It applies when every left key is a column equivalent (``Frame.
+        classes``) to a column of one non-nullable source with at most an
+        eighth of the frame's rows, and the right key is unique (a cached
+        ``tkey`` bit), so each left row keeps at most one match.  The
+        source's own rows are probed through ``join_positions``, and
+        ``slot`` maps each of them to its match (``-1``: none); the rows'
+        matches are ``slot`` at the source's positions, in left-row order,
+        as the full probe would pair them.
+        """
+        keys = []  # per left key: its dtype and its equivalent columns
+        for expr in left_exprs:
+            internal = (left.find(expr) if isinstance(expr, ast.ColumnRef)
+                        else None)
+            if internal is None:
+                return None
+            keys.append((left.dtype(internal),
+                         next((c for c in left.classes if internal in c),
+                              (internal,))))
+        best = None
+        for source in left.sources:
+            if source.positions is None or source.nullable:
+                continue
+            rows = source.base_rows()
+            if rows * 8 > left.nrows or (best is not None
+                                         and rows >= best[1]):
+                continue
+            columns = []
+            for dtype, names in keys:
+                name = next((m for m in names
+                             if left._owner.get(m) is source
+                             and source.columns[m].dtype is dtype), None)
+                if name is None:
+                    break
+                columns.append(source.columns[name])
+            else:
+                best = (source, rows, columns)
+        if best is None or not any(k.tkey for k in right_keys):
+            return None
+        source, rows, columns = best
+        spos, rpos = rel_join.join_positions(columns, right_keys, "inner")
+        slot = np.full(rows, -1, dtype=np.int64)
+        slot[spos] = rpos
+        rpos = slot[source.positions]
+        lpos = None  # the identity: every left row, once
+        if how == "inner" and len(spos) < rows:
+            hit = rpos >= 0
+            if not hit.all():
+                lpos = np.flatnonzero(hit)
+                rpos = rpos[lpos]
+        return lpos, rpos, (source, slot)
+
+    def _join_sides(self, plan: nodes.JoinPlan, left: Frame, right: Frame):
+        """(equi pairs, residual conjuncts) of the join's condition,
+        classified once per plan (``PhysicalInfo.join_sides``)."""
+        sides = self.physical.join_sides.get(plan)
+        if sides is None:
+            sides = self._split_join_condition(plan.condition, left, right)
+            self.physical.join_sides[plan] = sides
+        return sides
 
     def _split_join_condition(self, condition: Optional[ast.Expr],
                               left: Frame, right: Frame):
@@ -1379,9 +1558,9 @@ class Executor:
                 return None
             sides = set()
             for ref in refs:
-                if self._resolvable(left, ref):
+                if left.find(ref) is not None:
                     sides.add("left")
-                elif self._resolvable(right, ref):
+                elif right.find(ref) is not None:
                     sides.add("right")
                 else:
                     return "unknown"
@@ -1397,10 +1576,32 @@ class Executor:
             return eq.right, eq.left
         return None
 
-    @staticmethod
-    def _resolvable(frame: Frame, ref: ast.ColumnRef) -> bool:
-        try:
-            frame.resolve(ref)
-            return True
-        except BindError:
-            return False
+
+def _equated_columns(equi: list[tuple[ast.Expr, ast.Expr]], left: Frame,
+                     right: Frame) -> list[tuple[str, str]]:
+    """The (left, right) internal names that an inner join's equi-join
+    conjuncts of two bare columns of one dtype make equal on its rows."""
+    pairs = []
+    for lexpr, rexpr in equi:
+        if isinstance(lexpr, ast.ColumnRef) \
+                and isinstance(rexpr, ast.ColumnRef):
+            a, b = left.find(lexpr), right.find(rexpr)
+            if a is not None and b is not None \
+                    and left.dtype(a) is right.dtype(b):
+                pairs.append((a, b))
+    return pairs
+
+
+def _equate(classes: tuple[frozenset, ...],
+            pairs: list[tuple[str, str]]) -> tuple[frozenset, ...]:
+    """Column equivalence classes with each pair's classes merged."""
+    for a, b in pairs:
+        merged = {a, b}
+        rest = []
+        for members in classes:
+            if a in members or b in members:
+                merged |= members
+            else:
+                rest.append(members)
+        classes = tuple(rest) + (frozenset(merged),)
+    return classes

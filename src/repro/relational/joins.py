@@ -26,14 +26,28 @@ every code, where its run starts in the code-sorted right side and how
 long it is, so each left row finds its matches with two gathers.  The
 right side's stable code order is a radix sort for up to 2**16 codes.
 
+When every column of one side is coded by offset and no fold needed
+compaction, the codes have a *layout* (:class:`KeyCodes`): per column its
+``(low, span)``, so a code is the mixed-radix number of the columns'
+``value - low`` digits and decodes back to the key values without a
+gather.  :func:`key_codes` encodes one side with its layout, memoized in
+a statement's dict per tuple of key BATs (the executor's ``_codes``, which
+lives and dies with the statement).  :func:`join_positions` given that
+memo reuses the left side's codes when it holds them with a layout, and
+codes only the right rows into it: Fig. 15's pair join probes with the
+codes its subquery's GROUP BY made (a groupjoin, Moerkotte & Neumann,
+VLDB 2011).  A right value outside the layout falls back to the shared
+encoding.
+
 Grouping (:func:`group_codes`) compacts the codes once, since group ids
-must be dense; they stay in key order.  Everything is whole-column numpy
-work, no per-row python.
+must be dense; they stay in key order.  ``group_by`` skips even that for
+codes with a layout (see :mod:`repro.relational.aggregate`).  Everything is
+whole-column numpy work, no per-row python.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,10 +67,24 @@ permutation and inverse inside ``np.unique`` take."""
 _INT_TAILS = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID)
 
 
-def _column_codes(lcol: BAT, rcol: BAT | None,
-                  bound: int) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """(left codes, right codes, span) of one key column: codes in
-    ``[0, span)``, shared by both sides and ordered as the raw values."""
+class KeyCodes(NamedTuple):
+    """One side's key codes in ``[0, k)`` and their layout: per column
+    ``(low, span)`` when every column was coded by offset and no fold
+    needed compaction (a code is then ``((v0 - low0) * span1 + v1 - low1)
+    * span2 + ...``), else ``None``."""
+
+    codes: np.ndarray
+    k: int
+    layout: tuple[tuple[int, int], ...] | None
+
+
+def _column_codes(lcol: BAT, rcol: BAT | None, bound: int) \
+        -> tuple[np.ndarray, np.ndarray | None, int, int | None]:
+    """(left codes, right codes, span, low) of one key column: codes in
+    ``[0, span)``, shared by both sides and ordered as the raw values.
+    With a ``low`` the codes are ``value - low`` and the raw tails are
+    returned instead, for the caller to subtract ``low`` where it folds
+    them."""
     if rcol is not None and lcol.dtype is not rcol.dtype:
         if not (lcol.dtype.is_numeric and rcol.dtype.is_numeric):
             raise RelationError(
@@ -70,16 +98,15 @@ def _column_codes(lcol: BAT, rcol: BAT | None,
             low = min(int(t.min()) for t in filled)
             high = max(int(t.max()) for t in filled)
             if high - low < bound:
-                codes = [t - low for t in tails]
-                return (codes[0], codes[1] if rcol is not None else None,
-                        high - low + 1)
+                return (tails[0], tails[1] if rcol is not None else None,
+                        high - low + 1, low)
     values = tails[0] if rcol is None else np.concatenate(tails)
     uniques, inverse = np.unique(values, return_inverse=True)
     inverse = inverse.reshape(-1).astype(np.int64, copy=False)
     if rcol is None:
-        return inverse, None, len(uniques)
+        return inverse, None, len(uniques), None
     n_left = len(tails[0])
-    return inverse[:n_left], inverse[n_left:], len(uniques)
+    return inverse[:n_left], inverse[n_left:], len(uniques), None
 
 
 def _compact(codes: list[np.ndarray], k: int) -> tuple[list[np.ndarray], int]:
@@ -101,6 +128,34 @@ def encode_keys(left: Sequence[BAT], right: Sequence[BAT] | None = None) \
     With ``right=None`` only ``left`` is encoded.  ``k`` is at most
     ``DENSE_SPAN_FACTOR`` times the rows of both sides (or 1 without rows).
     """
+    lcodes, rcodes, k, _ = _encode(left, right)
+    return lcodes, rcodes, k
+
+
+def key_codes(bats: Sequence[BAT], memo: dict | None = None) -> KeyCodes:
+    """:func:`encode_keys` of one side, with the codes' layout.
+
+    ``memo`` is a statement's table of codes: an entry keyed by the BAT
+    objects' ids holds the BATs themselves too, so the ids stay unique
+    while the table lives.  Concurrent callers may both compute an entry;
+    either one is the same codes.
+    """
+    if memo is None:
+        codes, _, k, layout = _encode(bats, None)
+        return KeyCodes(codes, k, layout)
+    key = tuple(map(id, bats))
+    entry = memo.get(key)
+    if entry is None:
+        codes, _, k, layout = _encode(bats, None)
+        entry = memo.setdefault(key, (tuple(bats),
+                                      KeyCodes(codes, k, layout)))
+    return entry[1]
+
+
+def _encode(left: Sequence[BAT], right: Sequence[BAT] | None) \
+        -> tuple[np.ndarray, np.ndarray | None, int,
+                 tuple[tuple[int, int], ...] | None]:
+    """:func:`encode_keys` plus the layout of :class:`KeyCodes`."""
     if not left:
         raise RelationError("encoding keys requires at least one column")
     if right is not None and len(left) != len(right):
@@ -109,16 +164,30 @@ def encode_keys(left: Sequence[BAT], right: Sequence[BAT] | None = None) \
     bound = DENSE_SPAN_FACTOR * max(nrows, 1)
     parts: list[np.ndarray] = []
     k = 1
+    layout: list[tuple[int, int]] | None = []
     for j, lcol in enumerate(left):
-        lc, rc, span = _column_codes(lcol, right[j] if right is not None
-                                     else None, bound)
+        lc, rc, span, low = _column_codes(lcol, right[j] if right is not None
+                                          else None, bound)
         col = [lc] if rc is None else [lc, rc]
+        if low is None:
+            layout = None
+        elif layout is not None:
+            layout.append((low, span))
         if not parts:
-            parts, k = col, span
+            parts = col if low is None else [c - low for c in col]
+            k = span
             continue
         if k * span > bound:
             parts, k = _compact(parts, k)
-        parts = [p * span + c for p, c in zip(parts, col)]
+            layout = None
+        for part, c in zip(parts, col):
+            # In place: every code array in parts is this call's own.  A
+            # raw tail folds in before its low is taken off (int64 wraps
+            # around and back).
+            part *= span
+            part += c
+            if low:
+                part -= low
         k *= span
         if k > bound:
             # Even compacted, the fold outgrew the direct-addressed
@@ -128,7 +197,27 @@ def encode_keys(left: Sequence[BAT], right: Sequence[BAT] | None = None) \
             inverse = inverse.reshape(-1).astype(np.int64, copy=False)
             parts = np.split(inverse, [len(parts[0])])[:len(parts)]
             k = len(uniques)
-    return parts[0], parts[1] if right is not None else None, max(k, 1)
+            layout = None
+    return (parts[0], parts[1] if right is not None else None, max(k, 1),
+            None if layout is None else tuple(layout))
+
+
+def _codes_in_layout(keys: Sequence[BAT], like: Sequence[BAT],
+                     layout: tuple[tuple[int, int], ...]) \
+        -> np.ndarray | None:
+    """The codes of ``keys`` in the layout of ``like``'s codes, or
+    ``None`` when a dtype differs or a value falls outside the layout."""
+    codes = None
+    for key, other, (low, span) in zip(keys, like, layout):
+        if key.dtype is not other.dtype:
+            return None
+        tail = key.tail
+        if len(tail) and (int(tail.min()) < low
+                          or int(tail.max()) - low >= span):
+            return None
+        digit = tail - low
+        codes = digit if codes is None else codes * span + digit
+    return codes
 
 
 def group_codes(bats: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -141,6 +230,12 @@ def group_codes(bats: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray, int]:
     codes occur; O(rows + k).
     """
     codes, _, k = encode_keys(bats)
+    return group_ids(codes, k)
+
+
+def group_ids(codes: np.ndarray, k: int) \
+        -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`group_codes` of codes in ``[0, k)``."""
     n = len(codes)
     first = np.full(k, n, dtype=np.int64)
     first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -151,7 +246,8 @@ def group_codes(bats: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
-                   how: str = "inner") -> tuple[np.ndarray, np.ndarray]:
+                   how: str = "inner", codes: dict | None = None) \
+        -> tuple[np.ndarray, np.ndarray]:
     """Matching position pairs (lpos, rpos) for an equi-join.
 
     A nil in any key column matches nothing, as in SQL: an inner join
@@ -160,6 +256,10 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     is set skip the nil scan.  Duplicate keys on either side produce the
     full cross of matches.  Pairs come in left-row order, each left row's
     matches in right-row order.
+
+    ``codes`` is a statement's memo of :func:`key_codes`: when it holds
+    the (nil-free) left keys' codes with a layout, only the right keys are
+    coded, into that layout (see the module docstring).
     """
     if how not in ("inner", "left"):
         raise RelationError(f"unsupported join type {how!r}")
@@ -169,30 +269,47 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     # With nil left keys a LEFT join probes the other rows as an inner
     # join and gets its unmatched rows added afterwards.
     pad = how == "left" and lrows is not None
-    lpos, rpos = _probe(left_keys, right_keys, "inner" if pad else how)
+    shared = None
+    if codes is not None and lrows is None:
+        shared = _reused_codes(left_keys, right_keys, codes)
+    if shared is None:
+        shared = encode_keys(left_keys, right_keys)
+    lpos, rpos = _probe(*shared, "inner" if pad else how)
     lpos, rpos = _remap(lpos, lrows), _remap(rpos, rrows)
     if pad:
         lpos, rpos = pad_unmatched(lpos, rpos, nleft)
     return lpos, rpos
 
 
-def _probe(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
+def _reused_codes(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
+                  memo: dict) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(left codes, right codes, k) from the left keys' memoized codes and
+    layout, or ``None`` (no entry, no layout, a right value outside it)."""
+    entry = memo.get(tuple(map(id, left_keys)))
+    if entry is None or entry[1].layout is None:
+        return None
+    left = entry[1]
+    rcodes = _codes_in_layout(right_keys, left_keys, left.layout)
+    if rcodes is None:
+        return None
+    return left.codes, rcodes, left.k
+
+
+def _probe(lcodes: np.ndarray, rcodes: np.ndarray, k: int,
            how: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`join_positions` over nil-free keys."""
-    lcodes, rcodes, k = encode_keys(left_keys, right_keys)
+    """:func:`join_positions` over the codes of nil-free keys."""
     counts = np.bincount(rcodes, minlength=k)
     if counts.max(initial=0) <= 1:
         # Unique right keys: a direct-address slot table.
         slot = np.full(k, -1, dtype=np.int64)
         slot[rcodes] = np.arange(len(rcodes), dtype=np.int64)
         rpos = slot[lcodes]
-        lpos = np.arange(len(lcodes), dtype=np.int64)
         if how == "inner":
             hit = rpos >= 0
             if not hit.all():
                 lpos = np.flatnonzero(hit)
-                rpos = rpos[lpos]
-        return lpos, rpos
+                return lpos, rpos[lpos]
+        return np.arange(len(lcodes), dtype=np.int64), rpos
     # Counting probe: the code-sorted right side holds code c at
     # [starts[c], starts[c] + counts[c]).
     starts = np.cumsum(counts) - counts

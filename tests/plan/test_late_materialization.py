@@ -1,6 +1,9 @@
 """Late materialization in the executor: frames pass position vectors, a
 column is gathered once when first read, equal filters over one leaf share
-a candidate list, and repeated subexpressions are evaluated once."""
+a candidate list, and repeated subexpressions are evaluated once.  Joins
+whose keys are equivalent to a small source's columns probe that source's
+rows (the invisible join), and position vectors carry their sortedness
+into the columns they gather."""
 
 import datetime as dt
 
@@ -11,7 +14,9 @@ import repro
 from repro.bat import kernels
 from repro.bat.bat import BAT, date_to_int
 from repro.bat.catalog import Catalog
+from repro.errors import BindError
 from repro.data import bixi
+import repro.relational.joins as rel_join
 from repro.plan import nodes, physical
 from repro.plan.expr import col
 from repro.plan.physical import Executor, ExpressionEvaluator, Frame
@@ -41,8 +46,10 @@ TRIPS_PREP = (
 # Copying every column at every Filter and join took 43 gathers for this
 # statement; position-vector frames take 16, and 14 once the subquery and
 # the outer trips scan share their gathers through the common date-window
-# candidate list.
-MAX_TRIPS_PREP_FETCHES = 14
+# candidate list.  The GROUP BY decodes its keys from their codes (no
+# gather), and the station joins probe the pair rows instead of gathering
+# both station columns of the trips: 11.
+MAX_TRIPS_PREP_FETCHES = 11
 
 # The distance reads four stations columns.  Gathered per row, that was
 # 4 x the trips rows; evaluated over the domain of (start, end) station
@@ -125,8 +132,8 @@ class TestTripsPrep:
         kept = []
         joined = Frame.joined.__func__
 
-        def spy(cls, left, right, lpos, rpos):
-            frame = joined(cls, left, right, lpos, rpos)
+        def spy(cls, left, right, lpos, rpos, **kwargs):
+            frame = joined(cls, left, right, lpos, rpos, **kwargs)
             kept.append(all(a is b for a, b in
                             zip(frame.sources, left.sources)))
             return frame
@@ -136,6 +143,21 @@ class TestTripsPrep:
         # The pair join drops trips of infrequent pairs; both station
         # joins match every trip once (FK -> PK).
         assert kept == [False, True, True]
+
+    def test_warm_statement_raises_no_bind_error(self, trips_db,
+                                                 monkeypatch):
+        """Join sides are classified once per plan, and name lookups on
+        the happy path return ``None`` rather than raise."""
+        raised = []
+        init = BindError.__init__
+
+        def counted(self, *args):
+            raised.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(BindError, "__init__", counted)
+        trips_db.execute(TRIPS_PREP)
+        assert raised == []
 
     def test_date_window_is_evaluated_once(self, trips_db, count_calls):
         masks = count_calls(ExpressionEvaluator, "mask")
@@ -262,3 +284,178 @@ class TestExpressionCse:
         evaluator.eval(self.expr("(k + 1) * (k + 1)"))
         evaluator.eval(self.expr("(k + 1) * (k + 1)"))
         assert len(binops) == 4
+
+
+class TestInvisibleJoin:
+    """The station joins of Fig. 15 probe the pair relation's rows: each
+    of their left keys is equivalent, through the pair join's ON clause,
+    to a column of the subquery, which has far fewer rows than the join.
+    Rows, order and bits equal the unoptimized run, and each fallback
+    probes the trips rows as before."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """The left row count of every join_positions call."""
+        rows = []
+        original = rel_join.join_positions
+
+        def spy(left_keys, right_keys, *args, **kwargs):
+            rows.append(len(left_keys[0]))
+            return original(left_keys, right_keys, *args, **kwargs)
+
+        monkeypatch.setattr(rel_join, "join_positions", spy)
+        return rows
+
+    def pair_count(self, db, sql):
+        """The rows of the statement's pair subquery."""
+        subquery = sql.split("JOIN (", 1)[1].split(") AS p", 1)[0]
+        return db.execute(f"SELECT COUNT(*) AS n FROM ({subquery}) AS q") \
+            .to_rows()[0][0]
+
+    def check(self, db, sql, run_unoptimized, probes):
+        """The statement's result, bit for bit the unoptimized run's, and
+        the left rows of its probes."""
+        out = db.execute(sql)
+        seen = list(probes)
+        expected = run_unoptimized(db, sql)
+        assert out.names == expected.names
+        for name in out.names:
+            got, want = out.column(name), expected.column(name)
+            assert got.dtype is want.dtype
+            assert got.tail.tobytes() == want.tail.tobytes()
+        return out, seen
+
+    def test_station_joins_probe_the_pairs(self, trips_db, probes,
+                                           run_unoptimized):
+        out, seen = self.check(trips_db, TRIPS_PREP, run_unoptimized,
+                               probes)
+        pairs = self.pair_count(trips_db, TRIPS_PREP)
+        # The pair join probes the window's trips; each station join
+        # probes the pair rows only.
+        assert out.nrows > 8 * pairs
+        assert seen[0] > out.nrows
+        assert seen[1:] == [pairs, pairs]
+
+    def test_duplicate_dimension_keys_take_the_plain_probe(
+            self, trips_db, probes, run_unoptimized):
+        stations = trips_db.catalog.get("stations")
+        trips_db.register("stations2", Relation.from_columns(
+            {name: stations.column(name).append(stations.column(name))
+             for name in stations.names}))
+        sql = TRIPS_PREP.replace("JOIN stations AS e", "JOIN stations2 AS e")
+        out, seen = self.check(trips_db, sql, run_unoptimized, probes)
+        # The s join probes the pairs; the e join (each code twice)
+        # probes every row the s join kept.
+        assert seen[1:] == [self.pair_count(trips_db, sql), out.nrows // 2]
+
+    def test_left_join_makes_no_equivalence(self, trips_db, probes,
+                                            run_unoptimized):
+        sql = TRIPS_PREP.replace("FROM trips AS t JOIN (",
+                                 "FROM trips AS t LEFT JOIN (")
+        out, seen = self.check(trips_db, sql, run_unoptimized, probes)
+        # Both station joins probe the trips rows (the date window may
+        # apply above them).
+        assert seen[1] == seen[2] >= out.nrows
+
+    def test_large_source_takes_the_plain_probe(self, trips_db, probes,
+                                                run_unoptimized):
+        # Every pair with a trip: more than an eighth of the trips.
+        sql = TRIPS_PREP.replace("COUNT(*) >= 3", "COUNT(*) >= 1")
+        out, seen = self.check(trips_db, sql, run_unoptimized, probes)
+        assert 8 * self.pair_count(trips_db, sql) > out.nrows
+        assert seen[1:] == [out.nrows, out.nrows]
+
+    def test_left_dimension_join_keeps_misses(self, run_unoptimized):
+        """A LEFT JOIN to a dimension that lacks some keys, probed at the
+        subquery's rows: misses read NULL, and an expression over both
+        dimensions still runs once per pair."""
+        rng = np.random.default_rng(5)
+        n = 400
+        db = repro.connect()
+        db.register("f", Relation.from_columns(
+            {"id": np.arange(n), "a": rng.integers(0, 4, n),
+             "b": rng.integers(0, 3, n), "x": rng.normal(size=n)}))
+        db.register("d", Relation.from_columns(
+            {"k": [0, 2, 3], "w": [1.5, 2.5, 3.5]}))
+        sql = ("SELECT f.id AS id, f.x AS x, da.w AS wa, db.w AS wb, "
+               "da.w * 2.0 + db.w AS e FROM f JOIN (SELECT a AS pa, "
+               "b AS pb FROM f GROUP BY a, b HAVING COUNT(*) >= 2) AS p "
+               "ON f.a = p.pa AND f.b = p.pb LEFT JOIN d AS da "
+               "ON f.a = da.k LEFT JOIN d AS db ON f.b = db.k "
+               "ORDER BY f.id")
+        out = self.check(db, sql, run_unoptimized, [])[0]
+        db.execute(sql)
+        assert db.last_stats.domain_evaluations == 1
+        assert np.isnan(out.column("wa").tail).any()
+
+
+class TestSeededOrder:
+    """Position vectors carry non-decreasing/duplicate-free flags into
+    ``BAT.fetch``: every bit a query's output columns carry equals a
+    fresh computation on a cold copy."""
+
+    QUERIES = [
+        "SELECT a.k, a.v, a.s FROM a WHERE a.x > 0.0",
+        "SELECT a.k, a.v, b.y FROM a JOIN b ON a.f = b.k",
+        "SELECT a.k, a.v, b.y FROM a LEFT JOIN b ON a.f = b.k",
+        "SELECT a.k, a.v, c.y FROM a JOIN c ON a.f = c.k",
+        "SELECT a.k, a.v, c.y FROM a LEFT JOIN c ON a.f = c.k",
+        "SELECT a.k, b.k AS bk, b.y FROM b JOIN a ON b.k = a.f",
+        "SELECT a.k, a.v FROM a WHERE a.x > 0.0 ORDER BY a.x DESC",
+        "SELECT a.k, a.v FROM a WHERE a.x > 0.0 ORDER BY a.x LIMIT 7",
+        "SELECT a.k, a.v FROM a WHERE a.x > -1.0 LIMIT 9 OFFSET 2",
+        "SELECT a.k, a.v, b.y FROM a JOIN b ON a.f = b.k "
+        "WHERE b.y > 0.0 AND a.x < 1.0",
+        "SELECT a.k, a.v, q.n FROM a JOIN (SELECT f, COUNT(*) AS n FROM a "
+        "GROUP BY f) AS q ON a.f = q.f",
+    ]
+
+    @pytest.fixture(params=[0, 1, 2])
+    def db(self, request):
+        rng = np.random.default_rng(request.param)
+        n = 60
+        db = repro.connect()
+        a = Relation.from_columns(
+            {"k": np.arange(n), "v": np.sort(rng.integers(0, 9, n)),
+             "s": np.arange(n)[::-1].copy(), "x": rng.normal(size=n),
+             "f": rng.integers(0, 8, n)})
+        b = Relation.from_columns({"k": np.arange(6),
+                                   "y": rng.normal(size=6)})
+        c = Relation.from_columns({"k": np.array([0, 1, 1, 3, 3, 5]),
+                                   "y": rng.normal(size=6)})
+        for relation in (a, b, c):
+            for column in relation.columns:  # warm the base bits
+                column.tsorted, column.trevsorted, column.tkey, column.tnonil
+        for name, relation in (("a", a), ("b", b), ("c", c)):
+            db.register(name, relation)
+        return db
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_seeded_bits_equal_a_fresh_computation(self, db, sql):
+        out = db.execute(sql)
+        seeded = 0
+        for column in out.columns:
+            cold = BAT(column.dtype, column.tail.copy())
+            for bit in ("tsorted", "trevsorted", "tkey", "tnonil"):
+                if column.cached_prop(bit) is not None:
+                    seeded += 1
+                    assert column.cached_prop(bit) == getattr(cold, bit), \
+                        (sql, column, bit)
+        assert seeded
+
+    def test_cold_base_column_arrives_sorted(self):
+        """Fig. 15's trip_id: an INT base column whose bits nothing has
+        computed, gathered through a candidate list and a join."""
+        db = repro.connect()
+        db.register("a", Relation.from_columns(
+            {"k": np.arange(50), "f": np.arange(50) % 4}))
+        db.register("b", Relation.from_columns({"k": np.arange(3)}))
+        out = db.execute("SELECT a.k FROM a JOIN b ON a.f = b.k "
+                         "WHERE a.k > 5")
+        assert out.column("k").cached_prop("tsorted") is True
+
+    def test_filtered_base_column_arrives_sorted(self, db):
+        out = db.execute("SELECT a.k, b.y FROM a JOIN b ON a.f = b.k "
+                         "WHERE a.x > 0.0")
+        assert out.column("k").cached_prop("tsorted") is True
+        assert out.column("k").cached_prop("tkey") is True

@@ -1,6 +1,14 @@
 """The key encoder behind joins, GROUP BY, COUNT(DISTINCT) and PIVOT
 against a sort-based reference.
 
+``group_by`` aggregates at the code domain when every key column is coded
+by offset (the codes' layout), and a join given the statement's memo of
+codes reuses the left side's codes and codes only its right rows into
+their layout; both must give exactly what the reference gives too: every
+aggregate bit for bit against a per-row oracle over ``np.unique``-ranked
+groups, and the join's pairs against a nested loop, right values outside
+the layout included.
+
 ``encode_keys`` codes small integer domains by offset and folds composite
 keys by multiplication, compacting only when a fold would outgrow the
 direct-addressed domain; the join probe uses a slot table for unique right
@@ -22,8 +30,9 @@ from hypothesis import strategies as st
 import repro
 from repro.bat.bat import BAT, NIL_INT, DataType
 from repro.relational import AggregateSpec, Relation, group_by, pivot
+import repro.relational.joins as joins
 from repro.relational.joins import (DENSE_SPAN_FACTOR, encode_keys,
-                                    group_codes, join_positions)
+                                    group_codes, join_positions, key_codes)
 from repro.relational.schema import Attribute, Schema
 
 # The "ci" profile (tests/conftest.py) runs ten times as many examples.
@@ -401,6 +410,249 @@ def test_group_by_matches_reference(warm, data, n, kinds):
                                 for name, col in columns.items()]),
                         list(columns.values()))
     assert_same_relation(out, expected)
+
+
+# -- aggregation at the code domain -------------------------------------------
+
+VALUE_COLUMNS = {"v": DataType.DBL, "i": DataType.INT, "s": DataType.STR}
+ALL_AGGREGATES = (
+    [AggregateSpec("count", "*", "n")]
+    + [AggregateSpec(func, "v", f"{func}_v") for func in
+       ("count", "sum", "avg", "min", "max", "var", "std")]
+    + [AggregateSpec(func, "i", f"{func}_i") for func in
+       ("count", "sum", "min", "max")]
+    + [AggregateSpec(func, "s", f"{func}_s") for func in
+       ("count", "min", "max")]
+    + [AggregateSpec("count", name, f"distinct_{name}", distinct=True)
+       for name in VALUE_COLUMNS])
+
+
+@st.composite
+def value_columns(draw, n):
+    """A DBL, an INT and a STR value column of ``n`` rows, nils included;
+    doubles are multiples of 0.25 and may be large, so sums round."""
+    v = draw(st.lists(st.one_of(st.just(np.nan), st.integers(-8, 8).map(
+        lambda x: x / 4), st.just(1e16)), min_size=n, max_size=n))
+    i = draw(st.lists(st.one_of(st.just(NIL_INT), st.integers(-9, 9)),
+                      min_size=n, max_size=n))
+    s = draw(st.lists(st.one_of(st.none(), st.sampled_from(STRINGS)),
+                      min_size=n, max_size=n))
+    return [BAT(DataType.DBL, np.array(v, dtype=np.float64)),
+            BAT(DataType.INT, np.array(i, dtype=np.int64)),
+            BAT(DataType.STR, np.array(s, dtype=object))]
+
+
+def ref_aggregate(keys, values):
+    """``group_by(..., ALL_AGGREGATES)`` computed row by row in python
+    over the reference groups: sums add in row order (as ``bincount``
+    does), a group without values reads nil."""
+    gids, first, ngroups = ref_groups([b.tail for b in keys])
+    members = [[] for _ in range(ngroups)]
+    for row, gid in enumerate(gids):
+        members[gid].append(row)
+    columns = {f"k{j}": bat.fetch(first) for j, bat in enumerate(keys)}
+    v, i, s = (bat.tail for bat in values)
+    present = {"v": lambda r: not np.isnan(v[r]),
+               "i": lambda r: i[r] != NIL_INT, "s": lambda r: s[r] is not None}
+    raw = {"v": v, "i": i, "s": s}
+
+    def per_group(func):
+        return [func(rows) for rows in members]
+
+    def values_of(name, rows):
+        return [raw[name][r] for r in rows if present[name](r)]
+
+    def total(xs):
+        out = 0.0
+        for x in xs:
+            out += float(x)
+        return out
+
+    def variance(xs, root):
+        if not xs:
+            return np.nan
+        c, sums = len(xs), total(xs)
+        sq = total(float(x) * float(x) for x in xs)
+        mean = sums / c
+        var = max((sq - c * mean * mean) / max(c - 1, 1), 0.0)
+        return float(np.sqrt(var)) if root else var
+
+    columns["n"] = BAT(DataType.INT, np.array(per_group(len), np.int64))
+    for name in VALUE_COLUMNS:
+        columns[f"count_{name}"] = BAT(DataType.INT, np.array(per_group(
+            lambda rows: len(values_of(name, rows))), np.int64))
+    dbl = {
+        "sum": lambda xs: total(xs) if xs else np.nan,
+        "avg": lambda xs: total(xs) / len(xs) if xs else np.nan,
+        "min": lambda xs: min(xs) if xs else np.nan,
+        "max": lambda xs: max(xs) if xs else np.nan,
+        "var": lambda xs: variance(xs, False),
+        "std": lambda xs: variance(xs, True)}
+    for func, reduce in dbl.items():
+        columns[f"{func}_v"] = BAT(DataType.DBL, np.array(per_group(
+            lambda rows: reduce(values_of("v", rows))), np.float64))
+    ints = {"sum": lambda xs: int(total(xs)), "min": min, "max": max}
+    for func, reduce in ints.items():
+        columns[f"{func}_i"] = BAT(DataType.INT, np.array(per_group(
+            lambda rows: reduce(values_of("i", rows))
+            if values_of("i", rows) else NIL_INT), np.int64))
+    for func, reduce in (("min", min), ("max", max)):
+        columns[f"{func}_s"] = BAT(DataType.STR, np.array(per_group(
+            lambda rows: reduce(values_of("s", rows))
+            if values_of("s", rows) else None), dtype=object))
+    for name in VALUE_COLUMNS:
+        columns[f"distinct_{name}"] = BAT(DataType.INT, np.array(per_group(
+            lambda rows: len(set(values_of(name, rows)))), np.int64))
+    order = [f"k{j}" for j in range(len(keys))] + [
+        spec.alias for spec in ALL_AGGREGATES]
+    return Relation(Schema([Attribute(name, columns[name].dtype)
+                            for name in order]),
+                    [columns[name] for name in order])
+
+
+def assert_same_bits(out, expected):
+    """Names, dtypes and every value bit (NaN payloads, -0.0) equal."""
+    assert out.names == expected.names
+    for name in out.names:
+        got, want = out.column(name), expected.column(name)
+        assert got.dtype is want.dtype, name
+        if got.dtype is DataType.STR:
+            assert list(got.tail) == list(want.tail), name
+        else:
+            assert got.tail.tobytes() == want.tail.tobytes(), name
+
+
+@st.composite
+def dense_key_bat(draw, n):
+    """An integer-family key column whose span sits at or below the
+    dense bound, or just past it."""
+    kind = draw(st.sampled_from(sorted(INT_KINDS)))
+    limit = DENSE_SPAN_FACTOR * max(n, 1)
+    span = draw(st.sampled_from((1, 2, 3, limit, limit + 1)))
+    low = draw(st.integers(-(1 << 30), 1 << 30))
+    tail = np.array(draw(st.lists(st.integers(0, span - 1), min_size=n,
+                                  max_size=n)), dtype=np.int64) + low
+    if n >= 2:
+        tail[0], tail[-1] = low, low + span - 1
+    if n and draw(st.integers(0, 5)) == 0:
+        tail[draw(st.integers(0, n - 1))] = NIL_INT
+    return BAT(INT_KINDS[kind], tail)
+
+
+@properties
+@settings(max_examples=80 * SCALE, deadline=None)
+@given(data=st.data(), n=st.integers(0, 30),
+       kinds=st.lists(st.sampled_from(("dense", "dense", "dense") + KINDS),
+                      min_size=1, max_size=3))
+def test_code_domain_group_by_matches_reference(warm, data, n, kinds):
+    """Every aggregate and COUNT(DISTINCT), with nil keys, composite keys,
+    spans at and past the bound and STR/DBL keys (the compacted path),
+    bit for bit."""
+    keys = [data.draw(dense_key_bat(n)) if kind == "dense"
+            else data.draw(key_bat(kind, n)) for kind in kinds]
+    values = data.draw(value_columns(n))
+    names = [f"k{j}" for j in range(len(keys))]
+    columns = keys + values
+    relation = Relation(Schema(
+        [Attribute(name, col.dtype) for name, col in
+         zip(names + list(VALUE_COLUMNS), columns)]), columns)
+    warm_bats(warm, keys)
+    out = group_by(relation, names, ALL_AGGREGATES)
+    assert_same_bits(out, ref_aggregate(keys, values))
+
+
+def test_code_domain_group_by_reads_no_key_row():
+    """Dense keys are decoded from the codes: no key column is gathered,
+    and the first one comes out sorted."""
+    rng = np.random.default_rng(3)
+    keys = [BAT(DataType.INT, rng.integers(5, 65, 1000)),
+            BAT(DataType.DATE, rng.integers(100, 110, 1000))]
+    relation = Relation(Schema([Attribute("a", DataType.INT),
+                                Attribute("b", DataType.DATE)]), keys)
+    assert key_codes(keys).layout == ((5, 60), (100, 10))
+    gathered = []
+    fetch = BAT.fetch
+
+    def spy(bat, positions, *args, **kwargs):
+        gathered.append(bat)
+        return fetch(bat, positions, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(BAT, "fetch", spy)
+        out = group_by(relation, ["a", "b"],
+                       [AggregateSpec("count", "*", "n")])
+    assert not any(bat is key for bat in gathered for key in keys)
+    assert out.column("a").cached_prop("tsorted") is True
+    pairs = sorted(set(zip(keys[0].tail.tolist(), keys[1].tail.tolist())))
+    assert list(zip(out.column("a").tail.tolist(),
+                    out.column("b").tail.tolist())) == pairs
+
+
+# -- joins reusing a GROUP BY's codes --------------------------------------------
+
+@st.composite
+def reused_join_sides(draw):
+    """Dense integer left keys (1-2 columns, nil-free) and right keys
+    drawn from the left's values, from values outside its layout, of
+    another dtype, or holding nils."""
+    nl, nr = draw(st.integers(1, 24)), draw(st.integers(0, 12))
+    left, right = [], []
+    for column in range(draw(st.integers(1, 2))):
+        kind = INT_KINDS[draw(st.sampled_from(sorted(INT_KINDS)))]
+        low = draw(st.integers(-(1 << 20), 1 << 20))
+        # Spans multiply to at most the dense bound: no compaction.
+        span = draw(st.integers(1, nl if column == 0 else DENSE_SPAN_FACTOR))
+        ltail = np.array(draw(st.lists(st.integers(0, span - 1),
+                                       min_size=nl, max_size=nl)),
+                         dtype=np.int64) + low
+        rtail = np.array(draw(st.lists(st.integers(-2, span + 1),
+                                       min_size=nr, max_size=nr)),
+                         dtype=np.int64) + low
+        if nr and draw(st.integers(0, 5)) == 0:
+            rtail[draw(st.integers(0, nr - 1))] = NIL_INT
+        rkind = kind
+        if draw(st.integers(0, 7)) == 0:
+            rkind = INT_KINDS[draw(st.sampled_from(sorted(INT_KINDS)))]
+        left.append(BAT(kind, ltail))
+        right.append(BAT(rkind, rtail))
+    return left, right
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+@settings(max_examples=100 * SCALE, deadline=None)
+@given(sides=reused_join_sides())
+def test_join_reusing_codes_matches_nested_loop(how, sides):
+    left, right = sides
+    if any(l.dtype is not r.dtype for l, r in zip(left, right)) \
+            and not all(l.dtype.is_numeric and r.dtype.is_numeric
+                        for l, r in zip(left, right)):
+        with pytest.raises(repro.errors.RelationError):
+            join_positions(left, right, how)
+        return
+    memo = {}
+    assert key_codes(left, memo).layout is not None
+    encoded = []
+    encode = joins.encode_keys
+
+    def spy(*args):
+        encoded.append(args)
+        return encode(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(joins, "encode_keys", spy)
+        lpos, rpos = join_positions(left, right, how, codes=memo)
+    want_l, want_r = ref_join(left, right, how)
+    np.testing.assert_array_equal(lpos, want_l)
+    np.testing.assert_array_equal(rpos, want_r)
+    layout = key_codes(left, memo).layout
+    probed = np.all([r.tail != NIL_INT for r in right], axis=0)
+    inside = all(
+        l.dtype is r.dtype and all(low <= v < low + span
+                                   for v in r.tail[probed].tolist())
+        for l, r, (low, span) in zip(left, right, layout))
+    # Right values inside the left's layout are coded into it; anything
+    # else takes the shared encoding.
+    assert bool(encoded) is not inside
 
 
 def ref_pivot(relation, index, on, value):

@@ -4,7 +4,12 @@ Hypothesis generates two small tables ``l`` and ``r`` with INT, DBL, STR
 and DATE columns (NULLs, duplicate keys, 0- and 1-row inputs) and queries
 over filters and ``BETWEEN``, inner and left joins with equality plus
 residual ``ON`` conjuncts, subqueries in ``FROM``, ``GROUP BY``/``HAVING``,
-``DISTINCT`` and ``ORDER BY``/``LIMIT``.  Every query runs on sqlite3 and
+``DISTINCT`` and ``ORDER BY``/``LIMIT``.  Fig. 15's star shape gets a
+larger fact table ``l`` over few keys and a dimension ``r`` whose keys are
+unique in some examples and duplicated in others: a composite-key
+subquery ``GROUP BY k, d HAVING ...`` joined back on both keys, then one
+or two joins to ``r`` on one key each (the executor probes those at the
+subquery's rows when the dimension key is unique).  Every query runs on sqlite3 and
 on the engine twice, serially and on the morsel engine with 1-row morsels.
 Results are compared as multisets, and as sequences when the ``ORDER BY``
 is total.  Doubles are multiples of 0.5, so sums are exact and equality
@@ -193,6 +198,63 @@ def subquery_queries(draw):
             f"WHERE q.y2 {op} {draw(halves)}")
 
 
+# Fig. 15's star shape: few keys over many fact rows, so the frequent
+# pairs number at most an eighth of the rows the pair join keeps.
+DAYS = [dt.date(2016, 1, 1), dt.date(2016, 1, 2), dt.date(2016, 1, 3)]
+
+
+def rarely_null(values):
+    return st.one_of(st.none(), values, values, values, values)
+
+
+@st.composite
+def star_tables(draw):
+    """A fact table ``l`` of up to 192 rows over two k and two DAYS
+    values (NULL keys too), up to 12 drawn rows repeated up to 16 times,
+    and a dimension ``r`` keyed by k and d: unique keys (one NULL at
+    most) or duplicated ones."""
+    fact = st.tuples(rarely_null(st.integers(0, 1)), rarely_null(halves),
+                     rarely_null(strs), rarely_null(st.sampled_from(DAYS[:2])))
+    facts = (draw(st.lists(fact, min_size=0, max_size=12))
+             * draw(st.sampled_from([1, 4, 16])))
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.one_of(st.none(), st.integers(0, 2)),
+                           max_size=4, unique=True))
+        ds = draw(st.lists(st.one_of(st.none(), st.sampled_from(DAYS)),
+                           min_size=len(ks), max_size=len(ks), unique=True))
+    else:
+        ks = draw(st.lists(st.one_of(st.none(), st.integers(0, 2)),
+                           max_size=5))
+        ds = draw(st.lists(st.one_of(st.none(), st.sampled_from(DAYS)),
+                           min_size=len(ks), max_size=len(ks)))
+    dims = [(k, draw(rarely_null(halves)), draw(rarely_null(strs)), d)
+            for k, d in zip(ks, ds)]
+    return {"l": facts, "r": dims}
+
+
+@st.composite
+def star_queries(draw):
+    """Frequent (k, d) pairs of ``l`` joined back to ``l`` on both keys,
+    then to the dimension ``r`` on k, and on d."""
+    pred = draw(predicates("", "l", 1))
+    outer = re.sub(r"\b([kxsd])\b", r"t.\1", pred)
+    where = f"WHERE {pred} " if draw(st.booleans()) else ""
+    items = ["t.k AS k", "t.x AS x", "t.d AS d", "a.y AS ay", "a.s AS a_s"]
+    joins = [f"{draw(st.sampled_from(['JOIN', 'LEFT JOIN']))} r AS a "
+             "ON t.k = a.k"]
+    if draw(st.booleans()):
+        items += ["b.y AS by_", "b.k AS bk"]
+        joins.append(f"{draw(st.sampled_from(['JOIN', 'LEFT JOIN']))} "
+                     "r AS b ON t.d = b.d")
+    sql = (f"SELECT {', '.join(items)} FROM l AS t JOIN "
+           f"(SELECT k AS fk, d AS fd FROM l {where}GROUP BY k, d "
+           f"HAVING COUNT(*) >= {draw(st.integers(1, 3))}) AS p "
+           f"ON t.k = p.fk AND t.d = p.fd {' '.join(joins)}")
+    if draw(st.booleans()):
+        sql += f" WHERE {outer}"
+    return sql
+
+
 @st.composite
 def distinct_queries(draw):
     columns = draw(st.lists(st.sampled_from(["k", "x", "d"]), min_size=1,
@@ -290,6 +352,12 @@ def test_joins(data, sql):
 @DIFFERENTIAL
 @given(tables, subquery_queries())
 def test_subqueries(data, sql):
+    check(data, sql)
+
+
+@DIFFERENTIAL
+@given(star_tables(), star_queries())
+def test_star_joins(data, sql):
     check(data, sql)
 
 
