@@ -8,37 +8,44 @@ executes on the shared executor (:mod:`repro.plan.physical`):
   expression handle (operator overloading, one method per Table 2
   operation, and the relational operators ``filter``/``select``/``join``/
   ``sort``/``limit``/``distinct``) — chained eager-style code gets
-  element-wise fusion, CSE, the byte-budget plan/result cache and the
-  morsel-parallel engine for free;
+  element-wise fusion, CSE, the template and byte-budget result caches
+  and the morsel-parallel engine for free;
 * :meth:`Database.execute` runs SQL statements (the paper's §7.2 front
   end), sharing the same subplan-result cache.
 
-Both go through one planning function (``_plan``: build, optimize,
-physically plan, cached) and one run function (``_run``: plan, then
-execute on a fresh :class:`~repro.plan.physical.Executor`).  A database
-owns three session-scoped caches, all invalidated precisely (catalog
-table versions + config cache tokens):
+Both go through one planning function (``_plan``: bind, build,
+optimize, physically plan, cached) and one run function (``_run``: plan,
+then execute on a fresh :class:`~repro.plan.physical.Executor`).  A
+database owns two session-scoped caches, both invalidated precisely
+(catalog table versions + config cache tokens):
 
-* a **template cache** for SQL: statements are keyed by their shape,
-  the token stream with its number, string, ``DATE`` and ``TIME``
-  literals taken out (:func:`repro.sql.parser.literal_slots`).  Each
-  shape is parsed once into a template whose literals are parameter
-  slots, and the template's query is built, optimized and physically
-  planned once; every execution binds that statement's literal values
-  to the slots.  Statements that differ only in a date window share one
-  plan; ``LIMIT``/``OFFSET`` counts and literal types are part of the
-  shape.  A warm statement finds its template without the tokenizer,
-  by a first-level key of its text (:func:`repro.sql.parser.literal_key`);
-* a **plan cache** for ``Matrix`` expressions (plan node -> optimized
-  plan + physical annotations);
+* a **template cache** for both surfaces.  A template holds a query
+  whose run-time inputs are slots, and its optimized, physically
+  planned form, built once; every run binds its own inputs to the
+  slots.
+
+  - A SQL statement is keyed by its shape, the token stream with its
+    number, string, ``DATE`` and ``TIME`` literals taken out
+    (:func:`repro.sql.parser.literal_slots`), and parsed once into a
+    template whose literals are parameter slots.  Statements that differ
+    only in a date window share one plan; ``LIMIT``/``OFFSET`` counts and
+    literal types are part of the shape.  A warm statement finds its
+    template without the tokenizer, by a first-level key of its text
+    (:func:`repro.sql.parser.literal_key`).
+  - A ``Matrix`` expression is keyed by its shape
+    (:func:`repro.plan.nodes.bind_relations`): its plan with every
+    in-memory relation a relation slot that records the relation's
+    column names.  Expressions of one shape over fresh relations of one
+    schema share one plan, and a cached template pins no relation.
+
 * a **result cache** (:class:`repro.plan.cache.PlanCache`): repeated
   RMA/subquery subplans — across statements *and* across surfaces —
   return their memoized relations.
 
-``Database(plan_cache=False)`` disables all three (the fully-uncached mode
+``Database(plan_cache=False)`` disables both (the fully-uncached mode
 that replays a stream of statements as a reference, as rmabench's
 ``sql_session`` check does): each statement is parsed with its literals
-in place and planned afresh.
+in place and every query is planned afresh.
 
 A session has one configuration, an :class:`~repro.core.config.RmaConfig`
 (``None`` means the process default).  Set it when connecting or by
@@ -95,8 +102,9 @@ _TYPE_NAMES = {
 }
 
 class _Template:
-    """A statement parsed with its literals as parameter slots, and the
-    planned form of its query (``None`` until first planned)."""
+    """A statement parsed with its literals as parameter slots, or a
+    ``Matrix`` expression's shape, and the planned form of its query
+    (``None`` until first planned)."""
 
     __slots__ = ("statement", "plan")
 
@@ -104,22 +112,6 @@ class _Template:
         self.statement = statement
         # (optimized plan, physical info, catalog stamps, config token)
         self.plan: tuple | None = None
-
-
-def _scans_in_memory_relations(plan: nodes.Plan) -> bool:
-    """Whether any leaf is a ``RelScan`` (id-deduplicated walk, DAG-safe:
-    expression plans share subtree objects, e.g. a Gram matrix used on
-    both sides of a solve)."""
-    stack, seen = [plan], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, nodes.RelScan):
-            return True
-        stack.extend(node.children())
-    return False
 
 
 class Database:
@@ -137,9 +129,8 @@ class Database:
                  plan_cache: "bool | PlanCache" = True):
         self.catalog = catalog or Catalog()
         self.config = config
-        # ``plan_cache=False`` disables ALL session caching (statement
-        # templates, expression plans and results) — the fully-uncached
-        # reference mode.
+        # ``plan_cache=False`` disables ALL session caching (templates and
+        # results) — the fully-uncached reference mode.
         self._caching = not (plan_cache is False or plan_cache is None)
         if plan_cache is True:
             self.result_cache: PlanCache | None = PlanCache()
@@ -148,13 +139,10 @@ class Database:
         else:
             self.result_cache = plan_cache
         self._local = threading.local()
-        # Statement shape -> _Template
+        # SQL statement shape or Matrix shape -> _Template
         self._templates: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
         # First-level key (literal_key) -> the same _Template objects
         self._template_keys: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
-        # Expression Plan -> (optimized plan, physical info, stamps,
-        # config token)
-        self._expression_plans: LruDict = LruDict(_MAX_CACHED_STATEMENTS)
 
     @property
     def last_stats(self):
@@ -189,7 +177,9 @@ class Database:
         the attributes whose values identify rows; the remaining
         (numeric) attributes form the matrix the operations apply to.
         ``name`` is the scan alias that qualifies column references
-        (``col("id", "l")``) in ``filter``/``join`` predicates.
+        (``col("id", "l")``) in ``filter``/``join`` predicates; a
+        relation's default alias is ``_rel<slot>``, its slot in the
+        expression it runs in.
         """
         if isinstance(source, Matrix):
             if name is not None:
@@ -212,11 +202,7 @@ class Database:
             plan: nodes.Plan = nodes.Scan(source, name or source)
         elif isinstance(source, Relation):
             relation = source
-            # The default alias is stable per relation *object*, so two
-            # handles over one relation build equal leaves (one CSE
-            # candidate); node equality also compares the relation itself,
-            # so a recycled id is harmless.
-            plan = nodes.RelScan(source, name or f"_rel{id(source):x}")
+            plan = nodes.InMemory(source, name)
         else:
             raise PlanError(
                 "matrix expects a table name, a Relation or a Matrix, "
@@ -231,73 +217,77 @@ class Database:
     def _plan(self, source: "ast.Select | nodes.Plan",
               config: Optional[RmaConfig] = None,
               template: Optional[_Template] = None) \
-            -> tuple[nodes.Plan, PhysicalInfo]:
-        """Build, optimize and physically plan a query; cached.
+            -> tuple[nodes.Plan, PhysicalInfo, tuple[Relation, ...]]:
+        """Build, optimize and physically plan a query, cached in its
+        template; returns the plan, its physical annotations and the
+        relations bound to its relation slots.
 
         The one planning function of every surface: ``source`` is a SQL
-        ``SELECT`` AST (compiled with ``build_select``) or a ``Matrix``
-        expression's plan node.  A SQL query is cached in the statement
-        ``template`` it came from, an expression plan in the expression
-        plan cache under the structurally hashable plan itself.  Either
-        entry is stamped with the catalog versions of the scanned tables
-        and the config's cache token — a plan is rebuilt only when
+        ``SELECT`` AST (compiled with ``build_select``) of the statement
+        ``template`` it came from, or a ``Matrix`` expression's plan.  An
+        expression is bound first (:func:`repro.plan.nodes.bind_relations`):
+        its shape finds or creates its template in the same cache, and its
+        in-memory relations are returned for the run to bind.  A planned
+        template is stamped with the catalog versions of the scanned
+        tables and the config's cache token — a plan is rebuilt only when
         something it depends on changed.
 
         SQL SELECTs end in a Project naming their whole visible output, so
         the optimizer may prune below it (``keep_all=False``); expression
         plans may end in any node whose every column is the result.
-
-        Plans with in-memory leaves (``RelScan``) are planned fresh every
-        time: their nodes hold strong references to the input relations,
-        and unlike the byte-budgeted result cache the plan cache only caps
-        entry *count* — caching them would let a long-lived session pin up
-        to 256 generations of dead input data.  The result cache still
-        serves their repeated subplan results.
         """
         config = config or self.config or default_config()
+        relations: tuple[Relation, ...] = ()
+        if isinstance(source, nodes.Plan):
+            source, relations = nodes.bind_relations(source)
+            if self._caching:
+                template = self._template(source, lambda: source)
         token = config.cache_token()
-        is_sql = isinstance(source, ast.Select)
-        cacheable = self._caching and not is_sql \
-            and not _scans_in_memory_relations(source)
-        if is_sql:
-            entry = template.plan if template is not None else None
-        else:
-            entry = (self._expression_plans.lookup(source) if cacheable
-                     else None)
+        entry = template.plan if template is not None else None
         if entry is not None:
             planned, info, stamps, entry_token = entry
             if (entry_token == token
                     and all(self.catalog.table_version(name) == version
                             for name, version in stamps)):
-                return planned, info
+                return planned, info, relations
+        is_sql = isinstance(source, ast.Select)
         planned = build_select(source) if is_sql else source
         planned = optimize(planned, self.catalog, keep_all=not is_sql)
         info = plan_physical(planned)
-        entry = (planned, info, catalog_stamps(planned, self.catalog), token)
         if template is not None:
-            template.plan = entry
-        elif cacheable:
-            self._expression_plans.store(source, entry)
-        return planned, info
+            template.plan = (planned, info,
+                             catalog_stamps(planned, self.catalog), token)
+        return planned, info, relations
 
     def _run(self, source: "ast.Select | nodes.Plan",
              config: Optional[RmaConfig] = None,
              template: Optional[_Template] = None,
              params: tuple = ()) -> Relation:
         """Plan (see :meth:`_plan`) and execute a query with ``params``
-        bound to its parameter slots; the one place a plan
+        bound to its parameter slots and the expression's relations to
+        its relation slots; the one place a plan
         :class:`~repro.plan.physical.Executor` is constructed.
 
         An RMA or scan at the plan's root leaves a frame view of its
         relation, so the relation it computed is returned as is, in
         constant time whatever its width."""
         config = config or self.config or default_config()
-        planned, info = self._plan(source, config, template)
+        planned, info, relations = self._plan(source, config, template)
         executor = Executor(self.catalog, config, physical=info,
-                            result_cache=self.result_cache, params=params)
+                            result_cache=self.result_cache, params=params,
+                            relations=relations)
         frame = executor.run(planned)
         self._local.stats = executor.stats
         return frame.to_plain_relation()
+
+    def _template(self, shape, source) -> _Template:
+        """The template cached under ``shape``, or a new one holding
+        ``source()``."""
+        template = self._templates.lookup(shape)
+        if template is None:
+            template = _Template(source())
+            self._templates.store(shape, template)
+        return template
 
     # -- SQL execution ---------------------------------------------------------
 
@@ -313,8 +303,9 @@ class Database:
         if isinstance(statement, ast.Select):
             return self._run(statement, template=template, params=params)
         if isinstance(statement, ast.Explain):
-            lines = explain_lines(*self._plan(statement.query,
-                                              template=template), params)
+            planned, info, _ = self._plan(statement.query,
+                                          template=template)
+            lines = explain_lines(planned, info, params)
             return Relation.from_columns({"explain": lines})
         if isinstance(statement, ast.CreateTable):
             return self._run_create(statement, template, params)
@@ -350,10 +341,8 @@ class Database:
         except ValueError:
             parse_sql(sql)  # raise the error a parse meets first
             raise
-        template = self._templates.lookup(shape)
-        if template is None:
-            template = _Template(parse_sql(sql, template=True))
-            self._templates.store(shape, template)
+        template = self._template(shape,
+                                  lambda: parse_sql(sql, template=True))
         if fast is not None:
             self._template_keys.store(fast[0], template)
         return template.statement, template, params
@@ -376,16 +365,11 @@ class Database:
         select, template, _ = self._select_statement(sql)
         return self._plan(select, template=template)[0]
 
-    def physical_info(self, sql: str) -> PhysicalInfo:
-        """The physical planner's annotations for a statement."""
-        select, template, _ = self._select_statement(sql)
-        return self._plan(select, template=template)[1]
-
     def explain(self, sql: str) -> str:
         """The optimized plan with physical annotations, as text."""
         select, template, params = self._select_statement(sql)
-        return "\n".join(explain_lines(
-            *self._plan(select, template=template), params))
+        planned, info, _ = self._plan(select, template=template)
+        return "\n".join(explain_lines(planned, info, params))
 
     def _run_create(self, statement: ast.CreateTable,
                     template: Optional[_Template], params: tuple) -> None:

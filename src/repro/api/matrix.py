@@ -24,9 +24,10 @@ builds a node of the shared plan IR (:mod:`repro.plan.nodes`) — the same IR
 SQL statements compile into — so a chained
 "eager-looking" expression gets the whole plan stack for free: element-wise
 fusion into one kernel pass (:class:`~repro.plan.nodes.FusedRma`),
-common-subexpression elimination, the session's byte-budget plan/result
-cache, and the morsel-parallel engine.  :meth:`Matrix.explain` prints the
-optimized plan with its physical annotations.
+common-subexpression elimination, the session's template and
+byte-budget result caches, and the morsel-parallel engine.
+:meth:`Matrix.explain` prints the optimized plan with its physical
+annotations.
 
 The order schema of every intermediate follows from the paper's shape
 types (:meth:`repro.opspec.OpSpec.result_parts`), which is what lets
@@ -334,9 +335,10 @@ class Matrix:
         """Optimize, plan and execute the expression; returns the relation.
 
         Runs on the owning database's executor with its session-scoped
-        caches (expression-plan and subplan-result).  ``config`` replaces
-        the session configuration (``Database.config``) for this call
-        only.
+        caches: the expression's shape finds its planned template, and
+        its relations are bound to the template's slots for this run
+        only.  ``config`` replaces the session configuration
+        (``Database.config``) for this call only.
         """
         return self._db._run(self._plan, config)
 
@@ -347,7 +349,8 @@ class Matrix:
         repeated subexpressions are annotated ``shared xN``.  ``config``
         replaces the session configuration for this call only.
         """
-        return "\n".join(explain_lines(*self._db._plan(self._plan, config)))
+        planned, info, _ = self._db._plan(self._plan, config)
+        return "\n".join(explain_lines(planned, info))
 
 
 def _select_item(item: "str | Col | ast.Expr") -> ast.SelectItem:

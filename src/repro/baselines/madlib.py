@@ -121,10 +121,6 @@ def matrix_mult(a: list[list[float]], b: list[list[float]]) \
     return out
 
 
-def matrix_transpose(a: list[list[float]]) -> list[list[float]]:
-    return [list(col) for col in zip(*a)]
-
-
 def matrix_inverse(a: list[list[float]]) -> list[list[float]]:
     """Gauss-Jordan in pure python (what a C-less UDF costs)."""
     n = len(a)

@@ -89,29 +89,3 @@ def character_matrix_join(left: np.ndarray, left_key: int,
         return np.empty((0, left.shape[1] + right.shape[1] - 1),
                         dtype=object)
     return np.array(rows, dtype=object)
-
-
-# R's matrix kernels are BLAS calls; numpy is the same class of kernel.
-
-def r_crossprod(matrix: np.ndarray) -> np.ndarray:
-    """``crossprod(m)`` = t(m) %*% m."""
-    return matrix.T @ matrix
-
-
-def r_solve(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """``solve(a[, b])``."""
-    if b is None:
-        return np.linalg.inv(a)
-    return np.linalg.solve(a, b)
-
-
-def r_qr_q(matrix: np.ndarray) -> np.ndarray:
-    """``qr.Q(qr(m))``."""
-    q, _ = np.linalg.qr(matrix)
-    return q
-
-
-def r_svd(matrix: np.ndarray):
-    """``svd(m)`` returning (d, u, v)."""
-    u, d, vt = np.linalg.svd(matrix, full_matrices=False)
-    return d, u, vt.T

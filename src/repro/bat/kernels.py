@@ -254,21 +254,6 @@ def logical_not(a: np.ndarray) -> np.ndarray:
     return np.logical_not(a)
 
 
-def scalar_udf(func: Callable[..., Any], *bats: BAT,
-               dtype: DataType = DataType.DBL) -> BAT:
-    """Apply a python scalar function element-wise (slow path, UDF-style).
-
-    MonetDB would run a C UDF here; we keep it as the explicit slow path so
-    benchmarks that include UDF work (MADlib-style) measure real overhead.
-    """
-    n = align_check(*bats)
-    out = np.empty(n, dtype=dtype.numpy_dtype)
-    columns = [b.tail for b in bats]
-    for i in range(n):
-        out[i] = func(*(col[i] for col in columns))
-    return BAT(dtype, out, bats[0].hseqbase if bats else 0)
-
-
 def math_unary(name: str, a: BAT) -> BAT:
     """Vectorized math function (sqrt, abs, exp, log, floor, ceil, ...)."""
     funcs = {

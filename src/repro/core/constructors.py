@@ -96,18 +96,3 @@ def _name_of(value) -> str:
     if value is None:
         raise RmaError("column cast over nil values cannot name attributes")
     return str(value)
-
-
-def concat_matrices(*column_lists: Columns) -> Columns:
-    """Matrix concatenation m ⊞ n (Equation 3): column lists side by side."""
-    out: Columns = []
-    n = None
-    for columns in column_lists:
-        for col in columns:
-            if n is None:
-                n = len(col)
-            elif len(col) != n:
-                raise RmaError(
-                    "matrix concatenation requires equal row counts")
-            out.append(col)
-    return out

@@ -3,7 +3,10 @@
 The paper's §8.6 edge over R comes from running matrix operations *inside*
 a column store's query pipeline.  This package is that pipeline's plan
 layer, shared by both front ends; :class:`repro.api.database.Database` is
-the one driver that optimizes, plans and executes what they build:
+the one driver that optimizes, plans and executes what they build.  It
+plans each query *shape* once: a SQL statement's literals are parameter
+slots, and a ``Matrix`` expression's in-memory relations are relation
+slots (``nodes.bind_relations``), both bound per run by the executor:
 
 .. code-block:: text
 
@@ -30,7 +33,10 @@ Module map
     The logical IR: frozen dataclass plan nodes (``Scan``, ``RelScan``,
     ``Rma``, ``Filter``, ``JoinPlan``, ``Project``, ``Aggregate``, ...)
     plus expression-analysis helpers.  Node equality is structural, which
-    makes subplan sharing a dictionary lookup.
+    makes subplan sharing a dictionary lookup.  A ``RelScan`` holds a
+    relation slot and the relation's column names, never the relation;
+    ``bind_relations`` turns a ``Matrix`` plan into that shape and the
+    relations its slots bind.
 
 ``build``
     The SQL front end's compiler: parsed ``SELECT`` AST -> shared IR
@@ -88,11 +94,13 @@ Module map
       column in the plan layer.
 
 ``cache``
-    The session-scoped plan/result cache: canonical subplan -> result
-    relation, stamped with per-table catalog versions so
-    ``CREATE``/``INSERT``/``register``/``DROP`` invalidate exactly the
-    affected entries.  Owned by :class:`repro.api.database.Database`
-    (result cache), which may share one across sessions.
+    The session-scoped result cache: (canonical subplan, what its slots
+    are bound to) -> result relation, stamped with per-table catalog
+    versions so ``CREATE``/``INSERT``/``register``/``DROP`` invalidate
+    exactly the affected entries.  Bound relations are held weakly, and
+    an entry dies with them.  Owned by
+    :class:`repro.api.database.Database` (beside its template cache, an
+    ``LruDict``), which may share one across sessions.
 
 ``expr``
     The ``col``/``lit`` expression DSL that ``Matrix.filter``/``select``/

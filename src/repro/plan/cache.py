@@ -13,19 +13,21 @@ its subplan scans (:meth:`repro.bat.catalog.Catalog.table_version`, a
 monotone counter bumped on every ``CREATE``/``INSERT``/``register``/
 ``DROP``).  A lookup revalidates the stamps: any mutation of a scanned
 table invalidates exactly the entries that read it, while entries over
-untouched tables keep hitting.  ``RelScan`` leaves reference immutable
-relation objects by identity and need no stamp.
+untouched tables keep hitting.
 
-A stored key never pins those relations: each ``RelScan`` in it holds a
-``weakref.ref`` to its relation instead (equal to another reference to the
-same live relation, so lookups still hit), and when a leaf relation is
-collected its entries are dropped — an entry over a dead input can never
-hit again, and would otherwise keep its result resident until evicted.
-
-A subplan of a statement template reads its literals from parameter
-slots, so its key also holds the values bound to those slots, as
+A subplan of a template reads its run-time inputs from slots, so its key
+also holds what its slots are bound to (``Executor._bound``).  A SQL
+template's literals are parameter slots, bound to values held as
 :class:`~repro.sql.ast.Literal` nodes (``1`` and ``1.0`` differ): one
-template run with two date windows stores two entries.
+template run with two date windows stores two entries.  A ``Matrix``
+template's in-memory relations are relation slots
+(:class:`~repro.plan.nodes.RelScan`), bound to immutable relation objects
+held as weak references: a reference hashes like its relation and equals
+another reference to the same live relation, so lookups hit without the
+key pinning the relation.  When a bound relation is collected its entries
+are dropped — an entry over a dead input can never hit again, and would
+otherwise keep its result resident until evicted.  Bound relations need no
+stamp.
 
 Entries also record the :meth:`~repro.core.config.RmaConfig.cache_token`
 they were computed under: results can depend on configuration (e.g. the
@@ -34,16 +36,16 @@ sees a result computed under different settings.
 
 A result is admitted on its key's second sighting.  A bounded doorkeeper
 (:meth:`PlanCache.sighted`) holds the hashes of the ``(subplan, bound
-values)`` keys seen so far; the executor looks a key up and stores its
+slots)`` keys seen so far; the executor looks a key up and stores its
 result only when the doorkeeper already held it.  A result computed once
 and never again (a fresh date window, a ``Matrix`` over a relation built
-for one query) then costs one hash probe, and no weak key, stamps, byte
-estimate or finalizers.  A repeated key is cached from its second run and
-served from its third.  When full, the doorkeeper starts over, as TinyLFU's
+for one query) then costs one hash probe, and no stamps, byte estimate or
+finalizers.  A repeated key is cached from its second run and served from
+its third.  When full, the doorkeeper starts over, as TinyLFU's
 does (Einziger, Friedman & Manes, "TinyLFU: A Highly Efficient Cache
 Admission Policy", ACM TOS 2017).  Admission decides only what is stored;
-stamps, config tokens and weak-key invalidation apply to every entry as
-before.
+stamps, config tokens and bound-relation invalidation apply to every entry
+as before.
 
 A :class:`repro.api.database.Database` owns one per session (or shares one
 passed to ``connect(plan_cache=...)``), so SQL statements and ``Matrix``
@@ -94,7 +96,7 @@ def catalog_stamps(plan: nodes.Plan, catalog: Catalog) -> Stamps:
 class LruDict(OrderedDict):
     """OrderedDict with LRU discipline: touch on hit, trim on store.
 
-    The session's template, first-level key and expression-plan caches.
+    The session's template and first-level key caches.
     Threads sharing one session read and write it concurrently, so every
     method takes the lock: a hit is found and touched in one step, never
     after another thread's ``store`` evicted it.
@@ -120,10 +122,6 @@ class LruDict(OrderedDict):
             self.move_to_end(key)
             while len(self) > self.max_entries:
                 self.popitem(last=False)
-
-    def discard(self, key) -> None:
-        with self._lock:
-            self.pop(key, None)
 
 
 _STR_PAYLOAD_SAMPLE = 64
@@ -163,37 +161,6 @@ the entry-count backstop still caps pathological many-small-entry
 sessions."""
 
 
-def _weak_key(plan: nodes.Plan) -> tuple[nodes.Plan, list["Relation"]]:
-    """(storable key, RelScan leaf relations) of a subplan.
-
-    Plans without ``RelScan`` leaves are their own key.  Otherwise every
-    ``RelScan`` is rebuilt around a ``weakref.ref`` to its relation: weak
-    references hash like their referent and compare equal while it lives,
-    so the key matches exactly the plans over the same relation objects
-    without keeping them alive.  Shared subtrees are rebuilt once.
-    """
-    leaves: list["Relation"] = []
-    rebuilt: dict[int, nodes.Plan] = {}
-
-    def rebuild(node: nodes.Plan) -> nodes.Plan:
-        done = rebuilt.get(id(node))
-        if done is not None:
-            return done
-        if isinstance(node, nodes.RelScan):
-            leaves.append(node.relation)
-            out = nodes.RelScan(weakref.ref(node.relation), node.alias)
-        else:
-            children = node.children()
-            new = tuple(rebuild(child) for child in children)
-            out = node if all(a is b for a, b in zip(new, children)) \
-                else nodes.with_children(node, new)
-        rebuilt[id(node)] = out
-        return out
-
-    key = rebuild(plan)
-    return key, leaves
-
-
 @dataclass
 class _Entry:
     relation: "Relation"
@@ -201,7 +168,7 @@ class _Entry:
     config_token: tuple
     catalog: Catalog | None  # pinned only when stamps reference tables
     bytes: int = 0
-    # One per RelScan leaf: reports the key dead when the leaf is collected.
+    # One per bound relation: reports the key dead when it is collected.
     finalizers: tuple = ()
 
     def detach(self) -> None:
@@ -224,8 +191,8 @@ class PlanCache:
     intermediates hits the byte budget long before the entry count, while
     many tiny results are still bounded.  All operations take the cache
     lock: with the morsel engine on, executors call ``get``/``put`` from
-    pool worker threads.  Entries whose ``RelScan`` leaf relations were
-    collected are dropped at the next call (see :func:`_weak_key`).
+    pool worker threads.  Entries whose bound relations were collected
+    are dropped at the next call.
     The doorkeeper of :meth:`sighted` holds up to
     ``DOORKEEPER_PER_ENTRY * max_entries`` key hashes.
     """
@@ -262,10 +229,10 @@ class PlanCache:
         """Whether the key ``(plan, bound)`` was seen before; a first
         sighting is recorded and counts as a miss.
 
-        Only the key's hash is kept: plan nodes cache theirs, and a
-        ``RelScan`` hashes like the weak key :func:`_weak_key` builds for
-        it, so the check costs one probe and pins nothing.  A hash
-        collision only admits a result one sighting early.
+        Only the key's hash is kept: plan nodes cache theirs, and a bound
+        relation's weak reference hashes like the relation, so the check
+        costs one probe and pins nothing.  A hash collision only admits a
+        result one sighting early.
         """
         key = hash((plan, bound))
         with self._lock:
@@ -280,8 +247,8 @@ class PlanCache:
 
     def get(self, plan: nodes.Plan, catalog: Catalog,
             config: "RmaConfig", bound: tuple = ()) -> "Relation | None":
-        """The cached result for a subplan whose parameter slots are bound
-        to ``bound``, or None.
+        """The cached result for a subplan whose slots are bound to
+        ``bound``, or None.
 
         Truly stale entries (catalog version mismatch on any scanned
         table) are evicted on sight; entries that are merely *not ours* —
@@ -290,7 +257,7 @@ class PlanCache:
         sessions/configs is last-writer-wins for colliding plan keys
         instead of thrashing on alternating lookups.
         """
-        key = _weak_key(plan)[0], bound
+        key = plan, bound
         with self._lock:
             self._drop_dead()
             entry = self._entries.get(key)
@@ -318,8 +285,7 @@ class PlanCache:
             relation: "Relation", bound: tuple = ()) -> None:
         """Store a subplan result stamped with current table versions."""
         stamps = catalog_stamps(plan, catalog)
-        weak, leaves = _weak_key(plan)
-        key = weak, bound
+        key = plan, bound
         entry = _Entry(relation, stamps, config.cache_token(),
                        catalog if stamps else None,
                        bytes=relation_bytes(relation))
@@ -332,8 +298,8 @@ class PlanCache:
                 # previous version of the same plan is dropped.
                 return
             entry.finalizers = tuple(
-                weakref.finalize(leaf, _report_dead, self._dead, key)
-                for leaf in leaves)
+                weakref.finalize(ref(), _report_dead, self._dead, key)
+                for ref in bound if isinstance(ref, weakref.ref))
             self._entries[key] = entry
             self._bytes += entry.bytes
             while self._entries and (
@@ -351,7 +317,7 @@ class PlanCache:
             entry.detach()
 
     def _drop_dead(self) -> None:
-        """Drop the entries whose RelScan leaves were collected (caller
+        """Drop the entries whose bound relations were collected (caller
         holds the lock)."""
         while self._dead:
             self._drop(self._dead.popleft())
@@ -368,7 +334,7 @@ class PlanCache:
     @staticmethod
     def _valid(entry: _Entry, catalog: Catalog) -> bool:
         """Whether the stamped table versions still hold.  Entries without
-        stamps (pure ``RelScan`` plans — relations compared by identity)
+        stamps (plans over bound relations only — compared by identity)
         are catalog-independent, which is what lets sessions over different
         catalogs share one cache for them."""
         return all(catalog.table_version(name) == version

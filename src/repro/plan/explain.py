@@ -41,9 +41,8 @@ def describe_node(plan: nodes.Plan, params: tuple = ()) -> str:
     if isinstance(plan, nodes.Scan):
         return f"Scan {plan.table} AS {plan.alias}"
     if isinstance(plan, nodes.RelScan):
-        names = ", ".join(plan.relation.names)
-        return (f"RelScan {plan.alias} ({names}; "
-                f"{plan.relation.nrows} rows)")
+        return (f"RelScan {plan.alias} ({', '.join(plan.names)}; "
+                f"slot {plan.slot})")
     if isinstance(plan, nodes.SubqueryScan):
         return f"Subquery AS {plan.alias}"
     if isinstance(plan, nodes.Rma):

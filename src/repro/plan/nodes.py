@@ -76,15 +76,34 @@ class Scan(Plan):
 
 @plan_node
 class RelScan(Plan):
-    """Scan of an in-memory relation (``db.matrix(relation, ...)``'s leaf).
+    """Scan of the in-memory relation bound to relation slot ``slot``.
 
-    The relation is compared by identity (``Relation`` does not define value
-    equality), so two scans of the same relation object are equal nodes and
-    therefore CSE candidates, while scans of distinct objects are not.
+    A template's relation slots are bound per run, as its parameter slots
+    are (the executor's ``relations``), so a plan holds no relation.
+    ``names`` is the relation's schema, which the optimizer reads; it is
+    part of the shape, so relations with another schema get another
+    template.  :func:`bind_relations` gives every relation one slot, so
+    two scans of one relation are equal nodes (CSE candidates), while
+    scans of distinct relations are not.
+    """
+
+    slot: int
+    names: tuple[str, ...]
+    alias: str
+
+
+@plan_node
+class InMemory(Plan):
+    """A ``Matrix`` expression's in-memory relation, before binding
+    (``db.matrix(relation, ...)``'s leaf; ``name`` is its ``name=``).
+
+    Compared by identity, as ``Relation`` defines no value equality.
+    :func:`bind_relations` turns it into a :class:`RelScan`; no other
+    layer reads it.
     """
 
     relation: "Relation"
-    alias: str
+    name: Optional[str]
 
 
 @plan_node
@@ -135,10 +154,6 @@ class FusedRma(Plan):
 
     def children(self):
         return self.inputs
-
-    @property
-    def member_ops(self) -> tuple[str, ...]:
-        return tuple(step.op for step in self.steps)
 
 
 @plan_node
@@ -273,9 +288,11 @@ def node_exprs(plan: Plan) -> tuple[ast.Expr, ...]:
     return ()
 
 
-def param_slots(plan: Plan) -> tuple[int, ...]:
-    """The sorted :class:`~repro.sql.ast.Param` slots a plan reads."""
-    slots: set[int] = set()
+def bound_slots(plan: Plan) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted :class:`~repro.sql.ast.Param` slots and relation slots
+    (:class:`RelScan`) a plan reads."""
+    params: set[int] = set()
+    relations: set[int] = set()
     seen: set[int] = set()
     stack = [plan]
     while stack:
@@ -283,11 +300,52 @@ def param_slots(plan: Plan) -> tuple[int, ...]:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if isinstance(node, RelScan):
+            relations.add(node.slot)
         for expr in node_exprs(node):
-            slots.update(e.slot for e in walk_expr(expr)
-                         if isinstance(e, ast.Param))
+            params.update(e.slot for e in walk_expr(expr)
+                          if isinstance(e, ast.Param))
         stack.extend(node.children())
-    return tuple(sorted(slots))
+    return tuple(sorted(params)), tuple(sorted(relations))
+
+
+def bind_relations(plan: Plan) -> tuple[Plan, tuple["Relation", ...]]:
+    """A ``Matrix`` plan's shape and the relations its slots bind.
+
+    Every :class:`InMemory` leaf becomes a :class:`RelScan` whose slot
+    indexes the returned relations.  Relations are deduplicated by
+    identity, and slots are numbered in the order a depth-first walk
+    meets them, so one expression shape over fresh relations gives equal
+    shapes.  Without ``name=`` a scan's alias is ``_rel<slot>``.  Shared
+    subtrees are rebuilt once.
+    """
+    relations: list["Relation"] = []
+    shape = _bind(plan, relations, {}, {})
+    return shape, tuple(relations)
+
+
+def _bind(node: Plan, relations: list, slots: dict, rebuilt: dict) -> Plan:
+    """:func:`bind_relations` of one node.  A module function, not a
+    closure: a recursive closure is a reference cycle, which would keep
+    the relations alive until the cycle collector runs."""
+    done = rebuilt.get(id(node))
+    if done is not None:
+        return done
+    if isinstance(node, InMemory):
+        slot = slots.get(id(node.relation))
+        if slot is None:
+            slot = slots[id(node.relation)] = len(relations)
+            relations.append(node.relation)
+        out: Plan = RelScan(slot, tuple(node.relation.names),
+                            node.name or f"_rel{slot}")
+    else:
+        children = node.children()
+        new = tuple(_bind(child, relations, slots, rebuilt)
+                    for child in children)
+        out = node if all(a is b for a, b in zip(new, children)) \
+            else with_children(node, new)
+    rebuilt[id(node)] = out
+    return out
 
 
 def bind_params(expr: ast.Expr, params: "tuple | list") -> ast.Expr:

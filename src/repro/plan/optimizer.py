@@ -4,7 +4,8 @@ Four rewrites, mirroring what MonetDB's pipeline gives the paper's mixed
 workloads for free (and what R lacks, §8.6):
 
 1. **Predicate pushdown** — WHERE conjuncts move below joins to the deepest
-   input that can resolve all their columns;
+   input that can resolve all their columns (below a LEFT JOIN only into
+   its preserved, left side);
 2. **Cross-to-inner conversion and greedy join ordering** — comma-style
    FROM lists plus equality predicates become hash joins, ordered smallest
    estimated input first;
@@ -96,7 +97,7 @@ class Optimizer:
                 return None
             return {(plan.alias, n) for n in relation.names}
         if isinstance(plan, nodes.RelScan):
-            return {(plan.alias, n) for n in plan.relation.names}
+            return {(plan.alias, n) for n in plan.names}
         if isinstance(plan, nodes.SubqueryScan):
             inner = self.output_names(plan.plan)
             if inner is None:
@@ -198,7 +199,7 @@ class Optimizer:
         plan and the conjuncts that could not be pushed."""
         if not conjuncts:
             return plan, []
-        if isinstance(plan, nodes.JoinPlan) and plan.kind != "left":
+        if isinstance(plan, nodes.JoinPlan):
             left_names = self.output_names(plan.left)
             right_names = self.output_names(plan.right)
             push_left: list[ast.Expr] = []
@@ -209,7 +210,13 @@ class Optimizer:
                 target = self._conjunct_target(conjunct, left_names,
                                                right_names)
                 if target == "left":
+                    # A LEFT JOIN keeps each left row (or its matches) as
+                    # it is, so the preserved side may be filtered first.
                     push_left.append(conjunct)
+                elif plan.kind == "left":
+                    # The right side's columns read NULL in the rows the
+                    # join pads: a conjunct over them stays above it.
+                    keep.append(conjunct)
                 elif target == "right":
                     push_right.append(conjunct)
                 elif target == "both" and self._is_equality(conjunct):

@@ -78,6 +78,7 @@ import functools
 import itertools
 import re
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -924,7 +925,8 @@ class PhysicalInfo:
     ``id(expr)`` to the :class:`ExprInfo` of each expression the nodes
     evaluate (join conditions down to their conjuncts' sides),
     ``bound_slots`` maps each shareable subplan (its CSE key) to the
-    parameter slots its result depends on, and ``filter_keys`` maps each
+    parameter and relation slots its result depends on
+    (:func:`~repro.plan.nodes.bound_slots`), and ``filter_keys`` maps each
     Filter to its candidate-list key (:func:`_filter_key`) and the column
     references it must resolve.  ``join_sides`` maps each JoinPlan to its
     condition split into equi-join pairs and residual conjuncts; the split
@@ -933,8 +935,7 @@ class PhysicalInfo:
 
     shared: dict[nodes.Plan, int] = field(default_factory=dict)
     exprs: dict[int, ExprInfo] = field(default_factory=dict)
-    bound_slots: dict[nodes.Plan, tuple[int, ...]] = field(
-        default_factory=dict)
+    bound_slots: dict[nodes.Plan, tuple] = field(default_factory=dict)
     filter_keys: dict[nodes.Filter, tuple] = field(default_factory=dict)
     join_sides: dict[nodes.JoinPlan, tuple] = field(default_factory=dict)
 
@@ -948,7 +949,6 @@ def plan_physical(plan: nodes.Plan) -> PhysicalInfo:
 class _PhysicalPlanner:
     def __init__(self):
         self.info = PhysicalInfo()
-        self._templated = False  # whether an expression reads a Param
 
     def annotate(self, plan: nodes.Plan) -> PhysicalInfo:
         # Walk by reference, not structure: each *occurrence* of a node is
@@ -969,9 +969,8 @@ class _PhysicalPlanner:
             visited.add(id(node))
             self._analyse(node)
             stack.extend(node.children())
-        if self._templated:
-            self.info.bound_slots = {key: nodes.param_slots(key)
-                                     for key in self.info.shared}
+        self.info.bound_slots = {key: nodes.bound_slots(key)
+                                 for key in self.info.shared}
         self.info.shared = {k: c for k, c in self.info.shared.items()
                             if c > 1}
         return self.info
@@ -987,8 +986,6 @@ class _PhysicalPlanner:
         for expr in exprs:
             if id(expr) not in self.info.exprs:
                 self.info.exprs[id(expr)] = expr_info(expr)
-                self._templated = self._templated or any(
-                    isinstance(e, ast.Param) for e in nodes.walk_expr(expr))
         if isinstance(node, nodes.Filter):
             self.info.filter_keys[node] = (
                 _filter_key(node), tuple(nodes.column_refs(node.predicate)))
@@ -996,7 +993,8 @@ class _PhysicalPlanner:
 
 def _filter_key(plan: nodes.Filter):
     """Key of the statement-scoped candidate list of a Filter directly
-    over a table or relation scan, or ``None``.
+    over a table or relation scan, or ``None``.  The leaf is keyed by its
+    table name or its relation slot (one relation per slot in a run).
 
     Filters with the same predicate over the same leaf share one
     candidate list whatever their ``Prune`` lists and aliases: column
@@ -1009,7 +1007,7 @@ def _filter_key(plan: nodes.Filter):
     if isinstance(leaf, nodes.Scan):
         source = leaf.table
     elif isinstance(leaf, nodes.RelScan):
-        source = leaf.relation
+        source = leaf.slot
     else:
         return None
     refs = nodes.column_refs(plan.predicate)
@@ -1050,15 +1048,17 @@ class Executor:
     ``physical`` carries the planner's annotations (shared subplans and
     per-template analysis); when omitted, the executor derives the
     analysis as it goes.  ``params`` binds the
-    :class:`~repro.sql.ast.Param` slots of a statement template.
+    :class:`~repro.sql.ast.Param` slots of a statement template and
+    ``relations`` the relation slots (:class:`~repro.plan.nodes.RelScan`)
+    of a ``Matrix`` template (:func:`~repro.plan.nodes.bind_relations`).
     Repeated RMA/subquery subplans execute once per statement (CSE;
     ``stats.cse_hits`` counts the reuses).  ``result_cache`` is an
     optional *session-scoped* :class:`repro.plan.cache.PlanCache`:
     shareable subplan results found there skip execution entirely, and
     freshly computed ones are stored for later statements (stamped with
     catalog table versions, so catalog mutations invalidate exactly the
-    affected entries, and keyed with the values bound to the subplan's
-    slots) once their key is sighted a second time
+    affected entries, and keyed with the values and relations bound to
+    the subplan's slots) once their key is sighted a second time
     (:meth:`~repro.plan.cache.PlanCache.sighted`;
     ``stats.deferred_admissions`` counts the first sightings).
 
@@ -1070,12 +1070,14 @@ class Executor:
     def __init__(self, catalog: Catalog, config: RmaConfig | None = None,
                  physical: PhysicalInfo | None = None,
                  result_cache: "PlanCache | None" = None,
-                 params: Sequence[Any] = ()):
+                 params: Sequence[Any] = (),
+                 relations: Sequence[Relation] = ()):
         self.catalog = catalog
         self.config = config or default_config()
         self.physical = physical or PhysicalInfo()
         self.result_cache = result_cache
         self.params = tuple(params)
+        self.relations = tuple(relations)
         self.stats = ExecStats()
         self._memo: dict[nodes.Plan, Relation] = {}
         # Filter candidate lists shared within the statement
@@ -1165,15 +1167,20 @@ class Executor:
         return Frame.from_relation(relation, alias, self._gathered)
 
     def _bound(self, plan: nodes.Plan) -> tuple:
-        """The values bound to the parameter slots ``plan`` reads, as
-        literals: they compare by type too, so ``1`` and ``1.0`` bound to
-        the same subplan of two templates key different results."""
-        if not self.params:
+        """What ``plan``'s slots are bound to: the parameter values, as
+        literals (they compare by type too, so ``1`` and ``1.0`` bound to
+        the same subplan of two templates key different results), then
+        the relations, as weak references (equal while the relation
+        lives, so the key pins nothing)."""
+        if not self.params and not self.relations:
             return ()
         slots = self.physical.bound_slots.get(plan)
         if slots is None:
-            slots = nodes.param_slots(plan)
-        return tuple(ast.Literal(self.params[slot]) for slot in slots)
+            slots = nodes.bound_slots(plan)
+        params, relations = slots
+        return (tuple(ast.Literal(self.params[slot]) for slot in params)
+                + tuple(weakref.ref(self.relations[slot])
+                        for slot in relations))
 
     def _bump(self, counter: str) -> None:
         with self._lock:
@@ -1217,7 +1224,7 @@ class Executor:
         return self._frame(self.catalog.get(plan.table), plan.alias)
 
     def _run_relscan(self, plan: nodes.RelScan) -> Frame:
-        return self._frame(plan.relation, plan.alias)
+        return self._frame(self.relations[plan.slot], plan.alias)
 
     def _run_subqueryscan(self, plan: nodes.SubqueryScan) -> Frame:
         relation = self._memoized_relation(

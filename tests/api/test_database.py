@@ -1,12 +1,15 @@
 """Database: the session front door (connect, configuration, caches)."""
 
 import dataclasses
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
 
 import repro
+import repro.api.database as database
 from repro.api.database import Database
 from repro.api.matrix import Matrix
 from repro.plan.cache import PlanCache
@@ -171,24 +174,39 @@ class TestSessionCaches:
         (gram.inv() @ gram).collect()
         assert db.last_stats.cache_hits == 0
 
-    def test_statement_plan_cache_reuses_named_table_plans(self, rel):
+    def test_statement_plan_cache_reuses_named_table_plans(
+            self, rel, monkeypatch):
+        calls = []
+        optimize = database.optimize
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(database, "optimize", counting)
         db = repro.connect()
         db.register("t", rel)
         m = db.matrix("t", by="key").inv()
         m.collect()
-        entry_count = len(db._expression_plans)
-        assert entry_count == 1
         m.collect()
-        assert len(db._expression_plans) == entry_count
+        db.matrix("t", by="key").inv().collect()
+        assert len(calls) == 1
 
-    def test_in_memory_plans_not_pinned_by_plan_cache(self, rel):
-        """RelScan-leaf expression plans bypass the statement-plan cache:
-        its entries would pin the input relations with no byte budget."""
+    def test_in_memory_plans_not_pinned_by_plan_cache(self):
+        """A cached expression template holds relation slots, not the
+        relations: an input nothing else holds is collected while its
+        template stays cached."""
         db = repro.connect(plan_cache=PlanCache(max_bytes=0))
-        m = db.matrix(rel, by="key").inv()
+        relation = Relation.from_columns(
+            {"key": [1, 2], "x0": [2.0, 1.0], "x1": [1.0, 3.0]})
+        m = db.matrix(relation, by="key").inv()
         m.collect()
         m.collect()
-        assert len(db._expression_plans) == 0
+        input_ref = weakref.ref(relation)
+        del m, relation
+        gc.collect()
+        assert input_ref() is None
+        assert len(db._templates) == 1
 
     def test_matrix_rejects_foreign_database_handle(self, rel):
         db1, db2 = repro.connect(), repro.connect()

@@ -160,7 +160,7 @@ class TestOperatorChain:
 
 
 def rel_of(matrix) -> Relation:
-    """The relation behind a leaf handle (RelScan plan node)."""
+    """The relation behind a leaf handle (its InMemory plan node)."""
     return matrix.plan.relation
 
 

@@ -10,7 +10,6 @@ from repro.baselines.madlib import (
     matrix_add,
     matrix_inverse,
     matrix_mult,
-    matrix_transpose,
 )
 from repro.errors import ReproError
 
@@ -66,9 +65,6 @@ class TestUdfs:
         b = rng.normal(size=(3, 5)).tolist()
         assert np.allclose(matrix_mult(a, b),
                            np.array(a) @ np.array(b))
-
-    def test_matrix_transpose(self):
-        assert matrix_transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
 
     def test_matrix_inverse_matches_numpy(self, rng):
         a = (rng.normal(size=(4, 4)) + 4 * np.eye(4)).tolist()

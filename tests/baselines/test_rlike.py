@@ -11,12 +11,6 @@ from repro.baselines.rlike import (
     matrix_to_frame,
     read_csv_r,
 )
-from repro.baselines.rlike.matrix import (
-    r_crossprod,
-    r_qr_q,
-    r_solve,
-    r_svd,
-)
 from repro.errors import ReproError
 from repro.relational import Relation
 
@@ -121,28 +115,6 @@ class TestMatrixConversion:
         left = np.array([["1", "x"]], dtype=object)
         right = np.array([["9", "L"]], dtype=object)
         assert character_matrix_join(left, 0, right, 0).shape[0] == 0
-
-
-class TestRKernels:
-    def test_crossprod(self, rng):
-        m = rng.normal(size=(10, 3))
-        assert np.allclose(r_crossprod(m), m.T @ m)
-
-    def test_solve(self, rng):
-        a = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-        assert np.allclose(r_solve(a) @ a, np.eye(4))
-        b = rng.normal(size=(4, 2))
-        assert np.allclose(a @ r_solve(a, b), b)
-
-    def test_qr_q(self, rng):
-        m = rng.normal(size=(8, 3))
-        q = r_qr_q(m)
-        assert np.allclose(q.T @ q, np.eye(3))
-
-    def test_svd(self, rng):
-        m = rng.normal(size=(6, 3))
-        d, u, v = r_svd(m)
-        assert np.allclose(u @ np.diag(d) @ v.T, m)
 
 
 class TestCsvLoader:

@@ -145,11 +145,3 @@ class TestMath:
     def test_unknown_function(self):
         with pytest.raises(BatError):
             kernels.math_unary("nope", BAT.from_values([1.0]))
-
-
-class TestScalarUdf:
-    def test_udf_slow_path(self):
-        out = kernels.scalar_udf(lambda a, b: a * 10 + b,
-                                 BAT.from_values([1.0, 2.0]),
-                                 BAT.from_values([3.0, 4.0]))
-        assert list(out.tail) == [13.0, 24.0]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from repro.plan.build import build_select
+from repro.plan.nodes import bind_relations
 from repro.plan.physical import Executor
 from repro.relational import Relation
 from repro.sql.parser import parse_sql
@@ -61,12 +62,15 @@ def _run_unoptimized(db, source, config=None) -> Relation:
     """Run a query's built plan directly: no optimizer (so no fusion,
     pushdown, pruning or join reordering), no physical annotations and no
     session cache.  ``source`` is a ``Matrix`` or SQL
-    ``SELECT`` text; ``config`` defaults to the session's."""
+    ``SELECT`` text; ``config`` defaults to the session's.  A ``Matrix``
+    plan's relations are bound to its slots as a session binds them."""
+    relations = ()
     if isinstance(source, str):
         plan = build_select(parse_sql(source))
     else:
-        plan = source.plan
-    executor = Executor(db.catalog, config or db.config)
+        plan, relations = bind_relations(source.plan)
+    executor = Executor(db.catalog, config or db.config,
+                        relations=relations)
     return executor.run(plan).to_plain_relation()
 
 

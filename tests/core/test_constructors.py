@@ -5,7 +5,7 @@ import pytest
 
 from repro.bat.bat import BAT, DataType
 from repro.core import column_cast, gamma, matrix_constructor, mu, schema_cast
-from repro.core.constructors import concat_matrices, mu_bats
+from repro.core.constructors import mu_bats
 from repro.errors import (
     KeyViolationError,
     OrderSchemaError,
@@ -96,15 +96,3 @@ class TestColumnCast:
         r = Relation.from_columns({"k": ["a", None], "v": [0.0, 0.0]})
         with pytest.raises(RmaError):
             column_cast(r, "k")
-
-
-class TestConcat:
-    def test_concat_columns(self):
-        out = concat_matrices([np.array([1.0, 2.0])],
-                              [np.array([3.0, 4.0]),
-                               np.array([5.0, 6.0])])
-        assert len(out) == 3
-
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(RmaError):
-            concat_matrices([np.array([1.0])], [np.array([1.0, 2.0])])

@@ -9,6 +9,7 @@ once where double-checked locking promises it.
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestSessionCaches:
         db = repro.connect()
         db.register("t", Relation.from_columns({
             "id": np.arange(5, dtype=np.int64), "v": np.arange(5.0)}))
-        db._templates.max_entries = db._expression_plans.max_entries = 2
+        db._templates.max_entries = 2
         statements = [f"SELECT id, v + {i} AS w FROM t WHERE id >= {i % 3}"
                       for i in range(6)]
 
@@ -189,42 +190,51 @@ class TestPlanCacheBudget:
             "key": np.arange(n, dtype=np.int64),
             "val": rng.uniform(0.0, 1.0, n)})
 
+    def key(self, relation, alias):
+        """(plan, bound) of a scan of ``relation`` as an executor keys
+        it: a relation slot, and the relation bound to it, held
+        weakly."""
+        from repro.plan import nodes
+        return (nodes.RelScan(0, tuple(relation.names), alias),
+                (weakref.ref(relation),))
+
     def test_evicts_by_bytes_lru_first(self):
         from repro.bat.catalog import Catalog
-        from repro.plan import nodes
         catalog = Catalog()
         # Each result is ~16 bytes/row * 10_000 rows ≈ 160 kB.
         cache = PlanCache(max_entries=100, max_bytes=400_000)
-        plans = []
+        rels, keys = [], []
         for i in range(3):
             rel = self.big_relation(10_000, seed=i)
-            plan = nodes.RelScan(rel, f"r{i}")
-            plans.append(plan)
-            cache.put(plan, catalog, RmaConfig(), rel)
+            plan, bound = self.key(rel, f"r{i}")
+            rels.append(rel)
+            keys.append((plan, bound))
+            cache.put(plan, catalog, RmaConfig(), rel, bound)
         assert cache.total_bytes <= 400_000
         assert cache.evictions >= 1
         # The oldest entry went first; the newest is still cached.
-        assert cache.get(plans[0], catalog, RmaConfig()) is None
-        assert cache.get(plans[-1], catalog, RmaConfig()) is not None
+        plan, bound = keys[0]
+        assert cache.get(plan, catalog, RmaConfig(), bound) is None
+        plan, bound = keys[-1]
+        assert cache.get(plan, catalog, RmaConfig(), bound) is not None
 
     def test_entry_backstop_still_applies(self):
         from repro.bat.catalog import Catalog
-        from repro.plan import nodes
         catalog = Catalog()
         cache = PlanCache(max_entries=2, max_bytes=10**9)
-        for i in range(4):
-            rel = self.big_relation(10, seed=i)
-            cache.put(nodes.RelScan(rel, f"r{i}"), catalog, RmaConfig(),
-                      rel)
+        rels = [self.big_relation(10, seed=i) for i in range(4)]
+        for i, rel in enumerate(rels):
+            plan, bound = self.key(rel, f"r{i}")
+            cache.put(plan, catalog, RmaConfig(), rel, bound)
         assert len(cache) == 2
 
     def test_oversized_entry_not_pinned(self):
         from repro.bat.catalog import Catalog
-        from repro.plan import nodes
         catalog = Catalog()
         cache = PlanCache(max_entries=8, max_bytes=1_000)
         rel = self.big_relation(10_000, seed=0)
-        cache.put(nodes.RelScan(rel, "r"), catalog, RmaConfig(), rel)
+        plan, bound = self.key(rel, "r")
+        cache.put(plan, catalog, RmaConfig(), rel, bound)
         assert len(cache) == 0
         assert cache.total_bytes == 0
 

@@ -152,7 +152,7 @@ class TestFusionRewrite:
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
-        assert fused[0].member_ops == ("add", "sub")
+        assert tuple(s.op for s in fused[0].steps) == ("add", "sub")
         assert fused[0].bys == (("k0",), ("k1",), ("k2",))
 
     def test_right_deep_chain_fuses(self):
@@ -162,7 +162,7 @@ class TestFusionRewrite:
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
-        assert fused[0].member_ops == ("emu", "add")
+        assert tuple(s.op for s in fused[0].steps) == ("emu", "add")
 
     def test_scalar_steps_fuse(self):
         r0, r1 = chain_relation(0), chain_relation(1)
@@ -171,7 +171,8 @@ class TestFusionRewrite:
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
-        assert fused[0].member_ops == ("add", "smul", "sadd")
+        assert tuple(s.op for s in fused[0].steps) == \
+            ("add", "smul", "sadd")
         assert fused[0].steps[1].scalar == 2.0
 
     def test_single_op_not_fused(self):

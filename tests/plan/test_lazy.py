@@ -154,11 +154,11 @@ class TestChains:
         rel = keyed(SQUARE)
         inverse = execute_rma("inv", rel, "key")
         eager = execute_rma("mmu", inverse, "key", inverse, "key")
-        leaf = nodes.RelScan(rel, "r")
+        leaf = nodes.RelScan(0, tuple(rel.names), "r")
         inv_node = nodes.Rma("inv", (leaf,), (("key",),), None)
         plan = nodes.Rma("mmu", (inv_node, inv_node),
                          (("key",), ("key",)), None)
-        executor = Executor(repro.connect().catalog)
+        executor = Executor(repro.connect().catalog, relations=(rel,))
         assert identical(eager, executor.run(plan).to_plain_relation())
         assert executor.stats.cse_hits == 1
 

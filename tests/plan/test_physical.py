@@ -41,19 +41,20 @@ class TestCse:
         rel = square_relation()
         frame = mat(rel).inv()
         pipe = frame @ frame
-        plan = optimize(pipe.plan, Catalog(), keep_all=True)
-        executor = Executor(Catalog())
+        shape, relations = nodes.bind_relations(pipe.plan)
+        plan = optimize(shape, Catalog(), keep_all=True)
+        executor = Executor(Catalog(), relations=relations)
         result = executor.run(plan).to_plain_relation()
         assert executor.stats.cse_hits == 1
         assert result.nrows == rel.nrows
 
     def test_cse_ignores_alias_difference(self):
         rel = square_relation()
-        leaf = mat(rel).plan
+        leaf = nodes.RelScan(0, tuple(rel.names), "r")
         a = nodes.Rma("inv", (leaf,), (("key",),), "a")
         b = nodes.Rma("inv", (leaf,), (("key",),), "b")
         plan = nodes.Rma("mmu", (a, b), (("key",), ("key",)), None)
-        executor = Executor(Catalog())
+        executor = Executor(Catalog(), relations=(rel,))
         executor.run(plan)
         assert executor.stats.cse_hits == 1
 
@@ -62,8 +63,9 @@ class TestCse:
         db = repro.connect()
         pipe = (db.matrix(r1, by="key").inv()
                 @ db.matrix(r2, by="key").inv())
-        executor = Executor(Catalog())
-        executor.run(pipe.plan)
+        plan, relations = nodes.bind_relations(pipe.plan)
+        executor = Executor(Catalog(), relations=relations)
+        executor.run(plan)
         assert executor.stats.cse_hits == 0
 
     def test_deep_diamond_plans_and_executes_linearly(self):
@@ -74,9 +76,10 @@ class TestCse:
         pipe = mat(rel).inv()
         for _ in range(30):
             pipe = pipe @ pipe
-        info = plan_physical(pipe.plan)
-        executor = Executor(Catalog(), physical=info)
-        result = executor.run(pipe.plan).to_plain_relation()
+        plan, relations = nodes.bind_relations(pipe.plan)
+        info = plan_physical(plan)
+        executor = Executor(Catalog(), physical=info, relations=relations)
+        result = executor.run(plan).to_plain_relation()
         assert executor.stats.cse_hits == 30
         assert result.nrows == rel.nrows
 
@@ -92,8 +95,7 @@ class TestCse:
         session.register("m", square_relation())
         sql = ("SELECT a.x0 FROM INV(m BY key) AS a "
                "CROSS JOIN INV(m BY key) AS b")
-        info = session.physical_info(sql)
-        assert any(count == 2 for count in info.shared.values())
+        assert "[shared x2]" in session.explain(sql)
 
 
 # -- merge join ----------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import repro
 from repro.bat.catalog import Catalog
 from repro.core.config import RmaConfig
+from repro.plan import nodes
 from repro.plan.cache import PlanCache, catalog_stamps
 from repro.relational.relation import Relation
 
@@ -39,6 +40,13 @@ def gram_expression(rel: Relation, cache: PlanCache):
     """CPD(rel, rel) on a fresh session (fresh catalog) sharing ``cache``."""
     m = repro.connect(plan_cache=cache).matrix(rel, by="id")
     return m.cpd(m)
+
+
+def bound_key(relation: Relation, alias: str):
+    """(plan, bound) of a scan of ``relation`` as an executor keys it: a
+    relation slot, and the relation bound to it, held weakly."""
+    return (nodes.RelScan(0, tuple(relation.names), alias),
+            (weakref.ref(relation),))
 
 
 class TestCatalogVersions:
@@ -235,8 +243,9 @@ class TestStatementPlanCache:
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
         session.execute(GRAM_SQL)
+        m = session.matrix(gram_table(), by="id")
+        m.cpd(m).collect()
         assert len(session._templates) == 0
-        assert len(session._expression_plans) == 0
         assert session.result_cache is None
 
 
@@ -289,9 +298,9 @@ class TestLazyCache:
         assert cache.invalidations == 0
 
 
-class TestWeakRelScanLeaves:
-    """Stored keys hold RelScan leaves weakly: an entry over a collected
-    input relation is dropped instead of pinning the input."""
+class TestWeakBoundRelations:
+    """Stored keys hold their bound relations weakly: an entry over a
+    collected input relation is dropped instead of pinning the input."""
 
     def test_dead_leaf_drops_entry(self):
         cache = PlanCache()
@@ -325,7 +334,7 @@ class TestWeakRelScanLeaves:
         session.execute(GRAM_SQL)  # admitted on its second sighting
         stored = len(cache)
         assert stored >= 1
-        # A collected, unrelated RelScan input leaves Scan entries alone.
+        # A collected, unrelated bound input leaves Scan entries alone.
         other = gram_table(seed=9)
         gram_expression(other, cache).collect()
         gram_expression(other, cache).collect()  # admitted now
@@ -338,16 +347,17 @@ class TestWeakRelScanLeaves:
 
     def test_evicted_entry_releases_its_finalizer(self):
         cache = PlanCache(max_entries=1)
-        from repro.plan import nodes
         catalog, config = Catalog(), RmaConfig()
         a, b = gram_table(seed=1), gram_table(seed=2)
-        cache.put(nodes.RelScan(a, "a"), catalog, config, gram_table())
-        cache.put(nodes.RelScan(b, "b"), catalog, config, gram_table())
+        plan_a, bound_a = bound_key(a, "a")
+        plan_b, bound_b = bound_key(b, "b")
+        cache.put(plan_a, catalog, config, gram_table(), bound_a)
+        cache.put(plan_b, catalog, config, gram_table(), bound_b)
         del a
         gc.collect()
         # a's entry was evicted already; its death must not touch b's.
         assert len(cache) == 1
-        assert cache.get(nodes.RelScan(b, "b"), catalog, config) is not None
+        assert cache.get(plan_b, catalog, config, bound_b) is not None
 
 
 class TestSharedCacheAcrossSessions:
@@ -374,8 +384,8 @@ class TestSharedCacheAcrossSessions:
         assert rb.column("v").python_values()[0] == pytest.approx(50000.0)
 
     def test_relscan_entries_stay_shareable(self):
-        # Each session has its own catalog; stamp-free entries (RelScan
-        # identity) must keep hitting across them.
+        # Each session has its own catalog; stamp-free entries (keyed by
+        # bound relations' identity) must keep hitting across them.
         cache = PlanCache()
         rel = gram_table()
         gram_expression(rel, cache).collect()
@@ -386,7 +396,6 @@ class TestSharedCacheAcrossSessions:
 
 class TestPlanCacheUnit:
     def test_doorkeeper_admits_on_second_sighting(self):
-        from repro.plan import nodes
         from repro.sql import ast
         cache = PlanCache()
         plan = nodes.Scan("t", "t")
@@ -399,7 +408,6 @@ class TestPlanCacheUnit:
         assert cache.misses == 3 and cache.hits == 0
 
     def test_doorkeeper_starts_over_when_full(self):
-        from repro.plan import nodes
         cache = PlanCache(max_entries=1)
         plans = [nodes.Scan(f"t{i}", "t")
                  for i in range(PlanCache.DOORKEEPER_PER_ENTRY + 1)]
@@ -431,10 +439,11 @@ class TestPlanCacheUnit:
         catalog = Catalog()
         config = RmaConfig()
         rels = [gram_table(seed=i) for i in range(3)]
-        from repro.plan import nodes
-        plans = [nodes.RelScan(r, f"t{i}") for i, r in enumerate(rels)]
-        for plan, rel in zip(plans, rels):
-            cache.put(plan, catalog, config, rel)
+        keys = [bound_key(r, f"t{i}") for i, r in enumerate(rels)]
+        for (plan, bound), rel in zip(keys, rels):
+            cache.put(plan, catalog, config, rel, bound)
         assert len(cache) == 2
-        assert cache.get(plans[0], catalog, config) is None  # evicted
-        assert cache.get(plans[2], catalog, config) is rels[2]
+        plan, bound = keys[0]
+        assert cache.get(plan, catalog, config, bound) is None  # evicted
+        plan, bound = keys[2]
+        assert cache.get(plan, catalog, config, bound) is rels[2]

@@ -119,6 +119,24 @@ class TestRewrites:
         join = find_nodes(plan, nodes.JoinPlan)[0]
         assert join.kind == "left"
 
+    def test_left_join_filters_its_preserved_side_first(
+            self, session, users, run_unoptimized):
+        # A conjunct over the preserved side moves below the LEFT JOIN;
+        # one over the null-supplying side must see its padded rows.
+        session.register("v", Relation.from_rows(
+            users.names, users.to_rows() + [("Eve", "NY", 1990)]))
+        sql = ("SELECT v.User, r.Net FROM v LEFT JOIN r "
+               "ON v.User = r.User WHERE v.YoB > 1966 AND r.Net IS NULL")
+        assert session.explain(sql).splitlines()[1:4] == [
+            "  Filter (r.Net IS NULL)",
+            "    Join left ON (v.User = r.User)",
+            "      Filter (v.YoB > 1966)"]
+        out = session.execute(sql)
+        assert out.to_rows() == [("Eve", None)]
+        reference = run_unoptimized(session, sql)
+        assert out.names == reference.names
+        assert out.to_rows() == reference.to_rows()
+
 
 class TestDynamicSchemas:
     def test_tra_output_names_unknown(self, session):

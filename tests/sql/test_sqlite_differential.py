@@ -3,7 +3,8 @@
 Hypothesis generates two small tables ``l`` and ``r`` with INT, DBL, STR
 and DATE columns (NULLs, duplicate keys, 0- and 1-row inputs) and queries
 over filters and ``BETWEEN``, inner and left joins with equality plus
-residual ``ON`` conjuncts, subqueries in ``FROM``, ``GROUP BY``/``HAVING``,
+residual ``ON`` conjuncts (and ``WHERE`` conjuncts over either side of a
+left join), subqueries in ``FROM``, ``GROUP BY``/``HAVING``,
 ``DISTINCT`` and ``ORDER BY``/``LIMIT``.  Fig. 15's star shape gets a
 larger fact table ``l`` over few keys and a dimension ``r`` whose keys are
 unique in some examples and duplicated in others: a composite-key
@@ -148,6 +149,23 @@ def join_queries(draw):
     if draw(st.booleans()):
         sql += f" WHERE {draw(predicates('l.', 'l', 1))}"
     return sql
+
+
+NULL_SIDE = ["r.y IS NULL", "r.k IS NULL", "r.s IS NOT NULL",
+             "(r.y IS NULL OR (r.y IS NOT NULL AND r.y > 0))"]
+
+
+@st.composite
+def left_join_where_queries(draw):
+    """A LEFT JOIN whose WHERE has a conjunct over the preserved side
+    (moved below the join) and one over the null-supplying side (kept
+    above it, where the padded rows read NULL)."""
+    keys = draw(st.sampled_from(JOIN_KEYS))
+    on = " AND ".join(f"l.{key} = r.{key}" for key in keys)
+    conjuncts = draw(st.permutations(
+        [draw(predicates("l.", "l", 1)), draw(st.sampled_from(NULL_SIDE))]))
+    return ("SELECT l.k AS lk, l.x AS lx, r.k AS rk, r.y AS ry FROM l "
+            f"LEFT JOIN r ON {on} WHERE {' AND '.join(conjuncts)}")
 
 
 AGGREGATES = ["COUNT(*)", "COUNT(x)", "SUM(x)", "AVG(x)", "MIN(x)",
@@ -350,6 +368,12 @@ def test_joins(data, sql):
 
 
 @DIFFERENTIAL
+@given(tables, left_join_where_queries())
+def test_left_join_where(data, sql):
+    check(data, sql)
+
+
+@DIFFERENTIAL
 @given(tables, subquery_queries())
 def test_subqueries(data, sql):
     check(data, sql)
@@ -406,6 +430,10 @@ NULLS = {"l": [(None, None, None, None), (1, 0.5, "a", DATES[0]),
     "ON l.k = r.k AND (r.y IS NOT NULL AND r.y > 5)",
     "SELECT l.k AS lk, q.y AS qy FROM l LEFT JOIN "
     "(SELECT k, y FROM r WHERE y > 100) AS q ON l.k = q.k",
+    # LEFT JOIN: WHERE over the preserved side filters below the join,
+    # over the null-supplying side above it.
+    "SELECT l.k AS lk, l.x AS lx, r.y AS ry FROM l LEFT JOIN r "
+    "ON l.k = r.k WHERE (l.x IS NOT NULL AND l.x > 0) AND r.y IS NULL",
 ])
 def test_regressions(sql):
     check(NULLS, sql)
