@@ -51,7 +51,7 @@ def _power(evaluator, args: list[Any]):
 def _coalesce(evaluator, args: list[Any]):
     if not args:
         raise PlanError("COALESCE requires arguments")
-    from repro.plan.physical import _broadcast
+    from repro.plan.evaluate import _broadcast
     n = evaluator.n
     result = _broadcast(args[-1], n)
     for value in reversed(args[:-1]):

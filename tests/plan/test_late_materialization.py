@@ -17,7 +17,8 @@ from repro.bat.catalog import Catalog
 from repro.errors import BindError
 from repro.data import bixi
 import repro.relational.joins as rel_join
-from repro.plan import nodes, physical
+from repro.plan import evaluate, nodes, physical
+import repro.plan.frame as plan_frame
 from repro.plan.expr import col
 from repro.plan.physical import Executor, ExpressionEvaluator, Frame
 from repro.relational.relation import Relation
@@ -225,7 +226,7 @@ class TestLeftJoinNils:
         return db
 
     def test_nils_are_filled_once_per_column(self, db, count_calls):
-        fills = count_calls(physical, "_gather_nullable")
+        fills = count_calls(plan_frame, "_gather_nullable")
         out = db.execute(
             "SELECT a.k, b.y, b.y * 2 AS y2, b.w FROM a LEFT JOIN b "
             "ON a.k = b.k WHERE (b.y IS NULL OR b.y > 0) AND a.k > 1 "
@@ -261,7 +262,7 @@ class TestExpressionCse:
 
     def repeated(self, sql):
         expr = self.expr(sql)
-        slots = physical._repeated_subtrees(expr)
+        slots = evaluate._repeated_subtrees(expr)
         return {e.to_sql() for e in nodes.walk_expr(expr) if id(e) in slots}
 
     def test_only_the_outermost_repeat_is_memoized(self):

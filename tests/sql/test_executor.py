@@ -78,7 +78,7 @@ class TestFilters:
     def test_like_pattern_cache_is_bounded(self, session):
         # Compiled LIKE patterns are cached per process; a stream of
         # distinct patterns must not grow the cache without bound.
-        from repro.plan.physical import _like_pattern
+        from repro.plan.evaluate import _like_pattern
         limit = _like_pattern.cache_info().maxsize
         assert limit is not None
         for i in range(limit + 10):
