@@ -32,6 +32,8 @@ database owns two session-scoped caches, both invalidated precisely
     literal types are part of the shape.  A warm statement finds its
     template without the tokenizer, by a first-level key of its text
     (:func:`repro.sql.parser.literal_key`).
+  - A shape is stored on its second sighting, so shapes that never
+    repeat are planned for their run only.
   - A ``Matrix`` expression is keyed by its shape
     (:func:`repro.plan.nodes.bind_relations`): its plan with every
     in-memory relation a relation slot that records the relation's
@@ -241,7 +243,7 @@ class Database:
         if isinstance(source, nodes.Plan):
             source, relations = nodes.bind_relations(source)
             if self._caching:
-                template = self._template(source, lambda: source)
+                template, _ = self._template(source, lambda: source)
         token = config.cache_token()
         entry = template.plan if template is not None else None
         if entry is not None:
@@ -280,14 +282,23 @@ class Database:
         self._local.stats = executor.stats
         return frame.to_plain_relation()
 
-    def _template(self, shape, source) -> _Template:
-        """The template cached under ``shape``, or a new one holding
-        ``source()``."""
+    def _template(self, shape, source) -> tuple[_Template, bool]:
+        """(the template cached under ``shape``, True), or a new one
+        holding ``source()`` and whether it was stored.
+
+        A shape is stored on its second sighting
+        (:meth:`~repro.plan.cache.LruDict.sighted`): a session that plans
+        a fresh shape per query (a ``Matrix`` projection of fresh columns)
+        stores none of them, so they neither take memory nor evict the
+        templates that repeat."""
         template = self._templates.lookup(shape)
-        if template is None:
-            template = _Template(source())
+        if template is not None:
+            return template, True
+        template = _Template(source())
+        stored = self._templates.sighted(shape)
+        if stored:
             self._templates.store(shape, template)
-        return template
+        return template, stored
 
     # -- SQL execution ---------------------------------------------------------
 
@@ -341,9 +352,9 @@ class Database:
         except ValueError:
             parse_sql(sql)  # raise the error a parse meets first
             raise
-        template = self._template(shape,
-                                  lambda: parse_sql(sql, template=True))
-        if fast is not None:
+        template, stored = self._template(
+            shape, lambda: parse_sql(sql, template=True))
+        if fast is not None and stored:
             self._template_keys.store(fast[0], template)
         return template.statement, template, params
 

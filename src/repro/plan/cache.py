@@ -99,13 +99,31 @@ class LruDict(OrderedDict):
     The session's template and first-level key caches.
     Threads sharing one session read and write it concurrently, so every
     method takes the lock: a hit is found and touched in one step, never
-    after another thread's ``store`` evicted it.
+    after another thread's ``store`` evicted it.  :meth:`sighted` is the
+    admission doorkeeper the session stores templates by: it keeps up to
+    ``PlanCache.DOORKEEPER_PER_ENTRY * max_entries`` key hashes.
     """
 
     def __init__(self, max_entries: int):
         super().__init__()
         self.max_entries = max_entries
         self._lock = threading.Lock()
+        self._doorkeeper: set[int] = set()
+
+    def sighted(self, key) -> bool:
+        """Whether ``key`` was seen before; a first sighting is recorded.
+
+        As :meth:`PlanCache.sighted`, only the key's hash is kept, and a
+        hash collision only admits a key one sighting early."""
+        digest = hash(key)
+        with self._lock:
+            if digest in self._doorkeeper:
+                return True
+            if len(self._doorkeeper) >= \
+                    PlanCache.DOORKEEPER_PER_ENTRY * self.max_entries:
+                self._doorkeeper.clear()
+            self._doorkeeper.add(digest)
+            return False
 
     def lookup(self, key):
         """The value stored under ``key`` (now most recently used), or

@@ -83,13 +83,34 @@ def optimize(plan: nodes.Plan, catalog: Catalog,
 
 
 class Optimizer:
+    """The rewrite rules over one plan.
+
+    ``output_names``, ``rewrite`` and ``prune_columns`` are memoized by
+    node identity (``prune_columns`` also by the names required above),
+    so a subplan object that a ``Matrix`` expression reuses in several
+    places is analysed and rewritten once, and the rewritten plan shares
+    it the same way: planning a diamond-shaped plan stays linear in its
+    distinct nodes.  A memo entry holds its node, so the id it is keyed
+    by stays that node's while the optimizer lives (one :func:`optimize`
+    call).
+    """
+
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
+        self._names: dict[int, tuple] = {}
+        self._rewritten: dict[int, tuple] = {}
+        self._pruned: dict[tuple, tuple] = {}
 
     # -- schema inference -----------------------------------------------------
 
     def output_names(self, plan: nodes.Plan) -> Optional[set[tuple]]:
         """(alias, name) pairs a plan produces, or None when unknown."""
+        entry = self._names.get(id(plan))
+        if entry is None:
+            entry = self._names[id(plan)] = (plan, self._output_names(plan))
+        return entry[1]
+
+    def _output_names(self, plan: nodes.Plan) -> Optional[set[tuple]]:
         if isinstance(plan, nodes.Scan):
             try:
                 relation = self.catalog.get(plan.table)
@@ -174,6 +195,12 @@ class Optimizer:
     # -- rule 1+2: pushdown and join rewriting -----------------------------------
 
     def rewrite(self, plan: nodes.Plan) -> nodes.Plan:
+        entry = self._rewritten.get(id(plan))
+        if entry is None:
+            entry = self._rewritten[id(plan)] = (plan, self._rewrite(plan))
+        return entry[1]
+
+    def _rewrite(self, plan: nodes.Plan) -> nodes.Plan:
         if isinstance(plan, nodes.Filter):
             child = self.rewrite(plan.child)
             conjuncts = nodes.split_conjuncts(plan.predicate)
@@ -304,6 +331,15 @@ class Optimizer:
         ``None`` means "everything" (e.g. below a SELECT * or an RMA input,
         whose application schema is the complement of the order schema).
         """
+        key = (id(plan), None if needed is None else frozenset(needed))
+        entry = self._pruned.get(key)
+        if entry is None:
+            entry = self._pruned[key] = (plan,
+                                         self._prune_columns(plan, needed))
+        return entry[1]
+
+    def _prune_columns(self, plan: nodes.Plan,
+                       needed: Optional[set[str]]) -> nodes.Plan:
         if isinstance(plan, nodes.Project):
             names: Optional[set[str]] = set()
             for item in plan.items:

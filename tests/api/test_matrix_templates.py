@@ -95,10 +95,11 @@ def outcome(run) -> tuple:
 class TestOnePlanPerShape:
     def test_fresh_relations_of_one_schema_plan_once(self, calls):
         db = repro.connect()
-        for seed in range(3):
+        for seed in range(4):
             ols(db, design(seed), design(seed + 10, names=("v",))).collect()
-        assert calls["optimize"] == 1
-        assert calls["plan_physical"] == 1
+        # Planned on its first two sightings; stored on the second.
+        assert calls["optimize"] == 2
+        assert calls["plan_physical"] == 2
         assert len(db._templates) == 1
 
     def test_two_handles_over_one_relation_share_a_slot(self):
@@ -109,21 +110,60 @@ class TestOnePlanPerShape:
 
     def test_schema_alias_and_config_each_plan_anew(self, calls):
         db = repro.connect()
+        # Each shape is collected twice: it is stored on its second
+        # sighting.
         m = db.matrix(design(1), by="id")
+        m.cpd(m).collect()
         m.cpd(m).collect()
         m = db.matrix(design(2, names=("x", "z")), by="id")
         m.cpd(m).collect()  # another schema: another template
-        assert calls["optimize"] == 2 and len(db._templates) == 2
+        m.cpd(m).collect()
+        assert calls["optimize"] == 4 and len(db._templates) == 2
         m = db.matrix(design(3), by="id", name="d")
         m.cpd(m).collect()  # a user alias: another template
-        assert calls["optimize"] == 3 and len(db._templates) == 3
+        m.cpd(m).collect()
+        assert calls["optimize"] == 6 and len(db._templates) == 3
         m = db.matrix(design(4), by="id")
         m.cpd(m).collect(config=RmaConfig(validate_keys=False))
         # Another config token replans the shape's template, as it does a
         # SQL statement's: a plan is never served to another config.
-        assert calls["optimize"] == 4 and len(db._templates) == 3
+        assert calls["optimize"] == 7 and len(db._templates) == 3
         m.cpd(m).collect(config=RmaConfig(validate_keys=False))
-        assert calls["optimize"] == 4
+        assert calls["optimize"] == 7
+
+
+class TestSecondSightingAdmission:
+    """A shape is stored in the template cache on its second sighting, so
+    a session that plans a fresh shape per query stores none of them."""
+
+    def test_distinct_shapes_store_no_template(self):
+        db = repro.connect()
+        for i in range(300):
+            names = ("x", f"c{i}")  # a fresh schema: a fresh shape
+            m = db.matrix(design(i, names=names), by="id")
+            m.cpd(m).collect()
+        assert len(db._templates) == 0
+
+    def test_repeated_shape_is_stored_then_plans_nothing(self, calls):
+        inputs = [(design(seed), design(seed + 10, names=("v",)))
+                  for seed in range(5)]
+        reference = repro.connect(plan_cache=False)
+        expected = [bits(ols(reference, a, v).collect()) for a, v in inputs]
+        calls.clear()
+        db = repro.connect()
+        for run, (a, v) in enumerate(inputs):
+            assert bits(ols(db, a, v).collect()) == expected[run]
+            assert len(db._templates) == int(run >= 1)
+            assert calls["optimize"] == min(run + 1, 2)
+
+    def test_sql_shape_is_stored_on_second_sighting(self):
+        db, reference = repro.connect(), repro.connect(plan_cache=False)
+        for session in (db, reference):
+            session.register("t", design(1))
+        for i in range(4):
+            sql = f"SELECT id, x * {i + 1}.5 AS w FROM t WHERE y > -{i}.0"
+            assert bits(db.execute(sql)) == bits(reference.execute(sql))
+            assert len(db._templates) == int(i >= 1)
 
 
 class TestNothingPinned:
@@ -139,7 +179,7 @@ class TestNothingPinned:
         assert len(db._templates) == 1
         assert len(db.result_cache) == 0
         ols(db, design(3), design(4, names=("v",))).collect()
-        assert calls["optimize"] == 1
+        assert calls["optimize"] == 2  # the first two sightings
 
 
 class TestWarmRunsAreExact:

@@ -83,6 +83,39 @@ class TestCse:
         assert executor.stats.cse_hits == 30
         assert result.nrows == rel.nrows
 
+    @pytest.mark.parametrize("depth", [10, 30])
+    def test_deep_diamond_optimizes_linearly(self, depth, monkeypatch):
+        # The optimizer rewrites each distinct node once (memoized by
+        # identity), so the optimized plan stays a diamond: without the
+        # memo, planning costs ~2^depth node visits.
+        from repro.plan.optimizer import Optimizer
+        calls = {"rewrite": 0, "prune": 0}
+        rewrite, prune = Optimizer._rewrite, Optimizer._prune_columns
+
+        def counted_rewrite(self, plan):
+            calls["rewrite"] += 1
+            return rewrite(self, plan)
+
+        def counted_prune(self, plan, needed):
+            calls["prune"] += 1
+            return prune(self, plan, needed)
+
+        monkeypatch.setattr(Optimizer, "_rewrite", counted_rewrite)
+        monkeypatch.setattr(Optimizer, "_prune_columns", counted_prune)
+        rel = square_relation(3)
+        pipe = mat(rel).inv()
+        for _ in range(depth):
+            pipe = pipe @ pipe
+        plan, relations = nodes.bind_relations(pipe.plan)
+        optimized = optimize(plan, Catalog(), keep_all=True)
+        # One call per distinct node: depth products, the INV, the scan.
+        assert calls == {"rewrite": depth + 2, "prune": depth + 2}
+        info = plan_physical(optimized)
+        executor = Executor(Catalog(), physical=info, relations=relations)
+        result = executor.run(optimized).to_plain_relation()
+        assert executor.stats.cse_hits == depth
+        assert result.nrows == rel.nrows
+
     def test_planner_marks_shared_subplans(self):
         rel = square_relation()
         frame = mat(rel).inv()

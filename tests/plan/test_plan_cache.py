@@ -192,6 +192,7 @@ class TestStatementPlanCache:
         session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)  # stored on its second sighting
         plan_a = cached_entry(session)[0]
         session.execute(GRAM_SQL)
         assert cached_entry(session)[0] is plan_a
@@ -200,6 +201,7 @@ class TestStatementPlanCache:
         session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)  # stored on its second sighting
         plan_a = cached_entry(session)[0]
         session.register("a", gram_table(seed=21))
         session.execute(GRAM_SQL)
@@ -210,7 +212,8 @@ class TestStatementPlanCache:
         # different settings is never served.
         session = repro.connect()
         session.register("a", gram_table())
-        validated = session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)
+        validated = session.execute(GRAM_SQL)  # stored on this sighting
         plan_a = cached_entry(session)[0]
         session.config = RmaConfig(validate_keys=False)
         unvalidated = session.execute(GRAM_SQL)
@@ -222,6 +225,7 @@ class TestStatementPlanCache:
         session = repro.connect()
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)  # stored on its second sighting
         info_a = cached_entry(session)[1]
         session.execute(GRAM_SQL)
         assert cached_entry(session)[1] is info_a
@@ -233,6 +237,7 @@ class TestStatementPlanCache:
         session = repro.connect(config=config)
         session.register("a", gram_table())
         session.execute(GRAM_SQL)
+        session.execute(GRAM_SQL)  # stored on its second sighting
         plan_a = cached_entry(session)[0]
         config.validate_keys = False  # in-place mutation
         session.execute(GRAM_SQL)
