@@ -169,7 +169,8 @@ class BAT:
     where the algebra allows it instead of recomputing them.
     """
 
-    __slots__ = ("dtype", "tail", "hseqbase", "_props", "_float_view")
+    __slots__ = ("dtype", "tail", "hseqbase", "_props", "_float_view",
+                 "_derived")
 
     def __init__(self, dtype: DataType, tail: np.ndarray, hseqbase: int = 0):
         if not isinstance(dtype, DataType):
@@ -187,6 +188,7 @@ class BAT:
         self.hseqbase = int(hseqbase)
         self._props: dict[str, bool] = {}
         self._float_view: np.ndarray | None = None
+        self._derived: dict | None = None
         # Immutability guard: shared numpy buffers must not be written to.
         # This is what makes the property cache sound: a cached tsorted/tkey
         # bit can never be invalidated because the tail can never change.
@@ -552,6 +554,21 @@ class BAT:
             return view
         raise TypeMismatchError(
             f"column of type {self.dtype.value} is not numeric")
+
+    def derived(self, key, compute):
+        """A value computed from this column (and, by ``key``, others)
+        and cached on it, as :meth:`as_float`'s view is: it lives as
+        long as the column.  Compute-then-publish: concurrent first
+        callers may both compute, and one result is kept.  ``compute``
+        must return the same value every time and hold no reference to
+        this BAT (that would be a reference cycle)."""
+        cache = self._derived
+        if cache is None:
+            cache = self._derived = {}
+        value = cache.get(key)
+        if value is None:
+            value = cache.setdefault(key, compute())
+        return value
 
     # -- aggregates --------------------------------------------------------
 

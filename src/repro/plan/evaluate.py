@@ -18,7 +18,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.bat.bat import BAT, DataType
+from repro.bat.bat import BAT, DataType, infer_type
 from repro.bat import kernels
 from repro.errors import BindError, PlanError
 from repro.plan import nodes
@@ -40,7 +40,7 @@ def _as_mask(value: Any, n: int) -> np.ndarray:
     if isinstance(value, BAT):
         if value.dtype is not DataType.BOOL:
             raise PlanError("predicate did not evaluate to a boolean")
-        return value.tail.astype(bool)
+        return value.tail.astype(bool, copy=False)  # read-only: no copy
     if isinstance(value, (bool, np.bool_)):
         return np.full(n, bool(value))
     raise PlanError(f"predicate evaluated to {type(value).__name__}")
@@ -98,7 +98,7 @@ class ExprInfo(NamedTuple):
     """What evaluating one expression needs to know about its shape."""
 
     expr: ast.Expr
-    slots: dict[int, int]  # CSE slots (_repeated_subtrees)
+    run: Callable[["ExpressionEvaluator"], Any]  # compile_expr(expr)
     refs: tuple[ast.ColumnRef, ...]  # the distinct column references
     # Reads a column, is not a bare one, and holds no aggregate: may be
     # evaluated over the domain of the sources it reads.
@@ -109,7 +109,256 @@ def expr_info(expr: ast.Expr) -> ExprInfo:
     refs = tuple(dict.fromkeys(nodes.column_refs(expr)))
     per_domain = (bool(refs) and not isinstance(expr, ast.ColumnRef)
                   and not nodes.contains_aggregate(expr))
-    return ExprInfo(expr, _repeated_subtrees(expr), refs, per_domain)
+    return ExprInfo(expr, compile_expr(expr), refs, per_domain)
+
+
+# -- compilation -------------------------------------------------------------
+#
+# An expression compiles once (per template, through the planner's
+# ExprInfo) into one closure per node; evaluating it calls them, with no
+# dispatch on node types.  Compiling never raises: a node that cannot be
+# evaluated compiles to a closure that raises what evaluating it raised.
+
+Run = Callable[["ExpressionEvaluator"], Any]
+
+
+def compile_expr(expr: ast.Expr) -> Run:
+    """``expr`` as a closure over an :class:`ExpressionEvaluator`.  A
+    subexpression that repeats in it (:func:`_repeated_subtrees`) is
+    computed once per evaluation, in the evaluator's memo."""
+    slots = _repeated_subtrees(expr)
+
+    def build(node: ast.Expr) -> Run:
+        compiler = _COMPILERS.get(type(node))
+        if compiler is None:
+            run = _fails(PlanError(f"cannot evaluate expression {node!r}"))
+        else:
+            run = compiler(node, build)
+        slot = slots.get(id(node))
+        return run if slot is None else _memoized(run, slot)
+
+    return build(expr)
+
+
+def _fails(error: Exception) -> Run:
+    def run(ev):
+        raise error
+    return run
+
+
+def _memoized(run: Run, slot: int) -> Run:
+    def memoized(ev):
+        memo = ev._memo
+        if slot in memo:
+            return memo[slot]
+        value = memo[slot] = run(ev)
+        return value
+    return memoized
+
+
+def _literal(node: ast.Literal, build) -> Run:
+    value = node.value
+    return lambda ev: value
+
+
+def _param(node: ast.Param, build) -> Run:
+    slot = node.slot
+    return lambda ev: ev.params[slot]
+
+
+def _column(node: ast.ColumnRef, build) -> Run:
+    return lambda ev: ev.frame.column(node)
+
+
+def _unary(node: ast.UnaryOp, build) -> Run:
+    operand = build(node.operand)
+    if node.op == "NOT":
+        return lambda ev: BAT(DataType.BOOL, ~_as_mask(operand(ev), ev.n))
+    if node.op == "-":
+        def negate(ev):
+            value = operand(ev)
+            if isinstance(value, BAT):
+                return kernels.neg(value)
+            return -value
+        return negate
+    return operand
+
+
+def _scalar_arith(op: str, left: Any, right: Any) -> Any:
+    if op == "/":
+        return left / right
+    if op == "%":
+        return left % right
+    return {"+": left + right, "-": left - right, "*": left * right}[op]
+
+
+def _binary(node: ast.BinaryOp, build) -> Run:
+    op = node.op
+    if op in ("LIKE", "NOT LIKE"):
+        return _like(node, build)
+    left, right = build(node.left), build(node.right)
+    if op in ("AND", "OR"):
+        conjunction = op == "AND"
+
+        def logical(ev):
+            lmask = _as_mask(left(ev), ev.n)
+            rmask = _as_mask(right(ev), ev.n)
+            return BAT(DataType.BOOL,
+                       lmask & rmask if conjunction else lmask | rmask)
+        return logical
+    if op in ("+", "-", "*", "/", "%"):
+        def arith(ev):
+            lvalue, rvalue = left(ev), right(ev)
+            if isinstance(lvalue, BAT):
+                return kernels.binop(op, lvalue, rvalue)
+            if isinstance(rvalue, BAT):
+                return kernels.rbinop(op, lvalue, rvalue)
+            return _scalar_arith(op, lvalue, rvalue)
+        return arith
+    if op == "||":
+        return lambda ev: _concat(left(ev), right(ev), ev.n)
+    return lambda ev: _compare(op, left(ev), right(ev))
+
+
+def _concat(left: Any, right: Any, n: int) -> Any:
+    if not isinstance(left, BAT) and not isinstance(right, BAT):
+        return str(left) + str(right)
+    left_bat = _broadcast(left, n).cast(DataType.STR)
+    right_bat = _broadcast(right, n).cast(DataType.STR)
+    values = np.array(
+        [None if a is None or b is None else a + b
+         for a, b in zip(left_bat.tail, right_bat.tail)], dtype=object)
+    return BAT(DataType.STR, values)
+
+
+def _like(node: ast.BinaryOp, build) -> Run:
+    operand, pattern_of = build(node.left), build(node.right)
+    negated = node.op == "NOT LIKE"
+
+    def like(ev):
+        value = operand(ev)
+        pattern = pattern_of(ev)
+        if isinstance(pattern, BAT):
+            raise PlanError("LIKE pattern must be a constant")
+        regex = _like_pattern(str(pattern))
+        bat = _broadcast(value, ev.n).cast(DataType.STR)
+        mask = np.array([v is not None and bool(regex.match(v))
+                         for v in bat.tail], dtype=bool)
+        if negated:
+            mask = ~mask
+        return BAT(DataType.BOOL, mask)
+    return like
+
+
+def _is_null(node: ast.IsNull, build) -> Run:
+    operand, negated = build(node.operand), node.negated
+
+    def is_null(ev):
+        value = operand(ev)
+        if isinstance(value, BAT):
+            mask = value.is_nil()
+        else:
+            mask = np.full(ev.n, value is None)
+        if negated:
+            mask = ~mask
+        return BAT(DataType.BOOL, mask)
+    return is_null
+
+
+def _between(node: ast.Between, build) -> Run:
+    operand, low, high = (build(node.operand), build(node.low),
+                          build(node.high))
+    negated = node.negated
+
+    def between(ev):
+        value = operand(ev)
+        above = _as_mask(_compare(">=", value, low(ev)), ev.n)
+        below = _as_mask(_compare("<=", value, high(ev)), ev.n)
+        mask = above & below
+        if negated:
+            mask = ~mask
+        return BAT(DataType.BOOL, mask)
+    return between
+
+
+def _in_list(node: ast.InList, build) -> Run:
+    operand = build(node.operand)
+    items = [build(item) for item in node.items]
+    negated = node.negated
+
+    def in_list(ev):
+        mask = np.zeros(ev.n, dtype=bool)
+        target = operand(ev)
+        for item in items:
+            value = item(ev)
+            if isinstance(target, BAT):
+                mask |= kernels.compare("=", target, value)
+            elif isinstance(value, BAT):
+                mask |= kernels.compare("=", value, target)
+            else:
+                mask |= np.full(ev.n, target == value)
+        if negated:
+            mask = ~mask
+        return BAT(DataType.BOOL, mask)
+    return in_list
+
+
+def _case_when(node: ast.CaseWhen, build) -> Run:
+    branches = [(build(c), build(v)) for c, v in node.branches]
+    otherwise_of = (build(node.otherwise) if node.otherwise is not None
+                    else None)
+
+    def case_when(ev):
+        n = ev.n
+        conditions = [_as_mask(c(ev), n) for c, _ in branches]
+        values = [v(ev) for _, v in branches]
+        otherwise = otherwise_of(ev) if otherwise_of is not None else None
+        # Pick a result type from the first columnar/non-null value.
+        prototype = next((v for v in values + [otherwise]
+                          if isinstance(v, BAT)), None)
+        if prototype is not None:
+            dtype = prototype.dtype
+        else:
+            scalars = [v for v in values + [otherwise] if v is not None]
+            dtype = infer_type(scalars)
+        result = (_broadcast(otherwise, n) if otherwise is not None
+                  else BAT.constant(None, n, dtype))
+        # Apply branches from last to first so the first match wins.
+        for mask, value in reversed(list(zip(conditions, values))):
+            value_bat = (_broadcast(value, n) if value is not None
+                         else BAT.constant(None, n, dtype))
+            result = kernels.ifthenelse(mask, value_bat, result)
+        return result
+    return case_when
+
+
+def _function(node: ast.FunctionCall, build) -> Run:
+    name = node.name
+    args = [build(a) for a in node.args]
+
+    def call(ev):
+        if name in nodes.AGGREGATE_FUNCTIONS:
+            raise PlanError(
+                f"aggregate {name} used outside of SELECT/HAVING "
+                "with GROUP BY")
+        func = SCALAR_FUNCTIONS.get(name)
+        if func is None:
+            raise BindError(f"unknown function {name}")
+        return func(ev, [arg(ev) for arg in args])
+    return call
+
+
+def _star(node: ast.Star, build) -> Run:
+    return _fails(PlanError(
+        "'*' is only valid in SELECT lists and COUNT(*)"))
+
+
+_COMPILERS: dict[type, Callable[[Any, Callable], Run]] = {
+    ast.Literal: _literal, ast.Param: _param, ast.ColumnRef: _column,
+    ast.UnaryOp: _unary, ast.BinaryOp: _binary, ast.IsNull: _is_null,
+    ast.Between: _between, ast.InList: _in_list, ast.CaseWhen: _case_when,
+    ast.FunctionCall: _function, ast.Star: _star,
+}
 
 
 class ExpressionEvaluator:
@@ -117,9 +366,10 @@ class ExpressionEvaluator:
 
     ``params`` binds the :class:`~repro.sql.ast.Param` slots of a
     statement template.  ``infos`` holds the planner's :class:`ExprInfo`
-    of the plan's expressions (by ``id``); other expressions are analysed
-    when evaluated.  ``count`` is called with ``"domain_evaluations"``
-    for each domain evaluation.
+    of the plan's expressions (by ``id``), each compiled once per
+    template (:func:`compile_expr`); other expressions are compiled when
+    evaluated.  ``count`` is called with ``"domain_evaluations"`` for
+    each domain evaluation.
 
     Each top-level :meth:`eval` computes a subexpression that occurs
     several times in it (``dx * dx``) once.  It evaluates an expression
@@ -144,7 +394,6 @@ class ExpressionEvaluator:
         self.n = frame.nrows
         self._infos = infos or {}
         self._count = count
-        self._slots: dict[int, int] = {}
         self._memo: dict[int, Any] = {}
 
     def eval(self, expr: ast.Expr) -> Any:
@@ -160,11 +409,10 @@ class ExpressionEvaluator:
         return self._eval_top(info)
 
     def _eval_top(self, info: ExprInfo) -> Any:
-        self._slots = info.slots
         try:
-            return self._eval(info.expr)
+            return info.run(self)
         finally:
-            self._slots, self._memo = {}, {}
+            self._memo = {}
 
     def _eval_over_domain(self, info: ExprInfo) -> Any:
         """The expression evaluated over the domain of its sources and
@@ -186,161 +434,6 @@ class ExpressionEvaluator:
 
     def mask(self, expr: ast.Expr) -> np.ndarray:
         return _as_mask(self.eval(expr), self.n)
-
-    def _eval(self, expr: ast.Expr) -> Any:
-        slot = self._slots.get(id(expr))
-        if slot is not None and slot in self._memo:
-            return self._memo[slot]
-        method = getattr(self, f"_eval_{type(expr).__name__.lower()}", None)
-        if method is None:
-            raise PlanError(f"cannot evaluate expression {expr!r}")
-        value = method(expr)
-        if slot is not None:
-            self._memo[slot] = value
-        return value
-
-    # -- node handlers ----------------------------------------------------------
-
-    def _eval_literal(self, expr: ast.Literal) -> Any:
-        return expr.value
-
-    def _eval_param(self, expr: ast.Param) -> Any:
-        return self.params[expr.slot]
-
-    def _eval_columnref(self, expr: ast.ColumnRef) -> BAT:
-        return self.frame.column(expr)
-
-    def _eval_unaryop(self, expr: ast.UnaryOp) -> Any:
-        value = self._eval(expr.operand)
-        if expr.op == "NOT":
-            mask = _as_mask(value, self.n)
-            return BAT(DataType.BOOL, ~mask)
-        if expr.op == "-":
-            if isinstance(value, BAT):
-                return kernels.neg(value)
-            return -value
-        return value
-
-    def _eval_binaryop(self, expr: ast.BinaryOp) -> Any:
-        op = expr.op
-        if op in ("AND", "OR"):
-            left = _as_mask(self._eval(expr.left), self.n)
-            right = _as_mask(self._eval(expr.right), self.n)
-            out = left & right if op == "AND" else left | right
-            return BAT(DataType.BOOL, out)
-        if op in ("LIKE", "NOT LIKE"):
-            return self._eval_like(expr)
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        if op in ("+", "-", "*", "/", "%"):
-            if isinstance(left, BAT):
-                return kernels.binop(op, left, right)
-            if isinstance(right, BAT):
-                return kernels.rbinop(op, left, right)
-            if op == "/":
-                return left / right
-            if op == "%":
-                return left % right
-            return {"+": left + right, "-": left - right,
-                    "*": left * right}[op]
-        if op == "||":
-            return self._concat(left, right)
-        return _compare(op, left, right)
-
-    def _concat(self, left: Any, right: Any) -> Any:
-        if not isinstance(left, BAT) and not isinstance(right, BAT):
-            return str(left) + str(right)
-        left_bat = _broadcast(left, self.n).cast(DataType.STR)
-        right_bat = _broadcast(right, self.n).cast(DataType.STR)
-        values = np.array(
-            [None if a is None or b is None else a + b
-             for a, b in zip(left_bat.tail, right_bat.tail)], dtype=object)
-        return BAT(DataType.STR, values)
-
-    def _eval_like(self, expr: ast.BinaryOp) -> BAT:
-        value = self._eval(expr.left)
-        pattern = self._eval(expr.right)
-        if isinstance(pattern, BAT):
-            raise PlanError("LIKE pattern must be a constant")
-        regex = _like_pattern(str(pattern))
-        bat = _broadcast(value, self.n).cast(DataType.STR)
-        mask = np.array([v is not None and bool(regex.match(v))
-                         for v in bat.tail], dtype=bool)
-        if expr.op == "NOT LIKE":
-            mask = ~mask
-        return BAT(DataType.BOOL, mask)
-
-    def _eval_isnull(self, expr: ast.IsNull) -> BAT:
-        value = self._eval(expr.operand)
-        if isinstance(value, BAT):
-            mask = value.is_nil()
-        else:
-            mask = np.full(self.n, value is None)
-        if expr.negated:
-            mask = ~mask
-        return BAT(DataType.BOOL, mask)
-
-    def _eval_between(self, expr: ast.Between) -> BAT:
-        value = self._eval(expr.operand)
-        low = _as_mask(_compare(">=", value, self._eval(expr.low)), self.n)
-        high = _as_mask(_compare("<=", value, self._eval(expr.high)), self.n)
-        mask = low & high
-        if expr.negated:
-            mask = ~mask
-        return BAT(DataType.BOOL, mask)
-
-    def _eval_inlist(self, expr: ast.InList) -> BAT:
-        mask = np.zeros(self.n, dtype=bool)
-        operand = self._eval(expr.operand)
-        for item in expr.items:
-            value = self._eval(item)
-            if isinstance(operand, BAT):
-                mask |= kernels.compare("=", operand, value)
-            elif isinstance(value, BAT):
-                mask |= kernels.compare("=", value, operand)
-            else:
-                mask |= np.full(self.n, operand == value)
-        if expr.negated:
-            mask = ~mask
-        return BAT(DataType.BOOL, mask)
-
-    def _eval_casewhen(self, expr: ast.CaseWhen) -> Any:
-        conditions = [_as_mask(self._eval(c), self.n)
-                      for c, _ in expr.branches]
-        values = [self._eval(v) for _, v in expr.branches]
-        otherwise = (self._eval(expr.otherwise)
-                     if expr.otherwise is not None else None)
-        # Pick a result type from the first columnar/non-null value.
-        prototype = next((v for v in values + [otherwise]
-                          if isinstance(v, BAT)), None)
-        if prototype is not None:
-            dtype = prototype.dtype
-        else:
-            from repro.bat.bat import infer_type
-            scalars = [v for v in values + [otherwise] if v is not None]
-            dtype = infer_type(scalars)
-        result = (_broadcast(otherwise, self.n) if otherwise is not None
-                  else BAT.constant(None, self.n, dtype))
-        # Apply branches from last to first so the first match wins.
-        for mask, value in reversed(list(zip(conditions, values))):
-            value_bat = (_broadcast(value, self.n) if value is not None
-                         else BAT.constant(None, self.n, dtype))
-            result = kernels.ifthenelse(mask, value_bat, result)
-        return result
-
-    def _eval_functioncall(self, expr: ast.FunctionCall) -> Any:
-        if expr.name in nodes.AGGREGATE_FUNCTIONS:
-            raise PlanError(
-                f"aggregate {expr.name} used outside of SELECT/HAVING "
-                "with GROUP BY")
-        func = SCALAR_FUNCTIONS.get(expr.name)
-        if func is None:
-            raise BindError(f"unknown function {expr.name}")
-        args = [self._eval(a) for a in expr.args]
-        return func(self, args)
-
-    def _eval_star(self, expr: ast.Star) -> Any:
-        raise PlanError("'*' is only valid in SELECT lists and COUNT(*)")
 
 
 def _true_positions(mask: np.ndarray) -> np.ndarray:

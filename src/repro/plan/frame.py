@@ -37,14 +37,16 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.bat.bat import BAT, DataType, _encode_value
 from repro.errors import BindError
+import repro.relational.joins as rel_join
 from repro.relational.relation import Relation, is_identity
 from repro.relational.schema import Attribute, Schema
+from repro.plan import nodes
 from repro.sql import ast
 
 @dataclass(frozen=True)
@@ -59,6 +61,49 @@ class Binding:
     name: str
     internal: str
     hidden: bool = False
+
+
+class Layout:
+    """A frame's bindings and what its column references resolve to.
+
+    Every run of one plan node of a template builds its frames with one
+    layout (the executor keeps them in ``PhysicalInfo.layouts``, see
+    :func:`cached_layout`), so a warm run builds no binding, mints no
+    internal name and resolves a reference by one dict probe.  A layout
+    holds names only, never a statement's arrays.
+    """
+
+    __slots__ = ("bindings", "resolved", "_internals")
+
+    def __init__(self, bindings: list[Binding]):
+        self.bindings = bindings
+        # ColumnRef -> internal name, for references that resolve.
+        self.resolved: dict[ast.ColumnRef, str] = {}
+        self._internals: tuple[str, ...] | None = None
+
+    def internals(self) -> tuple[str, ...]:
+        """The bindings' internal names, in order."""
+        if self._internals is None:
+            self._internals = tuple(b.internal for b in self.bindings)
+        return self._internals
+
+
+def cached_layout(cache: dict | None, key, parents: tuple,
+                  build: Callable[[], list[Binding]]) -> Layout:
+    """The layout ``cache`` holds under ``key`` when it was built from
+    equal ``parents`` (the layouts, or a view's column names, that the
+    bindings derive from), else a new one of ``build()``, stored when
+    ``cache`` is given.  ``key`` is ``None`` for a plan node that may run
+    more than once per statement (a subplan object reused in several
+    places): its frames then get layouts of their own."""
+    if cache is None or key is None:
+        return Layout(build())
+    entry = cache.get(key)
+    if entry is not None and entry[0] == parents:
+        return entry[1]
+    layout = Layout(build())
+    cache[key] = (parents, layout)
+    return layout
 
 
 class _Source:
@@ -80,11 +125,14 @@ class _Source:
     non-nullable ``root`` source of the same frame, ``positions ==
     vector[root.positions]``: the right side of a join probed at the
     root's rows (:meth:`Executor._small_probe`).  :meth:`Frame.domain`
-    then codes the rows by the root's positions.
+    then codes the rows by the root's positions.  A source made by
+    :meth:`derived` computes that composition only when something reads
+    its positions (a row-level gather), so an expression evaluated over
+    the domain of the root's rows never composes them.
     """
 
-    __slots__ = ("columns", "positions", "nullable", "gathered",
-                 "positions_sorted", "positions_key", "parent")
+    __slots__ = ("columns", "_positions", "nullable", "gathered",
+                 "positions_sorted", "positions_key", "parent", "lazy")
 
     def __init__(self, columns: dict[str, BAT],
                  positions: np.ndarray | None = None,
@@ -93,31 +141,63 @@ class _Source:
                  positions_sorted: bool = False,
                  positions_key: bool = False):
         self.columns = columns
-        self.positions = positions
+        self._positions = positions
         self.nullable = nullable
         self.gathered = gathered
         self.positions_sorted = positions_sorted and not nullable
         self.positions_key = positions_key and not nullable
         self.parent: "tuple[_Source, np.ndarray] | None" = None
+        self.lazy = False
+
+    @classmethod
+    def derived(cls, columns: dict[str, BAT], root: "_Source",
+                vector: np.ndarray,
+                gathered: dict[tuple, tuple] | None = None) -> "_Source":
+        """A source whose positions are ``vector[root.positions]``
+        (``vector`` without ``-1``), composed on first read."""
+        source = cls(columns, None, False, gathered)
+        source.parent = (root, vector)
+        source.lazy = True
+        return source
+
+    @property
+    def positions(self) -> np.ndarray | None:
+        if self.lazy:
+            root, vector = self.parent
+            self._positions = vector[root.positions]
+            self.lazy = False
+        return self._positions
 
     def take(self, outer: np.ndarray, outer_nullable: bool = False,
-             outer_sorted: bool = False, outer_key: bool = False) \
-            -> "_Source":
+             outer_sorted: bool = False, outer_key: bool = False,
+             composed: dict | None = None) -> "_Source":
         """This source seen through ``outer``, positions into its rows;
-        ``outer_sorted``/``outer_key`` describe ``outer``."""
-        if self.positions is None:
+        ``outer_sorted``/``outer_key`` describe ``outer``.  ``composed``
+        holds the compositions through ``outer`` made so far, by position
+        vector: sources sharing a vector share its composition (and so
+        their gathers)."""
+        positions = self.positions
+        if positions is None:
             return _Source(self.columns, outer, outer_nullable,
                            self.gathered, outer_sorted, outer_key)
-        if not outer_nullable:
-            # -1 entries of a nullable source propagate through the gather.
-            return _Source(self.columns, self.positions[outer],
-                           self.nullable, self.gathered,
-                           self.positions_sorted and outer_sorted,
-                           self.positions_key and outer_key)
-        positions = np.full(len(outer), -1, dtype=np.int64)
-        hit = outer >= 0
-        positions[hit] = self.positions[outer[hit]]
-        return _Source(self.columns, positions, True, self.gathered)
+        entry = None if composed is None else composed.get(id(positions))
+        if entry is None:
+            if not outer_nullable:
+                # -1 entries of a nullable source propagate through the
+                # gather.
+                taken = positions[outer]
+            else:
+                taken = np.full(len(outer), -1, dtype=np.int64)
+                hit = outer >= 0
+                taken[hit] = positions[outer[hit]]
+            entry = (positions, taken)
+            if composed is not None:
+                composed[id(positions)] = entry
+        if outer_nullable:
+            return _Source(self.columns, entry[1], True, self.gathered)
+        return _Source(self.columns, entry[1], self.nullable, self.gathered,
+                       self.positions_sorted and outer_sorted,
+                       self.positions_key and outer_key)
 
     def base_rows(self) -> int:
         """The rows of the base relation."""
@@ -125,27 +205,30 @@ class _Source:
 
     def gather(self, name: str) -> BAT:
         base = self.columns[name]
-        if self.positions is None:
+        positions = self.positions
+        if positions is None:
             return base
         if self.gathered is None:
             return self._gather(base)
-        key = (id(base), id(self.positions), self.nullable)
+        key = (id(base), id(positions), self.nullable)
         entry = self.gathered.get(key)
         if entry is None:
             # The entry holds the key's objects, so their ids stay unique
             # for as long as the table lives.
-            entry = (base, self.positions, self._gather(base))
+            entry = (base, positions, self._gather(base))
             self.gathered[key] = entry
         return entry[2]
 
     def _gather(self, base: BAT) -> BAT:
         if self.nullable:
             return _gather_nullable(base, self.positions)
-        if self.positions_sorted and base.dtype in _INTEGER_TAILS:
-            # One vectorized scan, cached on the base column (a catalog
-            # column pays it once): a sorted base gathered in order stays
-            # sorted without a rescan of every gathered copy.
-            base.tsorted
+        if base.dtype in _SCANNED_TAILS:
+            # Vectorized scans cached on the base column (a catalog column
+            # pays them once): a gathered copy inherits the bits, so it is
+            # never scanned for nils, nor for order when gathered in order.
+            base.tnonil
+            if self.positions_sorted and base.dtype is not DataType.DBL:
+                base.tsorted
         return base.fetch(self.positions, self.positions_sorted,
                           self.positions_key)
 
@@ -155,20 +238,32 @@ def _take_sources(sources: list[_Source], outer: np.ndarray,
                   outer_key: bool = False) -> list[_Source]:
     """Every source seen through ``outer``; a ``parent`` link to a source
     of the list follows it to its taken copy (through non-nullable
-    positions only, so the root stays non-nullable)."""
-    taken = [s.take(outer, nullable, outer_sorted, outer_key)
+    positions only, so the root stays non-nullable), and a source whose
+    positions are not composed yet stays so."""
+    composed: dict = {}
+    if nullable:
+        return [s.take(outer, True, composed=composed) for s in sources]
+    taken = [None if s.lazy else s.take(outer, False, outer_sorted,
+                                          outer_key, composed)
              for s in sources]
-    if not nullable:
-        copies = {id(s): t for s, t in zip(sources, taken)}
-        for source, copy in zip(sources, taken):
-            if source.parent is not None:
-                root = copies.get(id(source.parent[0]))
-                if root is not None:
-                    copy.parent = (root, source.parent[1])
+    copies = {id(s): t for s, t in zip(sources, taken) if t is not None}
+    for i, source in enumerate(sources):
+        if source.parent is None:
+            continue
+        root = copies.get(id(source.parent[0]))
+        if taken[i] is None:
+            taken[i] = (source.take(outer, False, composed=composed)
+                        if root is None
+                        else _Source.derived(source.columns, root,
+                                             source.parent[1],
+                                             source.gathered))
+        elif root is not None:
+            taken[i].parent = (root, source.parent[1])
     return taken
 
 
-_INTEGER_TAILS = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID)
+_SCANNED_TAILS = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID,
+                  DataType.DBL)
 
 
 def _compose(positions: np.ndarray | None, slot: np.ndarray) -> np.ndarray:
@@ -228,23 +323,31 @@ class Frame:
     # concurrently evaluated subplans never mint the same internal name
     _mint_lock = threading.Lock()  # one minting per view, whoever asks
 
-    def __init__(self, bindings: list[Binding], sources: list[_Source],
-                 nrows: int, cache: dict[str, BAT] | None = None,
+    def __init__(self, layout: "Layout | list[Binding]",
+                 sources: list[_Source], nrows: int,
+                 cache: dict[str, BAT] | None = None,
                  classes: tuple[frozenset, ...] = ()):
-        self._bind(bindings, sources)
+        if not isinstance(layout, Layout):
+            layout = Layout(layout)
+        self._bind(layout, sources)
         self.nrows = nrows
         self.origin: Relation | None = None
         self._cache = cache if cache is not None else {}
         self.classes = classes
 
-    def _bind(self, bindings: list[Binding], sources: list[_Source]) -> None:
+    def _bind(self, layout: Layout, sources: list[_Source]) -> None:
         # A later source overrides an earlier one for the names it holds;
         # sources no binding reads from are dropped.
-        owner = {name: s for s in sources for name in s.columns}
-        used = {id(owner[b.internal]) for b in bindings}
+        owner: dict[str, _Source] = {}
+        for source in sources:
+            owner.update(dict.fromkeys(source.columns, source))
+        if len(sources) > 1 or not layout.bindings:
+            used = {id(owner[b.internal]) for b in layout.bindings}
+            sources = [s for s in sources if id(s) in used]
         self._owner = owner
-        self.sources = [s for s in sources if id(s) in used]
-        self.bindings = bindings
+        self.sources = sources
+        self.layout = layout
+        self.bindings = layout.bindings
 
     @classmethod
     def _fresh(cls, hint: str) -> str:
@@ -252,48 +355,55 @@ class Frame:
 
     @classmethod
     def from_relation(cls, relation: Relation, alias: Optional[str],
-                      gathered: dict[tuple, tuple] | None = None) -> "Frame":
+                      gathered: dict[tuple, tuple] | None = None,
+                      layouts: dict | None = None, key=None) -> "Frame":
         """A view of ``relation``; ``gathered`` is the executor's table of
-        shared gathers (see :class:`_Source`)."""
+        shared gathers (see :class:`_Source`), ``layouts`` and ``key``
+        where its layout is kept (:func:`cached_layout`)."""
         frame = cls.__new__(cls)
         frame.nrows = relation.nrows
         frame.origin = relation
         frame._cache = {}
         frame.classes = ()
-        frame._view = (alias, gathered)
+        frame._view = (alias, gathered, layouts, key)
         return frame
 
     def __getattr__(self, name: str):
-        # Reached only for attributes not set yet: the bindings, sources
-        # and owner table of a view before their first use.
-        if name not in ("bindings", "sources", "_owner") \
+        # Reached only for attributes not set yet: the layout, bindings,
+        # sources and owner table of a view before their first use.
+        if name not in ("layout", "bindings", "sources", "_owner") \
                 or "_view" not in self.__dict__:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         with Frame._mint_lock:
-            if "bindings" not in self.__dict__:
-                alias, gathered = self._view
+            if "layout" not in self.__dict__:
+                alias, gathered, layouts, key = self._view
                 relation = self.origin
-                bindings = [Binding(alias, n, Frame._fresh(n))
-                            for n in relation.names]
-                self._bind(bindings, [_Source(
-                    {b.internal: column
-                     for b, column in zip(bindings, relation.columns)},
+                names = tuple(relation.names)
+                layout = cached_layout(
+                    layouts, key, (names,),
+                    lambda: [Binding(alias, n, Frame._fresh(n))
+                             for n in names])
+                self._bind(layout, [_Source(
+                    dict(zip(layout.internals(), relation.columns)),
                     gathered=gathered)])
         return self.__dict__[name]
 
     @classmethod
-    def wrap(cls, relation: Relation, bindings: list[Binding]) -> "Frame":
+    def wrap(cls, relation: Relation,
+             layout: "Layout | list[Binding]") -> "Frame":
         """A frame over a relation whose column names are the internal
-        names ``bindings`` refer to."""
+        names the layout's bindings refer to."""
         source = _Source(dict(zip(relation.names, relation.columns)))
-        return cls(bindings, [source], relation.nrows)
+        return cls(layout, [source], relation.nrows)
 
     @classmethod
-    def joined(cls, left: "Frame", right: "Frame", lpos: np.ndarray,
-               rpos: np.ndarray, lpos_sorted: bool = False,
-               lpos_key: bool = False, classes: tuple[frozenset, ...] = (),
-               root: "tuple[_Source, np.ndarray] | None" = None) -> "Frame":
+    def joined(cls, left: "Frame", right: "Frame",
+               lpos: np.ndarray | None, rpos: np.ndarray | None,
+               lpos_sorted: bool = False, lpos_key: bool = False,
+               classes: tuple[frozenset, ...] = (),
+               root: "tuple[_Source, np.ndarray] | None" = None,
+               layout: Layout | None = None) -> "Frame":
         """Row ``i`` pairs ``left`` row ``lpos[i]`` with ``right`` row
         ``rpos[i]`` (``-1``: no match, read as nil); ``lpos=None`` is the
         identity.
@@ -305,36 +415,50 @@ class Frame:
         classes.  ``root`` is ``(source, slot)`` when ``rpos ==
         slot[source.positions[lpos]]`` for a source of ``left``: the
         right side's sources then derive from it (``_Source.parent``).
+        With a ``root``, ``rpos=None`` says that ``slot`` holds no ``-1``
+        and ``lpos`` is the identity: the right side's positions are
+        composed only when a gather reads them.  ``layout`` holds the
+        bindings of both sides (by default a new one).
         """
         cache: dict[str, BAT] = {}
         root_copy = None
         if lpos is None or (len(lpos) == left.nrows and is_identity(lpos)):
             sources = list(left.sources)
             cache.update(left._cache)
+            nrows = left.nrows
             if root is not None:
                 root_copy = root[0]
         else:
             reusable = left._reusable_sources()
             sources = _take_sources(reusable, lpos, False, lpos_sorted,
                                     lpos_key)
+            nrows = len(lpos)
             if root is not None:
                 root_copy = next(copy for source, copy in
                                  zip(reusable, sources) if source is root[0])
-        nullable = bool(len(rpos)) and int(rpos.min()) < 0
-        if (not nullable and len(rpos) == right.nrows
-                and is_identity(rpos)):
-            sources += right.sources
-            cache.update(right._cache)
+        if rpos is None:
+            sources += [_Source.derived(source.columns, root_copy,
+                                        _compose(source.positions, root[1]),
+                                        source.gathered)
+                        for source in right._reusable_sources()]
         else:
-            reusable = right._reusable_sources()
-            taken = _take_sources(reusable, rpos, nullable)
-            if root_copy is not None:
-                for source, copy in zip(reusable, taken):
-                    copy.parent = (root_copy,
-                                   _compose(source.positions, root[1]))
-            sources += taken
-        return cls(left.bindings + right.bindings, sources, len(rpos), cache,
-                   classes)
+            nrows = len(rpos)
+            nullable = bool(len(rpos)) and int(rpos.min()) < 0
+            if (not nullable and len(rpos) == right.nrows
+                    and is_identity(rpos)):
+                sources += right.sources
+                cache.update(right._cache)
+            else:
+                reusable = right._reusable_sources()
+                taken = _take_sources(reusable, rpos, nullable)
+                if root_copy is not None:
+                    for source, copy in zip(reusable, taken):
+                        copy.parent = (root_copy,
+                                       _compose(source.positions, root[1]))
+                sources += taken
+        if layout is None:
+            layout = Layout(left.bindings + right.bindings)
+        return cls(layout, sources, nrows, cache, classes)
 
     # -- resolution ----------------------------------------------------------
 
@@ -352,12 +476,21 @@ class Frame:
 
     def find(self, ref: ast.ColumnRef) -> str | None:
         """:meth:`resolve`, or ``None`` where it would raise."""
+        internal = self.layout.resolved.get(ref)
+        if internal is not None:
+            return internal
         matches = self._matches(ref)
         if not matches or (len(matches) > 1 and ref.table is None):
             return None
-        return matches[0].internal
+        internal = self.layout.resolved[ref] = matches[0].internal
+        return internal
 
     def resolve(self, ref: ast.ColumnRef) -> str:
+        """The internal name of the column ``ref`` names; the layout
+        remembers it, so later frames of the layout look it up."""
+        internal = self.layout.resolved.get(ref)
+        if internal is not None:
+            return internal
         matches = self._matches(ref)
         if not matches:
             known = sorted({b.name for b in self.bindings})
@@ -369,7 +502,8 @@ class Frame:
             raise BindError(
                 f"ambiguous column {ref.name!r} (in {', '.join(aliases)}); "
                 "qualify it")
-        return matches[0].internal
+        internal = self.layout.resolved[ref] = matches[0].internal
+        return internal
 
     def bat(self, internal: str) -> BAT:
         """The column with this internal name, gathered on first read."""
@@ -380,7 +514,53 @@ class Frame:
         return column
 
     def column(self, ref: ast.ColumnRef) -> BAT:
-        return self.bat(self.resolve(ref))
+        internal = self.layout.resolved.get(ref)
+        return self.bat(internal if internal is not None
+                        else self.resolve(ref))
+
+
+    def base_codes(self, exprs: Sequence[ast.Expr], memo: dict) \
+            -> "tuple[list[BAT], rel_join.KeyCodes] | None":
+        """(base columns, their key codes at this frame's rows) when every
+        expression is a nil-free integer-typed column of one non-nullable
+        source, whose rows are at least ``1 / DENSE_SPAN_FACTOR`` of its
+        base's, and the base columns' codes
+        (:func:`~repro.relational.joins.base_codes`, cached on them) have
+        a layout within ``DENSE_SPAN_FACTOR`` times the rows, as coding
+        the rows themselves would allow.  Gathering those codes replaces
+        gathering the key columns and coding them.  ``memo`` is the
+        statement's table of codes (``Executor._codes``): a join over the
+        columns a GROUP BY grouped on the same rows reuses its codes."""
+        source, bases = None, []
+        for expr in exprs:
+            if not isinstance(expr, ast.ColumnRef):
+                return None
+            internal = self.find(expr)
+            if internal is None:
+                return None
+            owner = self._owner[internal]
+            if owner is not source and source is not None:
+                return None
+            source = owner
+            bases.append(owner.columns[internal])
+        if source.nullable or not all(b.dtype in rel_join.INT_TAILS
+                                      and b.tnonil for b in bases):
+            return None
+        positions = source.positions
+        key = ("rows", id(positions)) + tuple(map(id, bases))
+        entry = memo.get(key)
+        if entry is None:
+            rows = len(bases[0]) if positions is None else len(positions)
+            if rows * rel_join.DENSE_SPAN_FACTOR < len(bases[0]):
+                return None
+            coded = rel_join.base_codes(bases)
+            if (coded.layout is None
+                    or coded.k > rel_join.DENSE_SPAN_FACTOR * max(rows, 1)):
+                return None
+            if positions is not None:
+                coded = coded._replace(codes=coded.codes[positions])
+            entry = memo.setdefault(key, (positions, bases, coded))
+        return entry[1], entry[2]
 
     def dtype(self, internal: str) -> DataType:
         return self._owner[internal].columns[internal].dtype
@@ -396,25 +576,31 @@ class Frame:
             raise BindError(f"unknown table alias {table!r} in star")
         return matches
 
-    def with_bindings(self, bindings: list[Binding]) -> "Frame":
+    def with_bindings(self, layout: "Layout | list[Binding]") -> "Frame":
         """The same rows with a subset of the bindings."""
-        return Frame(bindings, self.sources, self.nrows, dict(self._cache),
+        return Frame(layout, self.sources, self.nrows, dict(self._cache),
                      self.classes)
 
-    def projected(self, names: list[str], columns: list[BAT]) -> "Frame":
+    def projected(self, names: list[str], columns: list[BAT],
+                  layouts: dict | None = None, key=None) -> "Frame":
         """A frame whose visible columns are ``columns`` under ``names``.
 
         This frame's bindings stay resolvable as hidden bindings (so ORDER
         BY above a projection can reference source columns) without
-        being gathered.
+        being gathered.  ``layouts`` and ``key`` keep the layout
+        (:func:`cached_layout`).
         """
-        bindings = [Binding(None, name, Frame._fresh(name)) for name in names]
-        computed = _Source({b.internal: column
-                            for b, column in zip(bindings, columns)})
-        hidden = [Binding(b.alias, b.name, b.internal, hidden=True)
-                  for b in self.bindings]
-        return Frame(bindings + hidden, [computed] + self.sources,
-                     self.nrows, dict(self._cache), self.classes)
+        def build() -> list[Binding]:
+            return ([Binding(None, name, Frame._fresh(name))
+                     for name in names]
+                    + [Binding(b.alias, b.name, b.internal, hidden=True)
+                       for b in self.bindings])
+
+        layout = cached_layout(layouts, key, (self.layout, tuple(names)),
+                               build)
+        computed = _Source(dict(zip(layout.internals(), columns)))
+        return Frame(layout, [computed] + self.sources, self.nrows,
+                     dict(self._cache), self.classes)
 
     def to_relation(self, bindings: list[Binding]) -> Relation:
         """The bound columns under their internal names."""
@@ -455,12 +641,13 @@ class Frame:
         radix number, ``-1`` (a LEFT JOIN miss) a digit of its own.  The
         codes that occur, in code order, are the domain; the domain frame
         reads each source's base columns at the positions its root's
-        digits map to, with the bindings of those sources.
+        digits map to.  It shares this frame's layout: each reference of
+        an expression over ``internals`` resolves as it does here.
         """
         owners: dict[int, _Source] = {}
         for internal in internals:
             source = self._owner[internal]
-            if source.positions is None:
+            if source.parent is None and source.positions is None:
                 return None
             owners.setdefault(id(source), source)
         roots: dict[int, tuple[_Source, int]] = {}
@@ -504,9 +691,12 @@ class Frame:
                 positions = source.parent[1][digits[id(source.parent[0])]]
             sources.append(_Source(source.columns, positions,
                                    source.nullable))
-        bindings = [b for b in self.bindings
-                    if id(self._owner[b.internal]) in owners]
-        return Frame(bindings, sources, len(distinct)), rows
+        frame = Frame.__new__(Frame)
+        frame.layout, frame.bindings = self.layout, self.bindings
+        frame._owner = {name: s for s in sources for name in s.columns}
+        frame.sources, frame.nrows = sources, len(distinct)
+        frame.origin, frame._cache, frame.classes = None, {}, ()
+        return frame, rows
 
     def select_positions(self, positions: np.ndarray,
                          positions_sorted: bool = False,
@@ -514,7 +704,7 @@ class Frame:
         """The frame's rows at ``positions``: composes every source's
         position vector once; no column is gathered.  The flags say that
         ``positions`` is non-decreasing and free of duplicates."""
-        return Frame(self.bindings,
+        return Frame(self.layout,
                      _take_sources(self._reusable_sources(), positions,
                                    False, positions_sorted, positions_key),
                      len(positions), classes=self.classes)
@@ -527,3 +717,75 @@ class Frame:
         if not self._cache:
             return self.sources
         return self.sources + [_Source(dict(self._cache))]
+
+
+# -- column equivalence classes -------------------------------------------
+
+def equated_columns(equi: list[tuple[ast.Expr, ast.Expr]], left: Frame,
+                    right: Frame) -> list[tuple[str, str]]:
+    """The (left, right) internal names that an inner join's equi-join
+    conjuncts of two bare columns of one dtype make equal on its rows."""
+    pairs = []
+    for lexpr, rexpr in equi:
+        if isinstance(lexpr, ast.ColumnRef) \
+                and isinstance(rexpr, ast.ColumnRef):
+            a, b = left.find(lexpr), right.find(rexpr)
+            if a is not None and b is not None \
+                    and left.dtype(a) is right.dtype(b):
+                pairs.append((a, b))
+    return pairs
+
+
+def equate_classes(classes: tuple[frozenset, ...],
+                   pairs: list[tuple[str, str]]) -> tuple[frozenset, ...]:
+    """Column equivalence classes with each pair's classes merged."""
+    for a, b in pairs:
+        merged = {a, b}
+        rest = []
+        for members in classes:
+            if a in members or b in members:
+                merged |= members
+            else:
+                rest.append(members)
+        classes = tuple(rest) + (frozenset(merged),)
+    return classes
+
+
+def split_join_condition(condition: Optional[ast.Expr], left: Frame,
+                         right: Frame) -> tuple[list, list]:
+    """(equi pairs, residual conjuncts) of a join's condition: each
+    ``a = b`` conjunct whose sides read one frame each is a ``(left
+    expr, right expr)`` pair; every other conjunct is residual."""
+    if condition is None:
+        return [], []
+    equi: list[tuple[ast.Expr, ast.Expr]] = []
+    residual: list[ast.Expr] = []
+    for conjunct in nodes.split_conjuncts(condition):
+        if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+            sides = (_side_of(conjunct.left, left, right),
+                     _side_of(conjunct.right, left, right))
+            if sides == ("left", "right"):
+                equi.append((conjunct.left, conjunct.right))
+                continue
+            if sides == ("right", "left"):
+                equi.append((conjunct.right, conjunct.left))
+                continue
+        residual.append(conjunct)
+    return equi, residual
+
+
+def _side_of(expr: ast.Expr, left: Frame, right: Frame) -> str | None:
+    """Which frame the columns of ``expr`` resolve in: ``"left"``,
+    ``"right"``, ``"both"``, ``"unknown"`` or ``None`` (no column)."""
+    refs = nodes.column_refs(expr)
+    if not refs:
+        return None
+    sides = set()
+    for ref in refs:
+        if left.find(ref) is not None:
+            sides.add("left")
+        elif right.find(ref) is not None:
+            sides.add("right")
+        else:
+            return "unknown"
+    return sides.pop() if len(sides) == 1 else "both"

@@ -1,47 +1,45 @@
 """Physical planning and execution of shared logical plans.
 
-The physical planner and the executor:
+* :func:`plan_physical`, the physical planner, walks an (optimized)
+  logical plan once per template and records what the executor reads:
+  the **shared subplans** (CSE: structurally identical RMA/subquery
+  subtrees, whose results the executor memoizes per statement), each
+  expression compiled once (:func:`repro.plan.evaluate.expr_info`), each
+  shareable subplan's parameter slots, each Filter's candidate-list key,
+  and the nodes that run once per statement, whose frame layouts the
+  first run records (``PhysicalInfo.layouts``).  It reads no column data
+  and no property bits: the operators read a column's sortedness and key
+  properties when they run, as MonetDB's BAT operators do.
+* :class:`Executor` evaluates a plan against a catalog, one method per
+  node type, producing frames (:mod:`repro.plan.frame`, the position
+  algebra of late materialization) and evaluating expressions over them
+  (:mod:`repro.plan.evaluate`).  :class:`repro.api.database.Database`
+  runs every plan through it, compiled from SQL text or built by a
+  ``Matrix`` expression.
 
-* :func:`plan_physical` — the physical planner.  It walks an (optimized)
-  logical plan and derives what the executor reads from it:
+A warm run of a template does only the work its literals decide: each
+node's frames reuse the layout its first run recorded (so no name is
+resolved, no binding built and no internal name minted), expressions run
+as compiled closures, and nodes dispatch through a table.
 
-  - **shared subplans** (CSE): structurally identical RMA/subquery
-    subtrees are counted; the executor memoizes their result relations so
-    a repeated subplan executes once per statement;
-  - **per-template analysis**: each expression's CSE slots and column
-    references, each shareable subplan's parameter slots and each Filter's
-    candidate-list key, so the runs of a statement template do not
-    re-derive them.
-
-  It reads no column data and no property bits: the operators read a
-  column's sortedness and key properties when they run, as MonetDB's BAT
-  operators do.
-
-* :class:`Executor` — evaluates logical plans against a catalog, one
-  method per node type, producing :class:`Frame` objects (rows of base
-  relations plus name-resolution bindings).
-  :class:`repro.api.database.Database` runs every plan through it,
-  whether compiled from SQL text or built by a ``Matrix`` expression.
-  Every equi-join takes one path,
-  :func:`repro.relational.joins.join_positions`: it encodes the keys of
-  both sides in one pass into shared codes (offsets for small integer
-  domains) and probes a slot table when the right keys are unique, by
-  counting otherwise.  The executor keeps the key codes it computed per
-  tuple of key BATs for the statement (``Executor._codes``), so a join
-  over the columns a GROUP BY coded reuses the GROUP BY's codes.
-
-The executor runs frames (:mod:`repro.plan.frame`: the position algebra
-of late materialization) and evaluates expressions over them
-(:mod:`repro.plan.evaluate`).  Each JoinPlan's condition is split into
-equi-join pairs and residual conjuncts once per plan
-(``PhysicalInfo.join_sides``); name lookups on that path raise nothing.
+Every equi-join takes one path, :func:`repro.relational.joins.
+join_positions`: it codes the keys of both sides into shared codes
+(offsets for small integer domains) and probes a slot table when the
+right keys are unique, by counting otherwise.  Keys that are base columns
+of one source of the frame take their codes from the base
+(:func:`repro.relational.joins.base_codes`, computed once per base
+column tuple), gathered at the frame's rows; a GROUP BY does the same,
+and a join over the columns a GROUP BY grouped on the same rows reuses
+its codes (``Executor._codes``, one statement), as a groupjoin does.
 Joins run at the key's own domain where they can (the invisible join of
 Abadi, Madden & Hachem, SIGMOD 2008): when a join's left keys are
 equivalent (``Frame.classes``) to columns of one source of at most an
 eighth of the frame's rows, and the right key is unique, the executor
 probes that source's rows and composes the matches through its position
-vector: Fig. 15's station joins probe the ~100–600 frequent pairs, not
-~50k trips.
+vector, only when a gather needs them: Fig. 15's station joins probe the
+~100–600 frequent pairs, not ~50k trips.  Each JoinPlan's condition is
+split into equi-join pairs and residual conjuncts once per plan
+(``PhysicalInfo.join_sides``).
 
 ``Frame`` and ``ExpressionEvaluator`` are bound here by import: the
 repository benchmark's trace spans (``rmabench/spans.py``) patch
@@ -55,7 +53,7 @@ import functools
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +73,15 @@ from repro.plan.evaluate import (
     _true_positions,
     expr_info,
 )
-from repro.plan.frame import Binding, Frame
+from repro.plan.frame import (
+    Binding,
+    Frame,
+    Layout,
+    cached_layout,
+    equate_classes,
+    equated_columns,
+    split_join_condition,
+)
 import repro.relational.aggregate as rel_aggregate
 import repro.relational.joins as rel_join
 import repro.relational.ops as rel_ops
@@ -106,6 +112,14 @@ class PhysicalInfo:
     references it must resolve.  ``join_sides`` maps each JoinPlan to its
     condition split into equi-join pairs and residual conjuncts; the split
     needs the inputs' bindings, so the first run records it.
+
+    ``tree_nodes`` maps ``id(node)`` to each node that runs at most once
+    per statement (it is reached along one path from the root: no
+    ``Matrix`` subplan object reused in several places is at or above
+    it).  The frames of such a node keep one layout across runs
+    (``layouts``, filled by the first run, see
+    :func:`~repro.plan.frame.cached_layout`): a warm run resolves no name
+    and builds no binding.
     """
 
     shared: dict[nodes.Plan, int] = field(default_factory=dict)
@@ -113,6 +127,8 @@ class PhysicalInfo:
     bound_slots: dict[nodes.Plan, tuple] = field(default_factory=dict)
     filter_keys: dict[nodes.Filter, tuple] = field(default_factory=dict)
     join_sides: dict[nodes.JoinPlan, tuple] = field(default_factory=dict)
+    tree_nodes: dict[int, nodes.Plan] = field(default_factory=dict)
+    layouts: dict[int, tuple] = field(default_factory=dict)
 
 
 def plan_physical(plan: nodes.Plan) -> PhysicalInfo:
@@ -131,7 +147,8 @@ class _PhysicalPlanner:
         # several places — Matrix expressions share subplan objects — has
         # its subtree descended only once, keeping the walk linear even for
         # deeply diamond-shaped plans.
-        visited: set[int] = set()
+        visited: dict[int, nodes.Plan] = {}
+        reused: list[nodes.Plan] = []
         stack = [plan]
         while stack:
             node = stack.pop()
@@ -140,10 +157,17 @@ class _PhysicalPlanner:
                 key = _cse_key(node)
                 self.info.shared[key] = self.info.shared.get(key, 0) + 1
             if id(node) in visited:
+                reused.append(node)
                 continue
-            visited.add(id(node))
+            visited[id(node)] = node
             self._analyse(node)
             stack.extend(node.children())
+        # A reused node and everything below it may run more than once.
+        while reused:
+            node = reused.pop()
+            if visited.pop(id(node), None) is not None:
+                reused.extend(node.children())
+        self.info.tree_nodes = visited
         self.info.bound_slots = {key: nodes.bound_slots(key)
                                  for key in self.info.shared}
         self.info.shared = {k: c for k, c in self.info.shared.items()
@@ -269,8 +293,7 @@ class Executor:
         self._lock = threading.Lock()
 
     def run(self, plan: nodes.Plan) -> Frame:
-        method = getattr(self, f"_run_{type(plan).__name__.lower()}")
-        return method(plan)
+        return _RUNNERS[type(plan)](self, plan)
 
     def _run_siblings(self, plans: "Sequence[nodes.Plan]") -> list[Frame]:
         """Evaluate independent subplan subtrees, concurrently when the
@@ -338,8 +361,22 @@ class Executor:
         return ExpressionEvaluator(frame, self.params, self.physical.exprs,
                                    self._bump)
 
-    def _frame(self, relation: Relation, alias: Optional[str]) -> Frame:
-        return Frame.from_relation(relation, alias, self._gathered)
+    def _frame(self, relation: Relation, alias: Optional[str],
+               plan: nodes.Plan) -> Frame:
+        return Frame.from_relation(relation, alias, self._gathered,
+                                   self.physical.layouts,
+                                   self._layout_key(plan))
+
+    def _layout_key(self, plan: nodes.Plan) -> int | None:
+        """The key of ``plan``'s layout in ``PhysicalInfo.layouts``, or
+        ``None`` when the node may run more than once per statement."""
+        key = id(plan)
+        return key if self.physical.tree_nodes.get(key) is plan else None
+
+    def _layout(self, plan: nodes.Plan, parents: tuple,
+                build: "Callable[[], list[Binding]]") -> Layout:
+        return cached_layout(self.physical.layouts, self._layout_key(plan),
+                             parents, build)
 
     def _bound(self, plan: nodes.Plan) -> tuple:
         """What ``plan``'s slots are bound to: the parameter values, as
@@ -395,16 +432,16 @@ class Executor:
     def _run_scan(self, plan: nodes.Scan) -> Frame:
         if plan.table == "_dual":
             relation = Relation.from_columns({"_one": [1]})
-            return self._frame(relation, None)
-        return self._frame(self.catalog.get(plan.table), plan.alias)
+            return self._frame(relation, None, plan)
+        return self._frame(self.catalog.get(plan.table), plan.alias, plan)
 
     def _run_relscan(self, plan: nodes.RelScan) -> Frame:
-        return self._frame(self.relations[plan.slot], plan.alias)
+        return self._frame(self.relations[plan.slot], plan.alias, plan)
 
     def _run_subqueryscan(self, plan: nodes.SubqueryScan) -> Frame:
         relation = self._memoized_relation(
             plan.plan, lambda: self.run(plan.plan).to_plain_relation())
-        return self._frame(relation, plan.alias)
+        return self._frame(relation, plan.alias, plan)
 
     def _run_rma(self, plan: nodes.Rma) -> Frame:
         def compute() -> Relation:
@@ -420,12 +457,12 @@ class Executor:
                                  config=self.config)
 
         relation = self._memoized_relation(_cse_key(plan), compute)
-        return self._frame(relation, plan.alias)
+        return self._frame(relation, plan.alias, plan)
 
     def _run_fusedrma(self, plan: nodes.FusedRma) -> Frame:
         relation = self._memoized_relation(
             _cse_key(plan), lambda: self._execute_fused(plan))
-        return self._frame(relation, plan.alias)
+        return self._frame(relation, plan.alias, plan)
 
     def _execute_fused(self, plan: nodes.FusedRma) -> Relation:
         relations = self._sibling_relations(plan.inputs)
@@ -501,10 +538,11 @@ class Executor:
 
     def _run_prune(self, plan: nodes.Prune) -> Frame:
         frame = self.run(plan.child)
-        keep = [b for b in frame.bindings if b.name in plan.names]
-        if not keep or len(keep) == len(frame.bindings):
+        layout = self._layout(plan, (frame.layout,), lambda: [
+            b for b in frame.bindings if b.name in plan.names])
+        if not layout.bindings or len(layout.bindings) == len(frame.bindings):
             return frame
-        return frame.with_bindings(keep)
+        return frame.with_bindings(layout)
 
     def _run_project(self, plan: nodes.Project) -> Frame:
         frame = self.run(plan.child)
@@ -521,15 +559,17 @@ class Executor:
             names.append(item.alias
                          or nodes.default_output_name(item.expr, index))
             columns.append(_broadcast(value, frame.nrows))
-        return frame.projected(names, columns)
+        return frame.projected(names, columns, self.physical.layouts,
+                               self._layout_key(plan))
 
     def _run_distinct(self, plan: nodes.Distinct) -> Frame:
         frame = self.run(plan.child)
         # DISTINCT applies to the visible output only; hidden (source)
         # columns are dropped — referencing them above DISTINCT is invalid.
-        visible = frame.visible_bindings()
-        return Frame.wrap(rel_ops.distinct(frame.to_relation(visible)),
-                          visible)
+        layout = self._layout(plan, (frame.layout,),
+                              frame.visible_bindings)
+        return Frame.wrap(rel_ops.distinct(frame.to_relation(
+            layout.bindings)), layout)
 
     def _run_sort(self, plan: nodes.Sort) -> Frame:
         frame = self.run(plan.child)
@@ -559,10 +599,11 @@ class Executor:
         n = frame.nrows
 
         data: dict[str, BAT] = {}
-        key_bindings: list[tuple[str, ast.Expr]] = []
-        for key_expr, key_name in zip(plan.keys, plan.key_names):
-            data[key_name] = _broadcast(evaluator.eval(key_expr), n)
-            key_bindings.append((key_name, key_expr))
+        coded = frame.base_codes(plan.keys, self._codes) if plan.keys \
+            else None
+        if coded is None:
+            for key_expr, key_name in zip(plan.keys, plan.key_names):
+                data[key_name] = _broadcast(evaluator.eval(key_expr), n)
 
         specs: list[rel_aggregate.AggregateSpec] = []
         for spec in plan.aggregates:
@@ -580,19 +621,11 @@ class Executor:
         # COUNT(*) alone reads no column; the work relation then only
         # carries the row count.
         work = Relation.from_columns(data or {"_rows": BAT.dense(n)})
-        key_names = [name for name, _ in key_bindings]
-        grouped = rel_aggregate.group_by(work, key_names, specs, self._codes)
-
-        bindings = []
-        for name, expr in key_bindings:
-            bindings.append(Binding(None, name, name))
-            # Also expose the original column name so un-rewritten
-            # references (e.g. qualified GROUP BY keys) still resolve.
-            if isinstance(expr, ast.ColumnRef):
-                bindings.append(Binding(expr.table, expr.name, name))
-        for spec in plan.aggregates:
-            bindings.append(Binding(None, spec.out_name, spec.out_name))
-        return Frame.wrap(grouped, bindings)
+        grouped = rel_aggregate.group_by(
+            work, list(plan.key_names), specs, self._codes,
+            None if coded is None else coded[1])
+        return Frame.wrap(grouped, self._layout(
+            plan, (), lambda: _aggregate_bindings(plan)))
 
     # -- joins ------------------------------------------------------------------------
 
@@ -620,17 +653,25 @@ class Executor:
         # added afterwards.  NULL keys match nothing in the probe itself.
         pad = outer and bool(residual)
         how = "left" if outer and not pad else "inner"
-        probe = self._small_probe(left, [e for e, _ in equi], right_keys, how)
+        left_exprs = [e for e, _ in equi]
+        probe = self._small_probe(left, left_exprs, right_keys, how,
+                                  lazy=not (residual or pad))
         if probe is not None:
             lpos, rpos, root = probe
             lpos_key = True
             if lpos is None and (residual or pad):
                 lpos = np.arange(left.nrows, dtype=np.int64)
         else:
-            left_keys = [_broadcast(self._evaluator(left).eval(e), left.nrows)
-                         for e, _ in equi]
-            lpos, rpos = rel_join.join_positions(left_keys, right_keys,
-                                                 how=how, codes=self._codes)
+            coded = left.base_codes(left_exprs, self._codes)
+            if coded is not None and all(
+                    r.dtype is b.dtype for r, b in zip(right_keys, coded[0])):
+                lpos, rpos = rel_join.join_positions(
+                    coded[0], right_keys, how=how, left_codes=coded[1])
+            else:
+                left_keys = [_broadcast(self._evaluator(left).eval(e),
+                                        left.nrows) for e in left_exprs]
+                lpos, rpos = rel_join.join_positions(
+                    left_keys, right_keys, how=how, codes=self._codes)
             root = None
             lpos_key = any(k.cached_prop("tkey") for k in right_keys)
         if residual:
@@ -643,13 +684,16 @@ class Executor:
             root = None
         classes = left.classes
         if not outer:
-            classes = _equate(left.classes + right.classes,
-                              _equated_columns(equi, left, right))
-        return Frame.joined(left, right, lpos, rpos, lpos_sorted=True,
-                            lpos_key=lpos_key, classes=classes, root=root)
+            classes = equate_classes(left.classes + right.classes,
+                                     equated_columns(equi, left, right))
+        return Frame.joined(
+            left, right, lpos, rpos, lpos_sorted=True, lpos_key=lpos_key,
+            classes=classes, root=root, layout=self._layout(
+                plan, (left.layout, right.layout),
+                lambda: left.bindings + right.bindings))
 
     def _small_probe(self, left: Frame, left_exprs: list[ast.Expr],
-                     right_keys: list[BAT], how: str):
+                     right_keys: list[BAT], how: str, lazy: bool = False):
         """The invisible join (Abadi, Madden & Hachem, SIGMOD 2008):
         ``(lpos, rpos, (source, slot))`` of the join probed at the rows of
         one small source of ``left``, or ``None``.
@@ -661,7 +705,12 @@ class Executor:
         source's own rows are probed through ``join_positions``, and
         ``slot`` maps each of them to its match (``-1``: none); the rows'
         matches are ``slot`` at the source's positions, in left-row order,
-        as the full probe would pair them.
+        as the full probe would pair them.  With ``lazy``, when every
+        source row has its match (and the join's rows are not the right
+        side's), ``lpos`` and ``rpos`` are ``None``: the right side's
+        positions are composed when a gather reads them
+        (:meth:`Frame.joined`), and ``slot`` is only checked at the
+        source's own rows.
         """
         keys = []  # per left key: its dtype and its equivalent columns
         for expr in left_exprs:
@@ -674,7 +723,8 @@ class Executor:
                               (internal,))))
         best = None
         for source in left.sources:
-            if source.positions is None or source.nullable:
+            if source.nullable or (not source.lazy
+                                   and source.positions is None):
                 continue
             rows = source.base_rows()
             if rows * 8 > left.nrows or (best is not None
@@ -696,6 +746,8 @@ class Executor:
         spos, rpos = rel_join.join_positions(columns, right_keys, "inner")
         slot = np.full(rows, -1, dtype=np.int64)
         slot[spos] = rpos
+        if lazy and len(spos) == rows and left.nrows != len(right_keys[0]):
+            return None, None, (source, slot)
         rpos = slot[source.positions]
         lpos = None  # the identity: every left row, once
         if how == "inner" and len(spos) < rows:
@@ -710,80 +762,39 @@ class Executor:
         classified once per plan (``PhysicalInfo.join_sides``)."""
         sides = self.physical.join_sides.get(plan)
         if sides is None:
-            sides = self._split_join_condition(plan.condition, left, right)
+            sides = split_join_condition(plan.condition, left, right)
             self.physical.join_sides[plan] = sides
         return sides
 
-    def _split_join_condition(self, condition: Optional[ast.Expr],
-                              left: Frame, right: Frame):
-        """Separate equi-join conjuncts (left expr, right expr) from the
-        residual predicate."""
-        if condition is None:
-            return [], []
-        equi: list[tuple[ast.Expr, ast.Expr]] = []
-        residual: list[ast.Expr] = []
-        for conjunct in nodes.split_conjuncts(condition):
-            if (isinstance(conjunct, ast.BinaryOp)
-                    and conjunct.op == "="):
-                sides = self._classify_sides(conjunct, left, right)
-                if sides is not None:
-                    equi.append(sides)
-                    continue
-            residual.append(conjunct)
-        return equi, residual
 
-    def _classify_sides(self, eq: ast.BinaryOp, left: Frame,
-                        right: Frame):
-        def side_of(expr: ast.Expr) -> str | None:
-            refs = nodes.column_refs(expr)
-            if not refs:
-                return None
-            sides = set()
-            for ref in refs:
-                if left.find(ref) is not None:
-                    sides.add("left")
-                elif right.find(ref) is not None:
-                    sides.add("right")
-                else:
-                    return "unknown"
-            if len(sides) == 1:
-                return sides.pop()
-            return "both"
-
-        left_side = side_of(eq.left)
-        right_side = side_of(eq.right)
-        if left_side == "left" and right_side == "right":
-            return eq.left, eq.right
-        if left_side == "right" and right_side == "left":
-            return eq.right, eq.left
-        return None
+def _aggregate_bindings(plan: nodes.Aggregate) -> list[Binding]:
+    """The bindings of an Aggregate's output: its key and aggregate
+    columns under their internal names."""
+    bindings = []
+    for name, expr in zip(plan.key_names, plan.keys):
+        bindings.append(Binding(None, name, name))
+        # Also expose the original column name so un-rewritten
+        # references (e.g. qualified GROUP BY keys) still resolve.
+        if isinstance(expr, ast.ColumnRef):
+            bindings.append(Binding(expr.table, expr.name, name))
+    for spec in plan.aggregates:
+        bindings.append(Binding(None, spec.out_name, spec.out_name))
+    return bindings
 
 
-def _equated_columns(equi: list[tuple[ast.Expr, ast.Expr]], left: Frame,
-                     right: Frame) -> list[tuple[str, str]]:
-    """The (left, right) internal names that an inner join's equi-join
-    conjuncts of two bare columns of one dtype make equal on its rows."""
-    pairs = []
-    for lexpr, rexpr in equi:
-        if isinstance(lexpr, ast.ColumnRef) \
-                and isinstance(rexpr, ast.ColumnRef):
-            a, b = left.find(lexpr), right.find(rexpr)
-            if a is not None and b is not None \
-                    and left.dtype(a) is right.dtype(b):
-                pairs.append((a, b))
-    return pairs
-
-
-def _equate(classes: tuple[frozenset, ...],
-            pairs: list[tuple[str, str]]) -> tuple[frozenset, ...]:
-    """Column equivalence classes with each pair's classes merged."""
-    for a, b in pairs:
-        merged = {a, b}
-        rest = []
-        for members in classes:
-            if a in members or b in members:
-                merged |= members
-            else:
-                rest.append(members)
-        classes = tuple(rest) + (frozenset(merged),)
-    return classes
+_RUNNERS: dict[type, Callable[[Executor, nodes.Plan], Frame]] = {
+    nodes.Scan: Executor._run_scan,
+    nodes.RelScan: Executor._run_relscan,
+    nodes.SubqueryScan: Executor._run_subqueryscan,
+    nodes.Rma: Executor._run_rma,
+    nodes.FusedRma: Executor._run_fusedrma,
+    nodes.Filter: Executor._run_filter,
+    nodes.Prune: Executor._run_prune,
+    nodes.Project: Executor._run_project,
+    nodes.Distinct: Executor._run_distinct,
+    nodes.Sort: Executor._run_sort,
+    nodes.Limit: Executor._run_limit,
+    nodes.Aggregate: Executor._run_aggregate,
+    nodes.JoinPlan: Executor._run_joinplan,
+}
+"""The executor's method per plan node type."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.bat.bat import BAT, DataType, NIL_INT, _encode_value
 from repro.errors import PlanError, RelationError
-from repro.relational.joins import group_codes, group_ids, key_codes
+from repro.relational.joins import KeyCodes, group_codes, group_ids, key_codes
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 
@@ -117,16 +117,16 @@ def _segmented(func: str, values: np.ndarray, gids: np.ndarray,
 
 
 def _decode(keep: np.ndarray, layout: tuple[tuple[int, int], ...],
-            bats: Sequence[BAT]) -> list[BAT]:
+            dtypes: Sequence[DataType]) -> list[BAT]:
     """The key columns of the codes ``keep`` (ascending) in ``layout``:
     the last column is the lowest digit.  The first column comes out
     sorted, and a single key column is a key."""
     columns = []
     rest = keep
-    for (low, span), bat in zip(reversed(layout), reversed(bats)):
+    for (low, span), dtype in zip(reversed(layout), reversed(dtypes)):
         digit = rest % span if len(layout) > 1 else rest
-        column = BAT(bat.dtype, (digit + low).astype(bat.dtype.numpy_dtype,
-                                                     copy=False))
+        column = BAT(dtype, (digit + low).astype(dtype.numpy_dtype,
+                                                 copy=False))
         columns.append(column)
         rest = rest // span
     columns.reverse()
@@ -136,13 +136,18 @@ def _decode(keep: np.ndarray, layout: tuple[tuple[int, int], ...],
 
 def group_by(relation: Relation, keys: Sequence[str],
              aggregates: Sequence[AggregateSpec],
-             codes: dict | None = None) -> Relation:
+             codes: dict | None = None,
+             coded: KeyCodes | None = None) -> Relation:
     """Grouped aggregation; with no keys, a single global group.
 
     Output schema: the key attributes followed by one attribute per
     aggregate.  ``codes`` is a statement's memo of key codes
     (:func:`repro.relational.joins.key_codes`), so a join over the same
-    key BATs can reuse the grouping's codes.
+    key BATs can reuse the grouping's codes.  ``coded`` are the keys'
+    codes with a layout when the caller holds them
+    (:func:`repro.relational.joins.base_codes` gathered at the rows):
+    the key columns are then decoded from them and not read, so
+    ``relation`` need not hold them.
     """
     n = relation.nrows
     if n == 0 and not keys:
@@ -161,19 +166,19 @@ def group_by(relation: Relation, keys: Sequence[str],
     if not keys:
         groups = _Groups(np.zeros(n, dtype=np.int64), 1)
     else:
-        bats = relation.bats(keys)
-        coded = key_codes(bats, codes)
+        if coded is None:
+            coded = key_codes(relation.bats(keys), codes)
         if coded.layout is not None:
             sizes = np.bincount(coded.codes, minlength=coded.k)
             keep = np.flatnonzero(sizes)
             groups = _Groups(coded.codes, coded.k, keep, sizes)
-            columns += _decode(keep, coded.layout, bats)
+            columns += _decode(keep, coded.layout, coded.dtypes)
         else:
             gids, first, ngroups = group_ids(coded.codes, coded.k)
             groups = _Groups(gids, ngroups)
-            columns += [bat.fetch(first) for bat in bats]
-        attrs += [Attribute(name, bat.dtype) for name, bat in zip(keys,
-                                                                  bats)]
+            columns += [bat.fetch(first) for bat in relation.bats(keys)]
+        attrs += [Attribute(name, dtype)
+                  for name, dtype in zip(keys, coded.dtypes)]
 
     gids = groups.gids
     for spec in aggregates:
@@ -249,7 +254,9 @@ def _count_distinct(values: BAT, groups: _Groups) -> BAT:
     if not values.tnonil:
         present = np.flatnonzero(~values.is_nil())
         values, gids = values.fetch(present), gids[present]
-    _, first, _ = group_codes([BAT(DataType.INT, gids), values])
+    _, first, _ = group_codes([BAT(DataType.INT, gids.astype(np.int64,
+                                                             copy=False)),
+                               values])
     return BAT(DataType.INT, groups.binned(gids[first]).astype(np.int64))
 
 

@@ -64,18 +64,20 @@ ranked by ``np.unique``.  The bound caps the presence masks, slot tables
 and ``bincount`` arrays at O(rows), no more scratch memory than the sort,
 permutation and inverse inside ``np.unique`` take."""
 
-_INT_TAILS = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID)
+INT_TAILS = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID)
+"""The dtypes a key column is coded by offset in."""
 
 
 class KeyCodes(NamedTuple):
     """One side's key codes in ``[0, k)`` and their layout: per column
     ``(low, span)`` when every column was coded by offset and no fold
     needed compaction (a code is then ``((v0 - low0) * span1 + v1 - low1)
-    * span2 + ...``), else ``None``."""
+    * span2 + ...``), else ``None``.  ``dtypes`` are the key columns'."""
 
     codes: np.ndarray
     k: int
     layout: tuple[tuple[int, int], ...] | None
+    dtypes: tuple[DataType, ...]
 
 
 def _column_codes(lcol: BAT, rcol: BAT | None, bound: int) \
@@ -92,7 +94,7 @@ def _column_codes(lcol: BAT, rcol: BAT | None, bound: int) \
                 f"{rcol.dtype.value}")
         lcol, rcol = lcol.cast(DataType.DBL), rcol.cast(DataType.DBL)
     tails = [lcol.tail] if rcol is None else [lcol.tail, rcol.tail]
-    if lcol.dtype in _INT_TAILS:
+    if lcol.dtype in INT_TAILS:
         filled = [t for t in tails if len(t)]
         if filled:
             low = min(int(t.min()) for t in filled)
@@ -141,15 +143,41 @@ def key_codes(bats: Sequence[BAT], memo: dict | None = None) -> KeyCodes:
     either one is the same codes.
     """
     if memo is None:
-        codes, _, k, layout = _encode(bats, None)
-        return KeyCodes(codes, k, layout)
+        return _side_codes(bats)
     key = tuple(map(id, bats))
     entry = memo.get(key)
     if entry is None:
-        codes, _, k, layout = _encode(bats, None)
-        entry = memo.setdefault(key, (tuple(bats),
-                                      KeyCodes(codes, k, layout)))
+        entry = memo.setdefault(key, (tuple(bats), _side_codes(bats)))
     return entry[1]
+
+
+def _side_codes(bats: Sequence[BAT]) -> KeyCodes:
+    codes, _, k, layout = _encode(bats, None)
+    return KeyCodes(codes, k, layout, tuple(b.dtype for b in bats))
+
+
+def base_codes(bats: Sequence[BAT]) -> KeyCodes:
+    """:func:`key_codes` of whole columns, cached on the first one
+    (:meth:`BAT.derived`, so they live as long as it does) and stored in
+    the narrowest unsigned integer type that holds ``k`` when they have a
+    layout.  A statement gathers its rows' codes from them instead of
+    gathering its rows' key columns and coding those (the executor's
+    GROUP BY and joins over a base relation's columns)."""
+    others = tuple(bats[1:])
+
+    def compute() -> tuple:
+        coded = _side_codes(bats)
+        if coded.layout is not None:
+            for dtype in (np.uint8, np.uint16, np.uint32):
+                if coded.k <= np.iinfo(dtype).max + 1:
+                    coded = coded._replace(
+                        codes=coded.codes.astype(dtype))
+                    break
+            coded.codes.setflags(write=False)
+        return others, coded
+
+    key = ("key_codes",) + tuple(map(id, others))
+    return bats[0].derived(key, compute)[1]
 
 
 def _encode(left: Sequence[BAT], right: Sequence[BAT] | None) \
@@ -246,7 +274,8 @@ def group_ids(codes: np.ndarray, k: int) \
 
 
 def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
-                   how: str = "inner", codes: dict | None = None) \
+                   how: str = "inner", codes: dict | None = None,
+                   left_codes: KeyCodes | None = None) \
         -> tuple[np.ndarray, np.ndarray]:
     """Matching position pairs (lpos, rpos) for an equi-join.
 
@@ -259,10 +288,16 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
 
     ``codes`` is a statement's memo of :func:`key_codes`: when it holds
     the (nil-free) left keys' codes with a layout, only the right keys are
-    coded, into that layout (see the module docstring).
+    coded, into that layout (see the module docstring).  ``left_codes``
+    are the left rows' codes when the caller holds them, with a layout
+    that covers every value of ``left_keys``, the columns the rows were
+    taken from (:func:`base_codes` gathered at the rows): only the right
+    keys are coded, and a right value outside the layout matches nothing.
     """
     if how not in ("inner", "left"):
         raise RelationError(f"unsupported join type {how!r}")
+    if left_codes is not None:
+        return _probe_layout(left_codes, right_keys, how)
     nleft = len(left_keys[0]) if left_keys else 0
     lrows, left_keys = _non_nil_keys(left_keys)
     rrows, right_keys = _non_nil_keys(right_keys)
@@ -293,6 +328,28 @@ def _reused_codes(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     if rcodes is None:
         return None
     return left.codes, rcodes, left.k
+
+
+def _probe_layout(left: KeyCodes, right_keys: Sequence[BAT],
+                  how: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`join_positions` of left rows coded in a layout that covers
+    every left value: the right rows are coded into it; a nil or any
+    other value outside it is no left value, so its row matches
+    nothing."""
+    inside = None
+    codes = None
+    for key, (low, span) in zip(right_keys, left.layout):
+        tail = key.tail
+        within = (tail >= low) & (tail <= low + (span - 1))
+        inside = within if inside is None else inside & within
+        digit = tail - low
+        codes = digit if codes is None else codes * span + digit
+    rows = None
+    if not inside.all():
+        rows = np.flatnonzero(inside)
+        codes = codes[rows]
+    lpos, rpos = _probe(left.codes, codes, left.k, how)
+    return lpos, _remap(rpos, rows)
 
 
 def _probe(lcodes: np.ndarray, rcodes: np.ndarray, k: int,

@@ -296,12 +296,15 @@ class TestInvisibleJoin:
 
     @pytest.fixture
     def probes(self, monkeypatch):
-        """The left row count of every join_positions call."""
+        """The left row count of every join_positions call (the rows of
+        the left codes, when the caller passes them)."""
         rows = []
         original = rel_join.join_positions
 
         def spy(left_keys, right_keys, *args, **kwargs):
-            rows.append(len(left_keys[0]))
+            coded = kwargs.get("left_codes")
+            rows.append(len(left_keys[0]) if coded is None
+                        else len(coded.codes))
             return original(left_keys, right_keys, *args, **kwargs)
 
         monkeypatch.setattr(rel_join, "join_positions", spy)
