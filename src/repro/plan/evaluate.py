@@ -6,8 +6,14 @@ Each top-level evaluation computes a repeated subexpression once (CSE
 slots, :func:`_repeated_subtrees`), and an expression over a star join's
 small dimensions runs once per distinct combination of their rows
 (:meth:`~repro.plan.frame.Frame.domain`) and is gathered to the rows
-once.  The physical planner records each plan expression's
-:class:`ExprInfo` once per template (:func:`expr_info`).
+once.
+
+An expression compiles into one closure per node (:func:`compile_expr`);
+the physical planner records each plan expression's :class:`ExprInfo`,
+its compiled form included, once per template (:func:`expr_info`), so
+evaluating it dispatches on no node type.  A column reference reads its
+frame's layout, which a warm template run resolved before
+(:class:`~repro.plan.frame.Layout`).
 """
 
 from __future__ import annotations

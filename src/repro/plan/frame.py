@@ -14,13 +14,23 @@ a sorted base column gathered through them stays sorted without a
 rescan.
 
 A frame resolves user-visible (alias, column) names to internal column
-names through its :class:`Binding` list, and keeps column equivalence
-classes, derived from the inner equi-join conjuncts of two bare columns
-that made it.  A source whose positions derive from a smaller source of
-the same frame (the right side of a join probed at that source's rows)
-keeps a ``parent`` link, and :meth:`Frame.domain` codes rows by the
-parent's positions, so an expression over a star join's small dimensions
-runs once per distinct combination of their rows.
+names through its :class:`Layout`: its :class:`Binding` list and a memo
+of the references resolved so far.  Every run of one plan node of a
+template builds its frames with one layout (:func:`cached_layout`), so a
+warm run resolves each reference by one dict probe and builds no
+binding.  A frame keeps column equivalence classes, derived from the
+inner equi-join conjuncts of two bare columns that made it
+(:func:`equate_classes`); :func:`split_join_condition` classifies a join
+condition's conjuncts by the frames their columns resolve in.  Key codes
+of a frame's rows can come from its base columns
+(:meth:`Frame.base_codes`).
+
+A source whose positions derive from a smaller source of the same frame
+(the right side of a join probed at that source's rows) keeps a
+``parent`` link and composes its positions only when a gather reads
+them; :meth:`Frame.domain` codes rows by the parent's positions, so an
+expression over a star join's small dimensions runs once per distinct
+combination of their rows.
 
 A scan or RMA result enters the executor as a frame *view* of its
 relation (:meth:`Frame.from_relation`): building it costs the same at any
@@ -365,7 +375,24 @@ class Frame:
         frame.origin = relation
         frame._cache = {}
         frame.classes = ()
-        frame._view = (alias, gathered, layouts, key)
+        frame._view = (relation, None, alias, gathered, layouts, key)
+        return frame
+
+    def pruned(self, names: Sequence[str], layouts: dict | None = None,
+               key=None) -> "Frame | None":
+        """A view of this view's columns named in ``names`` (a Prune over
+        a scan), made before the view mints anything; ``None`` when this
+        frame is not such a view or every column is kept."""
+        view = self.__dict__.get("_view")
+        if view is None or "layout" in self.__dict__:
+            return None
+        relation, _, alias, gathered, _, _ = view
+        kept = tuple(i for i, n in enumerate(relation.names) if n in names)
+        if not kept or len(kept) == len(relation.names):
+            return None
+        frame = Frame.from_relation(relation, alias, gathered, layouts, key)
+        frame.origin = None  # not the relation: a subset of its columns
+        frame._view = (relation, kept, alias, gathered, layouts, key)
         return frame
 
     def __getattr__(self, name: str):
@@ -377,15 +404,18 @@ class Frame:
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         with Frame._mint_lock:
             if "layout" not in self.__dict__:
-                alias, gathered, layouts, key = self._view
-                relation = self.origin
-                names = tuple(relation.names)
+                relation, kept, alias, gathered, layouts, key = self._view
+                names, columns = relation.names, relation.columns
+                if kept is not None:
+                    names = [names[i] for i in kept]
+                    columns = [columns[i] for i in kept]
+                names = tuple(names)
                 layout = cached_layout(
                     layouts, key, (names,),
                     lambda: [Binding(alias, n, Frame._fresh(n))
                              for n in names])
                 self._bind(layout, [_Source(
-                    dict(zip(layout.internals(), relation.columns)),
+                    dict(zip(layout.internals(), columns)),
                     gathered=gathered)])
         return self.__dict__[name]
 

@@ -538,6 +538,10 @@ class Executor:
 
     def _run_prune(self, plan: nodes.Prune) -> Frame:
         frame = self.run(plan.child)
+        view = frame.pruned(plan.names, self.physical.layouts,
+                            self._layout_key(plan))
+        if view is not None:
+            return view
         layout = self._layout(plan, (frame.layout,), lambda: [
             b for b in frame.bindings if b.name in plan.names])
         if not layout.bindings or len(layout.bindings) == len(frame.bindings):

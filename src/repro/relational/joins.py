@@ -34,10 +34,20 @@ gather.  :func:`key_codes` encodes one side with its layout, memoized in
 a statement's dict per tuple of key BATs (the executor's ``_codes``, which
 lives and dies with the statement).  :func:`join_positions` given that
 memo reuses the left side's codes when it holds them with a layout, and
-codes only the right rows into it: Fig. 15's pair join probes with the
-codes its subquery's GROUP BY made (a groupjoin, Moerkotte & Neumann,
-VLDB 2011).  A right value outside the layout falls back to the shared
-encoding.
+codes only the right rows into it: a join probes with the codes a GROUP
+BY made of its keys (a groupjoin, Moerkotte & Neumann, VLDB 2011).  A
+layout covers every left value, so a right value outside it matches
+nothing.
+
+A statement over a few base columns need not code its rows at all:
+:func:`base_codes` codes the whole columns once, keeps the codes on the
+first column (:meth:`~repro.bat.bat.BAT.derived`, in the narrowest
+unsigned type that holds ``k``) for as long as it lives, and a statement
+gathers its rows' codes from them.  Codes with a layout cover every value
+of the columns, so :func:`join_positions` given such left codes
+(``left_codes``) codes only the right rows into the layout, and a right
+value outside it matches nothing.  Fig. 15's GROUP BY and pair join
+gather one ``uint16`` code per trip instead of two station columns.
 
 Grouping (:func:`group_codes`) compacts the codes once, since group ids
 must be dense; they stay in key order.  ``group_by`` skips even that for
@@ -162,7 +172,12 @@ def base_codes(bats: Sequence[BAT]) -> KeyCodes:
     the narrowest unsigned integer type that holds ``k`` when they have a
     layout.  A statement gathers its rows' codes from them instead of
     gathering its rows' key columns and coding those (the executor's
-    GROUP BY and joins over a base relation's columns)."""
+    GROUP BY and joins over a base relation's columns).
+
+    The first column keeps the codes of one tuple of further columns per
+    arity, which the entry holds: codes of the same first column with
+    other further columns are computed afresh and not kept, so a
+    long-lived column never pins a stream of short-lived ones."""
     others = tuple(bats[1:])
 
     def compute() -> tuple:
@@ -176,8 +191,10 @@ def base_codes(bats: Sequence[BAT]) -> KeyCodes:
             coded.codes.setflags(write=False)
         return others, coded
 
-    key = ("key_codes",) + tuple(map(id, others))
-    return bats[0].derived(key, compute)[1]
+    entry = bats[0].derived(("key_codes", len(others)), compute)
+    if any(a is not b for a, b in zip(entry[0], others)):
+        entry = compute()
+    return entry[1]
 
 
 def _encode(left: Sequence[BAT], right: Sequence[BAT] | None) \
@@ -230,24 +247,6 @@ def _encode(left: Sequence[BAT], right: Sequence[BAT] | None) \
             None if layout is None else tuple(layout))
 
 
-def _codes_in_layout(keys: Sequence[BAT], like: Sequence[BAT],
-                     layout: tuple[tuple[int, int], ...]) \
-        -> np.ndarray | None:
-    """The codes of ``keys`` in the layout of ``like``'s codes, or
-    ``None`` when a dtype differs or a value falls outside the layout."""
-    codes = None
-    for key, other, (low, span) in zip(keys, like, layout):
-        if key.dtype is not other.dtype:
-            return None
-        tail = key.tail
-        if len(tail) and (int(tail.min()) < low
-                          or int(tail.max()) - low >= span):
-            return None
-        digit = tail - low
-        codes = digit if codes is None else codes * span + digit
-    return codes
-
-
 def group_codes(bats: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray, int]:
     """(group id per row, first-row position per group, #groups).
 
@@ -286,16 +285,26 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     full cross of matches.  Pairs come in left-row order, each left row's
     matches in right-row order.
 
-    ``codes`` is a statement's memo of :func:`key_codes`: when it holds
-    the (nil-free) left keys' codes with a layout, only the right keys are
-    coded, into that layout (see the module docstring).  ``left_codes``
+    Left keys coded with a layout that covers every left value are
+    probed without coding them again: only the right keys are coded into
+    the layout, and a right value outside it matches nothing (see the
+    module docstring).  ``codes`` is a statement's memo of
+    :func:`key_codes`, used when it holds the nil-free left keys' codes
+    with a layout and the right keys have their dtypes.  ``left_codes``
     are the left rows' codes when the caller holds them, with a layout
     that covers every value of ``left_keys``, the columns the rows were
-    taken from (:func:`base_codes` gathered at the rows): only the right
-    keys are coded, and a right value outside the layout matches nothing.
+    taken from (:func:`base_codes` gathered at the rows); the right keys
+    must have their dtypes.
     """
     if how not in ("inner", "left"):
         raise RelationError(f"unsupported join type {how!r}")
+    if left_codes is None and codes is not None:
+        entry = codes.get(tuple(map(id, left_keys)))
+        if (entry is not None and entry[1].layout is not None
+                and all(key.tnonil for key in left_keys)
+                and all(r.dtype is l.dtype
+                        for r, l in zip(right_keys, left_keys))):
+            left_codes = entry[1]
     if left_codes is not None:
         return _probe_layout(left_codes, right_keys, how)
     nleft = len(left_keys[0]) if left_keys else 0
@@ -304,30 +313,12 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     # With nil left keys a LEFT join probes the other rows as an inner
     # join and gets its unmatched rows added afterwards.
     pad = how == "left" and lrows is not None
-    shared = None
-    if codes is not None and lrows is None:
-        shared = _reused_codes(left_keys, right_keys, codes)
-    if shared is None:
-        shared = encode_keys(left_keys, right_keys)
+    shared = encode_keys(left_keys, right_keys)
     lpos, rpos = _probe(*shared, "inner" if pad else how)
     lpos, rpos = _remap(lpos, lrows), _remap(rpos, rrows)
     if pad:
         lpos, rpos = pad_unmatched(lpos, rpos, nleft)
     return lpos, rpos
-
-
-def _reused_codes(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
-                  memo: dict) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """(left codes, right codes, k) from the left keys' memoized codes and
-    layout, or ``None`` (no entry, no layout, a right value outside it)."""
-    entry = memo.get(tuple(map(id, left_keys)))
-    if entry is None or entry[1].layout is None:
-        return None
-    left = entry[1]
-    rcodes = _codes_in_layout(right_keys, left_keys, left.layout)
-    if rcodes is None:
-        return None
-    return left.codes, rcodes, left.k
 
 
 def _probe_layout(left: KeyCodes, right_keys: Sequence[BAT],

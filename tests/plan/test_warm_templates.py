@@ -216,6 +216,11 @@ class TestBaseCodes:
         reference = rel_join.key_codes(columns)
         assert np.array_equal(first.codes, reference.codes)
         assert (first.k, first.layout) == (reference.k, reference.layout)
+        # Another further column: computed afresh, the kept codes stay.
+        other = [columns[0], trips.column("duration")]
+        assert np.array_equal(rel_join.base_codes(other).codes,
+                              rel_join.key_codes(other).codes)
+        assert rel_join.base_codes(columns) is first
 
 
 def sqlite_rows(tables, sql: str) -> list[tuple]:

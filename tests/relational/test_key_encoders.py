@@ -644,15 +644,11 @@ def test_join_reusing_codes_matches_nested_loop(how, sides):
     want_l, want_r = ref_join(left, right, how)
     np.testing.assert_array_equal(lpos, want_l)
     np.testing.assert_array_equal(rpos, want_r)
-    layout = key_codes(left, memo).layout
-    probed = np.all([r.tail != NIL_INT for r in right], axis=0)
-    inside = all(
-        l.dtype is r.dtype and all(low <= v < low + span
-                                   for v in r.tail[probed].tolist())
-        for l, r, (low, span) in zip(left, right, layout))
-    # Right values inside the left's layout are coded into it; anything
-    # else takes the shared encoding.
-    assert bool(encoded) is not inside
+    # Right keys of the left keys' dtypes are coded into the left's
+    # layout, values outside it (nil too) matching nothing; other dtypes
+    # take the shared encoding.
+    assert bool(encoded) is not all(l.dtype is r.dtype
+                                    for l, r in zip(left, right))
 
 
 def ref_pivot(relation, index, on, value):
