@@ -123,7 +123,7 @@ def expr_info(expr: ast.Expr) -> ExprInfo:
 # An expression compiles once (per template, through the planner's
 # ExprInfo) into one closure per node; evaluating it calls them, with no
 # dispatch on node types.  Compiling never raises: a node that cannot be
-# evaluated compiles to a closure that raises what evaluating it raised.
+# evaluated compiles to a closure that raises what evaluating it would.
 
 Run = Callable[["ExpressionEvaluator"], Any]
 
@@ -132,23 +132,26 @@ def compile_expr(expr: ast.Expr) -> Run:
     """``expr`` as a closure over an :class:`ExpressionEvaluator`.  A
     subexpression that repeats in it (:func:`_repeated_subtrees`) is
     computed once per evaluation, in the evaluator's memo."""
-    slots = _repeated_subtrees(expr)
-
-    def build(node: ast.Expr) -> Run:
-        compiler = _COMPILERS.get(type(node))
-        if compiler is None:
-            run = _fails(PlanError(f"cannot evaluate expression {node!r}"))
-        else:
-            run = compiler(node, build)
-        slot = slots.get(id(node))
-        return run if slot is None else _memoized(run, slot)
-
-    return build(expr)
+    return _build(expr, _repeated_subtrees(expr))
 
 
-def _fails(error: Exception) -> Run:
+def _build(node: ast.Expr, slots: dict[int, int]) -> Run:
+    # The compilers get a partial, not a closure over itself: a recursive
+    # closure is a reference cycle.
+    compiler = _COMPILERS.get(type(node))
+    if compiler is None:
+        run = _fails(PlanError, f"cannot evaluate expression {node!r}")
+    else:
+        run = compiler(node, functools.partial(_build, slots=slots))
+    slot = slots.get(id(node))
+    return run if slot is None else _memoized(run, slot)
+
+
+def _fails(error: type, message: str) -> Run:
+    # A new exception per call: a kept one would keep its traceback's
+    # frames, and so a statement's arrays, alive with the template.
     def run(ev):
-        raise error
+        raise error(message)
     return run
 
 
@@ -355,8 +358,8 @@ def _function(node: ast.FunctionCall, build) -> Run:
 
 
 def _star(node: ast.Star, build) -> Run:
-    return _fails(PlanError(
-        "'*' is only valid in SELECT lists and COUNT(*)"))
+    return _fails(PlanError,
+                  "'*' is only valid in SELECT lists and COUNT(*)")
 
 
 _COMPILERS: dict[type, Callable[[Any, Callable], Run]] = {

@@ -33,13 +33,9 @@ expression over a star join's small dimensions runs once per distinct
 combination of their rows.
 
 A scan or RMA result enters the executor as a frame *view* of its
-relation (:meth:`Frame.from_relation`): building it costs the same at any
-width, it mints internal names only when a relational operator first
-resolves one, and ``Frame.to_plain_relation`` hands the relation object
-itself back in constant time.  A relation that only passes from one RMA
-node to the next thus reaches the prepare stage as the very same object,
-and derived relations produced by ``merge_result`` keep their seeded
-order caches all the way to the user (or the next operation).
+relation (:meth:`Frame.from_relation`), so a relation that only passes
+from one RMA node to the next reaches the prepare stage as the very same
+object, its seeded order caches included.
 """
 
 from __future__ import annotations
@@ -74,14 +70,9 @@ class Binding:
 
 
 class Layout:
-    """A frame's bindings and what its column references resolve to.
-
-    Every run of one plan node of a template builds its frames with one
-    layout (the executor keeps them in ``PhysicalInfo.layouts``, see
-    :func:`cached_layout`), so a warm run builds no binding, mints no
-    internal name and resolves a reference by one dict probe.  A layout
-    holds names only, never a statement's arrays.
-    """
+    """A frame's bindings and what its column references resolve to; it
+    holds names only, never a statement's arrays (see the module
+    docstring and :func:`cached_layout`)."""
 
     __slots__ = ("bindings", "resolved", "_internals")
 
@@ -183,9 +174,8 @@ class _Source:
              composed: dict | None = None) -> "_Source":
         """This source seen through ``outer``, positions into its rows;
         ``outer_sorted``/``outer_key`` describe ``outer``.  ``composed``
-        holds the compositions through ``outer`` made so far, by position
-        vector: sources sharing a vector share its composition (and so
-        their gathers)."""
+        holds the compositions through ``outer`` by position vector, so
+        sources sharing a vector share its composition and gathers."""
         positions = self.positions
         if positions is None:
             return _Source(self.columns, outer, outer_nullable,
@@ -333,12 +323,9 @@ class Frame:
     # concurrently evaluated subplans never mint the same internal name
     _mint_lock = threading.Lock()  # one minting per view, whoever asks
 
-    def __init__(self, layout: "Layout | list[Binding]",
-                 sources: list[_Source], nrows: int,
+    def __init__(self, layout: Layout, sources: list[_Source], nrows: int,
                  cache: dict[str, BAT] | None = None,
                  classes: tuple[frozenset, ...] = ()):
-        if not isinstance(layout, Layout):
-            layout = Layout(layout)
         self._bind(layout, sources)
         self.nrows = nrows
         self.origin: Relation | None = None
@@ -420,8 +407,7 @@ class Frame:
         return self.__dict__[name]
 
     @classmethod
-    def wrap(cls, relation: Relation,
-             layout: "Layout | list[Binding]") -> "Frame":
+    def wrap(cls, relation: Relation, layout: Layout) -> "Frame":
         """A frame over a relation whose column names are the internal
         names the layout's bindings refer to."""
         source = _Source(dict(zip(relation.names, relation.columns)))
@@ -552,15 +538,12 @@ class Frame:
     def base_codes(self, exprs: Sequence[ast.Expr], memo: dict) \
             -> "tuple[list[BAT], rel_join.KeyCodes] | None":
         """(base columns, their key codes at this frame's rows) when every
-        expression is a nil-free integer-typed column of one non-nullable
-        source, whose rows are at least ``1 / DENSE_SPAN_FACTOR`` of its
-        base's, and the base columns' codes
-        (:func:`~repro.relational.joins.base_codes`, cached on them) have
-        a layout within ``DENSE_SPAN_FACTOR`` times the rows, as coding
-        the rows themselves would allow.  Gathering those codes replaces
-        gathering the key columns and coding them.  ``memo`` is the
-        statement's table of codes (``Executor._codes``): a join over the
-        columns a GROUP BY grouped on the same rows reuses its codes."""
+        expression is a nil-free integer column of one non-nullable
+        source with at least ``1 / DENSE_SPAN_FACTOR`` of its base's rows,
+        and the base codes (:func:`~repro.relational.joins.base_codes`)
+        have a layout within ``DENSE_SPAN_FACTOR`` times the rows.
+        ``memo`` is the statement's table of codes (``Executor._codes``):
+        a join over the columns a GROUP BY grouped reuses its codes."""
         source, bases = None, []
         for expr in exprs:
             if not isinstance(expr, ast.ColumnRef):
@@ -606,7 +589,7 @@ class Frame:
             raise BindError(f"unknown table alias {table!r} in star")
         return matches
 
-    def with_bindings(self, layout: "Layout | list[Binding]") -> "Frame":
+    def with_bindings(self, layout: Layout) -> "Frame":
         """The same rows with a subset of the bindings."""
         return Frame(layout, self.sources, self.nrows, dict(self._cache),
                      self.classes)

@@ -113,13 +113,11 @@ class PhysicalInfo:
     condition split into equi-join pairs and residual conjuncts; the split
     needs the inputs' bindings, so the first run records it.
 
-    ``tree_nodes`` maps ``id(node)`` to each node that runs at most once
-    per statement (it is reached along one path from the root: no
-    ``Matrix`` subplan object reused in several places is at or above
-    it).  The frames of such a node keep one layout across runs
-    (``layouts``, filled by the first run, see
-    :func:`~repro.plan.frame.cached_layout`): a warm run resolves no name
-    and builds no binding.
+    ``tree_nodes`` maps ``id(node)`` to each node reached along one path
+    from the root (no ``Matrix`` subplan object reused in several places
+    is at or above it), which runs at most once per statement: its frames
+    keep one layout across runs (``layouts``, filled by the first run,
+    :func:`~repro.plan.frame.cached_layout`).
     """
 
     shared: dict[nodes.Plan, int] = field(default_factory=dict)

@@ -6,7 +6,7 @@ scalar.
 
 Every function here is deterministic and element-wise: the executor may
 evaluate an expression once per distinct combination of its inputs and
-gather the result (``repro.plan.physical.expr_info``'s domain rule).  A
+gather the result (``repro.plan.evaluate.expr_info``'s domain rule).  A
 volatile function (a random draw, the clock) would have to opt out there.
 """
 
