@@ -59,6 +59,15 @@ Everything is gated by ``RmaConfig.parallel`` (off by default; the
 runs the whole tier-1 suite a second time under the parallel engine).
 ``tests/engine/test_parallel_identity.py`` asserts bit-identity between
 the two modes.
+
+One pool user is not gated: the MKL backend's dense kernel splits a large
+self-operand ``cpd`` into row blocks that pool tasks copy and multiply
+(:func:`repro.linalg.mkl_backend.gram_partition`).  That is the backend's
+own kernel threading, as OpenBLAS threads GEMM and LAPACK: the blocks
+depend on the shape alone and are summed in block order, so the result is
+bit-identical at any thread count, inside a pool task (where the blocks
+run inline) and with the engine on or off
+(``tests/linalg/test_gram_blocks.py``).
 """
 
 from repro.engine.morsel import Morsel, partition, slice_columns

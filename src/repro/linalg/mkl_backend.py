@@ -5,19 +5,34 @@ BATs into a contiguous array of doubles (§7.3).  numpy is itself a BLAS/
 LAPACK binding, so it plays MKL's role here; what matters for the
 experiments is the cost structure — copy in, fast dense kernel, copy out —
 and all three phases are timed through :class:`TransformStats`.
+
+A large self-operand ``cpd`` (a Gram, AᵀA) is split by rows, AᵀA =
+Σ_b A_bᵀA_b, as MatRel splits a block-partitioned product over machines;
+here the blocks are spread over the shared worker pool's threads
+(:func:`gram_partition`).  Each block is copied in and run through dsyrk
+on one BLAS thread, and the partials are added in block order, so the
+result is the same at any thread count.  On a 20000 x 150 Gram (2-CPU x86
+host) copy plus kernel take 9.1–10.7 ms in blocks on two threads against
+13.9–15.6 ms for one copy and one single-threaded dsyrk (medians of
+interleaved runs); run on one thread, as inside a pool task, the blocks
+cost ~8% more than the single dsyrk.  OpenBLAS's own second thread speeds
+that dsyrk up only 1.2x and stalls it whenever its core is busy, so the
+split is the backend's, not the BLAS library's.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
+from repro.engine import pool
 from repro.errors import LinAlgError, ShapeError, SingularMatrixError
-from repro.linalg.matrix import Columns, check_dims
+from repro.linalg.matrix import Columns, check_dims, ncols, nrows
 from repro.linalg.transform import TransformStats, from_dense, to_dense
 from repro.opspec import spec_of
 
@@ -90,6 +105,27 @@ def _one_blas_thread():
         setter(previous)
 
 
+GRAM_BLOCK_ROWS = 4096
+"""Rows per block of a blocked self-operand Gram."""
+
+GRAM_MIN_WORK = 1 << 24
+"""``n * k * k`` below which a self-operand cpd stays one dsyrk."""
+
+
+def gram_partition(n: int, k: int) -> tuple[int, int, int] | None:
+    """``(rows, blocks, tasks)`` of an n x k self-operand cpd's blocked Gram.
+
+    ``None`` below the work floor, where the call keeps one dsyrk over one
+    dense copy.  The blocks depend on the shape alone, so the summed
+    result's bits do too; ``tasks`` only bounds how many threads share
+    them, and so how many block buffers are alive at once.
+    """
+    blocks = -(-n // GRAM_BLOCK_ROWS)
+    if n * k * k < GRAM_MIN_WORK or blocks < 2:
+        return None
+    return GRAM_BLOCK_ROWS, blocks, min(pool.pool_size(), blocks)
+
+
 class MklBackend:
     """Dense LAPACK kernels behind an instrumented copy boundary."""
 
@@ -103,15 +139,21 @@ class MklBackend:
         """Run one matrix operation; returns result columns."""
         spec = spec_of(op)
         check_dims(spec, a, b)
+        if op == "cpd" and b is a:
+            partition = gram_partition(nrows(a), ncols(a))
+            if partition is not None:
+                return from_dense(self._blocked_gram(a, *partition),
+                                  self.stats)
         da = to_dense(a, self.stats)
         # A self-operand (``b is a``) is copied in once.
         db = da if b is a else (
             to_dense(b, self.stats) if b is not None else None)
         start = time.perf_counter()
         if db is da:
-            # A second BLAS thread speeds dsyrk up little (1.2x on a
-            # 20000 x 150 Gram, 2-CPU x86 host) but stalls the call whenever
-            # its core is busy (2x slower); one thread keeps it steady.
+            # A Gram below the blocked floor, or another self-operand op,
+            # runs on one BLAS thread: OpenBLAS's own second thread sped a
+            # 20000 x 150 dsyrk up 1.2x and stalled it on a busy core.  A
+            # large Gram is split by rows instead (module docstring).
             with _one_blas_thread():
                 result = self._kernel(op, da, db)
         else:
@@ -119,6 +161,52 @@ class MklBackend:
         self.stats.kernel_seconds += time.perf_counter() - start
         self.stats.calls += 1
         return from_dense(result, self.stats)
+
+    def _blocked_gram(self, a: Columns, rows: int, blocks: int,
+                      tasks: int) -> np.ndarray:
+        """AᵀA as the sum of its ``rows``-row blocks' Grams.
+
+        Each task claims its next block from a shared counter, copies the
+        block's column slices into its own reused F-ordered buffer and runs
+        the block's dsyrk on one BLAS thread.  The partials are added in
+        block order, so the bits depend on the shape and the values only,
+        not on which thread ran which block.
+        """
+        n, k = nrows(a), ncols(a)
+        partials: list = [None] * blocks
+        claim = itertools.count()  # next() on it is atomic under the GIL
+
+        def task(_) -> tuple[float, float]:
+            buffer = None
+            copy = kernel = 0.0
+            with _one_blas_thread():
+                while (block := next(claim)) < blocks:
+                    start = block * rows
+                    stop = min(start + rows, n)
+                    if buffer is None:
+                        buffer = np.empty(rows * k)
+                    began = time.perf_counter()
+                    dense = to_dense(
+                        [col[start:stop] for col in a],
+                        out=buffer[:(stop - start) * k].reshape(
+                            k, stop - start).T)
+                    copied = time.perf_counter()
+                    partials[block] = self._kernel("cpd", dense, dense)
+                    copy += copied - began
+                    kernel += time.perf_counter() - copied
+            return copy, kernel
+
+        times = pool.map_chunks(task, range(tasks))
+        start = time.perf_counter()
+        result = partials[0]
+        for partial in partials[1:]:
+            np.add(result, partial, out=result)
+        self.stats.kernel_seconds += (time.perf_counter() - start
+                                      + sum(kernel for _, kernel in times))
+        self.stats.copy_in_seconds += sum(copy for copy, _ in times)
+        self.stats.bytes_in += n * k * 8
+        self.stats.calls += 1
+        return result
 
     # -- kernels -----------------------------------------------------------
 

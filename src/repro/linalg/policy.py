@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import BackendError
 from repro.linalg.bat_backend import BatBackend
-from repro.linalg.mkl_backend import MklBackend
+from repro.linalg.mkl_backend import MklBackend, gram_partition
 from repro.opspec import LINEAR_OPS, spec_of
 
 DEFAULT_MEMORY_LIMIT = 4 << 30  # 4 GiB of dense doubles
@@ -49,8 +49,20 @@ class BackendPolicy:
         """Bytes of contiguous doubles the MKL path would allocate.
 
         ``shape_b`` is ``None`` for unary operations and for self-operand
-        binary ones, whose single operand is copied in once.
+        binary ones, whose single operand is copied in once.  A
+        self-operand ``cpd`` holds what :func:`gram_partition` makes it
+        hold: one block buffer per task, one k x k partial per block and
+        the result, or below its floor one n x k copy and the result.
         """
+        if op == "cpd" and shape_b is None:
+            n, k = shape_a
+            partition = gram_partition(n, k)
+            if partition is None:
+                held = n * k
+            else:
+                rows, blocks, tasks = partition
+                held = tasks * rows * k + blocks * k * k
+            return (held + k * k) * 8
         a_cells = shape_a[0] * shape_a[1]
         total = a_cells
         largest = a_cells

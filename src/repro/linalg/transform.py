@@ -17,7 +17,12 @@ import numpy as np
 
 @dataclass
 class TransformStats:
-    """Accumulated cost of column <-> dense transformations."""
+    """Accumulated cost of column <-> dense transformations.
+
+    The seconds are work summed over the threads that did it: a Gram
+    whose row blocks ran on two threads at once adds both threads' copy
+    and kernel time, so ``total_seconds`` can exceed the call's wall time.
+    """
 
     copy_in_seconds: float = 0.0
     copy_out_seconds: float = 0.0
@@ -43,15 +48,23 @@ class TransformStats:
 
 
 def to_dense(columns: Sequence[np.ndarray],
-             stats: TransformStats | None = None) -> np.ndarray:
+             stats: TransformStats | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Copy a column list into one contiguous (n, k) float64 array.
 
     This is the "copy BATs to an MKL compatible format" step; the copy is
-    explicit and measured.
+    explicit and measured.  ``out``, an F-ordered (n, k) float64 array,
+    receives the copy instead of a fresh allocation and is returned.
     """
     start = time.perf_counter()
     n = len(columns[0]) if columns else 0
-    dense = np.empty((n, len(columns)), dtype=np.float64, order="F")
+    if out is None:
+        dense = np.empty((n, len(columns)), dtype=np.float64, order="F")
+    elif out.shape != (n, len(columns)) or out.dtype != np.float64:
+        raise ValueError(f"to_dense: out is {out.shape} {out.dtype}, "
+                         f"expected ({n}, {len(columns)}) float64")
+    else:
+        dense = out
     for j, col in enumerate(columns):
         dense[:, j] = col
     if stats is not None:

@@ -4,6 +4,8 @@ This is the core guarantee behind the paper's §7.3 flexibility claim — the
 engine may route any operation to either backend and get the same relation.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from repro.errors import (
 )
 from repro.linalg import BatBackend, MklBackend
 from repro.linalg.matrix import as_columns, columns_to_dense
+from repro.linalg.mkl_backend import GRAM_BLOCK_ROWS, gram_partition
 
 BAT = BatBackend()
 MKL = MklBackend()
@@ -337,52 +340,67 @@ class TestMklStats:
         assert backend.stats.bytes_in == 2 * n * k * 8
 
 
+class _ThreadLocalSetter:
+    """A fake of OpenBLAS's per-thread setter: one count per thread."""
+
+    def __init__(self, start: int = 4):
+        self.start = start
+        self.counts: dict[int, int] = {}
+
+    def __call__(self, threads: int) -> int:
+        ident = threading.get_ident()
+        previous = self.counts.get(ident, self.start)
+        self.counts[ident] = threads
+        return previous
+
+    def current(self) -> int:
+        return self.counts.get(threading.get_ident(), self.start)
+
+
 class TestSelfOperandBlasThreads:
-    """A self-operand cpd runs its dsyrk on the calling thread alone."""
+    """A self-operand cpd runs every dsyrk on its calling thread alone."""
+
+    # Above the blocked Gram's floor: three row blocks.
+    BLOCKED = (2 * GRAM_BLOCK_ROWS + 7, 48)
 
     @staticmethod
     def _fake_setter(monkeypatch, start=4):
         from repro.linalg import mkl_backend
-        state = {"threads": start}
-
-        def setter(threads):
-            previous, state["threads"] = state["threads"], threads
-            return previous
-
+        setter = _ThreadLocalSetter(start)
         monkeypatch.setattr(mkl_backend, "_openblas_thread_setter",
                             lambda: setter)
-        return state
+        return setter
 
-    def _threads_in_kernel(self, monkeypatch, backend, state):
+    def _threads_in_kernel(self, monkeypatch, backend, setter):
         seen = []
         kernel = backend._kernel
 
         def recording(op, a, b):
-            seen.append(state["threads"])
+            seen.append(setter.current())
             return kernel(op, a, b)
 
         monkeypatch.setattr(backend, "_kernel", recording)
         return seen
 
     def test_self_operand_one_thread_then_restored(self, monkeypatch, rng):
-        state = self._fake_setter(monkeypatch)
+        setter = self._fake_setter(monkeypatch)
         backend = MklBackend()
-        seen = self._threads_in_kernel(monkeypatch, backend, state)
+        seen = self._threads_in_kernel(monkeypatch, backend, setter)
         cols = as_columns(rng.normal(size=(50, 4)))
         backend.compute("cpd", cols, cols)
-        assert seen == [1] and state["threads"] == 4
+        assert seen == [1] and setter.current() == 4
 
     def test_other_operations_keep_the_default(self, monkeypatch, rng):
-        state = self._fake_setter(monkeypatch)
+        setter = self._fake_setter(monkeypatch)
         backend = MklBackend()
-        seen = self._threads_in_kernel(monkeypatch, backend, state)
+        seen = self._threads_in_kernel(monkeypatch, backend, setter)
         cols = as_columns(rng.normal(size=(50, 4)))
         backend.compute("cpd", cols, as_columns(rng.normal(size=(50, 4))))
         backend.compute("tra", cols)
-        assert seen == [4, 4] and state["threads"] == 4
+        assert seen == [4, 4] and setter.current() == 4
 
     def test_restored_when_the_kernel_raises(self, monkeypatch, rng):
-        state = self._fake_setter(monkeypatch)
+        setter = self._fake_setter(monkeypatch)
         backend = MklBackend()
 
         def failing(op, a, b):
@@ -392,7 +410,38 @@ class TestSelfOperandBlasThreads:
         cols = as_columns(rng.normal(size=(50, 4)))
         with pytest.raises(RuntimeError):
             backend.compute("cpd", cols, cols)
-        assert state["threads"] == 4
+        assert setter.current() == 4
+
+    def test_every_block_one_thread_then_restored(self, monkeypatch, rng):
+        setter = self._fake_setter(monkeypatch)
+        backend = MklBackend()
+        seen = self._threads_in_kernel(monkeypatch, backend, setter)
+        cols = as_columns(rng.normal(size=self.BLOCKED))
+        backend.compute("cpd", cols, cols)
+        _, blocks, tasks = gram_partition(*self.BLOCKED)
+        assert seen == [1] * blocks
+        assert len(setter.counts) == tasks  # each task's thread set it
+        assert set(setter.counts.values()) == {4}
+
+    def test_every_thread_restored_when_a_block_raises(self, monkeypatch,
+                                                       rng):
+        setter = self._fake_setter(monkeypatch)
+        backend = MklBackend()
+        kernel = backend._kernel
+        calls = []
+
+        def failing_second(op, a, b):
+            calls.append(setter.current())
+            if len(calls) == 2:
+                raise RuntimeError("kernel failed")
+            return kernel(op, a, b)
+
+        monkeypatch.setattr(backend, "_kernel", failing_second)
+        cols = as_columns(rng.normal(size=self.BLOCKED))
+        with pytest.raises(RuntimeError):
+            backend.compute("cpd", cols, cols)
+        assert set(calls) == {1}
+        assert set(setter.counts.values()) == {4}
 
     def test_without_openblas_the_kernel_still_runs(self, monkeypatch, rng):
         from repro.linalg import mkl_backend

@@ -7,6 +7,7 @@ from repro.errors import BackendError
 from repro.linalg import BackendPolicy, TransformStats, from_dense, to_dense
 from repro.linalg.kernels import KernelProgram, run_program
 from repro.linalg.matrix import as_columns
+from repro.linalg.mkl_backend import GRAM_BLOCK_ROWS, gram_partition
 from repro.opspec import LINEAR_OPS, OPS
 
 
@@ -52,6 +53,22 @@ class TestPolicy:
         assert policy.mkl.stats.calls == 1
         run_program(cpd, [a, b], policy)  # distinct: Table 6 fallback
         assert policy.mkl.stats.calls == 1
+        assert one_copy == (n * k + k * k) * 8  # one n x k copy, the result
+        # Above the blocked Gram's floor: one block buffer per task, one
+        # k x k partial per block and the result.
+        n, k = 2 * GRAM_BLOCK_ROWS + 7, 48
+        rows, blocks, tasks = gram_partition(n, k)
+        blocked = BackendPolicy().dense_bytes("cpd", (n, k))
+        assert blocked == (tasks * rows * k + (blocks + 1) * k * k) * 8
+        limit = blocked
+        assert BackendPolicy().dense_bytes("cpd", (n, k), (n, k)) > limit
+        a = as_columns(rng.normal(size=(n, k)))
+        b = as_columns(rng.normal(size=(n, k)))
+        policy = BackendPolicy(memory_limit_bytes=limit)
+        run_program(cpd, [a, list(a)], policy)
+        assert policy.mkl.stats.calls == 1
+        run_program(cpd, [a, b], policy)
+        assert policy.mkl.stats.calls == 1
 
     def test_usv_memory_estimate_quadratic(self):
         policy = BackendPolicy()
@@ -73,6 +90,16 @@ class TestTransforms:
         # MKL-style kernels want one contiguous buffer of doubles.
         dense = to_dense([rng.normal(size=10) for _ in range(3)])
         assert dense.flags.f_contiguous
+
+    def test_dense_into_a_given_buffer(self, rng):
+        columns = [rng.integers(0, 9, size=10) for _ in range(3)]
+        flat = np.full(40, np.nan)
+        out = flat[:30].reshape(3, 10).T  # an F-ordered view of a buffer
+        assert to_dense(columns, out=out) is out
+        assert np.array_equal(out, to_dense(columns))
+        assert np.isnan(flat[30:]).all()
+        with pytest.raises(ValueError):
+            to_dense(columns, out=np.empty((10, 2), order="F"))
 
     def test_from_dense_scalar_and_vector(self):
         assert from_dense(np.float64(3.0))[0][0] == 3.0
