@@ -28,8 +28,7 @@ bits, ``append`` of disjoint sorted runs stays sorted, and INT <-> DBL
 casts keep order bits on nil-free columns.  The engine exploits them in
 :func:`~repro.bat.sorting.order_by` (identity permutation for already-sorted
 keys), :func:`~repro.bat.sorting.check_key` (cached-bit short-circuits and a
-linear adjacent scan instead of a sort) and
-:func:`~repro.bat.kernels.thetaselect` (binary search on sorted columns).
+linear adjacent scan instead of a sort).
 
 One level up, each :class:`~repro.relational.relation.Relation` memoizes the
 sort permutation, inverse ranks and key-check verdict per order-schema name
@@ -39,13 +38,7 @@ same relation sort, validate and cast once instead of per call.
 """
 
 from repro.bat.bat import BAT, DataType, NIL_INT
-from repro.bat.kernels import (
-    binop,
-    compare,
-    fetchjoin,
-    materialize,
-    thetaselect,
-)
+from repro.bat.kernels import binop, compare
 from repro.bat.sorting import check_key, order_by
 from repro.bat.catalog import Catalog
 
@@ -55,9 +48,6 @@ __all__ = [
     "NIL_INT",
     "binop",
     "compare",
-    "fetchjoin",
-    "materialize",
-    "thetaselect",
     "order_by",
     "check_key",
     "Catalog",

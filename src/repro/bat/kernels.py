@@ -1,8 +1,8 @@
 """Vectorized whole-column BAT operations.
 
 These are the primitives relational and matrix operators are reduced to,
-mirroring MonetDB's BAT calculus: element-wise arithmetic, comparisons that
-produce candidate lists, and (left)fetchjoin for positional gathers.
+mirroring MonetDB's BAT calculus: element-wise arithmetic and comparisons
+that produce candidate lists (positional gathers are :meth:`BAT.fetch`).
 
 A *candidate list* is a sorted ``int64`` numpy array of tail positions; it is
 how MonetDB represents intermediate selections without materializing them.
@@ -72,23 +72,39 @@ def _numeric_operands(a: BAT, b: BAT | int | float,
     return ra, rb, dtype
 
 
+def _null_result(out: np.ndarray, dtype: DataType, *operands) -> np.ndarray:
+    """``out`` with the rows where an INT operand is NULL set to NULL
+    (``NIL_INT`` or NaN, as ``dtype`` says): arithmetic on NULL is NULL.
+    An operand whose ``tnonil`` bit is set is not scanned; DBL operands
+    carry their NaN through the arithmetic themselves."""
+    nil = None
+    for operand in operands:
+        if (isinstance(operand, BAT) and operand.dtype is DataType.INT
+                and not operand.tnonil):
+            mask = operand.is_nil()
+            nil = mask if nil is None else nil | mask
+    if nil is not None:
+        out[nil] = NIL_INT if dtype is DataType.INT else np.nan
+    return out
+
+
 def binop(op: str, a: BAT, b: BAT | int | float) -> BAT:
-    """Element-wise arithmetic between a BAT and a BAT or scalar."""
+    """Element-wise arithmetic between a BAT and a BAT or scalar; a NULL
+    operand gives NULL."""
     func = _ARITH_OPS.get(op)
     if func is None:
         raise BatError(f"unknown arithmetic operator {op!r}")
     ra, rb, dtype = _numeric_operands(a, b, op)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = func(ra, rb)
-    if dtype is DataType.INT and out.dtype != np.int64:
-        out = out.astype(np.int64)
-    if dtype is DataType.DBL and out.dtype != np.float64:
-        out = out.astype(np.float64)
-    return BAT(dtype, out, a.hseqbase)
+    if out.dtype != dtype.numpy_dtype:
+        out = out.astype(dtype.numpy_dtype)
+    return BAT(dtype, _null_result(out, dtype, a, b), a.hseqbase)
 
 
 def rbinop(op: str, a: int | float, b: BAT) -> BAT:
-    """Arithmetic with a scalar left operand (e.g. ``2 - column``)."""
+    """Arithmetic with a scalar left operand (e.g. ``2 - column``); a NULL
+    operand gives NULL."""
     func = _ARITH_OPS.get(op)
     if func is None:
         raise BatError(f"unknown arithmetic operator {op!r}")
@@ -105,7 +121,7 @@ def rbinop(op: str, a: int | float, b: BAT) -> BAT:
         out = func(a, rb)
     if out.dtype != dtype.numpy_dtype:
         out = out.astype(dtype.numpy_dtype)
-    return BAT(dtype, out, b.hseqbase)
+    return BAT(dtype, _null_result(out, dtype, b), b.hseqbase)
 
 
 def neg(a: BAT) -> BAT:
@@ -140,64 +156,6 @@ def compare(op: str, a: BAT, b: BAT | Any) -> np.ndarray:
     return np.asarray(out, dtype=bool)
 
 
-_RANGE_OPS = frozenset(("=", "==", "<", "<=", ">", ">="))
-
-
-def thetaselect(a: BAT, op: str, value: Any,
-                candidates: Candidates | None = None) -> Candidates:
-    """Select positions where ``a <op> value`` holds (MonetDB thetaselect).
-
-    If ``candidates`` is given, only those positions are considered and the
-    result is a sub-list of it.  On a sorted column (``tsorted``) a range
-    predicate is answered with two binary searches instead of a full scan —
-    the first call pays the O(n) sortedness check, every later call is
-    O(log n).
-    """
-    if (candidates is None and op in _RANGE_OPS and len(a) > 1
-            and a.tsorted):
-        result = _sorted_thetaselect(a, op, value)
-        if result is not None:
-            return result
-    if candidates is not None:
-        sub = a.fetch(candidates)
-        mask = compare(op, sub, value)
-        return candidates[mask]
-    mask = compare(op, a, value)
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
-def _sorted_thetaselect(a: BAT, op: str, value: Any) -> Candidates | None:
-    """Binary-search selection over a sorted tail; None means fall back.
-
-    Matches the scan semantics exactly: comparisons are on raw encoded
-    values, so the INT nil sentinel (int64 min) participates as the smallest
-    value, just as it does in :func:`compare`.  Nil search values (None, or
-    NaN whose ordering ``searchsorted`` and ``compare`` disagree on) take
-    the scan path.
-    """
-    encoded = _encode_value(value, a.dtype)
-    if encoded is None or (isinstance(encoded, float)
-                           and encoded != encoded):
-        return None
-    tail = a.tail
-    n = len(tail)
-    if op in ("=", "=="):
-        lo = int(np.searchsorted(tail, encoded, side="left"))
-        hi = int(np.searchsorted(tail, encoded, side="right"))
-        return np.arange(lo, hi, dtype=np.int64)
-    if op == "<":
-        hi = int(np.searchsorted(tail, encoded, side="left"))
-        return np.arange(0, hi, dtype=np.int64)
-    if op == "<=":
-        hi = int(np.searchsorted(tail, encoded, side="right"))
-        return np.arange(0, hi, dtype=np.int64)
-    if op == ">":
-        lo = int(np.searchsorted(tail, encoded, side="right"))
-        return np.arange(lo, n, dtype=np.int64)
-    lo = int(np.searchsorted(tail, encoded, side="left"))
-    return np.arange(lo, n, dtype=np.int64)
-
-
 def mask_to_candidates(mask: np.ndarray,
                        candidates: Candidates | None = None) -> Candidates:
     """Convert a boolean mask (over rows or over candidates) to candidates."""
@@ -205,22 +163,6 @@ def mask_to_candidates(mask: np.ndarray,
     if candidates is None:
         return positions
     return candidates[positions]
-
-
-def fetchjoin(a: BAT, positions: Candidates) -> BAT:
-    """Leftfetchjoin: project BAT ``a`` through a positions array.
-
-    This is the paper's ``X ↓ Y``: reorder/select the tail of ``a`` by the
-    positions derived from another column's order.
-    """
-    return a.fetch(positions)
-
-
-def materialize(a: BAT, candidates: Candidates | None) -> BAT:
-    """Apply a candidate list (no-op when the candidate list is None)."""
-    if candidates is None:
-        return a
-    return a.fetch(candidates)
 
 
 def ifthenelse(mask: np.ndarray, then_bat: BAT, else_bat: BAT) -> BAT:

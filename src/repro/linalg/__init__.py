@@ -17,7 +17,7 @@ one step function: scalar steps are numpy ufuncs, every other step calls
 the chosen backend's ``compute``, over whole columns or per morsel.
 """
 
-from repro.linalg.matrix import Columns, ncols, nrows, columns_allclose
+from repro.linalg.matrix import Columns, ncols, nrows
 from repro.linalg.bat_backend import BatBackend
 from repro.linalg.mkl_backend import MklBackend
 from repro.linalg.transform import TransformStats, from_dense, to_dense
@@ -27,7 +27,6 @@ __all__ = [
     "Columns",
     "nrows",
     "ncols",
-    "columns_allclose",
     "BatBackend",
     "MklBackend",
     "TransformStats",

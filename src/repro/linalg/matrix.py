@@ -46,15 +46,6 @@ def columns_to_dense(columns: Sequence[np.ndarray]) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def columns_allclose(a: Sequence[np.ndarray], b: Sequence[np.ndarray],
-                     rtol: float = 1e-9, atol: float = 1e-9) -> bool:
-    """Element-wise closeness of two column matrices."""
-    if ncols(a) != ncols(b) or nrows(a) != nrows(b):
-        return False
-    return all(np.allclose(ca, cb, rtol=rtol, atol=atol)
-               for ca, cb in zip(a, b))
-
-
 def check_dims(spec: OpSpec, a: Sequence[np.ndarray],
                b: Sequence[np.ndarray] | None = None) -> None:
     """Enforce the dimension preconditions of an operation (paper Table 1)."""

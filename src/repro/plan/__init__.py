@@ -119,7 +119,7 @@ AST.
 from repro.plan import nodes
 from repro.plan.build import build_select, build_table_expr
 from repro.plan.cache import PlanCache, catalog_stamps
-from repro.plan.explain import explain_lines, format_plan
+from repro.plan.explain import explain_lines
 from repro.plan.expr import Col, col, lit
 from repro.plan.optimizer import Optimizer, optimize
 from repro.plan.physical import (
@@ -136,5 +136,5 @@ __all__ = [
     "optimize", "Optimizer",
     "Executor", "Frame", "PhysicalInfo", "plan_physical",
     "PlanCache", "catalog_stamps",
-    "format_plan", "explain_lines",
+    "explain_lines",
 ]

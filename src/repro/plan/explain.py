@@ -1,6 +1,6 @@
 """Pretty-printing of logical plans and their physical annotations.
 
-``format_plan`` renders an indented operator tree, one node per line; a
+``explain_lines`` renders an indented operator tree, one node per line; a
 subplan the physical planner found repeated carries its occurrence count
 in brackets:
 
@@ -95,12 +95,6 @@ def _annotations(plan: nodes.Plan, info: PhysicalInfo | None) -> str:
         return ""
     count = info.shared.get(_cse_key(plan))
     return f" [shared x{count}]" if count else ""
-
-
-def format_plan(plan: nodes.Plan,
-                info: PhysicalInfo | None = None) -> str:
-    """Render a plan (and optional physical annotations) as a tree."""
-    return "\n".join(explain_lines(plan, info))
 
 
 def explain_lines(plan: nodes.Plan, info: PhysicalInfo | None = None,

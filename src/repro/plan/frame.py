@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.bat.bat import BAT, DataType, _encode_value
+from repro.bat.bat import BAT, DataType
 from repro.errors import BindError
 import repro.relational.joins as rel_join
 from repro.relational.relation import Relation, is_identity
@@ -182,14 +182,10 @@ class _Source:
                            self.gathered, outer_sorted, outer_key)
         entry = None if composed is None else composed.get(id(positions))
         if entry is None:
-            if not outer_nullable:
-                # -1 entries of a nullable source propagate through the
-                # gather.
-                taken = positions[outer]
-            else:
-                taken = np.full(len(outer), -1, dtype=np.int64)
-                hit = outer >= 0
-                taken[hit] = positions[outer[hit]]
+            # -1 entries of a nullable source propagate through the
+            # gather; -1 entries of a nullable outer stay -1.
+            taken = (rel_join.compose(positions, outer) if outer_nullable
+                     else positions[outer])
             entry = (positions, taken)
             if composed is not None:
                 composed[id(positions)] = entry
@@ -221,7 +217,7 @@ class _Source:
 
     def _gather(self, base: BAT) -> BAT:
         if self.nullable:
-            return _gather_nullable(base, self.positions)
+            return rel_join.gather_nullable(base, self.positions)
         if base.dtype in _SCANNED_TAILS:
             # Vectorized scans cached on the base column (a catalog column
             # pays them once): a gathered copy inherits the bits, so it is
@@ -264,34 +260,6 @@ def _take_sources(sources: list[_Source], outer: np.ndarray,
 
 _SCANNED_TAILS = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID,
                   DataType.DBL)
-
-
-def _compose(positions: np.ndarray | None, slot: np.ndarray) -> np.ndarray:
-    """``positions[slot]`` with ``-1`` slots kept (``None``: identity)."""
-    if positions is None:
-        return slot
-    out = np.full(len(slot), -1, dtype=np.int64)
-    hit = slot >= 0
-    out[hit] = positions[slot[hit]]
-    return out
-
-
-def _gather_nullable(base: BAT, positions: np.ndarray) -> BAT:
-    """Gather with ``-1`` positions reading as nil.
-
-    BOOL has no nil encoding: its unmatched rows keep whatever value the
-    gather produced (False when the source is empty).
-    """
-    missing = positions < 0
-    if not missing.any():
-        return base.fetch(positions)
-    if len(base):
-        tail = base.tail[np.where(missing, 0, positions)]
-    else:
-        tail = np.zeros(len(positions), dtype=base.dtype.numpy_dtype)
-    if base.dtype is not DataType.BOOL:
-        tail[missing] = _encode_value(None, base.dtype)
-    return BAT(base.dtype, tail)
 
 
 class Frame:
@@ -452,9 +420,10 @@ class Frame:
             if root is not None:
                 root_copy = next(copy for source, copy in
                                  zip(reusable, sources) if source is root[0])
+        compose = rel_join.compose
         if rpos is None:
             sources += [_Source.derived(source.columns, root_copy,
-                                        _compose(source.positions, root[1]),
+                                        compose(source.positions, root[1]),
                                         source.gathered)
                         for source in right._reusable_sources()]
         else:
@@ -470,7 +439,7 @@ class Frame:
                 if root_copy is not None:
                     for source, copy in zip(reusable, taken):
                         copy.parent = (root_copy,
-                                       _compose(source.positions, root[1]))
+                                       compose(source.positions, root[1]))
                 sources += taken
         if layout is None:
             layout = Layout(left.bindings + right.bindings)
@@ -542,8 +511,9 @@ class Frame:
         source with at least ``1 / DENSE_SPAN_FACTOR`` of its base's rows,
         and the base codes (:func:`~repro.relational.joins.base_codes`)
         have a layout within ``DENSE_SPAN_FACTOR`` times the rows.
-        ``memo`` is the statement's table of codes (``Executor._codes``):
-        a join over the columns a GROUP BY grouped reuses its codes."""
+        ``memo`` is the statement's table of gathered codes
+        (``Executor._codes``): a GROUP BY and a join over the same rows'
+        columns gather them once."""
         source, bases = None, []
         for expr in exprs:
             if not isinstance(expr, ast.ColumnRef):

@@ -29,8 +29,9 @@ right keys are unique, by counting otherwise.  Keys that are base columns
 of one source of the frame take their codes from the base
 (:func:`repro.relational.joins.base_codes`, computed once per base
 column tuple), gathered at the frame's rows; a GROUP BY does the same,
-and a join over the columns a GROUP BY grouped on the same rows reuses
-its codes (``Executor._codes``, one statement), as a groupjoin does.
+so a join over the columns a GROUP BY grouped probes with the codes it
+grouped by, as a groupjoin does.  Keys evaluated as expressions are coded
+on both sides at the join.
 Joins run at the key's own domain where they can (the invisible join of
 Abadi, Madden & Hachem, SIGMOD 2008): when a join's left keys are
 equivalent (``Frame.classes``) to columns of one source of at most an
@@ -283,8 +284,8 @@ class Executor:
         # Columns gathered through a position vector, shared by every
         # frame that reads the same base column through the same vector.
         self._gathered: dict[tuple, tuple] = {}
-        # Key codes per tuple of key BATs (joins.key_codes): a join
-        # reuses the codes a GROUP BY made of its left keys.
+        # Base key codes gathered at a position vector (Frame.base_codes),
+        # shared by the GROUP BYs and joins of the statement.
         self._codes: dict[tuple, tuple] = {}
         # Guards the CSE memo and the stats counters: with the morsel
         # engine on, sibling subplans execute on pool workers.
@@ -624,7 +625,7 @@ class Executor:
         # carries the row count.
         work = Relation.from_columns(data or {"_rows": BAT.dense(n)})
         grouped = rel_aggregate.group_by(
-            work, list(plan.key_names), specs, self._codes,
+            work, list(plan.key_names), specs,
             None if coded is None else coded[1])
         return Frame.wrap(grouped, self._layout(
             plan, (), lambda: _aggregate_bindings(plan)))
@@ -672,8 +673,8 @@ class Executor:
             else:
                 left_keys = [_broadcast(self._evaluator(left).eval(e),
                                         left.nrows) for e in left_exprs]
-                lpos, rpos = rel_join.join_positions(
-                    left_keys, right_keys, how=how, codes=self._codes)
+                lpos, rpos = rel_join.join_positions(left_keys, right_keys,
+                                                     how=how)
             root = None
             lpos_key = any(k.cached_prop("tkey") for k in right_keys)
         if residual:

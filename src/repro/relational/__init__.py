@@ -19,7 +19,7 @@ from repro.relational.ops import (
     sort,
     union_all,
 )
-from repro.relational.joins import hash_join, join
+from repro.relational.joins import join
 from repro.relational.aggregate import AggregateSpec, group_by
 from repro.relational.pivot import pivot
 from repro.relational.csv_io import read_csv, write_csv
@@ -37,7 +37,6 @@ __all__ = [
     "distinct",
     "limit",
     "sort",
-    "hash_join",
     "join",
     "group_by",
     "AggregateSpec",

@@ -136,16 +136,14 @@ def _decode(keep: np.ndarray, layout: tuple[tuple[int, int], ...],
 
 def group_by(relation: Relation, keys: Sequence[str],
              aggregates: Sequence[AggregateSpec],
-             codes: dict | None = None,
              coded: KeyCodes | None = None) -> Relation:
     """Grouped aggregation; with no keys, a single global group.
 
     Output schema: the key attributes followed by one attribute per
-    aggregate.  ``codes`` is a statement's memo of key codes
-    (:func:`repro.relational.joins.key_codes`), so a join over the same
-    key BATs can reuse the grouping's codes.  ``coded`` are the keys'
-    codes with a layout when the caller holds them
-    (:func:`repro.relational.joins.base_codes` gathered at the rows):
+    aggregate.  The keys are coded by
+    :func:`repro.relational.joins.key_codes`, unless ``coded`` holds their
+    codes with a layout (:func:`repro.relational.joins.base_codes`
+    gathered at the rows, which a join over the same rows gathers too):
     the key columns are then decoded from them and not read, so
     ``relation`` need not hold them.
     """
@@ -167,7 +165,7 @@ def group_by(relation: Relation, keys: Sequence[str],
         groups = _Groups(np.zeros(n, dtype=np.int64), 1)
     else:
         if coded is None:
-            coded = key_codes(relation.bats(keys), codes)
+            coded = key_codes(relation.bats(keys))
         if coded.layout is not None:
             sizes = np.bincount(coded.codes, minlength=coded.k)
             keep = np.flatnonzero(sizes)

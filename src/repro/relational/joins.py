@@ -30,24 +30,20 @@ When every column of one side is coded by offset and no fold needed
 compaction, the codes have a *layout* (:class:`KeyCodes`): per column its
 ``(low, span)``, so a code is the mixed-radix number of the columns'
 ``value - low`` digits and decodes back to the key values without a
-gather.  :func:`key_codes` encodes one side with its layout, memoized in
-a statement's dict per tuple of key BATs (the executor's ``_codes``, which
-lives and dies with the statement).  :func:`join_positions` given that
-memo reuses the left side's codes when it holds them with a layout, and
-codes only the right rows into it: a join probes with the codes a GROUP
-BY made of its keys (a groupjoin, Moerkotte & Neumann, VLDB 2011).  A
-layout covers every left value, so a right value outside it matches
-nothing.
+gather.  :func:`key_codes` encodes one side with its layout.
 
 A statement over a few base columns need not code its rows at all:
 :func:`base_codes` codes the whole columns once, keeps the codes on the
 first column (:meth:`~repro.bat.bat.BAT.derived`, in the narrowest
 unsigned type that holds ``k``) for as long as it lives, and a statement
-gathers its rows' codes from them.  Codes with a layout cover every value
-of the columns, so :func:`join_positions` given such left codes
-(``left_codes``) codes only the right rows into the layout, and a right
-value outside it matches nothing.  Fig. 15's GROUP BY and pair join
-gather one ``uint16`` code per trip instead of two station columns.
+gathers its rows' codes from them.  These are the one precomputed left
+coding a join takes (``left_codes``): they cover every value of the
+columns, so :func:`join_positions` codes only the right rows into the
+layout, and a right value outside it matches nothing.  Fig. 15's GROUP BY
+and pair join gather one ``uint16`` code per trip instead of two station
+columns, so the join probes the codes its GROUP BY grouped by (a
+groupjoin, Moerkotte & Neumann, VLDB 2011).  A join over any other keys
+codes both sides with :func:`encode_keys`.
 
 Grouping (:func:`group_codes`) compacts the codes once, since group ids
 must be dense; they stay in key order.  ``group_by`` skips even that for
@@ -61,7 +57,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.bat.bat import BAT, DataType
+from repro.bat.bat import BAT, DataType, _encode_value
 from repro.errors import RelationError, SchemaError
 from repro.relational.relation import Relation
 
@@ -144,24 +140,8 @@ def encode_keys(left: Sequence[BAT], right: Sequence[BAT] | None = None) \
     return lcodes, rcodes, k
 
 
-def key_codes(bats: Sequence[BAT], memo: dict | None = None) -> KeyCodes:
-    """:func:`encode_keys` of one side, with the codes' layout.
-
-    ``memo`` is a statement's table of codes: an entry keyed by the BAT
-    objects' ids holds the BATs themselves too, so the ids stay unique
-    while the table lives.  Concurrent callers may both compute an entry;
-    either one is the same codes.
-    """
-    if memo is None:
-        return _side_codes(bats)
-    key = tuple(map(id, bats))
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo.setdefault(key, (tuple(bats), _side_codes(bats)))
-    return entry[1]
-
-
-def _side_codes(bats: Sequence[BAT]) -> KeyCodes:
+def key_codes(bats: Sequence[BAT]) -> KeyCodes:
+    """:func:`encode_keys` of one side, with the codes' layout."""
     codes, _, k, layout = _encode(bats, None)
     return KeyCodes(codes, k, layout, tuple(b.dtype for b in bats))
 
@@ -181,7 +161,7 @@ def base_codes(bats: Sequence[BAT]) -> KeyCodes:
     others = tuple(bats[1:])
 
     def compute() -> tuple:
-        coded = _side_codes(bats)
+        coded = key_codes(bats)
         if coded.layout is not None:
             for dtype in (np.uint8, np.uint16, np.uint32):
                 if coded.k <= np.iinfo(dtype).max + 1:
@@ -273,7 +253,7 @@ def group_ids(codes: np.ndarray, k: int) \
 
 
 def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
-                   how: str = "inner", codes: dict | None = None,
+                   how: str = "inner",
                    left_codes: KeyCodes | None = None) \
         -> tuple[np.ndarray, np.ndarray]:
     """Matching position pairs (lpos, rpos) for an equi-join.
@@ -285,26 +265,15 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     full cross of matches.  Pairs come in left-row order, each left row's
     matches in right-row order.
 
-    Left keys coded with a layout that covers every left value are
-    probed without coding them again: only the right keys are coded into
-    the layout, and a right value outside it matches nothing (see the
-    module docstring).  ``codes`` is a statement's memo of
-    :func:`key_codes`, used when it holds the nil-free left keys' codes
-    with a layout and the right keys have their dtypes.  ``left_codes``
-    are the left rows' codes when the caller holds them, with a layout
-    that covers every value of ``left_keys``, the columns the rows were
-    taken from (:func:`base_codes` gathered at the rows); the right keys
-    must have their dtypes.
+    ``left_codes`` are the left rows' codes when the caller holds them
+    (:func:`base_codes` gathered at the rows), with a layout that covers
+    every value of ``left_keys``, the columns the rows were taken from;
+    the right keys must have their dtypes.  Only the right keys are then
+    coded, into the layout, and a right value outside it matches nothing
+    (see the module docstring).
     """
     if how not in ("inner", "left"):
         raise RelationError(f"unsupported join type {how!r}")
-    if left_codes is None and codes is not None:
-        entry = codes.get(tuple(map(id, left_keys)))
-        if (entry is not None and entry[1].layout is not None
-                and all(key.tnonil for key in left_keys)
-                and all(r.dtype is l.dtype
-                        for r, l in zip(right_keys, left_keys))):
-            left_codes = entry[1]
     if left_codes is not None:
         return _probe_layout(left_codes, right_keys, how)
     nleft = len(left_keys[0]) if left_keys else 0
@@ -315,10 +284,14 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     pad = how == "left" and lrows is not None
     shared = encode_keys(left_keys, right_keys)
     lpos, rpos = _probe(*shared, "inner" if pad else how)
-    lpos, rpos = _remap(lpos, lrows), _remap(rpos, rrows)
+    lpos, rpos = compose(lrows, lpos), compose(rrows, rpos)
     if pad:
         lpos, rpos = pad_unmatched(lpos, rpos, nleft)
     return lpos, rpos
+
+
+# The name the repository benchmark's trace spans (rmabench/spans.py) wrap.
+merge_join_positions = join_positions
 
 
 def _probe_layout(left: KeyCodes, right_keys: Sequence[BAT],
@@ -340,7 +313,7 @@ def _probe_layout(left: KeyCodes, right_keys: Sequence[BAT],
         rows = np.flatnonzero(inside)
         codes = codes[rows]
     lpos, rpos = _probe(left.codes, codes, left.k, how)
-    return lpos, _remap(rpos, rows)
+    return lpos, compose(rows, rpos)
 
 
 def _probe(lcodes: np.ndarray, rcodes: np.ndarray, k: int,
@@ -385,15 +358,34 @@ def _non_nil_keys(keys: Sequence[BAT]) \
                   for key in keys]
 
 
-def _remap(positions: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """Positions into a row subset, mapped back to the full side (``-1``
-    stays ``-1``)."""
-    if rows is None:
-        return positions
-    out = np.full(len(positions), -1, dtype=np.int64)
-    hit = positions >= 0
-    out[hit] = rows[positions[hit]]
+def compose(positions: np.ndarray | None, slot: np.ndarray) -> np.ndarray:
+    """``positions[slot]`` with ``-1`` slots kept ``-1`` (``positions=None``
+    is the identity): positions into a row subset mapped back to the full
+    side, or a nullable vector seen through another one."""
+    if positions is None:
+        return slot
+    out = np.full(len(slot), -1, dtype=np.int64)
+    hit = slot >= 0
+    out[hit] = positions[slot[hit]]
     return out
+
+
+def gather_nullable(base: BAT, positions: np.ndarray) -> BAT:
+    """``base`` gathered at ``positions``, a ``-1`` position reading nil.
+
+    BOOL has no nil encoding: its unmatched rows keep whatever value the
+    gather produced (False when ``base`` is empty).
+    """
+    missing = positions < 0
+    if not missing.any():
+        return base.fetch(positions)
+    if len(base):
+        tail = base.tail[np.where(missing, 0, positions)]
+    else:
+        tail = np.zeros(len(positions), dtype=base.dtype.numpy_dtype)
+    if base.dtype is not DataType.BOOL:
+        tail[missing] = _encode_value(None, base.dtype)
+    return BAT(base.dtype, tail)
 
 
 def pad_unmatched(lpos: np.ndarray, rpos: np.ndarray,
@@ -418,52 +410,6 @@ def _stable_order(codes: np.ndarray, k: int) -> np.ndarray:
     elif k <= 1 << 16:
         codes = codes.astype(np.uint16)
     return np.argsort(codes, kind="stable")
-
-
-MERGE_TYPES = (DataType.INT, DataType.DBL, DataType.DATE, DataType.TIME,
-               DataType.OID)
-"""Key dtypes eligible for :func:`merge_join_positions` (raw tails totally
-ordered; STR is excluded because nil ``None`` breaks object comparisons)."""
-
-
-def merge_join_positions(left_keys: Sequence[BAT],
-                         right_keys: Sequence[BAT],
-                         how: str = "inner") \
-        -> tuple[np.ndarray, np.ndarray]:
-    """Sorted merge path of the equi-join.
-
-    The executor does not call it: every plan join takes
-    :func:`join_positions`, whose counting probe was faster in most shapes
-    measured.  It stays defined, with its tests, because the repository
-    benchmark's trace spans (``rmabench/spans.py``) wrap it by name.
-
-    When both sides join on one key column of the same raw-comparable type
-    and both columns are already sorted (the cached ``tsorted`` bit: O(1)
-    for base columns, O(n) once otherwise), matches come from two binary
-    searches directly on the raw tails, skipping the hash path's key
-    encoding and its probe entirely.
-
-    The output position pairs are identical to :func:`join_positions`:
-    codes are order-isomorphic to raw values, so both paths pair each left
-    row with its matches in right-row order.  Preconditions are checked
-    here at run time; when they do not hold (composite keys included) the
-    call falls back to the hash path.
-
-    STR keys stay on the hash path (nil ordering of object tails is not
-    total); keys holding a nil do too, since nil matches nothing.
-    """
-    if (len(left_keys) == len(right_keys) == 1
-            and left_keys[0].dtype is right_keys[0].dtype
-            and left_keys[0].dtype in MERGE_TYPES
-            and left_keys[0].tsorted and right_keys[0].tsorted
-            and left_keys[0].tnonil and right_keys[0].tnonil):
-        if how not in ("inner", "left"):
-            raise RelationError(f"unsupported join type {how!r}")
-        left_tail, right_tail = left_keys[0].tail, right_keys[0].tail
-        lo = np.searchsorted(right_tail, left_tail, side="left")
-        hi = np.searchsorted(right_tail, left_tail, side="right")
-        return _expand_matches(lo, hi - lo, None, how)
-    return join_positions(left_keys, right_keys, how)
 
 
 def _expand_matches(lo: np.ndarray, counts: np.ndarray,
@@ -515,13 +461,6 @@ def _codes_sorted(codes: np.ndarray) -> bool:
     return len(codes) < 2 or bool(np.all(codes[:-1] <= codes[1:]))
 
 
-def hash_join(left: Relation, right: Relation,
-              left_on: Sequence[str], right_on: Sequence[str],
-              how: str = "inner") -> tuple[np.ndarray, np.ndarray]:
-    """Equi-join returning matching storage positions for both inputs."""
-    return join_positions(left.bats(left_on), right.bats(right_on), how)
-
-
 def join(left: Relation, right: Relation, left_on: Sequence[str],
          right_on: Sequence[str], how: str = "inner",
          drop_right_keys: bool = False) -> Relation:
@@ -530,7 +469,8 @@ def join(left: Relation, right: Relation, left_on: Sequence[str],
     Column names must not clash (after optionally dropping the right key
     columns); rename beforehand if they do.
     """
-    lpos, rpos = hash_join(left, right, left_on, right_on, how)
+    lpos, rpos = join_positions(left.bats(left_on), right.bats(right_on),
+                                how)
     right_names = [n for n in right.names
                    if not (drop_right_keys and n in right_on)]
     overlap = set(left.names) & set(right_names)
@@ -542,20 +482,7 @@ def join(left: Relation, right: Relation, left_on: Sequence[str],
     # left columns keep their sortedness through the gather.
     columns = [col.fetch(lpos, positions_sorted=True)
                for col in left.columns]
-    if how == "left":
-        safe_rpos = np.where(rpos < 0, 0, rpos)
-        for name in right_names:
-            col = right.column(name).fetch(safe_rpos)
-            # Null out unmatched rows.
-            nil = BAT.constant(None, len(rpos), col.dtype) \
-                if col.dtype is not DataType.BOOL else None
-            if nil is not None:
-                tail = np.where(rpos < 0, nil.tail, col.tail)
-                if col.dtype is DataType.STR:
-                    tail = tail.astype(object)
-                col = BAT(col.dtype, tail.astype(col.dtype.numpy_dtype))
-            columns.append(col)
-    else:
-        columns += [right.column(name).fetch(rpos) for name in right_names]
+    gather = gather_nullable if how == "left" else BAT.fetch
+    columns += [gather(right.column(name), rpos) for name in right_names]
     schema = left.schema.concat(right.schema.project(right_names))
     return Relation(schema, columns)

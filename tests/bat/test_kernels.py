@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bat.bat import BAT, DataType
+from repro.bat.bat import BAT, DataType, NIL_INT
 from repro.bat import kernels
 from repro.errors import BatError, TypeMismatchError
 
@@ -58,6 +58,67 @@ class TestBinop:
         assert np.allclose(out.tail, np.array(values) + scalar)
 
 
+class TestNullArithmetic:
+    """Arithmetic on a NULL INT operand gives NULL: ``NIL_INT`` for an INT
+    result, NaN for a DBL one; the other rows compute as before."""
+
+    K = [None, 3]
+
+    def k(self):
+        return BAT.from_values(self.K, DataType.INT)
+
+    @pytest.mark.parametrize("op, operand, want", [
+        ("+", 1, 4), ("*", 2, 6), ("%", 2, 1), ("-", 1, 2)])
+    def test_int_scalar(self, op, operand, want):
+        out = kernels.binop(op, self.k(), operand)
+        assert out.dtype is DataType.INT
+        assert out.tail.tolist() == [NIL_INT, want]
+        assert out.python_values() == [None, want]
+
+    @pytest.mark.parametrize("op, want", [("+", 6), ("*", 9), ("-", 0),
+                                          ("%", 0)])
+    def test_int_column_with_itself(self, op, want):
+        k = self.k()
+        out = kernels.binop(op, k, k)
+        assert out.dtype is DataType.INT
+        assert out.python_values() == [None, want]
+
+    def test_null_on_the_right(self):
+        out = kernels.binop("+", BAT.from_values([1, 2], DataType.INT),
+                            self.k())
+        assert out.python_values() == [None, 5]
+
+    def test_scalar_left_operand(self):
+        out = kernels.rbinop("-", 2, self.k())
+        assert out.dtype is DataType.INT
+        assert out.python_values() == [None, -1]
+
+    def test_division_gives_nan(self):
+        out = kernels.binop("/", self.k(), 2)
+        assert out.dtype is DataType.DBL
+        assert np.isnan(out.tail[0]) and out.tail[1] == 1.5
+        out = kernels.rbinop("/", 6, self.k())
+        assert np.isnan(out.tail[0]) and out.tail[1] == 2.0
+
+    def test_double_operand_gives_nan(self):
+        out = kernels.binop("+", self.k(), BAT.from_values([0.5, 0.5]))
+        assert out.dtype is DataType.DBL
+        assert np.isnan(out.tail[0]) and out.tail[1] == 3.5
+        out = kernels.binop("*", self.k(), 2.5)
+        assert np.isnan(out.tail[0]) and out.tail[1] == 7.5
+
+    def test_nil_free_operand_is_not_scanned(self, monkeypatch):
+        bat = BAT.from_values([1, 2], DataType.INT)
+        assert bat.tnonil
+        monkeypatch.setattr(BAT, "is_nil", lambda self: pytest.fail(
+            "a nil-free operand was scanned for nils"))
+        assert kernels.binop("+", bat, bat).tail.tolist() == [2, 4]
+        assert kernels.rbinop("-", 1, bat).tail.tolist() == [0, -1]
+
+    def test_float_view_keeps_the_raw_sentinel(self):
+        assert self.k().as_float()[0] == float(NIL_INT)
+
+
 class TestCompare:
     def test_numeric_compare(self):
         mask = kernels.compare("<", BAT.from_values([1, 5, 3]), 3)
@@ -79,16 +140,6 @@ class TestCompare:
 
 
 class TestSelection:
-    def test_thetaselect(self):
-        cands = kernels.thetaselect(BAT.from_values([5, 1, 7, 3]), ">", 2)
-        assert list(cands) == [0, 2, 3]
-
-    def test_thetaselect_with_candidates(self):
-        bat = BAT.from_values([5, 1, 7, 3])
-        first = kernels.thetaselect(bat, ">", 2)
-        second = kernels.thetaselect(bat, "<", 6, candidates=first)
-        assert list(second) == [0, 3]
-
     def test_mask_to_candidates(self):
         out = kernels.mask_to_candidates(np.array([True, False, True]))
         assert list(out) == [0, 2]
@@ -97,11 +148,6 @@ class TestSelection:
         cands = np.array([1, 3], dtype=np.int64)
         out = kernels.mask_to_candidates(np.array([False, True]), cands)
         assert list(out) == [3]
-
-    def test_materialize_none_is_noop(self):
-        bat = BAT.from_values([1, 2])
-        assert kernels.materialize(bat, None) is bat
-
 
 class TestIfThenElse:
     def test_numeric(self):

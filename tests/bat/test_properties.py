@@ -2,11 +2,10 @@
 tnonil), its free derivations, and cold-versus-warm equivalence.
 
 A *cold* BAT has no cached property bit; a *warm* one has its bits
-computed.  The four primitives the bits short-circuit (``order_by``,
-``check_key``, ``thetaselect``, ``join_positions``) must answer the same
-on both, and what an explicit oracle below answers: ``np.lexsort`` over
-the raw tails, a count of distinct rows, the ``kernels.compare`` mask and
-a nested-loop pair list.
+computed.  The three primitives the bits short-circuit (``order_by``,
+``check_key``, ``join_positions``) must answer the same on both, and what
+an explicit oracle below answers: ``np.lexsort`` over the raw tails, a
+count of distinct rows and a nested-loop pair list.
 """
 
 import datetime as dt
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bat.bat import BAT, DataType, NIL_INT
-from repro.bat.kernels import compare, thetaselect
 from repro.bat.sorting import check_key, order_by
 from repro.errors import BatError
 from repro.relational.joins import join, join_positions
@@ -250,15 +248,6 @@ def oracle_key(bats: list[BAT]) -> bool | None:
     return len(set(zip(*columns))) == n
 
 
-def oracle_select(bat: BAT, op: str, value,
-                  candidates: np.ndarray | None = None) -> np.ndarray:
-    """Positions where the ``kernels.compare`` mask holds."""
-    hits = np.flatnonzero(compare(op, fresh(bat), value))
-    if candidates is not None:
-        hits = hits[np.isin(hits, candidates)]
-    return hits
-
-
 def oracle_join(left: list[BAT], right: list[BAT],
                 how: str) -> tuple[np.ndarray, np.ndarray]:
     """Nested-loop pairs in left-row order, each left row's matches in
@@ -308,14 +297,6 @@ def assert_key_matches(bats: list[BAT]) -> None:
             assert isinstance(got, BatError)
         else:
             assert got is expected
-
-
-def assert_select_matches(bat: BAT, op: str, value,
-                          candidates: np.ndarray | None = None) -> None:
-    expected = oracle_select(bat, op, value, candidates)
-    for got in cold_and_warm(lambda: thetaselect(bat, op, value, candidates),
-                             [bat]):
-        np.testing.assert_array_equal(got, expected)
 
 
 def assert_join_matches(left: list[BAT], right: list[BAT], how: str) -> None:
@@ -370,20 +351,6 @@ class TestOnOffEquivalence:
     def test_check_key(self, dtype, values):
         assert_key_matches([BAT.from_values(values, dtype)])
 
-    @pytest.mark.parametrize("op", ["=", "<", "<=", ">", ">=", "<>"])
-    @pytest.mark.parametrize("dtype,values", _bat_cases())
-    def test_thetaselect(self, dtype, values, op):
-        probe = next(v for v in values if v is not None)
-        assert_select_matches(BAT.from_values(values, dtype), op, probe)
-
-    def test_thetaselect_nil_probe(self):
-        assert_select_matches(BAT.from_values([None, 1, 5, 9], DataType.INT),
-                              "=", None)
-
-    def test_thetaselect_with_candidates(self):
-        assert_select_matches(BAT.from_values([1, 2, 3, 4, 5]), ">", 1,
-                              np.array([0, 2, 4], dtype=np.int64))
-
     @pytest.mark.parametrize("how", ["inner", "left"])
     @pytest.mark.parametrize("right_sorted", [True, False],
                              ids=["right-sorted", "right-unsorted"])
@@ -433,8 +400,6 @@ class TestReviewRegressions:
         col = out.column("x")
         assert col.cached_prop("tsorted") is not True
         assert not col.tsorted  # trailing NaN breaks raw order
-        np.testing.assert_array_equal(thetaselect(col, ">", 0.5),
-                                      oracle_select(col, ">", 0.5))
 
     def test_order_by_shortcut_still_rejects_nil_strings(self):
         major = BAT.from_values([1, 2, 3])
@@ -588,21 +553,6 @@ class TestRandomBats:
     @given(bats=aligned_bats())
     def test_check_key(self, bats):
         assert_key_matches(bats)
-
-    @RANDOM
-    @given(data=st.data(), bat=random_bat(),
-           op=st.sampled_from(["=", "<", "<=", ">", ">=", "<>"]))
-    def test_thetaselect(self, data, bat, op):
-        probe = data.draw(st.one_of(st.none(), DOMAINS[bat.dtype]))
-        if bat.dtype is DataType.STR and op not in ("=", "<>") and (
-                probe is None or None in bat.tail.tolist()):
-            op = "="  # a nil string has no order: compare raises
-        candidates = None
-        if data.draw(st.booleans()):
-            candidates = np.array(sorted(data.draw(st.sets(
-                st.integers(0, max(len(bat) - 1, 0)), max_size=len(bat)))),
-                dtype=np.int64)
-        assert_select_matches(bat, op, probe, candidates)
 
     @RANDOM
     @given(sides=join_sides(), how=st.sampled_from(["inner", "left"]))

@@ -18,7 +18,6 @@ from repro.errors import BindError
 from repro.data import bixi
 import repro.relational.joins as rel_join
 from repro.plan import evaluate, nodes, physical
-import repro.plan.frame as plan_frame
 from repro.plan.expr import col
 from repro.plan.physical import Executor, ExpressionEvaluator, Frame
 from repro.relational.relation import Relation
@@ -226,7 +225,7 @@ class TestLeftJoinNils:
         return db
 
     def test_nils_are_filled_once_per_column(self, db, count_calls):
-        fills = count_calls(plan_frame, "_gather_nullable")
+        fills = count_calls(rel_join, "gather_nullable")
         out = db.execute(
             "SELECT a.k, b.y, b.y * 2 AS y2, b.w FROM a LEFT JOIN b "
             "ON a.k = b.k WHERE (b.y IS NULL OR b.y > 0) AND a.k > 1 "

@@ -1,12 +1,11 @@
-"""Physical planner and executor: CSE, joins on the one hash path, the
-sorted-merge join function, and the warm-order seeding of derived
-relations (merge_result)."""
+"""Physical planner and executor: CSE, joins on the one hash path, and the
+warm-order seeding of derived relations (merge_result)."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.bat.bat import BAT, DataType
+from repro.bat.bat import BAT
 from repro.bat.catalog import Catalog
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
@@ -15,7 +14,6 @@ from repro.opspec import OPS
 from repro.plan import nodes
 from repro.plan.optimizer import optimize
 from repro.plan.physical import Executor, plan_physical
-from repro.relational import joins as rel_join
 from repro.relational.relation import Relation
 
 
@@ -131,40 +129,6 @@ class TestCse:
         assert "[shared x2]" in session.explain(sql)
 
 
-# -- merge join ----------------------------------------------------------------
-
-
-def int_bat(values):
-    return BAT(DataType.INT, np.asarray(values, dtype=np.int64))
-
-
-class TestMergeJoin:
-    @pytest.mark.parametrize("how", ["inner", "left"])
-    def test_matches_hash_join_on_sorted_keys(self, how):
-        left = int_bat([1, 2, 2, 4, 7, 9])
-        right = int_bat([2, 2, 3, 4, 4, 8, 9])
-        merged = rel_join.merge_join_positions([left], [right], how=how)
-        hashed = rel_join.join_positions([left], [right], how=how)
-        assert np.array_equal(merged[0], hashed[0])
-        assert np.array_equal(merged[1], hashed[1])
-
-    def test_unsorted_input_falls_back(self):
-        left = int_bat([3, 1, 2])
-        right = int_bat([2, 1, 3])
-        merged = rel_join.merge_join_positions([left], [right])
-        hashed = rel_join.join_positions([left], [right])
-        assert np.array_equal(merged[0], hashed[0])
-        assert np.array_equal(merged[1], hashed[1])
-
-    def test_dbl_sorted_keys(self):
-        left = BAT(DataType.DBL, np.array([0.5, 1.5, 2.5]))
-        right = BAT(DataType.DBL, np.array([0.5, 2.5, 3.0]))
-        merged = rel_join.merge_join_positions([left], [right])
-        hashed = rel_join.join_positions([left], [right])
-        assert np.array_equal(merged[0], hashed[0])
-        assert np.array_equal(merged[1], hashed[1])
-
-
 # -- joins on the one hash path ---------------------------------------------------
 
 
@@ -267,7 +231,7 @@ class TestJoinStrategy:
 
     @pytest.mark.parametrize("shape", list(JOIN_SHAPES))
     def test_join_shape(self, shape, run_unoptimized):
-        # Every equi-join takes rel_join.join_positions, whatever the
+        # Every equi-join takes joins.join_positions, whatever the
         # sortedness, dtype or arity of its keys.
         tables, sql, rows = JOIN_SHAPES[shape]
         session = self.make_session(tables)

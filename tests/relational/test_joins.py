@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bat.bat import BAT
+from repro.bat.bat import BAT, DataType
 from repro.errors import RelationError, SchemaError
 from repro.relational import Relation, join
+import repro.relational.joins as joins
 from repro.relational.joins import encode_keys, join_positions
 
 
@@ -121,6 +122,39 @@ class TestJoinRelation:
         out = join(a, b, ["k"], ["j"], how="left", drop_right_keys=True)
         rows = dict((r[0], r[2]) for r in out.to_rows())
         assert rows == {1: "hit", 9: None}
+
+    def test_left_join_fills_every_dtype_through_the_frame_gather(
+            self, monkeypatch):
+        """Unmatched rows read nil per dtype (a BOOL keeps the gathered
+        value: it has no nil), through the one nil-aware gather the
+        executor's frames use too."""
+        a = Relation.from_columns({"k": [1, 9, 1]})
+        b = Relation.from_columns({"j": [1], "i": [7], "x": [0.5],
+                                   "s": ["hit"], "b": [True]})
+        gathered = []
+        original = joins.gather_nullable
+
+        def spy(base, positions):
+            gathered.append(base.dtype)
+            return original(base, positions)
+
+        monkeypatch.setattr(joins, "gather_nullable", spy)
+        out = join(a, b, ["k"], ["j"], how="left", drop_right_keys=True)
+        assert out.to_rows() == [(1, 7, 0.5, "hit", True),
+                                 (9, None, None, None, True),
+                                 (1, 7, 0.5, "hit", True)]
+        assert [c.dtype for c in out.columns] == [
+            DataType.INT, DataType.INT, DataType.DBL, DataType.STR,
+            DataType.BOOL]
+        assert gathered == [DataType.INT, DataType.DBL, DataType.STR,
+                            DataType.BOOL]
+
+    def test_left_join_with_an_empty_right_side(self):
+        a = Relation.from_columns({"k": [1, 2]})
+        b = Relation.from_columns({"j": np.empty(0, dtype=np.int64),
+                                   "y": np.empty(0)})
+        out = join(a, b, ["k"], ["j"], how="left")
+        assert out.to_rows() == [(1, None, None), (2, None, None)]
 
     def test_name_clash_rejected(self, users, ratings):
         with pytest.raises(SchemaError):

@@ -2,12 +2,12 @@
 against a sort-based reference.
 
 ``group_by`` aggregates at the code domain when every key column is coded
-by offset (the codes' layout), and a join given the statement's memo of
-codes reuses the left side's codes and codes only its right rows into
-their layout; both must give exactly what the reference gives too: every
-aggregate bit for bit against a per-row oracle over ``np.unique``-ranked
-groups, and the join's pairs against a nested loop, right values outside
-the layout included.
+by offset (the codes' layout), and a join given the left side's codes
+(``left_codes``) codes only its right rows into their layout; both must
+give exactly what the reference gives too: every aggregate bit for bit
+against a per-row oracle over ``np.unique``-ranked groups, and the
+join's pairs against a nested loop, right values outside the layout
+included.
 
 ``encode_keys`` codes small integer domains by offset and folds composite
 keys by multiplication, compacting only when a fold would outgrow the
@@ -17,9 +17,10 @@ keys and bincount prefix sums otherwise.  All of it must reproduce
 rank the same, the same join position pairs in the same order, the same
 group order and first-row representatives.  Inputs straddle the
 dense-span threshold, fold composite keys across it, place the two join
-sides in disjoint or one-sided ranges, carry negative lows,
-``NIL_INT``/NaN, mix INT and DBL join keys (the cast path), and include
-empty and one-row relations.
+sides in disjoint or one-sided ranges, come in key order (the probe's
+already-sorted right side), carry negative lows, ``NIL_INT``/NaN, mix
+INT and DBL join keys (the cast path), and include empty and one-row
+relations.
 """
 
 import numpy as np
@@ -369,11 +370,26 @@ def keyed_join_sides(draw):
     return [BAT(DataType.INT, left)], [BAT(DataType.INT, right)]
 
 
+def key_ordered(bats):
+    """The rows of ``bats`` in key order (first column major)."""
+    order = np.lexsort([b.tail for b in reversed(bats)])
+    return [BAT(b.dtype, b.tail[order]) for b in bats]
+
+
+@st.composite
+def sorted_join_sides(draw):
+    """Integer sides with each side's rows in key order: the counting
+    probe's right side is then already sorted, and single keys with
+    duplicates or composite keys straddle the slot probe."""
+    left, right = draw(st.one_of(keyed_join_sides(), int_composite_sides()))
+    return key_ordered(left), key_ordered(right)
+
+
 @properties
 @pytest.mark.parametrize("how", ["inner", "left"])
 @settings(max_examples=80 * SCALE, deadline=None)
 @given(sides=st.one_of(join_sides(), keyed_join_sides(),
-                       int_composite_sides()))
+                       int_composite_sides(), sorted_join_sides()))
 def test_join_positions_match_reference(warm, how, sides):
     left, right = sides
     warm_bats(warm, left + right)
@@ -382,6 +398,19 @@ def test_join_positions_match_reference(warm, how, sides):
     assert lpos.dtype == rpos.dtype == np.int64
     np.testing.assert_array_equal(lpos, want_l)
     np.testing.assert_array_equal(rpos, want_r)
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_all_equal_keys_join_as_the_full_cross_product(how):
+    left = [BAT(DataType.INT, np.zeros(4, dtype=np.int64))] * 2
+    right = [BAT(DataType.INT, np.zeros(3, dtype=np.int64))] * 2
+    lpos, rpos = join_positions(left, right, how)
+    np.testing.assert_array_equal(lpos, np.repeat(np.arange(4), 3))
+    np.testing.assert_array_equal(rpos, np.tile(np.arange(3), 4))
+
+
+def test_merge_join_name_is_the_one_join_path():
+    assert joins.merge_join_positions is joins.join_positions
 
 
 @properties
@@ -588,7 +617,7 @@ def test_code_domain_group_by_reads_no_key_row():
                     out.column("b").tail.tolist())) == pairs
 
 
-# -- joins reusing a GROUP BY's codes --------------------------------------------
+# -- joins probing with precomputed left codes -----------------------------------
 
 @st.composite
 def reused_join_sides(draw):
@@ -622,15 +651,18 @@ def reused_join_sides(draw):
 @settings(max_examples=100 * SCALE, deadline=None)
 @given(sides=reused_join_sides())
 def test_join_reusing_codes_matches_nested_loop(how, sides):
+    """Right keys of the left keys' dtypes are coded into the layout of
+    ``left_codes``, values outside it (nil too) matching nothing; other
+    dtypes take the shared encoding, as the executor hands them over."""
     left, right = sides
-    if any(l.dtype is not r.dtype for l, r in zip(left, right)) \
-            and not all(l.dtype.is_numeric and r.dtype.is_numeric
-                        for l, r in zip(left, right)):
+    same_dtypes = all(l.dtype is r.dtype for l, r in zip(left, right))
+    if not same_dtypes and not all(l.dtype.is_numeric and r.dtype.is_numeric
+                                   for l, r in zip(left, right)):
         with pytest.raises(repro.errors.RelationError):
             join_positions(left, right, how)
         return
-    memo = {}
-    assert key_codes(left, memo).layout is not None
+    coded = key_codes(left)
+    assert coded.layout is not None
     encoded = []
     encode = joins.encode_keys
 
@@ -640,15 +672,12 @@ def test_join_reusing_codes_matches_nested_loop(how, sides):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(joins, "encode_keys", spy)
-        lpos, rpos = join_positions(left, right, how, codes=memo)
+        lpos, rpos = join_positions(
+            left, right, how, left_codes=coded if same_dtypes else None)
     want_l, want_r = ref_join(left, right, how)
     np.testing.assert_array_equal(lpos, want_l)
     np.testing.assert_array_equal(rpos, want_r)
-    # Right keys of the left keys' dtypes are coded into the left's
-    # layout, values outside it (nil too) matching nothing; other dtypes
-    # take the shared encoding.
-    assert bool(encoded) is not all(l.dtype is r.dtype
-                                    for l, r in zip(left, right))
+    assert bool(encoded) is not same_dtypes
 
 
 def ref_pivot(relation, index, on, value):

@@ -5,7 +5,8 @@ and DATE columns (NULLs, duplicate keys, 0- and 1-row inputs) and queries
 over filters and ``BETWEEN``, inner and left joins with equality plus
 residual ``ON`` conjuncts (and ``WHERE`` conjuncts over either side of a
 left join), subqueries in ``FROM``, ``GROUP BY``/``HAVING``,
-``DISTINCT`` and ``ORDER BY``/``LIMIT``.  Fig. 15's star shape gets a
+``DISTINCT``, ``ORDER BY``/``LIMIT`` and INT arithmetic over NULL-bearing
+columns (projected, aggregated and compared).  Fig. 15's star shape gets a
 larger fact table ``l`` over few keys and a dimension ``r`` whose keys are
 unique in some examples and duplicated in others: a composite-key
 subquery ``GROUP BY k, d HAVING ...`` joined back on both keys, then one
@@ -21,11 +22,9 @@ Known divergences are excluded by construction, never by tolerance
 
 * ``TWO_VALUED_LOGIC`` — comparisons over NULL are false, not unknown, so
   every generated comparison is guarded by ``IS NOT NULL`` (a guarded
-  atom is never unknown in sqlite either), and arithmetic and ``HAVING``
-  only touch values that cannot be NULL.
+  atom is never unknown in sqlite either), and ``HAVING`` only touches
+  values that cannot be NULL.
 * ``DIVISION`` — ``/`` always yields DBL; no query divides.
-* ``INT_NULL_ARITHMETIC`` — INT arithmetic does not propagate NULL; no
-  expression computes on a NULL-bearing INT column.
 * ``NULL_ORDERING`` — a NULL DBL sorts last ascending (sqlite: first), so
   ``ORDER BY`` keys are filtered to non-NULL values.
 * ``STR_NULL_ORDER`` — ordering, grouping and ``DISTINCT`` over a STR
@@ -92,11 +91,20 @@ def date_literal(value):
     return f"DATE '{value.isoformat()}'"
 
 
+# INT arithmetic over a NULL-bearing INT column ``{0}`` (no division:
+# ``/`` is DBL, see DIVISION; no divisor that can be 0).
+INT_ARITHMETIC = ["{0} + 1", "{0} * 2", "{0} + {0}", "{0} % 2", "2 - {0}",
+                  "{0} * {0} - 3", "3 % ({0} + 1)"]
+
+
 @st.composite
 def atoms(draw, q, table_name):
-    """A two-valued predicate over ``q.<column>`` of one table."""
+    """A two-valued predicate over ``q.<column>`` of one table, or over
+    INT arithmetic on an INT column."""
     column, dtype = draw(st.sampled_from(COLUMNS[table_name]))
     ref = f"{q}{column}"
+    if dtype is DataType.INT and draw(st.integers(0, 2)) == 0:
+        ref = f"({draw(st.sampled_from(INT_ARITHMETIC)).format(ref)})"
     if draw(st.integers(0, 4)) == 0:
         return f"{ref} IS {draw(st.sampled_from(['', 'NOT ']))}NULL"
     if dtype is DataType.STR:
@@ -171,7 +179,9 @@ def left_join_where_queries(draw):
 AGGREGATES = ["COUNT(*)", "COUNT(x)", "SUM(x)", "AVG(x)", "MIN(x)",
               "MAX(x)", "COUNT(k)", "SUM(k)", "MIN(d)", "MAX(d)", "MIN(s)",
               "MAX(s)",
-              "COUNT(DISTINCT k)", "COUNT(DISTINCT s)", "COUNT(DISTINCT d)"]
+              "COUNT(DISTINCT k)", "COUNT(DISTINCT s)", "COUNT(DISTINCT d)",
+              "SUM(k + 1)", "MAX(2 - k)", "COUNT(k * 2)", "AVG(k % 2)",
+              "SUM(k * x)", "MIN(k + x)"]
 
 
 @st.composite
@@ -189,6 +199,23 @@ def group_queries(draw):
             having = draw(st.sampled_from(
                 ["COUNT(*) > 1", "COUNT(x) >= 1", "COUNT(*) < 3"]))
             sql += f" HAVING {having}"
+    return sql
+
+
+# Arithmetic projected over l: INT results, DBL ones (an INT and a DBL
+# operand) and unary minus; a NULL operand must give NULL.
+PROJECTED_ARITHMETIC = ([e.format("k") for e in INT_ARITHMETIC]
+                        + ["k + x", "x * k", "k * 0.5", "-k", "-(k + 1) * 2"])
+
+
+@st.composite
+def arithmetic_queries(draw):
+    exprs = draw(st.lists(st.sampled_from(PROJECTED_ARITHMETIC), min_size=1,
+                          max_size=4, unique=True))
+    items = ", ".join(f"{e} AS e{i}" for i, e in enumerate(exprs))
+    sql = f"SELECT k, x, {items} FROM l"
+    if draw(st.booleans()):
+        sql += f" WHERE {draw(predicates('', 'l', 1))}"
     return sql
 
 
@@ -392,6 +419,12 @@ def test_group_by(data, sql):
 
 
 @DIFFERENTIAL
+@given(tables, arithmetic_queries())
+def test_null_arithmetic(data, sql):
+    check(data, sql)
+
+
+@DIFFERENTIAL
 @given(tables, distinct_queries())
 def test_distinct(data, sql):
     check(data, sql)
@@ -434,6 +467,11 @@ NULLS = {"l": [(None, None, None, None), (1, 0.5, "a", DATES[0]),
     # over the null-supplying side above it.
     "SELECT l.k AS lk, l.x AS lx, r.y AS ry FROM l LEFT JOIN r "
     "ON l.k = r.k WHERE (l.x IS NOT NULL AND l.x > 0) AND r.y IS NULL",
+    # INT arithmetic used to turn a NULL operand into a number.
+    "SELECT k + 1 AS a, k * 2 AS b, k + k AS c, k % 2 AS e, 2 - k AS f, "
+    "k + x AS g FROM l",
+    "SELECT SUM(k + 1) AS a, MAX(2 - k) AS b, COUNT(k * 2) AS c FROM l",
+    "SELECT k FROM l WHERE (k + 1) IS NULL",
 ])
 def test_regressions(sql):
     check(NULLS, sql)
