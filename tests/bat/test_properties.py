@@ -5,10 +5,14 @@ A *cold* BAT has no cached property bit; a *warm* one has its bits
 computed.  The three primitives the bits short-circuit (``order_by``,
 ``check_key``, ``join_positions``) must answer the same on both, and what
 an explicit oracle below answers: ``np.lexsort`` over the raw tails, a
-count of distinct rows and a nested-loop pair list.
+count of distinct rows and a nested-loop pair list.  A selection (the
+``kernels.compare`` mask through ``mask_to_candidates`` or
+``select_mask``, whose ``BAT.fetch`` seeds the result's bits) must too,
+against a row-by-row comparison of the raw tail.
 """
 
 import datetime as dt
+import operator
 
 import numpy as np
 import pytest
@@ -16,10 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bat.bat import BAT, DataType, NIL_INT
+from repro.bat.kernels import compare, mask_to_candidates
 from repro.bat.sorting import check_key, order_by
 from repro.errors import BatError
 from repro.relational.joins import join, join_positions
+from repro.relational.ops import select_mask
 from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Schema
 
 # The "ci" profile (tests/conftest.py) runs ten times as many examples.
 SCALE = 10 if settings.get_current_profile_name() == "ci" else 1
@@ -248,6 +255,30 @@ def oracle_key(bats: list[BAT]) -> bool | None:
     return len(set(zip(*columns))) == n
 
 
+_PY_COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def oracle_select(bat: BAT, op: str, value,
+                  candidates: np.ndarray | None = None) -> np.ndarray:
+    """Positions whose raw tail value satisfies ``<op> value``, row by row,
+    the probe encoded as ``BAT.from_values`` encodes it: the INT-family nil
+    (int64 min) compares as the smallest value, and a NaN equals nothing."""
+    probe = BAT.from_values([value], bat.dtype).tail.tolist()[0]
+    raw = bat.tail.tolist()
+    rows = range(len(raw)) if candidates is None else candidates.tolist()
+    return np.array([i for i in rows if _PY_COMPARE[op](raw[i], probe)],
+                    dtype=np.int64)
+
+
+def select_positions(bat: BAT, op: str, value,
+                     candidates: np.ndarray | None = None) -> np.ndarray:
+    """A selection as the engine runs one: the ``compare`` mask over the
+    (candidate) rows, turned into positions."""
+    sub = bat if candidates is None else bat.fetch(candidates)
+    return mask_to_candidates(compare(op, sub, value), candidates)
+
+
 def oracle_join(left: list[BAT], right: list[BAT],
                 how: str) -> tuple[np.ndarray, np.ndarray]:
     """Nested-loop pairs in left-row order, each left row's matches in
@@ -297,6 +328,25 @@ def assert_key_matches(bats: list[BAT]) -> None:
             assert isinstance(got, BatError)
         else:
             assert got is expected
+
+
+def assert_select_matches(bat: BAT, op: str, value,
+                          candidates: np.ndarray | None = None) -> None:
+    expected = oracle_select(fresh(bat), op, value, candidates)
+    for got in cold_and_warm(
+            lambda: select_positions(bat, op, value, candidates), [bat]):
+        np.testing.assert_array_equal(got, expected)
+    if candidates is not None:
+        return
+    # The selected column's bits, seeded by BAT.fetch from the warm
+    # column, agree with the bits of a cold copy of the same rows.
+    relation = Relation(Schema([Attribute("x", bat.dtype)]), [bat])
+    column = select_mask(relation, compare(op, bat, value)).column("x")
+    np.testing.assert_array_equal(column.tail, bat.tail[expected])
+    cold = fresh(column)
+    for name in ("tsorted", "trevsorted", "tkey", "tnonil"):
+        if column.cached_prop(name) is not None:
+            assert column.cached_prop(name) == getattr(cold, name), name
 
 
 def assert_join_matches(left: list[BAT], right: list[BAT], how: str) -> None:
@@ -351,6 +401,20 @@ class TestOnOffEquivalence:
     def test_check_key(self, dtype, values):
         assert_key_matches([BAT.from_values(values, dtype)])
 
+    @pytest.mark.parametrize("op", ["=", "<", "<=", ">", ">=", "<>"])
+    @pytest.mark.parametrize("dtype,values", _bat_cases())
+    def test_select(self, dtype, values, op):
+        probe = next(v for v in values if v is not None)
+        assert_select_matches(BAT.from_values(values, dtype), op, probe)
+
+    def test_select_nil_probe(self):
+        assert_select_matches(BAT.from_values([None, 1, 5, 9], DataType.INT),
+                              "=", None)
+
+    def test_select_with_candidates(self):
+        assert_select_matches(BAT.from_values([1, 2, 3, 4, 5]), ">", 1,
+                              np.array([0, 2, 4], dtype=np.int64))
+
     @pytest.mark.parametrize("how", ["inner", "left"])
     @pytest.mark.parametrize("right_sorted", [True, False],
                              ids=["right-sorted", "right-unsorted"])
@@ -400,6 +464,8 @@ class TestReviewRegressions:
         col = out.column("x")
         assert col.cached_prop("tsorted") is not True
         assert not col.tsorted  # trailing NaN breaks raw order
+        np.testing.assert_array_equal(select_positions(col, ">", 0.5),
+                                      oracle_select(col, ">", 0.5))
 
     def test_order_by_shortcut_still_rejects_nil_strings(self):
         major = BAT.from_values([1, 2, 3])
@@ -553,6 +619,21 @@ class TestRandomBats:
     @given(bats=aligned_bats())
     def test_check_key(self, bats):
         assert_key_matches(bats)
+
+    @RANDOM
+    @given(data=st.data(), bat=random_bat(),
+           op=st.sampled_from(["=", "<", "<=", ">", ">=", "<>"]))
+    def test_select(self, data, bat, op):
+        probe = data.draw(st.one_of(st.none(), DOMAINS[bat.dtype]))
+        if bat.dtype is DataType.STR and op not in ("=", "<>") and (
+                probe is None or None in bat.tail.tolist()):
+            op = "="  # a nil string has no order: compare raises
+        candidates = None
+        if data.draw(st.booleans()):
+            candidates = np.array(sorted(data.draw(st.sets(
+                st.integers(0, max(len(bat) - 1, 0)), max_size=len(bat)))),
+                dtype=np.int64)
+        assert_select_matches(bat, op, probe, candidates)
 
     @RANDOM
     @given(sides=join_sides(), how=st.sampled_from(["inner", "left"]))
